@@ -5,7 +5,8 @@ canonical JSON (sorted keys, floats at 17 significant digits) so identical
 run configurations produce byte-identical artifacts; fields go to CSV with
 full-precision round-tripping.  Artifacts are written atomically.
 
-Exit codes: 0 success, 2 solver non-convergence, 3 configuration error.
+Exit codes: 0 success, 2 solver non-convergence, 3 configuration or input
+error (unknown config keys, malformed or non-finite CSV fields, ...).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -86,15 +87,22 @@ def save_field_csv(path: str, u: RadialField):
 
 
 def load_field_csv(path: str, dimension: int = 4) -> RadialField:
-    rows = [ln.strip() for ln in open(path) if ln.strip()]
-    if rows[0].lower() != "r,u":
+    """Read an 'r,u' CSV on a uniform grid from 0; malformed input raises ValueError."""
+    with open(path) as fh:
+        rows = [ln.strip() for ln in fh if ln.strip()]
+    if not rows or rows[0].lower() != "r,u":
         raise ValueError(f"{path}: expected header 'r,u'")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in rows[1:]])
-    r, vals = data[:, 0], data[:, 1]
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
+    cells = [ln.split(",") for ln in rows[1:]]
+    if any(len(c) != 2 for c in cells):
+        raise ValueError(f"{path}: every data row needs two columns 'r,u'")
+    data = np.array([[float(x) for x in c] for c in cells])
+    r = data[:, 0]
     grd = g.build_grid(float(r[-1]), len(r), dimension)
     if not np.allclose(grd.nodes, r, rtol=0, atol=1e-9 * max(r[-1], 1.0)):
         raise ValueError(f"{path}: nodes are not a uniform grid from 0")
-    return RadialField(grd, vals)
+    return g.as_field(grd, data[:, 1])
 
 
 # --- run configuration -----------------------------------------------------------
@@ -121,9 +129,6 @@ class RunConfig:
     b_values: tuple = (3.0, 5.0, 8.0)
     max_iters: int = 400
     tol: float = 1e-10
-    rearrange_interval: int = 10
-    refine: int = 8
-    seeds: tuple = (0,)
     jobs: int = 1
     sweep_param: Optional[str] = None
     sweep_values: tuple = ()
@@ -136,7 +141,12 @@ class RunConfig:
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         raw = json.loads(text)
-        for key in ("b_values", "seeds", "sweep_values"):
+        if not isinstance(raw, dict):
+            raise ValueError("a run configuration is a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
+        for key in ("b_values", "sweep_values"):
             if key in raw and isinstance(raw[key], list):
                 raw[key] = tuple(raw[key])
         return RunConfig(**raw)
@@ -164,9 +174,7 @@ def _default_init(grd) -> RadialField:
 
 
 def _solver_options(rc: RunConfig) -> SolverOptions:
-    return SolverOptions(max_iters=rc.max_iters, tol=rc.tol,
-                         rearrange_interval=rc.rearrange_interval,
-                         refine=rc.refine)
+    return SolverOptions(max_iters=rc.max_iters, tol=rc.tol)
 
 
 def _report_header(rc: RunConfig) -> dict:
@@ -273,7 +281,6 @@ def _cmd_gap(rc: RunConfig) -> int:
 def _cmd_sweep(rc: RunConfig) -> int:
     if rc.sweep_param not in ("lambda", "gamma"):
         raise ValueError("sweep requires --sweep-param lambda|gamma and --sweep-values")
-    jobs = int(os.environ.get("BIHARM_JOBS", rc.jobs))
 
     def one(val):
         sub = RunConfig(**{**asdict(rc), "command": "solve",
@@ -287,8 +294,8 @@ def _cmd_sweep(rc: RunConfig) -> int:
                 "converged": rep.converged}
 
     values = list(rc.sweep_values)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
+    if rc.jobs > 1:
+        with ThreadPoolExecutor(max_workers=rc.jobs) as ex:
             results = list(ex.map(one, values))
     else:
         results = [one(v) for v in values]
@@ -302,6 +309,14 @@ _COMMANDS = {"solve": _cmd_solve, "rearrange": _cmd_rearrange, "moser": _cmd_mos
              "ratio": _cmd_ratio, "check": _cmd_check, "gap": _cmd_gap,
              "sweep": _cmd_sweep}
 
+_SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
+                "search, exact scaling projection) until the objective stagnates, "
+                "then polishes with damped Newton and a final projection: on --grid "
+                "in 4-D, on an 8x finer mesh in 2-D.")
+_HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
+         "gap": "Nehari ground levels with the trapping potential --V and its limit",
+         "sweep": "Pohozaev ground states over --sweep-values"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="biharm",
@@ -309,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "bi-harmonic ground states")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, help=_HELP.get(name), description=(
+            _HELP[name] + _SOLVER_HELP if name in _HELP else None))
         p.add_argument("--config", help="JSON RunConfig file; flags take precedence")
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--gamma", type=float, default=None)
@@ -326,12 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=float, default=None)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--b-values", default=None, help="comma-separated b sweep")
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--rearrange-interval", type=int, default=None)
-        p.add_argument("--refine", type=int, default=None)
-        p.add_argument("--seeds", default=None, help="comma-separated seeds")
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--max-iters", type=int, default=None,
+                       help="descent steps at most")
+        p.add_argument("--tol", type=float, default=None,
+                       help="relative objective decrease over the stagnation "
+                            "window that ends the descent")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="threads for the sweep values")
         p.add_argument("--sweep-param", default=None)
         p.add_argument("--sweep-values", default=None, help="comma-separated values")
         p.add_argument("--input", dest="input_field", default=None)
@@ -342,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig(command=args.command)
     if args.config:
-        rc = RunConfig.from_json(open(args.config).read())
+        with open(args.config) as fh:
+            rc = RunConfig.from_json(fh.read())
         rc.command = args.command
     simple = {"gamma": "gamma", "lam": "lam", "potential_expr": "potential_expr",
               "f_expr": "f_expr", "F_expr": "F_expr", "alpha0": "alpha0",
               "theta": "theta", "g_expr": "g_expr", "K": "K", "L": "L",
               "budget": "budget", "max_iters": "max_iters", "tol": "tol",
-              "rearrange_interval": "rearrange_interval", "refine": "refine",
               "jobs": "jobs", "sweep_param": "sweep_param",
               "input_field": "input_field", "out_dir": "out_dir"}
     for arg_name, field_name in simple.items():
@@ -364,8 +381,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         rc.grid_r_max, rc.grid_n = float(r_max), int(n)
     if args.b_values is not None:
         rc.b_values = tuple(float(x) for x in args.b_values.split(","))
-    if args.seeds is not None:
-        rc.seeds = tuple(int(x) for x in args.seeds.split(","))
     if args.sweep_values is not None:
         rc.sweep_values = tuple(float(x) for x in args.sweep_values.split(","))
     return rc

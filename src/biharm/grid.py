@@ -78,6 +78,7 @@ def default_grid(dimension: int) -> RadialGrid:
 
 
 def as_field(grid: RadialGrid, values) -> RadialField:
+    """Validated field: one finite value per node, else ValueError."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("field length does not match grid")
@@ -89,10 +90,6 @@ def as_field(grid: RadialGrid, values) -> RadialField:
 def integrate(u: RadialField) -> float:
     """R^n integral of the radial profile: sum_i w_i u_i."""
     return float(np.dot(u.grid.weights, u.values))
-
-
-def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
-    return float(np.dot(grid.weights, values))
 
 
 _matrix_cache: dict = {}

@@ -311,7 +311,8 @@ def _g_integral(gfun: Callable, u: RadialField) -> float:
 
 
 def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
-                      ks=(2, 4, 8), dimension: int = 4) -> WitnessReport:
+                      ks=(2, 4, 8), dimension: int = 4
+                      ) -> tuple[list[RadialField], WitnessReport]:
     """Finite-k counterexample sequences for a g violating the growth conditions.
 
     Modes and parameter couplings:

@@ -1,22 +1,22 @@
 """Manifold projections, constrained ground-state solvers and residuals.
 
-Both solvers share a two-phase structure:
+Both solvers run one descent-and-polish loop (``_minimize``); they differ only
+in the objective, the constraint functional and the implicit step:
 
-1. a projected semi-implicit descent on the caller's grid.  Each step solves
-   the stiff linear part implicitly (a damped step of the preconditioned
-   gradient flow; at full step it is the classic normalized fixed-point
-   iteration for ground states), then rescales back onto the constraint
-   manifold.  The zero-crossing scale is unique for both constraints, which
-   is what makes the scaling projection well defined.  Optionally a Fourier
-   rearrangement is attempted periodically and an l2 dilation renormalization
-   keeps the profile from drifting off the resolvable window.
+1. Descent on the caller's grid.  Each step solves the stiff linear part
+   implicitly (a damped step of the preconditioned gradient flow; at full
+   step it is the classic normalized fixed-point iteration for ground
+   states).  A backtracking line search rescales each trial point back onto
+   the constraint manifold and accepts it once the objective does not
+   increase; the descent stops when the objective stagnates.  The
+   zero-crossing scale is unique for both constraints, which is what makes
+   the scaling projection (``_project``) well defined.
 
-2. a polish on an internally refined mesh: damped Newton on the discrete
-   Euler-Lagrange equation with extended-precision residual evaluation
-   (double-precision residuals of a fourth-order stencil bottom out near
-   1e-4 on fine meshes), followed by an exact bisection projection onto the
-   constraint.  The refinement shrinks the O(h^2) discrete Pohozaev defect so
-   the exact projection costs ~1e-7 in the weak residual instead of ~1e-5.
+2. Polish on a mesh chosen by the dimension (``_POLISH_REFINE``): damped
+   Newton on the discrete Euler-Lagrange equation with extended-precision
+   residual evaluation (double-precision residuals of a fourth-order stencil
+   bottom out near 1e-4 on fine meshes), an exact projection onto the
+   constraint, and the report.
 
 For the minimization of 1/2 ||Du||^2 on {G=0} the Lagrange multiplier is
 recovered from the integral identity ||Du||^2 = (2 theta - 1) int
@@ -27,6 +27,7 @@ multiplier equation onto the plain equation with zero interpolation error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,19 +38,24 @@ from scipy.interpolate import PchipInterpolator
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OverflowCapError, ProblemConfig, check_cap
+from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
 from .functionals import potential_values
-from .rearrangement import fourier_rearrange
-from .sequences import dilate
+
+# Polish-mesh refinement factor per dimension, measured on the default grids.
+# 4-D: none.  Rounding of the double-stored iterate through the bi-Laplacian
+#   grows like eps h^-4; on a x8 mesh it stalls Newton at a residual of 2.5e-3
+#   (no convergence), while the caller's mesh converges to 2.5e-8.
+# 2-D: x8.  The trapezoid origin term leaves an O(h^2) discrete Pohozaev
+#   defect; without the refinement the exact projection leaves a recovered
+#   weak residual of 6.9e-5 (gamma 1, lambda 0.5), above the 1e-5 a
+#   converged solve is held to; on the x8 mesh it is 1.1e-6.
+_POLISH_REFINE = {4: 1, 2: 8}
 
 
 @dataclass
 class SolverOptions:
     max_iters: int = 400
     tol: float = 1e-10
-    rearrange_interval: int = 10     # 0 disables the rearrangement step
-    renormalize_l2: bool = True
-    refine: int = 1                  # optional mesh refinement for the polish
     newton_iters: int = 60
     stagnation_window: int = 12
 
@@ -179,12 +185,13 @@ class _Ops:
             self.Vq * uq - self.f_quad(uq))
         return np.asarray(out, dtype=float)
 
-    def residual_weak(self, u):
+    def residual_weak(self, u, coeff: float = 1.0):
+        """||(-D)^m u + coeff (V u - f(u))|| / (||f(u)|| + ||V u||)."""
         fu = self.f(u)
         den = self.nrm(fu) + self.nrm(self.V * u)
         if den == 0.0:
             return 0.0
-        return self.nrm(self.pde_residual(u)) / den
+        return self.nrm(self.pde_residual(u, coeff)) / den
 
     def theta_hat(self, u):
         """Multiplier from ||Du||^2 = (2 theta - 1) int (gamma u - f(u)) u."""
@@ -193,101 +200,81 @@ class _Ops:
         return 0.5 * (1.0 + self.quad_form(u) / denom)
 
 
-_ops_cache: dict = {}
-
-
+# One gap run touches five (grid, config) pairs: the trapped and the limit
+# problem on the caller's grid and on their two polish meshes, and the trapped
+# problem on the limit's polish mesh.  Grids and configs hash by identity, so
+# the cache keeps each key object alive while it is cached and a hit always
+# belongs to the very same pair.
+@functools.lru_cache(maxsize=8)
 def _ops_for(gridobj: RadialGrid, config: ProblemConfig) -> _Ops:
-    key = (gridobj.key(), id(config))
-    got = _ops_cache.get(key)
-    if got is None or got.grid is not gridobj:
-        got = _Ops(gridobj, config)
-        _ops_cache[key] = got
-    return got
+    return _Ops(gridobj, config)
 
 
 # --- scaling projections --------------------------------------------------------
 
-def _bracket_and_bisect(fun: Callable, cap_scale: float, tol_f: Callable) -> float:
-    """Find the positive zero of a scale function that starts > 0 and ends < 0."""
-    s1 = min(1e-3, 0.5 * cap_scale)
-    if fun(s1) <= 0:
-        # crossing below s1: bracket downward
-        lo = s1
-        for _ in range(60):
-            lo *= 0.5
-            if fun(lo) > 0:
-                break
-        else:
-            raise ValueError("no positive start for the scaling projection")
-        a, b = lo, s1
-    else:
-        s2 = s1
-        while fun(s2) > 0:
-            s2 *= 2.0
-            if s2 > cap_scale:
-                raise OverflowCapError(
-                    "no sign change before the overflow cap; rescale the input")
-        a, b = s2 / 2.0, s2
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if fun(mid) > 0:
-            a = mid
-        else:
-            b = mid
-        if tol_f(a, b):
-            break
-    return 0.5 * (a + b)
+def _project(u: RadialField, config: ProblemConfig, functional: Callable) -> float:
+    """Scale s > 0 with functional(ops, s u) = 0.
 
-
-def project_pohozaev(u: RadialField, config: ProblemConfig) -> float:
-    """Scale s0 > 0 with G(s0 u) = 0 (bracketing then bisection)."""
+    s -> functional(s u) starts positive and crosses zero once: bracket by
+    doubling (or by halving when the crossing lies below the start), bisect,
+    then take secant steps until |functional| meets the tolerance.
+    """
     if float(np.max(np.abs(u.values))) == 0.0:
         raise ValueError("cannot project the zero field")
     ops = _ops_for(u.grid, config)
     vals = u.values
     tol = 1e-10 * (1.0 + ops.l2(vals))
-    cap = config.overflow_cap / float(np.max(np.abs(vals)))
+    cap_scale = config.overflow_cap / float(np.max(np.abs(vals)))
 
     def fun(s):
-        return ops.G(s * vals)
+        return functional(ops, s * vals)
 
-    s0 = _bracket_and_bisect(fun, cap, lambda a, b: abs(fun(0.5 * (a + b))) <= tol)
-    # a couple of secant refinements to push |G| to the stated tolerance
-    for _ in range(8):
-        gs = fun(s0)
-        if abs(gs) <= tol:
+    a = b = min(1e-3, 0.5 * cap_scale)
+    if fun(b) <= 0:
+        for _ in range(60):
+            a *= 0.5
+            if fun(a) > 0:
+                break
+        else:
+            raise ValueError("no positive start for the scaling projection")
+    else:
+        while fun(b) > 0:
+            b *= 2.0
+            if b > cap_scale:
+                raise OverflowCapError(
+                    "no sign change before the overflow cap; rescale the input")
+        a = b / 2.0
+    s = 0.5 * (a + b)
+    fs = fun(s)
+    for _ in range(80):
+        if fs > 0:
+            a = s
+        else:
+            b = s
+        s = 0.5 * (a + b)
+        fs = fun(s)
+        if abs(fs) <= tol:
             break
-        ds = 1e-7 * s0
-        slope = (fun(s0 + ds) - gs) / ds
+    for _ in range(8):
+        if abs(fs) <= tol:
+            break
+        ds = 1e-7 * s
+        slope = (fun(s + ds) - fs) / ds
         if slope == 0:
             break
-        s0 -= gs / slope
-    return float(s0)
+        s -= fs / slope
+        fs = fun(s)
+    return float(s)
+
+
+def project_pohozaev(u: RadialField, config: ProblemConfig) -> float:
+    """Scale s0 > 0 with G(s0 u) = 0."""
+    return _project(u, config, _Ops.G)
 
 
 def project_nehari(u: RadialField, config: ProblemConfig) -> float:
     """Scale t_u > 0 with N(t_u u) = 0."""
-    if float(np.max(np.abs(u.values))) == 0.0:
-        raise ValueError("cannot project the zero field")
-    ops = _ops_for(u.grid, config)
-    vals = u.values
-    tol = 1e-10 * (1.0 + ops.l2(vals))
-    cap = config.overflow_cap / float(np.max(np.abs(vals)))
-
-    def fun(t):
-        return ops.N(t * vals)
-
-    t0 = _bracket_and_bisect(fun, cap, lambda a, b: abs(fun(0.5 * (a + b))) <= tol)
-    for _ in range(8):
-        ns = fun(t0)
-        if abs(ns) <= tol:
-            break
-        dt = 1e-7 * t0
-        slope = (fun(t0 + dt) - ns) / dt
-        if slope == 0:
-            break
-        t0 -= ns / slope
-    return float(t0)
+    return _project(u, config, _Ops.N)
 
 
 def nehari_sign_scan(u: RadialField, config: ProblemConfig, n_points: int = 1000):
@@ -304,35 +291,34 @@ def nehari_sign_scan(u: RadialField, config: ProblemConfig, n_points: int = 1000
     return len(brackets), brackets
 
 
-# --- shared polish machinery -----------------------------------------------------
+# --- the descent-and-polish loop -------------------------------------------------
 
-def _damped_newton_pde(ops: _Ops, u: np.ndarray, coeff: float, itmax: int,
-                       cap: float):
-    """Damped Newton for (-D)^m u + coeff (V u - f(u)) = 0 with refined solves.
+def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
+    """Damped Newton for (-D)^m u + V u - f(u) = 0 with refined solves.
 
     Steps that collapse the field toward zero are rejected: the trivial
     solution is a Newton attractor and reaching it would silently discard
     the ground state.
     """
-    res = ops.nrm(ops.pde_residual(u, coeff))
+    res = ops.nrm(ops.pde_residual(u))
     l2_floor = 1e-3 * ops.l2(u)
     for _ in range(itmax):
-        A = (ops.A0 + sp.diags(coeff * (ops.V - ops.fprime(u)))).tocsc()
+        A = (ops.A0 + sp.diags(ops.V - ops.fprime(u))).tocsc()
         try:
             Alu = spla.splu(A)
         except RuntimeError:
             break
-        rho = ops.pde_residual(u, coeff)
+        rho = ops.pde_residual(u)
         du = Alu.solve(rho)
         for _ in range(2):
             corr = rho - np.asarray(ops.apply_A0_quad(du.astype(np.longdouble)),
-                                    dtype=float) - coeff * (ops.V - ops.fprime(u)) * du
+                                    dtype=float) - (ops.V - ops.fprime(u)) * du
             du += Alu.solve(corr)
         step, moved = 1.0, False
         while step > 1e-12:
             un = u - step * du
             if float(np.max(np.abs(un))) < cap and ops.l2(un) > l2_floor:
-                rn = ops.nrm(ops.pde_residual(un, coeff))
+                rn = ops.nrm(ops.pde_residual(un))
                 if rn < res:
                     u, res, moved = un, rn, True
                     break
@@ -367,48 +353,31 @@ def _boundary_warning(field: RadialField, out: list):
                    "domain truncation may be visible")
 
 
-# --- Pohozaev-constrained minimization -------------------------------------------
+def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
+              functional: Callable, project: Callable, opts: SolverOptions,
+              multiplier: bool) -> SolveReport:
+    """Minimize objective(ops, u) on {functional(ops, u) = 0}, then polish.
 
-def minimize_pohozaev(config: ProblemConfig, init: RadialField,
-                      opts: Optional[SolverOptions] = None) -> SolveReport:
-    """Minimize 1/2 ||Du||^2 over {G = 0} (constant potential).
-
-    Descent: semi-implicit steps on the multiplier-corrected equation with
-    the scaling projection after every step; periodic Fourier rearrangement
-    accepted only when the objective does not increase; optional l2 dilation
-    renormalization.  Polish: refined-mesh Newton on the plain equation, an
-    exact constraint projection and the integral-formula multiplier.
+    ``project(field, config)`` is the scaling projection onto the manifold
+    and ``step(u)`` the implicit-step target of the descent.  With
+    ``multiplier`` (the Pohozaev route) the iterate is dilated by the
+    integral-formula multiplier before the polish, so Newton solves the plain
+    equation, and the report carries the multiplier of the polished state.
     """
-    if not hasattr(config.potential, "gamma"):
-        raise ValueError("the constrained route requires a constant potential")
-    if config.nonlinearity.kind == "exp_critical" and not (config.lam < config.gamma):
-        raise ValueError("requires lam < gamma")
-    opts = opts or SolverOptions()
+    config, grid0 = ops.config, ops.grid
     warns: list = []
-    ops = _ops_for(init.grid, config)
-    gam = config.gamma
 
-    vals = init.values.copy()
-    if float(np.max(np.abs(vals))) == 0.0:
-        raise ValueError("zero initial field")
-    s = project_pohozaev(RadialField(init.grid, vals), config)
-    u = s * vals
-    obj = 0.5 * ops.quad_form(u)
-    trace = [(0, obj, abs(ops.G(u)))]
-    tau = 1.0
-    it = 0
-    rearr_interval = opts.rearrange_interval
+    def reproject(grd, vec):
+        return project(RadialField(grd, vec), config) * vec
 
-    def reproject(vec):
-        sc = project_pohozaev(RadialField(init.grid, vec), config)
-        return sc * vec
-
+    # ---- descent on the caller's grid ----
+    u = reproject(grid0, vals)
+    obj = objective(ops, u)
+    trace = [(0, obj, abs(functional(ops, u)))]
+    tau, it = 1.0, 0
     for it in range(1, opts.max_iters + 1):
-        theta = ops.theta_hat(u)
-        c = 1.0 - 2.0 * theta
-        A = (ops.A0 + sp.diags(np.full(len(u), c * gam))).tocsc()
         try:
-            v = spla.splu(A).solve(c * ops.f(u))
+            v = step(u)
         except RuntimeError:
             warns.append("implicit step factorization failed")
             break
@@ -416,11 +385,11 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField,
         t_try = tau
         for _ in range(40):
             try:
-                un = reproject((1.0 - t_try) * u + t_try * v)
+                un = reproject(grid0, (1.0 - t_try) * u + t_try * v)
             except (OverflowCapError, ValueError):
                 t_try *= 0.5
                 continue
-            on = 0.5 * ops.quad_form(un)
+            on = objective(ops, un)
             if on <= obj + 1e-14 * max(abs(obj), 1.0):
                 u, obj, accepted = un, on, True
                 break
@@ -428,67 +397,84 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField,
         if not accepted:
             break
         tau = min(t_try * 1.5, 1.0)
-        trace.append((it, obj, abs(ops.G(u))))
-
-        if opts.renormalize_l2:
-            l2 = ops.l2(u)
-            if not (0.05 < l2 < 400.0):
-                S = l2 ** (-1.0 / config.dimension)
-                try:
-                    un = reproject(dilate(RadialField(init.grid, u), S).values)
-                    on = 0.5 * ops.quad_form(un)
-                    if on <= obj * (1.0 + 1e-12):
-                        u, obj = un, on
-                except (OverflowCapError, ValueError):
-                    pass
-
-        if rearr_interval and it % rearr_interval == 0 and config.dimension == 4:
-            try:
-                w_field = fourier_rearrange(RadialField(init.grid, u), ops.a)
-                if not w_field.report.flagged:
-                    un = reproject(w_field.values)
-                    on = 0.5 * ops.quad_form(un)
-                    if on <= obj * (1.0 + 1e-14):
-                        u, obj = un, on
-                    else:
-                        rearr_interval *= 2
-                else:
-                    rearr_interval *= 2
-            except (OverflowCapError, ValueError):
-                rearr_interval *= 2
-
+        trace.append((it, obj, abs(functional(ops, u))))
         wnd = opts.stagnation_window
-        if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * abs(obj):
+        if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * max(abs(obj), 1e-30):
             break
 
-    # ---- polish on the refined mesh ----
-    theta = ops.theta_hat(u)
-    S_gauge = (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order))
-    try:
-        u = _gauge_dilate(RadialField(init.grid, u), S_gauge)
-    except ValueError:
-        warns.append("gauge dilation skipped (support would escape the domain)")
-    fine = g.refine_grid(init.grid, opts.refine) if opts.refine > 1 else init.grid
-    fops = _ops_for(fine, config) if fine is not init.grid else ops
-    uf = _prolong(RadialField(init.grid, u), fine)
-    uf, res_pde = _damped_newton_pde(fops, uf, 1.0, opts.newton_iters,
-                                     config.overflow_cap)
+    # ---- polish on the per-dimension mesh ----
+    if multiplier:
+        theta = ops.theta_hat(u)
+        if 2.0 * theta - 1.0 >= 0.0:
+            raise ValueError(
+                f"the descent ended at multiplier theta = {theta:.6g}, but the "
+                "polish requires 2 theta - 1 < 0; is F the antiderivative of f?")
+        try:
+            u = _gauge_dilate(RadialField(grid0, u),
+                              (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
+        except ValueError:
+            warns.append("gauge dilation skipped (support would escape the domain)")
+    factor = _POLISH_REFINE[config.dimension]
+    fine = g.refine_grid(grid0, factor) if factor > 1 else grid0
+    fops = _ops_for(fine, config)
+    uf = _prolong(RadialField(grid0, u), fine)
+    uf, res_pde = _damped_newton_pde(fops, uf, opts.newton_iters, config.overflow_cap)
     converged = res_pde <= 1e-5 * (fops.nrm(fops.f(uf)) + fops.nrm(fops.V * uf))
     if not converged:
-        warns.append(f"refined Newton stalled at residual {res_pde:.2e}")
-    s_exact = project_pohozaev(RadialField(fine, uf), config)
-    uf = s_exact * uf
-    theta = fops.theta_hat(uf)
+        warns.append(f"polish Newton stalled at residual {res_pde:.2e}")
+    uf = reproject(fine, uf)
+    theta = fops.theta_hat(uf) if multiplier else None
 
     field_out = RadialField(fine, uf)
-    objective = 0.5 * fops.quad_form(uf)
-    constraint = abs(fops.G(uf))
-    rw = fops.nrm(fops.pde_residual(uf, 1.0 - 2.0 * theta)) / (
-        fops.nrm(fops.f(uf)) + fops.nrm(fops.V * uf))
-    trace.append((it + 1, objective, constraint))
+    objective_out = objective(fops, uf)
+    constraint = abs(functional(fops, uf))
+    rw = fops.residual_weak(uf, 1.0 if theta is None else 1.0 - 2.0 * theta)
+    trace.append((it + 1, objective_out, constraint))
     _boundary_warning(field_out, warns)
-    return SolveReport(field_out, objective, float(theta), rw, constraint,
-                       it, trace, converged, warns)
+    return SolveReport(field_out, objective_out, theta, rw, constraint, it, trace,
+                       converged, warns)
+
+
+def minimize_pohozaev(config: ProblemConfig, init: RadialField,
+                      opts: Optional[SolverOptions] = None) -> SolveReport:
+    """Minimize 1/2 ||Du||^2 over {G = 0} (constant potential).
+
+    The descent steps the multiplier-corrected equation
+    (-D)^m v + c gamma v = c f(u), c = 1 - 2 theta(u), with a fresh
+    factorization per step; the polish runs Newton on the plain equation
+    after the gauge dilation and reports the integral-formula multiplier.
+    """
+    if not hasattr(config.potential, "gamma"):
+        raise ValueError("the constrained route requires a constant potential")
+    if config.nonlinearity.kind == "exp_critical" and not (config.lam < config.gamma):
+        raise ValueError("requires lam < gamma")
+    ops = _ops_for(init.grid, config)
+    gam = config.gamma
+
+    def step(u):
+        c = 1.0 - 2.0 * ops.theta_hat(u)
+        A = (ops.A0 + sp.diags(np.full(len(u), c * gam))).tocsc()
+        return spla.splu(A).solve(c * ops.f(u))
+
+    return _minimize(ops, init.values, step, lambda o, u: 0.5 * o.quad_form(u),
+                     _Ops.G, project_pohozaev, opts or SolverOptions(), True)
+
+
+def minimize_nehari(config: ProblemConfig, init: RadialField,
+                    opts: Optional[SolverOptions] = None) -> SolveReport:
+    """Minimize the action on the Nehari manifold {N = 0}.
+
+    The descent is the projected fixed-point iteration (-D)^m v + V v = f(u)
+    with one factorization for the whole run; the exact projection every step
+    pins its fixed points to genuine solutions.  The polish runs Newton on
+    the full equation.
+    """
+    if config.nonlinearity.kind == "exp_critical" and config.lam >= config.potential.v0:
+        raise ValueError("requires lam < V0")
+    ops = _ops_for(init.grid, config)
+    Mlu = spla.splu((ops.A0 + sp.diags(ops.V)).tocsc())
+    return _minimize(ops, init.values, lambda u: Mlu.solve(ops.f(u)), _Ops.I,
+                     _Ops.N, project_nehari, opts or SolverOptions(), False)
 
 
 def recover_solution(u: RadialField, theta: float, config: ProblemConfig) -> RadialField:
@@ -507,83 +493,6 @@ def recover_solution(u: RadialField, theta: float, config: ProblemConfig) -> Rad
     return RadialField(new_grid, u.values.copy())
 
 
-# --- Nehari minimization -----------------------------------------------------------
-
-def minimize_nehari(config: ProblemConfig, init: RadialField,
-                    opts: Optional[SolverOptions] = None) -> SolveReport:
-    """Minimize the action on the Nehari manifold {N = 0}.
-
-    Projected fixed-point descent (implicit linear part, exact amplitude
-    projection every step; the projection pins the fixed points to genuine
-    solutions), then refined-mesh Newton on the full equation and a final
-    exact projection.
-    """
-    opts = opts or SolverOptions()
-    warns: list = []
-    ops = _ops_for(init.grid, config)
-    if config.nonlinearity.kind == "exp_critical" and config.lam >= config.potential.v0:
-        raise ValueError("requires lam < V0")
-
-    vals = init.values.copy()
-    if float(np.max(np.abs(vals))) == 0.0:
-        raise ValueError("zero initial field")
-    t = project_nehari(RadialField(init.grid, vals), config)
-    u = t * vals
-    obj = ops.I(u)
-    trace = [(0, obj, abs(ops.N(u)))]
-    M = (ops.A0 + sp.diags(ops.V)).tocsc()
-    Mlu = spla.splu(M)
-    tau = 1.0
-    it = 0
-
-    def reproject(vec):
-        tc = project_nehari(RadialField(init.grid, vec), config)
-        return tc * vec
-
-    for it in range(1, opts.max_iters + 1):
-        v = Mlu.solve(ops.f(u))
-        accepted = False
-        t_try = tau
-        for _ in range(40):
-            try:
-                un = reproject((1.0 - t_try) * u + t_try * v)
-            except (OverflowCapError, ValueError):
-                t_try *= 0.5
-                continue
-            on = ops.I(un)
-            if on <= obj + 1e-14 * max(abs(obj), 1.0):
-                u, obj, accepted = un, on, True
-                break
-            t_try *= 0.5
-        if not accepted:
-            break
-        tau = min(t_try * 1.5, 1.0)
-        trace.append((it, obj, abs(ops.N(u))))
-        wnd = opts.stagnation_window
-        if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * max(abs(obj), 1e-30):
-            break
-
-    fine = g.refine_grid(init.grid, opts.refine) if opts.refine > 1 else init.grid
-    fops = _ops_for(fine, config) if fine is not init.grid else ops
-    uf = _prolong(RadialField(init.grid, u), fine)
-    uf, res_pde = _damped_newton_pde(fops, uf, 1.0, opts.newton_iters,
-                                     config.overflow_cap)
-    converged = res_pde <= 1e-5 * (fops.nrm(fops.f(uf)) + fops.nrm(fops.V * uf))
-    if not converged:
-        warns.append(f"refined Newton stalled at residual {res_pde:.2e}")
-    t_exact = project_nehari(RadialField(fine, uf), config)
-    uf = t_exact * uf
-
-    field_out = RadialField(fine, uf)
-    objective = fops.I(uf)
-    constraint = abs(fops.N(uf))
-    rw = fops.residual_weak(uf)
-    trace.append((it + 1, objective, constraint))
-    _boundary_warning(field_out, warns)
-    return SolveReport(field_out, objective, None, rw, constraint, it, trace,
-                       converged, warns)
-
-
 def residual_weak(u: RadialField, config: ProblemConfig) -> float:
     """Relative weak-form residual ||(-D)^m u + V u - f(u)|| / (||f|| + ||V u||)."""
     check_cap(u.values, config.overflow_cap)
@@ -599,14 +508,12 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None,
     limit minimizer projected onto the trapped manifold must sit between the
     two levels.
     """
-    from .model import ConstantPotential, ProblemConfig as PC
-
     pot = config_V.potential
     if config_V.lam >= pot.v0:
         raise ValueError("requires lam < V0")
     gamma = pot.gamma_inf
-    config_inf = PC(config_V.dimension, config_V.lam, ConstantPotential(gamma),
-                    config_V.nonlinearity, config_V.overflow_cap)
+    config_inf = ProblemConfig(config_V.dimension, config_V.lam, ConstantPotential(gamma),
+                               config_V.nonlinearity, config_V.overflow_cap)
     if init is None:
         gridobj = g.default_grid(config_V.dimension)
         init = RadialField(gridobj, np.exp(-gridobj.nodes**2 / 2.0))

@@ -126,3 +126,77 @@ def test_determinism_byte_identical(tmp_path):
 def test_float_serialization_17g():
     text = dump_report({"x": 0.1 + 0.2})
     assert "0.30000000000000004" in text
+
+
+# --- the per-dimension polish mesh on the default grids ----------------------------
+
+@pytest.mark.parametrize("dim", ["4", "2"])
+def test_default_grid_solve_converges(tmp_path, dim):
+    # 4-D polishes on the caller's mesh (a refined one stalls Newton), 2-D on
+    # an 8x finer one (the caller's leaves the recovered residual near 7e-5)
+    code, out = run_cli(["solve", "--dim", dim, "--gamma", "1", "--lambda", "0.5"],
+                        tmp_path)
+    assert code == EXIT_OK
+    s = json.loads((out / "solve.json").read_text())["solve"]
+    assert s["converged"]
+    assert s["recovered_residual_weak"] <= 1e-5
+
+
+@pytest.mark.parametrize("flag", ["--refine", "--rearrange-interval", "--seeds"])
+def test_removed_flags_rejected(tmp_path, flag):
+    with pytest.raises(SystemExit):
+        run_cli(["solve", flag, "1"], tmp_path)
+
+
+def test_inconsistent_F_exits_config(tmp_path, capsys):
+    # F is not the antiderivative of f: the descent ends with 2 theta - 1 >= 0
+    code, out = run_cli(["solve", "--f", "0.5*t*exp(2*t^2)",
+                         "--F", "0.25*(exp(2*t^2)-1)", "--grid", "20:512"], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "2 theta - 1 < 0" in capsys.readouterr().err
+    assert not (out / "solve.json").exists()
+
+
+# --- bad input exits 3 with a message ----------------------------------------------
+
+def test_nan_field_csv_rejected(tmp_path, capsys):
+    g = bh.build_grid(20.0, 64, 4)
+    vals = np.exp(-g.nodes**2)
+    vals[5] = np.nan
+    src = tmp_path / "nan.csv"
+    save_field_csv(str(src), bh.RadialField(g, vals))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_field_csv(str(src), 4)
+    code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "rearrange_output.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", "r,u\n", "r,u\n0,1,2\n"])
+def test_malformed_field_csv_rejected(tmp_path, text):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    with pytest.raises(ValueError):
+        load_field_csv(str(src), 4)
+    code, _ = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_CONFIG
+
+
+def test_runconfig_rejects_unknown_keys():
+    raw = json.loads(RunConfig(command="solve").to_json())
+    raw.update(refine=8, rearrange_interval=10, seeds=[0])
+    with pytest.raises(ValueError, match="rearrange_interval, refine, seeds"):
+        RunConfig.from_json(json.dumps(raw))
+    with pytest.raises(ValueError):
+        RunConfig.from_json("[1, 2]")
+
+
+def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
+    raw = json.loads(RunConfig(command="check", g_expr="t^4").to_json())
+    raw["refine"] = 8
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    code, _ = run_cli(["check", "--config", str(cfg)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "refine" in capsys.readouterr().err

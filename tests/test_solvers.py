@@ -260,3 +260,20 @@ def test_2d_solve(g4):
     assert rep.residual_weak <= 1e-6
     gap = bh.nehari_energy_identity_gap(rep.field, cfg2)
     assert gap <= 1e-8 * (1 + abs(rep.objective))
+
+
+def test_ops_cache_is_bounded(g4):
+    from biharm import solvers
+    for lam in np.linspace(0.1, 0.9, 200):
+        solvers._ops_for(g4, bh.exp_critical_config(1.0, float(lam)))
+    info = solvers._ops_for.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_ops_cache_hit_is_the_same_pair(g4):
+    from biharm import solvers
+    cfg_a, cfg_b = bh.exp_critical_config(1.0, 0.3), bh.exp_critical_config(1.0, 0.3)
+    ops_a = solvers._ops_for(g4, cfg_a)
+    assert solvers._ops_for(g4, cfg_a) is ops_a
+    assert solvers._ops_for(g4, cfg_b).config is cfg_b
+
