@@ -134,15 +134,11 @@ def laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
         return got
     n = grid.n_points
     coef = laplacian_stencil_rows(grid, float)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for k in range(5):
-            j = i - 2 + k
-            if 0 <= j < n and coef[i, k] != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(coef[i, k])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # column k of the rows is diagonal k - 2; zero coefficients (the folded
+    # origin entries) are dropped so the pattern holds only true couplings
+    diagonals = [coef[2 - k:, k] if k < 2 else coef[:n - (k - 2), k] for k in range(5)]
+    mat = sp.diags(diagonals, [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
+    mat.eliminate_zeros()
     _matrix_cache[key] = mat
     return mat
 

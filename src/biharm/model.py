@@ -6,8 +6,9 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   in dimension 4 and a = 1 in dimension 2; F has the matching closed form.
 * ``exact_growth_family(theta)`` -- F(t) = (exp(t^2)-1-t^2) / (1+|t|^theta),
   f = F' differentiated analytically.
-* ``user_nonlinearity(f_expr, ...)`` -- f parsed from an expression; F is an
-  adaptive-Simpson antiderivative cached per evaluation point.
+* ``user_nonlinearity(f_expr, ...)`` -- f parsed from an expression; F is
+  either parsed too or the vectorized composite Gauss-Legendre antiderivative
+  of f (``gauss_antiderivative``), computed afresh on every call.
 
 Trial amplitudes are capped (default 6.0): exp(2 t^2) leaves the useful
 double range long before overflow, and a silent clamp would corrupt every
@@ -64,6 +65,58 @@ def adaptive_simpson(fn: Callable, a: float, b: float, tol: float = 1e-10,
     f0, f2 = float(fn(a)), float(fn(b))
     f1 = float(fn(0.5 * (a + b)))
     return recurse(a, b, f0, f1, f2, simpson(a, b, f0, f1, f2), 0)
+
+
+# Composite Gauss-Legendre antiderivative: panel width (a power of two, so the
+# knots k * _F_PANEL and the panel index of t are exact in binary), rule order,
+# and the number of query points per vectorized evaluation of f, which bounds
+# the temporaries (8 nodes each) whatever the input size.
+_F_PANEL = 1.0 / 64.0
+_F_NODES, _F_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_F_CHUNK = 1 << 15
+
+
+def _gauss_panels(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """8-point Gauss-Legendre integral of fn over each [a_i, b_i]."""
+    half = 0.5 * (b - a)
+    y = (a + half)[:, None] + half[:, None] * _F_NODES
+    fy = np.broadcast_to(np.asarray(fn(y), dtype=float), y.shape)
+    return half * (fy * _F_WEIGHTS).sum(axis=1)
+
+
+def gauss_antiderivative(fn: Callable, t):
+    """F(t) = int_0^t fn, elementwise, for a vectorized integrand fn.
+
+    Each sign is integrated on its own half-line: for s = +1 or -1,
+    F(s y) = int_0^y g_s with g_s(x) = s fn(s x) and y = |t|.  int_0^y g_s is
+    the sum over the whole panels [k h, (k+1) h] below y (one table per call,
+    with max |t| / h entries for that sign) plus one partial panel [k h, y],
+    each by 8-point Gauss-Legendre, h = ``_F_PANEL``.  Queries run in chunks of ``_F_CHUNK``.  The
+    value at a point does not depend on the other points, an odd fn gives an
+    exactly even F, and a non-finite t gives NaN at that entry only.  Returns
+    a float for scalar input, else an array of t's shape.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.full(flat.shape, np.nan)
+    finite = np.isfinite(flat)
+    sides = []
+    for s, top in ((1.0, np.max(flat, initial=0.0, where=finite)),
+                   (-1.0, -np.min(flat, initial=0.0, where=finite))):
+        g = fn if s > 0 else (lambda x: -np.asarray(fn(-x), dtype=float))
+        knots = np.arange(int(np.floor(top / _F_PANEL)) + 1) * _F_PANEL
+        table = np.concatenate(([0.0], np.cumsum(_gauss_panels(g, knots[:-1], knots[1:]))))
+        sides.append((s, g, table))
+    for lo in range(0, flat.size, _F_CHUNK):
+        chunk = flat[lo:lo + _F_CHUNK]
+        res = out[lo:lo + _F_CHUNK]
+        ok = finite[lo:lo + _F_CHUNK]
+        for s, g, table in sides:
+            sel = ok & (chunk >= 0.0 if s > 0 else chunk < 0.0)
+            y = np.abs(chunk[sel])
+            k = np.floor(y / _F_PANEL).astype(np.intp)
+            res[sel] = table[k] + _gauss_panels(g, k * _F_PANEL, y)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def _exprel2(x):
@@ -145,7 +198,13 @@ def exact_growth_family(theta: float) -> NonlinearitySpec:
 
 def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
                       alpha0: float = 1.0, ar_mu: float = 2.0) -> NonlinearitySpec:
-    """Nonlinearity from expression strings; F integrated from f if omitted."""
+    """Nonlinearity from expression strings.
+
+    Without ``F_expr``, F(t) = int_0^t f is integrated from f on every call
+    by :func:`gauss_antiderivative`; nothing is kept between calls.  On the
+    exp-critical profiles up to the overflow cap its error is about 1e-14
+    relative.
+    """
     f_raw = parse_expression(f_expr)
 
     def f(t):
@@ -158,19 +217,8 @@ def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
             return F_raw(t)
 
     else:
-        cache: dict = {}
-
-        def _F_scalar(t: float) -> float:
-            key = float(t)
-            if key not in cache:
-                cache[key] = adaptive_simpson(f_raw, 0.0, key, tol=1e-10)
-            return cache[key]
-
         def F(t):
-            if np.ndim(t) == 0:
-                return _F_scalar(float(t))
-            return np.array([_F_scalar(x) for x in np.asarray(t, float).ravel()]
-                            ).reshape(np.shape(t))
+            return gauss_antiderivative(f_raw, t)
 
     return NonlinearitySpec("user", f, F, alpha0=float(alpha0), ar_mu=float(ar_mu),
                             params={"f_expr": f_expr, "F_expr": F_expr})

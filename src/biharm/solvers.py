@@ -200,14 +200,22 @@ class _Ops:
         return 0.5 * (1.0 + self.quad_form(u) / denom)
 
 
-# One gap run touches five (grid, config) pairs: the trapped and the limit
-# problem on the caller's grid and on their two polish meshes, and the trapped
-# problem on the limit's polish mesh.  Grids and configs hash by identity, so
-# the cache keeps each key object alive while it is cached and a hit always
-# belongs to the very same pair.
+# One gap run touches four (grid, config) pairs: the trapped and the limit
+# problem on the caller's grid and on the polish mesh, which both runs share
+# through ``_polish_mesh``.  Grids and configs hash by identity, so the cache
+# keeps each key object alive while it is cached and a hit always belongs to
+# the very same pair.
 @functools.lru_cache(maxsize=8)
 def _ops_for(gridobj: RadialGrid, config: ProblemConfig) -> _Ops:
     return _Ops(gridobj, config)
+
+
+# One refined grid object per geometry, so polish meshes of the same geometry
+# hit ``_ops_for`` instead of rebuilding its operators.
+@functools.lru_cache(maxsize=8)
+def _polish_mesh(r_max: float, n_points: int, dimension: int) -> RadialGrid:
+    return g.refine_grid(g.build_grid(r_max, n_points, dimension),
+                         _POLISH_REFINE[dimension])
 
 
 # --- scaling projections --------------------------------------------------------
@@ -414,8 +422,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
                               (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
         except ValueError:
             warns.append("gauge dilation skipped (support would escape the domain)")
-    factor = _POLISH_REFINE[config.dimension]
-    fine = g.refine_grid(grid0, factor) if factor > 1 else grid0
+    fine = _polish_mesh(*grid0.key()) if _POLISH_REFINE[config.dimension] > 1 else grid0
     fops = _ops_for(fine, config)
     uf = _prolong(RadialField(grid0, u), fine)
     uf, res_pde = _damped_newton_pde(fops, uf, opts.newton_iters, config.overflow_cap)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,28 @@ def test_inconsistent_F_exits_config(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "2 theta - 1 < 0" in capsys.readouterr().err
     assert not (out / "solve.json").exists()
+
+
+def test_user_f_solve_matches_closed_form(tmp_path):
+    # F integrated from the parsed f reproduces the closed-form objective
+    code, out = run_cli(["solve", "--f", "0.5*t*exp(2*t^2)", "--grid", "20:512"],
+                        tmp_path, "user")
+    assert code == EXIT_OK
+    code_cf, out_cf = run_cli(["solve", "--lambda", "0.5", "--grid", "20:512"],
+                              tmp_path, "closed")
+    assert code_cf == EXIT_OK
+    got = json.loads((out / "solve.json").read_text())["solve"]["objective"]
+    want = json.loads((out_cf / "solve.json").read_text())["solve"]["objective"]
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(bh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "biharm", "check", "--theta", "1.0",
+                          "--out-dir", str(tmp_path)], env=env, capture_output=True)
+    assert res.returncode == EXIT_OK
+    assert json.loads((tmp_path / "check.json").read_text())["conditions"]["ar_holds"]
 
 
 # --- bad input exits 3 with a message ----------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import biharm as bh
 from biharm.grid import (apply_stencil, boundary_decay_ratio, integrate,
-                         laplacian_stencil_rows, quad_form_sq, rescale_grid)
+                         laplacian_matrix, laplacian_stencil_rows, quad_form_sq,
+                         rescale_grid)
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +192,26 @@ def test_stencil_rows_match_matrix(g4):
 def test_boundary_decay_ratio(g4):
     assert boundary_decay_ratio(bh.RadialField(g4, np.exp(-g4.nodes))) > 1e-10
     assert boundary_decay_ratio(bh.RadialField(g4, np.exp(-g4.nodes**2))) < 1e-10
+
+
+def _laplacian_matrix_loop(grid):
+    """Entry-by-entry assembly from the stencil rows (reference)."""
+    n = grid.n_points
+    coef = laplacian_stencil_rows(grid, float)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for k in range(5):
+            j = i - 2 + k
+            if 0 <= j < n and coef[i, k] != 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(coef[i, k])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("args", [(20.0, 16, 4), (20.0, 2048, 4), (30.0, 4096, 2)])
+def test_laplacian_matrix_equals_loop_assembly(args):
+    grid = bh.build_grid(*args)
+    got, ref = laplacian_matrix(grid), _laplacian_matrix_loop(grid)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))

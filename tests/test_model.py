@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biharm as bh
 from biharm.model import (OverflowCapError, adaptive_simpson, check_conditions,
@@ -32,6 +37,62 @@ def test_f_F_consistency_simpson():
             F_direct = float(np.asarray(eval_F(spec, t)))
             F_quad = adaptive_simpson(lambda s: float(np.asarray(spec.f(s))), 0.0, t)
             assert abs(F_direct - F_quad) <= 1e-8 * (1 + abs(F_direct))
+
+
+@pytest.mark.parametrize("c", [0.25, 0.7, 1.0])
+def test_user_F_matches_closed_form(c):
+    F = bh.user_nonlinearity(f"{c}*t*exp(2*t^2)").F
+    t = np.geomspace(1e-6, 6.0, 400)
+    t = np.concatenate([-t[::-1], t])
+    exact = 0.25 * c * np.expm1(2.0 * t * t)
+    assert np.max(np.abs(F(t) / exact - 1.0)) <= 1e-12
+
+
+def test_user_F_shapes_zero_and_parity():
+    F = bh.user_nonlinearity("t^3").F
+    assert isinstance(F(2.0), float)
+    assert np.shape(F(np.array(2.0))) == ()
+    assert F(np.ones((3, 4))).shape == (3, 4)
+    assert F(0.0) == 0.0
+    # odd f, even F: both signs integrate the same nodes
+    assert F(-2.0) == F(2.0) == pytest.approx(4.0, rel=1e-14)
+    got = F(np.array([[1.0, np.nan], [-1.0, 0.5]]))
+    assert np.isnan(got[0, 1])
+    assert got[0, 0] == got[1, 0] == pytest.approx(0.25, rel=1e-14)
+    assert got[1, 1] == pytest.approx(0.5**4 / 4, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(f_expr=st.sampled_from(["t^3", "1", "exp(-t^2)", "0.5*t*exp(2*t^2)",
+                               "t*exp(t^2)/(1+t^2)", "t^2+2*t"]),
+       t=st.floats(-6.0, 6.0))
+def test_user_F_agrees_with_simpson(f_expr, t):
+    spec = bh.user_nonlinearity(f_expr)
+    F_gauss = spec.F(t)
+    F_quad = adaptive_simpson(lambda s: float(np.asarray(spec.f(s))), 0.0, t)
+    assert abs(F_gauss - F_quad) <= 1e-8 * (1 + abs(F_gauss))
+
+
+_RSS_PROBE = """
+import resource
+import numpy as np
+import biharm as bh
+F = bh.user_nonlinearity("0.5*t*exp(2*t^2)").F
+t = np.linspace(-6.0, 6.0, 2_500_000)
+F(t[:1000])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out = F(t)
+assert np.all(np.isfinite(out))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_user_F_memory_is_bounded():
+    # ru_maxrss is in KiB on Linux; 2.5e6 doubles of output alone are 19 MiB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", _RSS_PROBE], capture_output=True,
+                         text=True, check=True, env=env)
+    assert int(res.stdout.split()[-1]) <= 64 * 1024
 
 
 def test_f_zero_at_zero():

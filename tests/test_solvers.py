@@ -277,3 +277,25 @@ def test_ops_cache_hit_is_the_same_pair(g4):
     assert solvers._ops_for(g4, cfg_a) is ops_a
     assert solvers._ops_for(g4, cfg_b).config is cfg_b
 
+
+
+def test_2d_gap_shares_the_polish_mesh(monkeypatch):
+    from biharm import solvers
+    g2 = bh.build_grid(30.0, 512, 2)
+    pot = bh.radial_potential(
+        lambda r: 1.1 - 0.4 * np.exp(-(np.asarray(r, float) / 1.5) ** 2), g2)
+    cfg = bh.ProblemConfig(2, 0.4, pot, bh.exp_critical(0.4, 2))
+    init = bh.RadialField(g2, np.exp(-g2.nodes**2 / 2))
+
+    def run():
+        solvers._ops_for.cache_clear()
+        rep = solvers.limiting_gap(cfg, init)
+        return rep, solvers._ops_for.cache_info().misses
+
+    # reference: a fresh polish mesh per solve, as refine_grid gives
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_polish_mesh", solvers._polish_mesh.__wrapped__)
+        ref, ref_misses = run()
+    rep, misses = run()
+    assert (ref_misses, misses) == (5, 4)
+    assert rep == ref
