@@ -32,7 +32,7 @@ from .model import (ConstantPotential, ProblemConfig, check_conditions,
                     exact_growth_family, exp_critical, radial_potential,
                     user_nonlinearity)
 from .rearrangement import fourier_rearrange
-from .sequences import MoserParams, moser_estimates, moser_field
+from .sequences import MoserParams, moser_estimates, moser_field, moser_mesh
 from .solvers import (SolverOptions, limiting_gap, minimize_nehari,
                       minimize_pohozaev, recover_solution, residual_weak)
 
@@ -224,11 +224,13 @@ def _cmd_moser(rc: RunConfig) -> int:
     rows = []
     beta = 32.0 * np.pi**2
     for b in rc.b_values:
+        moser_mesh(b, rc.K)  # every b is checked before any is computed
+    for b in rc.b_values:
         est = moser_estimates(b, rc.K)
         rows.append({"b": b, "K": rc.K, "l2_sq": est["l2_sq"],
                      "lap_l2_sq": est["lap_l2_sq"],
                      "excess": est["lap_l2_sq"] - beta * rc.K,
-                     "n_points": est["n_points"]})
+                     "n_points": est["n_points"], "method": est["method"]})
     bs = np.array([r["b"] for r in rows])
     ex = np.array([abs(r["excess"]) for r in rows])
     slope = float(np.polyfit(np.log(bs), np.log(ex), 1)[0]) if len(rows) >= 2 else float("nan")

@@ -16,6 +16,7 @@ solvers are held to.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,18 @@ def integrate(u: RadialField) -> float:
     return float(np.dot(u.grid.weights, u.values))
 
 
-_matrix_cache: dict = {}
+def lru_get(cache: OrderedDict, key, maxsize: int, build):
+    """``cache[key]``, built by ``build()`` on a miss; keeps ``maxsize`` entries."""
+    if key in cache:
+        cache.move_to_end(key)
+    else:
+        cache[key] = build()
+        if len(cache) > maxsize:
+            cache.popitem(last=False)
+    return cache[key]
+
+
+_matrix_cache: OrderedDict = OrderedDict()   # LRU of 8, keyed by grid.key()
 
 # fourth-order central coefficients for u'' and u' at offsets -2..+2
 _D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)     # / (12 h^2)
@@ -127,11 +139,11 @@ def laplacian_stencil_rows(grid: RadialGrid, dtype=float):
 
 
 def laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
-    """Sparse radial Laplacian for the grid (cached per grid geometry)."""
-    key = grid.key()
-    got = _matrix_cache.get(key)
-    if got is not None:
-        return got
+    """Sparse radial Laplacian for the grid (cached for the 8 latest geometries)."""
+    return lru_get(_matrix_cache, grid.key(), 8, lambda: _build_laplacian_matrix(grid))
+
+
+def _build_laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
     n = grid.n_points
     coef = laplacian_stencil_rows(grid, float)
     # column k of the rows is diagonal k - 2; zero coefficients (the folded
@@ -139,7 +151,6 @@ def laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
     diagonals = [coef[2 - k:, k] if k < 2 else coef[:n - (k - 2), k] for k in range(5)]
     mat = sp.diags(diagonals, [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
     mat.eliminate_zeros()
-    _matrix_cache[key] = mat
     return mat
 
 

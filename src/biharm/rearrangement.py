@@ -18,15 +18,17 @@ fixed points.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.special import j0, j1
 
-from .grid import RadialField, RadialGrid
+from .grid import RadialField, RadialGrid, lru_get
 
-_transform_cache: dict = {}
+# LRU of 4, keyed by grid.key(): a 2048-node transform takes 33 MB
+_transform_cache: OrderedDict = OrderedDict()
 
 
 def _kernel_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -65,12 +67,7 @@ def _build_transform(grid: RadialGrid):
 
 
 def _transform_for(grid: RadialGrid):
-    key = grid.key()
-    got = _transform_cache.get(key)
-    if got is None:
-        got = _build_transform(grid)
-        _transform_cache[key] = got
-    return got
+    return lru_get(_transform_cache, grid.key(), 4, lambda: _build_transform(grid))
 
 
 @dataclass(eq=False)

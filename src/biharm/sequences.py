@@ -16,20 +16,26 @@ nodes so the Laplacian stencil never straddles a sub-cell kink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.interpolate import PchipInterpolator
+from scipy.special import bernoulli, digamma
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
 
 
 def quintic_blend(x, x0, x1, v0, d0, v1, d1):
-    """Hermite quintic with prescribed end values/slopes and zero curvature."""
+    """Hermite quintic with prescribed end values/slopes and zero curvature.
+
+    ``x`` is an array of radii or a numpy ``Polynomial`` in another variable.
+    """
     s = x1 - x0
-    t = (np.asarray(x, dtype=float) - x0) / s
+    t = (x - x0) / s
     h00 = 1.0 - 10.0 * t**3 + 15.0 * t**4 - 6.0 * t**5
     h10 = t - 6.0 * t**3 + 8.0 * t**4 - 3.0 * t**5
     h01 = 10.0 * t**3 - 15.0 * t**4 + 6.0 * t**5
@@ -55,8 +61,9 @@ class MoserParams:
 
     @staticmethod
     def moser(b: float, K: float, S: float = 1.0) -> "MoserParams":
-        if b <= 0 or K <= 0 or S <= 0:
-            raise ValueError("moser parameters must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (b, K, S)):
+            raise ValueError(f"moser parameters must be finite and positive, got "
+                             f"b={b:g}, K={K:g}, S={S:g}")
         return MoserParams(b_k=b, K=K, S_k=S, R_k=float(np.exp(-b * b / K)))
 
 
@@ -99,6 +106,19 @@ def _moser_branch_radii(params: MoserParams, grid: RadialGrid):
     return _snap(grid, r14), _snap(grid, 1.0), _snap(grid, 2.0)
 
 
+def _moser_profile(r, b, K, r14, r_one, r_two):
+    """psi_{b,K} at radii r for branch radii already snapped to the mesh."""
+    out = np.zeros_like(r)
+    core = r <= r14
+    logb = (r > r14) & (r <= r_one)
+    cap = (r > r_one) & (r < r_two)
+    out[core] = b - 2.0 * K * r[core] ** 2 / (r14 * r14 * b) + 2.0 * K / b
+    out[logb] = -4.0 * K * np.log(r[logb]) / b
+    cap_val = -4.0 * K * np.log(r_one) / b
+    out[cap] = quintic_blend(r[cap], r_one, r_two, cap_val, -4.0 * K / (b * r_one), 0.0, 0.0)
+    return out
+
+
 def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
     """Concentrating log profile psi_{b,K} on the grid.
 
@@ -112,17 +132,7 @@ def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
     b = params.b_k
     r14, r_one, r_two = _moser_branch_radii(params, grid)
     K = b * b / (4.0 * abs(np.log(r14)))   # consistent with the snapped radius
-    Rk_sqrt = r14 * r14
-    r = grid.nodes
-    out = np.zeros_like(r)
-    core = r <= r14
-    logb = (r > r14) & (r <= r_one)
-    cap = (r > r_one) & (r < r_two)
-    out[core] = b - 2.0 * K * r[core] ** 2 / (Rk_sqrt * b) + 2.0 * K / b
-    out[logb] = -4.0 * K * np.log(r[logb]) / b
-    cap_val = -4.0 * K * np.log(r_one) / b
-    out[cap] = quintic_blend(r[cap], r_one, r_two, cap_val, -4.0 * K / (b * r_one), 0.0, 0.0)
-    field = RadialField(grid, out)
+    field = RadialField(grid, _moser_profile(grid.nodes, b, K, r14, r_one, r_two))
     field.snap_report = {"R^(1/4)": r14 - float(np.exp(-b * b / (4 * params.K))),
                          "1": r_one - 1.0, "2": r_two - 2.0,
                          "K_eff": K - params.K}
@@ -145,151 +155,114 @@ def dilate(u: RadialField, S: float) -> RadialField:
     return RadialField(u.grid, np.nan_to_num(out, nan=0.0))
 
 
-# --- streamed norm estimates for strongly concentrated profiles ----------------
+# --- norm estimates for strongly concentrated profiles ---------------------------
 
-def moser_estimates(b: float, K: float, nodes_per_scale: int = 10,
-                    chunk: int = 1 << 23) -> dict:
-    """l2 and Laplacian-norm estimates of psi_{b,K} on a support-sized grid.
+# Below this mesh width, rounding of the profile values near r = 1 swamps the
+# five-point stencil at that junction: excess * b^2 reads 5136.14 at b = 8.0 and
+# 5136.17 at 8.25, then drifts 0.16% at 8.5 and 21% at 9.0 (K = 1).
+_H_MIN = 4e-9
+# Coarser meshes (at most ~2.1e6 nodes) are evaluated with the grid operators.
+_H_CLOSED_FORM = 1e-6
 
-    Uses the same uniform mesh, trapezoid weights and flux stencil as the
-    grid operators, streamed in chunks so meshes of 1e8+ nodes never
-    materialize.  Where the stencil's three points fall inside one analytic
-    branch, the branch Laplacian is evaluated in closed form: at mesh widths
-    below ~1e-6 the finite-difference form of a smooth O(1) profile is
-    dominated by double-precision cancellation, while the closed form is the
-    truncation-free limit of the same stencil (the two agree to O(h^2),
-    verified at moderate b in the test suite).  Junction nodes always use the
-    discrete stencil.
+
+def moser_mesh(b: float, K: float, nodes_per_scale: int = 10) -> tuple[int, float]:
+    """Node count and width of the uniform mesh on [0, 2] resolving psi_{b,K}.
+
+    Raises ValueError unless b and K are finite and positive and the mesh is
+    no finer than the rounding floor of 4e-9.
     """
+    MoserParams.moser(b, K)
+    b_max = 2.0 * np.sqrt(K * np.log(1.0 / (nodes_per_scale * _H_MIN)))
+    if b > b_max:
+        raise ValueError(
+            f"b = {b:g} needs a mesh width below {_H_MIN:g}, where rounding swamps the "
+            f"r = 1 junction stencil; the largest admissible b for K = {K:g} is "
+            f"{np.floor(b_max * 1000) / 1000:.3f}")
     r14 = float(np.exp(-b * b / (4.0 * K)))
-    r_max = 2.0
-    h_want = r14 / nodes_per_scale
-    n = int(np.ceil(r_max / h_want)) + 1
-    n = max(n, 4097)
-    h = r_max / (n - 1)
-    s3 = 2.0 * np.pi**2
-
-    i14 = max(int(round(r14 / h)), 1)
-    i_one = int(round(1.0 / h))
-    i_two = int(round(2.0 / h))
-    r14s, r_ones, r_twos = i14 * h, i_one * h, i_two * h
-    K = b * b / (4.0 * abs(np.log(r14s)))  # re-derived from the snapped radius
-    Rk_sqrt = r14s * r14s
-    cap_val = -4.0 * K * np.log(r_ones) / b
-    cap_slope = -4.0 * K / (b * r_ones)
-
-    def values(r):
-        out = np.zeros_like(r)
-        core = r <= r14s
-        logb = (r > r14s) & (r <= r_ones)
-        cap = (r > r_ones) & (r < r_twos)
-        out[core] = b - 2.0 * K * r[core] ** 2 / (Rk_sqrt * b) + 2.0 * K / b
-        out[logb] = -4.0 * K * np.log(r[logb]) / b
-        out[cap] = quintic_blend(r[cap], r_ones, r_twos, cap_val, cap_slope, 0.0, 0.0)
-        return out
-
-    def branch_laplacian(r):
-        """Analytic radial Laplacian of each branch (n = 4)."""
-        out = np.zeros_like(r)
-        core = r <= r14s
-        logb = (r > r14s) & (r <= r_ones)
-        cap = (r > r_ones) & (r < r_twos)
-        out[core] = -16.0 * K / (Rk_sqrt * b)
-        out[logb] = -8.0 * K / (b * r[logb] ** 2)
-        if np.any(cap):
-            rc = r[cap]
-            s = r_twos - r_ones
-            t = (rc - r_ones) / s
-            d1 = (cap_val * (-30 * t**2 + 60 * t**3 - 30 * t**4)
-                  + cap_slope * s * (1 - 18 * t**2 + 32 * t**3 - 15 * t**4)) / s
-            d2 = (cap_val * (-60 * t + 180 * t**2 - 120 * t**3)
-                  + cap_slope * s * (-36 * t + 96 * t**2 - 60 * t**3)) / s**2
-            out[cap] = d2 + 3.0 * d1 / rc
-        return out
-
-    use_fd_everywhere = h > 1e-6
-    junction_idx = set()
-    for j0 in (0, i14, i_one, i_two):
-        junction_idx.update(range(j0 - 2, j0 + 3))
-    junction_idx = {j for j in junction_idx if 0 <= j < n}
-
-    l2 = 0.0
-    lap2 = 0.0
-    i0 = 0
-    while i0 < n:
-        i1 = min(i0 + chunk, n)
-        lo, hi = max(i0 - 2, 0), min(i1 + 2, n)
-        r = np.arange(lo, hi) * h
-        u = values(r)
-        own = slice(i0 - lo, i0 - lo + (i1 - i0))
-        ro = r[own]
-        wt = s3 * ro**3 * h
-        if i0 == 0:
-            wt[0] = 0.0  # r^3 weight vanishes; half-weight is moot
-        if i1 == n:
-            wt[-1] *= 0.5
-        uo = u[own]
-        l2 += float(np.dot(wt, uo * uo))
-
-        if use_fd_everywhere:
-            lap = _chunk_stencil(u, lo, i0, i1, ro, h, n)
-        else:
-            lap = branch_laplacian(ro)
-            for j in junction_idx:
-                if i0 <= j < i1:
-                    lap[j - i0] = _point_stencil(j, h, n, values)
-        lap2 += float(np.dot(wt, lap * lap))
-        i0 = i1
-    return {"l2_sq": l2, "lap_l2_sq": lap2, "n_points": n, "h": h}
+    n = max(int(np.ceil(2.0 / (r14 / nodes_per_scale))) + 1, 4097)
+    return n, 2.0 / (n - 1)
 
 
-def _fd4_laplacian(j, h, n, uvals):
-    """Fourth-order radial Laplacian (n=4) at node j from u_{j-2}..u_{j+2}.
+def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
+    """l2 and Laplacian-norm sums of psi_{b,K} on the mesh of :func:`moser_mesh`.
 
-    uvals holds the five stencil values with even extension/ghosts already
-    applied; mirrors grid.laplacian_stencil_rows.
+    Both are the sums of the grid operators on that mesh: trapezoid weights
+    2 pi^2 r^3 h and the fourth-order stencil.  Meshes with h > 1e-6 (at most
+    ~2.1e6 nodes) are built and evaluated with ``moser_field`` and the grid
+    norms (``method`` "finite_difference").  On finer meshes the stencil
+    applied to a smooth O(1) profile is dominated by double-precision
+    cancellation, so each branch Laplacian is taken in closed form -- the
+    truncation-free limit of the same stencil -- and the sums are evaluated
+    exactly in O(1) time (``method`` "closed_form"): node by node on the core
+    and the five-node junction neighbourhoods (discrete stencil there), by
+    digamma and Euler-Maclaurin on the log branch, and by the terminating
+    Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
+    the size of the mesh the sums represent.
     """
-    um2, um1, u0, up1, up2 = uvals
-    if j == 0:
-        return 4.0 * (-30.0 * u0 + 32.0 * up1 - 2.0 * up2) / (12.0 * h * h)
-    r = j * h
-    d2 = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * h * h)
-    d1 = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-    return d2 + 3.0 * d1 / r
+    n, h = moser_mesh(b, K, nodes_per_scale)
+    if h > _H_CLOSED_FORM:
+        psi = moser_field(MoserParams.moser(b, K), g.build_grid(2.0, n, 4))
+        return {"l2_sq": g.l2_sq(psi), "lap_l2_sq": g.lap_l2_sq(psi), "n_points": n,
+                "h": h, "method": "finite_difference"}
+    s3 = g.SURFACE_MEASURE[4]
+    i14 = int(round(np.exp(-b * b / (4.0 * K)) / h))
+    i_one, i_two = int(round(1.0 / h)), n - 1
+    r14, r_one, r_two = i14 * h, i_one * h, i_two * h
+    K = b * b / (4.0 * abs(np.log(r14)))  # re-derived from the snapped radius
 
-
-def _chunk_stencil(u_halo, halo_start, i0, i1, ro, h, n):
-    """Vectorized fourth-order stencil on one chunk.
-
-    u_halo covers global nodes [halo_start, halo_start + len(u_halo)); the
-    chunk owns [i0, i1).  Left-of-axis references use the even extension,
-    right-of-domain references are Dirichlet ghosts.
-    """
-    m = i1 - i0
-    sten = np.empty((5, m))
-    glob0 = np.arange(i0, i1)
-    for k, d in enumerate((-2, -1, 0, 1, 2)):
-        glob = np.abs(glob0 + d)            # even extension across the axis
-        seg = np.zeros(m)
-        ok = glob < n
-        seg[ok] = u_halo[glob[ok] - halo_start]
-        sten[k] = seg
+    # core and junction neighbourhoods node by node: the stencil at junction
+    # nodes (even extension at the axis, psi = 0 past r = 2), the core's
+    # constant Laplacian elsewhere
+    junction = [j0 + d for j0 in (0, i14, i_one, i_two) for d in range(-2, 3)]
+    idx = np.array(sorted({j for j in junction if 0 <= j < n} | set(range(i14 + 1))))
+    u5 = _moser_profile(np.abs(idx[:, None] + np.arange(-2, 3)) * h, b, K, r14, r_one, r_two)
+    d2 = u5 @ np.array(g._D2) / (12.0 * h * h)
+    d1 = u5 @ np.array(g._D1) / (12.0 * h)
+    r = idx * h
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = (-sten[0] + 16 * sten[1] - 30 * sten[2] + 16 * sten[3] - sten[4]) / (12 * h * h)
-        d1 = (sten[0] - 8 * sten[1] + 8 * sten[3] - sten[4]) / (12 * h)
-        lap = d2 + 3.0 * d1 / ro
-    if i0 == 0:
-        lap[0] = 4.0 * (-30 * sten[2][0] + 32 * sten[3][0] - 2 * sten[4][0]) / (12 * h * h)
-    return lap
+        fd = np.where(idx == 0, 4.0 * d2, d2 + 3.0 * d1 / r)
+    lap = np.where(np.isin(idx, junction), fd, -16.0 * K / (r14 * r14 * b))
+    wt = s3 * r**3 * h
+    wt[idx == n - 1] *= 0.5
+    l2, lap2 = np.dot(wt, u5[:, 2] ** 2), np.dot(wt, lap**2)
+
+    # log branch, nodes i14+3 .. i_one-3: weight * (8K / (b r^2))^2 = 4c / i, and
+    # c r^3 log^2 r by Euler-Maclaurin to h^2 (the h^4 term is below 1e-20)
+    c = s3 * 16.0 * K * K / (b * b)
+    lap2 += 4.0 * c * (digamma(i_one - 2) - digamma(i14 + 3))
+
+    def end_terms(x, side):
+        # antiderivative of x^3 log^2 x, trapezoid end term, h^2 derivative term
+        L = np.log(x)
+        return (x**4 * (L * L / 4.0 - L / 8.0 + 1.0 / 32.0) + side * h / 2.0 * x**3 * L * L
+                + h * h / 12.0 * x * x * L * (3.0 * L + 2.0))
+
+    l2 += c * (end_terms((i_one - 3) * h, 1.0) - end_terms((i14 + 3) * h, -1.0))
+
+    # quintic cap, nodes i_one+3 .. i_two-3, as polynomials in t = (r - r_one) / s,
+    # stored in powers of 2t - 1 (powers of t cost ~3 digits to cancellation)
+    s, m = r_two - r_one, i_two - i_one
+    rt = Polynomial([r_one, s]).convert(domain=[0.0, 1.0])
+    u = quintic_blend(rt, r_one, r_two, -4.0 * K * np.log(r_one) / b, -4.0 * K / (b * r_one),
+                      0.0, 0.0)
+    du, d2u = u.deriv() / s, u.deriv(2) / s**2
+    l2 += s3 * s * _node_sum(rt**3 * u**2, 3, m - 3, m)
+    lap2 += s3 * s * _node_sum(rt * (rt * d2u + 3.0 * du) ** 2, 3, m - 3, m)
+    return {"l2_sq": float(l2), "lap_l2_sq": float(lap2), "n_points": n, "h": h,
+            "method": "closed_form"}
 
 
-def _point_stencil(j, h, n, values):
-    rs = np.array([(j + d) * h for d in (-2, -1, 0, 1, 2)])
-    uvals = values(np.abs(rs))          # even extension
-    for k, d in enumerate((-2, -1, 0, 1, 2)):
-        if j + d >= n:
-            uvals[k] = 0.0
-    return _fd4_laplacian(j, h, n, uvals)
+def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:
+    """sum_{j=j0}^{j1} p(j/m) / m; exact, as the Euler-Maclaurin series of a
+    polynomial ends at its degree."""
+    a, c = j0 / m, j1 / m
+    P = p.integ()
+    total = P(c) - P(a) + (p(a) + p(c)) / (2.0 * m)
+    bern = bernoulli(p.degree() + 1)
+    for k in range(2, p.degree() + 2, 2):
+        dp = p.deriv(k - 1)
+        total += bern[k] / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
+    return float(total)
 
 
 # --- necessity witnesses --------------------------------------------------------

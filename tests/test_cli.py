@@ -224,3 +224,35 @@ def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
     code, _ = run_cli(["check", "--config", str(cfg)], tmp_path)
     assert code == EXIT_CONFIG
     assert "refine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--K", "-1"], ["--b-values", "3,inf"],
+                                  ["--b-values", "0,3"], ["--b-values=-3,5"],
+                                  ["--b-values", "3,5,9"]])
+def test_moser_bad_input_exits_3_without_report(tmp_path, args):
+    code, out = run_cli(["moser"] + args, tmp_path)
+    assert code == EXIT_CONFIG
+    assert not (out / "moser.json").exists()
+
+
+# VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across exec
+_MOSER_RSS_PROBE = """
+import json, os, sys
+from biharm.cli import main
+code = main(["moser", "--b-values", "3,5,8", "--out-dir", sys.argv[1]])
+rows = json.load(open(os.path.join(sys.argv[1], "moser.json")))["moser"]["rows"]
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, ",".join(r["method"] for r in rows), hwm)
+"""
+
+
+def test_moser_command_peak_rss(tmp_path):
+    # b = 8 sums a 1.8e8-node mesh; VmHWM is in KiB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", _MOSER_RSS_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    code, methods, rss = res.stdout.split()
+    assert int(code) == EXIT_OK
+    assert methods == "finite_difference,finite_difference,closed_form"
+    assert int(rss) <= 200 * 1024

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,3 +217,13 @@ def test_laplacian_matrix_equals_loop_assembly(args):
     got, ref = laplacian_matrix(grid), _laplacian_matrix_loop(grid)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_matrix_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(bh.grid, "_matrix_cache", OrderedDict())
+    grids = [bh.build_grid(20.0, 16 + k, 4) for k in range(20)]
+    mats = [laplacian_matrix(grid) for grid in grids]
+    assert len(bh.grid._matrix_cache) <= 8
+    # a repeated geometry is a hit, also through a new grid object
+    assert laplacian_matrix(bh.build_grid(20.0, 35, 4)) is mats[-1]
+    assert laplacian_matrix(grids[0]) is not mats[0]

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,13 @@ def test_idempotence_randomized(g4):
         den = np.sqrt(np.dot(g4.weights, vals**2))
         worst = max(worst, num / den)
     assert worst <= 1e-6
+
+
+def test_transform_cache_is_a_bounded_lru(monkeypatch):
+    rearr = bh.rearrangement
+    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
+    grids = [bh.build_grid(20.0, 16 + k, 4) for k in range(6)]
+    built = [rearr._transform_for(grid) for grid in grids]
+    assert len(rearr._transform_cache) <= 4
+    assert rearr._transform_for(bh.build_grid(20.0, 21, 4)) is built[-1]
+    assert rearr._transform_for(grids[0]) is not built[0]

@@ -208,3 +208,109 @@ def test_witness_noncompact_infinity():
     fields, rep = necessity_witness("noncompact_infinity", gfun, K=1.0, ks=(0, 1, 2))
     G = [row["G"] for row in rep.table]
     assert min(G) > 0.1 * max(G)          # non-vanishing along the sweep
+
+
+def _streamed_moser_estimates(b, K, chunk=1 << 20):
+    """The chunked node-by-node sums that moser_estimates replaced (h <= 1e-6).
+
+    Closed-form branch Laplacians, the discrete stencil at the five nodes
+    around each junction, trapezoid weights 2 pi^2 r^3 h.
+    """
+    r14 = float(np.exp(-b * b / (4.0 * K)))
+    n = max(int(np.ceil(2.0 / (r14 / 10))) + 1, 4097)
+    h = 2.0 / (n - 1)
+    i14, i_one, i_two = max(int(round(r14 / h)), 1), int(round(1.0 / h)), int(round(2.0 / h))
+    r14s, r_ones, r_twos = i14 * h, i_one * h, i_two * h
+    K = b * b / (4.0 * abs(np.log(r14s)))
+    cap_val, cap_slope = -4.0 * K * np.log(r_ones) / b, -4.0 * K / (b * r_ones)
+
+    def branches(r):
+        return r <= r14s, (r > r14s) & (r <= r_ones), (r > r_ones) & (r < r_twos)
+
+    def values(r):
+        out = np.zeros_like(r)
+        core, logb, cap = branches(r)
+        out[core] = b - 2.0 * K * r[core] ** 2 / (r14s * r14s * b) + 2.0 * K / b
+        out[logb] = -4.0 * K * np.log(r[logb]) / b
+        out[cap] = bh.sequences.quintic_blend(r[cap], r_ones, r_twos, cap_val, cap_slope,
+                                              0.0, 0.0)
+        return out
+
+    def branch_laplacian(r):
+        out = np.zeros_like(r)
+        core, logb, cap = branches(r)
+        out[core] = -16.0 * K / (r14s * r14s * b)
+        out[logb] = -8.0 * K / (b * r[logb] ** 2)
+        rc, s = r[cap], r_twos - r_ones
+        t = (rc - r_ones) / s
+        d1 = (cap_val * (-30 * t**2 + 60 * t**3 - 30 * t**4)
+              + cap_slope * s * (1 - 18 * t**2 + 32 * t**3 - 15 * t**4)) / s
+        d2 = (cap_val * (-60 * t + 180 * t**2 - 120 * t**3)
+              + cap_slope * s * (-36 * t + 96 * t**2 - 60 * t**3)) / s**2
+        out[cap] = d2 + 3.0 * d1 / rc
+        return out
+
+    def point_stencil(j):
+        um2, um1, u0, up1, up2 = [values(np.array([abs(j + d) * h]))[0] if j + d < n else 0.0
+                                  for d in (-2, -1, 0, 1, 2)]
+        if j == 0:
+            return 4.0 * (-30.0 * u0 + 32.0 * up1 - 2.0 * up2) / (12.0 * h * h)
+        d2 = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * h * h)
+        d1 = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
+        return d2 + 3.0 * d1 / (j * h)
+
+    junction = {j0 + d for j0 in (0, i14, i_one, i_two) for d in range(-2, 3)}
+    l2 = lap2 = 0.0
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        r = np.arange(i0, i1) * h
+        wt = 2.0 * np.pi**2 * r**3 * h
+        if i1 == n:
+            wt[-1] *= 0.5
+        u, lap = values(r), branch_laplacian(r)
+        for j in junction:
+            if i0 <= j < i1:
+                lap[j - i0] = point_stencil(j)
+        l2 += float(np.dot(wt, u * u))
+        lap2 += float(np.dot(wt, lap * lap))
+    return {"l2_sq": l2, "lap_l2_sq": lap2, "n_points": n}
+
+
+def test_moser_estimates_closed_form_matches_streamed_sums():
+    est = moser_estimates(7.0, 1.0)
+    ref = _streamed_moser_estimates(7.0, 1.0)
+    assert est["method"] == "closed_form"
+    assert est["n_points"] == ref["n_points"] == 4_179_627
+    assert est["l2_sq"] == pytest.approx(ref["l2_sq"], rel=1e-12)
+    assert est["lap_l2_sq"] == pytest.approx(ref["lap_l2_sq"], rel=1e-12)
+    beta = 32.0 * np.pi**2
+    assert est["lap_l2_sq"] - beta == pytest.approx(ref["lap_l2_sq"] - beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("b, l2_sq, lap_l2_sq", [
+    (3.0, 2.4692698664294497, 889.1480593742762),
+    (5.0, 0.8883669069333653, 521.189963278451),
+])
+def test_moser_estimates_finite_difference_pinned(b, l2_sq, lap_l2_sq):
+    # values of the former chunked five-point stencil on the same mesh
+    est = moser_estimates(b, 1.0)
+    assert est["method"] == "finite_difference"
+    assert est["l2_sq"] == pytest.approx(l2_sq, rel=1e-8)
+    assert est["lap_l2_sq"] == pytest.approx(lap_l2_sq, rel=1e-8)
+    beta = 32.0 * np.pi**2
+    assert est["lap_l2_sq"] - beta == pytest.approx(lap_l2_sq - beta, rel=1e-8)
+
+
+@pytest.mark.parametrize("b, K", [(0.0, 1.0), (-3.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+                                  (3.0, -1.0), (3.0, 0.0), (3.0, np.inf), (3.0, np.nan)])
+def test_moser_estimates_rejects_bad_parameters(b, K):
+    with pytest.raises(ValueError, match="finite and positive"):
+        moser_estimates(b, K)
+
+
+def test_moser_estimates_rejects_mesh_below_rounding_floor():
+    assert moser_estimates(8.25, 1.0)["h"] >= 4e-9
+    with pytest.raises(ValueError, match="largest admissible b for K = 1 is 8.254"):
+        moser_estimates(9.0, 1.0)
+    with pytest.raises(ValueError, match="largest admissible b for K = 4 is 16.50"):
+        moser_estimates(17.0, 4.0)
