@@ -1,26 +1,29 @@
-"""Energy and constraint functionals, and the exponential-ratio search.
+"""Energy, Pohozaev and Nehari functionals, and the exponential-ratio search.
 
-For the exp-critical family on R^4 (a = 2):
+For the exp-critical family f(t) = lam t exp(a t^2), with a = 2 on R^4 and
+a = 1 on R^2, and Q(u) = ||Du||^2 on R^4 or ||u'||^2 on R^2:
 
-    I(u) = 1/2 (||Du||^2 + int V u^2) - (lam/4) int (exp(2u^2) - 1)
-    G(u) = (gamma - lam) ||u||^2 - int g_lam(u)        (Pohozaev, no Du term)
-    N(u) = ||Du||^2 + int V u^2 - lam int exp(2u^2) u^2 (Nehari)
+    I(u) = 1/2 (Q(u) + int V u^2) - (lam/(2a)) int (exp(a u^2) - 1)
+    G(u) = (gamma - lam) ||u||^2 - int g_lam(u)
+    N(u) = Q(u) + int V u^2 - int f(u) u
 
-with 2-D analogues (a = 1, Dirichlet energy instead of ||Du||^2).  All
-integrals are shared through one exponential-mass evaluation, so algebraic
-identities between the reported numbers hold to rounding.
+with g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) and the limiting constant
+gamma = V(r_max); G has no Q term.  Other nonlinearities use
+I = 1/2 (Q + int V u^2) - int F(u) and G = gamma ||u||^2 - 2 int F(u).
+``_Functionals`` is the one implementation: the solvers extend it with their
+operators and ``evaluate_all`` reports it.  Amplitudes beyond the overflow
+cap raise OverflowCapError; nothing is clamped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OverflowCapError, ProblemConfig, check_cap, g_lambda_values
+from .model import OverflowCapError, ProblemConfig, _exprel2, check_cap
 
 
 @dataclass
@@ -41,55 +44,93 @@ class FunctionalReport:
     mass_terms: MassTerms
 
 
-def potential_values(config: ProblemConfig, gridobj: RadialGrid) -> np.ndarray:
-    return np.asarray(config.potential(gridobj.nodes), dtype=float)
+class _Functionals:
+    """I, G and N of one (grid, config) pair, evaluated on nodal values.
+
+    The one implementation of the functionals: ``solvers._Ops`` extends it
+    with the discrete operators, and :func:`evaluate_all` reports through
+    it.  Nothing is clamped; callers keep amplitudes within the overflow cap
+    (``check_cap`` on entry, or the bracketing of the scaling projections).
+    """
+
+    def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
+        self.grid = gridobj
+        self.config = config
+        self.w = gridobj.weights
+        self.L = g.laplacian_matrix(gridobj)
+        self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
+        spec = config.nonlinearity
+        self.spec = spec
+        self.a = spec.exp_coeff if spec.exp_coeff is not None else spec.alpha0
+        self.lam = config.lam
+
+    def f(self, u):
+        return np.asarray(self.spec.f(u), dtype=float)
+
+    def fprime(self, u):
+        if self.spec.fprime is not None:
+            return np.asarray(self.spec.fprime(u), dtype=float)
+        eps = 1e-6
+        return (self.f(u + eps) - self.f(u - eps)) / (2 * eps)
+
+    def l2(self, u):
+        return float(np.dot(self.w, u * u))
+
+    def quad_form(self, u):
+        return g.quad_form_sq(RadialField(self.grid, u), self.L)
+
+    def pot_mass(self, u):
+        return float(np.dot(self.w, self.V * u * u))
+
+    def exp_mass(self, u):
+        """int (exp(a u^2) - 1)."""
+        return float(np.dot(self.w, np.expm1(self.a * u * u)))
+
+    def F_mass(self, u):
+        """int F(u); closed form through ``exp_mass`` for the exp-critical family."""
+        if self.spec.kind == "exp_critical":
+            return self.lam / (2 * self.a) * self.exp_mass(u)
+        return float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
+
+    def I(self, u):
+        """Action with the actual potential."""
+        return 0.5 * (self.quad_form(u) + self.pot_mass(u)) - self.F_mass(u)
+
+    def G(self, u):
+        """Pohozaev functional with the limiting constant gamma."""
+        gam = self.config.gamma
+        if self.spec.kind == "exp_critical":
+            return (gam - self.lam) * self.l2(u) - (self.lam / self.a) * float(
+                np.dot(self.w, _exprel2(self.a * u * u)))
+        return gam * self.l2(u) - 2.0 * self.F_mass(u)
+
+    def N(self, u):
+        """Nehari functional with the actual potential."""
+        return self.quad_form(u) + self.pot_mass(u) - float(np.dot(self.w, self.f(u) * u))
 
 
 def evaluate_all(u: RadialField, config: ProblemConfig) -> FunctionalReport:
-    """All functionals of a field by shared quadrature.
+    """I, G and N of a field, with the integrals they are built from.
 
     For dimension 2 the quadratic term is the Dirichlet energy int |u'|^2;
     the Pohozaev functional uses the limiting constant gamma = V(r_max).
+    Raises OverflowCapError if the field exceeds the overflow cap.
     """
     check_cap(u.values, config.overflow_cap)
-    w = u.grid.weights
+    core = _Functionals(u.grid, config)
     vals = u.values
-    spec = config.nonlinearity
-
-    quad = g.quad_form_sq(u)
-    l2 = float(np.dot(w, vals * vals))
-    V = potential_values(config, u.grid)
-    pot = float(np.dot(w, V * vals * vals))
-
-    if spec.kind == "exp_critical":
-        a = spec.exp_coeff
-        E = np.exp(a * vals * vals)
-        exp_mass = float(np.dot(w, np.expm1(a * vals * vals)))
-        exp_weighted = float(np.dot(w, E * vals * vals))
-        F_mass = config.lam / (2.0 * a) * exp_mass
-        energy = 0.5 * (quad + pot) - config.lam / (2.0 * a) * exp_mass
-        gamma = config.gamma
-        G = (gamma - config.lam) * l2 - float(np.dot(w, g_lambda_values(config, vals)))
-        N = quad + pot - config.lam * exp_weighted
-    else:
-        a = spec.alpha0
-        exp_mass = float(np.dot(w, np.expm1(a * vals * vals)))
-        exp_weighted = float(np.dot(w, np.exp(a * vals * vals) * vals * vals))
-        F_mass = float(np.dot(w, np.asarray(spec.F(vals), dtype=float)))
-        fu = float(np.dot(w, np.asarray(spec.f(vals), dtype=float) * vals))
-        energy = 0.5 * (quad + pot) - F_mass
-        G = config.gamma * l2 - 2.0 * F_mass
-        N = quad + pot - fu
-
-    terms = MassTerms(l2, quad, pot, exp_mass, exp_weighted, F_mass)
-    return FunctionalReport(energy, G, N, terms)
+    exp_weighted = float(np.dot(core.w, np.exp(core.a * vals * vals) * vals * vals))
+    terms = MassTerms(core.l2(vals), core.quad_form(vals), core.pot_mass(vals),
+                      core.exp_mass(vals), exp_weighted, core.F_mass(vals))
+    return FunctionalReport(core.I(vals), core.G(vals), core.N(vals), terms)
 
 
 def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig) -> float:
-    """|I(u) - on-manifold energy form|; equals |N(u)|/2 algebraically.
+    """|I(u) - (lam/2) int exp(a u^2) u^2 + (lam/(2a)) int (exp(a u^2) - 1)|.
 
-    The on-manifold form is (lam/(2a)) int (a exp(a u^2) 2 u^2/2 ... )
-    i.e. lam/4 int (exp(2u^2) 2u^2 - (exp(2u^2)-1)) for a = 2.
+    For the exp-critical family I(u) - N(u)/2 is the subtracted expression,
+    so the gap equals |N(u)|/2 up to rounding and vanishes on the Nehari
+    manifold, where I takes that on-manifold form.
     """
     rep = evaluate_all(u, config)
     a = config.nonlinearity.exp_coeff
@@ -128,10 +169,14 @@ def _ratio_of(values: np.ndarray, gridobj: RadialGrid, config: ProblemConfig,
     scale = np.sqrt(L / q)
     vals = values * scale
     check_cap(vals, config.overflow_cap)
+    return _F_ratio(gridobj, vals, config), float(np.max(np.abs(vals)))
+
+
+def _F_ratio(gridobj: RadialGrid, vals: np.ndarray, config: ProblemConfig) -> float:
+    """2 int F(u) / ||u||^2 by the grid's quadrature."""
     w = gridobj.weights
-    l2 = float(np.dot(w, vals * vals))
     F_mass = float(np.dot(w, np.asarray(config.nonlinearity.F(vals), dtype=float)))
-    return 2.0 * F_mass / l2, float(np.max(np.abs(vals)))
+    return 2.0 * F_mass / float(np.dot(w, vals * vals))
 
 
 def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> AdamsRatioReport:
@@ -187,11 +232,7 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
         gr = g.build_grid(2.5, max(n_pts, 512), config.dimension)
         psi = moser_field(MoserParams.moser(b, K), gr)
         quad = g.quad_form_sq(psi)
-        w_psi = gr.weights
-        l2 = float(np.dot(w_psi, psi.values**2))
-        F_mass = float(np.dot(w_psi, np.asarray(config.nonlinearity.F(psi.values),
-                                                dtype=float)))
-        ratio = 2.0 * F_mass / l2
+        ratio = _F_ratio(gr, psi.values, config)
         moser_trace.append((float(b), ratio, float(quad)))
         if quad <= L * (1.0 + 1e-9) and ratio > best[0]:
             best = (ratio, {"family": "moser", "b": float(b), "K": float(K),

@@ -197,14 +197,14 @@ def radial_gradient(u: RadialField) -> RadialField:
     return RadialField(u.grid, out)
 
 
-def gradient_sq_integral(u: RadialField) -> float:
+def gradient_sq_integral(u: RadialField, L=None) -> float:
     """R^n integral of |u'|^2 computed as the weighted pairing <-Lu, u>.
 
     This is the quadratic form whose exact discrete gradient is -Lu, which is
     what the 2-D solvers differentiate; it matches the face-flux Dirichlet
     energy up to an O(h^4) origin term on smooth even profiles.
     """
-    lap = laplacian_matrix(u.grid) @ u.values
+    lap = (laplacian_matrix(u.grid) if L is None else L) @ u.values
     return -float(np.dot(u.grid.weights, lap * u.values))
 
 
@@ -222,16 +222,19 @@ def l2_sq(u: RadialField) -> float:
     return float(np.dot(u.grid.weights, u.values**2))
 
 
-def lap_l2_sq(u: RadialField) -> float:
-    lap = laplacian_matrix(u.grid) @ u.values
+def lap_l2_sq(u: RadialField, L=None) -> float:
+    lap = (laplacian_matrix(u.grid) if L is None else L) @ u.values
     return float(np.dot(u.grid.weights, lap * lap))
 
 
-def quad_form_sq(u: RadialField) -> float:
-    """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2."""
+def quad_form_sq(u: RadialField, L=None) -> float:
+    """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2.
+
+    ``L`` is the grid's Laplacian matrix, for callers that hold it.
+    """
     if u.grid.dimension == 4:
-        return lap_l2_sq(u)
-    return gradient_sq_integral(u)
+        return lap_l2_sq(u, L)
+    return gradient_sq_integral(u, L)
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:

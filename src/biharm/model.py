@@ -10,9 +10,13 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   either parsed too or the vectorized composite Gauss-Legendre antiderivative
   of f (``gauss_antiderivative``), computed afresh on every call.
 
-Trial amplitudes are capped (default 6.0): exp(2 t^2) leaves the useful
-double range long before overflow, and a silent clamp would corrupt every
-functional downstream, so exceeding the cap raises OverflowCapError.
+There is one overflow policy.  Amplitudes are capped (default 6.0): fields
+enter the functionals through ``check_cap``, which raises OverflowCapError
+beyond the cap, and the scaling projections bracket their scale below it;
+nothing is clamped, since a silent clamp would corrupt every functional
+downstream.  ProblemConfig accepts a cap only if alpha0 cap^2 + 2 ln(cap) <
+ln(DBL_MAX) (about 709.78), so the largest integrand exp(alpha0 t^2) t^2
+stays finite up to the cap.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .expressions import parse_expression
 from .grid import RadialGrid
 
 DEFAULT_OVERFLOW_CAP = 6.0
+_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 ADAMS_BETA = {4: 32.0 * np.pi**2, 2: 4.0 * np.pi}
 
@@ -312,6 +317,11 @@ class ProblemConfig:
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
+        cap, alpha0 = self.overflow_cap, self.nonlinearity.alpha0
+        if not (np.isfinite(cap) and cap > 0
+                and alpha0 * cap * cap + 2.0 * np.log(cap) < _LOG_DBL_MAX):
+            raise ValueError(f"overflow_cap={cap} must be finite, positive and satisfy "
+                             f"alpha0 cap^2 + 2 ln(cap) < {_LOG_DBL_MAX:.2f} (alpha0={alpha0})")
         if self.nonlinearity.kind == "exp_critical":
             if not (0.0 < self.lam):
                 raise ValueError("lam must be positive")
@@ -367,11 +377,6 @@ def eval_g_lambda(config: ProblemConfig, t):
         raise ValueError("g_lambda is defined for the exp-critical family only")
     out = (config.lam / a) * _exprel2(a * np.asarray(t, dtype=float) ** 2)
     return float(out) if np.ndim(t) == 0 else out
-
-
-def g_lambda_values(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
-    a = config.nonlinearity.exp_coeff
-    return (config.lam / a) * _exprel2(a * values * values)
 
 
 # --- growth-condition checker -------------------------------------------------

@@ -38,8 +38,8 @@ from scipy.interpolate import PchipInterpolator
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
+from .functionals import _Functionals
 from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
-from .functionals import potential_values
 
 # Polish-mesh refinement factor per dimension, measured on the default grids.
 # 4-D: none.  Rounding of the double-stored iterate through the bi-Laplacian
@@ -84,18 +84,11 @@ class GapReport:
 
 # --- the discrete operator bundle ---------------------------------------------
 
-class _Ops:
-    """Grid-bound discrete operators for one (grid, config) pair."""
+class _Ops(_Functionals):
+    """The functionals of one (grid, config) pair plus its discrete operators."""
 
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
-        self.grid = gridobj
-        self.config = config
-        self.w = gridobj.weights
-        self.L = g.laplacian_matrix(gridobj)
-        self.V = potential_values(config, gridobj)
-        spec = config.nonlinearity
-        self.a = spec.exp_coeff if spec.exp_coeff is not None else spec.alpha0
-        self.lam = config.lam
+        super().__init__(gridobj, config)
         self.m = config.order
         if self.m == 2:
             self.A0 = (self.L @ self.L).tocsr()
@@ -103,7 +96,6 @@ class _Ops:
             self.A0 = (-self.L).tocsr()
         self.rows_q = g.laplacian_stencil_rows(gridobj, np.longdouble)
         self.Vq = self.V.astype(np.longdouble)
-        self.spec = spec
 
     def apply_A0_quad(self, uq):
         """(-D)^m u through extended-precision stencil applications."""
@@ -111,72 +103,15 @@ class _Ops:
             return g.apply_stencil(self.rows_q, g.apply_stencil(self.rows_q, uq))
         return -g.apply_stencil(self.rows_q, uq)
 
-    # nonlinearity (exp-critical fast path; generic callables otherwise)
-    def f(self, u):
-        if self.spec.kind == "exp_critical":
-            return self.lam * u * np.exp(self.a * np.minimum(u * u, 360.0))
-        return np.asarray(self.spec.f(u), dtype=float)
-
-    def fprime(self, u):
-        if self.spec.fprime is not None and self.spec.kind == "exp_critical":
-            return self.lam * np.exp(self.a * np.minimum(u * u, 360.0)) * (
-                1.0 + 2.0 * self.a * u * u)
-        if self.spec.fprime is not None:
-            return np.asarray(self.spec.fprime(u), dtype=float)
-        eps = 1e-6
-        return (np.asarray(self.spec.f(u + eps), dtype=float)
-                - np.asarray(self.spec.f(u - eps), dtype=float)) / (2 * eps)
-
     def f_quad(self, uq):
+        """f in extended precision (exp-critical); generic f is evaluated in double."""
         if self.spec.kind == "exp_critical":
-            return self.lam * uq * np.exp(self.a * np.minimum(uq * uq, np.longdouble(360.0)))
+            return self.lam * uq * np.exp(self.a * uq * uq)
         return np.asarray(self.spec.f(np.asarray(uq, dtype=float)), dtype=np.longdouble)
 
     def nrm(self, v):
         v = np.asarray(v, dtype=float)
         return float(np.sqrt(np.dot(self.w, v * v)))
-
-    def quad_form(self, u):
-        if self.m == 2:
-            Lu = self.L @ u
-            return float(np.dot(self.w, Lu * Lu))
-        return -float(np.dot(self.w, (self.L @ u) * u))
-
-    def l2(self, u):
-        return float(np.dot(self.w, u * u))
-
-    def pot_mass(self, u):
-        return float(np.dot(self.w, self.V * u * u))
-
-    def exp_weighted(self, u):
-        return float(np.dot(self.w, np.exp(self.a * np.minimum(u * u, 360.0)) * u * u))
-
-    def G(self, u):
-        """Pohozaev functional (constant-potential problems)."""
-        gam = self.config.gamma
-        if self.spec.kind == "exp_critical":
-            x = self.a * u * u
-            small = np.abs(x) < 1e-3
-            ex2 = np.where(small,
-                           0.5 * x * x * (1 + x / 3 + x * x / 12 + x**3 / 60),
-                           np.expm1(np.where(small, 0.0, x)) - np.where(small, 0.0, x))
-            return (gam - self.lam) * self.l2(u) - (self.lam / self.a) * float(
-                np.dot(self.w, ex2))
-        F_mass = float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
-        return gam * self.l2(u) - 2.0 * F_mass
-
-    def N(self, u):
-        """Nehari functional with the actual potential."""
-        fu = self.f(u)
-        return self.quad_form(u) + self.pot_mass(u) - float(np.dot(self.w, fu * u))
-
-    def I(self, u):
-        if self.spec.kind == "exp_critical":
-            em = float(np.dot(self.w, np.expm1(self.a * np.minimum(u * u, 360.0))))
-            return 0.5 * (self.quad_form(u) + self.pot_mass(u)) \
-                - self.lam / (2 * self.a) * em
-        F_mass = float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
-        return 0.5 * (self.quad_form(u) + self.pot_mass(u)) - F_mass
 
     def pde_residual(self, u, coeff: float = 1.0):
         """(-D)^m u + coeff (V u - f(u)) in extended precision."""
@@ -551,6 +486,7 @@ def gradient_quadratic(u: RadialField, config: ProblemConfig) -> np.ndarray:
 
 def gradient_action(u: RadialField, config: ProblemConfig) -> np.ndarray:
     """Euclidean gradient of the action I wrt the nodal values."""
+    check_cap(u.values, config.overflow_cap)
     ops = _ops_for(u.grid, config)
     quad = gradient_quadratic(u, config)
     return quad + ops.w * (ops.V * u.values - ops.f(u.values))

@@ -256,3 +256,34 @@ def test_moser_command_peak_rss(tmp_path):
     assert int(code) == EXIT_OK
     assert methods == "finite_difference,finite_difference,closed_form"
     assert int(rss) <= 200 * 1024
+
+
+# Factors the 2-D polish matrix (A0 + diag) eight times, as the polish Newton loop
+# does, and prints the VmRSS growth (KiB) from the first factorization to the last.
+_SPLU_RSS_PROBE = """
+import numpy as np, scipy.sparse as sp, scipy.sparse.linalg as spla
+from biharm import grid as g
+from biharm.cli import _pin_mmap_threshold
+def rss():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmRSS:")))
+_pin_mmap_threshold()
+L = g.laplacian_matrix(g.build_grid(30.0, 16377, 2))
+A0 = (L @ L).tocsr()
+seen = []
+for k in range(8):
+    lu = spla.splu((A0 + sp.diags(np.full(A0.shape[0], 1.0 + 0.01 * k))).tocsc())
+    lu.solve(np.ones(A0.shape[0]))
+    seen.append(rss())
+print(seen[-1] - seen[0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, glibc mallopt")
+def test_repeated_factorizations_keep_rss_flat():
+    # Without the pinned threshold glibc carves later factorizations from the heap
+    # and RSS climbs by about 38 MiB over these eight.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", _SPLU_RSS_PROBE],
+                         capture_output=True, text=True, check=True, env=env)
+    assert int(res.stdout) <= 4 * 1024

@@ -151,3 +151,30 @@ def test_ratio_search_small_L():
     tiny = adams_ratio_search(cfg2, 1e-3, budget=200)
     assert tiny.ratio_lower_bound < 1e-3
     assert tiny.verdict == "finite_evidence"
+
+
+def _config(dim, kind):
+    lam = 0.3      # not a power of two: scaling by lam or lam/a rounds
+    spec = {"exp_critical": bh.exp_critical(lam, dim),
+            "exact_growth": bh.exact_growth_family(1.0),
+            "user": bh.user_nonlinearity("t*exp(t^2)/(1+t^2)")}[kind]
+    return bh.ProblemConfig(dim, lam, bh.ConstantPotential(1.0), spec)
+
+
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize("kind", ["exp_critical", "exact_growth", "user"])
+def test_evaluate_all_is_the_solver_functionals(dim, kind):
+    # one implementation: the report and the solver agree to the last bit
+    from biharm.solvers import _ops_for
+    cfg = _config(dim, kind)
+    grid = bh.build_grid(12.0, 400, dim)
+    ops = _ops_for(grid, cfg)
+    rng = np.random.default_rng(17 + dim)
+    for _ in range(4):
+        vals = rng.uniform(0.2, 1.5) * np.exp(-(grid.nodes / rng.uniform(0.8, 2.5)) ** 2) \
+            + 0.05 * rng.standard_normal(grid.n_points) * np.exp(-grid.nodes / 3)
+        rep = evaluate_all(bh.RadialField(grid, vals), cfg)
+        assert rep.energy_I == ops.I(vals)
+        assert rep.pohozaev_G == ops.G(vals)
+        assert rep.nehari_N == ops.N(vals)
+        assert rep.mass_terms.F_mass == ops.F_mass(vals)

@@ -73,22 +73,49 @@ def test_user_F_agrees_with_simpson(f_expr, t):
     assert abs(F_gauss - F_quad) <= 1e-8 * (1 + abs(F_gauss))
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("inf"), float("nan"), 20.0, 18.8])
+def test_overflow_cap_is_validated(cap):
+    # 4-D: alpha0 = 2, so the bound alpha0 cap^2 + 2 ln cap < ln(DBL_MAX) allows ~18.7
+    with pytest.raises(ValueError, match="overflow_cap"):
+        bh.exp_critical_config(1.0, 0.5, overflow_cap=cap)
+
+
+@pytest.mark.parametrize("dim, cap", [(4, 6.0), (4, 18.7), (2, 20.0), (2, 26.5)])
+def test_functionals_finite_up_to_an_accepted_cap(dim, cap):
+    from biharm.functionals import evaluate_all
+    cfg = bh.exp_critical_config(1.0, 0.5, dim, overflow_cap=cap)
+    grid = bh.build_grid(10.0, 256, dim)
+    vals = cap * np.exp(-grid.nodes**2)
+    with np.errstate(over="raise", invalid="raise"):
+        rep = evaluate_all(bh.RadialField(grid, vals), cfg)
+    assert np.all(np.isfinite([rep.energy_I, rep.pohozaev_G, rep.nehari_N]))
+    with pytest.raises(OverflowCapError):
+        evaluate_all(bh.RadialField(grid, 1.01 * vals), cfg)
+
+
+# VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across
+# exec, so a large test process would hide any growth
 _RSS_PROBE = """
-import resource
 import numpy as np
 import biharm as bh
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith(key + ":")))
+
 F = bh.user_nonlinearity("0.5*t*exp(2*t^2)").F
 t = np.linspace(-6.0, 6.0, 2_500_000)
 F(t[:1000])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = status("VmRSS")
 out = F(t)
 assert np.all(np.isfinite(out))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(status("VmHWM") - before)
 """
 
 
 def test_user_F_memory_is_bounded():
-    # ru_maxrss is in KiB on Linux; 2.5e6 doubles of output alone are 19 MiB
+    # peak growth over the resident size before the call, in KiB; 2.5e6
+    # doubles of output alone are 19 MiB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
     res = subprocess.run([sys.executable, "-c", _RSS_PROBE], capture_output=True,
                          text=True, check=True, env=env)

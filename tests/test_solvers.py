@@ -299,3 +299,8 @@ def test_2d_gap_shares_the_polish_mesh(monkeypatch):
     rep, misses = run()
     assert (ref_misses, misses) == (5, 4)
     assert rep == ref
+
+
+def test_gradient_action_honours_the_cap(cfg, g4):
+    with pytest.raises(bh.OverflowCapError):
+        gradient_action(bh.RadialField(g4, 8.0 * np.exp(-g4.nodes**2)), cfg)
