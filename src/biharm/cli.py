@@ -12,7 +12,6 @@ error (unknown config keys, malformed or non-finite CSV fields, ...).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -314,8 +313,7 @@ _COMMANDS = {"solve": _cmd_solve, "rearrange": _cmd_rearrange, "moser": _cmd_mos
 
 _SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
                 "search, exact scaling projection) until the objective stagnates, "
-                "then polishes with damped Newton and a final projection: on --grid "
-                "in 4-D, on an 8x finer mesh in 2-D.")
+                "then polishes on --grid with damped Newton and a final projection.")
 _HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
          "gap": "Nehari ground levels with the trapping potential --V and its limit",
          "sweep": "Pohozaev ground states over --sweep-values"}
@@ -398,20 +396,7 @@ def run(rc: RunConfig) -> int:
     return handler(rc)
 
 
-def _pin_mmap_threshold() -> None:
-    """Fix glibc's mmap threshold at 1 MiB (a no-op off glibc) to steady the peak RSS.
-
-    Left dynamic, it rises as each SuperLU factorization is freed, later ones
-    come from the heap, and one 2-D `gap` peaked at 110-152 MB (103-105 MB fixed).
-    """
-    try:
-        ctypes.CDLL(None).mallopt(-3, 1 << 20)  # -3 is M_MMAP_THRESHOLD (malloc.h)
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
 def main(argv=None) -> int:
-    _pin_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         rc = config_from_args(args)

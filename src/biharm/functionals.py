@@ -197,6 +197,8 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
 
     if L <= 0:
         raise ValueError("L must be positive")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     evals = 0
     best = (-np.inf, {})
     gauss_trace, moser_trace = [], []

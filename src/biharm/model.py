@@ -260,7 +260,7 @@ class RadialPotential:
     gamma_inf: float
 
     def __call__(self, r):
-        return np.asarray(self.profile(r), dtype=float)
+        return _profile_on(self.profile, r)
 
     def validate_on(self, grid: RadialGrid):
         vals = self(grid.nodes)
@@ -278,9 +278,14 @@ class RadialPotential:
             raise ValueError("trapping shape requires v0 <= gamma_inf")
 
 
+def _profile_on(profile: Callable, r) -> np.ndarray:
+    """profile(r) as floats shaped like r; a constant expression returns one value."""
+    return np.broadcast_to(np.asarray(profile(r), dtype=float), np.shape(r)).copy()
+
+
 def radial_potential(profile: Callable, grid: RadialGrid) -> RadialPotential:
     """Build a RadialPotential with v0/gamma_inf measured on the grid."""
-    vals = np.asarray(profile(grid.nodes), dtype=float)
+    vals = _profile_on(profile, grid.nodes)
     pot = RadialPotential(profile, float(np.min(vals)), float(vals[-1]))
     pot.validate_on(grid)
     return pot

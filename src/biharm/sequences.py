@@ -22,8 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import PchipInterpolator
-from scipy.special import bernoulli, digamma
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
@@ -150,6 +148,7 @@ def dilate(u: RadialField, S: float) -> RadialField:
         support = float(u.grid.nodes[np.max(np.nonzero(mag > 1e-13 * peak)[0])])
         if S * support > u.grid.r_max * (1.0 + 1e-12):
             raise ValueError("dilated support escapes the domain")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(u.grid.nodes, vals, extrapolate=False)
     out = interp(u.grid.nodes / S)
     return RadialField(u.grid, np.nan_to_num(out, nan=0.0))
@@ -199,6 +198,7 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
     Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
     the size of the mesh the sums represent.
     """
+    from scipy.special import digamma
     n, h = moser_mesh(b, K, nodes_per_scale)
     if h > _H_CLOSED_FORM:
         psi = moser_field(MoserParams.moser(b, K), g.build_grid(2.0, n, 4))
@@ -255,6 +255,7 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
 def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:
     """sum_{j=j0}^{j1} p(j/m) / m; exact, as the Euler-Maclaurin series of a
     polynomial ends at its degree."""
+    from scipy.special import bernoulli
     a, c = j0 / m, j1 / m
     P = p.integ()
     total = P(c) - P(a) + (p(a) + p(c)) / (2.0 * m)

@@ -12,11 +12,10 @@ in the objective, the constraint functional and the implicit step:
    zero-crossing scale is unique for both constraints, which is what makes
    the scaling projection (``_project``) well defined.
 
-2. Polish on a mesh chosen by the dimension (``_POLISH_REFINE``): damped
-   Newton on the discrete Euler-Lagrange equation with extended-precision
-   residual evaluation (double-precision residuals of a fourth-order stencil
-   bottom out near 1e-4 on fine meshes), an exact projection onto the
-   constraint, and the report.
+2. Polish on the same grid: damped Newton on the discrete Euler-Lagrange
+   equation with extended-precision residual evaluation (double-precision
+   residuals of a fourth-order stencil bottom out near 1e-4 on fine meshes),
+   an exact projection onto the constraint, and the report.
 
 For the minimization of 1/2 ||Du||^2 on {G=0} the Lagrange multiplier is
 recovered from the integral identity ||Du||^2 = (2 theta - 1) int
@@ -34,23 +33,11 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import PchipInterpolator
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
 from .functionals import _Functionals
 from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
-
-# Polish-mesh refinement factor per dimension, measured on the default grids.
-# 4-D: none.  Rounding of the double-stored iterate through the bi-Laplacian
-#   grows like eps h^-4; on a x8 mesh it stalls Newton at a residual of 2.5e-3
-#   (no convergence), while the caller's mesh converges to 2.5e-8.
-# 2-D: x8.  The trapezoid origin term leaves an O(h^2) discrete Pohozaev
-#   defect; without the refinement the exact projection leaves a recovered
-#   weak residual of 6.9e-5 (gamma 1, lambda 0.5), above the 1e-5 a
-#   converged solve is held to; on the x8 mesh it is 1.1e-6.
-_POLISH_REFINE = {4: 1, 2: 8}
-
 
 @dataclass
 class SolverOptions:
@@ -135,22 +122,11 @@ class _Ops(_Functionals):
         return 0.5 * (1.0 + self.quad_form(u) / denom)
 
 
-# One gap run touches four (grid, config) pairs: the trapped and the limit
-# problem on the caller's grid and on the polish mesh, which both runs share
-# through ``_polish_mesh``.  Grids and configs hash by identity, so the cache
-# keeps each key object alive while it is cached and a hit always belongs to
-# the very same pair.
+# Grids and configs hash by identity, so the cache keeps each key object alive
+# while it is cached and a hit always belongs to the very same pair.
 @functools.lru_cache(maxsize=8)
 def _ops_for(gridobj: RadialGrid, config: ProblemConfig) -> _Ops:
     return _Ops(gridobj, config)
-
-
-# One refined grid object per geometry, so polish meshes of the same geometry
-# hit ``_ops_for`` instead of rebuilding its operators.
-@functools.lru_cache(maxsize=8)
-def _polish_mesh(r_max: float, n_points: int, dimension: int) -> RadialGrid:
-    return g.refine_grid(g.build_grid(r_max, n_points, dimension),
-                         _POLISH_REFINE[dimension])
 
 
 # --- scaling projections --------------------------------------------------------
@@ -271,11 +247,6 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
     return u, res
 
 
-def _prolong(u: RadialField, fine: RadialGrid) -> np.ndarray:
-    interp = PchipInterpolator(u.grid.nodes, u.values, extrapolate=False)
-    return np.nan_to_num(interp(fine.nodes), nan=0.0)
-
-
 def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
     """u(r/S) resampled on the same grid, tolerating a sub-1e-6 escaping tail."""
     vals = u.values
@@ -285,6 +256,7 @@ def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
         escaped = float(np.max(np.abs(vals[cut:]))) if cut < len(vals) else 0.0
         if escaped > 1e-6 * peak:
             raise ValueError("gauge dilation would push significant mass past r_max")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(u.grid.nodes, vals, extrapolate=False)
     return np.nan_to_num(interp(u.grid.nodes / S), nan=0.0)
 
@@ -345,7 +317,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
         if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * max(abs(obj), 1e-30):
             break
 
-    # ---- polish on the per-dimension mesh ----
+    # ---- polish on the same grid ----
     if multiplier:
         theta = ops.theta_hat(u)
         if 2.0 * theta - 1.0 >= 0.0:
@@ -357,20 +329,17 @@ def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
                               (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
         except ValueError:
             warns.append("gauge dilation skipped (support would escape the domain)")
-    fine = _polish_mesh(*grid0.key()) if _POLISH_REFINE[config.dimension] > 1 else grid0
-    fops = _ops_for(fine, config)
-    uf = _prolong(RadialField(grid0, u), fine)
-    uf, res_pde = _damped_newton_pde(fops, uf, opts.newton_iters, config.overflow_cap)
-    converged = res_pde <= 1e-5 * (fops.nrm(fops.f(uf)) + fops.nrm(fops.V * uf))
+    u, res_pde = _damped_newton_pde(ops, u, opts.newton_iters, config.overflow_cap)
+    converged = res_pde <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     if not converged:
         warns.append(f"polish Newton stalled at residual {res_pde:.2e}")
-    uf = reproject(fine, uf)
-    theta = fops.theta_hat(uf) if multiplier else None
+    u = reproject(grid0, u)
+    theta = ops.theta_hat(u) if multiplier else None
 
-    field_out = RadialField(fine, uf)
-    objective_out = objective(fops, uf)
-    constraint = abs(functional(fops, uf))
-    rw = fops.residual_weak(uf, 1.0 if theta is None else 1.0 - 2.0 * theta)
+    field_out = RadialField(grid0, u)
+    objective_out = objective(ops, u)
+    constraint = abs(functional(ops, u))
+    rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
     trace.append((it + 1, objective_out, constraint))
     _boundary_warning(field_out, warns)
     return SolveReport(field_out, objective_out, theta, rw, constraint, it, trace,

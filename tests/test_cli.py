@@ -130,12 +130,12 @@ def test_float_serialization_17g():
     assert "0.30000000000000004" in text
 
 
-# --- the per-dimension polish mesh on the default grids ----------------------------
+# --- the default grids ---------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", ["4", "2"])
 def test_default_grid_solve_converges(tmp_path, dim):
-    # 4-D polishes on the caller's mesh (a refined one stalls Newton), 2-D on
-    # an 8x finer one (the caller's leaves the recovered residual near 7e-5)
+    # both dimensions polish on the caller's mesh; in 2-D the recovered residual
+    # meets 1e-5 because the origin weight makes the quadrature fourth order
     code, out = run_cli(["solve", "--dim", dim, "--gamma", "1", "--lambda", "0.5"],
                         tmp_path)
     assert code == EXIT_OK
@@ -226,6 +226,35 @@ def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
     assert "refine" in capsys.readouterr().err
 
 
+def test_constant_potential_gap_is_zero(tmp_path):
+    # a constant expression is one value for every node; V equals its own limit
+    code, out = run_cli(["gap", "--V", "1.2", "--lambda", "0.3", "--grid", "20:512"],
+                        tmp_path)
+    assert code == EXIT_OK
+    assert json.loads((out / "gap.json").read_text())["gap"]["gap"] == 0.0
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_ratio_budget_below_one_exits_config(tmp_path, capsys, budget):
+    code, out = run_cli(["ratio", f"--budget={budget}"], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "budget must be at least 1" in capsys.readouterr().err
+    assert not (out / "ratio.json").exists()
+
+
+def test_rearrange_rejects_grids_above_the_transform_limit(tmp_path, capsys):
+    from biharm.rearrangement import MAX_TRANSFORM_NODES, _transform_cache
+    g = bh.build_grid(20.0, MAX_TRANSFORM_NODES + 1, 4)
+    src = tmp_path / "big.csv"
+    save_field_csv(str(src), bh.RadialField(g, np.exp(-g.nodes**2)))
+    before = len(_transform_cache)
+    code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "at most 4096 nodes" in capsys.readouterr().err
+    assert len(_transform_cache) == before
+    assert not (out / "rearrange.json").exists()
+
+
 @pytest.mark.parametrize("args", [["--K", "-1"], ["--b-values", "3,inf"],
                                   ["--b-values", "0,3"], ["--b-values=-3,5"],
                                   ["--b-values", "3,5,9"]])
@@ -257,33 +286,3 @@ def test_moser_command_peak_rss(tmp_path):
     assert methods == "finite_difference,finite_difference,closed_form"
     assert int(rss) <= 200 * 1024
 
-
-# Factors the 2-D polish matrix (A0 + diag) eight times, as the polish Newton loop
-# does, and prints the VmRSS growth (KiB) from the first factorization to the last.
-_SPLU_RSS_PROBE = """
-import numpy as np, scipy.sparse as sp, scipy.sparse.linalg as spla
-from biharm import grid as g
-from biharm.cli import _pin_mmap_threshold
-def rss():
-    with open("/proc/self/status") as fh:
-        return int(next(line.split()[1] for line in fh if line.startswith("VmRSS:")))
-_pin_mmap_threshold()
-L = g.laplacian_matrix(g.build_grid(30.0, 16377, 2))
-A0 = (L @ L).tocsr()
-seen = []
-for k in range(8):
-    lu = spla.splu((A0 + sp.diags(np.full(A0.shape[0], 1.0 + 0.01 * k))).tocsc())
-    lu.solve(np.ones(A0.shape[0]))
-    seen.append(rss())
-print(seen[-1] - seen[0])
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, glibc mallopt")
-def test_repeated_factorizations_keep_rss_flat():
-    # Without the pinned threshold glibc carves later factorizations from the heap
-    # and RSS climbs by about 38 MiB over these eight.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    res = subprocess.run([sys.executable, "-c", _SPLU_RSS_PROBE],
-                         capture_output=True, text=True, check=True, env=env)
-    assert int(res.stdout) <= 4 * 1024

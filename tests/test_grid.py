@@ -30,11 +30,12 @@ def test_build_grid_basics(g4):
 
 
 def test_build_grid_2d_weight_pattern(g2):
-    # s_1 r_i h with half weights at the ends
+    # s_1 r_i h, half weight at r_max, Euler-Maclaurin term s_1 h^2/12 at the origin
     h = g2.h
     inner = 2 * np.pi * g2.nodes[1:-1] * h
     assert np.allclose(g2.weights[1:-1], inner, rtol=1e-14)
     assert g2.weights[-1] == pytest.approx(2 * np.pi * 30.0 * h / 2, rel=1e-14)
+    assert g2.weights[0] == pytest.approx(2 * np.pi * h * h / 12, rel=1e-14)
 
 
 def test_build_grid_errors():

@@ -62,6 +62,20 @@ def test_self_inverse(g4):
     assert rel < 1e-10
 
 
+def test_2d_transform_includes_the_origin_node():
+    # the 2-D origin weight is part of the quadrature norm, so the transform
+    # must act on node 0 too: exp(-r^2/2) is its own transform on R^2
+    g2 = bh.build_grid(30.0, 1024, 2)
+    u = bh.RadialField(g2, np.exp(-g2.nodes**2 / 2))
+    assert np.max(np.abs(fourier_radial(u).values - u.values)) < 1e-3
+    vals = smooth_even_bumps(g2, np.random.default_rng(5))
+    p = fourier_radial(bh.RadialField(g2, vals))
+    n_u = np.dot(g2.weights, vals**2)
+    assert abs(np.dot(g2.weights, p.values**2) - n_u) <= 1e-12 * n_u
+    back = inverse_fourier_radial(p).values
+    assert np.dot(g2.weights, (back - vals) ** 2) <= 1e-20 * n_u
+
+
 def test_schwarz_decreasing_fixed_point(g4):
     vals = np.exp(-g4.nodes**2 / 3)
     from biharm.rearrangement import SpectralProfile

@@ -279,26 +279,29 @@ def test_ops_cache_hit_is_the_same_pair(g4):
 
 
 
-def test_2d_gap_shares_the_polish_mesh(monkeypatch):
+def test_2d_gap_builds_one_ops_per_problem():
+    # the trapped and the limit problem, each on the caller's grid only
     from biharm import solvers
     g2 = bh.build_grid(30.0, 512, 2)
     pot = bh.radial_potential(
         lambda r: 1.1 - 0.4 * np.exp(-(np.asarray(r, float) / 1.5) ** 2), g2)
     cfg = bh.ProblemConfig(2, 0.4, pot, bh.exp_critical(0.4, 2))
-    init = bh.RadialField(g2, np.exp(-g2.nodes**2 / 2))
+    solvers._ops_for.cache_clear()
+    rep = solvers.limiting_gap(cfg, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
+    assert solvers._ops_for.cache_info().misses == 2
+    assert rep.gap > 0
 
-    def run():
-        solvers._ops_for.cache_clear()
-        rep = solvers.limiting_gap(cfg, init)
-        return rep, solvers._ops_for.cache_info().misses
 
-    # reference: a fresh polish mesh per solve, as refine_grid gives
-    with monkeypatch.context() as m:
-        m.setattr(solvers, "_polish_mesh", solvers._polish_mesh.__wrapped__)
-        ref, ref_misses = run()
-    rep, misses = run()
-    assert (ref_misses, misses) == (5, 4)
-    assert rep == ref
+def test_2d_objective_converges_at_fourth_order():
+    # successive differences of the 2-D ground level shrink ~16x per halving of h
+    cfg2 = bh.exp_critical_config(1.1, 0.5, dimension=2)
+    objs = []
+    for n in (1024, 2048, 4096):
+        g2 = bh.build_grid(30.0, n, 2)
+        rep = minimize_pohozaev(cfg2, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
+        assert rep.converged
+        objs.append(rep.objective)
+    assert (objs[1] - objs[0]) / (objs[2] - objs[1]) >= 12.0
 
 
 def test_gradient_action_honours_the_cap(cfg, g4):
