@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -129,7 +128,6 @@ class RunConfig:
     b_values: tuple = (3.0, 5.0, 8.0)
     max_iters: int = 400
     tol: float = 1e-10
-    jobs: int = 1
     sweep_param: Optional[str] = None
     sweep_values: tuple = ()
     input_field: Optional[str] = None
@@ -295,12 +293,7 @@ def _cmd_sweep(rc: RunConfig) -> int:
                 "constraint_residual": rep.constraint_residual,
                 "converged": rep.converged}
 
-    values = list(rc.sweep_values)
-    if rc.jobs > 1:
-        with ThreadPoolExecutor(max_workers=rc.jobs) as ex:
-            results = list(ex.map(one, values))
-    else:
-        results = [one(v) for v in values]
+    results = [one(v) for v in rc.sweep_values]
     out = _report_header(rc)
     out["sweep"] = {"param": rc.sweep_param, "results": results}
     atomic_write(os.path.join(rc.out_dir, "sweep.json"), dump_report(out))
@@ -348,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="relative objective decrease over the stagnation "
                             "window that ends the descent")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="threads for the sweep values")
         p.add_argument("--sweep-param", default=None)
         p.add_argument("--sweep-values", default=None, help="comma-separated values")
         p.add_argument("--input", dest="input_field", default=None)
@@ -367,7 +358,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
               "f_expr": "f_expr", "F_expr": "F_expr", "alpha0": "alpha0",
               "theta": "theta", "g_expr": "g_expr", "K": "K", "L": "L",
               "budget": "budget", "max_iters": "max_iters", "tol": "tol",
-              "jobs": "jobs", "sweep_param": "sweep_param",
+              "sweep_param": "sweep_param",
               "input_field": "input_field", "out_dir": "out_dir"}
     for arg_name, field_name in simple.items():
         val = getattr(args, arg_name, None)

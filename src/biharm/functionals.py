@@ -11,13 +11,16 @@ with g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) and the limiting constant
 gamma = V(r_max); G has no Q term.  Other nonlinearities use
 I = 1/2 (Q + int V u^2) - int F(u) and G = gamma ||u||^2 - 2 int F(u).
 ``_Functionals`` is the one implementation: the solvers extend it with their
-operators and ``evaluate_all`` reports it.  Amplitudes beyond the overflow
-cap raise OverflowCapError; nothing is clamped.
+operators and ``evaluate_all`` reports it.  Its rays ``G_ray``/``N_ray``
+give s -> G(s u) and s -> N(s u) with the quadratic parts computed once,
+the scalar functions the scaling projections find the root of.  Amplitudes
+beyond the overflow cap raise OverflowCapError; nothing is clamped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -107,6 +110,30 @@ class _Functionals:
     def N(self, u):
         """Nehari functional with the actual potential."""
         return self.quad_form(u) + self.pot_mass(u) - float(np.dot(self.w, self.f(u) * u))
+
+    # Rays s -> functional(s u) for the scaling projections.  The quadratic
+    # parts scale as s^2 and are computed once per ray; each s then costs one
+    # pass of the nonlinearity, with no matvec.
+
+    def G_ray(self, u) -> Callable[[float], float]:
+        """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u).
+
+        For the exp-critical family ``F_mass`` is one expm1 pass instead of
+        the several of ``G``'s exprel2 form.  Its rounding, about
+        eps lam s^2 ||u||^2, only matters against (gamma - lam) s^2 ||u||^2
+        when gamma - lam is within a few eps of gamma.
+        """
+        quad = self.config.gamma * self.l2(u)
+        return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)
+
+    def N_ray(self, u) -> Callable[[float], float]:
+        """s -> N(s u) = s^2 (Q(u) + int V u^2) - int f(s u) s u."""
+        quad = self.quad_form(u) + self.pot_mass(u)
+        if self.spec.kind == "exp_critical":
+            au2, wu2, lam = self.a * u * u, self.w * u * u, self.lam
+            return lambda s: s * s * (quad - lam * float(np.dot(wu2, np.exp((s * s) * au2))))
+        w = self.w
+        return lambda s: s * s * quad - float(np.dot(w, self.f(s * u) * (s * u)))
 
 
 def evaluate_all(u: RadialField, config: ProblemConfig) -> FunctionalReport:

@@ -10,7 +10,9 @@ in the objective, the constraint functional and the implicit step:
    the constraint manifold and accepts it once the objective does not
    increase; the descent stops when the objective stagnates.  The
    zero-crossing scale is unique for both constraints, which is what makes
-   the scaling projection (``_project``) well defined.
+   the scaling projection (``_project``) well defined: it is the root of one
+   scalar function, the ray s -> G(s u) or N(s u) with its quadratic parts
+   computed once, found by Brent's method on a doubling bracket.
 
 2. Polish on the same grid: damped Newton on the discrete Euler-Lagrange
    equation with extended-precision residual evaluation (double-precision
@@ -131,78 +133,107 @@ def _ops_for(gridobj: RadialGrid, config: ProblemConfig) -> _Ops:
 
 # --- scaling projections --------------------------------------------------------
 
-def _project(u: RadialField, config: ProblemConfig, functional: Callable) -> float:
-    """Scale s > 0 with functional(ops, s u) = 0.
+def _project(u: RadialField, config: ProblemConfig, ray: Callable) -> float:
+    """Scale s > 0 with ray(ops, u.values)(s) = 0, e.g. ``_Ops.G_ray``.
 
-    s -> functional(s u) starts positive and crosses zero once: bracket by
-    doubling (or by halving when the crossing lies below the start), bisect,
-    then take secant steps until |functional| meets the tolerance.
+    The ray s -> functional(s u) is built once, so every s costs one pass of
+    the nonlinearity.  It starts positive and crosses zero once: bracket the
+    crossing by doubling from a small start (or by halving when it lies below
+    the start) and close the bracket with ``_brent`` down to rounding.
     """
-    if float(np.max(np.abs(u.values))) == 0.0:
+    peak = float(np.max(np.abs(u.values)))
+    if peak == 0.0:
         raise ValueError("cannot project the zero field")
-    ops = _ops_for(u.grid, config)
-    vals = u.values
-    tol = 1e-10 * (1.0 + ops.l2(vals))
-    cap_scale = config.overflow_cap / float(np.max(np.abs(vals)))
-
-    def fun(s):
-        return functional(ops, s * vals)
+    fun = ray(_ops_for(u.grid, config), u.values)
+    cap_scale = config.overflow_cap / peak
 
     a = b = min(1e-3, 0.5 * cap_scale)
-    if fun(b) <= 0:
+    fb = fun(b)
+    if fb <= 0:
         for _ in range(60):
             a *= 0.5
-            if fun(a) > 0:
+            fa = fun(a)
+            if fa > 0:
                 break
+            b, fb = a, fa
         else:
             raise ValueError("no positive start for the scaling projection")
     else:
-        while fun(b) > 0:
+        while fb > 0:
+            a, fa = b, fb
             b *= 2.0
             if b > cap_scale:
                 raise OverflowCapError(
                     "no sign change before the overflow cap; rescale the input")
-        a = b / 2.0
-    s = 0.5 * (a + b)
-    fs = fun(s)
-    for _ in range(80):
-        if fs > 0:
-            a = s
+            fb = fun(b)
+    return _brent(fun, a, fa, b, fb)
+
+
+def _brent(fun: Callable, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of fun in the bracket [a, b], fa > 0 >= fb, by Brent's zeroin.
+
+    Each step takes inverse quadratic interpolation through the last three
+    points (a secant step when two coincide) if it stays inside the bracket
+    and at least halves the step before last, and bisects otherwise (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Steps
+    shorter than the rounding tolerance 2 eps |b| are lengthened to it, so
+    the bracket [b, c] collapses to |c - b| <= 4 eps |b|; b, the end with the
+    smaller |fun|, is returned.
+    """
+    eps2 = 2.0 * np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(200):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = eps2 * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            b = s
-        s = 0.5 * (a + b)
-        fs = fun(s)
-        if abs(fs) <= tol:
-            break
-    for _ in range(8):
-        if abs(fs) <= tol:
-            break
-        ds = 1e-7 * s
-        slope = (fun(s + ds) - fs) / ds
-        if slope == 0:
-            break
-        s -= fs / slope
-        fs = fun(s)
-    return float(s)
+            r = fb / fa
+            if a == c:
+                p, q = 2.0 * m * r, 1.0 - r
+            else:
+                qa, qb = fa / fc, fb / fc
+                p = r * (2.0 * m * qa * (qa - qb) - (b - a) * (qb - 1.0))
+                q = (qa - 1.0) * (qb - 1.0) * (r - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0 else -tol)
+        fb = fun(b)
+    return float(b)
 
 
 def project_pohozaev(u: RadialField, config: ProblemConfig) -> float:
     """Scale s0 > 0 with G(s0 u) = 0."""
-    return _project(u, config, _Ops.G)
+    return _project(u, config, _Ops.G_ray)
 
 
 def project_nehari(u: RadialField, config: ProblemConfig) -> float:
     """Scale t_u > 0 with N(t_u u) = 0."""
-    return _project(u, config, _Ops.N)
+    return _project(u, config, _Ops.N_ray)
 
 
 def nehari_sign_scan(u: RadialField, config: ProblemConfig, n_points: int = 1000):
     """Sign changes of t -> N(t u) on a log-spaced scan; returns (count, bracket)."""
-    ops = _ops_for(u.grid, config)
     vals = u.values
+    ray = _ops_for(u.grid, config).N_ray(vals)
     t_max = config.overflow_cap / float(np.max(np.abs(vals)))
     ts = np.geomspace(1e-3, t_max, n_points)
-    signs = np.array([np.sign(ops.N(t * vals)) for t in ts])
+    signs = np.array([np.sign(ray(t)) for t in ts])
     nz = signs != 0
     flips = np.nonzero(np.diff(signs[nz]) != 0)[0]
     idx = np.arange(len(ts))[nz]
@@ -233,8 +264,11 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
             corr = rho - np.asarray(ops.apply_A0_quad(du.astype(np.longdouble)),
                                     dtype=float) - (ops.V - ops.fprime(u)) * du
             du += Alu.solve(corr)
+        # A step that moves u by less than its rounding only samples the
+        # rounding noise of the residual, which then decides when Newton stops.
+        min_step = max(1e-12, np.finfo(float).eps * ops.nrm(u) / max(ops.nrm(du), 1e-300))
         step, moved = 1.0, False
-        while step > 1e-12:
+        while step > min_step:
             un = u - step * du
             if float(np.max(np.abs(un))) < cap and ops.l2(un) > l2_floor:
                 rn = ops.nrm(ops.pde_residual(un))

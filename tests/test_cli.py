@@ -97,8 +97,7 @@ def test_ratio_command(tmp_path):
 
 def test_sweep_command(tmp_path):
     code, out = run_cli(["sweep", "--sweep-param", "lambda",
-                         "--sweep-values", "0.4,0.6", "--grid", "20:512",
-                         "--jobs", "2"], tmp_path)
+                         "--sweep-values", "0.4,0.6", "--grid", "20:512"], tmp_path)
     assert code == EXIT_OK
     rep = json.loads((out / "sweep.json").read_text())
     objs = [r["objective"] for r in rep["sweep"]["results"]]
@@ -224,6 +223,33 @@ def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
     code, _ = run_cli(["check", "--config", str(cfg)], tmp_path)
     assert code == EXIT_CONFIG
     assert "refine" in capsys.readouterr().err
+
+
+def test_sweep_jobs_option_is_gone(tmp_path, capsys):
+    # sweeps run their values in turn; a config file naming "jobs" is refused
+    with pytest.raises(SystemExit):
+        run_cli(["sweep", "--jobs", "2"], tmp_path)
+    raw = json.loads(RunConfig(command="sweep").to_json())
+    raw["jobs"] = 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    code, _ = run_cli(["sweep", "--config", str(cfg)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_gap_does_not_import_scipy_optimize(tmp_path):
+    # the projections find their roots in plain numpy; scipy.optimize would
+    # add about 16 MB to the process for nothing
+    src = os.path.dirname(os.path.dirname(bh.__file__))
+    code = ("import sys; from biharm.cli import main; "
+            "rc = main(['gap', '--dim', '2', '--V', '1.1-0.4*exp(-(t/1.5)^2)', "
+            f"'--lambda', '0.4', '--grid', '30:512', '--out-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert res.stdout.split() == ["0", "False"], res.stderr
+    assert (tmp_path / "gap.json").exists()
 
 
 def test_constant_potential_gap_is_zero(tmp_path):

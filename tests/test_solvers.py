@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import biharm as bh
-from biharm.solvers import (SolverOptions, gradient_action, gradient_quadratic,
-                            limiting_gap, minimize_nehari, minimize_pohozaev,
+from biharm.solvers import (SolverOptions, _Ops, _ops_for, gradient_action,
+                            gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
                             recover_solution, residual_weak)
 
@@ -100,6 +101,91 @@ def test_potential_ordering_of_projections(g4):
     cfg_c = bh.ProblemConfig(4, 0.3, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
     u = bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))
     assert project_nehari(u, cfg_V) <= project_nehari(u, cfg_c) + 1e-10
+
+
+# --- projection properties ----------------------------------------------------
+#
+# One configuration per dimension and nonlinearity, all with the trapping well
+# 1 - 0.4 exp(-r^2) (gamma = V(r_max) = 1): the exp-critical family, the
+# exact-growth family and a parsed f whose F is integrated numerically.
+
+def _ray_configs():
+    out = {}
+    for dim in (4, 2):
+        grid = bh.default_grid(dim)
+        well = bh.radial_potential(
+            lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2), grid)
+        user_f = "0.3*t*exp(2*t^2)" if dim == 4 else "0.3*t*exp(t^2)"
+        for kind, spec in (("exp", bh.exp_critical(0.3, dim)),
+                           ("exact", bh.exact_growth_family(1.5)),
+                           ("user", bh.user_nonlinearity(user_f))):
+            out[dim, kind] = (grid, bh.ProblemConfig(dim, 0.3, well, spec))
+    return out
+
+
+_RAY_CONFIGS = _ray_configs()
+_CONSTRAINTS = {"G": (project_pohozaev, _Ops.G, _Ops.G_ray),
+                "N": (project_nehari, _Ops.N, _Ops.N_ray)}
+_ray_case = st.tuples(st.sampled_from(sorted(_RAY_CONFIGS)), st.sampled_from("GN"),
+                      st.floats(0.1, 2.0), st.floats(0.5, 2.5))
+
+
+def _ray_setup(case):
+    """(grid, config, ops, projection, functional, ray, nodal values) of a case."""
+    key, which, amp, sigma = case
+    grid, cfg = _RAY_CONFIGS[key]
+    vals = amp * np.exp(-(grid.nodes / sigma) ** 2)
+    return (grid, cfg, _ops_for(grid, cfg), *_CONSTRAINTS[which], vals)
+
+
+def _project_or_reject(project, grid, vals, cfg):
+    try:
+        return project(bh.RadialField(grid, vals), cfg)
+    except bh.OverflowCapError:
+        reject()          # the ray does not cross zero below the overflow cap
+
+
+def _term_size(ops, v):
+    """Sum of the magnitudes of the integrals G and N are built from."""
+    return (ops.quad_form(v) + float(np.dot(ops.w, (ops.V + ops.config.gamma) * v * v))
+            + abs(float(np.dot(ops.w, ops.f(v) * v))) + 2.0 * abs(ops.F_mass(v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ray_case, frac=st.floats(1e-6, 1.0))
+def test_ray_equals_functional(case, frac):
+    # s from 1e-6 of the overflow-cap scale up to it (no squares underflow)
+    grid, cfg, ops, _, functional, ray, vals = _ray_setup(case)
+    s = frac * cfg.overflow_cap / float(np.max(vals))
+    got, want = ray(ops, vals)(s), functional(ops, s * vals)
+    assert abs(got - want) <= 1e-12 * _term_size(ops, s * vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ray_case, amp2=st.floats(0.1, 2.0))
+def test_projection_scale_covariance(case, amp2):
+    grid, cfg, ops, project, _, _, vals = _ray_setup(case)
+    c = amp2 / float(np.max(vals))
+    s = _project_or_reject(project, grid, vals, cfg)
+    sc = _project_or_reject(project, grid, c * vals, cfg)
+    assert abs(c * sc - s) <= 1e-12 * s
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ray_case)
+def test_projection_meets_the_constraint(case):
+    grid, cfg, ops, project, functional, ray, vals = _ray_setup(case)
+    s = _project_or_reject(project, grid, vals, cfg)
+    v = s * vals
+    if case[1] == "G":
+        assert abs(functional(ops, v)) <= 1e-13 * (1.0 + ops.l2(v))
+    else:
+        # N's natural norm is Q + int V u^2.  The root is exact for the ray;
+        # a fresh N(s u) also carries the rounding of Q(s u) against s^2 Q(u)
+        # (up to about 5e-13 relative for the widest fields here).
+        norm_sq = ops.quad_form(v) + ops.pot_mass(v)
+        assert abs(ray(ops, vals)(s)) <= 1e-13 * (1.0 + norm_sq)
+        assert abs(functional(ops, v)) <= 1e-12 * (1.0 + norm_sq)
 
 
 # --- gradients vs finite differences ------------------------------------------
@@ -303,6 +389,30 @@ def test_2d_objective_converges_at_fourth_order():
         objs.append(rep.objective)
     assert (objs[1] - objs[0]) / (objs[2] - objs[1]) >= 12.0
 
+
+def test_4d_objective_converges_at_fourth_order():
+    # the 4-D ground level (gamma 1, lambda 0.5) on 20:n, n = 1024, 2048, 4096
+    cfg4 = bh.exp_critical_config(1.0, 0.5)
+    objs = []
+    for n in (1024, 2048, 4096):
+        g = bh.build_grid(20.0, n, 4)
+        rep = minimize_pohozaev(cfg4, bh.RadialField(g, np.exp(-g.nodes**2 / 2)))
+        assert rep.converged
+        objs.append(rep.objective)
+    assert (objs[1] - objs[0]) / (objs[2] - objs[1]) >= 12.0
+
+
+def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
+    # from a polished state one Newton step reaches the residual's rounding
+    # floor; steps that move u by less than its rounding are not taken
+    from biharm import solvers
+    calls = []
+    splu = solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu", lambda A: calls.append(1) or splu(A))
+    ops = solvers._ops_for(solved.field.grid, cfg)
+    u, res = solvers._damped_newton_pde(ops, solved.field.values, 60, cfg.overflow_cap)
+    assert res <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
+    assert len(calls) <= 3
 
 def test_gradient_action_honours_the_cap(cfg, g4):
     with pytest.raises(bh.OverflowCapError):
