@@ -2,10 +2,18 @@
 
 The radial Fourier transform is realized through the Hankel kernel
 (rho r)^-nu J_nu(rho r) (nu = n/2 - 1) on the shared node set, symmetrized
-with the square roots of the package's own quadrature weights and made
-*exactly* involutive by snapping the eigenvalues of the symmetric kernel
-matrix to +-1.  In the package's own quadrature norms the transform is then
-an exact isometry and its own inverse, which is what makes the rearrangement
+with the square roots of the package's own quadrature weights into a
+symmetric matrix M.  Space and frequency are both cut at r_max, so M has
+only about r_max^2/pi resolved eigenvalues (the time-frequency concentration
+count of Slepian's prolate functions): they lie near +-1, apart from a
+short plunge toward 0.  All others sit at rounding level, where their signs
+are noise.  The transform is the reflector T = I - 2 U U^T, with U an
+orthonormal basis of the resolved negative eigenspace (eigenvalue below
+-_TAU), found by a randomized range finder.  So T equals M snapped to +-1 on
+the resolved eigenspace and maps the numerical null space to itself;
+snapping the null space too would follow the sign of rounding and make the
+output depend on how M is rounded.  T is an exact isometry in the
+quadrature norms and its own inverse, which is what makes the rearrangement
 identities (Plancherel equality, the Hardy-Littlewood moment inequality,
 idempotence) hold to rounding instead of drifting at truncation level.
 
@@ -26,40 +34,104 @@ import numpy as np
 
 from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
 
-# LRU of 4, keyed by grid.key(): a 2048-node transform takes 33 MB
+# LRU of 4, keyed by grid.key(): the 2,048-node transforms hold U of 1.1 MB
+# (4-D, 69 columns) and 2.5 MB (2-D, 150 columns)
 _transform_cache: OrderedDict = OrderedDict()
 
-# The dense build costs O(n^2) memory and O(n^3) time.  Measured on x86_64
-# (2 vCPUs), a whole rearrangement took 1.5 s and peaked at 260 MB for 2,048
-# nodes and 9.9 s and 837 MB for 4,096; larger grids are refused.
+# The build holds M in full (n^2 doubles, 134 MB at 4,096 nodes) and costs
+# O(n^2 k) time.  Measured on x86_64 (2 vCPUs), a whole rearrangement took
+# 0.4-0.5 s and peaked at 129 MB for 2,048 nodes in 4-D (0.6 s, 144 MB in
+# 2-D), and 1.2-1.4 s and 255 MB for 4,096 (2-D: 1.7 s, 285 MB).  Larger
+# grids are refused.
 MAX_TRANSFORM_NODES = 4096
 
+# Eigenvalues with |lambda| <= _TAU form the numerical null space.  On the
+# default 4-D grid 139 eigenvalues exceed 1e-8 and 144 exceed 1e-12; the
+# smallest is 1.5e-19.  Rewriting the kernel as J1(x) sqrt(x) sqrt(tau_i tau_j)
+# moved the two-bump rearrangement by 1.6e-11 with _TAU = 1e-8, 2.6e-8 with
+# 1e-10 and 2.9e-7 with 1e-12: eigenvectors near the threshold are fixed only
+# to eps / _TAU.
+_TAU = 1e-8
+# rows of M per Bessel call: 0.11 s for the default 4-D M at 64-512 rows,
+# 0.19 s in one block, which also needs n x n temporaries
+_BLOCK_ROWS = 256
+# sketch columns beyond the concentration count r_max^2/pi.  The default
+# grids resolve 139 eigenvalues in 4-D (count 128) and 300 in 2-D (count 287);
+# a margin of 16 left the 2-D eigenspace 1e-5 from the dense eigh's, 32 and
+# more reach its own 1e-8.  Margin 128 costs 0.29 s against 0.15 s at 16 (4-D).
+_SKETCH_MARGIN = 128
 
-def _build_transform(grid: RadialGrid):
-    """Eigen-snapped symmetric Hankel matrix on the nodes of positive weight.
+
+def _kernel_matrix(grid: RadialGrid):
+    """Symmetric Hankel matrix on the nodes of positive weight.
 
     Those are all nodes in 2-D, where the origin carries the Euler-Maclaurin
     weight, and the nodes r > 0 in 4-D.  With W = weights / s_{n-1}, so that
     sum_j W_j f_j is the quadrature of the integral of f r^(n-1) dr, the
     matrix is k(r_i r_j) sqrt(W_i W_j), with k(x) = J0(x) in 2-D and J1(x)/x
-    in 4-D.
+    in 4-D.  Built in row blocks from the upper triangle, so no n x n
+    temporary sits beside it.
     """
     from scipy.special import j0, j1
     W = grid.weights / SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
     r = grid.nodes[pos]
-    X = np.outer(r, r)
     sroot = np.sqrt(W[pos])
-    M = (j0(X) if grid.dimension == 2 else j1(X) / X) * np.outer(sroot, sroot)
-    lam, Q = np.linalg.eigh(M)
-    signs = np.where(lam >= 0.0, 1.0, -1.0)
-    T = (Q * signs[None, :]) @ Q.T
-    return T, sroot, pos
+    M = np.empty((len(r), len(r)))
+    for lo in range(0, len(r), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        rows = M[lo:hi, lo:]          # on and right of the diagonal
+        X = np.outer(r[lo:hi], r[lo:])
+        if grid.dimension == 2:
+            j0(X, out=rows)
+        else:
+            j1(X, out=rows)
+            rows /= X
+        rows *= np.outer(sroot[lo:hi], sroot[lo:])
+        M[lo:, lo:hi] = rows.T        # r_i r_j = r_j r_i exactly: M is symmetric
+    return M, sroot, pos
+
+
+def _negative_eigenspace(M: np.ndarray, count: int) -> np.ndarray:
+    """Orthonormal basis of the eigenvectors of M with eigenvalue below -_TAU.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011): a Gaussian
+    sketch of ``count`` + _SKETCH_MARGIN columns, one power iteration, and a
+    Rayleigh-Ritz eigh of the small projected matrix.  The sketch has caught
+    the whole resolved eigenspace once its smallest Ritz value is below _TAU
+    in magnitude; otherwise the width doubles.  From n columns on this is the
+    full eigenproblem.
+    """
+    n = len(M)
+    k = count + _SKETCH_MARGIN
+    rng = np.random.default_rng(0)     # a fixed sketch: the same U on every build
+    while k < n:
+        Q = np.linalg.qr(M @ rng.standard_normal((n, k)))[0]
+        Q = np.linalg.qr(M @ Q)[0]
+        theta, S = np.linalg.eigh(Q.T @ (M @ Q))
+        if np.min(np.abs(theta)) < _TAU:
+            return Q @ S[:, theta < -_TAU]
+        k *= 2
+    lam, V = np.linalg.eigh(M)
+    return V[:, lam < -_TAU]
+
+
+def _build_transform(grid: RadialGrid):
+    """(U, sroot, pos): T = I - 2 U U^T acts on x = values[pos] * sroot.
+
+    U spans the resolved negative eigenspace of :func:`_kernel_matrix`.  T
+    equals the eigenvalue-snapped M on the resolved eigenspace and maps the
+    numerical null space (|lambda| <= _TAU), where snapping would follow the
+    sign of rounding noise, to itself.
+    """
+    M, sroot, pos = _kernel_matrix(grid)
+    U = _negative_eigenspace(M, int(np.ceil(grid.r_max ** 2 / np.pi)))
+    return U, sroot, pos
 
 
 def _transform_for(grid: RadialGrid):
     if grid.n_points > MAX_TRANSFORM_NODES:
-        raise ValueError(f"the dense Hankel transform takes at most {MAX_TRANSFORM_NODES} "
+        raise ValueError(f"the Hankel transform takes at most {MAX_TRANSFORM_NODES} "
                          f"nodes, got {grid.n_points}")
     return lru_get(_transform_cache, grid.key(), 4, lambda: _build_transform(grid))
 
@@ -73,9 +145,10 @@ class SpectralProfile:
 
 
 def _apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    T, sroot, pos = _transform_for(grid)
+    U, sroot, pos = _transform_for(grid)
+    x = values[pos] * sroot
     out = np.empty_like(values)
-    out[pos] = (T @ (values[pos] * sroot)) / sroot
+    out[pos] = (x - 2.0 * (U @ (U.T @ x))) / sroot
     if not pos[0]:
         # zero-weight 4-D origin: the plain quadrature row, k(0) = 1/2
         out[0] = 0.5 * float(np.dot(sroot * sroot, values[pos]))

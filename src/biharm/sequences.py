@@ -148,10 +148,7 @@ def dilate(u: RadialField, S: float) -> RadialField:
         support = float(u.grid.nodes[np.max(np.nonzero(mag > 1e-13 * peak)[0])])
         if S * support > u.grid.r_max * (1.0 + 1e-12):
             raise ValueError("dilated support escapes the domain")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(u.grid.nodes, vals, extrapolate=False)
-    out = interp(u.grid.nodes / S)
-    return RadialField(u.grid, np.nan_to_num(out, nan=0.0))
+    return RadialField(u.grid, g.pchip_resample(u.grid.nodes, vals, u.grid.nodes / S))
 
 
 # --- norm estimates for strongly concentrated profiles ---------------------------

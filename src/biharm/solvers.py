@@ -290,9 +290,7 @@ def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
         escaped = float(np.max(np.abs(vals[cut:]))) if cut < len(vals) else 0.0
         if escaped > 1e-6 * peak:
             raise ValueError("gauge dilation would push significant mass past r_max")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(u.grid.nodes, vals, extrapolate=False)
-    return np.nan_to_num(interp(u.grid.nodes / S), nan=0.0)
+    return g.pchip_resample(u.grid.nodes, vals, u.grid.nodes / S)
 
 
 def _boundary_warning(field: RadialField, out: list):

@@ -252,6 +252,20 @@ def test_gap_does_not_import_scipy_optimize(tmp_path):
     assert (tmp_path / "gap.json").exists()
 
 
+def test_solve_does_not_import_scipy_interpolate(tmp_path):
+    # the gauge dilation resamples with grid.pchip_resample; scipy.interpolate
+    # would pull in scipy.optimize too, about 18 MB of peak RSS
+    src = os.path.dirname(os.path.dirname(bh.__file__))
+    code = ("import sys; from biharm.cli import main; "
+            "rc = main(['solve', '--dim', '4', '--grid', '20:512', "
+            f"'--out-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.interpolate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert res.stdout.split() == ["0", "False", "False"], res.stderr
+    assert (tmp_path / "solve.json").exists()
+
+
 def test_constant_potential_gap_is_zero(tmp_path):
     # a constant expression is one value for every node; V equals its own limit
     code, out = run_cli(["gap", "--V", "1.2", "--lambda", "0.3", "--grid", "20:512"],

@@ -2,6 +2,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biharm as bh
 from biharm.rearrangement import (fourier_radial, fourier_rearrange,
@@ -173,3 +174,84 @@ def test_transform_cache_is_a_bounded_lru(monkeypatch):
     assert len(rearr._transform_cache) <= 4
     assert rearr._transform_for(bh.build_grid(20.0, 21, 4)) is built[-1]
     assert rearr._transform_for(grids[0]) is not built[0]
+
+
+def _dense_reflector(grid):
+    """Reference transform from a full eigh: reflect the resolved negative eigenspace."""
+    rearr = bh.rearrangement
+    M, sroot, pos = rearr._kernel_matrix(grid)
+    lam, V = np.linalg.eigh(M)
+    Vn = V[:, lam < -rearr._TAU]
+
+    def transform(values):
+        x = values[pos] * sroot
+        out = np.empty_like(values)
+        out[pos] = (x - 2.0 * Vn @ (Vn.T @ x)) / sroot
+        if not pos[0]:
+            out[0] = 0.5 * float(np.dot(sroot * sroot, values[pos]))
+        return out
+    return transform
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 4]), n=st.integers(16, 700), r_max=st.floats(2.0, 30.0),
+       seed=st.integers(0, 2**16))
+def test_transform_is_an_involutive_isometry(dim, n, r_max, seed):
+    # n below r_max^2/pi + 128 takes the full eigenproblem, above it the sketch
+    grid = bh.build_grid(r_max, n, dim)
+    vals = np.random.default_rng(seed).normal(size=n)
+    p = fourier_radial(bh.RadialField(grid, vals)).values
+    back = inverse_fourier_radial(bh.rearrangement.SpectralProfile(grid, p)).values
+    n_u = np.dot(grid.weights, vals**2)
+    assert abs(np.dot(grid.weights, p**2) - n_u) <= 1e-12 * n_u
+    assert np.dot(grid.weights, (back - vals) ** 2) <= 1e-24 * n_u
+
+
+def test_fourier_radial_matches_dense_eigh_reference():
+    rng = np.random.default_rng(11)
+    for grid in (bh.default_grid(4), bh.default_grid(2), bh.build_grid(20.0, 512, 4)):
+        reference = _dense_reflector(grid)
+        for _ in range(5):
+            vals = smooth_even_bumps(grid, rng)
+            got = fourier_radial(bh.RadialField(grid, vals)).values
+            assert np.max(np.abs(got - reference(vals))) <= 1e-10
+
+
+def test_sketch_widens_until_it_holds_the_resolved_eigenspace(monkeypatch):
+    # 128 columns are fewer than the 139 resolved eigenvalues of this 4-D
+    # grid, so the sketch has to double once
+    rearr = bh.rearrangement
+    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
+    monkeypatch.setattr(rearr, "_SKETCH_MARGIN", 0)
+    widths, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: widths.append(a.shape[1]) or qr(a))
+    grid = bh.build_grid(20.0, 512, 4)
+    vals = smooth_even_bumps(grid, np.random.default_rng(2))
+    got = fourier_radial(bh.RadialField(grid, vals)).values
+    monkeypatch.undo()
+    assert widths == [128, 128, 256, 256]
+    assert np.max(np.abs(got - _dense_reflector(grid)(vals))) <= 1e-10
+
+
+def test_rearrange_does_not_depend_on_how_the_kernel_is_rounded(g4, monkeypatch):
+    # J1(x)/x sqrt(W_i W_j) and J1(x) sqrt(x) sqrt(tau_i tau_j), tau = W / r^3,
+    # are the same matrix up to rounding; only the null space, which the
+    # transform leaves alone, tells them apart
+    from scipy.special import j1
+    rearr = bh.rearrangement
+    vals = (0.8 * (g4.nodes / 1.5) ** 2 * np.exp(-((g4.nodes / 1.5) ** 2))
+            - 0.4 * np.exp(-((g4.nodes / 0.9) ** 2)))
+    u = bh.RadialField(g4, vals)
+    base = fourier_rearrange(u).values
+
+    def rewritten(grid):
+        W = grid.weights / bh.grid.SURFACE_MEASURE[4]
+        pos = W > 0.0
+        r = grid.nodes[pos]
+        tau = W[pos] / r**3
+        X = np.outer(r, r)
+        return j1(X) * np.sqrt(X) * np.sqrt(np.outer(tau, tau)), np.sqrt(W[pos]), pos
+
+    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
+    monkeypatch.setattr(rearr, "_kernel_matrix", rewritten)
+    assert np.max(np.abs(fourier_rearrange(u).values - base)) <= 1e-9
