@@ -14,6 +14,11 @@ outer rows.  Fourth order matters, for the stencils and the quadrature
 alike: the quadrature-level Pohozaev identity at a discrete solution
 inherits their errors, and an O(h^2) scheme or rule leaves a defect far
 above the identity tolerances the solvers are held to.
+
+Operators are kept as stencil rows, row i holding the 2p + 1 coefficients at
+offsets -p..p (p = 2 for L): ``apply_stencil`` applies them,
+``apply_stencil_transpose`` applies their transpose, ``stencil_square``
+forms the rows of L L, and ``banded`` factors such rows plus a diagonal.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 SURFACE_MEASURE = {2: 2.0 * np.pi, 4: 2.0 * np.pi**2}
 
@@ -126,12 +130,14 @@ def laplacian_stencil_rows(grid: RadialGrid, dtype=float):
 
     Row i of the operator is sum_k coef[i, k] * u_{i-2+k}; out-of-range
     columns on the left are folded back by the even extension, on the right
-    they are Dirichlet ghosts (dropped).  Computed natively in ``dtype``.
+    they are Dirichlet ghosts, so every coefficient that would reach outside
+    the grid is zero.  Computed natively in ``dtype``; each column is
+    contiguous (the array is the transpose of a (5, n) one).
     """
     n = grid.n_points
     h = dtype(grid.r_max) / dtype(n - 1)
     dim = dtype(grid.dimension)
-    coef = np.zeros((n, 5), dtype=dtype)
+    coef = np.zeros((5, n), dtype=dtype).T
     i = np.arange(1, n)
     r = i * h
     for k in range(5):
@@ -145,39 +151,63 @@ def laplacian_stencil_rows(grid: RadialGrid, dtype=float):
     # row 1 references u_{-1} = u_1: fold offset -2 onto +0
     coef[1, 2] += coef[1, 0]
     coef[1, 0] = 0.0
+    # Dirichlet ghosts past r_max
+    coef[n - 2, 4] = coef[n - 1, 3] = coef[n - 1, 4] = 0.0
     return coef
 
 
-def laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
-    """Sparse radial Laplacian for the grid (cached for the 8 latest geometries)."""
-    return lru_get(_matrix_cache, grid.key(), 8, lambda: _build_laplacian_matrix(grid))
+def laplacian_matrix(grid: RadialGrid) -> np.ndarray:
+    """Float stencil rows of the radial Laplacian, read-only.
 
-
-def _build_laplacian_matrix(grid: RadialGrid) -> sp.csr_matrix:
-    n = grid.n_points
-    coef = laplacian_stencil_rows(grid, float)
-    # column k of the rows is diagonal k - 2; zero coefficients (the folded
-    # origin entries) are dropped so the pattern holds only true couplings
-    diagonals = [coef[2 - k:, k] if k < 2 else coef[:n - (k - 2), k] for k in range(5)]
-    mat = sp.diags(diagonals, [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
-    mat.eliminate_zeros()
-    return mat
+    Cached for the 8 latest geometries; apply them with :func:`apply_stencil`.
+    """
+    def build():
+        rows = laplacian_stencil_rows(grid, float)
+        rows.flags.writeable = False
+        return rows
+    return lru_get(_matrix_cache, grid.key(), 8, build)
 
 
 def apply_stencil(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-stencil matvec for coefficients from :func:`laplacian_stencil_rows`.
+    """Row-stencil matvec: out_i = sum_k coef[i, k] u_{i-p+k}, width 2p + 1.
 
+    Adds the centre column first, then offsets -p..-1 and 1..p in turn.
     Preserves the dtype of ``coef`` (extended-precision residual paths build
     the rows in longdouble: entry rounding of double matrices scales like
     eps/h^2 and dominates fine-mesh residual evaluations).
     """
-    n = len(u)
-    out = coef[:, 2] * u
-    for k, d in ((0, -2), (1, -1), (3, 1), (4, 2)):
+    n, p = len(u), coef.shape[1] // 2
+    out = coef[:, p] * u
+    for k in range(coef.shape[1]):
+        d = k - p
         if d > 0:
-            out[:n - d] = out[:n - d] + coef[:n - d, k] * u[d:]
-        else:
-            out[-d:] = out[-d:] + coef[-d:, k] * u[:n + d]
+            out[:n - d] += coef[:n - d, k] * u[d:]
+        elif d < 0:
+            out[-d:] += coef[-d:, k] * u[:n + d]
+    return out
+
+
+def apply_stencil_transpose(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The transposed matvec: out_j = sum_i coef[i, j - i + p] v_i."""
+    n, p = len(v), coef.shape[1] // 2
+    out = coef[:, p] * v
+    for k in range(coef.shape[1]):
+        d = k - p
+        if d > 0:
+            out[d:] += coef[:n - d, k] * v[:n - d]
+        elif d < 0:
+            out[:n + d] += coef[-d:, k] * v[-d:]
+    return out
+
+
+def stencil_square(coef: np.ndarray) -> np.ndarray:
+    """Rows (width 4p + 1) of the product L L of the stencil rows ``coef`` (2p + 1)."""
+    n, p = len(coef), coef.shape[1] // 2
+    out = np.zeros((n, 4 * p + 1), dtype=coef.dtype)
+    for e in range(-p, p + 1):
+        lo, hi = max(0, -e), min(n, n - e)       # rows i whose column i + e exists
+        for f in range(-p, p + 1):
+            out[lo:hi, e + f + 2 * p] += coef[lo:hi, e + p] * coef[lo + e:hi + e, f + p]
     return out
 
 
@@ -185,15 +215,15 @@ def radial_laplacian(u: RadialField) -> RadialField:
     """Discrete Du = u'' + ((n-1)/r) u' with origin/ghost closures."""
     if u.grid.n_points < 3:
         raise ValueError("grid too small for the Laplacian stencil")
-    return RadialField(u.grid, laplacian_matrix(u.grid) @ u.values)
+    return RadialField(u.grid, apply_stencil(laplacian_matrix(u.grid), u.values))
 
 
 def bilaplacian(u: RadialField) -> RadialField:
     """Discrete D^2 u, the radial Laplacian applied twice."""
     if u.grid.n_points < 5:
         raise ValueError("grid too small for the bi-Laplacian stencil")
-    mat = laplacian_matrix(u.grid)
-    return RadialField(u.grid, mat @ (mat @ u.values))
+    rows = laplacian_matrix(u.grid)
+    return RadialField(u.grid, apply_stencil(rows, apply_stencil(rows, u.values)))
 
 
 def radial_gradient(u: RadialField) -> RadialField:
@@ -214,14 +244,14 @@ def gradient_sq_integral(u: RadialField, L=None) -> float:
     what the 2-D solvers differentiate; it matches the face-flux Dirichlet
     energy up to an O(h^4) origin term on smooth even profiles.
     """
-    lap = (laplacian_matrix(u.grid) if L is None else L) @ u.values
+    lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
     return -float(np.dot(u.grid.weights, lap * u.values))
 
 
 def h_norms(u: RadialField) -> dict:
     """Return {'l2_sq': int u^2, 'lap_l2_sq': int (Du)^2}."""
     w = u.grid.weights
-    lap = laplacian_matrix(u.grid) @ u.values
+    lap = apply_stencil(laplacian_matrix(u.grid), u.values)
     return {
         "l2_sq": float(np.dot(w, u.values**2)),
         "lap_l2_sq": float(np.dot(w, lap * lap)),
@@ -233,14 +263,14 @@ def l2_sq(u: RadialField) -> float:
 
 
 def lap_l2_sq(u: RadialField, L=None) -> float:
-    lap = (laplacian_matrix(u.grid) if L is None else L) @ u.values
+    lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
     return float(np.dot(u.grid.weights, lap * lap))
 
 
 def quad_form_sq(u: RadialField, L=None) -> float:
     """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2.
 
-    ``L`` is the grid's Laplacian matrix, for callers that hold it.
+    ``L`` is the grid's Laplacian rows, for callers that hold them.
     """
     if u.grid.dimension == 4:
         return lap_l2_sq(u, L)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -195,7 +196,6 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
     Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
     the size of the mesh the sums represent.
     """
-    from scipy.special import digamma
     n, h = moser_mesh(b, K, nodes_per_scale)
     if h > _H_CLOSED_FORM:
         psi = moser_field(MoserParams.moser(b, K), g.build_grid(2.0, n, 4))
@@ -226,7 +226,7 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
     # log branch, nodes i14+3 .. i_one-3: weight * (8K / (b r^2))^2 = 4c / i, and
     # c r^3 log^2 r by Euler-Maclaurin to h^2 (the h^4 term is below 1e-20)
     c = s3 * 16.0 * K * K / (b * b)
-    lap2 += 4.0 * c * (digamma(i_one - 2) - digamma(i14 + 3))
+    lap2 += 4.0 * c * (_digamma(i_one - 2) - _digamma(i14 + 3))
 
     def end_terms(x, side):
         # antiderivative of x^3 log^2 x, trapezoid end term, h^2 derivative term
@@ -249,17 +249,37 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
             "method": "closed_form"}
 
 
+# Bernoulli numbers B_2 .. B_14: enough for the cap polynomials (degree <= 13)
+# and for the asymptotic series of digamma from x = 12 on
+_BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
+              10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
+
+
+def _digamma(x: int) -> float:
+    """psi(x) for an integer x >= 1.
+
+    Shifted up to x >= 12 by psi(x) = psi(x + 1) - 1/x, then
+    ln x - 1/(2x) - sum_k B_2k / (2k x^2k) to B_14; the first omitted term is
+    below 3e-18 there.
+    """
+    shift = 0.0
+    while x < 12:
+        shift -= 1.0 / x
+        x += 1
+    inv2 = 1.0 / (float(x) * x)
+    series = sum(float(bk) / k * inv2 ** (k // 2) for k, bk in _BERNOULLI.items())
+    return shift + math.log(x) - 0.5 / x - series
+
+
 def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:
     """sum_{j=j0}^{j1} p(j/m) / m; exact, as the Euler-Maclaurin series of a
     polynomial ends at its degree."""
-    from scipy.special import bernoulli
     a, c = j0 / m, j1 / m
     P = p.integ()
     total = P(c) - P(a) + (p(a) + p(c)) / (2.0 * m)
-    bern = bernoulli(p.degree() + 1)
     for k in range(2, p.degree() + 2, 2):
         dp = p.deriv(k - 1)
-        total += bern[k] / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
+        total += float(_BERNOULLI[k]) / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
     return float(total)
 
 

@@ -19,6 +19,14 @@ in the objective, the constraint functional and the implicit step:
    residuals of a fourth-order stencil bottom out near 1e-4 on fine meshes),
    an exact projection onto the constraint, and the report.
 
+Every linear system is A0 + diag with A0 = (-D)^m, whose band (L L in 4-D,
+-L in 2-D) is built once per (grid, config) from the stencil rows.  The
+implicit steps and the Newton Jacobian factor it by block cyclic reduction
+(``banded``, reached as ``spla.splu``), which pivots within p x p blocks but
+not across them; in 4-D that loses digits to the bi-Laplacian's
+conditioning, so the Newton step refines each solve twice against
+extended-precision residuals.
+
 For the minimization of 1/2 ||Du||^2 on {G=0} the Lagrange multiplier is
 recovered from the integral identity ||Du||^2 = (2 theta - 1) int
 (gamma u - f(u)) u; the rescaling u(x / (1-2 theta)^{1/(2m)}) is realized
@@ -33,9 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import banded as spla
 from . import grid as g
 from .grid import RadialField, RadialGrid
 from .functionals import _Functionals
@@ -79,12 +86,16 @@ class _Ops(_Functionals):
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
         super().__init__(gridobj, config)
         self.m = config.order
-        if self.m == 2:
-            self.A0 = (self.L @ self.L).tocsr()
-        else:
-            self.A0 = (-self.L).tocsr()
+        # rows of (-D)^m as a band, half-bandwidth 2m
+        self.A0 = g.stencil_square(self.L) if self.m == 2 else -self.L
         self.rows_q = g.laplacian_stencil_rows(gridobj, np.longdouble)
         self.Vq = self.V.astype(np.longdouble)
+
+    def factor(self, diag):
+        """Factorization of A0 + diag(diag), ``diag`` a vector or a scalar."""
+        band = self.A0.copy()
+        band[:, 2 * self.m] += diag
+        return spla.splu(band)
 
     def apply_A0_quad(self, uq):
         """(-D)^m u through extended-precision stencil applications."""
@@ -253,9 +264,8 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
     res = ops.nrm(ops.pde_residual(u))
     l2_floor = 1e-3 * ops.l2(u)
     for _ in range(itmax):
-        A = (ops.A0 + sp.diags(ops.V - ops.fprime(u))).tocsc()
         try:
-            Alu = spla.splu(A)
+            Alu = ops.factor(ops.V - ops.fprime(u))
         except RuntimeError:
             break
         rho = ops.pde_residual(u)
@@ -396,8 +406,7 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField,
 
     def step(u):
         c = 1.0 - 2.0 * ops.theta_hat(u)
-        A = (ops.A0 + sp.diags(np.full(len(u), c * gam))).tocsc()
-        return spla.splu(A).solve(c * ops.f(u))
+        return ops.factor(c * gam).solve(c * ops.f(u))
 
     return _minimize(ops, init.values, step, lambda o, u: 0.5 * o.quad_form(u),
                      _Ops.G, project_pohozaev, opts or SolverOptions(), True)
@@ -415,7 +424,7 @@ def minimize_nehari(config: ProblemConfig, init: RadialField,
     if config.nonlinearity.kind == "exp_critical" and config.lam >= config.potential.v0:
         raise ValueError("requires lam < V0")
     ops = _ops_for(init.grid, config)
-    Mlu = spla.splu((ops.A0 + sp.diags(ops.V)).tocsc())
+    Mlu = ops.factor(ops.V)
     return _minimize(ops, init.values, lambda u: Mlu.solve(ops.f(u)), _Ops.I,
                      _Ops.N, project_nehari, opts or SolverOptions(), False)
 
@@ -480,9 +489,10 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None,
 def gradient_quadratic(u: RadialField, config: ProblemConfig) -> np.ndarray:
     """Euclidean gradient of 1/2 * (quadratic form) wrt the nodal values."""
     ops = _ops_for(u.grid, config)
+    L, w, vals = ops.L, ops.w, u.values
     if config.order == 2:
-        return ops.L.T @ (ops.w * (ops.L @ u.values))
-    return -0.5 * (ops.L.T @ (ops.w * u.values) + ops.w * (ops.L @ u.values))
+        return g.apply_stencil_transpose(L, w * g.apply_stencil(L, vals))
+    return -0.5 * (g.apply_stencil_transpose(L, w * vals) + w * g.apply_stencil(L, vals))
 
 
 def gradient_action(u: RadialField, config: ProblemConfig) -> np.ndarray:

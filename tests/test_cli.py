@@ -238,32 +238,37 @@ def test_sweep_jobs_option_is_gone(tmp_path, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
-def test_gap_does_not_import_scipy_optimize(tmp_path):
-    # the projections find their roots in plain numpy; scipy.optimize would
-    # add about 16 MB to the process for nothing
-    src = os.path.dirname(os.path.dirname(bh.__file__))
-    code = ("import sys; from biharm.cli import main; "
-            "rc = main(['gap', '--dim', '2', '--V', '1.1-0.4*exp(-(t/1.5)^2)', "
-            f"'--lambda', '0.4', '--grid', '30:512', '--out-dir', {str(tmp_path)!r}]); "
-            "print(rc, 'scipy.optimize' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True)
-    assert res.stdout.split() == ["0", "False"], res.stderr
-    assert (tmp_path / "gap.json").exists()
+# Runs each command in one process and prints its exit code and the scipy
+# modules loaded so far; the first line is for the import alone.
+_SCIPY_PROBE = """
+import json, os, sys
+from biharm.cli import main
+def loaded():
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")) or "-"
+print("import", loaded())
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    rc = main(argv + ["--out-dir", os.path.join(sys.argv[1], str(i))])
+    print(rc, loaded())
+"""
 
 
-def test_solve_does_not_import_scipy_interpolate(tmp_path):
-    # the gauge dilation resamples with grid.pchip_resample; scipy.interpolate
-    # would pull in scipy.optimize too, about 18 MB of peak RSS
-    src = os.path.dirname(os.path.dirname(bh.__file__))
-    code = ("import sys; from biharm.cli import main; "
-            "rc = main(['solve', '--dim', '4', '--grid', '20:512', "
-            f"'--out-dir', {str(tmp_path)!r}]); "
-            "print(rc, 'scipy.interpolate' in sys.modules, 'scipy.optimize' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True)
-    assert res.stdout.split() == ["0", "False", "False"], res.stderr
-    assert (tmp_path / "solve.json").exists()
+def test_commands_do_not_import_scipy(tmp_path):
+    # operators are stencil rows and factorizations are numpy block cyclic
+    # reduction; only `rearrange` (Bessel kernels) loads scipy
+    commands = [
+        ["solve", "--dim", "4", "--grid", "20:512"],
+        ["gap", "--dim", "2", "--V", "1.1-0.4*exp(-(t/1.5)^2)", "--lambda", "0.4",
+         "--grid", "30:512"],
+        ["ratio", "--lambda", "0.5"],
+        ["check", "--g", "t^4", "--K", "1"],
+        ["moser", "--b-values", "3,7.5"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(commands)],
+                         capture_output=True, text=True, env=env)
+    assert res.stdout.splitlines() == ["import -"] + ["0 -"] * len(commands), res.stderr
+    for i, report in enumerate(["solve", "gap", "ratio", "check", "moser"]):
+        assert (tmp_path / str(i) / f"{report}.json").exists()
 
 
 def test_constant_potential_gap_is_zero(tmp_path):
@@ -308,7 +313,7 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
 _MOSER_RSS_PROBE = """
 import json, os, sys
 from biharm.cli import main
-code = main(["moser", "--b-values", "3,5,8", "--out-dir", sys.argv[1]])
+code = main(["moser", "--b-values", sys.argv[2], "--out-dir", sys.argv[1]])
 rows = json.load(open(os.path.join(sys.argv[1], "moser.json")))["moser"]["rows"]
 with open("/proc/self/status") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
@@ -319,10 +324,22 @@ print(code, ",".join(r["method"] for r in rows), hwm)
 def test_moser_command_peak_rss(tmp_path):
     # b = 8 sums a 1.8e8-node mesh; VmHWM is in KiB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    res = subprocess.run([sys.executable, "-c", _MOSER_RSS_PROBE, str(tmp_path)],
+    res = subprocess.run([sys.executable, "-c", _MOSER_RSS_PROBE, str(tmp_path), "3,5,8"],
                          capture_output=True, text=True, check=True, env=env)
     code, methods, rss = res.stdout.split()
     assert int(code) == EXIT_OK
     assert methods == "finite_difference,finite_difference,closed_form"
     assert int(rss) <= 200 * 1024
+
+
+def test_moser_finite_difference_peak_rss(tmp_path):
+    # b = 6.77 is evaluated on a 1.9e6-node grid: its Laplacian rows take 76 MB
+    # (peak 191 MB); the former CSR matrix peaked at 369 MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", _MOSER_RSS_PROBE, str(tmp_path), "6.77"],
+                         capture_output=True, text=True, check=True, env=env)
+    code, methods, rss = res.stdout.split()
+    assert int(code) == EXIT_OK
+    assert methods == "finite_difference"
+    assert int(rss) <= 300 * 1024
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 import biharm as bh
-from biharm.grid import (_pchip_end_slope, apply_stencil, boundary_decay_ratio,
-                         integrate, laplacian_matrix, laplacian_stencil_rows,
-                         pchip_resample, quad_form_sq, rescale_grid)
+from biharm.grid import (_pchip_end_slope, apply_stencil, apply_stencil_transpose,
+                         boundary_decay_ratio, integrate, laplacian_matrix,
+                         laplacian_stencil_rows, pchip_resample, quad_form_sq,
+                         rescale_grid, stencil_square)
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +215,26 @@ def _laplacian_matrix_loop(grid):
 
 @pytest.mark.parametrize("args", [(20.0, 16, 4), (20.0, 2048, 4), (30.0, 4096, 2)])
 def test_laplacian_matrix_equals_loop_assembly(args):
+    # the rows, their transpose and their square against the entry-by-entry
+    # matrix (sparse: the 4096-node one would take 134 MB dense); only the
+    # order of summation differs, so each entry is held to a few ulps of the
+    # sum of the magnitudes it adds up
     grid = bh.build_grid(*args)
-    got, ref = laplacian_matrix(grid), _laplacian_matrix_loop(grid)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    rows, ref = laplacian_matrix(grid), _laplacian_matrix_loop(grid)
+    u = np.random.default_rng(5).standard_normal(grid.n_points)
+    tol = 4 * np.finfo(float).eps
+    assert np.all(np.abs(apply_stencil(rows, u) - ref @ u) <= tol * (abs(ref) @ abs(u)))
+    assert np.all(np.abs(apply_stencil_transpose(rows, u) - ref.T @ u)
+                  <= tol * (abs(ref).T @ abs(u)))
+    square, bound = (ref @ ref).tocoo(), abs(ref) @ abs(ref)
+    assert np.max(np.abs(square.row - square.col)) <= 4
+    band = stencil_square(rows)
+    at = (square.row, square.col - square.row + 4)
+    assert np.all(np.abs(band[at] - square.data)
+                  <= tol * bound[square.row, square.col].A1)
+    rest = band.copy()
+    rest[at] = 0.0
+    assert not rest.any()
 
 
 def test_matrix_cache_is_a_bounded_lru(monkeypatch):
