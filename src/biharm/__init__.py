@@ -5,8 +5,7 @@ Laplacian analogue)."""
 __version__ = "0.1.0"
 
 from .grid import (RadialField, RadialGrid, bilaplacian, build_grid,
-                   default_grid, h_norms, integrate, radial_gradient,
-                   radial_laplacian)
+                   default_grid, h_norms, integrate, radial_laplacian)
 from .model import (ConditionReport, ConstantPotential, NonlinearitySpec,
                     OverflowCapError, ProblemConfig, RadialPotential,
                     check_conditions, eval_f, eval_g_lambda, eval_potential,
@@ -18,8 +17,8 @@ from .functionals import (AdamsRatioReport, FunctionalReport, MassTerms,
 from .rearrangement import (RearrangementReport, SpectralProfile,
                             fourier_radial, fourier_rearrange,
                             inverse_fourier_radial, schwarz_profile)
-from .sequences import (MoserParams, WitnessReport, dilate, moser_estimates,
-                        moser_field, necessity_witness, plateau_field)
+from .sequences import (MoserParams, WitnessReport, moser_estimates, moser_field,
+                        necessity_witness, plateau_field)
 from .solvers import (GapReport, SolveReport, SolverOptions, gradient_action,
                       gradient_quadratic, limiting_gap, minimize_nehari,
                       minimize_pohozaev, nehari_sign_scan, project_nehari,

@@ -354,16 +354,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config) as fh:
             rc = RunConfig.from_json(fh.read())
         rc.command = args.command
-    simple = {"gamma": "gamma", "lam": "lam", "potential_expr": "potential_expr",
-              "f_expr": "f_expr", "F_expr": "F_expr", "alpha0": "alpha0",
-              "theta": "theta", "g_expr": "g_expr", "K": "K", "L": "L",
-              "budget": "budget", "max_iters": "max_iters", "tol": "tol",
-              "sweep_param": "sweep_param",
-              "input_field": "input_field", "out_dir": "out_dir"}
-    for arg_name, field_name in simple.items():
-        val = getattr(args, arg_name, None)
+    simple = ("gamma", "lam", "potential_expr", "f_expr", "F_expr", "alpha0", "theta",
+              "g_expr", "K", "L", "budget", "max_iters", "tol", "sweep_param",
+              "input_field", "out_dir")
+    for name in simple:
+        val = getattr(args, name, None)
         if val is not None:
-            setattr(rc, field_name, val)
+            setattr(rc, name, val)
     if args.dim is not None:
         rc.dimension = args.dim
         if args.grid is None and rc.dimension == 2:

@@ -9,7 +9,8 @@ a = 1 on R^2, and Q(u) = ||Du||^2 on R^4 or ||u'||^2 on R^2:
 
 with g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) and the limiting constant
 gamma = V(r_max); G has no Q term.  Other nonlinearities use
-I = 1/2 (Q + int V u^2) - int F(u) and G = gamma ||u||^2 - 2 int F(u).
+I = 1/2 (Q + int V u^2) - int F(u).  Every nonlinearity evaluates G as
+gamma ||u||^2 - 2 int F(u), which for the exp-critical family is the form above.
 ``_Functionals`` is the one implementation: the solvers extend it with their
 operators and ``evaluate_all`` reports it.  Its rays ``G_ray``/``N_ray``
 give s -> G(s u) and s -> N(s u) with the quadratic parts computed once,
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OverflowCapError, ProblemConfig, _exprel2, check_cap
+from .model import OverflowCapError, ProblemConfig, check_cap
 
 
 @dataclass
@@ -100,12 +101,8 @@ class _Functionals:
         return 0.5 * (self.quad_form(u) + self.pot_mass(u)) - self.F_mass(u)
 
     def G(self, u):
-        """Pohozaev functional with the limiting constant gamma."""
-        gam = self.config.gamma
-        if self.spec.kind == "exp_critical":
-            return (gam - self.lam) * self.l2(u) - (self.lam / self.a) * float(
-                np.dot(self.w, _exprel2(self.a * u * u)))
-        return gam * self.l2(u) - 2.0 * self.F_mass(u)
+        """Pohozaev functional gamma ||u||^2 - 2 int F(u); equals ``G_ray(u)(1.0)``."""
+        return self.config.gamma * self.l2(u) - 2.0 * self.F_mass(u)
 
     def N(self, u):
         """Nehari functional with the actual potential."""
@@ -118,10 +115,9 @@ class _Functionals:
     def G_ray(self, u) -> Callable[[float], float]:
         """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u).
 
-        For the exp-critical family ``F_mass`` is one expm1 pass instead of
-        the several of ``G``'s exprel2 form.  Its rounding, about
-        eps lam s^2 ||u||^2, only matters against (gamma - lam) s^2 ||u||^2
-        when gamma - lam is within a few eps of gamma.
+        For the exp-critical family ``F_mass`` is one expm1 pass.  Its
+        rounding, about eps lam s^2 ||u||^2, only matters against
+        (gamma - lam) s^2 ||u||^2 when gamma - lam is within a few eps of gamma.
         """
         quad = self.config.gamma * self.l2(u)
         return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)

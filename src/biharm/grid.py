@@ -226,17 +226,6 @@ def bilaplacian(u: RadialField) -> RadialField:
     return RadialField(u.grid, apply_stencil(rows, apply_stencil(rows, u.values)))
 
 
-def radial_gradient(u: RadialField) -> RadialField:
-    """Central-difference u'(r); u'(0)=0 by evenness, Dirichlet ghost at r_max."""
-    vals = u.values
-    h = u.grid.h
-    out = np.empty_like(vals)
-    out[0] = 0.0
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[-1] = (0.0 - vals[-2]) / (2.0 * h)
-    return RadialField(u.grid, out)
-
-
 def gradient_sq_integral(u: RadialField, L=None) -> float:
     """R^n integral of |u'|^2 computed as the weighted pairing <-Lu, u>.
 
@@ -278,56 +267,14 @@ def quad_form_sq(u: RadialField, L=None) -> float:
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:
-    """Grid with r_max scaled by ``factor`` and the same node count."""
+    """Grid with r_max scaled by ``factor`` and the same node count.
+
+    The samples of u on ``grid``, read on the result, are u(r / factor)
+    exactly, with no interpolation.
+    """
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     return build_grid(grid.r_max * factor, grid.n_points, grid.dimension)
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point end derivative, limited to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pchip_resample(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Monotone cubic (Fritsch-Carlson PCHIP) interpolant of (x, y) read at ``at``.
-
-    ``x`` is increasing with at least three nodes; points outside
-    [x[0], x[-1]] read 0.  Slopes, end cases and the evaluation
-    c3 + c2 s + c1 s^2 + c0 s^3 follow scipy's PchipInterpolator term by term,
-    so the result is bit-identical to
-    ``nan_to_num(PchipInterpolator(x, y, extrapolate=False)(at))`` for finite
-    data, without importing scipy.interpolate (and with it scipy.optimize).
-    """
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-    dk = np.zeros_like(y)
-    dk[1:-1][~flat] = 1.0 / whmean[~flat]
-    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
-    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    c0 = t / hk
-    c1 = (mk - dk[:-1]) / hk - t
-    out = np.zeros(len(at))
-    inside = (at >= x[0]) & (at <= x[-1])
-    xv = at[inside]
-    i = np.minimum(np.searchsorted(x, xv, side="right") - 1, len(x) - 2)
-    s = xv - x[i]
-    s2 = s * s
-    # scipy accumulates from 0.0, which turns a -0.0 result into +0.0
-    out[inside] = 0.0 + y[i] + dk[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-    return out
 
 
 def boundary_decay_ratio(u: RadialField) -> float:

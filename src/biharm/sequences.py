@@ -12,6 +12,9 @@ counterexamples and the sharp-constant probes:
 Caps are quintic Hermite blends matching value and slope (C^1 with the inner
 branch) with zero curvature at both ends; branch radii are snapped to grid
 nodes so the Laplacian stencil never straddles a sub-cell kink.
+
+The witnesses at infinity dilate psi exactly: sampled on a grid of radius
+r_max/S and read on ``grid.rescale_grid`` of it, the samples are psi(r/S).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class MoserParams:
     a_k: float = 0.0       # plateau height
     R_k: float = 0.0       # plateau radius / concentration scale
     b_k: float = 0.0       # log-profile height
-    S_k: float = 1.0       # dilation
     K: float = 1.0         # energy budget parameter
 
     @staticmethod
@@ -59,11 +61,11 @@ class MoserParams:
         return MoserParams(a_k=a, R_k=R)
 
     @staticmethod
-    def moser(b: float, K: float, S: float = 1.0) -> "MoserParams":
-        if not all(np.isfinite(v) and v > 0 for v in (b, K, S)):
+    def moser(b: float, K: float) -> "MoserParams":
+        if not all(np.isfinite(v) and v > 0 for v in (b, K)):
             raise ValueError(f"moser parameters must be finite and positive, got "
-                             f"b={b:g}, K={K:g}, S={S:g}")
-        return MoserParams(b_k=b, K=K, S_k=S, R_k=float(np.exp(-b * b / K)))
+                             f"b={b:g}, K={K:g}")
+        return MoserParams(b_k=b, K=K, R_k=float(np.exp(-b * b / K)))
 
 
 def _snap(grid: RadialGrid, r: float) -> float:
@@ -136,20 +138,6 @@ def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
                          "1": r_one - 1.0, "2": r_two - 2.0,
                          "K_eff": K - params.K}
     return field
-
-
-def dilate(u: RadialField, S: float) -> RadialField:
-    """Resampled profile u(r/S) on the same grid (monotone cubic interpolation)."""
-    if S <= 0:
-        raise ValueError("dilation factor must be positive")
-    vals = u.values
-    mag = np.abs(vals)
-    peak = float(np.max(mag))
-    if peak > 0:
-        support = float(u.grid.nodes[np.max(np.nonzero(mag > 1e-13 * peak)[0])])
-        if S * support > u.grid.r_max * (1.0 + 1e-12):
-            raise ValueError("dilated support escapes the domain")
-    return RadialField(u.grid, g.pchip_resample(u.grid.nodes, vals, u.grid.nodes / S))
 
 
 # --- norm estimates for strongly concentrated profiles ---------------------------
@@ -366,9 +354,9 @@ def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
             h_need = min(r14, S * r14) / 10.0
             r_max = max(2.2 * S, 2.2)
             n = min(int(np.ceil(r_max / h_need)) + 1, 4_000_000)
-            grd = g.build_grid(r_max, max(n, 4096), 4)
-            psi = moser_field(MoserParams.moser(b, K, S), grd)
-            fld = dilate(psi, S)
+            grd = g.build_grid(r_max / S, max(n, 4096), 4)
+            psi = moser_field(MoserParams.moser(b, K), grd)
+            fld = RadialField(g.rescale_grid(grd, S), psi.values)
             table.append({"k": int(k), "b": float(b), "c": float(c), "S": float(S),
                           "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.lap_l2_sq(fld),
                           "G": _g_integral(gfun, fld)})

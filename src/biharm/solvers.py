@@ -29,9 +29,11 @@ extended-precision residuals.
 
 For the minimization of 1/2 ||Du||^2 on {G=0} the Lagrange multiplier is
 recovered from the integral identity ||Du||^2 = (2 theta - 1) int
-(gamma u - f(u)) u; the rescaling u(x / (1-2 theta)^{1/(2m)}) is realized
-exactly by scaling the grid (same samples, scaled radii), which maps the
-multiplier equation onto the plain equation with zero interpolation error.
+(gamma u - f(u)) u; the rescaling u(x / (1-2 theta)^{1/(2m)}) maps the
+multiplier equation onto the plain equation.  Before the polish it is a
+linear resample on the same grid (``_gauge_dilate``), which only moves the
+Newton start; ``recover_solution`` realizes it exactly by scaling the grid
+(same samples, scaled radii), with zero interpolation error.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ from .grid import RadialField, RadialGrid
 from .functionals import _Functionals
 from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
 
+_NEWTON_ITERS = 60          # polish Newton steps at most
+_STAGNATION_WINDOW = 12     # descent steps over which the objective must fall by tol
+
+
 @dataclass
 class SolverOptions:
     max_iters: int = 400
     tol: float = 1e-10
-    newton_iters: int = 60
-    stagnation_window: int = 12
 
 
 @dataclass
@@ -292,7 +296,12 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
 
 
 def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
-    """u(r/S) resampled on the same grid, tolerating a sub-1e-6 escaping tail."""
+    """u(r/S) resampled linearly on the same grid, tolerating a sub-1e-6 escaping tail.
+
+    Linear is enough: the result is only the Newton start, which Newton then
+    polishes to the rounding floor, so the interpolation error never reaches
+    a reported field.
+    """
     vals = u.values
     peak = float(np.max(np.abs(vals)))
     if peak > 0.0 and S > 1.0:
@@ -300,7 +309,7 @@ def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
         escaped = float(np.max(np.abs(vals[cut:]))) if cut < len(vals) else 0.0
         if escaped > 1e-6 * peak:
             raise ValueError("gauge dilation would push significant mass past r_max")
-    return g.pchip_resample(u.grid.nodes, vals, u.grid.nodes / S)
+    return np.interp(u.grid.nodes / S, u.grid.nodes, vals, right=0.0)
 
 
 def _boundary_warning(field: RadialField, out: list):
@@ -355,7 +364,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
             break
         tau = min(t_try * 1.5, 1.0)
         trace.append((it, obj, abs(functional(ops, u))))
-        wnd = opts.stagnation_window
+        wnd = _STAGNATION_WINDOW
         if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * max(abs(obj), 1e-30):
             break
 
@@ -371,7 +380,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, step: Callable, objective: Callable,
                               (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
         except ValueError:
             warns.append("gauge dilation skipped (support would escape the domain)")
-    u, res_pde = _damped_newton_pde(ops, u, opts.newton_iters, config.overflow_cap)
+    u, res_pde = _damped_newton_pde(ops, u, _NEWTON_ITERS, config.overflow_cap)
     converged = res_pde <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     if not converged:
         warns.append(f"polish Newton stalled at residual {res_pde:.2e}")

@@ -270,7 +270,7 @@ def test_gap_does_not_import_scipy_optimize(tmp_path):
 
 
 def test_solve_does_not_import_scipy_interpolate(tmp_path):
-    # the gauge dilation resamples with grid.pchip_resample; no scipy module loads
+    # the gauge dilation resamples with np.interp; no scipy module loads
     _assert_no_scipy(tmp_path, [["solve", "--dim", "4", "--grid", "20:512"]])
 
 

@@ -5,10 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import biharm as bh
-from biharm.grid import (_pchip_end_slope, apply_stencil, apply_stencil_transpose,
-                         boundary_decay_ratio, integrate, laplacian_matrix,
-                         laplacian_stencil_rows, pchip_resample, quad_form_sq,
-                         rescale_grid, stencil_square)
+from biharm.grid import (apply_stencil, apply_stencil_transpose, boundary_decay_ratio,
+                         integrate, laplacian_matrix, laplacian_stencil_rows,
+                         quad_form_sq, rescale_grid, stencil_square)
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +170,6 @@ def test_scale_law_n4():
         assert ns["lap_l2_sq"] == pytest.approx(n0["lap_l2_sq"], rel=1e-6)
 
 
-def test_gradient_even_at_origin(g4):
-    u = bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))
-    du = bh.radial_gradient(u).values
-    assert du[0] == 0.0
-    truth = -g4.nodes * np.exp(-g4.nodes**2 / 2)
-    assert np.max(np.abs(du[1:-2] - truth[1:-2])) < 1e-4
-
-
 def test_quad_form_2d_positive(g2):
     rng = np.random.default_rng(3)
     vals = np.exp(-(g2.nodes - 3) ** 2) * rng.uniform(0.5, 1.0)
@@ -245,46 +236,3 @@ def test_matrix_cache_is_a_bounded_lru(monkeypatch):
     # a repeated geometry is a hit, also through a new grid object
     assert laplacian_matrix(bh.build_grid(20.0, 35, 4)) is mats[-1]
     assert laplacian_matrix(grids[0]) is not mats[0]
-
-
-def _scipy_pchip(x, y, at):
-    from scipy.interpolate import PchipInterpolator
-    return np.nan_to_num(PchipInterpolator(x, y, extrapolate=False)(at), nan=0.0)
-
-
-def _resample_profiles():
-    rng = np.random.default_rng(17)
-    x = np.linspace(0.0, 20.0, 64)
-    for k in range(100):
-        kind = k % 4
-        if kind == 0:                      # sign changes everywhere
-            y = rng.normal(size=x.size)
-        elif kind == 1:                    # a bump with an exactly flat tail
-            s = rng.uniform(1.0, 6.0)
-            y = np.where(x < 2 * s, np.exp(-(x / s) ** 2), 0.0)
-        elif kind == 2:                    # oscillating, decaying
-            y = np.sin(rng.uniform(0.5, 3.0) * x) * np.exp(-x / rng.uniform(2.0, 8.0))
-        else:                              # plateaus: repeated values, zero slopes
-            y = np.round(rng.normal(size=x.size).cumsum())
-        yield x, y, rng.uniform(0.4, 2.5)
-    # end slopes of both limited branches, at either end: the three-point
-    # estimate takes the wrong sign (set to 0), or overshoots at a sign change
-    # (set to 3 m0)
-    x = np.linspace(0.0, 3.0, 16)
-    for head in ([0.0, 1.0, 7.0, 8.0, 9.0], [0.0, 1.0, -9.0, -8.0, -7.0]):
-        y = np.array(head + [0.0] * 11)
-        yield x, y, 1.3
-        yield x, y[::-1], 0.9
-
-
-def test_pchip_resample_is_bit_identical_to_scipy():
-    for x, y, S in _resample_profiles():
-        at = np.concatenate([x / S, x, [x[0], x[-1], -1.0, x[-1] * 1.5]])
-        got, ref = pchip_resample(x, y, at), _scipy_pchip(x, y, at)
-        assert got.tobytes() == ref.tobytes()
-
-
-def test_pchip_end_slope_branches():
-    assert _pchip_end_slope(1.0, 1.0, 1.0, 5.0) == 0.0        # (3 - 5)/2 has the wrong sign
-    assert _pchip_end_slope(1.0, 1.0, 1.0, -10.0) == 3.0      # (3 + 10)/2 > 3 m0
-    assert _pchip_end_slope(1.0, 1.0, 1.0, 2.0) == 0.5

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.sequences import (MoserParams, WitnessInapplicableError, dilate,
-                              moser_estimates, moser_field, necessity_witness,
-                              plateau_field)
+from biharm.sequences import (MoserParams, WitnessInapplicableError, moser_estimates,
+                              moser_field, necessity_witness, plateau_field)
 
 
 def fd_slope(field, r0):
@@ -128,42 +127,6 @@ def test_moser_concentration_of_exp_mass():
     assert frac > 0.99
 
 
-# --- dilation ------------------------------------------------------------------
-
-def test_dilate_identity():
-    g = bh.default_grid(4)
-    u = bh.RadialField(g, np.exp(-g.nodes**2 / 2))
-    out = dilate(u, 1.0)
-    assert np.max(np.abs(out.values - u.values)) < 1e-10
-
-
-def test_dilate_scaling_laws():
-    g = bh.default_grid(4)
-    u = bh.RadialField(g, np.exp(-g.nodes**2 / 2))
-    n0 = bh.h_norms(u)
-    us = dilate(u, 2.0)
-    ns = bh.h_norms(us)
-    assert ns["l2_sq"] == pytest.approx(16.0 * n0["l2_sq"], rel=1e-4)
-    assert ns["lap_l2_sq"] == pytest.approx(n0["lap_l2_sq"], rel=1e-4)
-
-
-def test_dilate_local_functional_scaling():
-    # G(u_S) = S^4 G(u) for any local functional; use int u^4
-    g = bh.default_grid(4)
-    u = bh.RadialField(g, 0.7 * np.exp(-g.nodes**2))
-    i0 = np.dot(g.weights, u.values**4)
-    us = dilate(u, 1.7)
-    i1 = np.dot(g.weights, us.values**4)
-    assert i1 == pytest.approx(1.7**4 * i0, rel=1e-5)
-
-
-def test_dilate_support_escape():
-    g = bh.default_grid(4)
-    u = bh.RadialField(g, np.exp(-((g.nodes - 10) ** 2)))
-    with pytest.raises(ValueError):
-        dilate(u, 3.0)
-
-
 # --- necessity witnesses ----------------------------------------------------------
 
 def test_witness_unbounded_origin():
@@ -195,19 +158,43 @@ def test_witness_noncompact_origin():
     assert lap[0] > lap[1] > lap[2]               # Delta-mass vanishes
 
 
+# g for each witness at infinity; the noncompact one has boundary growth,
+# c_k -> const > 0
+_INFINITY_WITNESSES = {
+    "unbounded_infinity": lambda t: np.asarray(t) ** 4 * np.exp(np.asarray(t) ** 2),
+    "noncompact_infinity": lambda t: np.exp(np.asarray(t) ** 2)
+    / np.maximum(np.asarray(t) ** 2, 1e-10),
+}
+
+
 def test_witness_unbounded_infinity():
-    gfun = lambda t: np.asarray(t) ** 4 * np.exp(np.asarray(t) ** 2)
+    gfun = _INFINITY_WITNESSES["unbounded_infinity"]
     fields, rep = necessity_witness("unbounded_infinity", gfun, K=1.0, ks=(0, 1, 2))
     ratio = [row["G"] / row["l2_sq"] for row in rep.table]
     assert ratio[0] < ratio[1] < ratio[2]
 
 
 def test_witness_noncompact_infinity():
-    # boundary growth: c_k -> const > 0
-    gfun = lambda t: np.exp(np.asarray(t) ** 2) / np.maximum(np.asarray(t) ** 2, 1e-10)
+    gfun = _INFINITY_WITNESSES["noncompact_infinity"]
     fields, rep = necessity_witness("noncompact_infinity", gfun, K=1.0, ks=(0, 1, 2))
     G = [row["G"] for row in rep.table]
     assert min(G) > 0.1 * max(G)          # non-vanishing along the sweep
+
+
+@pytest.mark.parametrize("mode", sorted(_INFINITY_WITNESSES))
+def test_witness_dilation_is_exact(mode):
+    # psi(r/S) is psi on the grid of radius r_max/S read on the S-times wider
+    # grid: ||D psi||^2 is dilation-invariant and ||psi||^2 scales by S^4.
+    # The Laplacian sums carry the double rounding of a fourth-order stencil
+    # on each grid (up to 5e-11 relative here); an interpolated dilation is
+    # off by 2.6e-4 to 7e-3.
+    fields, rep = necessity_witness(mode, _INFINITY_WITNESSES[mode], K=1.0, ks=(0, 1, 2))
+    for fld, row in zip(fields, rep.table):
+        S = row["S"]
+        pre = bh.build_grid(fld.grid.r_max / S, fld.grid.n_points, 4)
+        psi = moser_field(MoserParams.moser(row["b"], 1.0), pre)
+        assert row["lap_l2_sq"] == pytest.approx(bh.grid.lap_l2_sq(psi), rel=1e-9, abs=0)
+        assert row["l2_sq"] == pytest.approx(S**4 * bh.grid.l2_sq(psi), rel=1e-12, abs=0)
 
 
 def _streamed_moser_estimates(b, K, chunk=1 << 20):
