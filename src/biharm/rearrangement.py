@@ -2,20 +2,31 @@
 
 The radial Fourier transform is realized through the Hankel kernel
 (rho r)^-nu J_nu(rho r) (nu = n/2 - 1) on the shared node set, symmetrized
-with the square roots of the package's own quadrature weights into a
-symmetric matrix M.  Space and frequency are both cut at r_max, so M has
-only about r_max^2/pi resolved eigenvalues (the time-frequency concentration
+with the square roots of the package's own quadrature weights W into the
+symmetric M_ij = k(r_i r_j) sqrt(W_i W_j), with k(x) = J0(x) in 2-D and
+J1(x)/x in 4-D.  Space and frequency are both cut at r_max, so M has only
+about r_max^2/pi resolved eigenvalues (the time-frequency concentration
 count of Slepian's prolate functions): they lie near +-1, apart from a
 short plunge toward 0.  All others sit at rounding level, where their signs
 are noise.  The transform is the reflector T = I - 2 U U^T, with U an
 orthonormal basis of the resolved negative eigenspace (eigenvalue below
--_TAU), found by a randomized range finder.  So T equals M snapped to +-1 on
-the resolved eigenspace and maps the numerical null space to itself;
-snapping the null space too would follow the sign of rounding and make the
-output depend on how M is rounded.  T is an exact isometry in the
-quadrature norms and its own inverse, which is what makes the rearrangement
-identities (Plancherel equality, the Hardy-Littlewood moment inequality,
-idempotence) hold to rounding instead of drifting at truncation level.
+-_TAU).  So T equals M snapped to +-1 on the resolved eigenspace and maps
+the numerical null space to itself; snapping the null space too would
+follow the sign of rounding and make the output depend on how M is
+rounded.  T is an exact isometry in the quadrature norms and its own
+inverse, which is what makes the rearrangement identities (Plancherel
+equality, the Hardy-Littlewood moment inequality, idempotence) hold to
+rounding instead of drifting at truncation level.
+
+M is never formed.  k(x y) is band-limited in each variable, so barycentric
+interpolation at the Chebyshev points c of [-r_max, r_max] (Berrut &
+Trefethen, SIAM Review 2004) factors it to rounding: M = A K A^T, with
+A = diag(sqrt W) L, L the interpolation matrix from the points to the
+nodes, and K = k(c c^T).  k is even, so the points +-c fold into the m
+points c >= 0 (283 at r_max 20, 596 at r_max 30).  With A = QR, the
+eigenpairs of M are Q times those of the m x m matrix R K R^T.  J0 and J1
+come from Miller's backward recurrence below x = 25 and from Hankel's
+asymptotic expansion above.
 
 The decreasing rearrangement works on the discrete measure: node values are
 sorted by magnitude (ties by radius), their quadrature weights accumulated,
@@ -38,12 +49,16 @@ from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
 # (4-D, 69 columns) and 2.5 MB (2-D, 150 columns)
 _transform_cache: OrderedDict = OrderedDict()
 
-# The build holds M in full (n^2 doubles, 134 MB at 4,096 nodes) and costs
-# O(n^2 k) time.  Measured on x86_64 (2 vCPUs), a whole rearrangement took
-# 0.4-0.5 s and peaked at 129 MB for 2,048 nodes in 4-D (0.6 s, 144 MB in
-# 2-D), and 1.2-1.4 s and 255 MB for 4,096 (2-D: 1.7 s, 285 MB).  Larger
-# grids are refused.
+# The build holds the n x m interpolation matrix and its Q, and K and
+# R K R^T (m x m), for m interpolation points: 283 at r_max 20, 596 at 30.
+# Measured on x86_64 (2 vCPUs), a whole `rearrange` run took 0.35-0.40 s and
+# peaked at 61 MB for 2,048 nodes in 4-D (2-D: 0.56-0.59 s, 92 MB), and
+# 0.49-0.50 s and 89 MB for 4,096 (2-D: 0.75-0.88 s, 149 MB).  Larger grids
+# are refused, and so are radii above 56.7, where m passes 2,048: at r_max 56
+# on 4,096 nodes a run took 4.1-4.6 s and 413 MB, and with m = 4,033 (r_max
+# 80) 19 s and 1.3 GB, most of it Bessel temporaries.
 MAX_TRANSFORM_NODES = 4096
+MAX_INTERPOLATION_POINTS = 2048
 
 # Eigenvalues with |lambda| <= _TAU form the numerical null space.  On the
 # default 4-D grid 139 eigenvalues exceed 1e-8 and 144 exceed 1e-12; the
@@ -52,87 +67,142 @@ MAX_TRANSFORM_NODES = 4096
 # 1e-10 and 2.9e-7 with 1e-12: eigenvectors near the threshold are fixed only
 # to eps / _TAU.
 _TAU = 1e-8
-# rows of M per Bessel call: 0.11 s for the default 4-D M at 64-512 rows,
-# 0.19 s in one block, which also needs n x n temporaries
-_BLOCK_ROWS = 256
-# sketch columns beyond the concentration count r_max^2/pi.  The default
-# grids resolve 139 eigenvalues in 4-D (count 128) and 300 in 2-D (count 287);
-# a margin of 16 left the 2-D eigenspace 1e-5 from the dense eigh's, 32 and
-# more reach its own 1e-8.  Margin 128 costs 0.29 s against 0.15 s at 16 (4-D).
-_SKETCH_MARGIN = 128
+
+# Bessel functions: Miller's recurrence below _HANKEL_FROM, started at order
+# _MILLER_START; Hankel's expansion with _HANKEL_TERMS terms from it on.
+# Against scipy on [0, 900], the recurrence started at 50, 56 and 60 was off
+# by 2.6e-12, 8.6e-16 and 5.0e-16, and 10, 12 and 14 expansion terms by
+# 2.6e-14, 1.9e-15 and 1.3e-15; the last is scipy's own phase rounding.
+_HANKEL_FROM = 25.0
+_MILLER_START = 64
+_HANKEL_TERMS = 14
 
 
-def _kernel_matrix(grid: RadialGrid):
-    """Symmetric Hankel matrix on the nodes of positive weight.
+def _miller(x: np.ndarray):
+    """(J0(x), J1(x)/x) for 0 <= x < _HANKEL_FROM, Miller's recurrence (A&S 9.12).
 
-    Those are all nodes in 2-D, where the origin carries the Euler-Maclaurin
-    weight, and the nodes r > 0 in 4-D.  With W = weights / s_{n-1}, so that
-    sum_j W_j f_j is the quadrature of the integral of f r^(n-1) dr, the
-    matrix is k(r_i r_j) sqrt(W_i W_j), with k(x) = J0(x) in 2-D and J1(x)/x
-    in 4-D.  Built in row blocks from the upper triangle, so no n x n
-    temporary sits beside it.
+    The recurrence J_{k-1} = (2k/x) J_k - J_{k+1} runs on G_k = J_k k!/(x/2)^k,
+    which is G_{k-1} = G_k - G_{k+1} q/(k(k+1)) with q = x^2/4: nothing
+    overflows as x -> 0, and x = 0 gives G = 1.  The start G_N = 1 is
+    normalized by 1 = J0 + 2 sum_j J_2j, summed in nested form on the way down.
     """
-    from scipy.special import j0, j1
-    W = grid.weights / SURFACE_MEASURE[grid.dimension]
-    pos = W > 0.0
-    r = grid.nodes[pos]
-    sroot = np.sqrt(W[pos])
-    M = np.empty((len(r), len(r)))
-    for lo in range(0, len(r), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        rows = M[lo:hi, lo:]          # on and right of the diagonal
-        X = np.outer(r[lo:hi], r[lo:])
-        if grid.dimension == 2:
-            j0(X, out=rows)
+    q = 0.25 * x * x
+    g, g_up, tail = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(_MILLER_START, 0, -1):
+        g, g_up = g - g_up * (q / (k * (k + 1))), g          # G_{k-1}, G_k
+        if k % 2 == 1 and k > 1:                               # k-1 even, >= 2
+            tail = (g + tail) * (q / ((k - 2) * (k - 1)))
+    norm = g + 2.0 * tail
+    return g / norm, 0.5 * g_up / norm
+
+
+def _hankel(x: np.ndarray, order: int) -> np.ndarray:
+    """J_order(x) for x >= _HANKEL_FROM, order 0 or 1 (A&S 9.2.5-9.2.10).
+
+    With t_k = prod_{j <= k} (4 order^2 - (2j - 1)^2) / (8 j x), P sums
+    (-1)^(k/2) t_k over even k and Q sums (-1)^((k-1)/2) t_k over odd k.  The
+    phase x - (order/2 + 1/4) pi is taken apart into cos x and sin x, so no
+    multiple of pi is subtracted from a large x.
+    """
+    p, q, t = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+    for k in range(1, _HANKEL_TERMS + 1):
+        t = t * ((4 * order * order - (2 * k - 1) ** 2) / (8.0 * k)) / x
+        if k % 2:
+            q += (-1) ** (k // 2) * t
         else:
-            j1(X, out=rows)
-            rows /= X
-        rows *= np.outer(sroot[lo:hi], sroot[lo:])
-        M[lo:, lo:hi] = rows.T        # r_i r_j = r_j r_i exactly: M is symmetric
-    return M, sroot, pos
+            p += (-1) ** (k // 2) * t
+    c, s = np.cos(x), np.sin(x)
+    if order == 0:
+        return (p * (c + s) + q * (c - s)) / np.sqrt(np.pi * x)
+    return (p * (s - c) + q * (s + c)) / np.sqrt(np.pi * x)
 
 
-def _negative_eigenspace(M: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal basis of the eigenvectors of M with eigenvalue below -_TAU.
+def hankel_kernel(x, dimension: int) -> np.ndarray:
+    """k(x) for x >= 0: J0(x) in 2-D, J1(x)/x in 4-D (1/2 at x = 0)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x < _HANKEL_FROM
+    out[near] = _miller(x[near])[0 if dimension == 2 else 1]
+    far = x[~near]
+    out[~near] = _hankel(far, 0) if dimension == 2 else _hankel(far, 1) / far
+    return out
 
-    A randomized range finder (Halko, Martinsson & Tropp 2011): a Gaussian
-    sketch of ``count`` + _SKETCH_MARGIN columns, one power iteration, and a
-    Rayleigh-Ritz eigh of the small projected matrix.  The sketch has caught
-    the whole resolved eigenspace once its smallest Ritz value is below _TAU
-    in magnitude; otherwise the width doubles.  From n columns on this is the
-    full eigenproblem.
+
+def _degree(r_max: float) -> int:
+    """Even Chebyshev degree that interpolates k(x y), |x|, |y| <= r_max, to rounding.
+
+    Measured against scipy's k: the degree at which L K L^T first came within
+    1e-13 of k on a 700 x 700 sample, in 4-D (2-D) at r_max 2, 5, 10, 20 and
+    30, was 20 (20), 52 (52), 136 (144), 456 (464) and 972 (984).  The rule
+    gives 70, 96, 190, 564 and 1190, where L K L^T is within 1.4e-15 (4-D)
+    and 6.5e-15 (2-D) of k.
     """
-    n = len(M)
-    k = count + _SKETCH_MARGIN
-    rng = np.random.default_rng(0)     # a fixed sketch: the same U on every build
-    while k < n:
-        Q = np.linalg.qr(M @ rng.standard_normal((n, k)))[0]
-        Q = np.linalg.qr(M @ Q)[0]
-        theta, S = np.linalg.eigh(Q.T @ (M @ Q))
-        if np.min(np.abs(theta)) < _TAU:
-            return Q @ S[:, theta < -_TAU]
-        k *= 2
-    lam, V = np.linalg.eigh(M)
-    return V[:, lam < -_TAU]
+    return 2 * int(np.ceil((1.25 * r_max * r_max + 64.0) / 2.0))
+
+
+def _interpolation(r: np.ndarray, r_max: float):
+    """(c, L): Chebyshev points c >= 0 and the matrix with f(r) = L f(c) for even f.
+
+    L is the barycentric interpolation matrix (Berrut & Trefethen, SIAM
+    Review 2004) from the p + 1 points x_j = r_max cos(j pi / p), p =
+    _degree(r_max), to the nodes r, with weights (-1)^j halved at the ends.
+    p is even, so -c_j is a point with the weight of c_j, and the two terms
+    w_j / (r - c_j) + w_j / (r + c_j) fill one column; the point 0 enters
+    both terms at half weight.  The points are written as sines, which makes
+    c = 0 exact.  A node that is one of the points takes a unit row.
+    """
+    p = _degree(r_max)
+    c = r_max * np.sin(np.pi * (p - 2 * np.arange(p // 2 + 1)) / (2 * p))
+    w = (-1.0) ** np.arange(len(c))
+    w[[0, -1]] *= 0.5
+    diff = r[:, None] - c
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        L = w / diff
+        L += w / (r[:, None] + c)
+    rows = hit.any(axis=1)
+    L[rows] = hit[rows]
+    L /= L.sum(axis=1, keepdims=True)
+    return c, L
 
 
 def _build_transform(grid: RadialGrid):
     """(U, sroot, pos): T = I - 2 U U^T acts on x = values[pos] * sroot.
 
-    U spans the resolved negative eigenspace of :func:`_kernel_matrix`.  T
-    equals the eigenvalue-snapped M on the resolved eigenspace and maps the
-    numerical null space (|lambda| <= _TAU), where snapping would follow the
-    sign of rounding noise, to itself.
+    pos marks the nodes of positive weight: all nodes in 2-D, where the
+    origin carries the Euler-Maclaurin weight, and r > 0 in 4-D.  U spans
+    the resolved negative eigenspace of M = A K A^T, found through A = QR
+    and the eigenpairs of R K R^T.  T equals the eigenvalue-snapped M on the
+    resolved eigenspace and maps the numerical null space (|lambda| <=
+    _TAU), where snapping would follow the sign of rounding noise, to itself.
     """
-    M, sroot, pos = _kernel_matrix(grid)
-    U = _negative_eigenspace(M, int(np.ceil(grid.r_max ** 2 / np.pi)))
-    return U, sroot, pos
+    W = grid.weights / SURFACE_MEASURE[grid.dimension]
+    pos = W > 0.0
+    sroot = np.sqrt(W[pos])
+    c, L = _interpolation(grid.nodes[pos], grid.r_max)
+    # rows in decreasing weight: Householder QR is then accurate row by row
+    # (Cox & Higham 1998), which the tiny 4-D rows near the origin need,
+    # since _apply divides them by sroot
+    Q, R = np.linalg.qr(L[::-1] * sroot[::-1, None])
+    Q = Q[::-1]
+    del L
+    upper = np.triu_indices(len(c))
+    K = np.empty((len(c), len(c)))
+    K[upper] = hankel_kernel(c[upper[0]] * c[upper[1]], grid.dimension)
+    K.T[upper] = K[upper]
+    B = R @ K @ R.T
+    theta, S = np.linalg.eigh(0.5 * (B + B.T))
+    return Q @ S[:, theta < -_TAU], sroot, pos
 
 
 def _transform_for(grid: RadialGrid):
     if grid.n_points > MAX_TRANSFORM_NODES:
         raise ValueError(f"the Hankel transform takes at most {MAX_TRANSFORM_NODES} "
                          f"nodes, got {grid.n_points}")
+    m = _degree(grid.r_max) // 2 + 1
+    if m > MAX_INTERPOLATION_POINTS:
+        raise ValueError(f"the Hankel transform needs {m} interpolation points at r_max "
+                         f"{grid.r_max:g}, at most {MAX_INTERPOLATION_POINTS} are allowed")
     return lru_get(_transform_cache, grid.key(), 4, lambda: _build_transform(grid))
 
 

@@ -351,10 +351,10 @@ def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
         for k, b, c in zip(ks, bs, cs):
             S = (b * b * c ** (-0.5)) ** 0.25 if mode == "unbounded_infinity" else np.sqrt(b)
             r14 = float(np.exp(-b * b / (4.0 * K)))
-            h_need = min(r14, S * r14) / 10.0
-            r_max = max(2.2 * S, 2.2)
-            n = min(int(np.ceil(r_max / h_need)) + 1, 4_000_000)
-            grd = g.build_grid(r_max / S, max(n, 4096), 4)
+            # psi is sampled before the dilation by S, 10 nodes per r14
+            r_max = max(2.2 * S, 2.2) / S
+            n = min(int(np.ceil(r_max / (r14 / 10.0))) + 1, 4_000_000)
+            grd = g.build_grid(r_max, max(n, 4096), 4)
             psi = moser_field(MoserParams.moser(b, K), grd)
             fld = RadialField(g.rescale_grid(grd, S), psi.values)
             table.append({"k": int(k), "b": float(b), "c": float(c), "S": float(S),

@@ -252,15 +252,29 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
 """
 
 
-def _assert_no_scipy(tmp_path, commands):
-    # operators are stencil rows and factorizations are numpy block cyclic
-    # reduction; only `rearrange` (Bessel kernels) loads scipy
+def _run_probe(tmp_path, commands, prelude=""):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(commands)],
-                         capture_output=True, text=True, env=env)
-    assert res.stdout.splitlines() == ["import -"] + ["0 -"] * len(commands), res.stderr
+    res = subprocess.run([sys.executable, "-c", prelude + _SCIPY_PROBE, str(tmp_path),
+                          json.dumps(commands)], capture_output=True, text=True, env=env)
     for i, argv in enumerate(commands):
-        assert (tmp_path / str(i) / f"{argv[0]}.json").exists()
+        assert (tmp_path / str(i) / f"{argv[0]}.json").exists(), res.stderr
+    return res.stdout.splitlines(), res.stderr
+
+
+def _assert_no_scipy(tmp_path, commands):
+    # operators are stencil rows, factorizations are numpy block cyclic
+    # reduction and the Hankel transform evaluates its Bessel kernel in numpy
+    lines, err = _run_probe(tmp_path, commands)
+    assert lines == ["import -"] + ["0 -"] * len(commands), err
+
+
+def _two_bump_csv(tmp_path):
+    grid = bh.build_grid(20.0, 512, 4)
+    path = tmp_path / "two_bump.csv"
+    save_field_csv(str(path), bh.RadialField(grid, 0.8 * (grid.nodes / 1.5) ** 2
+                                             * np.exp(-((grid.nodes / 1.5) ** 2))
+                                             - 0.4 * np.exp(-((grid.nodes / 0.9) ** 2))))
+    return str(path)
 
 
 def test_gap_does_not_import_scipy_optimize(tmp_path):
@@ -277,7 +291,23 @@ def test_solve_does_not_import_scipy_interpolate(tmp_path):
 def test_commands_do_not_import_scipy(tmp_path):
     _assert_no_scipy(tmp_path, [["ratio", "--lambda", "0.5"],
                                 ["check", "--g", "t^4", "--K", "1"],
-                                ["moser", "--b-values", "3,7.5"]])
+                                ["moser", "--b-values", "3,7.5"],
+                                ["rearrange", "--input", _two_bump_csv(tmp_path)]])
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing, each
+    # command still exits 0 and writes its report
+    commands = [["solve", "--dim", "4", "--grid", "20:512"],
+                ["gap", "--dim", "2", "--V", "1.1-0.4*exp(-(t/1.5)^2)", "--lambda", "0.4",
+                 "--grid", "30:512"],
+                ["ratio", "--lambda", "0.5"],
+                ["check", "--g", "t^4", "--K", "1"],
+                ["moser", "--b-values", "3,7.5"],
+                ["rearrange", "--input", _two_bump_csv(tmp_path)]]
+    lines, err = _run_probe(tmp_path, commands,
+                            prelude='import sys\nsys.modules["scipy"] = None\n')
+    assert [line.split()[0] for line in lines] == ["import"] + ["0"] * len(commands), err
 
 
 def test_constant_potential_gap_is_zero(tmp_path):

@@ -192,6 +192,7 @@ def test_witness_dilation_is_exact(mode):
     for fld, row in zip(fields, rep.table):
         S = row["S"]
         pre = bh.build_grid(fld.grid.r_max / S, fld.grid.n_points, 4)
+        assert pre.nodes[1] <= 0.1 * np.exp(-row["b"] ** 2 / 4.0)   # h <= r14 / 10
         psi = moser_field(MoserParams.moser(row["b"], 1.0), pre)
         assert row["lap_l2_sq"] == pytest.approx(bh.grid.lap_l2_sq(psi), rel=1e-9, abs=0)
         assert row["l2_sq"] == pytest.approx(S**4 * bh.grid.l2_sq(psi), rel=1e-12, abs=0)
