@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Reduction stops at this many rows and inverts the rest densely.  On 2,048
-# nodes, 128 rows cost 0.6-0.7 ms more per factorization (the Pohozaev descent
-# factors once per step) and 32 rows one more level, 15-20 us, per solve (the
-# Nehari descent solves about 65 times per factorization).
+# Reduction stops at this many rows and inverts the rest densely: fewer rows
+# add a level to every solve, more make the dense tail dearer to factor.  A
+# minimization factors about 4 times and solves 30-80 times.  On 2,048 nodes
+# (x86_64, 2 vCPUs) 32, 64 and 128 rows gave ground_state and trapped_gap CLI
+# ops of 0.25 / 0.24 / 0.26 s and 0.22 / 0.24 / 0.24 s (medians in process,
+# quartile spreads 0.03-0.08 s): no value was faster on both.
 _TAIL_ROWS = 64
 
 

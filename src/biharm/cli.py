@@ -5,7 +5,8 @@ canonical JSON (sorted keys, floats at 17 significant digits) so identical
 run configurations produce byte-identical artifacts; fields go to CSV with
 full-precision round-tripping.  Artifacts are written atomically.
 
-Exit codes: 0 success, 2 solver non-convergence, 3 configuration or input
+Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
+factorization or eigensolver that breaks down), 3 configuration or input
 error (unknown config keys, malformed or non-finite CSV fields, ...).
 """
 
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
     return code
 
 

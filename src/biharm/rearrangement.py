@@ -191,7 +191,11 @@ def _build_transform(grid: RadialGrid):
     K[upper] = hankel_kernel(c[upper[0]] * c[upper[1]], grid.dimension)
     K.T[upper] = K[upper]
     B = R @ K @ R.T
-    theta, S = np.linalg.eigh(0.5 * (B + B.T))
+    try:
+        theta, S = np.linalg.eigh(0.5 * (B + B.T))
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError is a ValueError, which callers read as bad input
+        raise RuntimeError(f"Hankel transform: eigensolver failed ({exc})") from None
     return Q @ S[:, theta < -_TAU], sroot, pos
 
 
@@ -279,6 +283,7 @@ class RearrangementReport:
     l2_ok: bool
     quad_ok: bool
     exp_ok: bool
+    resolved: bool            # h r_max <= pi: the nodes sample frequencies up to r_max
     flagged: bool
 
 
@@ -293,7 +298,10 @@ def fourier_rearrange(u: RadialField, exp_coeff: float = None) -> RearrangedFiel
     The L2 and derivative-norm checks are evaluated spectrally (through the
     exactly isometric transform); the exponential-mass check compares the
     physical quadratures of exp(a u^2) - 1.  A check failing beyond tolerance
-    flags the report; the field is still returned.
+    flags the report; the field is still returned.  So does a grid with
+    h r_max > pi: the frequency grid rho_j = r_j then runs past the nodes'
+    Nyquist frequency pi / h, and the transform is an isometry but not a
+    Hankel transform, which the three checks cannot see.
     """
     gridobj = u.grid
     a = exp_coeff if exp_coeff is not None else (2.0 if gridobj.dimension == 4 else 1.0)
@@ -315,8 +323,9 @@ def fourier_rearrange(u: RadialField, exp_coeff: float = None) -> RearrangedFiel
     l2_ok = abs(l2_out - l2_in) <= 1e-6 * scale
     quad_ok = mom_out <= mom_in * (1.0 + 1e-6) + 1e-12
     exp_ok = em_out >= em_in * (1.0 - 1e-6) - 1e-12
+    resolved = bool(gridobj.h * gridobj.r_max <= np.pi)
 
     report = RearrangementReport(l2_in, l2_out, mom_in, mom_out, em_in, em_out,
-                                 l2_ok, quad_ok, exp_ok,
-                                 flagged=not (l2_ok and quad_ok and exp_ok))
+                                 l2_ok, quad_ok, exp_ok, resolved,
+                                 flagged=not (l2_ok and quad_ok and exp_ok and resolved))
     return RearrangedField(gridobj, out, report)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, dump_report,
+from biharm.cli import (EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, dump_report,
                         load_field_csv, main, save_field_csv)
 
 
@@ -336,6 +336,42 @@ def test_rearrange_rejects_grids_above_the_transform_limit(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "at most 4096 nodes" in capsys.readouterr().err
     assert len(_transform_cache) == before
+    assert not (out / "rearrange.json").exists()
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["solve"], "solve.json"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.3"], "gap.json")])
+def test_failed_descent_factorization_exits_noconv(tmp_path, capsys, monkeypatch,
+                                                   args, artifact):
+    from biharm import solvers
+
+    def fail(band):
+        raise RuntimeError("banded factorization: singular block")
+
+    monkeypatch.setattr(solvers.spla, "splu", fail)
+    code, out = run_cli(args, tmp_path)
+    assert code == EXIT_NOCONV
+    assert "error: the descent operator could not be factored" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
+def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch):
+    from collections import OrderedDict
+
+    from biharm import rearrangement
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(rearrangement, "_transform_cache", OrderedDict())
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    g = bh.build_grid(20.0, 512, 4)
+    src = tmp_path / "in.csv"
+    save_field_csv(str(src), bh.RadialField(g, np.exp(-g.nodes**2)))
+    code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_NOCONV
+    assert "eigensolver failed" in capsys.readouterr().err
     assert not (out / "rearrange.json").exists()
 
 

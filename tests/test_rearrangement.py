@@ -147,6 +147,16 @@ def test_rearrange_two_bump_checks(g4):
     assert r.exp_mass_out >= r.exp_mass_in * (1 - 1e-6)
 
 
+def test_rearrange_flags_grids_too_coarse_for_the_transform(g4):
+    # h r_max = 4.05 > pi: the frequency grid runs past the nodes' Nyquist pi / h
+    coarse = bh.build_grid(29.97, 223, 4)
+    rep = fourier_rearrange(bh.RadialField(coarse, np.exp(-coarse.nodes**2))).report
+    assert not rep.resolved and rep.flagged
+    rep = fourier_rearrange(bh.RadialField(g4, np.exp(-g4.nodes**2))).report
+    assert g4.h * g4.r_max < 0.2
+    assert rep.resolved and not rep.flagged
+
+
 def test_rearrange_zero(g4):
     w = fourier_rearrange(bh.RadialField(g4, np.zeros(g4.n_points)))
     assert np.all(w.values == 0.0)

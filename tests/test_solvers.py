@@ -417,6 +417,40 @@ def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
     assert res <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     assert len(calls) <= 3
 
+@pytest.mark.parametrize("dim, gamma, lam", [(4, 1.0, 0.5), (2, 1.1, 0.55)])
+def test_a_solve_factors_its_descent_operator_once(monkeypatch, dim, gamma, lam):
+    # the descent makes one factorization and each Newton step one more
+    from biharm import solvers
+    calls, in_newton = [], []
+    splu, newton = solvers.spla.splu, solvers._damped_newton_pde
+    monkeypatch.setattr(solvers.spla, "splu",
+                        lambda A: calls.append(bool(in_newton)) or splu(A))
+
+    def traced_newton(*args):
+        in_newton.append(1)
+        try:
+            return newton(*args)
+        finally:
+            in_newton.clear()
+
+    monkeypatch.setattr(solvers, "_damped_newton_pde", traced_newton)
+    grd = bh.default_grid(dim)
+    rep = minimize_pohozaev(bh.exp_critical_config(gamma, lam, dimension=dim),
+                            bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
+    assert rep.converged
+    assert calls.count(False) == 1
+    assert len(calls) <= 6
+
+
+def test_descent_stays_short_where_the_multiplier_moves_far(g4, gauss):
+    # c = 1 - 2 theta starts near 3.7 here; a descent factor at c = 1 instead
+    # of the start's c0 took 73 steps, a fresh factor per step 28
+    cfg = bh.ProblemConfig(4, 0.5, bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
+    rep = minimize_pohozaev(cfg, gauss)
+    assert rep.converged
+    assert rep.iterations <= 40
+
+
 def test_gradient_action_honours_the_cap(cfg, g4):
     with pytest.raises(bh.OverflowCapError):
         gradient_action(bh.RadialField(g4, 8.0 * np.exp(-g4.nodes**2)), cfg)
