@@ -192,14 +192,9 @@ def _ratio_of(values: np.ndarray, gridobj: RadialGrid, config: ProblemConfig,
     scale = np.sqrt(L / q)
     vals = values * scale
     check_cap(vals, config.overflow_cap)
-    return _F_ratio(gridobj, vals, config), float(np.max(np.abs(vals)))
-
-
-def _F_ratio(gridobj: RadialGrid, vals: np.ndarray, config: ProblemConfig) -> float:
-    """2 int F(u) / ||u||^2 by the grid's quadrature."""
     w = gridobj.weights
     F_mass = float(np.dot(w, np.asarray(config.nonlinearity.F(vals), dtype=float)))
-    return 2.0 * F_mass / float(np.dot(w, vals * vals))
+    return 2.0 * F_mass / float(np.dot(w, vals * vals)), float(np.max(np.abs(vals)))
 
 
 def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> AdamsRatioReport:
@@ -215,8 +210,16 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     pattern the family exists to exhibit.  Divergence evidence = monotone,
     non-saturating ratio growth along that sweep while the budgets approach
     L.  Verdicts are evidence, never proofs.
+
+    A log-profile with concentration scale r14 lives on the mesh of 10 nodes
+    per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
+    r14 = 1e-5); ``sequences.moser_sums`` adds up its sums in fixed node
+    blocks, so the search holds no mesh whole and leaves the Laplacian cache
+    alone.  ``trace`` holds the (sigma, ratio) pairs, the (b, ratio, quad)
+    triples, ``moser_nodes`` (the mesh size of each log-profile) and
+    ``evaluations`` (the candidates evaluated, at most ``budget``).
     """
-    from .sequences import MoserParams, moser_field  # local import, no cycle
+    from .sequences import moser_sums  # local import, no cycle
 
     if L <= 0:
         raise ValueError("L must be positive")
@@ -224,7 +227,7 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
         raise ValueError(f"budget must be at least 1, got {budget}")
     evals = 0
     best = (-np.inf, {})
-    gauss_trace, moser_trace = [], []
+    gauss_trace, moser_trace, moser_nodes = [], [], []
 
     base = g.default_grid(config.dimension)
     for sigma in np.geomspace(0.3, 6.0, 24):
@@ -250,18 +253,15 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
         r14 = float(np.exp(-b * b / (4.0 * K)))
         if r14 < 1e-5:
             break                      # concentration scale below resolvable range
-        n_pts = int(np.ceil(2.5 / (r14 / 10.0))) + 1
-        if n_pts > 8_000_000:
-            break
+        n_pts = max(int(np.ceil(2.5 / (r14 / 10.0))) + 1, 512)
         evals += 1
-        gr = g.build_grid(2.5, max(n_pts, 512), config.dimension)
-        psi = moser_field(MoserParams.moser(b, K), gr)
-        quad = g.quad_form_sq(psi)
-        ratio = _F_ratio(gr, psi.values, config)
+        sums = moser_sums(b, K, 2.5, n_pts, config.dimension, config.nonlinearity.F)
+        ratio, quad = 2.0 * sums["F_mass"] / sums["l2_sq"], sums["quad_form"]
         moser_trace.append((float(b), ratio, float(quad)))
+        moser_nodes.append(n_pts)
         if quad <= L * (1.0 + 1e-9) and ratio > best[0]:
             best = (ratio, {"family": "moser", "b": float(b), "K": float(K),
-                            "amplitude": float(np.max(np.abs(psi.values)))})
+                            "amplitude": sums["max_abs"]})
 
     if not np.isfinite(best[0]):
         if not moser_trace:
@@ -283,4 +283,5 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
 
     threshold = config.adams_beta / config.nonlinearity.alpha0
     return AdamsRatioReport(float(L), float(best[0]), best[1], float(threshold),
-                            verdict, {"gaussian": gauss_trace, "moser": moser_trace})
+                            verdict, {"gaussian": gauss_trace, "moser": moser_trace,
+                                      "moser_nodes": moser_nodes, "evaluations": evals})

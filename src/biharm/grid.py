@@ -75,16 +75,34 @@ def build_grid(r_max: float, n_points: int, dimension: int) -> RadialGrid:
         raise ValueError(f"r_max must be positive, got {r_max}")
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
-    nodes = np.linspace(0.0, float(r_max), int(n_points))
-    h = nodes[1] - nodes[0]
-    w = SURFACE_MEASURE[dimension] * nodes ** (dimension - 1) * h
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    if dimension == 2:
+    geometry = (float(r_max), int(n_points), int(dimension))
+    return RadialGrid(*geometry, *mesh_slice(geometry))
+
+
+def mesh_slice(geometry, start: int = 0, stop=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights start..stop-1 of ``build_grid(*geometry)``, bit for bit.
+
+    ``geometry`` is a grid's ``key()``, (r_max, n_points, dimension).  Node i
+    is i h with h = r_max / (n_points - 1), the last node r_max itself, as
+    ``np.linspace`` gives them; so a slice of a mesh too large to hold
+    carries the bits the whole mesh would.
+    """
+    r_max, n, dim = geometry
+    stop = n if stop is None else stop
+    h = r_max / (n - 1)
+    nodes = np.arange(start, stop) * h
+    if stop == n:
+        nodes[-1] = r_max
+    w = SURFACE_MEASURE[dim] * nodes ** (dim - 1) * h
+    if start == 0:
+        w[0] *= 0.5
+    if stop == n:
+        w[-1] *= 0.5
+    if dim == 2 and start == 0:
         # Euler-Maclaurin origin term h^2/12 (2 pi r u)'(0) = 2 pi u(0) h^2/12;
         # in 4-D (r^3 u)'(0) = 0 and the trapezoid rule is already O(h^4)
         w[0] = SURFACE_MEASURE[2] * h * h / 12.0
-    return RadialGrid(float(r_max), int(n_points), int(dimension), nodes, w)
+    return nodes, w
 
 
 def default_grid(dimension: int) -> RadialGrid:
@@ -125,34 +143,41 @@ _D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)     # / (12 h^2)
 _D1 = (1.0, -8.0, 0.0, 8.0, -1.0)         # / (12 h)
 
 
-def laplacian_stencil_rows(grid: RadialGrid, dtype=float):
-    """Per-row stencil coefficients at offsets -2..+2 (origin/ghost closures).
+def laplacian_stencil_rows(geometry, dtype=float, start: int = 0, stop=None):
+    """Stencil coefficients at offsets -2..+2 of rows start..stop-1.
 
-    Row i of the operator is sum_k coef[i, k] * u_{i-2+k}; out-of-range
-    columns on the left are folded back by the even extension, on the right
-    they are Dirichlet ghosts, so every coefficient that would reach outside
-    the grid is zero.  Computed natively in ``dtype``; each column is
-    contiguous (the array is the transpose of a (5, n) one).
+    ``geometry`` is a grid's ``key()``, (r_max, n_points, dimension).  Row i
+    of the operator is sum_k coef[i, k] * u_{i-2+k}; out-of-range columns on
+    the left are folded back by the even extension, on the right they are
+    Dirichlet ghosts (the origin and ghost closures), so every coefficient
+    that would reach outside the grid is zero.  A row carries the same bits
+    whatever range it is built in.  Computed natively in ``dtype``; each
+    column is contiguous (the array is the transpose of a (5, rows) one).
     """
-    n = grid.n_points
-    h = dtype(grid.r_max) / dtype(n - 1)
-    dim = dtype(grid.dimension)
-    coef = np.zeros((5, n), dtype=dtype).T
-    i = np.arange(1, n)
-    r = i * h
+    r_max, n, dim = geometry
+    stop = n if stop is None else stop
+    h = dtype(r_max) / dtype(n - 1)
+    dim = dtype(dim)
+    coef = np.zeros((5, stop - start), dtype=dtype).T
+    first = max(start, 1)
+    r = np.arange(first, stop) * h
     for k in range(5):
-        coef[1:, k] = (dtype(_D2[k]) / (12 * h * h)
-                       + (dim - 1) / r * dtype(_D1[k]) / (12 * h))
-    # origin row: n * u''(0), fourth order under the even extension:
-    # u''(0) = (-30 u0 + 32 u1 - 2 u2) / (12 h^2)
-    coef[0, 2] = dim * dtype(-30.0) / (12 * h * h)
-    coef[0, 3] = dim * dtype(32.0) / (12 * h * h)
-    coef[0, 4] = dim * dtype(-2.0) / (12 * h * h)
-    # row 1 references u_{-1} = u_1: fold offset -2 onto +0
-    coef[1, 2] += coef[1, 0]
-    coef[1, 0] = 0.0
+        coef[first - start:, k] = (dtype(_D2[k]) / (12 * h * h)
+                                   + (dim - 1) / r * dtype(_D1[k]) / (12 * h))
+    if start == 0:
+        # origin row: n * u''(0), fourth order under the even extension:
+        # u''(0) = (-30 u0 + 32 u1 - 2 u2) / (12 h^2)
+        coef[0, 2] = dim * dtype(-30.0) / (12 * h * h)
+        coef[0, 3] = dim * dtype(32.0) / (12 * h * h)
+        coef[0, 4] = dim * dtype(-2.0) / (12 * h * h)
+    if start <= 1 < stop:
+        # row 1 references u_{-1} = u_1: fold offset -2 onto +0
+        coef[1 - start, 2] += coef[1 - start, 0]
+        coef[1 - start, 0] = 0.0
     # Dirichlet ghosts past r_max
-    coef[n - 2, 4] = coef[n - 1, 3] = coef[n - 1, 4] = 0.0
+    for row, ks in ((n - 2, [4]), (n - 1, [3, 4])):
+        if start <= row < stop:
+            coef[row - start, ks] = 0.0
     return coef
 
 
@@ -162,7 +187,7 @@ def laplacian_matrix(grid: RadialGrid) -> np.ndarray:
     Cached for the 8 latest geometries; apply them with :func:`apply_stencil`.
     """
     def build():
-        rows = laplacian_stencil_rows(grid, float)
+        rows = laplacian_stencil_rows(grid.key(), float)
         rows.flags.writeable = False
         return rows
     return lru_get(_matrix_cache, grid.key(), 8, build)

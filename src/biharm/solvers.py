@@ -96,7 +96,7 @@ class _Ops(_Functionals):
         self.m = config.order
         # rows of (-D)^m as a band, half-bandwidth 2m
         self.A0 = g.stencil_square(self.L) if self.m == 2 else -self.L
-        self.rows_q = g.laplacian_stencil_rows(gridobj, np.longdouble)
+        self.rows_q = g.laplacian_stencil_rows(gridobj.key(), np.longdouble)
         self.Vq = self.V.astype(np.longdouble)
 
     def factor(self, diag):

@@ -138,6 +138,37 @@ def test_ratio_search_divergence_at_threshold():
     assert all(np.diff(budgets) < 0) and budgets[-1] < 1.5 * L
 
 
+def test_ratio_search_trace_counts_nodes_and_evaluations():
+    cfg = bh.exp_critical_config(1.0, 0.5)
+    rep = adams_ratio_search(cfg, 16 * np.pi**2)
+    tr = rep.trace
+    # 10 nodes per concentration scale on [0, 2.5]; the sweep stops below r14 = 1e-5
+    assert tr["moser_nodes"] == [570, 2252, 11430, 74525, 623983]
+    assert tr["evaluations"] == len(tr["gaussian"]) + len(tr["moser"]) == 29
+    few = adams_ratio_search(cfg, 16 * np.pi**2, budget=4).trace
+    assert few["evaluations"] == 4 and few["moser"] == few["moser_nodes"] == []
+
+
+@pytest.mark.parametrize("L", [16 * np.pi**2, 110.0])
+def test_ratio_search_memory_is_bounded(L):
+    # the log-profiles are summed in fixed node blocks: the 623,983- and
+    # 2,430,256-node candidates cost the same memory, and no Laplacian rows
+    # of theirs stay in the cache (the Gaussians' default grid may)
+    import tracemalloc
+    cfg = bh.exp_critical_config(1.0, 0.5)
+    bh.grid.laplacian_matrix(bh.default_grid(4))
+    before = set(bh.grid._matrix_cache)
+    tracemalloc.start()
+    try:
+        rep = adams_ratio_search(cfg, L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(rep.trace["moser_nodes"]) > 600_000
+    assert peak < 16e6
+    assert set(bh.grid._matrix_cache) == before
+
+
 def test_ratio_search_small_L():
     # the exp-critical F is quadratic at 0, so its ratio tends to lam, not 0;
     # the vanishing-ratio limit needs a superquadratic-at-zero F

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import biharm as bh
 from biharm.grid import (apply_stencil, apply_stencil_transpose, boundary_decay_ratio,
                          integrate, laplacian_matrix, laplacian_stencil_rows,
-                         quad_form_sq, rescale_grid, stencil_square)
+                         mesh_slice, quad_form_sq, rescale_grid, stencil_square)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,25 @@ def test_build_grid_basics(g4):
     assert g4.h == pytest.approx(20.0 / 2047, rel=1e-14)
     assert g4.weights[0] == 0.0          # r^3 factor kills the origin weight
     assert np.all(g4.weights >= 0)
+
+
+@pytest.mark.parametrize("args", [(20.0, 16, 4), (30.0, 2048, 2), (2.5, 623983, 4),
+                                  (29.97, 223, 4), (2.0, 1495892, 4)])
+def test_mesh_and_stencil_slices_carry_the_bits_of_the_whole_grid(args):
+    # blocked sums of meshes too large to hold rely on every slice of nodes,
+    # weights and stencil rows being bit-identical to the whole grid's
+    grid = bh.build_grid(*args)
+    n = grid.n_points
+    assert np.array_equal(grid.nodes, np.linspace(0.0, args[0], n))
+    for dtype in (float, np.longdouble):
+        whole = laplacian_stencil_rows(grid.key(), dtype)
+        for a, b in [(0, 1), (0, 3), (1, 2), (1, 6), (2, 9), (3, 4), (n // 2, n // 2 + 7),
+                     (n - 5, n - 1), (n - 2, n), (n - 1, n)]:
+            part = laplacian_stencil_rows(grid.key(), dtype, a, b)
+            assert part.dtype == whole.dtype and np.array_equal(part, whole[a:b]), (a, b)
+            nodes, weights = mesh_slice(grid.key(), a, b)
+            assert np.array_equal(nodes, grid.nodes[a:b]), (a, b)
+            assert np.array_equal(weights, grid.weights[a:b]), (a, b)
 
 
 def test_build_grid_2d_weight_pattern(g2):
@@ -177,7 +196,7 @@ def test_quad_form_2d_positive(g2):
 
 
 def test_stencil_rows_match_matrix(g4):
-    rows = laplacian_stencil_rows(g4, float)
+    rows = laplacian_stencil_rows(g4.key(), float)
     u = np.exp(-g4.nodes**2 / 3) * (1 + g4.nodes**2)
     via_rows = apply_stencil(rows, u)
     via_mat = bh.radial_laplacian(bh.RadialField(g4, u)).values
@@ -192,7 +211,7 @@ def test_boundary_decay_ratio(g4):
 def _laplacian_matrix_loop(grid):
     """Entry-by-entry assembly from the stencil rows (reference)."""
     n = grid.n_points
-    coef = laplacian_stencil_rows(grid, float)
+    coef = laplacian_stencil_rows(grid.key(), float)
     rows, cols, vals = [], [], []
     for i in range(n):
         for k in range(5):

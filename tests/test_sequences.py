@@ -3,7 +3,7 @@ import pytest
 
 import biharm as bh
 from biharm.sequences import (MoserParams, WitnessInapplicableError, moser_estimates,
-                              moser_field, necessity_witness, plateau_field)
+                              moser_field, moser_sums, necessity_witness, plateau_field)
 
 
 def fd_slope(field, r0):
@@ -196,6 +196,59 @@ def test_witness_dilation_is_exact(mode):
         psi = moser_field(MoserParams.moser(row["b"], 1.0), pre)
         assert row["lap_l2_sq"] == pytest.approx(bh.grid.lap_l2_sq(psi), rel=1e-9, abs=0)
         assert row["l2_sq"] == pytest.approx(S**4 * bh.grid.l2_sq(psi), rel=1e-12, abs=0)
+
+
+def _full_mesh_sums(b, K, r_max, n, dim, F):
+    """The sums of moser_sums on the whole mesh, with the grid operators."""
+    grid = bh.build_grid(r_max, n, dim)
+    psi = moser_field(MoserParams.moser(b, K), grid)
+    F_mass = float(np.dot(grid.weights, F(psi.values))) if F is not None else None
+    return {"l2_sq": bh.grid.l2_sq(psi), "quad_form": bh.grid.quad_form_sq(psi),
+            "F_mass": F_mass, "max_abs": float(np.max(np.abs(psi.values)))}, psi
+
+
+_USER_F = bh.user_nonlinearity("0.5*t*exp(2*t^2)").F
+_EXP_F = bh.exp_critical_config(1.0, 0.5).nonlinearity.F
+
+
+@pytest.mark.parametrize("dim, b, K, r_max, n, F", [
+    (4, 3.0, 1.0, 2.0, 4097, None),            # moser_estimates' mesh, r_two the last node
+    (4, 2.5, 0.5, 2.5, 2252, _EXP_F),          # ratio-search candidates
+    (4, 3.0, 0.7, 2.5, 3000, _USER_F),
+    (4, 4.0, 1.3, 3.0, 7001, None),
+    (4, 2.0, 1.0, 2.0, 700, _USER_F),
+    (2, 2.5, 0.4, 2.5, 5000, _EXP_F),
+    (2, 3.0, 0.8, 2.5, 3001, _USER_F),
+    (2, 2.0, 1.0, 2.0, 600, None),
+])
+def test_moser_sums_match_full_mesh(dim, b, K, r_max, n, F, monkeypatch):
+    ref, psi = _full_mesh_sums(b, K, r_max, n, dim, F)
+    # the branch nodes r14, 1 and 2 snap to, as moser_field snaps them
+    h = r_max / (n - 1)
+    i14 = int(round(np.exp(-b * b / (4.0 * K)) / h))
+    i_one, i_two = int(round(1.0 / h)), int(round(2.0 / h))
+    assert psi.values[i_two - 1] != 0.0 and not np.any(psi.values[i_two:])
+    # one block (the mesh is smaller than the default), then block edges on
+    # r14, r_one and r_two and at rows 1, 2 and 3 of the origin closure
+    for block in (bh.sequences._BLOCK, i14, i_one, i_two, i_two - 1) \
+            + ((1, 2, 3, 7) if n <= 1000 else ()):
+        monkeypatch.setattr(bh.sequences, "_BLOCK", block)
+        got = moser_sums(b, K, r_max, n, dim, F)
+        assert got["max_abs"] == ref["max_abs"]
+        for key in ("l2_sq", "quad_form", "F_mass"):
+            if F is None and key == "F_mass":
+                assert got[key] is None
+                continue
+            assert got[key] == pytest.approx(ref[key], rel=1e-13, abs=0), (block, key)
+
+
+def test_moser_sums_reject_what_moser_field_rejects():
+    with pytest.raises(ValueError, match="under-resolved"):
+        moser_sums(6.0, 1.0, 2.0, 2048, 4)
+    with pytest.raises(ValueError, match="exceeds the domain"):
+        moser_sums(3.0, 1.0, 1.5, 4096, 4)
+    with pytest.raises(ValueError, match="finite and positive"):
+        moser_sums(np.nan, 1.0, 2.0, 4096, 4)
 
 
 def _streamed_moser_estimates(b, K, chunk=1 << 20):
