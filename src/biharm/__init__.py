@@ -1,30 +1,52 @@
 """biharm: radial variational solver and diagnostics for bi-harmonic
 ground states with critical exponential nonlinearities (and the 2-D
-Laplacian analogue)."""
+Laplacian analogue).
+
+The public names and the submodules load on first access (PEP 562), so
+``import biharm`` loads no numpy and a CLI command loads only its layers.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .grid import (RadialField, RadialGrid, bilaplacian, build_grid,
-                   default_grid, h_norms, integrate, radial_laplacian)
-from .model import (ConditionReport, ConstantPotential, NonlinearitySpec,
-                    OverflowCapError, ProblemConfig, RadialPotential,
-                    check_conditions, eval_f, eval_g_lambda, eval_potential,
-                    exact_growth_family, exp_critical, exp_critical_config,
-                    radial_potential, user_nonlinearity)
-from .functionals import (AdamsRatioReport, FunctionalReport, MassTerms,
-                          adams_ratio_search, evaluate_all,
-                          nehari_energy_identity_gap)
-from .rearrangement import (RearrangementReport, SpectralProfile,
-                            fourier_radial, fourier_rearrange,
-                            inverse_fourier_radial, schwarz_profile)
-from .sequences import (MoserParams, WitnessReport, moser_estimates, moser_field,
-                        necessity_witness, plateau_field)
-from .solvers import (GapReport, SolveReport, SolverOptions, gradient_action,
-                      gradient_quadratic, limiting_gap, minimize_nehari,
-                      minimize_pohozaev, nehari_sign_scan, project_nehari,
-                      project_pohozaev, recover_solution, residual_weak)
-from .diagnostics import (GrowthClassification, bounded_functional_probe,
-                          classify_growth)
-from .expressions import ParseError, parse_expression
+# submodule -> the public names it exports
+_EXPORTS = {
+    "grid": ("RadialField", "RadialGrid", "bilaplacian", "build_grid", "default_grid",
+             "h_norms", "integrate", "radial_laplacian"),
+    "model": ("ConditionReport", "ConstantPotential", "NonlinearitySpec", "OverflowCapError",
+              "ProblemConfig", "RadialPotential", "check_conditions", "eval_f",
+              "eval_g_lambda", "eval_potential", "exact_growth_family", "exp_critical",
+              "exp_critical_config", "radial_potential", "user_nonlinearity"),
+    "functionals": ("AdamsRatioReport", "FunctionalReport", "MassTerms",
+                    "adams_ratio_search", "evaluate_all", "nehari_energy_identity_gap"),
+    "rearrangement": ("RearrangementReport", "SpectralProfile", "fourier_radial",
+                      "fourier_rearrange", "inverse_fourier_radial", "schwarz_profile"),
+    "sequences": ("MoserParams", "WitnessReport", "moser_estimates", "moser_field",
+                  "necessity_witness", "plateau_field"),
+    "solvers": ("GapReport", "SolveReport", "SolverOptions", "gradient_action",
+                "gradient_quadratic", "limiting_gap", "minimize_nehari", "minimize_pohozaev",
+                "nehari_sign_scan", "project_nehari", "project_pohozaev", "recover_solution",
+                "residual_weak"),
+    "diagnostics": ("GrowthClassification", "bounded_functional_probe", "classify_growth"),
+    "expressions": ("ParseError", "parse_expression"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "banded", "cli")
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_HOME, *_EXPORTS, "banded"])
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

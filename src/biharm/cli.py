@@ -3,7 +3,9 @@
 Subcommands: solve, rearrange, moser, ratio, check, gap, sweep.  Reports are
 canonical JSON (sorted keys, floats at 17 significant digits) so identical
 run configurations produce byte-identical artifacts; fields go to CSV with
-full-precision round-tripping.  Artifacts are written atomically.
+full-precision round-tripping.  Artifacts are written atomically.  This
+module imports only what every command uses (grid, model, expressions); each
+handler imports its own layer, so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
 factorization or eigensolver that breaks down), 3 configuration or input
@@ -24,17 +26,11 @@ import numpy as np
 
 from . import __version__
 from . import grid as g
-from .diagnostics import classify_growth
 from .expressions import ParseError, parse_expression
-from .functionals import adams_ratio_search
 from .grid import RadialField
 from .model import (ConstantPotential, ProblemConfig, check_conditions,
                     exact_growth_family, exp_critical, radial_potential,
                     user_nonlinearity)
-from .rearrangement import fourier_rearrange
-from .sequences import MoserParams, moser_estimates, moser_field, moser_mesh
-from .solvers import (SolverOptions, limiting_gap, minimize_nehari,
-                      minimize_pohozaev, recover_solution, residual_weak)
 
 EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
 
@@ -172,7 +168,9 @@ def _default_init(grd) -> RadialField:
     return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
 
 
-def _solver_options(rc: RunConfig) -> SolverOptions:
+def _solver_options(rc: RunConfig):
+    from .solvers import SolverOptions
+
     return SolverOptions(max_iters=rc.max_iters, tol=rc.tol)
 
 
@@ -185,6 +183,8 @@ def _report_header(rc: RunConfig) -> dict:
 # --- command implementations -------------------------------------------------------
 
 def _cmd_solve(rc: RunConfig) -> int:
+    from .solvers import minimize_pohozaev, recover_solution, residual_weak
+
     grd, config = _build_problem(rc)
     rep = minimize_pohozaev(config, _default_init(grd), _solver_options(rc))
     recovered = recover_solution(rep.field, rep.lagrange_theta, config)
@@ -208,6 +208,8 @@ def _cmd_solve(rc: RunConfig) -> int:
 def _cmd_rearrange(rc: RunConfig) -> int:
     if not rc.input_field:
         raise ValueError("rearrange requires --input <field.csv>")
+    from .rearrangement import fourier_rearrange
+
     u = load_field_csv(rc.input_field, rc.dimension)
     w = fourier_rearrange(u)
     out = _report_header(rc)
@@ -220,6 +222,8 @@ def _cmd_rearrange(rc: RunConfig) -> int:
 
 
 def _cmd_moser(rc: RunConfig) -> int:
+    from .sequences import moser_estimates, moser_mesh
+
     rows = []
     beta = 32.0 * np.pi**2
     for b in rc.b_values:
@@ -245,6 +249,8 @@ def _cmd_moser(rc: RunConfig) -> int:
 
 
 def _cmd_ratio(rc: RunConfig) -> int:
+    from .functionals import adams_ratio_search
+
     _, config = _build_problem(rc)
     L = rc.L if rc.L is not None else config.adams_beta / config.nonlinearity.alpha0
     rep = adams_ratio_search(config, L, rc.budget)
@@ -257,6 +263,8 @@ def _cmd_ratio(rc: RunConfig) -> int:
 def _cmd_check(rc: RunConfig) -> int:
     out = _report_header(rc)
     if rc.g_expr:
+        from .diagnostics import classify_growth
+
         gfun = parse_expression(rc.g_expr)
         cls = classify_growth(gfun, rc.K)
         out["growth"] = asdict(cls)
@@ -271,6 +279,8 @@ def _cmd_check(rc: RunConfig) -> int:
 def _cmd_gap(rc: RunConfig) -> int:
     if not rc.potential_expr:
         raise ValueError("gap requires --V <expression in t (= radius)>")
+    from .solvers import limiting_gap
+
     grd, config = _build_problem(rc)
     rep = limiting_gap(config, _default_init(grd), _solver_options(rc))
     out = _report_header(rc)
@@ -280,8 +290,9 @@ def _cmd_gap(rc: RunConfig) -> int:
 
 
 def _cmd_sweep(rc: RunConfig) -> int:
-    if rc.sweep_param not in ("lambda", "gamma"):
+    if rc.sweep_param not in ("lambda", "gamma") or not rc.sweep_values:
         raise ValueError("sweep requires --sweep-param lambda|gamma and --sweep-values")
+    from .solvers import minimize_pohozaev
 
     def one(val):
         sub = RunConfig(**{**asdict(rc), "command": "solve",

@@ -51,8 +51,8 @@ def classify_growth(gfun: Callable, K: float, t_probe=None) -> GrowthClassificat
     t_probe defaults to 400 log-spaced points on [1e-4, t_max] with t_max
     detected dynamically from overflow of g.
     """
-    if K <= 0:
-        raise ValueError("K must be positive")
+    if not (np.isfinite(K) and K > 0):
+        raise ValueError(f"K must be positive and finite, got {K}")
     if t_probe is None:
         t_max = 10.0
         while t_max > 1.0:

@@ -221,8 +221,8 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     """
     from .sequences import moser_sums  # local import, no cycle
 
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     evals = 0

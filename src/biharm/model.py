@@ -21,6 +21,7 @@ stays finite up to the cap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -73,20 +74,27 @@ def adaptive_simpson(fn: Callable, a: float, b: float, tol: float = 1e-10,
 
 
 # Composite Gauss-Legendre antiderivative: panel width (a power of two, so the
-# knots k * _F_PANEL and the panel index of t are exact in binary), rule order,
-# and the number of query points per vectorized evaluation of f, which bounds
-# the temporaries (8 nodes each) whatever the input size.
+# knots k * _F_PANEL and the panel index of t are exact in binary), and the
+# number of query points per vectorized evaluation of f, which bounds the
+# temporaries (8 nodes each) whatever the input size.
 _F_PANEL = 1.0 / 64.0
-_F_NODES, _F_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _F_CHUNK = 1 << 15
+
+
+@functools.cache
+def _gauss_rule() -> tuple:
+    """Nodes and weights of the 8-point rule, built on first use: only a user
+    f loads numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _gauss_panels(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """8-point Gauss-Legendre integral of fn over each [a_i, b_i]."""
+    nodes, weights = _gauss_rule()
     half = 0.5 * (b - a)
-    y = (a + half)[:, None] + half[:, None] * _F_NODES
+    y = (a + half)[:, None] + half[:, None] * nodes
     fy = np.broadcast_to(np.asarray(fn(y), dtype=float), y.shape)
-    return half * (fy * _F_WEIGHTS).sum(axis=1)
+    return half * (fy * weights).sum(axis=1)
 
 
 def gauss_antiderivative(fn: Callable, t):

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
@@ -278,6 +276,8 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
 
     l2 += c * (end_terms((i_one - 3) * h, 1.0) - end_terms((i14 + 3) * h, -1.0))
 
+    from numpy.polynomial import Polynomial
+
     # quintic cap, nodes i_one+3 .. i_two-3, as polynomials in t = (r - r_one) / s,
     # stored in powers of 2t - 1 (powers of t cost ~3 digits to cancellation)
     s, m = r_two - r_one, i_two - i_one
@@ -291,10 +291,11 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
             "method": "closed_form"}
 
 
-# Bernoulli numbers B_2 .. B_14: enough for the cap polynomials (degree <= 13)
-# and for the asymptotic series of digamma from x = 12 on
-_BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
-              10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
+# Bernoulli numbers B_2 .. B_14, each the float nearest the exact fraction:
+# enough for the cap polynomials (degree <= 13) and for the asymptotic series
+# of digamma from x = 12 on
+_BERNOULLI = {2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 8: -1 / 30, 10: 5 / 66, 12: -691 / 2730,
+              14: 7 / 6}
 
 
 def _digamma(x: int) -> float:
@@ -309,7 +310,7 @@ def _digamma(x: int) -> float:
         shift -= 1.0 / x
         x += 1
     inv2 = 1.0 / (float(x) * x)
-    series = sum(float(bk) / k * inv2 ** (k // 2) for k, bk in _BERNOULLI.items())
+    series = sum(bk / k * inv2 ** (k // 2) for k, bk in _BERNOULLI.items())
     return shift + math.log(x) - 0.5 / x - series
 
 
@@ -321,7 +322,7 @@ def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:
     total = P(c) - P(a) + (p(a) + p(c)) / (2.0 * m)
     for k in range(2, p.degree() + 2, 2):
         dp = p.deriv(k - 1)
-        total += float(_BERNOULLI[k]) / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
+        total += _BERNOULLI[k] / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
     return float(total)
 
 

@@ -63,6 +63,12 @@ class SolverOptions:
     max_iters: int = 400
     tol: float = 1e-10
 
+    def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+
 
 @dataclass
 class SolveReport:

@@ -238,13 +238,17 @@ def test_sweep_jobs_option_is_gone(tmp_path, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
-# Runs each command in one process and prints its exit code and the scipy
-# modules loaded so far; the first line is for the import alone.
-_SCIPY_PROBE = """
+# Runs each command in one process.  For the import alone, then after each
+# command, it prints the exit code, the scipy modules loaded so far, and the
+# biharm modules loaded so far together with numpy.polynomial if it is loaded.
+_PROBE = """
 import json, os, sys
 from biharm.cli import main
 def loaded():
-    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")) or "-"
+    mods = sorted(sys.modules)
+    scipy = ",".join(m for m in mods if m.split(".")[0] == "scipy") or "-"
+    own = ",".join(m for m in mods if m.startswith("biharm.") or m == "numpy.polynomial")
+    return scipy + " " + own
 print("import", loaded())
 for i, argv in enumerate(json.loads(sys.argv[2])):
     rc = main(argv + ["--out-dir", os.path.join(sys.argv[1], str(i))])
@@ -254,18 +258,18 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
 
 def _run_probe(tmp_path, commands, prelude=""):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    res = subprocess.run([sys.executable, "-c", prelude + _SCIPY_PROBE, str(tmp_path),
+    res = subprocess.run([sys.executable, "-c", prelude + _PROBE, str(tmp_path),
                           json.dumps(commands)], capture_output=True, text=True, env=env)
     for i, argv in enumerate(commands):
         assert (tmp_path / str(i) / f"{argv[0]}.json").exists(), res.stderr
-    return res.stdout.splitlines(), res.stderr
+    return [line.split() for line in res.stdout.splitlines()], res.stderr
 
 
 def _assert_no_scipy(tmp_path, commands):
     # operators are stencil rows, factorizations are numpy block cyclic
     # reduction and the Hankel transform evaluates its Bessel kernel in numpy
     lines, err = _run_probe(tmp_path, commands)
-    assert lines == ["import -"] + ["0 -"] * len(commands), err
+    assert [line[:2] for line in lines] == [["import", "-"]] + [["0", "-"]] * len(commands), err
 
 
 def _two_bump_csv(tmp_path):
@@ -277,10 +281,13 @@ def _two_bump_csv(tmp_path):
     return str(path)
 
 
+_GAP_2D = ["gap", "--dim", "2", "--V", "1.1-0.4*exp(-(t/1.5)^2)", "--lambda", "0.4",
+           "--grid", "30:512"]
+
+
 def test_gap_does_not_import_scipy_optimize(tmp_path):
     # the projections find their roots in plain numpy; no scipy module loads
-    _assert_no_scipy(tmp_path, [["gap", "--dim", "2", "--V", "1.1-0.4*exp(-(t/1.5)^2)",
-                                 "--lambda", "0.4", "--grid", "30:512"]])
+    _assert_no_scipy(tmp_path, [_GAP_2D])
 
 
 def test_solve_does_not_import_scipy_interpolate(tmp_path):
@@ -299,15 +306,46 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
     # scipy is a test dependency only: with every scipy import failing, each
     # command still exits 0 and writes its report
     commands = [["solve", "--dim", "4", "--grid", "20:512"],
-                ["gap", "--dim", "2", "--V", "1.1-0.4*exp(-(t/1.5)^2)", "--lambda", "0.4",
-                 "--grid", "30:512"],
+                _GAP_2D,
                 ["ratio", "--lambda", "0.5"],
                 ["check", "--g", "t^4", "--K", "1"],
                 ["moser", "--b-values", "3,7.5"],
                 ["rearrange", "--input", _two_bump_csv(tmp_path)]]
     lines, err = _run_probe(tmp_path, commands,
                             prelude='import sys\nsys.modules["scipy"] = None\n')
-    assert [line.split()[0] for line in lines] == ["import"] + ["0"] * len(commands), err
+    assert [line[0] for line in lines] == ["import"] + ["0"] * len(commands), err
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["solve", "--dim", "4", "--grid", "20:512"],
+     {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
+    (_GAP_2D, {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
+    (["check", "--f", "0.5*t*exp(2*t^2)"], {"solvers", "functionals"}),
+    (["check", "--g", "t^4"], {"solvers", "functionals", "sequences", "numpy.polynomial"}),
+    (["rearrange", "--input", None], {"solvers", "sequences"}),
+], ids=["solve", "gap", "check_f", "check_g", "rearrange"])
+def test_commands_load_only_their_layers(tmp_path, argv, absent):
+    # each handler imports its own layer; the Gauss-Legendre rule of a user F and
+    # the closed-form Moser sums are the only users of numpy.polynomial
+    argv = [a if a is not None else _two_bump_csv(tmp_path) for a in argv]
+    lines, err = _run_probe(tmp_path, [argv])
+    assert lines[-1][0] == "0", err
+    loaded = {m.removeprefix("biharm.") for m in lines[-1][2].split(",")}
+    assert "cli" in loaded and not loaded & absent, loaded
+
+
+def test_import_loads_no_numpy_and_resolves_every_name():
+    # the package resolves its names and submodules on first access
+    script = ("import sys, biharm as bh\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'biharm')))\n"
+              "print(bh.sequences.__name__, bh.cli.__name__, hasattr(bh, 'no_such_name'))\n"
+              "print(all(getattr(bh, name) is not None for name in bh.__all__), len(bh.__all__))\n"
+              "print(set(bh.__all__) <= set(dir(bh)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env)
+    assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False",
+                                       "True 68", "True"], res.stderr
 
 
 def test_constant_potential_gap_is_zero(tmp_path):
@@ -382,6 +420,23 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     code, out = run_cli(["moser"] + args, tmp_path)
     assert code == EXIT_CONFIG
     assert not (out / "moser.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "--g", "t^4", "--K", "nan"], "K must be positive and finite"),
+    (["check", "--g", "t^4", "--K", "inf"], "K must be positive and finite"),
+    (["ratio", "--L", "nan"], "L must be positive and finite"),
+    (["ratio", "--L", "inf"], "L must be positive and finite"),
+    (["sweep", "--sweep-param", "lambda"], "--sweep-values"),
+    (["solve", "--tol", "nan"], "tol must be finite and >= 0"),
+    (["solve", "--tol", "-1"], "tol must be finite and >= 0"),
+    (["solve", "--max-iters", "-5"], "max_iters must be an integer >= 0"),
+])
+def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
+    code, out = run_cli(args, tmp_path)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / f"{args[0]}.json").exists()
 
 
 # VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across exec

@@ -239,6 +239,15 @@ def test_minimize_pohozaev_rejects_bad_config(g4):
         minimize_pohozaev(cfg2, z)
 
 
+@pytest.mark.parametrize("kwargs", [{"max_iters": -5}, {"max_iters": 2.5},
+                                    {"tol": float("nan")}, {"tol": float("inf")},
+                                    {"tol": -1.0}])
+def test_solver_options_reject_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SolverOptions(**kwargs)
+    SolverOptions(max_iters=0, tol=0.0)
+
+
 def test_lambda_monotonicity(g4):
     # larger lam relaxes the constraint: smaller objective.  Near lam = gamma
     # the state flattens toward the truncation radius, so probe at 0.8.
