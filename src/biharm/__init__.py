@@ -12,16 +12,13 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it exports
 _EXPORTS = {
-    "grid": ("RadialField", "RadialGrid", "bilaplacian", "build_grid", "default_grid",
-             "h_norms", "integrate", "radial_laplacian"),
+    "grid": ("RadialField", "RadialGrid", "build_grid", "default_grid"),
     "model": ("ConditionReport", "ConstantPotential", "NonlinearitySpec", "OverflowCapError",
-              "ProblemConfig", "RadialPotential", "check_conditions", "eval_f",
-              "eval_g_lambda", "eval_potential", "exact_growth_family", "exp_critical",
-              "exp_critical_config", "radial_potential", "user_nonlinearity"),
+              "ProblemConfig", "RadialPotential", "check_conditions", "exact_growth_family",
+              "exp_critical", "exp_critical_config", "radial_potential", "user_nonlinearity"),
     "functionals": ("AdamsRatioReport", "FunctionalReport", "MassTerms",
                     "adams_ratio_search", "evaluate_all", "nehari_energy_identity_gap"),
-    "rearrangement": ("RearrangementReport", "SpectralProfile", "fourier_radial",
-                      "fourier_rearrange", "inverse_fourier_radial", "schwarz_profile"),
+    "rearrangement": ("RearrangementReport", "fourier_rearrange", "hankel_transform"),
     "sequences": ("MoserParams", "WitnessReport", "moser_estimates", "moser_field",
                   "necessity_witness", "plateau_field"),
     "solvers": ("GapReport", "SolveReport", "SolverOptions", "gradient_action",

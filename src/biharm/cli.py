@@ -111,8 +111,8 @@ class RunConfig:
     dimension: int = 4
     gamma: float = 1.0
     lam: float = 0.5
-    grid_r_max: float = 20.0
-    grid_n: int = 2048
+    grid_r_max: float = g.DEFAULT_GRID[4][0]
+    grid_n: int = g.DEFAULT_GRID[4][1]
     potential_expr: Optional[str] = None
     f_expr: Optional[str] = None
     F_expr: Optional[str] = None
@@ -138,13 +138,26 @@ class RunConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("a run configuration is a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+        raw.setdefault("command", "")      # a --config file may leave it to the CLI
+        types = {f.name: f.type for f in fields(RunConfig)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
             raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
-        for key in ("b_values", "sweep_values"):
-            if key in raw and isinstance(raw[key], list):
-                raw[key] = tuple(raw[key])
-        return RunConfig(**raw)
+        for key, value in raw.items():
+            kind = types[key].removeprefix("Optional[").removesuffix("]")
+            if value is None and kind != types[key]:
+                continue
+            # a JSON number is an int or a float; bool, a subclass of int, is not one
+            if kind == "tuple":
+                ok = isinstance(value, list) and all(type(x) in (int, float) for x in value)
+            elif kind == "float":
+                ok = type(value) in (int, float)
+            else:
+                ok = type(value) is {"int": int, "str": str}[kind]
+            if not ok:
+                raise ValueError(f"run configuration key {key!r} takes a {kind}, "
+                                 f"got {json.dumps(value)}")
+        return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _build_problem(rc: RunConfig):
@@ -376,7 +389,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim is not None:
         rc.dimension = args.dim
         if args.grid is None and rc.dimension == 2:
-            rc.grid_r_max, rc.grid_n = 30.0, 2048
+            rc.grid_r_max, rc.grid_n = g.DEFAULT_GRID[2]
     if args.grid is not None:
         r_max, n = args.grid.split(":")
         rc.grid_r_max, rc.grid_n = float(r_max), int(n)

@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import RadialField
-
 SLOPE_TOL = 0.05     # per decade, the stability threshold for a trend
 
 
@@ -45,24 +43,22 @@ def _tail_fit(x: np.ndarray, y: np.ndarray):
     return float(sol[0]), float(sol[1])
 
 
-def classify_growth(gfun: Callable, K: float, t_probe=None) -> GrowthClassification:
+def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
     """Classify g against the K-dependent growth conditions.
 
-    t_probe defaults to 400 log-spaced points on [1e-4, t_max] with t_max
-    detected dynamically from overflow of g.
+    g is probed at 400 log-spaced points on [1e-4, t_max], with t_max the
+    first of 10, 8, 6.4, ... at which g is finite, or the first below 1.
     """
     if not (np.isfinite(K) and K > 0):
         raise ValueError(f"K must be positive and finite, got {K}")
-    if t_probe is None:
-        t_max = 10.0
-        while t_max > 1.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = float(np.asarray(gfun(t_max), dtype=float))
-            if np.isfinite(val):
-                break
-            t_max *= 0.8
-        t_probe = np.geomspace(1e-4, t_max, 400)
-    t = np.sort(np.asarray(t_probe, dtype=float))
+    t_max = 10.0
+    while t_max > 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(np.asarray(gfun(t_max), dtype=float))
+        if np.isfinite(val):
+            break
+        t_max *= 0.8
+    t = np.geomspace(1e-4, t_max, 400)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gv = np.asarray(gfun(t), dtype=float)
     if not np.any(np.isfinite(gv)):

@@ -1,7 +1,8 @@
 """Energy, Pohozaev and Nehari functionals, and the exponential-ratio search.
 
 For the exp-critical family f(t) = lam t exp(a t^2), with a = 2 on R^4 and
-a = 1 on R^2, and Q(u) = ||Du||^2 on R^4 or ||u'||^2 on R^2:
+a = 1 on R^2, and Q(u) = ``grid.quad_form_sq(u)``, ||Du||^2 on R^4 or
+||u'||^2 on R^2:
 
     I(u) = 1/2 (Q(u) + int V u^2) - (lam/(2a)) int (exp(a u^2) - 1)
     G(u) = (gamma - lam) ||u||^2 - int g_lam(u)

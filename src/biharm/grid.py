@@ -2,9 +2,10 @@
 
 Profiles u(r) sampled on a uniform mesh stand for radial fields u(|x|) on
 R^n (n = 2 or 4).  Quadrature weights absorb the surface measure
-s_{n-1} r^{n-1}, so ``integrate`` returns full R^n integrals.  They are the
-trapezoid rule plus, in 2-D, the Euler-Maclaurin origin term 2 pi u(0) h^2/12,
-so quadrature is O(h^4) for smooth even profiles in both dimensions.
+s_{n-1} r^{n-1}, so ``np.dot(grid.weights, u)`` is the full R^n integral.
+They are the trapezoid rule plus, in 2-D, the Euler-Maclaurin origin term
+2 pi u(0) h^2/12, so quadrature is O(h^4) for smooth even profiles in both
+dimensions.
 
 The Laplacian Du = u'' + ((n-1)/r) u' is discretized with fourth-order
 central differences (five-point stencils).  At the axis, regularity gives
@@ -16,9 +17,9 @@ inherits their errors, and an O(h^2) scheme or rule leaves a defect far
 above the identity tolerances the solvers are held to.
 
 Operators are kept as stencil rows, row i holding the 2p + 1 coefficients at
-offsets -p..p (p = 2 for L): ``apply_stencil`` applies them,
-``apply_stencil_transpose`` applies their transpose, ``stencil_square``
-forms the rows of L L, and ``banded`` factors such rows plus a diagonal.
+offsets -p..p (p = 2 for L): ``laplacian_matrix`` builds them for a grid,
+``apply_stencil`` applies them, ``stencil_square`` forms the rows of L L,
+and ``banded`` factors such rows plus a diagonal.
 """
 
 from __future__ import annotations
@@ -118,11 +119,6 @@ def as_field(grid: RadialGrid, values) -> RadialField:
     if not np.all(np.isfinite(values)):
         raise ValueError("field contains non-finite values")
     return RadialField(grid, values)
-
-
-def integrate(u: RadialField) -> float:
-    """R^n integral of the radial profile: sum_i w_i u_i."""
-    return float(np.dot(u.grid.weights, u.values))
 
 
 def lru_get(cache: OrderedDict, key, maxsize: int, build):
@@ -236,59 +232,23 @@ def stencil_square(coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def radial_laplacian(u: RadialField) -> RadialField:
-    """Discrete Du = u'' + ((n-1)/r) u' with origin/ghost closures."""
-    if u.grid.n_points < 3:
-        raise ValueError("grid too small for the Laplacian stencil")
-    return RadialField(u.grid, apply_stencil(laplacian_matrix(u.grid), u.values))
-
-
-def bilaplacian(u: RadialField) -> RadialField:
-    """Discrete D^2 u, the radial Laplacian applied twice."""
-    if u.grid.n_points < 5:
-        raise ValueError("grid too small for the bi-Laplacian stencil")
-    rows = laplacian_matrix(u.grid)
-    return RadialField(u.grid, apply_stencil(rows, apply_stencil(rows, u.values)))
-
-
-def gradient_sq_integral(u: RadialField, L=None) -> float:
-    """R^n integral of |u'|^2 computed as the weighted pairing <-Lu, u>.
-
-    This is the quadratic form whose exact discrete gradient is -Lu, which is
-    what the 2-D solvers differentiate; it matches the face-flux Dirichlet
-    energy up to an O(h^4) origin term on smooth even profiles.
-    """
-    lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
-    return -float(np.dot(u.grid.weights, lap * u.values))
-
-
-def h_norms(u: RadialField) -> dict:
-    """Return {'l2_sq': int u^2, 'lap_l2_sq': int (Du)^2}."""
-    w = u.grid.weights
-    lap = apply_stencil(laplacian_matrix(u.grid), u.values)
-    return {
-        "l2_sq": float(np.dot(w, u.values**2)),
-        "lap_l2_sq": float(np.dot(w, lap * lap)),
-    }
-
-
 def l2_sq(u: RadialField) -> float:
     return float(np.dot(u.grid.weights, u.values**2))
-
-
-def lap_l2_sq(u: RadialField, L=None) -> float:
-    lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
-    return float(np.dot(u.grid.weights, lap * lap))
 
 
 def quad_form_sq(u: RadialField, L=None) -> float:
     """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2.
 
-    ``L`` is the grid's Laplacian rows, for callers that hold them.
+    In 2-D it is the weighted pairing <-Lu, u>, the quadratic form whose exact
+    discrete gradient is -Lu, which is what the 2-D solvers differentiate; it
+    matches the face-flux Dirichlet energy up to an O(h^4) origin term on
+    smooth even profiles.  ``L`` is the grid's Laplacian rows, for callers
+    that hold them.
     """
+    lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
     if u.grid.dimension == 4:
-        return lap_l2_sq(u, L)
-    return gradient_sq_integral(u, L)
+        return float(np.dot(u.grid.weights, lap * lap))
+    return -float(np.dot(u.grid.weights, lap * u.values))
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:

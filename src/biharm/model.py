@@ -22,7 +22,7 @@ stays finite up to the cap.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,9 @@ DEFAULT_OVERFLOW_CAP = 6.0
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 ADAMS_BETA = {4: 32.0 * np.pi**2, 2: 4.0 * np.pi}
+
+# superquadraticity exponent: the checker tests t f(t) >= mu F(t)
+_AR_MU = 2.0
 
 
 class OverflowCapError(FloatingPointError):
@@ -147,20 +150,17 @@ class NonlinearitySpec:
     """A nonlinearity (F, f) together with its critical exponent data.
 
     ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
-    exponential rate; ``ar_mu`` the superquadraticity exponent recorded for
-    the condition checker; ``exp_coeff`` is set for the exp-critical family
-    (the a in f = lam t exp(a t^2)) and None otherwise.
+    exponential rate; ``exp_coeff`` is set for the exp-critical family (the a
+    in f = lam t exp(a t^2)) and None otherwise.
     """
 
     kind: str
     f: Callable
     F: Callable
     alpha0: float
-    ar_mu: float = 2.0
     lam: float = 1.0
     exp_coeff: Optional[float] = None
     fprime: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
@@ -181,15 +181,14 @@ def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return lam * np.exp(a * t * t) * (1.0 + 2.0 * a * t * t)
 
-    return NonlinearitySpec("exp_critical", f, F, alpha0=a, ar_mu=2.0, lam=lam,
-                            exp_coeff=a, fprime=fprime,
-                            params={"lam": lam, "dimension": dimension})
+    return NonlinearitySpec("exp_critical", f, F, alpha0=a, lam=lam, exp_coeff=a,
+                            fprime=fprime)
 
 
 def exact_growth_family(theta: float) -> NonlinearitySpec:
     """F(t) = (exp(t^2)-1-t^2)/(1+|t|^theta) with analytic derivative."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not (np.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
 
     def F(t):
         t = np.asarray(t, dtype=float)
@@ -205,12 +204,11 @@ def exact_growth_family(theta: float) -> NonlinearitySpec:
             dden = theta * np.sign(t) * np.where(at > 0, at ** (theta - 1.0), 0.0)
         return (dnum * den - num * dden) / (den * den)
 
-    return NonlinearitySpec("exact_growth", f, F, alpha0=1.0, ar_mu=2.0,
-                            params={"theta": theta})
+    return NonlinearitySpec("exact_growth", f, F, alpha0=1.0)
 
 
 def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
-                      alpha0: float = 1.0, ar_mu: float = 2.0) -> NonlinearitySpec:
+                      alpha0: float = 1.0) -> NonlinearitySpec:
     """Nonlinearity from expression strings.
 
     Without ``F_expr``, F(t) = int_0^t f is integrated from f on every call
@@ -233,8 +231,7 @@ def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
         def F(t):
             return gauss_antiderivative(f_raw, t)
 
-    return NonlinearitySpec("user", f, F, alpha0=float(alpha0), ar_mu=float(ar_mu),
-                            params={"f_expr": f_expr, "F_expr": F_expr})
+    return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
 
 
 # --- potentials -------------------------------------------------------------
@@ -244,8 +241,8 @@ class ConstantPotential:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
     @property
     def v0(self) -> float:
@@ -270,21 +267,6 @@ class RadialPotential:
     def __call__(self, r):
         return _profile_on(self.profile, r)
 
-    def validate_on(self, grid: RadialGrid):
-        vals = self(grid.nodes)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("potential not finite on the grid")
-        vmin = float(np.min(vals))
-        if vmin <= 0:
-            raise ValueError("potential must be positive")
-        if abs(vmin - self.v0) > 1e-6 * (1.0 + abs(self.v0)):
-            raise ValueError(f"declared v0={self.v0} but grid minimum is {vmin}")
-        vend = float(vals[-1])
-        if abs(vend - self.gamma_inf) > 1e-6 * (1.0 + abs(self.gamma_inf)):
-            raise ValueError(f"declared gamma_inf={self.gamma_inf} but V(r_max)={vend}")
-        if self.v0 > self.gamma_inf + 1e-12:
-            raise ValueError("trapping shape requires v0 <= gamma_inf")
-
 
 def _profile_on(profile: Callable, r) -> np.ndarray:
     """profile(r) as floats shaped like r; a constant expression returns one value."""
@@ -292,22 +274,16 @@ def _profile_on(profile: Callable, r) -> np.ndarray:
 
 
 def radial_potential(profile: Callable, grid: RadialGrid) -> RadialPotential:
-    """Build a RadialPotential with v0/gamma_inf measured on the grid."""
+    """RadialPotential with v0 = min V and gamma_inf = V(r_max) measured on the grid."""
     vals = _profile_on(profile, grid.nodes)
-    pot = RadialPotential(profile, float(np.min(vals)), float(vals[-1]))
-    pot.validate_on(grid)
-    return pot
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("potential not finite on the grid")
+    if np.min(vals) <= 0:
+        raise ValueError("potential must be positive")
+    return RadialPotential(profile, float(np.min(vals)), float(vals[-1]))
 
 
 Potential = ConstantPotential | RadialPotential
-
-
-def eval_potential(pot: Potential, r) -> np.ndarray:
-    """Evaluate the potential at radius r (scalar or array)."""
-    if np.ndim(r) == 0 and float(r) < 0:
-        raise ValueError("radius must be nonnegative")
-    out = pot(r)
-    return float(out) if np.ndim(r) == 0 else out
 
 
 # --- problem configuration --------------------------------------------------
@@ -331,6 +307,8 @@ class ProblemConfig:
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
         cap, alpha0 = self.overflow_cap, self.nonlinearity.alpha0
+        if not (np.isfinite(alpha0) and alpha0 > 0):
+            raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
         if not (np.isfinite(cap) and cap > 0
                 and alpha0 * cap * cap + 2.0 * np.log(cap) < _LOG_DBL_MAX):
             raise ValueError(f"overflow_cap={cap} must be finite, positive and satisfy "
@@ -367,31 +345,6 @@ def exp_critical_config(gamma: float, lam: float, dimension: int = 4,
                          exp_critical(lam, dimension), overflow_cap)
 
 
-# --- pointwise evaluations ---------------------------------------------------
-
-def eval_f(spec: NonlinearitySpec, t, cap: float = DEFAULT_OVERFLOW_CAP):
-    """Evaluate f(t) under the overflow guard."""
-    check_cap(t, cap)
-    out = spec.f(t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def eval_F(spec: NonlinearitySpec, t, cap: float = DEFAULT_OVERFLOW_CAP):
-    check_cap(t, cap)
-    out = spec.F(t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def eval_g_lambda(config: ProblemConfig, t):
-    """g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2), cancellation-safe near 0."""
-    check_cap(t, config.overflow_cap)
-    a = config.nonlinearity.exp_coeff
-    if a is None:
-        raise ValueError("g_lambda is defined for the exp-critical family only")
-    out = (config.lam / a) * _exprel2(a * np.asarray(t, dtype=float) ** 2)
-    return float(out) if np.ndim(t) == 0 else out
-
-
 # --- growth-condition checker -------------------------------------------------
 
 @dataclass
@@ -399,7 +352,7 @@ class ConditionReport:
     """Numeric check of the superquadraticity and F <= M0 f conditions."""
 
     worst_ratio: float        # min over the probe grid of t f(t) / F(t)
-    mu: float                 # the recorded mu the ratio is compared against
+    mu: float                 # the mu = 2 the ratio is compared against
     ar_holds: bool
     M0: float
     t0: float
@@ -422,7 +375,7 @@ def check_conditions(spec: NonlinearitySpec, t_grid,
 
     ratio = t * fv / Fv
     worst = float(np.min(ratio))
-    ar_holds = worst >= spec.ar_mu - 1e-9
+    ar_holds = worst >= _AR_MU - 1e-9
 
     # fitted (t0, M0) for F <= M0 f on [t0, inf): first probe point with f > 0
     pos = fv > 0
@@ -443,5 +396,5 @@ def check_conditions(spec: NonlinearitySpec, t_grid,
     alpha0_est = float(np.polyfit(x[good], logf[good], 1)[0]) if np.sum(good) > 2 else 0.0
     critical = alpha0_est > 0.1
 
-    return ConditionReport(worst, spec.ar_mu, ar_holds, M0, t0, upper,
+    return ConditionReport(worst, _AR_MU, ar_holds, M0, t0, upper,
                            alpha0_est, critical)

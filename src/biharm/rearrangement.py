@@ -16,7 +16,8 @@ follow the sign of rounding and make the output depend on how M is
 rounded.  T is an exact isometry in the quadrature norms and its own
 inverse, which is what makes the rearrangement identities (Plancherel
 equality, the Hardy-Littlewood moment inequality, idempotence) hold to
-rounding instead of drifting at truncation level.
+rounding instead of drifting at truncation level.  ``hankel_transform``
+applies T.
 
 M is never formed.  k(x y) is band-limited in each variable, so barycentric
 interpolation at the Chebyshev points c of [-r_max, r_max] (Berrut &
@@ -30,15 +31,14 @@ asymptotic expansion above.
 
 The decreasing rearrangement works on the discrete measure: node values are
 sorted by magnitude (ties by radius), their quadrature weights accumulated,
-and the sorted profile is re-read at each node's own half-weight measure
-coordinate by linear interpolation.  Radially decreasing profiles are exact
-fixed points.
+and the sorted profile is re-read over each node's own measure cell
+(``rearrange_values``).  Radially decreasing profiles are exact fixed points.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -182,7 +182,7 @@ def _build_transform(grid: RadialGrid):
     c, L = _interpolation(grid.nodes[pos], grid.r_max)
     # rows in decreasing weight: Householder QR is then accurate row by row
     # (Cox & Higham 1998), which the tiny 4-D rows near the origin need,
-    # since _apply divides them by sroot
+    # since hankel_transform divides them by sroot
     Q, R = np.linalg.qr(L[::-1] * sroot[::-1, None])
     Q = Q[::-1]
     del L
@@ -210,15 +210,11 @@ def _transform_for(grid: RadialGrid):
     return lru_get(_transform_cache, grid.key(), 4, lambda: _build_transform(grid))
 
 
-@dataclass(eq=False)
-class SpectralProfile:
-    """Radial Fourier profile on the mirrored frequency grid rho_j = r_j."""
+def hankel_transform(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """The radial Fourier transform T of nodal values; T is its own inverse.
 
-    grid: RadialGrid
-    values: np.ndarray = field(repr=False)
-
-
-def _apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    The frequency grid is the node set itself, rho_j = r_j.
+    """
     U, sroot, pos = _transform_for(grid)
     x = values[pos] * sroot
     out = np.empty_like(values)
@@ -227,20 +223,6 @@ def _apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         # zero-weight 4-D origin: the plain quadrature row, k(0) = 1/2
         out[0] = 0.5 * float(np.dot(sroot * sroot, values[pos]))
     return out
-
-
-def fourier_radial(u: RadialField) -> SpectralProfile:
-    """Forward transform; self-inverse by construction."""
-    return SpectralProfile(u.grid, _apply(u.grid, u.values))
-
-
-def inverse_fourier_radial(p: SpectralProfile) -> RadialField:
-    return RadialField(p.grid, _apply(p.grid, p.values))
-
-
-def schwarz_profile(p: SpectralProfile) -> SpectralProfile:
-    """Radially decreasing profile equimeasurable with |p| on the grid measure."""
-    return SpectralProfile(p.grid, rearrange_values(p.values, p.grid.weights))
 
 
 def rearrange_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -292,25 +274,26 @@ class RearrangedField(RadialField):
     report: Optional[RearrangementReport] = None
 
 
-def fourier_rearrange(u: RadialField, exp_coeff: float = None) -> RearrangedField:
-    """w = inverse(schwarz(forward(u))) with the three property checks.
+def fourier_rearrange(u: RadialField) -> RearrangedField:
+    """w = T[(T u)^*] with the three property checks.
 
     The L2 and derivative-norm checks are evaluated spectrally (through the
     exactly isometric transform); the exponential-mass check compares the
-    physical quadratures of exp(a u^2) - 1.  A check failing beyond tolerance
-    flags the report; the field is still returned.  So does a grid with
-    h r_max > pi: the frequency grid rho_j = r_j then runs past the nodes'
-    Nyquist frequency pi / h, and the transform is an isometry but not a
-    Hankel transform, which the three checks cannot see.
+    physical quadratures of exp(a u^2) - 1, with a = 2 in 4-D and 1 in 2-D.
+    A check failing beyond tolerance flags the report; the field is still
+    returned.  So does a grid with h r_max > pi: the frequency grid
+    rho_j = r_j then runs past the nodes' Nyquist frequency pi / h, and the
+    transform is an isometry but not a Hankel transform, which the three
+    checks cannot see.
     """
     gridobj = u.grid
-    a = exp_coeff if exp_coeff is not None else (2.0 if gridobj.dimension == 4 else 1.0)
+    a = 2.0 if gridobj.dimension == 4 else 1.0
     w = gridobj.weights
     power = 4 if gridobj.dimension == 4 else 2
 
-    uh = _apply(gridobj, u.values)
+    uh = hankel_transform(gridobj, u.values)
     us = rearrange_values(uh, w)
-    out = _apply(gridobj, us)
+    out = hankel_transform(gridobj, us)
 
     l2_in = float(np.dot(w, uh * uh))
     l2_out = float(np.dot(w, us * us))

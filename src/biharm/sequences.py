@@ -201,25 +201,26 @@ _H_MIN = 4e-9
 _H_CLOSED_FORM = 1e-6
 
 
-def moser_mesh(b: float, K: float, nodes_per_scale: int = 10) -> tuple[int, float]:
+def moser_mesh(b: float, K: float) -> tuple[int, float]:
     """Node count and width of the uniform mesh on [0, 2] resolving psi_{b,K}.
 
+    The mesh has 10 nodes per concentration scale r14 = exp(-b^2/(4K)).
     Raises ValueError unless b and K are finite and positive and the mesh is
     no finer than the rounding floor of 4e-9.
     """
     MoserParams.moser(b, K)
-    b_max = 2.0 * np.sqrt(K * np.log(1.0 / (nodes_per_scale * _H_MIN)))
+    b_max = 2.0 * np.sqrt(K * np.log(1.0 / (10 * _H_MIN)))
     if b > b_max:
         raise ValueError(
             f"b = {b:g} needs a mesh width below {_H_MIN:g}, where rounding swamps the "
             f"r = 1 junction stencil; the largest admissible b for K = {K:g} is "
             f"{np.floor(b_max * 1000) / 1000:.3f}")
     r14 = float(np.exp(-b * b / (4.0 * K)))
-    n = max(int(np.ceil(2.0 / (r14 / nodes_per_scale))) + 1, 4097)
+    n = max(int(np.ceil(2.0 / (r14 / 10))) + 1, 4097)
     return n, 2.0 / (n - 1)
 
 
-def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
+def moser_estimates(b: float, K: float) -> dict:
     """l2 and Laplacian-norm sums of psi_{b,K} on the mesh of :func:`moser_mesh`.
 
     Both are the sums of the grid operators on that mesh: trapezoid weights
@@ -236,7 +237,7 @@ def moser_estimates(b: float, K: float, nodes_per_scale: int = 10) -> dict:
     Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
     the size of the mesh the sums represent.
     """
-    n, h = moser_mesh(b, K, nodes_per_scale)
+    n, h = moser_mesh(b, K)
     if h > _H_CLOSED_FORM:
         sums = moser_sums(b, K, 2.0, n, 4)
         return {"l2_sq": sums["l2_sq"], "lap_l2_sq": sums["quad_form"], "n_points": n,
@@ -385,7 +386,7 @@ def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
             grd = g.build_grid(max(R + 3.0, 6.0), 4096, 4)
             fld = plateau_field(MoserParams.plateau(a, R), grd)
             table.append({"k": int(k), "a": a, "R": R,
-                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.lap_l2_sq(fld),
+                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.quad_form_sq(fld),
                           "G": _g_integral(gfun, fld)})
             fields.append(fld)
         if mode == "unbounded_origin":
@@ -413,7 +414,7 @@ def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
             psi = moser_field(MoserParams.moser(b, K), grd)
             fld = RadialField(g.rescale_grid(grd, S), psi.values)
             table.append({"k": int(k), "b": float(b), "c": float(c), "S": float(S),
-                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.lap_l2_sq(fld),
+                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.quad_form_sq(fld),
                           "G": _g_integral(gfun, fld)})
             fields.append(fld)
         if mode == "unbounded_infinity":

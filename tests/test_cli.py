@@ -225,6 +225,31 @@ def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
     assert "refine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tol", "1e-8"), ("grid_n", "512"), ("grid_n", 512.0), ("max_iters", True),
+    ("gamma", False), ("theta", "2"), ("b_values", [3, "5"]), ("sweep_values", 0.4),
+    ("f_expr", 2), ("command", None)])
+def test_config_file_with_mistyped_value_exits_config(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not (out / "solve.json").exists()
+
+
+def test_config_file_keeps_json_ints_in_float_fields(tmp_path):
+    # an int is a JSON number, and the report echoes it as the file gave it
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 1, "theta": 2, "L": None, "b_values": [3, 5.5]}))
+    rc = RunConfig.from_json(cfg.read_text())
+    assert type(rc.gamma) is int and type(rc.theta) is int and rc.b_values == (3, 5.5)
+    code, out = run_cli(["check", "--config", str(cfg)], tmp_path)
+    assert code == EXIT_OK
+    text = (out / "check.json").read_text()
+    assert '"gamma": 1,' in text and '"theta": 2,' in text
+
+
 def test_sweep_jobs_option_is_gone(tmp_path, capsys):
     # sweeps run their values in turn; a config file naming "jobs" is refused
     with pytest.raises(SystemExit):
@@ -345,7 +370,7 @@ def test_import_loads_no_numpy_and_resolves_every_name():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env)
     assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False",
-                                       "True 68", "True"], res.stderr
+                                       "True 58", "True"], res.stderr
 
 
 def test_constant_potential_gap_is_zero(tmp_path):
@@ -431,6 +456,10 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["solve", "--tol", "nan"], "tol must be finite and >= 0"),
     (["solve", "--tol", "-1"], "tol must be finite and >= 0"),
     (["solve", "--max-iters", "-5"], "max_iters must be an integer >= 0"),
+    (["solve", "--gamma", "inf"], "gamma must be positive and finite"),
+    (["check", "--theta", "nan"], "theta must be positive and finite"),
+    (["ratio", "--theta", "nan"], "theta must be positive and finite"),
+    (["ratio", "--alpha0", "0", "--f", "t*exp(t^2)"], "alpha0 must be positive and finite"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)
@@ -473,3 +502,14 @@ def test_moser_finite_difference_peak_rss(tmp_path):
     assert methods == "finite_difference"
     assert int(rss) <= 300 * 1024
 
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps library functions by name (model.adaptive_simpson,
+    # functionals.evaluate_all, sequences.moser_field, ...); deleting or renaming
+    # one of them breaks every traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = 'import sys; sys.path.insert(0, "perfbench"); import tracing; tracing.install()'
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr

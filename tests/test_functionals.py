@@ -119,7 +119,7 @@ def test_ratio_search_quartic_plumbing():
     for sigma in np.geomspace(0.3, 6.0, 120):
         vals = np.exp(-((g.nodes / sigma) ** 2))
         u = bh.RadialField(g, vals)
-        scale = np.sqrt(1.0 / bh.h_norms(u)["lap_l2_sq"])
+        scale = np.sqrt(1.0 / bh.grid.quad_form_sq(u))
         vals = vals * scale
         l2 = np.dot(g.weights, vals**2)
         best = max(best, 2 * np.dot(g.weights, vals**4) / l2)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm as bh
-from biharm.model import (OverflowCapError, adaptive_simpson, check_conditions,
-                          eval_F, eval_f, eval_g_lambda, eval_potential)
+from biharm.model import (DEFAULT_OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson,
+                          check_cap, check_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -18,15 +18,17 @@ def cfg():
 
 def test_eval_f_exp_critical():
     spec = bh.exp_critical(0.5)
-    assert eval_f(spec, 0.0) == 0.0
-    assert eval_f(spec, 1.0) == pytest.approx(0.5 * np.e**2, rel=1e-12)
-    assert eval_f(spec, -1.0) == pytest.approx(-0.5 * np.e**2, rel=1e-12)
+    assert spec.f(0.0) == 0.0
+    assert spec.f(1.0) == pytest.approx(0.5 * np.e**2, rel=1e-12)
+    assert spec.f(-1.0) == pytest.approx(-0.5 * np.e**2, rel=1e-12)
 
 
 def test_eval_f_overflow_guard():
-    spec = bh.exp_critical(0.5)
+    check_cap(DEFAULT_OVERFLOW_CAP, DEFAULT_OVERFLOW_CAP)
     with pytest.raises(OverflowCapError):
-        eval_f(spec, 7.0)
+        check_cap(7.0, DEFAULT_OVERFLOW_CAP)
+    with pytest.raises(OverflowCapError):
+        check_cap(np.array([0.5, -7.0]), DEFAULT_OVERFLOW_CAP)
 
 
 def test_f_F_consistency_simpson():
@@ -34,7 +36,7 @@ def test_f_F_consistency_simpson():
     for spec in (bh.exp_critical(0.7), bh.exact_growth_family(1.0),
                  bh.user_nonlinearity("t^3")):
         for t in np.linspace(0.25, 5.0, 8):
-            F_direct = float(np.asarray(eval_F(spec, t)))
+            F_direct = float(np.asarray(spec.F(t)))
             F_quad = adaptive_simpson(lambda s: float(np.asarray(spec.f(s))), 0.0, t)
             assert abs(F_direct - F_quad) <= 1e-8 * (1 + abs(F_direct))
 
@@ -128,11 +130,12 @@ def test_f_zero_at_zero():
         assert abs(float(np.asarray(spec.f(0.0)))) < 1e-12
 
 
-def test_g_lambda_values(cfg):
-    assert eval_g_lambda(cfg, 0.0) == 0.0
+# g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) = (lam/a) _exprel2(a t^2), a = 2 in 4-D
+
+def test_g_lambda_values():
+    assert _exprel2(0.0) == 0.0
     # lam=2 variant: g(1) = e^2 - 3
-    cfg2 = bh.exp_critical_config(3.0, 2.0)
-    assert eval_g_lambda(cfg2, 1.0) == pytest.approx(np.e**2 - 3.0, rel=1e-12)
+    assert _exprel2(2.0) == pytest.approx(np.e**2 - 3.0, rel=1e-12)
 
 
 def test_g_lambda_small_t_series(cfg):
@@ -140,13 +143,13 @@ def test_g_lambda_small_t_series(cfg):
     lam = cfg.lam
     for t in (1e-4, 1e-3, 1e-5):
         series = lam * (t**4 + (2.0 / 3.0) * t**6 + (2.0 / 6.0) * t**8)
-        assert eval_g_lambda(cfg, t) == pytest.approx(series, rel=1e-6)
+        assert lam / 2 * _exprel2(2 * t * t) == pytest.approx(series, rel=1e-6)
 
 
 def test_g_lambda_large_t_expm1_form(cfg):
     for t in (0.5, 1.0, 2.5):
         direct = (cfg.lam / 2) * (np.expm1(2 * t * t)) - cfg.lam * t * t
-        assert eval_g_lambda(cfg, t) == pytest.approx(direct, rel=1e-12)
+        assert cfg.lam / 2 * _exprel2(2 * t * t) == pytest.approx(direct, rel=1e-12)
 
 
 def test_superquadraticity(cfg):
@@ -159,12 +162,12 @@ def test_superquadraticity(cfg):
 
 def test_potentials():
     pot = bh.ConstantPotential(1.0)
-    assert eval_potential(pot, 7.0) == 1.0
+    assert pot(7.0) == 1.0
     g = bh.default_grid(4)
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     rp = bh.radial_potential(prof, g)
-    assert eval_potential(rp, 0.0) == pytest.approx(0.6)
-    assert eval_potential(rp, g.r_max) >= 1.0 - 1e-6
+    assert rp(0.0) == pytest.approx(0.6)
+    assert rp(g.r_max) >= 1.0 - 1e-6
     assert rp.v0 == pytest.approx(0.6, abs=1e-9)
     # trapping shape: minimum strictly below the boundary value
     assert rp.v0 < rp.gamma_inf
@@ -174,6 +177,8 @@ def test_potential_validation_rejects_bad_shapes():
     g = bh.default_grid(4)
     with pytest.raises(ValueError):
         bh.radial_potential(lambda r: -np.ones_like(np.asarray(r, float)), g)
+    with pytest.raises(ValueError, match="not finite"):
+        bh.radial_potential(lambda r: np.where(np.asarray(r, float) > 5.0, np.inf, 1.0), g)
 
 
 def test_config_standing_hypothesis():

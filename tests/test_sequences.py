@@ -45,9 +45,8 @@ def test_plateau_mass_estimates():
     for R in Rs:
         g = bh.build_grid(R + 4.0, 16384, 4)
         fld = plateau_field(MoserParams.plateau(a, R), g)
-        n = bh.h_norms(fld)
-        cs_l2.append(n["l2_sq"] / (a**2 * R**4))
-        laps.append(n["lap_l2_sq"])
+        cs_l2.append(bh.grid.l2_sq(fld) / (a**2 * R**4))
+        laps.append(bh.grid.quad_form_sq(fld))
     assert max(cs_l2) / min(cs_l2) < 1.6
     slope = np.polyfit(np.log(Rs), np.log(laps), 1)[0]
     assert 2.8 <= slope <= 3.2
@@ -95,11 +94,10 @@ def test_moser_consistency_relation():
 def test_moser_norm_estimates_small_b():
     g = bh.build_grid(2.0, 16384, 4)
     fld = moser_field(MoserParams.moser(3.0, 1.0), g)
-    n = bh.h_norms(fld)
     # ||psi||_2^2 <= c K^2 / b^2
-    assert n["l2_sq"] * 9.0 < 30.0
+    assert bh.grid.l2_sq(fld) * 9.0 < 30.0
     # Delta-norm near 32 pi^2 K with the O(1/b^2) excess
-    assert n["lap_l2_sq"] == pytest.approx(888.8, rel=0.01)
+    assert bh.grid.quad_form_sq(fld) == pytest.approx(888.8, rel=0.01)
 
 
 def test_moser_under_resolution_error():
@@ -112,9 +110,8 @@ def test_moser_estimates_match_ops():
     est = moser_estimates(3.0, 1.0)
     g = bh.build_grid(2.0, est["n_points"], 4)
     fld = moser_field(MoserParams.moser(3.0, 1.0), g)
-    n = bh.h_norms(fld)
-    assert est["lap_l2_sq"] == pytest.approx(n["lap_l2_sq"], rel=2e-3)
-    assert est["l2_sq"] == pytest.approx(n["l2_sq"], rel=1e-6)
+    assert est["lap_l2_sq"] == pytest.approx(bh.grid.quad_form_sq(fld), rel=2e-3)
+    assert est["l2_sq"] == pytest.approx(bh.grid.l2_sq(fld), rel=1e-6)
 
 
 def test_moser_concentration_of_exp_mass():
@@ -194,7 +191,7 @@ def test_witness_dilation_is_exact(mode):
         pre = bh.build_grid(fld.grid.r_max / S, fld.grid.n_points, 4)
         assert pre.nodes[1] <= 0.1 * np.exp(-row["b"] ** 2 / 4.0)   # h <= r14 / 10
         psi = moser_field(MoserParams.moser(row["b"], 1.0), pre)
-        assert row["lap_l2_sq"] == pytest.approx(bh.grid.lap_l2_sq(psi), rel=1e-9, abs=0)
+        assert row["lap_l2_sq"] == pytest.approx(bh.grid.quad_form_sq(psi), rel=1e-9, abs=0)
         assert row["l2_sq"] == pytest.approx(S**4 * bh.grid.l2_sq(psi), rel=1e-12, abs=0)
 
 

@@ -200,7 +200,7 @@ def test_gradients_match_finite_differences(cfg, g4):
     from biharm.functionals import evaluate_all
 
     def J(vals):
-        return 0.5 * gr.lap_l2_sq(bh.RadialField(g4, vals))
+        return 0.5 * gr.quad_form_sq(bh.RadialField(g4, vals))
 
     def I(vals):
         return evaluate_all(bh.RadialField(g4, vals), cfg).energy_I
