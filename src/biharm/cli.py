@@ -375,10 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig(command=args.command)
+    grid_keys = False
     if args.config:
         with open(args.config) as fh:
-            rc = RunConfig.from_json(fh.read())
+            text = fh.read()
+        rc = RunConfig.from_json(text)
         rc.command = args.command
+        grid_keys = not {"grid_r_max", "grid_n"}.isdisjoint(json.loads(text))
     simple = ("gamma", "lam", "potential_expr", "f_expr", "F_expr", "alpha0", "theta",
               "g_expr", "K", "L", "budget", "max_iters", "tol", "sweep_param",
               "input_field", "out_dir")
@@ -388,11 +391,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(rc, name, val)
     if args.dim is not None:
         rc.dimension = args.dim
-        if args.grid is None and rc.dimension == 2:
-            rc.grid_r_max, rc.grid_n = g.DEFAULT_GRID[2]
     if args.grid is not None:
         r_max, n = args.grid.split(":")
         rc.grid_r_max, rc.grid_n = float(r_max), int(n)
+    elif not grid_keys and rc.dimension in g.DEFAULT_GRID:
+        # the grid follows the dimension unless a grid key or --grid names one
+        rc.grid_r_max, rc.grid_n = g.DEFAULT_GRID[rc.dimension]
     if args.b_values is not None:
         rc.b_values = tuple(float(x) for x in args.b_values.split(","))
     if args.sweep_values is not None:

@@ -24,10 +24,15 @@ interpolation at the Chebyshev points c of [-r_max, r_max] (Berrut &
 Trefethen, SIAM Review 2004) factors it to rounding: M = A K A^T, with
 A = diag(sqrt W) L, L the interpolation matrix from the points to the
 nodes, and K = k(c c^T).  k is even, so the points +-c fold into the m
-points c >= 0 (283 at r_max 20, 596 at r_max 30).  With A = QR, the
-eigenpairs of M are Q times those of the m x m matrix R K R^T.  J0 and J1
-come from Miller's backward recurrence below x = 25 and from Hankel's
-asymptotic expansion above.
+points c >= 0 (283 at r_max 20, 596 at r_max 30).  A = QR is factored by
+Householder reflectors (numpy's raw QR, LAPACK's geqrf), and the eigenpairs
+of M are Q times those of the m x m matrix R K R^T.  Q is not formed either:
+the resolved eigenvectors, padded with zeros to n rows, are multiplied by
+the reflectors in blocks, each applied in the compact WY form I - V T V^T
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989).  So the build holds
+no n x m array but A and the copy of it that the QR factors.  J0 and J1 come
+from Miller's backward recurrence below x = 25 and from Hankel's asymptotic
+expansion above.
 
 The decreasing rearrangement works on the discrete measure: node values are
 sorted by magnitude (ties by radius), their quadrature weights accumulated,
@@ -49,16 +54,34 @@ from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
 # (4-D, 69 columns) and 2.5 MB (2-D, 150 columns)
 _transform_cache: OrderedDict = OrderedDict()
 
-# The build holds the n x m interpolation matrix and its Q, and K and
-# R K R^T (m x m), for m interpolation points: 283 at r_max 20, 596 at 30.
-# Measured on x86_64 (2 vCPUs), a whole `rearrange` run took 0.35-0.40 s and
-# peaked at 61 MB for 2,048 nodes in 4-D (2-D: 0.56-0.59 s, 92 MB), and
-# 0.49-0.50 s and 89 MB for 4,096 (2-D: 0.75-0.88 s, 149 MB).  Larger grids
-# are refused, and so are radii above 56.7, where m passes 2,048: at r_max 56
-# on 4,096 nodes a run took 4.1-4.6 s and 413 MB, and with m = 4,033 (r_max
-# 80) 19 s and 1.3 GB, most of it Bessel temporaries.
+# The build holds the n x m matrix A and the copy that numpy's QR factors
+# (LAPACK works in a third), and K, R and R K R^T (m x m), for m
+# interpolation points: 283 at r_max 20, 596 at 30.  Measured on x86_64
+# (2 vCPUs, one BLAS thread), a whole `rearrange` run took 0.31-0.43 s and
+# peaked at 46 MB for 2,048 nodes in 4-D (2-D: 0.48-0.69 s, 61 MB), and
+# 0.39-0.48 s and 59 MB for 4,096 nodes in 4-D.  Larger grids are refused,
+# and so are radii above 56.7, where m passes 2,048: at r_max 56 on 4,096
+# nodes a run took 4.1-5.1 s and 253 MB, most of it in the QR, R K R^T and
+# the m x m eigensolver.
 MAX_TRANSFORM_NODES = 4096
 MAX_INTERPOLATION_POINTS = 2048
+
+# Block sizes of the build: A is filled _INTERP_ROWS rows at a time, K
+# _KERNEL_ROWS rows at a time, and the reflectors are applied
+# _REFLECTOR_BLOCK at a time.  Best of 15 timings of each step (9 for the
+# reflectors) on the default 4-D grid (2-D), on the machine above, in two
+# sets where given as a range:
+# - A: 128 and 256 rows 5.7-6.4 ms (10.8-14.4), 64 and 512 rows 6.4-9.7 ms
+#   (13.6-20.6), all rows in one block 10.2-11.5 ms (22.9-26.1).
+# - K: 16 rows 8.4-12.4 ms (22.8-28.8), 32 to 128 rows 6.1-8.4 ms
+#   (17.6-22.2), within the host's noise of each other.  64 rows of 2,048
+#   points make temporaries of 1 MB.
+# - Blocks of 16, 32, 48, 64 and 96 reflectors: 11.1, 8.9, 7.9, 8.5 and
+#   10.9 ms (48.7, 33.5, 27.1, 32.7, 26.3); best of 2 at r_max 56 on 4,096
+#   nodes: 782, 521, 494, 426 and 441 ms.
+_INTERP_ROWS = 256
+_KERNEL_ROWS = 64
+_REFLECTOR_BLOCK = 48
 
 # Eigenvalues with |lambda| <= _TAU form the numerical null space.  On the
 # default 4-D grid 139 eigenvalues exceed 1e-8 and 144 exceed 1e-12; the
@@ -140,8 +163,8 @@ def _degree(r_max: float) -> int:
     return 2 * int(np.ceil((1.25 * r_max * r_max + 64.0) / 2.0))
 
 
-def _interpolation(r: np.ndarray, r_max: float):
-    """(c, L): Chebyshev points c >= 0 and the matrix with f(r) = L f(c) for even f.
+def _interpolation(r: np.ndarray, r_max: float, scale: np.ndarray):
+    """(c, A): Chebyshev points c >= 0 and A = diag(scale) L, with f(r) = L f(c) for even f.
 
     L is the barycentric interpolation matrix (Berrut & Trefethen, SIAM
     Review 2004) from the p + 1 points x_j = r_max cos(j pi / p), p =
@@ -149,21 +172,62 @@ def _interpolation(r: np.ndarray, r_max: float):
     p is even, so -c_j is a point with the weight of c_j, and the two terms
     w_j / (r - c_j) + w_j / (r + c_j) fill one column; the point 0 enters
     both terms at half weight.  The points are written as sines, which makes
-    c = 0 exact.  A node that is one of the points takes a unit row.
+    c = 0 exact.  A node that is one of the points takes a unit row.  A is
+    filled in blocks of _INTERP_ROWS rows, so the build makes no other n x m
+    array.
     """
     p = _degree(r_max)
     c = r_max * np.sin(np.pi * (p - 2 * np.arange(p // 2 + 1)) / (2 * p))
     w = (-1.0) ** np.arange(len(c))
     w[[0, -1]] *= 0.5
-    diff = r[:, None] - c
-    hit = diff == 0.0
-    with np.errstate(divide="ignore"):
-        L = w / diff
-        L += w / (r[:, None] + c)
-    rows = hit.any(axis=1)
-    L[rows] = hit[rows]
-    L /= L.sum(axis=1, keepdims=True)
-    return c, L
+    A = np.empty((len(r), len(c)), order="F")      # LAPACK's layout
+    for i in range(0, len(r), _INTERP_ROWS):
+        x = r[i:i + _INTERP_ROWS, None]
+        with np.errstate(divide="ignore"):
+            rows = w / (x - c)
+            rows += w / (x + c)
+        hit = x == c
+        at = hit.any(axis=1)
+        rows[at] = hit[at]
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows *= scale[i:i + _INTERP_ROWS, None]
+        A[i:i + _INTERP_ROWS] = rows
+    return c, A
+
+
+def _kernel_matrix(c: np.ndarray, dimension: int) -> np.ndarray:
+    """K = k(c c^T), evaluated in blocks of _KERNEL_ROWS rows of its upper triangle."""
+    m = len(c)
+    K = np.empty((m, m))
+    for i in range(0, m, _KERNEL_ROWS):
+        rows = K[i:i + _KERNEL_ROWS, i:]
+        rows[...] = hankel_kernel(np.outer(c[i:i + _KERNEL_ROWS], c[i:]), dimension)
+        K[i:, i:i + _KERNEL_ROWS] = rows.T
+    return K
+
+
+def _apply_q(H: np.ndarray, tau: np.ndarray, X: np.ndarray) -> None:
+    """X <- Q X in place, for Q = H_0 ... H_{k-1} as stored by LAPACK's geqrf.
+
+    H_j = I - tau_j v_j v_j^T, with v_j zero above j, 1 at j and H[j+1:, j]
+    below.  The reflectors are applied in blocks of _REFLECTOR_BLOCK from the
+    last to the first, each block in the compact WY form I - V T V^T with T
+    upper triangular (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989).
+    """
+    k = len(tau)
+    for j0 in range((k - 1) // _REFLECTOR_BLOCK * _REFLECTOR_BLOCK, -1, -_REFLECTOR_BLOCK):
+        t = tau[j0:j0 + _REFLECTOR_BLOCK]
+        b = len(t)
+        V = H[j0:, j0:j0 + b].copy(order="F")
+        V[:b] = np.tril(V[:b], -1)
+        np.fill_diagonal(V, 1.0)
+        G = V.T @ V
+        T = np.zeros((b, b))
+        for j in range(b):
+            T[:j, j] = -t[j] * (T[:j, :j] @ G[:j, j])
+            T[j, j] = t[j]
+        tail = X[j0:]
+        tail -= V @ (T @ (V.T @ tail))
 
 
 def _build_transform(grid: RadialGrid):
@@ -171,32 +235,38 @@ def _build_transform(grid: RadialGrid):
 
     pos marks the nodes of positive weight: all nodes in 2-D, where the
     origin carries the Euler-Maclaurin weight, and r > 0 in 4-D.  U spans
-    the resolved negative eigenspace of M = A K A^T, found through A = QR
-    and the eigenpairs of R K R^T.  T equals the eigenvalue-snapped M on the
-    resolved eigenspace and maps the numerical null space (|lambda| <=
+    the resolved negative eigenspace of M = A K A^T.  A = QR is factored by
+    Householder reflectors and Q is never formed: U is Q applied to the
+    resolved eigenvectors of R K R^T, padded with zeros to n rows, by the
+    blocked reflectors (``_apply_q``).  T equals the eigenvalue-snapped M on
+    the resolved eigenspace and maps the numerical null space (|lambda| <=
     _TAU), where snapping would follow the sign of rounding noise, to itself.
     """
     W = grid.weights / SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
     sroot = np.sqrt(W[pos])
-    c, L = _interpolation(grid.nodes[pos], grid.r_max)
     # rows in decreasing weight: Householder QR is then accurate row by row
     # (Cox & Higham 1998), which the tiny 4-D rows near the origin need,
     # since hankel_transform divides them by sroot
-    Q, R = np.linalg.qr(L[::-1] * sroot[::-1, None])
-    Q = Q[::-1]
-    del L
-    upper = np.triu_indices(len(c))
-    K = np.empty((len(c), len(c)))
-    K[upper] = hankel_kernel(c[upper[0]] * c[upper[1]], grid.dimension)
-    K.T[upper] = K[upper]
-    B = R @ K @ R.T
+    c, A = _interpolation(grid.nodes[pos][::-1], grid.r_max, sroot[::-1])
+    h, tau = np.linalg.qr(A, mode="raw")
+    del A                         # the QR factored a copy
+    H = h.T                       # R on and above the diagonal, the reflectors below
+    R = np.triu(H[:len(tau)])
+    B = R @ _kernel_matrix(c, grid.dimension) @ R.T
+    del R
+    B += B.T
+    B *= 0.5
     try:
-        theta, S = np.linalg.eigh(0.5 * (B + B.T))
+        theta, S = np.linalg.eigh(B)
     except np.linalg.LinAlgError as exc:
         # LinAlgError is a ValueError, which callers read as bad input
         raise RuntimeError(f"Hankel transform: eigensolver failed ({exc})") from None
-    return Q @ S[:, theta < -_TAU], sroot, pos
+    neg = theta < -_TAU
+    U = np.zeros((len(sroot), np.count_nonzero(neg)))
+    U[:len(tau)] = S[:, neg]
+    _apply_q(H, tau, U)
+    return U[::-1].copy(), sroot, pos
 
 
 def _transform_for(grid: RadialGrid):

@@ -163,8 +163,9 @@ def _project(u: RadialField, config: ProblemConfig, ray: Callable) -> float:
 
     The ray s -> functional(s u) is built once, so every s costs one pass of
     the nonlinearity.  It starts positive and crosses zero once: bracket the
-    crossing by doubling from a small start (or by halving when it lies below
-    the start) and close the bracket with ``_brent`` down to rounding.
+    crossing by doubling from s = 1, where descent and polish iterates put it
+    (or by halving when it lies below the start), and close the bracket with
+    ``_brent`` down to rounding.
     """
     peak = float(np.max(np.abs(u.values)))
     if peak == 0.0:
@@ -172,7 +173,7 @@ def _project(u: RadialField, config: ProblemConfig, ray: Callable) -> float:
     fun = ray(_ops_for(u.grid, config), u.values)
     cap_scale = config.overflow_cap / peak
 
-    a = b = min(1e-3, 0.5 * cap_scale)
+    a = b = min(1.0, 0.5 * cap_scale)
     fb = fun(b)
     if fb <= 0:
         for _ in range(60):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.cli import (EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, dump_report,
-                        load_field_csv, main, save_field_csv)
+from biharm.cli import (EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, build_parser,
+                        config_from_args, dump_report, load_field_csv, main, save_field_csv)
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -248,6 +248,26 @@ def test_config_file_keeps_json_ints_in_float_fields(tmp_path):
     assert code == EXIT_OK
     text = (out / "check.json").read_text()
     assert '"gamma": 1,' in text and '"theta": 2,' in text
+
+
+def test_config_file_dimension_sets_the_grid(tmp_path):
+    # without a grid key the grid follows the dimension, as it does for --dim
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dimension": 2, "gamma": 1.1, "lam": 0.5}))
+    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path, "file")
+    assert code == EXIT_OK
+    code, flags = run_cli(["solve", "--dim", "2", "--gamma", "1.1", "--lambda", "0.5"],
+                          tmp_path, "flags")
+    assert code == EXIT_OK
+    got, want = (json.loads((d / "solve.json").read_text()) for d in (out, flags))
+    assert got["config"]["grid_r_max"] == 30.0
+    assert got["solve"] == want["solve"]
+    # a grid key in the file, or --grid, keeps its grid
+    cfg.write_text(json.dumps({"dimension": 2, "grid_n": 512}))
+    rc = config_from_args(build_parser().parse_args(["solve", "--config", str(cfg)]))
+    assert (rc.grid_r_max, rc.grid_n) == (20.0, 512)
+    rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2", "--grid", "25:1024"]))
+    assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
 
 
 def test_sweep_jobs_option_is_gone(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -284,3 +285,53 @@ def test_bessel_kernels_match_scipy():
     assert np.max(np.abs(k2 - j0(x))) <= 2e-15
     assert np.max(np.abs(x * k4 - j1(x))) <= 2e-15
     assert np.max(np.abs(k4[nz] - j1(x[nz]) / x[nz])) <= 2e-15
+
+
+def test_rearrange_matches_dense_reference_on_two_bump_fields(g4):
+    # ring plus opposite-signed core, both signs, with the parameter ranges of
+    # the benchmark's `rearrange` input.  The report's three checks cannot see
+    # rounding noise in the output; a dense build of the transform, which does
+    # not share that noise, can
+    reference = _dense_reflector(g4)
+    rng = np.random.default_rng(17)
+    r = g4.nodes
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        s1, s2 = rng.uniform(1.2, 2.5), rng.uniform(0.8, 1.2)
+        vals = (sign * rng.uniform(0.4, 0.7) * (r / s1) ** 2 * np.exp(-((r / s1) ** 2))
+                - sign * rng.uniform(0.1, 0.5) * np.exp(-((r / s2) ** 2)))
+        want = reference(rearrange_values(reference(vals), g4.weights))
+        got = fourier_rearrange(bh.RadialField(g4, vals))
+        assert not got.report.flagged
+        assert np.max(np.abs(got.values - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("r_max, n, dim", [(20.0, 2048, 4), (30.0, 2048, 2), (20.0, 4096, 4)])
+def test_transform_build_memory_is_bounded(r_max, n, dim):
+    # the build holds its n x m interpolation matrix and the copy that the QR
+    # factors; Q is never formed and the kernel is evaluated in row blocks
+    rearr = bh.rearrangement
+    grid = bh.build_grid(r_max, n, dim)
+    n_pos = int(np.count_nonzero(grid.weights > 0.0))
+    m = rearr._degree(r_max) // 2 + 1
+    tracemalloc.start()
+    try:
+        rearr._build_transform(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n_pos * m * 8
+
+
+@pytest.mark.parametrize("n, m", [(300, 100), (100, 300), (97, 97), (130, 1)])
+def test_blocked_reflectors_match_the_explicit_q(n, m):
+    # tall, wide (the last reflector is the identity, tau = 0) and square
+    # factors, with block counts that do not divide the reflector count
+    rng = np.random.default_rng(n + m)
+    A = rng.normal(size=(n, m))
+    Q = np.linalg.qr(A)[0]
+    h, tau = np.linalg.qr(A, mode="raw")
+    S = rng.normal(size=(len(tau), 7))
+    X = np.zeros((n, 7))
+    X[:len(tau)] = S
+    bh.rearrangement._apply_q(h.T, tau, X)
+    assert np.max(np.abs(X - Q @ S)) <= 1e-13 * np.max(np.abs(S)) * np.sqrt(len(tau))

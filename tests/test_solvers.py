@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import biharm as bh
-from biharm.solvers import (SolverOptions, _Ops, _ops_for, gradient_action,
+from biharm.solvers import (SolverOptions, _Ops, _ops_for, _project, gradient_action,
                             gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
                             recover_solution, residual_weak)
@@ -189,6 +189,36 @@ def test_projection_meets_the_constraint(case):
         norm_sq = ops.quad_form(v) + ops.pot_mass(v)
         assert abs(ray(ops, vals)(s)) <= 1e-13 * (1.0 + norm_sq)
         assert abs(functional(ops, v)) <= 1e-12 * (1.0 + norm_sq)
+
+
+def _bisect(fun, lo, hi):
+    """Sign change of fun in [lo, hi], fun(lo) > 0 >= fun(hi), to adjacent floats."""
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fun(mid) > 0 else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("which", ["G", "N"])
+@pytest.mark.parametrize("dim", [4, 2])
+def test_projection_brackets_from_the_manifold_scale(dim, which):
+    # the bracket starts at s = 1, where descent and polish iterates put the
+    # root, so fields scaled off the manifold by 0.25-4 take few ray evaluations
+    grid, cfg = _RAY_CONFIGS[dim, "exp"]
+    project, _, ray = _CONSTRAINTS[which]
+    ops = _ops_for(grid, cfg)
+    bump = 0.5 * np.exp(-(grid.nodes / 1.5) ** 2)
+    on = project(bh.RadialField(grid, bump), cfg) * bump
+    for c in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0):
+        calls = []
+
+        def counted(ops, u):
+            fun = ray(ops, u)
+            return lambda s: calls.append(s) or fun(s)
+        s = _project(bh.RadialField(grid, c * on), cfg, counted)
+        assert len(calls) <= 14, (c, len(calls))
+        want = _bisect(ray(ops, c * on), 0.5 / c, 2.0 / c)
+        assert s == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # --- gradients vs finite differences ------------------------------------------
