@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -83,22 +83,31 @@ def save_field_csv(path: str, u: RadialField):
 
 
 def load_field_csv(path: str, dimension: int = 4) -> RadialField:
-    """Read an 'r,u' CSV on a uniform grid from 0; malformed input raises ValueError."""
+    """Read an 'r,u' CSV on a uniform grid from 0; malformed input raises ValueError.
+
+    Blank lines are skipped.  Each row is parsed straight into floats, so no
+    list of the file's lines or cells is held.
+    """
+    r, u = [], []
     with open(path) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip()]
-    if not rows or rows[0].lower() != "r,u":
-        raise ValueError(f"{path}: expected header 'r,u'")
-    if len(rows) == 1:
+        lines = (ln.strip() for ln in fh)
+        if next((ln for ln in lines if ln), "").lower() != "r,u":
+            raise ValueError(f"{path}: expected header 'r,u'")
+        for ln in lines:
+            if not ln:
+                continue
+            cells = ln.split(",")
+            if len(cells) != 2:
+                raise ValueError(f"{path}: every data row needs two columns 'r,u'")
+            r.append(float(cells[0]))
+            u.append(float(cells[1]))
+    if not r:
         raise ValueError(f"{path}: no data rows")
-    cells = [ln.split(",") for ln in rows[1:]]
-    if any(len(c) != 2 for c in cells):
-        raise ValueError(f"{path}: every data row needs two columns 'r,u'")
-    data = np.array([[float(x) for x in c] for c in cells])
-    r = data[:, 0]
+    r = np.array(r)
     grd = g.build_grid(float(r[-1]), len(r), dimension)
     if not np.allclose(grd.nodes, r, rtol=0, atol=1e-9 * max(r[-1], 1.0)):
         raise ValueError(f"{path}: nodes are not a uniform grid from 0")
-    return g.as_field(grd, data[:, 1])
+    return g.as_field(grd, u)
 
 
 # --- run configuration -----------------------------------------------------------
@@ -111,8 +120,8 @@ class RunConfig:
     dimension: int = 4
     gamma: float = 1.0
     lam: float = 0.5
-    grid_r_max: float = g.DEFAULT_GRID[4][0]
-    grid_n: int = g.DEFAULT_GRID[4][1]
+    grid_r_max: Optional[float] = None   # None: DEFAULT_GRID[dimension], filled by run()
+    grid_n: Optional[int] = None
     potential_expr: Optional[str] = None
     f_expr: Optional[str] = None
     F_expr: Optional[str] = None
@@ -375,13 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig(command=args.command)
-    grid_keys = False
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        rc = RunConfig.from_json(text)
+            rc = RunConfig.from_json(fh.read())
         rc.command = args.command
-        grid_keys = not {"grid_r_max", "grid_n"}.isdisjoint(json.loads(text))
     simple = ("gamma", "lam", "potential_expr", "f_expr", "F_expr", "alpha0", "theta",
               "g_expr", "K", "L", "budget", "max_iters", "tol", "sweep_param",
               "input_field", "out_dir")
@@ -394,14 +400,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.grid is not None:
         r_max, n = args.grid.split(":")
         rc.grid_r_max, rc.grid_n = float(r_max), int(n)
-    elif not grid_keys and rc.dimension in g.DEFAULT_GRID:
-        # the grid follows the dimension unless a grid key or --grid names one
-        rc.grid_r_max, rc.grid_n = g.DEFAULT_GRID[rc.dimension]
     if args.b_values is not None:
         rc.b_values = tuple(float(x) for x in args.b_values.split(","))
     if args.sweep_values is not None:
         rc.sweep_values = tuple(float(x) for x in args.sweep_values.split(","))
     return rc
+
+
+def with_default_grid(rc: RunConfig) -> RunConfig:
+    """rc with each grid field it leaves None taken from the dimension's default grid.
+
+    A dimension without a default grid takes the 4-D one, and building the
+    grid then reports the dimension.
+    """
+    r_max, n = g.DEFAULT_GRID.get(rc.dimension, g.DEFAULT_GRID[4])
+    return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
+                   grid_n=n if rc.grid_n is None else rc.grid_n)
 
 
 def run(rc: RunConfig) -> int:
@@ -410,7 +424,7 @@ def run(rc: RunConfig) -> int:
         handler = _COMMANDS[rc.command]
     except KeyError:
         raise ValueError(f"unknown command {rc.command!r}")
-    return handler(rc)
+    return handler(with_default_grid(rc))
 
 
 def main(argv=None) -> int:

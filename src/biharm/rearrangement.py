@@ -25,14 +25,16 @@ Trefethen, SIAM Review 2004) factors it to rounding: M = A K A^T, with
 A = diag(sqrt W) L, L the interpolation matrix from the points to the
 nodes, and K = k(c c^T).  k is even, so the points +-c fold into the m
 points c >= 0 (283 at r_max 20, 596 at r_max 30).  A = QR is factored by
-Householder reflectors (numpy's raw QR, LAPACK's geqrf), and the eigenpairs
-of M are Q times those of the m x m matrix R K R^T.  Q is not formed either:
-the resolved eigenvectors, padded with zeros to n rows, are multiplied by
-the reflectors in blocks, each applied in the compact WY form I - V T V^T
-(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989).  So the build holds
-no n x m array but A and the copy of it that the QR factors.  J0 and J1 come
-from Miller's backward recurrence below x = 25 and from Hankel's asymptotic
-expansion above.
+Householder reflectors (LAPACK's geqrf, in place), and the eigenpairs of M
+are Q times those of the m x m matrix R K R^T.  Neither Q nor A is held: A
+is factored as a tall-skinny QR over p row leaves (Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 2012), one leaf at a time, and Q is applied to
+the resolved eigenvectors, padded with zeros to n rows, in blocks of
+reflectors, each in the compact WY form I - V T V^T (Schreiber & Van Loan,
+SIAM J. Sci. Stat. Comput. 1989).  So the build holds one leaf of A and the
+p stacked m x m leaf triangles; only where p = 1, for n below about 2.25 m,
+is the one leaf all of A.  J0 and J1 come from Miller's backward recurrence
+below x = 25 and from Hankel's asymptotic expansion above.
 
 The decreasing rearrangement works on the discrete measure: node values are
 sorted by magnitude (ties by radius), their quadrature weights accumulated,
@@ -42,11 +44,13 @@ and the sorted profile is re-read over each node's own measure cell
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
 
@@ -54,15 +58,15 @@ from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
 # (4-D, 69 columns) and 2.5 MB (2-D, 150 columns)
 _transform_cache: OrderedDict = OrderedDict()
 
-# The build holds the n x m matrix A and the copy that numpy's QR factors
-# (LAPACK works in a third), and K, R and R K R^T (m x m), for m
+# The build holds one row leaf of the n x m matrix A (about sqrt(n m) rows),
+# the p m x m leaf triangles, and K, R and R K R^T (m x m), for m
 # interpolation points: 283 at r_max 20, 596 at 30.  Measured on x86_64
-# (2 vCPUs, one BLAS thread), a whole `rearrange` run took 0.31-0.43 s and
-# peaked at 46 MB for 2,048 nodes in 4-D (2-D: 0.48-0.69 s, 61 MB), and
-# 0.39-0.48 s and 59 MB for 4,096 nodes in 4-D.  Larger grids are refused,
+# (2 vCPUs, one BLAS thread), a whole `rearrange` run took 0.37-0.43 s and
+# peaked at 38 MB for 2,048 nodes in 4-D (2-D: 0.58-0.72 s, 54 MB), and
+# 0.45-0.52 s and 40 MB for 4,096 nodes in 4-D.  Larger grids are refused,
 # and so are radii above 56.7, where m passes 2,048: at r_max 56 on 4,096
-# nodes a run took 4.1-5.1 s and 253 MB, most of it in the QR, R K R^T and
-# the m x m eigensolver.
+# nodes a run took 4.3-5.0 s and 253 MB.  There p = 1, A is held whole, and
+# most of the time goes to its QR, R K R^T and the m x m eigensolver.
 MAX_TRANSFORM_NODES = 4096
 MAX_INTERPOLATION_POINTS = 2048
 
@@ -72,14 +76,16 @@ MAX_INTERPOLATION_POINTS = 2048
 # reflectors) on the default 4-D grid (2-D), on the machine above, in two
 # sets where given as a range:
 # - A: 128 and 256 rows 5.7-6.4 ms (10.8-14.4), 64 and 512 rows 6.4-9.7 ms
-#   (13.6-20.6), all rows in one block 10.2-11.5 ms (22.9-26.1).
+#   (13.6-20.6), all rows in one block 10.2-11.5 ms (22.9-26.1).  128 rows
+#   make temporaries of 0.3 MB (0.6 MB in 2-D); with 256 rows a 4-D
+#   `rearrange` run peaked 0.7 MB higher.
 # - K: 16 rows 8.4-12.4 ms (22.8-28.8), 32 to 128 rows 6.1-8.4 ms
 #   (17.6-22.2), within the host's noise of each other.  64 rows of 2,048
 #   points make temporaries of 1 MB.
 # - Blocks of 16, 32, 48, 64 and 96 reflectors: 11.1, 8.9, 7.9, 8.5 and
 #   10.9 ms (48.7, 33.5, 27.1, 32.7, 26.3); best of 2 at r_max 56 on 4,096
 #   nodes: 782, 521, 494, 426 and 441 ms.
-_INTERP_ROWS = 256
+_INTERP_ROWS = 128
 _KERNEL_ROWS = 64
 _REFLECTOR_BLOCK = 48
 
@@ -163,24 +169,30 @@ def _degree(r_max: float) -> int:
     return 2 * int(np.ceil((1.25 * r_max * r_max + 64.0) / 2.0))
 
 
-def _interpolation(r: np.ndarray, r_max: float, scale: np.ndarray):
-    """(c, A): Chebyshev points c >= 0 and A = diag(scale) L, with f(r) = L f(c) for even f.
+def _chebyshev(r_max: float):
+    """(c, w): the Chebyshev points c >= 0 of [-r_max, r_max] and their barycentric weights.
 
-    L is the barycentric interpolation matrix (Berrut & Trefethen, SIAM
-    Review 2004) from the p + 1 points x_j = r_max cos(j pi / p), p =
-    _degree(r_max), to the nodes r, with weights (-1)^j halved at the ends.
-    p is even, so -c_j is a point with the weight of c_j, and the two terms
-    w_j / (r - c_j) + w_j / (r + c_j) fill one column; the point 0 enters
-    both terms at half weight.  The points are written as sines, which makes
-    c = 0 exact.  A node that is one of the points takes a unit row.  A is
-    filled in blocks of _INTERP_ROWS rows, so the build makes no other n x m
-    array.
+    The p + 1 points are x_j = r_max cos(j pi / p), p = _degree(r_max), with
+    weights (-1)^j halved at the ends (Berrut & Trefethen, SIAM Review 2004).
+    p is even, so -c_j is a point with the weight of c_j.  The points are
+    written as sines, which makes c = 0 exact.
     """
     p = _degree(r_max)
     c = r_max * np.sin(np.pi * (p - 2 * np.arange(p // 2 + 1)) / (2 * p))
     w = (-1.0) ** np.arange(len(c))
     w[[0, -1]] *= 0.5
-    A = np.empty((len(r), len(c)), order="F")      # LAPACK's layout
+    return c, w
+
+
+def _interpolation(out: np.ndarray, r: np.ndarray, scale: np.ndarray, c, w) -> None:
+    """out <- diag(scale) L, with f(r) = L f(c) for even f, in blocks of _INTERP_ROWS rows.
+
+    L is the barycentric interpolation matrix from the points (c, w) of
+    ``_chebyshev`` to the nodes r.  The terms w_j / (r - c_j) + w_j / (r + c_j)
+    of the points +-c_j fill one column; the point 0 enters both at half
+    weight.  A node that is one of the points takes a unit row.  Each row is
+    computed on its own, so a row has the same bits in any block or leaf.
+    """
     for i in range(0, len(r), _INTERP_ROWS):
         x = r[i:i + _INTERP_ROWS, None]
         with np.errstate(divide="ignore"):
@@ -191,8 +203,7 @@ def _interpolation(r: np.ndarray, r_max: float, scale: np.ndarray):
         rows[at] = hit[at]
         rows /= rows.sum(axis=1, keepdims=True)
         rows *= scale[i:i + _INTERP_ROWS, None]
-        A[i:i + _INTERP_ROWS] = rows
-    return c, A
+        out[i:i + _INTERP_ROWS] = rows
 
 
 def _kernel_matrix(c: np.ndarray, dimension: int) -> np.ndarray:
@@ -206,6 +217,29 @@ def _kernel_matrix(c: np.ndarray, dimension: int) -> np.ndarray:
     return K
 
 
+def _geqrf(ht: np.ndarray) -> np.ndarray:
+    """Householder QR of H = ht.T in place, by LAPACK's geqrf; returns tau.
+
+    ht is C-contiguous, so H is Fortran-ordered, the layout LAPACK takes.
+    Afterwards H holds R on and above its diagonal and the reflectors below,
+    the bits of ``np.linalg.qr(H, mode="raw")``, whose h is ht; but no copy
+    of H is made.  A LAPACK error raises RuntimeError.
+    """
+    m, n = ht.shape
+    tau = np.empty(min(n, m))
+
+    def geqrf(work, lwork):
+        info = lapack_lite.dgeqrf(n, m, ht, max(1, n), tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise RuntimeError(f"Hankel transform: QR failed (LAPACK dgeqrf info {info})")
+
+    work = np.empty(1)
+    geqrf(work, -1)                          # a query: the best workspace size lands in work
+    work = np.empty(max(1, int(work[0])))
+    geqrf(work, len(work))
+    return tau
+
+
 def _apply_q(H: np.ndarray, tau: np.ndarray, X: np.ndarray) -> None:
     """X <- Q X in place, for Q = H_0 ... H_{k-1} as stored by LAPACK's geqrf.
 
@@ -213,21 +247,34 @@ def _apply_q(H: np.ndarray, tau: np.ndarray, X: np.ndarray) -> None:
     below.  The reflectors are applied in blocks of _REFLECTOR_BLOCK from the
     last to the first, each block in the compact WY form I - V T V^T with T
     upper triangular (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989).
+    V is its unit lower triangle V1, a b x b copy, over V2, a view of H.
     """
     k = len(tau)
     for j0 in range((k - 1) // _REFLECTOR_BLOCK * _REFLECTOR_BLOCK, -1, -_REFLECTOR_BLOCK):
         t = tau[j0:j0 + _REFLECTOR_BLOCK]
         b = len(t)
-        V = H[j0:, j0:j0 + b].copy(order="F")
-        V[:b] = np.tril(V[:b], -1)
-        np.fill_diagonal(V, 1.0)
-        G = V.T @ V
+        V1 = np.tril(H[j0:j0 + b, j0:j0 + b], -1)
+        np.fill_diagonal(V1, 1.0)
+        V2 = H[j0 + b:, j0:j0 + b]
+        G = V1.T @ V1 + V2.T @ V2
         T = np.zeros((b, b))
         for j in range(b):
             T[:j, j] = -t[j] * (T[:j, :j] @ G[:j, j])
             T[j, j] = t[j]
-        tail = X[j0:]
-        tail -= V @ (T @ (V.T @ tail))
+        X1, X2 = X[j0:j0 + b], X[j0 + b:]
+        Y = T @ (V1.T @ X1 + V2.T @ X2)
+        X1 -= V1 @ Y
+        X2 -= V2 @ Y
+
+
+def _leaf_count(n: int, m: int) -> int:
+    """Row leaves p of the build for n rows and m points: round(sqrt(n / m)), at least 1.
+
+    One leaf of n / p rows and the stack of p triangles of m x m hold
+    n m / p + p m^2 entries, least at p = sqrt(n / m).  Each of p >= 2 leaves
+    has at least m rows, since n / m >= (p - 1/2)^2 >= p.
+    """
+    return max(1, round(math.sqrt(n / m)))
 
 
 def _build_transform(grid: RadialGrid):
@@ -235,12 +282,17 @@ def _build_transform(grid: RadialGrid):
 
     pos marks the nodes of positive weight: all nodes in 2-D, where the
     origin carries the Euler-Maclaurin weight, and r > 0 in 4-D.  U spans
-    the resolved negative eigenspace of M = A K A^T.  A = QR is factored by
-    Householder reflectors and Q is never formed: U is Q applied to the
-    resolved eigenvectors of R K R^T, padded with zeros to n rows, by the
-    blocked reflectors (``_apply_q``).  T equals the eigenvalue-snapped M on
-    the resolved eigenspace and maps the numerical null space (|lambda| <=
-    _TAU), where snapping would follow the sign of rounding noise, to itself.
+    the resolved negative eigenspace of M = A K A^T.  A = QR is factored as
+    a tall-skinny QR over p row leaves (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 2012): A_i = Q_i R_i, and the stacked R_i = Q_top R.
+    Pass 1 fills one leaf buffer at a time, factors it in place and keeps
+    only R_i; the buffer is dropped before K, R K R^T and the eigensolver.
+    Pass 2 refactors each leaf and applies Q_i Q_top to the resolved
+    eigenvectors of R K R^T, padded with zeros, by the blocked reflectors
+    (``_apply_q``).  With p = 1 the leaf is A and keeps its factors.  T
+    equals the eigenvalue-snapped M on the resolved eigenspace and maps the
+    numerical null space (|lambda| <= _TAU), where snapping would follow the
+    sign of rounding noise, to itself.
     """
     W = grid.weights / SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
@@ -248,10 +300,33 @@ def _build_transform(grid: RadialGrid):
     # rows in decreasing weight: Householder QR is then accurate row by row
     # (Cox & Higham 1998), which the tiny 4-D rows near the origin need,
     # since hankel_transform divides them by sroot
-    c, A = _interpolation(grid.nodes[pos][::-1], grid.r_max, sroot[::-1])
-    h, tau = np.linalg.qr(A, mode="raw")
-    del A                         # the QR factored a copy
-    H = h.T                       # R on and above the diagonal, the reflectors below
+    r, scale = grid.nodes[pos][::-1], sroot[::-1]
+    c, w = _chebyshev(grid.r_max)
+    n, m = len(r), len(c)
+    p = _leaf_count(n, m)
+    edges = [n * i // p for i in range(p + 1)]
+    rows = [min(b - a, m) for a, b in zip(edges, edges[1:])]     # rows of each R_i
+    offsets = np.cumsum([0] + rows)
+    leaf_size = -(-n // p) * m                                    # the largest leaf
+
+    def leaf(buf, i):
+        """(H_i, tau_i): leaf i of A filled into buf and factored in place."""
+        a, b = edges[i], edges[i + 1]
+        ht = buf[:(b - a) * m].reshape(m, b - a)
+        _interpolation(ht.T, r[a:b], scale[a:b], c, w)
+        return ht.T, _geqrf(ht)
+
+    if p == 1:
+        H, tau = leaf(np.empty(leaf_size), 0)
+    else:
+        buf = np.empty(leaf_size)
+        stack = np.empty((m, offsets[-1]))        # the R_i, stacked in stack.T
+        for i in range(p):
+            H, _ = leaf(buf, i)
+            stack.T[offsets[i]:offsets[i + 1]] = np.triu(H[:rows[i]])
+        del buf, H
+        tau = _geqrf(stack)
+        H = stack.T
     R = np.triu(H[:len(tau)])
     B = R @ _kernel_matrix(c, grid.dimension) @ R.T
     del R
@@ -262,11 +337,25 @@ def _build_transform(grid: RadialGrid):
     except np.linalg.LinAlgError as exc:
         # LinAlgError is a ValueError, which callers read as bad input
         raise RuntimeError(f"Hankel transform: eigensolver failed ({exc})") from None
+    del B
     neg = theta < -_TAU
-    U = np.zeros((len(sroot), np.count_nonzero(neg)))
-    U[:len(tau)] = S[:, neg]
-    _apply_q(H, tau, U)
-    return U[::-1].copy(), sroot, pos
+    X = np.zeros((len(H), np.count_nonzero(neg)))
+    X[:len(tau)] = S[:, neg]
+    del S
+    _apply_q(H, tau, X)
+    if p == 1:
+        return X[::-1].copy(), sroot, pos
+    del stack, H
+    U = np.empty((n, X.shape[1]))              # in node order: row j is row n - 1 - j of A
+    buf = np.empty(leaf_size)
+    for i in range(p):
+        a, b = edges[i], edges[i + 1]
+        H, tau = leaf(buf, i)
+        Xi = np.zeros((b - a, X.shape[1]))
+        Xi[:rows[i]] = X[offsets[i]:offsets[i + 1]]
+        _apply_q(H, tau, Xi)
+        U[n - b:n - a] = Xi[::-1]
+    return U, sroot, pos
 
 
 def _transform_for(grid: RadialGrid):

@@ -5,10 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biharm as bh
 from biharm.cli import (EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, build_parser,
-                        config_from_args, dump_report, load_field_csv, main, save_field_csv)
+                        config_from_args, dump_report, load_field_csv, main, run,
+                        save_field_csv, with_default_grid)
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -25,6 +27,60 @@ def test_field_csv_roundtrip(tmp_path):
     back = load_field_csv(path, 4)
     assert np.array_equal(back.values, u.values)
     assert np.array_equal(back.grid.nodes, g.nodes)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 4]), r_max=st.floats(0.5, 60.0), data=st.data())
+def test_field_csv_roundtrip_is_exact(tmp_path_factory, dim, r_max, data):
+    g = bh.build_grid(r_max, data.draw(st.integers(16, 80)), dim)
+    values = data.draw(st.lists(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=g.n_points, max_size=g.n_points))
+    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    save_field_csv(path, bh.RadialField(g, np.array(values)))
+    back = load_field_csv(path, dim)
+    assert np.array_equal(back.grid.nodes, g.nodes)
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(values))
+
+
+_GRID_ROWS = "".join(f"{format(r, '.17g')},1\n" for r in bh.build_grid(20.0, 16, 4).nodes)
+
+
+_CSV_CASES = {
+    "empty": ("", "expected header 'r,u'"),
+    "blank": ("\n\n", "expected header 'r,u'"),
+    "header_only": ("r,u\n", "no data rows"),
+    "header_and_blanks": ("r,u\n\n\n", "no data rows"),
+    "bad_header": ("x,y\n0,1\n", "expected header 'r,u'"),
+    "data_before_header": ("0,1\nr,u\n", "expected header 'r,u'"),
+    "three_columns": ("r,u\n0,1,2\n", "every data row needs two columns"),
+    "one_column": ("r,u\n" + _GRID_ROWS + "21\n", "every data row needs two columns"),
+    "non_uniform": ("r,u\n0,1\n1,1\n3,1\n" + "".join(f"{k},1\n" for k in range(4, 17)),
+                    "not a uniform grid from 0"),
+    "not_a_number": ("r,u\n0,1\nabc,1\n", "could not convert"),
+    "nan": ("r,u\n" + _GRID_ROWS.replace(",1\n", ",nan\n", 1), "non-finite"),
+    "too_few_nodes": ("r,u\n" + "".join(_GRID_ROWS.splitlines(keepends=True)[:15]),
+                      "n_points must be >= 16"),
+    # blank lines, also before the header, and the header's case are not errors
+    "leading_blank_lines": ("\n\nR,U\n\n" + _GRID_ROWS.replace("\n", "\n\n", 3), None),
+}
+
+
+@pytest.mark.parametrize("text, message", _CSV_CASES.values(), ids=_CSV_CASES)
+def test_field_csv_rejections(tmp_path, text, message):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    if message is None:
+        field = load_field_csv(str(src), 4)
+        assert np.array_equal(field.grid.nodes, bh.build_grid(20.0, 16, 4).nodes)
+        assert np.all(field.values == 1.0)
+        return
+    with pytest.raises(ValueError, match=message):
+        load_field_csv(str(src), 4)
 
 
 def test_runconfig_roundtrip():
@@ -262,12 +318,32 @@ def test_config_file_dimension_sets_the_grid(tmp_path):
     got, want = (json.loads((d / "solve.json").read_text()) for d in (out, flags))
     assert got["config"]["grid_r_max"] == 30.0
     assert got["solve"] == want["solve"]
-    # a grid key in the file, or --grid, keeps its grid
+    # a grid key in the file, or --grid, keeps its grid; the other key follows
+    # the dimension
     cfg.write_text(json.dumps({"dimension": 2, "grid_n": 512}))
-    rc = config_from_args(build_parser().parse_args(["solve", "--config", str(cfg)]))
-    assert (rc.grid_r_max, rc.grid_n) == (20.0, 512)
+    rc = with_default_grid(config_from_args(build_parser().parse_args(["solve", "--config",
+                                                                       str(cfg)])))
+    assert (rc.grid_r_max, rc.grid_n) == (30.0, 512)
     rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2", "--grid", "25:1024"]))
     assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
+
+
+def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
+    # a RunConfig built in code, or read with from_json, solves on the grid of
+    # its dimension, as the CLI does
+    rc = RunConfig(command="solve", dimension=2, gamma=1.1, lam=0.5,
+                   out_dir=str(tmp_path / "library"))
+    assert (rc.grid_r_max, rc.grid_n) == (None, None)
+    assert run(rc) == EXIT_OK
+    code, flags = run_cli(["solve", "--dim", "2", "--gamma", "1.1", "--lambda", "0.5"],
+                          tmp_path, "flags")
+    assert code == EXIT_OK
+    got, want = ((tmp_path / d / "solve.json").read_text() for d in ("library", "flags"))
+    assert got == want
+    rc = with_default_grid(RunConfig.from_json('{"dimension": 2}'))
+    assert (rc.grid_r_max, rc.grid_n) == (30.0, 2048)
+    rc = with_default_grid(RunConfig.from_json('{"grid_r_max": 25}'))
+    assert (rc.grid_r_max, rc.grid_n) == (25, 2048)
 
 
 def test_sweep_jobs_option_is_gone(tmp_path, capsys):
@@ -437,6 +513,25 @@ def test_failed_descent_factorization_exits_noconv(tmp_path, capsys, monkeypatch
     assert code == EXIT_NOCONV
     assert "error: the descent operator could not be factored" in capsys.readouterr().err
     assert not (out / artifact).exists()
+
+
+def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch):
+    from collections import OrderedDict
+
+    from biharm import rearrangement
+
+    def fail(*args):
+        return {"info": -4}                 # LAPACK: the fourth argument was illegal
+
+    monkeypatch.setattr(rearrangement, "_transform_cache", OrderedDict())
+    monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", fail)
+    g = bh.build_grid(20.0, 512, 4)
+    src = tmp_path / "in.csv"
+    save_field_csv(str(src), bh.RadialField(g, np.exp(-g.nodes**2)))
+    code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_NOCONV
+    assert "Hankel transform: QR failed (LAPACK dgeqrf info -4)" in capsys.readouterr().err
+    assert not (out / "rearrange.json").exists()
 
 
 def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch):
