@@ -20,7 +20,9 @@ diagonal (r_max 20) and a random right-hand side, ||M x - b|| / ||b|| reads
 (SuperLU: 8.6e-11, 1.7e-8, 1.7e-6, 1.2e-5), while x itself differs from
 SuperLU's by 4.7e-11, 8.5e-9, 7.7e-7 and 1.2e-5 relative.  On the 2-D
 Laplacian plus 0.7 (r_max 30) both residuals read 1.5e-14 to 2.7e-12 over the
-same sizes.  Callers that need more refine iteratively.
+same sizes.  The solvers take these solves as they are: the descent only
+needs a direction, and each damped Newton step only has to lower the
+residual.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 # Reduction stops at this many rows and inverts the rest densely: fewer rows
 # add a level to every solve, more make the dense tail dearer to factor.  A
-# minimization factors about 4 times and solves 30-80 times.  On 2,048 nodes
+# minimization factors 3 times and solves 30-80 times.  On 2,048 nodes
 # (x86_64, 2 vCPUs) 32, 64 and 128 rows gave ground_state and trapped_gap CLI
 # ops of 0.25 / 0.24 / 0.26 s and 0.22 / 0.24 / 0.24 s (medians in process,
 # quartile spreads 0.03-0.08 s): no value was faster on both.

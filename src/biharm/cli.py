@@ -9,7 +9,8 @@ handler imports its own layer, so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
 factorization or eigensolver that breaks down), 3 configuration or input
-error (unknown config keys, malformed or non-finite CSV fields, ...).
+error (unknown config keys, malformed or non-finite CSV fields, a problem
+whose scaling projection finds no sign change before the overflow cap, ...).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from . import __version__
 from . import grid as g
 from .expressions import ParseError, parse_expression
 from .grid import RadialField
-from .model import (ConstantPotential, ProblemConfig, check_conditions,
-                    exact_growth_family, exp_critical, radial_potential,
-                    user_nonlinearity)
+from .model import (ConstantPotential, OverflowCapError, ProblemConfig,
+                    check_conditions, exact_growth_family, exp_critical,
+                    radial_potential, user_nonlinearity)
 
 EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
 
@@ -398,8 +399,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim is not None:
         rc.dimension = args.dim
     if args.grid is not None:
-        r_max, n = args.grid.split(":")
-        rc.grid_r_max, rc.grid_n = float(r_max), int(n)
+        try:
+            r_max, n = args.grid.split(":")
+            rc.grid_r_max, rc.grid_n = float(r_max), int(n)
+        except ValueError:
+            raise ValueError(f"--grid takes r_max:n_points, got {args.grid!r}") from None
     if args.b_values is not None:
         rc.b_values = tuple(float(x) for x in args.b_values.split(","))
     if args.sweep_values is not None:
@@ -432,7 +436,7 @@ def main(argv=None) -> int:
     try:
         rc = config_from_args(args)
         code = run(rc)
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (ParseError, ValueError, OSError, KeyError, OverflowCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

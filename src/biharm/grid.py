@@ -139,7 +139,7 @@ _D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)     # / (12 h^2)
 _D1 = (1.0, -8.0, 0.0, 8.0, -1.0)         # / (12 h)
 
 
-def laplacian_stencil_rows(geometry, dtype=float, start: int = 0, stop=None):
+def laplacian_stencil_rows(geometry, start: int = 0, stop=None):
     """Stencil coefficients at offsets -2..+2 of rows start..stop-1.
 
     ``geometry`` is a grid's ``key()``, (r_max, n_points, dimension).  Row i
@@ -147,25 +147,23 @@ def laplacian_stencil_rows(geometry, dtype=float, start: int = 0, stop=None):
     the left are folded back by the even extension, on the right they are
     Dirichlet ghosts (the origin and ghost closures), so every coefficient
     that would reach outside the grid is zero.  A row carries the same bits
-    whatever range it is built in.  Computed natively in ``dtype``; each
-    column is contiguous (the array is the transpose of a (5, rows) one).
+    whatever range it is built in.  Each column is contiguous (the array is
+    the transpose of a (5, rows) one).
     """
     r_max, n, dim = geometry
     stop = n if stop is None else stop
-    h = dtype(r_max) / dtype(n - 1)
-    dim = dtype(dim)
-    coef = np.zeros((5, stop - start), dtype=dtype).T
+    h = float(r_max) / (n - 1)
+    coef = np.zeros((5, stop - start)).T
     first = max(start, 1)
     r = np.arange(first, stop) * h
     for k in range(5):
-        coef[first - start:, k] = (dtype(_D2[k]) / (12 * h * h)
-                                   + (dim - 1) / r * dtype(_D1[k]) / (12 * h))
+        coef[first - start:, k] = _D2[k] / (12 * h * h) + (dim - 1) / r * _D1[k] / (12 * h)
     if start == 0:
         # origin row: n * u''(0), fourth order under the even extension:
         # u''(0) = (-30 u0 + 32 u1 - 2 u2) / (12 h^2)
-        coef[0, 2] = dim * dtype(-30.0) / (12 * h * h)
-        coef[0, 3] = dim * dtype(32.0) / (12 * h * h)
-        coef[0, 4] = dim * dtype(-2.0) / (12 * h * h)
+        coef[0, 2] = dim * -30.0 / (12 * h * h)
+        coef[0, 3] = dim * 32.0 / (12 * h * h)
+        coef[0, 4] = dim * -2.0 / (12 * h * h)
     if start <= 1 < stop:
         # row 1 references u_{-1} = u_1: fold offset -2 onto +0
         coef[1 - start, 2] += coef[1 - start, 0]
@@ -183,7 +181,7 @@ def laplacian_matrix(grid: RadialGrid) -> np.ndarray:
     Cached for the 8 latest geometries; apply them with :func:`apply_stencil`.
     """
     def build():
-        rows = laplacian_stencil_rows(grid.key(), float)
+        rows = laplacian_stencil_rows(grid.key())
         rows.flags.writeable = False
         return rows
     return lru_get(_matrix_cache, grid.key(), 8, build)
@@ -192,10 +190,9 @@ def laplacian_matrix(grid: RadialGrid) -> np.ndarray:
 def apply_stencil(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-stencil matvec: out_i = sum_k coef[i, k] u_{i-p+k}, width 2p + 1.
 
-    Adds the centre column first, then offsets -p..-1 and 1..p in turn.
-    Preserves the dtype of ``coef`` (extended-precision residual paths build
-    the rows in longdouble: entry rounding of double matrices scales like
-    eps/h^2 and dominates fine-mesh residual evaluations).
+    Adds the centre column first, then offsets -p..-1 and 1..p in turn.  Out_i
+    rounds by about eps sum_k |coef[i, k] u_{i-p+k}|, far above eps |out_i|
+    on fine meshes, where rows of order 1/h^2 nearly cancel on smooth u.
     """
     n, p = len(u), coef.shape[1] // 2
     out = coef[:, p] * u

@@ -109,6 +109,9 @@ def _moser_branch_nodes(params: MoserParams, geometry):
     if r_max < 2.0:
         raise ValueError("log-profile support [0, 2] exceeds the domain")
     indices, radii = zip(*(_snap(geometry, r) for r in (r14, 1.0, 2.0)))
+    if indices[0] == indices[1]:
+        raise ValueError(f"b = {b:g} is too small for K = {K:g}: R^(1/4) = {r14:.6g} "
+                         "snaps onto the node of r = 1, which leaves no log branch")
     return indices, radii
 
 
@@ -175,7 +178,7 @@ def moser_sums(b: float, K: float, r_max: float, n_points: int, dimension: int,
         j0, j1 = max(i0 - 2, 0), min(i1 + 2, n_points)
         r, w = g.mesh_slice(geometry, j0, j1)
         u = _moser_profile(r, b, K, r14, r_one, r_two)
-        lap = g.apply_stencil(g.laplacian_stencil_rows(geometry, float, j0, j1), u)
+        lap = g.apply_stencil(g.laplacian_stencil_rows(geometry, j0, j1), u)
         rows = slice(i0 - j0, i1 - j0)        # the halo rows lack neighbours
         u, lap, w = u[rows], lap[rows], w[rows]
         l2 += float(np.dot(w, u * u))
@@ -205,10 +208,10 @@ def moser_mesh(b: float, K: float) -> tuple[int, float]:
     """Node count and width of the uniform mesh on [0, 2] resolving psi_{b,K}.
 
     The mesh has 10 nodes per concentration scale r14 = exp(-b^2/(4K)).
-    Raises ValueError unless b and K are finite and positive and the mesh is
-    no finer than the rounding floor of 4e-9.
+    Raises ValueError unless b and K are finite and positive, the mesh is
+    no finer than the rounding floor of 4e-9 and r14 snaps below r = 1.
     """
-    MoserParams.moser(b, K)
+    params = MoserParams.moser(b, K)
     b_max = 2.0 * np.sqrt(K * np.log(1.0 / (10 * _H_MIN)))
     if b > b_max:
         raise ValueError(
@@ -217,6 +220,7 @@ def moser_mesh(b: float, K: float) -> tuple[int, float]:
             f"{np.floor(b_max * 1000) / 1000:.3f}")
     r14 = float(np.exp(-b * b / (4.0 * K)))
     n = max(int(np.ceil(2.0 / (r14 / 10))) + 1, 4097)
+    _moser_branch_nodes(params, (2.0, n, 4))
     return n, 2.0 / (n - 1)
 
 

@@ -555,7 +555,8 @@ def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("args", [["--K", "-1"], ["--b-values", "3,inf"],
                                   ["--b-values", "0,3"], ["--b-values=-3,5"],
-                                  ["--b-values", "3,5,9"]])
+                                  ["--b-values", "3,5,9"], ["--b-values", "0.02"],
+                                  ["--b-values", "3,0.02"]])
 def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     code, out = run_cli(["moser"] + args, tmp_path)
     assert code == EXIT_CONFIG
@@ -575,6 +576,11 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["check", "--theta", "nan"], "theta must be positive and finite"),
     (["ratio", "--theta", "nan"], "theta must be positive and finite"),
     (["ratio", "--alpha0", "0", "--f", "t*exp(t^2)"], "alpha0 must be positive and finite"),
+    (["solve", "--f", "0*t"], "no sign change before the overflow cap"),
+    (["gap", "--V", "1.2-0.4*exp(-t^2)", "--f", "0*t", "--lambda", "0.3"],
+     "no sign change before the overflow cap"),
+    (["solve", "--grid", "20"], "--grid takes r_max:n_points"),
+    (["solve", "--grid", "20:abc"], "--grid takes r_max:n_points"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

@@ -37,15 +37,14 @@ def test_mesh_and_stencil_slices_carry_the_bits_of_the_whole_grid(args):
     grid = bh.build_grid(*args)
     n = grid.n_points
     assert np.array_equal(grid.nodes, np.linspace(0.0, args[0], n))
-    for dtype in (float, np.longdouble):
-        whole = laplacian_stencil_rows(grid.key(), dtype)
-        for a, b in [(0, 1), (0, 3), (1, 2), (1, 6), (2, 9), (3, 4), (n // 2, n // 2 + 7),
-                     (n - 5, n - 1), (n - 2, n), (n - 1, n)]:
-            part = laplacian_stencil_rows(grid.key(), dtype, a, b)
-            assert part.dtype == whole.dtype and np.array_equal(part, whole[a:b]), (a, b)
-            nodes, weights = mesh_slice(grid.key(), a, b)
-            assert np.array_equal(nodes, grid.nodes[a:b]), (a, b)
-            assert np.array_equal(weights, grid.weights[a:b]), (a, b)
+    whole = laplacian_stencil_rows(grid.key())
+    for a, b in [(0, 1), (0, 3), (1, 2), (1, 6), (2, 9), (3, 4), (n // 2, n // 2 + 7),
+                 (n - 5, n - 1), (n - 2, n), (n - 1, n)]:
+        part = laplacian_stencil_rows(grid.key(), a, b)
+        assert np.array_equal(part, whole[a:b]), (a, b)
+        nodes, weights = mesh_slice(grid.key(), a, b)
+        assert np.array_equal(nodes, grid.nodes[a:b]), (a, b)
+        assert np.array_equal(weights, grid.weights[a:b]), (a, b)
 
 
 def test_build_grid_2d_weight_pattern(g2):
@@ -193,7 +192,7 @@ def test_quad_form_2d_positive(g2):
 
 
 def test_stencil_rows_match_matrix(g4):
-    rows = laplacian_stencil_rows(g4.key(), float)
+    rows = laplacian_stencil_rows(g4.key())
     u = np.exp(-g4.nodes**2 / 3) * (1 + g4.nodes**2)
     via_rows = apply_stencil(rows, u)
     via_mat = apply_stencil(laplacian_matrix(g4), u)
@@ -208,7 +207,7 @@ def test_boundary_decay_ratio(g4):
 def _laplacian_matrix_loop(grid):
     """Entry-by-entry assembly from the stencil rows (reference)."""
     n = grid.n_points
-    coef = laplacian_stencil_rows(grid.key(), float)
+    coef = laplacian_stencil_rows(grid.key())
     rows, cols, vals = [], [], []
     for i in range(n):
         for k in range(5):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import biharm as bh
+from biharm.grid import apply_stencil
 from biharm.solvers import (SolverOptions, _Ops, _ops_for, _project, gradient_action,
                             gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
@@ -455,6 +456,77 @@ def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
     u, res = solvers._damped_newton_pde(ops, solved.field.values, 60, cfg.overflow_cap)
     assert res <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     assert len(calls) <= 3
+
+def _pde_residual_longdouble(ops, u):
+    """(-D)^m u + V u - f(u) for the exp-critical f, with every step in np.longdouble.
+
+    The stencil rows are built here from their formula, so the reference
+    carries neither the rounding of the double rows nor that of the matvecs.
+    """
+    ld = np.longdouble
+    r_max, n, dim = ops.grid.key()
+    h = ld(r_max) / ld(n - 1)
+    r = np.arange(1, n, dtype=ld) * h
+    rows = np.zeros((n, 5), dtype=ld)
+    rows[1:] = (np.array([-1, 16, -30, 16, -1], dtype=ld) / (12 * h * h)
+                + (dim - 1) / r[:, None] * np.array([1, -8, 0, 8, -1], dtype=ld) / (12 * h))
+    rows[0, 2:] = dim * np.array([-30, 32, -2], dtype=ld) / (12 * h * h)
+    rows[1, 2] += rows[1, 0]            # even extension: u_{-1} = u_1
+    rows[1, 0] = 0
+    rows[n - 2, 4] = rows[n - 1, 3:] = 0  # Dirichlet ghosts past r_max
+    assert np.max(np.abs(rows - ops.L)) <= 1e-15 * np.max(np.abs(ops.L))
+    uq = u.astype(ld)
+    lap = apply_stencil(rows, uq)
+    a0u = apply_stencil(rows, lap) if dim == 4 else -lap
+    return a0u + ops.V.astype(ld) * uq - ops.lam * uq * np.exp(ld(ops.a) * uq * uq)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("dim, r_max, n", [(4, 20.0, 2048), (2, 30.0, 2048), (4, 20.0, 8192)])
+def test_residual_floor_bounds_the_rounding_of_the_residual(dim, r_max, n):
+    # the double residual stays within residual_floor of an extended-precision
+    # one, on the polished ground state and on smooth random fields
+    grd = bh.build_grid(r_max, n, dim)
+    cfg = bh.exp_critical_config(1.0, 0.5, dimension=dim)
+    ground = minimize_pohozaev(cfg, bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
+    assert ground.converged
+    ops = _ops_for(grd, cfg)
+    rng = np.random.default_rng(7)
+    fields = [ground.field.values]
+    for _ in range(4):
+        amps, widths = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 4.0, 3)
+        fields.append(sum(a * np.exp(-grd.nodes**2 / w) for a, w in zip(amps, widths)))
+    for u in fields:
+        exact = np.asarray(_pde_residual_longdouble(ops, u), dtype=float)
+        assert ops.nrm(ops.pde_residual(u) - exact) <= ops.residual_floor(u)
+
+
+@pytest.mark.parametrize("dim, gamma, lam",
+                         [(4, 1.0, 0.5), (4, 1.0, 0.3), (2, 1.0, 0.5), (2, 1.1, 0.55)])
+def test_newton_polish_factors_at_most_twice(monkeypatch, dim, gamma, lam):
+    # the polish stops at the residual's rounding bound, two Newton steps on
+    # the default grids
+    from biharm import solvers
+    calls, in_newton = [], []
+    splu, newton = solvers.spla.splu, solvers._damped_newton_pde
+    monkeypatch.setattr(solvers.spla, "splu",
+                        lambda A: calls.append(bool(in_newton)) or splu(A))
+
+    def traced_newton(*args):
+        in_newton.append(1)
+        try:
+            return newton(*args)
+        finally:
+            in_newton.clear()
+
+    monkeypatch.setattr(solvers, "_damped_newton_pde", traced_newton)
+    grd = bh.default_grid(dim)
+    rep = minimize_pohozaev(bh.exp_critical_config(gamma, lam, dimension=dim),
+                            bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
+    assert rep.converged
+    assert calls.count(True) <= 2
+
 
 @pytest.mark.parametrize("dim, gamma, lam", [(4, 1.0, 0.5), (2, 1.1, 0.55)])
 def test_a_solve_factors_its_descent_operator_once(monkeypatch, dim, gamma, lam):
