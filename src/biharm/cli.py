@@ -29,7 +29,7 @@ from . import __version__
 from . import grid as g
 from .expressions import ParseError, parse_expression
 from .grid import RadialField
-from .model import (ConstantPotential, OverflowCapError, ProblemConfig,
+from .model import (ADAMS_BETA, ConstantPotential, OverflowCapError, ProblemConfig,
                     check_conditions, exact_growth_family, exp_critical,
                     radial_potential, user_nonlinearity)
 
@@ -248,7 +248,7 @@ def _cmd_moser(rc: RunConfig) -> int:
     from .sequences import moser_estimates, moser_mesh
 
     rows = []
-    beta = 32.0 * np.pi**2
+    beta = ADAMS_BETA[4]
     for b in rc.b_values:
         moser_mesh(b, rc.K)  # every b is checked before any is computed
     for b in rc.b_values:

@@ -143,20 +143,20 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
                                 inf_boundary, float(order) if np.isfinite(order) else float("nan"))
 
 
-def bounded_functional_probe(gfun: Callable, K: float, trial_fields,
-                             adams_beta: float = 32.0 * np.pi**2) -> dict:
+def bounded_functional_probe(gfun: Callable, K: float, trial_fields) -> dict:
     """max over admissible trials of int g(u) / int u^2 under the D-norm budget.
 
-    Trials with quadratic form exceeding adams_beta * K are skipped and
-    reported.  Growing maxima along a concentration family exhibit blow-up,
-    stable maxima exhibit boundedness.
+    Trials with quadratic form exceeding the 4-D Adams constant 32 pi^2 times
+    K are skipped and reported.  Growing maxima along a concentration family
+    exhibit blow-up, stable maxima exhibit boundedness.
     """
     from . import grid as g
+    from .model import ADAMS_BETA
 
     ratios, skipped = [], []
     for i, fld in enumerate(trial_fields):
         q = g.quad_form_sq(fld)
-        if q > adams_beta * K * (1.0 + 1e-9):
+        if q > ADAMS_BETA[4] * K * (1.0 + 1e-9):
             skipped.append((i, q))
             continue
         l2 = g.l2_sq(fld)

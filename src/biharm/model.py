@@ -49,9 +49,9 @@ def check_cap(values, cap: float):
         raise OverflowCapError(f"amplitude {m:.3f} exceeds overflow cap {cap}")
 
 
-def adaptive_simpson(fn: Callable, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 30) -> float:
+def adaptive_simpson(fn: Callable, a: float, b: float) -> float:
     """Classic adaptive Simpson quadrature of fn over [a, b]."""
+    tol, max_depth = 1e-10, 30
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)

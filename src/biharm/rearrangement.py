@@ -26,15 +26,14 @@ A = diag(sqrt W) L, L the interpolation matrix from the points to the
 nodes, and K = k(c c^T).  k is even, so the points +-c fold into the m
 points c >= 0 (283 at r_max 20, 596 at r_max 30).  A = QR is factored by
 Householder reflectors (LAPACK's geqrf, in place), and the eigenpairs of M
-are Q times those of the m x m matrix R K R^T.  Neither Q nor A is held: A
-is factored as a tall-skinny QR over p row leaves (Demmel, Grigori, Hoemmen &
-Langou, SIAM J. Sci. Comput. 2012), one leaf at a time, and Q is applied to
-the resolved eigenvectors, padded with zeros to n rows, in blocks of
-reflectors, each in the compact WY form I - V T V^T (Schreiber & Van Loan,
-SIAM J. Sci. Stat. Comput. 1989).  So the build holds one leaf of A and the
-p stacked m x m leaf triangles; only where p = 1, for n below about 2.25 m,
-is the one leaf all of A.  J0 and J1 come from Miller's backward recurrence
-below x = 25 and from Hankel's asymptotic expansion above.
+are Q times those of the m x m matrix R K R^T.  A is never held whole: it is
+factored as a tall-skinny QR over p row leaves (Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 2012), one leaf at a time, and each leaf's Q,
+n / p x m, is formed in its own buffer by LAPACK's orgqr.  So the build holds
+one leaf of A and the p stacked m x m leaf triangles; only where p = 1, for
+n below about 2.25 m, is the one leaf all of A.  J0 and J1 come from
+Miller's backward recurrence below x = 25 and from Hankel's asymptotic
+expansion above.
 
 The decreasing rearrangement works on the discrete measure: node values are
 sorted by magnitude (ties by radius), their quadrature weights accumulated,
@@ -61,20 +60,19 @@ _transform_cache: OrderedDict = OrderedDict()
 # The build holds one row leaf of the n x m matrix A (about sqrt(n m) rows),
 # the p m x m leaf triangles, and K, R and R K R^T (m x m), for m
 # interpolation points: 283 at r_max 20, 596 at 30.  Measured on x86_64
-# (2 vCPUs, one BLAS thread), a whole `rearrange` run took 0.37-0.43 s and
-# peaked at 38 MB for 2,048 nodes in 4-D (2-D: 0.58-0.72 s, 54 MB), and
-# 0.45-0.52 s and 40 MB for 4,096 nodes in 4-D.  Larger grids are refused,
-# and so are radii above 56.7, where m passes 2,048: at r_max 56 on 4,096
-# nodes a run took 4.3-5.0 s and 253 MB.  There p = 1, A is held whole, and
-# most of the time goes to its QR, R K R^T and the m x m eigensolver.
+# (2 vCPUs, one BLAS thread), a whole `rearrange` run took 0.22-0.26 s from
+# import and peaked at 38 MB for 2,048 nodes in 4-D (2-D: 0.42-0.53 s,
+# 54 MB), and 0.31-0.36 s and 39 MB for 4,096 nodes in 4-D.  Larger grids
+# are refused, and so are radii above 56.7, where m passes 2,048: at r_max 56
+# on 4,096 nodes a run took 4.7-4.8 s and 253 MB.  There p = 1, A is held
+# whole, and most of the time goes to its QR and Q, R K R^T and eigh.
 MAX_TRANSFORM_NODES = 4096
 MAX_INTERPOLATION_POINTS = 2048
 
-# Block sizes of the build: A is filled _INTERP_ROWS rows at a time, K
-# _KERNEL_ROWS rows at a time, and the reflectors are applied
-# _REFLECTOR_BLOCK at a time.  Best of 15 timings of each step (9 for the
-# reflectors) on the default 4-D grid (2-D), on the machine above, in two
-# sets where given as a range:
+# Block sizes of the build: A is filled _INTERP_ROWS rows at a time and K
+# _KERNEL_ROWS rows at a time.  Best of 15 timings of each step on the
+# default 4-D grid (2-D), on the machine above, in two sets where given as a
+# range:
 # - A: 128 and 256 rows 5.7-6.4 ms (10.8-14.4), 64 and 512 rows 6.4-9.7 ms
 #   (13.6-20.6), all rows in one block 10.2-11.5 ms (22.9-26.1).  128 rows
 #   make temporaries of 0.3 MB (0.6 MB in 2-D); with 256 rows a 4-D
@@ -82,12 +80,8 @@ MAX_INTERPOLATION_POINTS = 2048
 # - K: 16 rows 8.4-12.4 ms (22.8-28.8), 32 to 128 rows 6.1-8.4 ms
 #   (17.6-22.2), within the host's noise of each other.  64 rows of 2,048
 #   points make temporaries of 1 MB.
-# - Blocks of 16, 32, 48, 64 and 96 reflectors: 11.1, 8.9, 7.9, 8.5 and
-#   10.9 ms (48.7, 33.5, 27.1, 32.7, 26.3); best of 2 at r_max 56 on 4,096
-#   nodes: 782, 521, 494, 426 and 441 ms.
 _INTERP_ROWS = 128
 _KERNEL_ROWS = 64
-_REFLECTOR_BLOCK = 48
 
 # Eigenvalues with |lambda| <= _TAU form the numerical null space.  On the
 # default 4-D grid 139 eigenvalues exceed 1e-8 and 144 exceed 1e-12; the
@@ -217,54 +211,41 @@ def _kernel_matrix(c: np.ndarray, dimension: int) -> np.ndarray:
     return K
 
 
+def _lapack(routine: str, *args) -> None:
+    """lapack_lite.<routine>(*args, work, lwork, info); an error raises RuntimeError."""
+    def run(work, lwork):
+        info = getattr(lapack_lite, routine)(*args, work, lwork, 0)["info"]
+        if info != 0:
+            raise RuntimeError(f"Hankel transform: QR failed (LAPACK {routine} info {info})")
+
+    work = np.empty(1)
+    run(work, -1)                  # a query: the best workspace size lands in work
+    work = np.empty(max(1, int(work[0])))
+    run(work, len(work))
+
+
 def _geqrf(ht: np.ndarray) -> np.ndarray:
     """Householder QR of H = ht.T in place, by LAPACK's geqrf; returns tau.
 
     ht is C-contiguous, so H is Fortran-ordered, the layout LAPACK takes.
     Afterwards H holds R on and above its diagonal and the reflectors below,
-    the bits of ``np.linalg.qr(H, mode="raw")``, whose h is ht; but no copy
-    of H is made.  A LAPACK error raises RuntimeError.
+    the bits of ``np.linalg.qr(H, mode="raw")``, whose h is ht, in place.
     """
     m, n = ht.shape
     tau = np.empty(min(n, m))
-
-    def geqrf(work, lwork):
-        info = lapack_lite.dgeqrf(n, m, ht, max(1, n), tau, work, lwork, 0)["info"]
-        if info != 0:
-            raise RuntimeError(f"Hankel transform: QR failed (LAPACK dgeqrf info {info})")
-
-    work = np.empty(1)
-    geqrf(work, -1)                          # a query: the best workspace size lands in work
-    work = np.empty(max(1, int(work[0])))
-    geqrf(work, len(work))
+    _lapack("dgeqrf", n, m, ht, max(1, n), tau)
     return tau
 
 
-def _apply_q(H: np.ndarray, tau: np.ndarray, X: np.ndarray) -> None:
-    """X <- Q X in place, for Q = H_0 ... H_{k-1} as stored by LAPACK's geqrf.
+def _orgqr(ht: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Q of the QR that ``_geqrf`` left in H = ht.T, formed in place by LAPACK's orgqr.
 
-    H_j = I - tau_j v_j v_j^T, with v_j zero above j, 1 at j and H[j+1:, j]
-    below.  The reflectors are applied in blocks of _REFLECTOR_BLOCK from the
-    last to the first, each block in the compact WY form I - V T V^T with T
-    upper triangular (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989).
-    V is its unit lower triangle V1, a b x b copy, over V2, a view of H.
+    Q is the n x k view ht[:k].T, k = len(tau), over the first k columns of
+    H, with the bits of ``np.linalg.qr(H)[0]``; R must be copied out first.
     """
-    k = len(tau)
-    for j0 in range((k - 1) // _REFLECTOR_BLOCK * _REFLECTOR_BLOCK, -1, -_REFLECTOR_BLOCK):
-        t = tau[j0:j0 + _REFLECTOR_BLOCK]
-        b = len(t)
-        V1 = np.tril(H[j0:j0 + b, j0:j0 + b], -1)
-        np.fill_diagonal(V1, 1.0)
-        V2 = H[j0 + b:, j0:j0 + b]
-        G = V1.T @ V1 + V2.T @ V2
-        T = np.zeros((b, b))
-        for j in range(b):
-            T[:j, j] = -t[j] * (T[:j, :j] @ G[:j, j])
-            T[j, j] = t[j]
-        X1, X2 = X[j0:j0 + b], X[j0 + b:]
-        Y = T @ (V1.T @ X1 + V2.T @ X2)
-        X1 -= V1 @ Y
-        X2 -= V2 @ Y
+    k, n = len(tau), ht.shape[1]
+    _lapack("dorgqr", n, k, k, ht[:k], max(1, n), tau)
+    return ht[:k].T
 
 
 def _leaf_count(n: int, m: int) -> int:
@@ -282,17 +263,16 @@ def _build_transform(grid: RadialGrid):
 
     pos marks the nodes of positive weight: all nodes in 2-D, where the
     origin carries the Euler-Maclaurin weight, and r > 0 in 4-D.  U spans
-    the resolved negative eigenspace of M = A K A^T.  A = QR is factored as
-    a tall-skinny QR over p row leaves (Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 2012): A_i = Q_i R_i, and the stacked R_i = Q_top R.
-    Pass 1 fills one leaf buffer at a time, factors it in place and keeps
-    only R_i; the buffer is dropped before K, R K R^T and the eigensolver.
-    Pass 2 refactors each leaf and applies Q_i Q_top to the resolved
-    eigenvectors of R K R^T, padded with zeros, by the blocked reflectors
-    (``_apply_q``).  With p = 1 the leaf is A and keeps its factors.  T
-    equals the eigenvalue-snapped M on the resolved eigenspace and maps the
-    numerical null space (|lambda| <= _TAU), where snapping would follow the
-    sign of rounding noise, to itself.
+    the resolved negative eigenspace of M = A K A^T.  A = QR is a tall-skinny
+    QR over p row leaves: A_i = Q_i R_i, and the stacked R_i = Q_top R, each
+    by geqrf, with Q formed in place by orgqr.  Pass 1 factors one leaf at a
+    time in one buffer and keeps only R_i, at rows i m of the stack (each
+    leaf has at least m rows); the buffer is dropped before K, R K R^T and
+    the eigensolver.  Pass 2 refactors each leaf and multiplies its Q_i into
+    its m rows of Q_top S, with S the resolved eigenvectors of R K R^T.  With
+    p = 1 the leaf is A.  T equals the eigenvalue-snapped M on the resolved
+    eigenspace and maps the numerical null space (|lambda| <= _TAU), where
+    snapping would follow the sign of rounding noise, to itself.
     """
     W = grid.weights / SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
@@ -305,29 +285,26 @@ def _build_transform(grid: RadialGrid):
     n, m = len(r), len(c)
     p = _leaf_count(n, m)
     edges = [n * i // p for i in range(p + 1)]
-    rows = [min(b - a, m) for a, b in zip(edges, edges[1:])]     # rows of each R_i
-    offsets = np.cumsum([0] + rows)
     leaf_size = -(-n // p) * m                                    # the largest leaf
 
     def leaf(buf, i):
-        """(H_i, tau_i): leaf i of A filled into buf and factored in place."""
+        """(ht_i, tau_i): leaf i of A filled into buf as ht_i.T and factored in place."""
         a, b = edges[i], edges[i + 1]
         ht = buf[:(b - a) * m].reshape(m, b - a)
         _interpolation(ht.T, r[a:b], scale[a:b], c, w)
-        return ht.T, _geqrf(ht)
+        return ht, _geqrf(ht)
 
     if p == 1:
-        H, tau = leaf(np.empty(leaf_size), 0)
+        ht, tau = leaf(np.empty(leaf_size), 0)
     else:
         buf = np.empty(leaf_size)
-        stack = np.empty((m, offsets[-1]))        # the R_i, stacked in stack.T
+        ht = np.empty((m, p * m))                 # the R_i, stacked in ht.T
         for i in range(p):
-            H, _ = leaf(buf, i)
-            stack.T[offsets[i]:offsets[i + 1]] = np.triu(H[:rows[i]])
-        del buf, H
-        tau = _geqrf(stack)
-        H = stack.T
-    R = np.triu(H[:len(tau)])
+            ht[:, i * m:(i + 1) * m] = np.tril(leaf(buf, i)[0][:, :m])
+        del buf
+        tau = _geqrf(ht)
+    R = np.tril(ht[:, :len(tau)]).T
+    Q = _orgqr(ht, tau)
     B = R @ _kernel_matrix(c, grid.dimension) @ R.T
     del R
     B += B.T
@@ -338,23 +315,15 @@ def _build_transform(grid: RadialGrid):
         # LinAlgError is a ValueError, which callers read as bad input
         raise RuntimeError(f"Hankel transform: eigensolver failed ({exc})") from None
     del B
-    neg = theta < -_TAU
-    X = np.zeros((len(H), np.count_nonzero(neg)))
-    X[:len(tau)] = S[:, neg]
-    del S
-    _apply_q(H, tau, X)
+    X = Q @ S[:, theta < -_TAU]
+    del Q, ht, S
     if p == 1:
         return X[::-1].copy(), sroot, pos
-    del stack, H
     U = np.empty((n, X.shape[1]))              # in node order: row j is row n - 1 - j of A
     buf = np.empty(leaf_size)
     for i in range(p):
         a, b = edges[i], edges[i + 1]
-        H, tau = leaf(buf, i)
-        Xi = np.zeros((b - a, X.shape[1]))
-        Xi[:rows[i]] = X[offsets[i]:offsets[i + 1]]
-        _apply_q(H, tau, Xi)
-        U[n - b:n - a] = Xi[::-1]
+        U[n - b:n - a] = (_orgqr(*leaf(buf, i)) @ X[i * m:(i + 1) * m])[::-1]
     return U, sroot, pos
 
 

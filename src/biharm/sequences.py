@@ -350,9 +350,8 @@ def _g_integral(gfun: Callable, u: RadialField) -> float:
 
 
 def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
-                      ks=(2, 4, 8), dimension: int = 4
-                      ) -> tuple[list[RadialField], WitnessReport]:
-    """Finite-k counterexample sequences for a g violating the growth conditions.
+                      ks=(2, 4, 8)) -> tuple[list[RadialField], WitnessReport]:
+    """Finite-k counterexample sequences in 4-D for a g violating the growth conditions.
 
     Modes and parameter couplings:
 
@@ -366,8 +365,6 @@ def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
     Raises WitnessInapplicableError when g does not violate the respective
     condition on the sampled range.
     """
-    if dimension != 4:
-        raise ValueError("witness construction is for the 4-dimensional problem")
     table = []
 
     if mode in ("unbounded_origin", "noncompact_origin"):

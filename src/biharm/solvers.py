@@ -244,12 +244,12 @@ def project_nehari(u: RadialField, config: ProblemConfig) -> float:
     return _project(u, config, _Ops.N_ray)
 
 
-def nehari_sign_scan(u: RadialField, config: ProblemConfig, n_points: int = 1000):
-    """Sign changes of t -> N(t u) on a log-spaced scan; returns (count, bracket)."""
+def nehari_sign_scan(u: RadialField, config: ProblemConfig):
+    """Sign changes of t -> N(t u) on 1000 log-spaced t; returns (count, bracket)."""
     vals = u.values
     ray = _ops_for(u.grid, config).N_ray(vals)
     t_max = config.overflow_cap / float(np.max(np.abs(vals)))
-    ts = np.geomspace(1e-3, t_max, n_points)
+    ts = np.geomspace(1e-3, t_max, 1000)
     signs = np.array([np.sign(ray(t)) for t in ts])
     nz = signs != 0
     flips = np.nonzero(np.diff(signs[nz]) != 0)[0]
@@ -260,7 +260,7 @@ def nehari_sign_scan(u: RadialField, config: ProblemConfig, n_points: int = 1000
 
 # --- the descent-and-polish loop -------------------------------------------------
 
-def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
+def _damped_newton_pde(ops: _Ops, u: np.ndarray):
     """Damped Newton for (-D)^m u + V u - f(u) = 0, down to ``_Ops.residual_floor``.
 
     Past that bound steps only chase rounding noise.  Steps that collapse
@@ -269,8 +269,8 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray, itmax: int, cap: float):
     """
     rho = ops.pde_residual(u)
     res = ops.nrm(rho)
-    l2_floor = 1e-3 * ops.l2(u)
-    for _ in range(itmax):
+    l2_floor, cap = 1e-3 * ops.l2(u), ops.config.overflow_cap
+    for _ in range(_NEWTON_ITERS):
         try:
             Alu = ops.factor(ops.V - ops.fprime(u))
         except RuntimeError:
@@ -383,7 +383,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
                               (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
         except ValueError:
             warns.append("gauge dilation skipped (support would escape the domain)")
-    u, res_pde = _damped_newton_pde(ops, u, _NEWTON_ITERS, config.overflow_cap)
+    u, res_pde = _damped_newton_pde(ops, u)
     converged = res_pde <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     if not converged:
         warns.append(f"polish Newton stalled at residual {res_pde:.2e}")

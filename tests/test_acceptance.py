@@ -231,7 +231,7 @@ def test_criterion_8_projection_uniqueness(cfg, g4):
         if np.max(np.abs(vals)) < 1e-3:
             vals = 0.5 * np.exp(-g4.nodes**2 / 2)
         u = bh.RadialField(g4, vals)
-        count, brackets = nehari_sign_scan(u, cfg, 1000)
+        count, brackets = nehari_sign_scan(u, cfg)
         ok &= count == 1
         t = project_nehari(u, cfg)
         lo, hi = brackets[0]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,10 +84,23 @@ def test_field_csv_rejections(tmp_path, text, message):
         load_field_csv(str(src), 4)
 
 
-def test_runconfig_roundtrip():
-    rc = RunConfig(command="solve", gamma=1.25, lam=0.4, grid_n=512,
-                   sweep_values=(0.1, 0.2))
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | _EDGE_FLOATS
+_FIELD_VALUES = {"str": st.text(), "int": st.integers(), "float": _JSON_FLOATS,
+                 "tuple": st.lists(_JSON_FLOATS, max_size=5).map(tuple)}
+
+
+def _field_strategy(kind: str):
+    inner = kind.removeprefix("Optional[").removesuffix("]")
+    return _FIELD_VALUES[inner] if inner == kind else st.none() | _FIELD_VALUES[inner]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({f.name: _field_strategy(f.type) for f in fields(RunConfig)}))
+def test_runconfig_roundtrip(values):
+    # every field, with ints in float fields, -0.0 and None in optional ones
+    rc = RunConfig(**values)
     rc2 = RunConfig.from_json(rc.to_json())
+    assert repr(rc2) == repr(rc)                   # equal values of the same types
     assert rc2.to_json() == rc.to_json()
 
 
@@ -178,6 +192,23 @@ def test_determinism_byte_identical(tmp_path):
     _, s2 = run_cli(args, tmp_path, "s2")
     assert (s1 / "solve.json").read_bytes() == (s2 / "solve.json").read_bytes()
     assert (s1 / "solution.csv").read_bytes() == (s2 / "solution.csv").read_bytes()
+
+    # in one process the second run reuses the cached Hankel transform; two
+    # fresh interpreters each build it, on one BLAS thread
+    g = bh.default_grid(4)
+    src = tmp_path / "in.csv"
+    save_field_csv(str(src), bh.RadialField(g, 0.8 * (g.nodes / 1.5) ** 2
+                                            * np.exp(-((g.nodes / 1.5) ** 2))
+                                            - 0.4 * np.exp(-((g.nodes / 0.9) ** 2))))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)),
+               **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        res = subprocess.run([sys.executable, "-m", "biharm", "rearrange", "--input", str(src),
+                              "--out-dir", str(out)], env=env, capture_output=True, text=True)
+        assert res.returncode == EXIT_OK, res.stderr
+    for name in ("rearrange.json", "rearrange_output.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_float_serialization_17g():
@@ -515,7 +546,8 @@ def test_failed_descent_factorization_exits_noconv(tmp_path, capsys, monkeypatch
     assert not (out / artifact).exists()
 
 
-def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch, routine):
     from collections import OrderedDict
 
     from biharm import rearrangement
@@ -524,13 +556,13 @@ def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch):
         return {"info": -4}                 # LAPACK: the fourth argument was illegal
 
     monkeypatch.setattr(rearrangement, "_transform_cache", OrderedDict())
-    monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", fail)
+    monkeypatch.setattr(np.linalg.lapack_lite, routine, fail)
     g = bh.build_grid(20.0, 512, 4)
     src = tmp_path / "in.csv"
     save_field_csv(str(src), bh.RadialField(g, np.exp(-g.nodes**2)))
     code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
     assert code == EXIT_NOCONV
-    assert "Hankel transform: QR failed (LAPACK dgeqrf info -4)" in capsys.readouterr().err
+    assert f"Hankel transform: QR failed (LAPACK {routine} info -4)" in capsys.readouterr().err
     assert not (out / "rearrange.json").exists()
 
 

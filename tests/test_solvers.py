@@ -87,7 +87,7 @@ def test_nehari_sign_scan_unique(cfg, g4):
         vals = rng.uniform(0.1, 1.2) * np.exp(-(g4.nodes / rng.uniform(0.7, 2.5)) ** 2) \
             * (1 + rng.uniform(-0.3, 0.3) * (g4.nodes / 2) ** 2)
         u = bh.RadialField(g4, vals)
-        count, brackets = nehari_sign_scan(u, cfg, 1000)
+        count, brackets = nehari_sign_scan(u, cfg)
         assert count == 1
         t = project_nehari(u, cfg)
         lo, hi = brackets[0]
@@ -453,7 +453,7 @@ def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
     splu = solvers.spla.splu
     monkeypatch.setattr(solvers.spla, "splu", lambda A: calls.append(1) or splu(A))
     ops = solvers._ops_for(solved.field.grid, cfg)
-    u, res = solvers._damped_newton_pde(ops, solved.field.values, 60, cfg.overflow_cap)
+    u, res = solvers._damped_newton_pde(ops, solved.field.values)
     assert res <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     assert len(calls) <= 3
 
