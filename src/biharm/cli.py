@@ -8,8 +8,9 @@ module imports only what every command uses (grid, model, expressions); each
 handler imports its own layer, so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
-factorization or eigensolver that breaks down), 3 configuration or input
-error (unknown config keys, malformed or non-finite CSV fields, a problem
+factorization or eigensolver that breaks down), 3 usage, configuration or
+input error (a flag the command does not take, a missing or malformed flag
+value, unknown config keys, malformed or non-finite CSV fields, a problem
 whose scaling projection finds no sign change before the overflow cap, ...).
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import grid as g
-from .expressions import ParseError, parse_expression
+from .expressions import parse_expression
 from .grid import RadialField
 from .model import (ADAMS_BETA, ConstantPotential, OverflowCapError, ProblemConfig,
                     check_conditions, exact_growth_family, exp_critical,
@@ -335,9 +336,45 @@ def _cmd_sweep(rc: RunConfig) -> int:
     return EXIT_OK if all(r["converged"] for r in results) else EXIT_NOCONV
 
 
-_COMMANDS = {"solve": _cmd_solve, "rearrange": _cmd_rearrange, "moser": _cmd_moser,
-             "ratio": _cmd_ratio, "check": _cmd_check, "gap": _cmd_gap,
-             "sweep": _cmd_sweep}
+def _grid(text: str) -> tuple:
+    r_max, n = text.split(":")
+    return float(r_max), int(n)
+
+
+def _numbers(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+# flag -> (RunConfig field, conversion of the flag's text); --grid sets two fields
+_OPTIONS = {
+    "--dim": ("dimension", int), "--gamma": ("gamma", float), "--lambda": ("lam", float),
+    "--grid": (("grid_r_max", "grid_n"), _grid), "--V": ("potential_expr", str),
+    "--f": ("f_expr", str), "--F": ("F_expr", str), "--alpha0": ("alpha0", float),
+    "--theta": ("theta", float), "--g": ("g_expr", str), "--K": ("K", float),
+    "--L": ("L", float), "--budget": ("budget", int), "--b-values": ("b_values", _numbers),
+    "--max-iters": ("max_iters", int), "--tol": ("tol", float),
+    "--sweep-param": ("sweep_param", str), "--sweep-values": ("sweep_values", _numbers),
+    "--input": ("input_field", str), "--out-dir": ("out_dir", str)}
+_FORMS = {int: "an integer", float: "a number", _grid: "r_max:n_points",
+          _numbers: "comma-separated numbers"}
+_FLAG_HELP = {"--config": "JSON RunConfig file; flags take precedence",
+              "--grid": "r_max:n_points", "--V": "radial potential expression in t (= radius)",
+              "--b-values": "comma-separated b sweep", "--max-iters": "descent steps at most",
+              "--tol": "relative objective decrease over the stagnation window that ends "
+                       "the descent", "--sweep-values": "comma-separated values"}
+
+# each command takes the flags its handler reads (through _build_problem too),
+# and --config and --out-dir
+_NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--alpha0", "--theta")
+_PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
+_DESCENT = ("--grid", "--max-iters", "--tol")
+_COMMANDS = {"solve": (_cmd_solve, _PROBLEM + _DESCENT),
+             "rearrange": (_cmd_rearrange, ("--input", "--dim")),
+             "moser": (_cmd_moser, ("--b-values", "--K")),
+             "ratio": (_cmd_ratio, _PROBLEM + ("--L", "--budget")),
+             "check": (_cmd_check, _PROBLEM + ("--g", "--K")),
+             "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + _DESCENT),
+             "sweep": (_cmd_sweep, _PROBLEM + _DESCENT + ("--sweep-param", "--sweep-values"))}
 
 _SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
                 "search, exact scaling projection) until the objective stagnates, "
@@ -347,67 +384,40 @@ _HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
          "sweep": "Pohozaev ground states over --sweep-values"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):      # usage errors exit EXIT_CONFIG, not argparse's 2
+        self.exit(EXIT_CONFIG, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="biharm",
-                                 description="Radial variational solver for "
-                                             "bi-harmonic ground states")
+    """One subparser per command; each flag's text is kept under the flag's name."""
+    ap = _Parser(prog="biharm",
+                 description="Radial variational solver for bi-harmonic ground states")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP.get(name), description=(
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=_HELP.get(name), allow_abbrev=False, description=(
             _HELP[name] + _SOLVER_HELP if name in _HELP else None))
-        p.add_argument("--config", help="JSON RunConfig file; flags take precedence")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--grid", default=None, help="r_max:n_points")
-        p.add_argument("--V", dest="potential_expr", default=None,
-                       help="radial potential expression in t (= radius)")
-        p.add_argument("--f", dest="f_expr", default=None)
-        p.add_argument("--F", dest="F_expr", default=None)
-        p.add_argument("--alpha0", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--g", dest="g_expr", default=None)
-        p.add_argument("--K", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--b-values", default=None, help="comma-separated b sweep")
-        p.add_argument("--max-iters", type=int, default=None,
-                       help="descent steps at most")
-        p.add_argument("--tol", type=float, default=None,
-                       help="relative objective decrease over the stagnation "
-                            "window that ends the descent")
-        p.add_argument("--sweep-param", default=None)
-        p.add_argument("--sweep-values", default=None, help="comma-separated values")
-        p.add_argument("--input", dest="input_field", default=None)
-        p.add_argument("--out-dir", default=None)
+        for flag in ("--config",) + flags + ("--out-dir",):
+            p.add_argument(flag, dest=flag, metavar=flag[2:].upper().replace("-", "_"),
+                           help=_FLAG_HELP.get(flag))
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The flags over the --config file; a malformed value raises ValueError naming its flag."""
     rc = RunConfig(command=args.command)
-    if args.config:
-        with open(args.config) as fh:
-            rc = RunConfig.from_json(fh.read())
-        rc.command = args.command
-    simple = ("gamma", "lam", "potential_expr", "f_expr", "F_expr", "alpha0", "theta",
-              "g_expr", "K", "L", "budget", "max_iters", "tol", "sweep_param",
-              "input_field", "out_dir")
-    for name in simple:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(rc, name, val)
-    if args.dim is not None:
-        rc.dimension = args.dim
-    if args.grid is not None:
-        try:
-            r_max, n = args.grid.split(":")
-            rc.grid_r_max, rc.grid_n = float(r_max), int(n)
-        except ValueError:
-            raise ValueError(f"--grid takes r_max:n_points, got {args.grid!r}") from None
-    if args.b_values is not None:
-        rc.b_values = tuple(float(x) for x in args.b_values.split(","))
-    if args.sweep_values is not None:
-        rc.sweep_values = tuple(float(x) for x in args.sweep_values.split(","))
+    if getattr(args, "--config"):
+        with open(getattr(args, "--config")) as fh:
+            rc = replace(RunConfig.from_json(fh.read()), command=args.command)
+    for flag, text in vars(args).items():
+        if flag in _OPTIONS and text is not None:
+            field, convert = _OPTIONS[flag]
+            try:
+                value = convert(text)
+            except ValueError:
+                raise ValueError(f"{flag} takes {_FORMS[convert]}, got {text!r}") from None
+            for name, v in zip(field, value) if isinstance(field, tuple) else [(field, value)]:
+                setattr(rc, name, v)
     return rc
 
 
@@ -424,19 +434,16 @@ def with_default_grid(rc: RunConfig) -> RunConfig:
 
 def run(rc: RunConfig) -> int:
     """Dispatch one run configuration; returns the exit code."""
-    try:
-        handler = _COMMANDS[rc.command]
-    except KeyError:
+    if rc.command not in _COMMANDS:
         raise ValueError(f"unknown command {rc.command!r}")
-    return handler(with_default_grid(rc))
+    return _COMMANDS[rc.command][0](with_default_grid(rc))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = config_from_args(args)
-        code = run(rc)
-    except (ParseError, ValueError, OSError, KeyError, OverflowCapError) as exc:
+        code = run(config_from_args(args))
+    except (ValueError, OSError, KeyError, OverflowCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

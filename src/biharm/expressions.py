@@ -59,6 +59,7 @@ class _Tokens:
                 self.items.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
+        self.program = []
 
     def peek(self):
         if self.i < len(self.items):
@@ -71,98 +72,101 @@ class _Tokens:
         return tok
 
 
+# The parser emits a postfix program into ``_Tokens.program``: numbers, "t", and
+# (ufunc, arity) after the operands it takes, so evaluation needs no recursion.
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
 def _parse_expr(tk: _Tokens):
-    node = _parse_term(tk)
-    while True:
-        kind, text, _ = tk.peek()
-        if kind == "op" and text in "+-":
-            tk.next()
-            rhs = _parse_term(tk)
-            node = (np.add, node, rhs) if text == "+" else (np.subtract, node, rhs)
-        else:
-            return node
+    _parse_chain(tk, "+-", _parse_term)
 
 
 def _parse_term(tk: _Tokens):
-    node = _parse_factor(tk)
-    while True:
-        kind, text, _ = tk.peek()
-        if kind == "op" and text in "*/":
-            tk.next()
-            rhs = _parse_factor(tk)
-            node = (np.multiply, node, rhs) if text == "*" else (np.divide, node, rhs)
-        else:
-            return node
+    _parse_chain(tk, "*/", _parse_factor)
+
+
+def _parse_chain(tk: _Tokens, ops: str, operand):
+    """operand (op operand)* for op in ops, left-associative."""
+    operand(tk)
+    while tk.peek()[0] == "op" and tk.peek()[1] in ops:
+        text = tk.next()[1]
+        operand(tk)
+        tk.program.append((_BINARY[text], 2))
 
 
 def _parse_factor(tk: _Tokens):
     kind, text, _ = tk.peek()
     if kind == "op" and text == "-":
         tk.next()
-        return (np.negative, _parse_factor(tk))
-    node = _parse_base(tk)
+        _parse_factor(tk)
+        tk.program.append((np.negative, 1))
+        return
+    _parse_base(tk)
     kind, text, _ = tk.peek()
     if kind == "op" and text == "^":
         tk.next()
-        exponent = _parse_factor(tk)  # right-associative
-        node = (np.power, node, exponent)
-    return node
+        _parse_factor(tk)  # right-associative
+        tk.program.append((np.power, 2))
 
 
 def _parse_base(tk: _Tokens):
     kind, text, pos = tk.next()
     if kind == "num":
-        return float(text)
-    if kind == "name":
-        if text == "t":
-            return "t"
-        if text in _FUNCS:
-            k2, t2, p2 = tk.peek()
-            if not (k2 == "op" and t2 == "("):
-                raise ParseError(f"function {text!r} takes one parenthesized argument", p2, "'('")
-            tk.next()
-            arg = _parse_expr(tk)
-            k3, t3, p3 = tk.next()
-            if not (k3 == "op" and t3 == ")"):
-                raise ParseError("unbalanced function call", p3, "')'")
-            return (_FUNCS[text], arg)
+        tk.program.append(float(text))
+    elif kind == "name" and text == "t":
+        tk.program.append("t")
+    elif kind == "name" and text in _FUNCS:
+        k2, t2, p2 = tk.peek()
+        if not (k2 == "op" and t2 == "("):
+            raise ParseError(f"function {text!r} takes one parenthesized argument", p2, "'('")
+        tk.next()
+        _parse_expr(tk)
+        k3, t3, p3 = tk.next()
+        if not (k3 == "op" and t3 == ")"):
+            raise ParseError("unbalanced function call", p3, "')'")
+        tk.program.append((_FUNCS[text], 1))
+    elif kind == "name":
         raise ParseError(f"unknown identifier {text!r}", pos, "'t' or exp/log/abs/sqrt")
-    if kind == "op" and text == "(":
-        node = _parse_expr(tk)
+    elif kind == "op" and text == "(":
+        _parse_expr(tk)
         k2, t2, p2 = tk.next()
         if not (k2 == "op" and t2 == ")"):
             raise ParseError("unbalanced parenthesis", p2, "')'")
-        return node
-    raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
-                     pos, "number, 't', '(' or function")
+    else:
+        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
+                         pos, "number, 't', '(' or function")
 
 
-def _evaluate(node, t):
-    if isinstance(node, float):
-        return node
-    if node == "t":
-        return t
-    fn = node[0]
-    args = [_evaluate(a, t) for a in node[1:]]
+def _evaluate(program: list, t):
+    stack = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return fn(*args)
+        for op in program:
+            if isinstance(op, tuple):
+                fn, arity = op
+                stack[-arity:] = [fn(*stack[-arity:])]
+            else:
+                stack.append(t if op == "t" else op)
+    return stack[0]
 
 
 def parse_expression(src: str):
     """Parse ``src`` and return a callable f(t) (scalar or ndarray in, same out).
 
-    Raises ParseError with a byte offset on malformed input.
+    Raises ParseError with a byte offset on malformed input, and on nesting
+    deeper than the recursive descent can follow (about 160 parentheses).
     """
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
     tk = _Tokens(src)
-    tree = _parse_expr(tk)
+    try:
+        _parse_expr(tk)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", tk.peek()[2]) from None
     kind, text, pos = tk.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {text!r}", pos, "end of expression")
 
     def fn(t):
-        return _evaluate(tree, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+        return _evaluate(tk.program, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
 
-    fn.source = src
     return fn

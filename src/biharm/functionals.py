@@ -220,8 +220,6 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     triples, ``moser_nodes`` (the mesh size of each log-profile) and
     ``evaluations`` (the candidates evaluated, at most ``budget``).
     """
-    from .sequences import moser_sums  # local import, no cycle
-
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")
     if budget < 1:
@@ -256,6 +254,8 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
             break                      # concentration scale below resolvable range
         n_pts = max(int(np.ceil(2.5 / (r14 / 10.0))) + 1, 512)
         evals += 1
+        from .sequences import moser_sums  # loaded only if a log-profile runs
+
         sums = moser_sums(b, K, 2.5, n_pts, config.dimension, config.nonlinearity.F)
         ratio, quad = 2.0 * sums["F_mass"] / sums["l2_sq"], sums["quad_form"]
         moser_trace.append((float(b), ratio, float(quad)))

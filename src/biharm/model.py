@@ -21,7 +21,6 @@ stays finite up to the cap.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,20 +83,22 @@ _F_PANEL = 1.0 / 64.0
 _F_CHUNK = 1 << 15
 
 
-@functools.cache
-def _gauss_rule() -> tuple:
-    """Nodes and weights of the 8-point rule, built on first use: only a user
-    f loads numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(8)
+# nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1]: the bits of
+# numpy.polynomial.legendre.leggauss(8), which the tests check
+_GAUSS_NODES = np.array((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                         -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                         0.7966664774136267, 0.9602898564975362))
+_GAUSS_WEIGHTS = np.array((0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                           0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                           0.22238103445337443, 0.10122853629037706))
 
 
 def _gauss_panels(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """8-point Gauss-Legendre integral of fn over each [a_i, b_i]."""
-    nodes, weights = _gauss_rule()
     half = 0.5 * (b - a)
-    y = (a + half)[:, None] + half[:, None] * nodes
+    y = (a + half)[:, None] + half[:, None] * _GAUSS_NODES
     fy = np.broadcast_to(np.asarray(fn(y), dtype=float), y.shape)
-    return half * (fy * weights).sum(axis=1)
+    return half * (fy * _GAUSS_WEIGHTS).sum(axis=1)
 
 
 def gauss_antiderivative(fn: Callable, t):
@@ -216,20 +217,12 @@ def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
     exp-critical profiles up to the overflow cap its error is about 1e-14
     relative.
     """
-    f_raw = parse_expression(f_expr)
-
-    def f(t):
-        return f_raw(t)
-
+    f = parse_expression(f_expr)
     if F_expr is not None:
-        F_raw = parse_expression(F_expr)
-
-        def F(t):
-            return F_raw(t)
-
+        F = parse_expression(F_expr)
     else:
         def F(t):
-            return gauss_antiderivative(f_raw, t)
+            return gauss_antiderivative(f, t)
 
     return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
 

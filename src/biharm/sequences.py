@@ -255,7 +255,7 @@ def moser_estimates(b: float, K: float) -> dict:
     # core and junction neighbourhoods node by node: the stencil at junction
     # nodes (even extension at the axis, psi = 0 past r = 2), the core's
     # constant Laplacian elsewhere
-    junction = [j0 + d for j0 in (0, i14, i_one, i_two) for d in range(-2, 3)]
+    junction = {j0 + d for j0 in (0, i14, i_one, i_two) for d in range(-2, 3)}
     idx = np.array(sorted({j for j in junction if 0 <= j < n} | set(range(i14 + 1))))
     u5 = _moser_profile(np.abs(idx[:, None] + np.arange(-2, 3)) * h, b, K, r14, r_one, r_two)
     d2 = u5 @ np.array(g._D2) / (12.0 * h * h)
@@ -263,7 +263,7 @@ def moser_estimates(b: float, K: float) -> dict:
     r = idx * h
     with np.errstate(divide="ignore", invalid="ignore"):
         fd = np.where(idx == 0, 4.0 * d2, d2 + 3.0 * d1 / r)
-    lap = np.where(np.isin(idx, junction), fd, -16.0 * K / (r14 * r14 * b))
+    lap = np.where([j in junction for j in idx.tolist()], fd, -16.0 * K / (r14 * r14 * b))
     wt = s3 * r**3 * h
     wt[idx == n - 1] *= 0.5
     l2, lap2 = np.dot(wt, u5[:, 2] ** 2), np.dot(wt, lap**2)

@@ -417,8 +417,6 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField,
     """
     if not hasattr(config.potential, "gamma"):
         raise ValueError("the constrained route requires a constant potential")
-    if config.nonlinearity.kind == "exp_critical" and not (config.lam < config.gamma):
-        raise ValueError("requires lam < gamma")
     ops = _ops_for(init.grid, config)
     gam = config.gamma
 
@@ -444,8 +442,6 @@ def minimize_nehari(config: ProblemConfig, init: RadialField,
     pins its fixed points to genuine solutions.  The polish runs Newton on
     the full equation.
     """
-    if config.nonlinearity.kind == "exp_critical" and config.lam >= config.potential.v0:
-        raise ValueError("requires lam < V0")
     ops = _ops_for(init.grid, config)
     return _minimize(ops, init.values, lambda u0: (ops.V, ops.f), _Ops.I,
                      _Ops.N, project_nehari, opts or SolverOptions(), False)
@@ -480,12 +476,10 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None,
     Runs the Nehari minimization twice from the same init (with V, and with
     the constant gamma = lim V) and evaluates the comparison mechanism: the
     limit minimizer projected onto the trapped manifold must sit between the
-    two levels.
+    two levels.  Only the exp-critical family needs lam < V0, which
+    ProblemConfig checks.
     """
-    pot = config_V.potential
-    if config_V.lam >= pot.v0:
-        raise ValueError("requires lam < V0")
-    gamma = pot.gamma_inf
+    gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, config_V.lam, ConstantPotential(gamma),
                                config_V.nonlinearity, config_V.overflow_cap)
     if init is None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -232,8 +233,39 @@ def test_default_grid_solve_converges(tmp_path, dim):
 
 @pytest.mark.parametrize("flag", ["--refine", "--rearrange-interval", "--seeds"])
 def test_removed_flags_rejected(tmp_path, flag):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["solve", flag, "1"], tmp_path)
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_each_command_takes_only_its_flags():
+    # 68 flag/command pairs; every command also takes --config, --out-dir and -h
+    from biharm.cli import _COMMANDS
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(_COMMANDS)
+    pairs = 0
+    for name, (_, flags) in _COMMANDS.items():
+        got = {s for a in subparsers[name]._actions for s in a.option_strings}
+        assert got == {*flags, "--config", "--out-dir", "-h", "--help"}, name
+        pairs += len(flags) + 2
+    assert pairs == 68
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["solve", "--V", "1-0.4*exp(-t^2)"], "--V"), (["sweep", "--L", "1"], "--L"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--gamma", "1"], "--gamma"),
+    (["ratio", "--grid", "20:512"], "--grid"), (["ratio", "--V", "1"], "--V"),
+    (["check", "--max-iters", "5"], "--max-iters"), (["moser", "--dim", "4"], "--dim"),
+    (["rearrange", "--lambda", "0.5"], "--lambda"), (["solve", "--grid"], "--grid"),
+    (["solve", "--no-such-flag"], "--no-such-flag"), (["solve", "--lam", "0.5"], "--lam")])
+def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
+    # a flag the command does not read, a missing value, an unknown or abbreviated flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args, tmp_path)
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inconsistent_F_exits_config(tmp_path, capsys):
@@ -379,8 +411,9 @@ def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
 
 def test_sweep_jobs_option_is_gone(tmp_path, capsys):
     # sweeps run their values in turn; a config file naming "jobs" is refused
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--jobs", "2"], tmp_path)
+    assert exc.value.code == EXIT_CONFIG
     raw = json.loads(RunConfig(command="sweep").to_json())
     raw["jobs"] = 2
     cfg = tmp_path / "run.json"
@@ -392,14 +425,16 @@ def test_sweep_jobs_option_is_gone(tmp_path, capsys):
 
 # Runs each command in one process.  For the import alone, then after each
 # command, it prints the exit code, the scipy modules loaded so far, and the
-# biharm modules loaded so far together with numpy.polynomial if it is loaded.
+# biharm modules loaded so far together with numpy.polynomial and numpy.ma if
+# they are loaded.
 _PROBE = """
 import json, os, sys
 from biharm.cli import main
 def loaded():
     mods = sorted(sys.modules)
     scipy = ",".join(m for m in mods if m.split(".")[0] == "scipy") or "-"
-    own = ",".join(m for m in mods if m.startswith("biharm.") or m == "numpy.polynomial")
+    own = ",".join(m for m in mods
+                   if m.startswith("biharm.") or m in ("numpy.polynomial", "numpy.ma"))
     return scipy + " " + own
 print("import", loaded())
 for i, argv in enumerate(json.loads(sys.argv[2])):
@@ -472,13 +507,17 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
     (["solve", "--dim", "4", "--grid", "20:512"],
      {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
     (_GAP_2D, {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
-    (["check", "--f", "0.5*t*exp(2*t^2)"], {"solvers", "functionals"}),
+    (["check", "--f", "0.5*t*exp(2*t^2)"], {"solvers", "functionals", "numpy.polynomial"}),
     (["check", "--g", "t^4"], {"solvers", "functionals", "sequences", "numpy.polynomial"}),
     (["rearrange", "--input", None], {"solvers", "sequences"}),
-], ids=["solve", "gap", "check_f", "check_g", "rearrange"])
+    (["moser", "--b-values", "3,5,7.5"], {"solvers", "functionals", "numpy.ma"}),
+    (["ratio", "--f", "0.5*t*exp(2*t^2)", "--budget", "4"],
+     {"solvers", "sequences", "numpy.polynomial"}),
+], ids=["solve", "gap", "check_f", "check_g", "rearrange", "moser", "ratio_f"])
 def test_commands_load_only_their_layers(tmp_path, argv, absent):
-    # each handler imports its own layer; the Gauss-Legendre rule of a user F and
-    # the closed-form Moser sums are the only users of numpy.polynomial
+    # each handler imports its own layer, and the ratio search loads the Moser
+    # sums only when a log-profile runs; the closed-form Moser sums (b = 7.5)
+    # are the only user of numpy.polynomial, and no command loads numpy.ma
     argv = [a if a is not None else _two_bump_csv(tmp_path) for a in argv]
     lines, err = _run_probe(tmp_path, [argv])
     assert lines[-1][0] == "0", err
@@ -498,6 +537,23 @@ def test_import_loads_no_numpy_and_resolves_every_name():
                          env=env)
     assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False",
                                        "True 58", "True"], res.stderr
+
+
+def test_gap_gates_lambda_only_for_the_exp_critical_family(tmp_path):
+    # a user f: the default --lambda 0.5 above V0 = 0.35 plays no part
+    code, out = run_cli(["gap", "--V", "0.45-0.1*exp(-t^2)", "--f", "0.2*t*exp(2*t^2)"],
+                        tmp_path)
+    assert code == EXIT_OK
+    rep = json.loads((out / "gap.json").read_text())["gap"]
+    assert rep["m_V"] == pytest.approx(53.33495, abs=1e-5)
+    assert rep["m_infty"] == pytest.approx(53.86246, abs=1e-5)
+
+
+def test_long_sum_runs(tmp_path):
+    # a 500-term sum is evaluated on a stack, not by recursion
+    code, out = run_cli(["check", "--f", "+".join(["t"] * 500)], tmp_path)
+    assert code == EXIT_OK
+    assert (out / "check.json").exists()
 
 
 def test_constant_potential_gap_is_zero(tmp_path):
@@ -613,6 +669,12 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
      "no sign change before the overflow cap"),
     (["solve", "--grid", "20"], "--grid takes r_max:n_points"),
     (["solve", "--grid", "20:abc"], "--grid takes r_max:n_points"),
+    (["solve", "--dim", "abc"], "--dim takes an integer, got 'abc'"),
+    (["ratio", "--budget", "1.5"], "--budget takes an integer, got '1.5'"),
+    (["moser", "--b-values", "abc"], "--b-values takes comma-separated numbers"),
+    (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.3,x"],
+     "--sweep-values takes comma-separated numbers, got '0.3,x'"),
+    (["check", "--f", "(" * 250 + "t" + ")" * 250], "expression nested too deeply"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

@@ -94,3 +94,16 @@ def test_polynomial_matches_python(a, b):
 def test_nested_parens(depth):
     src = "(" * depth + "t" + ")" * depth
     assert parse_expression(src)(2.5) == 2.5
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    for depth in (250, 5000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expression("(" * depth + "t" + ")" * depth)
+
+
+def test_long_sum_evaluates_without_recursion():
+    # a left-deep tree 500 nodes deep, evaluated on a stack
+    f = parse_expression("+".join(["t"] * 500))
+    assert f(0.5) == 250.0
+    assert np.array_equal(f(np.array([1.0, -2.0])), [500.0, -1000.0])

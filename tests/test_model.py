@@ -75,6 +75,13 @@ def test_user_F_agrees_with_simpson(f_expr, t):
     assert abs(F_gauss - F_quad) <= 1e-8 * (1 + abs(F_gauss))
 
 
+def test_gauss_rule_is_leggauss_8():
+    from biharm.model import _GAUSS_NODES, _GAUSS_WEIGHTS
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("cap", [0.0, -1.0, float("inf"), float("nan"), 20.0, 18.8])
 def test_overflow_cap_is_validated(cap):
     # 4-D: alpha0 = 2, so the bound alpha0 cap^2 + 2 ln cap < ln(DBL_MAX) allows ~18.7
