@@ -21,10 +21,9 @@ _EXPORTS = {
     "rearrangement": ("RearrangementReport", "fourier_rearrange", "hankel_transform"),
     "sequences": ("MoserParams", "WitnessReport", "moser_estimates", "moser_field",
                   "necessity_witness", "plateau_field"),
-    "solvers": ("GapReport", "SolveReport", "SolverOptions", "gradient_action",
-                "gradient_quadratic", "limiting_gap", "minimize_nehari", "minimize_pohozaev",
-                "nehari_sign_scan", "project_nehari", "project_pohozaev", "recover_solution",
-                "residual_weak"),
+    "solvers": ("GapReport", "SolveReport", "gradient_action", "gradient_quadratic",
+                "limiting_gap", "minimize_nehari", "minimize_pohozaev", "nehari_sign_scan",
+                "project_nehari", "project_pohozaev", "recover_solution", "residual_weak"),
     "diagnostics": ("GrowthClassification", "bounded_functional_probe", "classify_growth"),
     "expressions": ("ParseError", "parse_expression"),
 }

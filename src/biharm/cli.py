@@ -8,10 +8,12 @@ module imports only what every command uses (grid, model, expressions); each
 handler imports its own layer, so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
-factorization or eigensolver that breaks down), 3 usage, configuration or
-input error (a flag the command does not take, a missing or malformed flag
-value, unknown config keys, malformed or non-finite CSV fields, a problem
-whose scaling projection finds no sign change before the overflow cap, ...).
+factorization or eigensolver that breaks down, or a ``gap`` whose comparison
+level, an upper bound of m_V, falls below m_V; gap.json is still written),
+3 usage, configuration or input error (a flag the command does not take, a
+missing or malformed flag value, unknown config keys, malformed or
+non-finite CSV fields, a problem whose scaling projection finds no sign
+change before the overflow cap, ...).
 """
 
 from __future__ import annotations
@@ -134,8 +136,6 @@ class RunConfig:
     L: Optional[float] = None
     budget: int = 400
     b_values: tuple = (3.0, 5.0, 8.0)
-    max_iters: int = 400
-    tol: float = 1e-10
     sweep_param: Optional[str] = None
     sweep_values: tuple = ()
     input_field: Optional[str] = None
@@ -192,12 +192,6 @@ def _default_init(grd) -> RadialField:
     return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
 
 
-def _solver_options(rc: RunConfig):
-    from .solvers import SolverOptions
-
-    return SolverOptions(max_iters=rc.max_iters, tol=rc.tol)
-
-
 def _report_header(rc: RunConfig) -> dict:
     echo = asdict(rc)
     echo.pop("out_dir")            # environmental, not part of the run identity
@@ -210,7 +204,7 @@ def _cmd_solve(rc: RunConfig) -> int:
     from .solvers import minimize_pohozaev, recover_solution, residual_weak
 
     grd, config = _build_problem(rc)
-    rep = minimize_pohozaev(config, _default_init(grd), _solver_options(rc))
+    rep = minimize_pohozaev(config, _default_init(grd))
     recovered = recover_solution(rep.field, rep.lagrange_theta, config)
     out = _report_header(rc)
     out["solve"] = {
@@ -306,10 +300,17 @@ def _cmd_gap(rc: RunConfig) -> int:
     from .solvers import limiting_gap
 
     grd, config = _build_problem(rc)
-    rep = limiting_gap(config, _default_init(grd), _solver_options(rc))
+    rep = limiting_gap(config, _default_init(grd))
     out = _report_header(rc)
     out["gap"] = asdict(rep)
     atomic_write(os.path.join(rc.out_dir, "gap.json"), dump_report(out))
+    # the projected limit minimizer is on the trapped manifold, so its level
+    # bounds m_V from above; below m_V the trapped descent missed the minimum
+    if rep.comparison_level < rep.m_V - 1e-9 * abs(rep.m_V):
+        print(f"error: comparison level {rep.comparison_level:.10g} < m_V {rep.m_V:.10g}: "
+              "the trapped solve missed the ground level of its own Nehari manifold",
+              file=sys.stderr)
+        return EXIT_NOCONV
     return EXIT_OK
 
 
@@ -323,7 +324,7 @@ def _cmd_sweep(rc: RunConfig) -> int:
                            ("lam" if rc.sweep_param == "lambda" else "gamma"): val,
                            "sweep_param": None, "sweep_values": ()})
         grd, config = _build_problem(sub)
-        rep = minimize_pohozaev(config, _default_init(grd), _solver_options(sub))
+        rep = minimize_pohozaev(config, _default_init(grd))
         return {"value": val, "objective": rep.objective,
                 "lagrange_theta": rep.lagrange_theta,
                 "constraint_residual": rep.constraint_residual,
@@ -352,29 +353,25 @@ _OPTIONS = {
     "--f": ("f_expr", str), "--F": ("F_expr", str), "--alpha0": ("alpha0", float),
     "--theta": ("theta", float), "--g": ("g_expr", str), "--K": ("K", float),
     "--L": ("L", float), "--budget": ("budget", int), "--b-values": ("b_values", _numbers),
-    "--max-iters": ("max_iters", int), "--tol": ("tol", float),
     "--sweep-param": ("sweep_param", str), "--sweep-values": ("sweep_values", _numbers),
     "--input": ("input_field", str), "--out-dir": ("out_dir", str)}
 _FORMS = {int: "an integer", float: "a number", _grid: "r_max:n_points",
           _numbers: "comma-separated numbers"}
 _FLAG_HELP = {"--config": "JSON RunConfig file; flags take precedence",
               "--grid": "r_max:n_points", "--V": "radial potential expression in t (= radius)",
-              "--b-values": "comma-separated b sweep", "--max-iters": "descent steps at most",
-              "--tol": "relative objective decrease over the stagnation window that ends "
-                       "the descent", "--sweep-values": "comma-separated values"}
+              "--b-values": "comma-separated b sweep", "--sweep-values": "comma-separated values"}
 
 # each command takes the flags its handler reads (through _build_problem too),
 # and --config and --out-dir
 _NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--alpha0", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
-_DESCENT = ("--grid", "--max-iters", "--tol")
-_COMMANDS = {"solve": (_cmd_solve, _PROBLEM + _DESCENT),
+_COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
              "rearrange": (_cmd_rearrange, ("--input", "--dim")),
              "moser": (_cmd_moser, ("--b-values", "--K")),
              "ratio": (_cmd_ratio, _PROBLEM + ("--L", "--budget")),
              "check": (_cmd_check, _PROBLEM + ("--g", "--K")),
-             "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + _DESCENT),
-             "sweep": (_cmd_sweep, _PROBLEM + _DESCENT + ("--sweep-param", "--sweep-values"))}
+             "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + ("--grid",)),
+             "sweep": (_cmd_sweep, _PROBLEM + ("--grid", "--sweep-param", "--sweep-values"))}
 
 _SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
                 "search, exact scaling projection) until the objective stagnates, "

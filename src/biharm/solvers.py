@@ -11,11 +11,16 @@ functional and its projection:
    fixed-point iteration for ground states).  A backtracking line search
    rescales each trial point back onto the constraint manifold and accepts
    it once the objective does not increase; the descent stops when the
-   objective stagnates.  The zero-crossing scale is unique for both
-   constraints, which is what makes the scaling projection (``_project``)
-   well defined: it is the root of one scalar function, the ray
-   s -> G(s u) or N(s u) with its quadratic parts computed once, found by
-   Brent's method on a doubling bracket.
+   objective falls by less than ``_STAGNATION_TOL`` (1e-10, relative) over
+   ``_STAGNATION_WINDOW`` steps, or after ``_DESCENT_STEPS`` (400) steps.
+   Both are constants, not options, because the polish fixes the reported
+   level: on converged runs a stagnation tolerance from 1e-12 to 1e-4 or a
+   cap from 100 to 1000 steps moved no ground level by more than 3e-13
+   relative (``gap``'s comparison level by at most 5e-12).
+   The zero-crossing scale is unique for both constraints, which is what
+   makes the scaling projection (``_project``) well defined: it is the root
+   of one scalar function, the ray s -> G(s u) or N(s u) with its quadratic
+   parts computed once, found by Brent's method on a doubling bracket.
 
 2. Polish on the same grid: damped Newton on the discrete Euler-Lagrange
    equation, an exact projection onto the constraint, and the report.  Each
@@ -56,19 +61,9 @@ from .functionals import _Functionals
 from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
 
 _NEWTON_ITERS = 60          # polish Newton steps at most
-_STAGNATION_WINDOW = 12     # descent steps over which the objective must fall by tol
-
-
-@dataclass
-class SolverOptions:
-    max_iters: int = 400
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
-            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+_DESCENT_STEPS = 400        # descent steps at most
+_STAGNATION_TOL = 1e-10     # the descent ends once the objective falls by less than
+_STAGNATION_WINDOW = 12     # this, relative, over this many steps
 
 
 @dataclass
@@ -320,8 +315,7 @@ def _boundary_warning(field: RadialField, out: list):
 
 
 def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callable,
-              functional: Callable, project: Callable, opts: SolverOptions,
-              multiplier: bool) -> SolveReport:
+              functional: Callable, project: Callable, multiplier: bool) -> SolveReport:
     """Minimize objective(ops, u) on {functional(ops, u) = 0}, then polish.
 
     ``project(field, config)`` is the scaling projection onto the manifold.
@@ -331,6 +325,10 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
     iterate is dilated by the integral-formula multiplier before the polish,
     so Newton solves the plain equation, and the report carries the
     multiplier of the polished state.
+
+    The descent stops after ``_DESCENT_STEPS`` steps or once the objective
+    stagnates (``_STAGNATION_TOL``); neither is an option because the polish,
+    not the descent, fixes the level (see the module docstring).
     """
     config, grid0 = ops.config, ops.grid
     warns: list = []
@@ -348,7 +346,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
     obj = objective(ops, u)
     trace = [(0, obj, abs(functional(ops, u)))]
     tau, it = 1.0, 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, _DESCENT_STEPS + 1):
         v = Mlu.solve(rhs(u))
         accepted = False
         t_try = tau
@@ -368,7 +366,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
         tau = min(t_try * 1.5, 1.0)
         trace.append((it, obj, abs(functional(ops, u))))
         wnd = _STAGNATION_WINDOW
-        if len(trace) > wnd and trace[-wnd - 1][1] - obj < opts.tol * max(abs(obj), 1e-30):
+        if len(trace) > wnd and trace[-wnd - 1][1] - obj < _STAGNATION_TOL * max(abs(obj), 1e-30):
             break
 
     # ---- polish on the same grid ----
@@ -400,8 +398,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
                        converged, warns)
 
 
-def minimize_pohozaev(config: ProblemConfig, init: RadialField,
-                      opts: Optional[SolverOptions] = None) -> SolveReport:
+def minimize_pohozaev(config: ProblemConfig, init: RadialField) -> SolveReport:
     """Minimize 1/2 ||Du||^2 over {G = 0} (constant potential).
 
     The descent steps the multiplier-corrected equation
@@ -430,11 +427,10 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField,
         return c0 * gam, rhs
 
     return _minimize(ops, init.values, descent, lambda o, u: 0.5 * o.quad_form(u),
-                     _Ops.G, project_pohozaev, opts or SolverOptions(), True)
+                     _Ops.G, project_pohozaev, True)
 
 
-def minimize_nehari(config: ProblemConfig, init: RadialField,
-                    opts: Optional[SolverOptions] = None) -> SolveReport:
+def minimize_nehari(config: ProblemConfig, init: RadialField) -> SolveReport:
     """Minimize the action on the Nehari manifold {N = 0}.
 
     The descent is the projected fixed-point iteration (-D)^m v + V v = f(u)
@@ -444,7 +440,7 @@ def minimize_nehari(config: ProblemConfig, init: RadialField,
     """
     ops = _ops_for(init.grid, config)
     return _minimize(ops, init.values, lambda u0: (ops.V, ops.f), _Ops.I,
-                     _Ops.N, project_nehari, opts or SolverOptions(), False)
+                     _Ops.N, project_nehari, False)
 
 
 def recover_solution(u: RadialField, theta: float, config: ProblemConfig) -> RadialField:
@@ -469,8 +465,7 @@ def residual_weak(u: RadialField, config: ProblemConfig) -> float:
     return _ops_for(u.grid, config).residual_weak(u.values)
 
 
-def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None,
-                 opts: Optional[SolverOptions] = None) -> GapReport:
+def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) -> GapReport:
     """Ground levels with the trapping potential and its constant limit.
 
     Runs the Nehari minimization twice from the same init (with V, and with
@@ -485,8 +480,8 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None,
     if init is None:
         gridobj = g.default_grid(config_V.dimension)
         init = RadialField(gridobj, np.exp(-gridobj.nodes**2 / 2.0))
-    rep_V = minimize_nehari(config_V, init, opts)
-    rep_inf = minimize_nehari(config_inf, init, opts)
+    rep_V = minimize_nehari(config_V, init)
+    rep_inf = minimize_nehari(config_inf, init)
 
     # project the limit minimizer onto the trapped manifold and evaluate I_V
     w_star = rep_inf.field

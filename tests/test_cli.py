@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -120,8 +121,8 @@ def test_check_conditions_output(tmp_path):
 
 
 def test_solve_command(tmp_path):
-    code, out = run_cli(["solve", "--gamma", "1", "--lambda", "0.5",
-                         "--grid", "20:512", "--max-iters", "200"], tmp_path)
+    code, out = run_cli(["solve", "--gamma", "1", "--lambda", "0.5", "--grid", "20:512"],
+                        tmp_path)
     assert code == EXIT_OK
     rep = json.loads((out / "solve.json").read_text())
     s = rep["solve"]
@@ -239,7 +240,7 @@ def test_removed_flags_rejected(tmp_path, flag):
 
 
 def test_each_command_takes_only_its_flags():
-    # 68 flag/command pairs; every command also takes --config, --out-dir and -h
+    # 62 flag/command pairs; every command also takes --config, --out-dir and -h
     from biharm.cli import _COMMANDS
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
@@ -249,7 +250,7 @@ def test_each_command_takes_only_its_flags():
         got = {s for a in subparsers[name]._actions for s in a.option_strings}
         assert got == {*flags, "--config", "--out-dir", "-h", "--help"}, name
         pairs += len(flags) + 2
-    assert pairs == 68
+    assert pairs == 62
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -258,9 +259,16 @@ def test_each_command_takes_only_its_flags():
     (["ratio", "--grid", "20:512"], "--grid"), (["ratio", "--V", "1"], "--V"),
     (["check", "--max-iters", "5"], "--max-iters"), (["moser", "--dim", "4"], "--dim"),
     (["rearrange", "--lambda", "0.5"], "--lambda"), (["solve", "--grid"], "--grid"),
-    (["solve", "--no-such-flag"], "--no-such-flag"), (["solve", "--lam", "0.5"], "--lam")])
+    (["solve", "--no-such-flag"], "--no-such-flag"), (["solve", "--lam", "0.5"], "--lam"),
+    (["solve", "--tol", "1e-8"], "--tol"), (["solve", "--max-iters", "5"], "--max-iters"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--tol", "1e-8"], "--tol"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--max-iters", "5"], "--max-iters"),
+    (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--tol", "1e-8"], "--tol"),
+    (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--max-iters", "5"],
+     "--max-iters")])
 def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
-    # a flag the command does not read, a missing value, an unknown or abbreviated flag
+    # a flag the command does not read, a missing value, an unknown or abbreviated
+    # flag; no command takes --tol or --max-iters
     with pytest.raises(SystemExit) as exc:
         run_cli(args, tmp_path)
     assert exc.value.code == EXIT_CONFIG
@@ -335,17 +343,20 @@ def test_runconfig_rejects_unknown_keys():
 
 
 def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
-    raw = json.loads(RunConfig(command="check", g_expr="t^4").to_json())
-    raw["refine"] = 8
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    code, _ = run_cli(["check", "--config", str(cfg)], tmp_path)
-    assert code == EXIT_CONFIG
-    assert "refine" in capsys.readouterr().err
+    # the descent's step cap and stagnation tolerance are solver constants, not keys
+    for key, value in (("refine", 8), ("tol", 1e-10), ("max_iters", 400)):
+        raw = json.loads(RunConfig(command="check", g_expr="t^4").to_json())
+        raw[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(raw))
+        code, out = run_cli(["check", "--config", str(cfg)], tmp_path)
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (out / "check.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [
-    ("tol", "1e-8"), ("grid_n", "512"), ("grid_n", 512.0), ("max_iters", True),
+    ("alpha0", "1e-8"), ("grid_n", "512"), ("grid_n", 512.0), ("budget", True),
     ("gamma", False), ("theta", "2"), ("b_values", [3, "5"]), ("sweep_values", 0.4),
     ("f_expr", 2), ("command", None)])
 def test_config_file_with_mistyped_value_exits_config(tmp_path, capsys, key, value):
@@ -366,7 +377,7 @@ def test_config_file_keeps_json_ints_in_float_fields(tmp_path):
     code, out = run_cli(["check", "--config", str(cfg)], tmp_path)
     assert code == EXIT_OK
     text = (out / "check.json").read_text()
-    assert '"gamma": 1,' in text and '"theta": 2,' in text
+    assert re.search(r'"gamma": 1\b(?!\.)', text) and re.search(r'"theta": 2\b(?!\.)', text)
 
 
 def test_config_file_dimension_sets_the_grid(tmp_path):
@@ -529,14 +540,15 @@ def test_import_loads_no_numpy_and_resolves_every_name():
     # the package resolves its names and submodules on first access
     script = ("import sys, biharm as bh\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'biharm')))\n"
-              "print(bh.sequences.__name__, bh.cli.__name__, hasattr(bh, 'no_such_name'))\n"
+              "print(bh.sequences.__name__, bh.cli.__name__, hasattr(bh, 'no_such_name'),\n"
+              "      hasattr(bh, 'SolverOptions'))\n"
               "print(all(getattr(bh, name) is not None for name in bh.__all__), len(bh.__all__))\n"
               "print(set(bh.__all__) <= set(dir(bh)))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env)
-    assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False",
-                                       "True 58", "True"], res.stderr
+    assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False False",
+                                       "True 57", "True"], res.stderr
 
 
 def test_gap_gates_lambda_only_for_the_exp_critical_family(tmp_path):
@@ -554,6 +566,18 @@ def test_long_sum_runs(tmp_path):
     code, out = run_cli(["check", "--f", "+".join(["t"] * 500)], tmp_path)
     assert code == EXIT_OK
     assert (out / "check.json").exists()
+
+
+@pytest.mark.parametrize("lam", ["0.1", "0.15"])
+def test_gap_exits_noconv_when_the_comparison_level_undercuts_m_V(tmp_path, capsys, lam):
+    # the projected limit minimizer lies on the trapped Nehari manifold, so its
+    # level bounds m_V from above; here the trapped solve ends above it
+    code, out = run_cli(["gap", "--dim", "2", "--V", "1-0.4*exp(-t^2)", "--lambda", lam],
+                        tmp_path)
+    assert code == EXIT_NOCONV
+    gp = json.loads((out / "gap.json").read_text())["gap"]
+    assert gp["comparison_level"] < gp["m_V"]
+    assert "comparison level" in capsys.readouterr().err
 
 
 def test_constant_potential_gap_is_zero(tmp_path):
@@ -657,9 +681,9 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["ratio", "--L", "nan"], "L must be positive and finite"),
     (["ratio", "--L", "inf"], "L must be positive and finite"),
     (["sweep", "--sweep-param", "lambda"], "--sweep-values"),
-    (["solve", "--tol", "nan"], "tol must be finite and >= 0"),
-    (["solve", "--tol", "-1"], "tol must be finite and >= 0"),
-    (["solve", "--max-iters", "-5"], "max_iters must be an integer >= 0"),
+    (["rearrange"], "rearrange requires --input"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.7"], "lam=0.7 >= V0=0.6"),
+    (["solve", "--dim", "3"], "dimension must be 2 or 4"),
     (["solve", "--gamma", "inf"], "gamma must be positive and finite"),
     (["check", "--theta", "nan"], "theta must be positive and finite"),
     (["ratio", "--theta", "nan"], "theta must be positive and finite"),

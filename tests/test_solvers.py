@@ -4,7 +4,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import biharm as bh
 from biharm.grid import apply_stencil
-from biharm.solvers import (SolverOptions, _Ops, _ops_for, _project, gradient_action,
+from biharm.solvers import (_Ops, _ops_for, _project, gradient_action,
                             gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
                             recover_solution, residual_weak)
@@ -268,15 +268,6 @@ def test_minimize_pohozaev_rejects_bad_config(g4):
     z = bh.RadialField(g4, np.zeros(g4.n_points))
     with pytest.raises(ValueError):
         minimize_pohozaev(cfg2, z)
-
-
-@pytest.mark.parametrize("kwargs", [{"max_iters": -5}, {"max_iters": 2.5},
-                                    {"tol": float("nan")}, {"tol": float("inf")},
-                                    {"tol": -1.0}])
-def test_solver_options_reject_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        SolverOptions(**kwargs)
-    SolverOptions(max_iters=0, tol=0.0)
 
 
 def test_lambda_monotonicity(g4):
