@@ -244,6 +244,8 @@ def _cmd_moser(rc: RunConfig) -> int:
 
     rows = []
     beta = ADAMS_BETA[4]
+    if len(set(rc.b_values)) < len(rc.b_values):   # the excess fit needs distinct b
+        raise ValueError(f"b values must be distinct, got {','.join(map(format, rc.b_values))}")
     for b in rc.b_values:
         moser_mesh(b, rc.K)  # every b is checked before any is computed
     for b in rc.b_values:

@@ -9,7 +9,8 @@ finite) and the compactness condition (both limits zero).  Verdicts are
 estimates, never proofs: the classifier distinguishes the exponential order
 of g from the polynomial prefactor, and reports the razor's-edge case
 (exponential order exactly 1/K, where the t^2-weighted limit diverges only
-polynomially) as ``inconclusive`` with a finite exponential-order estimate.
+polynomially) as a bounded verdict ``inconclusive`` with a finite
+exponential-order estimate; the compact verdict is then ``fails``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class GrowthClassification:
     limsup_infinity: float       # estimate of lim t^2 exp(-t^2/K) g(t); inf if diverging
     limsup_origin: float         # estimate of lim g(t)/t^2; inf if diverging
     bounded_verdict: str         # "holds" | "fails" | "inconclusive"
-    compact_verdict: str
+    compact_verdict: str         # "holds" | "fails"
     infinity_boundary: bool      # exponential order matched 1/K exactly
     exp_order_estimate: float    # fitted d log g / d t^2 on the tail
 
@@ -79,7 +80,6 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
         logy = np.log10(np.maximum(y_inf, 1e-300))
     slope_inf, _ = _tail_fit(logt[tail], logy[tail])
 
-    inf_boundary = False
     order_band = 0.02 / K               # 2% relative band around the critical rate
     if not np.isfinite(order):
         limsup_inf, inf_state = float("inf"), "fails"
@@ -95,13 +95,11 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
             ratio = np.exp(-t[far] ** 2 / K) * gv[far]
             limsup_inf = float(np.exp(np.mean(np.log(np.maximum(ratio, 1e-300)))))
             inf_state = "boundary"
-            inf_boundary = True
         elif slope_inf < -SLOPE_TOL:
             limsup_inf, inf_state = 0.0, "holds"
         else:
             limsup_inf = float(np.exp(np.mean(np.log(np.maximum(y_inf[far], 1e-300)))))
             inf_state = "boundary"
-            inf_boundary = True
 
     # --- behavior at the origin
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -128,19 +126,11 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
         bounded = "inconclusive"   # an exact-boundary finite limit
 
     # compactness requires both limits to vanish; a finite nonzero limit fails it
-    if "fails" in states or "boundary" in states:
-        compact = "fails"
-    elif states == ("holds", "holds"):
-        compact = "holds"
-    else:
-        compact = "inconclusive"
+    compact = "holds" if states == ("holds", "holds") else "fails"
 
-    # invariant: compact holds implies bounded holds
-    if compact == "holds":
-        bounded = "holds"
-
+    order = float(order) if np.isfinite(order) else float("nan")
     return GrowthClassification(float(K), limsup_inf, limsup_0, bounded, compact,
-                                inf_boundary, float(order) if np.isfinite(order) else float("nan"))
+                                inf_state == "boundary", order)
 
 
 def bounded_functional_probe(gfun: Callable, K: float, trial_fields) -> dict:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OverflowCapError, ProblemConfig, check_cap
+from .model import OVERFLOW_CAP, OverflowCapError, ProblemConfig, check_cap
 
 
 @dataclass
@@ -140,7 +140,7 @@ def evaluate_all(u: RadialField, config: ProblemConfig) -> FunctionalReport:
     the Pohozaev functional uses the limiting constant gamma = V(r_max).
     Raises OverflowCapError if the field exceeds the overflow cap.
     """
-    check_cap(u.values, config.overflow_cap)
+    check_cap(u.values)
     core = _Functionals(u.grid, config)
     vals = u.values
     exp_weighted = float(np.dot(core.w, np.exp(core.a * vals * vals) * vals * vals))
@@ -192,7 +192,7 @@ def _ratio_of(values: np.ndarray, gridobj: RadialGrid, config: ProblemConfig,
         raise ValueError("degenerate candidate")
     scale = np.sqrt(L / q)
     vals = values * scale
-    check_cap(vals, config.overflow_cap)
+    check_cap(vals)
     w = gridobj.weights
     F_mass = float(np.dot(w, np.asarray(config.nonlinearity.F(vals), dtype=float)))
     return 2.0 * F_mass / float(np.dot(w, vals * vals)), float(np.max(np.abs(vals)))
@@ -247,7 +247,7 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     for b in (2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5):
         if evals >= budget:
             break
-        if b + 2.0 * K / b > config.overflow_cap:
+        if b + 2.0 * K / b > OVERFLOW_CAP:
             break
         r14 = float(np.exp(-b * b / (4.0 * K)))
         if r14 < 1e-5:

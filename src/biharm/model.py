@@ -10,13 +10,13 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   either parsed too or the vectorized composite Gauss-Legendre antiderivative
   of f (``gauss_antiderivative``), computed afresh on every call.
 
-There is one overflow policy.  Amplitudes are capped (default 6.0): fields
-enter the functionals through ``check_cap``, which raises OverflowCapError
-beyond the cap, and the scaling projections bracket their scale below it;
-nothing is clamped, since a silent clamp would corrupt every functional
-downstream.  ProblemConfig accepts a cap only if alpha0 cap^2 + 2 ln(cap) <
-ln(DBL_MAX) (about 709.78), so the largest integrand exp(alpha0 t^2) t^2
-stays finite up to the cap.
+There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
+(6.0): fields enter the functionals through ``check_cap``, which raises
+OverflowCapError beyond the cap, and the scaling projections bracket their
+scale below it; nothing is clamped, since a silent clamp would corrupt every
+functional downstream.  ProblemConfig accepts an alpha0 only if
+alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), so the largest
+integrand exp(alpha0 t^2) t^2 stays finite up to the cap.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .expressions import parse_expression
 from .grid import RadialGrid
 
-DEFAULT_OVERFLOW_CAP = 6.0
+OVERFLOW_CAP = 6.0
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 ADAMS_BETA = {4: 32.0 * np.pi**2, 2: 4.0 * np.pi}
@@ -42,10 +42,10 @@ class OverflowCapError(FloatingPointError):
     """Trial amplitude exceeded the overflow cap (solver step too aggressive)."""
 
 
-def check_cap(values, cap: float):
+def check_cap(values):
     m = float(np.max(np.abs(values))) if np.ndim(values) else abs(float(values))
-    if m > cap:
-        raise OverflowCapError(f"amplitude {m:.3f} exceeds overflow cap {cap}")
+    if m > OVERFLOW_CAP:
+        raise OverflowCapError(f"amplitude {m:.3f} exceeds overflow cap {OVERFLOW_CAP}")
 
 
 def adaptive_simpson(fn: Callable, a: float, b: float) -> float:
@@ -294,18 +294,16 @@ class ProblemConfig:
     lam: float
     potential: Potential
     nonlinearity: NonlinearitySpec
-    overflow_cap: float = DEFAULT_OVERFLOW_CAP
 
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
-        cap, alpha0 = self.overflow_cap, self.nonlinearity.alpha0
+        alpha0, cap = self.nonlinearity.alpha0, OVERFLOW_CAP
         if not (np.isfinite(alpha0) and alpha0 > 0):
             raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
-        if not (np.isfinite(cap) and cap > 0
-                and alpha0 * cap * cap + 2.0 * np.log(cap) < _LOG_DBL_MAX):
-            raise ValueError(f"overflow_cap={cap} must be finite, positive and satisfy "
-                             f"alpha0 cap^2 + 2 ln(cap) < {_LOG_DBL_MAX:.2f} (alpha0={alpha0})")
+        if alpha0 * cap * cap + 2.0 * np.log(cap) >= _LOG_DBL_MAX:
+            raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
+                             f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
         if self.nonlinearity.kind == "exp_critical":
             if not (0.0 < self.lam):
                 raise ValueError("lam must be positive")
@@ -331,11 +329,9 @@ class ProblemConfig:
         return self.potential.gamma_inf
 
 
-def exp_critical_config(gamma: float, lam: float, dimension: int = 4,
-                        overflow_cap: float = DEFAULT_OVERFLOW_CAP) -> ProblemConfig:
+def exp_critical_config(gamma: float, lam: float, dimension: int = 4) -> ProblemConfig:
     """Constant-potential exp-critical problem (the workhorse configuration)."""
-    return ProblemConfig(dimension, lam, ConstantPotential(gamma),
-                         exp_critical(lam, dimension), overflow_cap)
+    return ProblemConfig(dimension, lam, ConstantPotential(gamma), exp_critical(lam, dimension))
 
 
 # --- growth-condition checker -------------------------------------------------
@@ -354,12 +350,11 @@ class ConditionReport:
     critical: bool
 
 
-def check_conditions(spec: NonlinearitySpec, t_grid,
-                     cap: float = DEFAULT_OVERFLOW_CAP) -> ConditionReport:
-    """Probe the growth conditions of (F, f) on a positive t grid."""
+def check_conditions(spec: NonlinearitySpec, t_grid) -> ConditionReport:
+    """Probe the growth conditions of (F, f) on a t grid in (0, OVERFLOW_CAP]."""
     t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0) or np.any(t > cap):
-        raise ValueError("t_grid must lie in (0, overflow_cap]")
+    if np.any(t <= 0) or np.any(t > OVERFLOW_CAP):
+        raise ValueError(f"t_grid must lie in (0, {OVERFLOW_CAP}]")
     t = np.sort(t)
     Fv = np.asarray(spec.F(t), dtype=float)
     fv = np.asarray(spec.f(t), dtype=float)

@@ -13,7 +13,9 @@ Caps are quintic Hermite blends matching value and slope (C^1 with the inner
 branch) with zero curvature at both ends; branch radii are snapped to grid
 nodes so the Laplacian stencil never straddles a sub-cell kink.
 ``moser_sums`` adds up the grid sums of a log profile in fixed node blocks,
-so meshes of millions of nodes are never held whole.
+so meshes of millions of nodes are never held whole; its node-range kernel
+(``grid``'s nodes, weights and stencil rows) also sums the core and junction
+nodes of ``moser_estimates``' closed form.
 
 The witnesses at infinity dilate psi exactly: sampled on a grid of radius
 r_max/S and read on ``grid.rescale_grid`` of it, the samples are psi(r/S).
@@ -99,7 +101,8 @@ def plateau_field(params: MoserParams, grid: RadialGrid) -> RadialField:
 
 
 def _moser_branch_nodes(params: MoserParams, geometry):
-    """Indices and radii of the nodes r14 = R^{1/4}, 1 and 2 snap to."""
+    """Indices of the nodes r14 = R^{1/4}, 1 and 2 snap to, and the arguments
+    (b, K_eff, r14, r_one, r_two) of :func:`_moser_profile` on them."""
     b, K = params.b_k, params.K
     r_max, n, _ = geometry
     r14 = float(np.exp(-b * b / (4.0 * K)))
@@ -112,7 +115,8 @@ def _moser_branch_nodes(params: MoserParams, geometry):
     if indices[0] == indices[1]:
         raise ValueError(f"b = {b:g} is too small for K = {K:g}: R^(1/4) = {r14:.6g} "
                          "snaps onto the node of r = 1, which leaves no log branch")
-    return indices, radii
+    K_eff = b * b / (4.0 * abs(np.log(radii[0])))   # see moser_field
+    return indices, (b, K_eff, *radii)
 
 
 def _moser_profile(r, b, K, r14, r_one, r_two):
@@ -138,10 +142,9 @@ def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
     O(1/h) noise into the Laplacian.  The signed -log(r) form is used so the
     branch stays smooth if the snapped end lies slightly past r = 1.
     """
-    b = params.b_k
-    _, (r14, r_one, r_two) = _moser_branch_nodes(params, grid.key())
-    K = b * b / (4.0 * abs(np.log(r14)))   # consistent with the snapped radius
-    field = RadialField(grid, _moser_profile(grid.nodes, b, K, r14, r_one, r_two))
+    _, profile = _moser_branch_nodes(params, grid.key())
+    b, K, r14, r_one, r_two = profile
+    field = RadialField(grid, _moser_profile(grid.nodes, *profile))
     field.snap_report = {"R^(1/4)": r14 - float(np.exp(-b * b / (4 * params.K))),
                          "1": r_one - 1.0, "2": r_two - 2.0,
                          "K_eff": K - params.K}
@@ -155,40 +158,44 @@ def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
 _BLOCK = 1 << 15
 
 
+def _moser_node_sums(geometry, i0: int, i1: int, profile: tuple, F=None) -> tuple:
+    """(||psi||^2, quadratic form, int F(psi) or 0.0, max |psi|) on nodes i0..i1-1.
+
+    ``profile`` holds the arguments of :func:`_moser_profile` after r.  A
+    2-node halo on either side feeds the stencil; nodes, weights and stencil
+    rows carry the bits the whole grid ``build_grid(*geometry)`` gives them.
+    """
+    j0, j1 = max(i0 - 2, 0), min(i1 + 2, geometry[1])
+    r, w = g.mesh_slice(geometry, j0, j1)
+    u = _moser_profile(r, *profile)
+    lap = g.apply_stencil(g.laplacian_stencil_rows(geometry, j0, j1), u)
+    rows = slice(i0 - j0, i1 - j0)        # the halo rows lack neighbours
+    u, lap, w = u[rows], lap[rows], w[rows]
+    quad = float(np.dot(w, lap * lap)) if geometry[2] == 4 else -float(np.dot(w, lap * u))
+    F_mass = float(np.dot(w, np.asarray(F(u), dtype=float))) if F is not None else 0.0
+    return float(np.dot(w, u * u)), quad, F_mass, float(np.max(np.abs(u)))
+
+
 def moser_sums(b: float, K: float, r_max: float, n_points: int, dimension: int,
                F: Optional[Callable] = None) -> dict:
     """Grid sums of psi_{b,K} on ``build_grid(r_max, n_points, dimension)``, blockwise.
 
     Returns ``l2_sq`` (||psi||^2), ``quad_form`` (``grid.quad_form_sq``:
     ||D psi||^2 in 4-D, -<L psi, psi> in 2-D), ``F_mass`` (int F(psi), None
-    without ``F``) and ``max_abs`` (max |psi|).  Nodes, weights, branch
-    radii and stencil rows of each block carry the bits the whole grid and
-    :func:`moser_field` give them, so only the order of summation differs
-    from the full-mesh sums.  The blocks stop at r_two + 2h: psi vanishes
+    without ``F``) and ``max_abs`` (max |psi|).  Each block of
+    :func:`_moser_node_sums` carries the bits the whole grid and
+    :func:`moser_field` give it, so only the order of summation differs from
+    the full-mesh sums.  The blocks stop at r_two + 2h: psi vanishes
     from r_two on and its Laplacian two nodes later.
     """
-    params = MoserParams.moser(b, K)
     geometry = (float(r_max), int(n_points), int(dimension))
-    (_, _, i_two), (r14, r_one, r_two) = _moser_branch_nodes(params, geometry)
-    K = b * b / (4.0 * abs(np.log(r14)))   # as in moser_field
+    (_, _, i_two), profile = _moser_branch_nodes(MoserParams.moser(b, K), geometry)
     stop = min(i_two + 3, n_points)
     l2 = quad = F_mass = peak = 0.0
     for i0 in range(0, stop, _BLOCK):
-        i1 = min(i0 + _BLOCK, stop)
-        j0, j1 = max(i0 - 2, 0), min(i1 + 2, n_points)
-        r, w = g.mesh_slice(geometry, j0, j1)
-        u = _moser_profile(r, b, K, r14, r_one, r_two)
-        lap = g.apply_stencil(g.laplacian_stencil_rows(geometry, j0, j1), u)
-        rows = slice(i0 - j0, i1 - j0)        # the halo rows lack neighbours
-        u, lap, w = u[rows], lap[rows], w[rows]
-        l2 += float(np.dot(w, u * u))
-        if dimension == 4:
-            quad += float(np.dot(w, lap * lap))
-        else:
-            quad -= float(np.dot(w, lap * u))
-        if F is not None:
-            F_mass += float(np.dot(w, np.asarray(F(u), dtype=float)))
-        peak = max(peak, float(np.max(np.abs(u))))
+        part = _moser_node_sums(geometry, i0, min(i0 + _BLOCK, stop), profile, F)
+        l2, quad, F_mass = l2 + part[0], quad + part[1], F_mass + part[2]
+        peak = max(peak, part[3])
     return {"l2_sq": l2, "quad_form": quad, "F_mass": F_mass if F is not None else None,
             "max_abs": peak}
 
@@ -235,9 +242,10 @@ def moser_estimates(b: float, K: float) -> dict:
     applied to a smooth O(1) profile is dominated by double-precision
     cancellation, so each branch Laplacian is taken in closed form -- the
     truncation-free limit of the same stencil -- and the sums are evaluated
-    exactly in O(1) time (``method`` "closed_form"): node by node on the core
-    and the five-node junction neighbourhoods (discrete stencil there), by
-    digamma and Euler-Maclaurin on the log branch, and by the terminating
+    exactly in O(1) time (``method`` "closed_form"): on the core and the
+    five-node junction neighbourhoods of r = 1 and 2 by the node-range kernel
+    of :func:`moser_sums` (the grid's weights and stencil rows), by digamma
+    and Euler-Maclaurin on the log branch, and by the terminating
     Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
     the size of the mesh the sums represent.
     """
@@ -246,30 +254,20 @@ def moser_estimates(b: float, K: float) -> dict:
         sums = moser_sums(b, K, 2.0, n, 4)
         return {"l2_sq": sums["l2_sq"], "lap_l2_sq": sums["quad_form"], "n_points": n,
                 "h": h, "method": "finite_difference"}
-    s3 = g.SURFACE_MEASURE[4]
-    i14 = int(round(np.exp(-b * b / (4.0 * K)) / h))
-    i_one, i_two = int(round(1.0 / h)), n - 1
-    r14, r_one, r_two = i14 * h, i_one * h, i_two * h
-    K = b * b / (4.0 * abs(np.log(r14)))  # re-derived from the snapped radius
+    geometry = (2.0, n, 4)
+    (i14, i_one, i_two), profile = _moser_branch_nodes(MoserParams.moser(b, K), geometry)
+    _, K, r14, r_one, r_two = profile     # K re-derived from the snapped radius
 
-    # core and junction neighbourhoods node by node: the stencil at junction
-    # nodes (even extension at the axis, psi = 0 past r = 2), the core's
-    # constant Laplacian elsewhere
-    junction = {j0 + d for j0 in (0, i14, i_one, i_two) for d in range(-2, 3)}
-    idx = np.array(sorted({j for j in junction if 0 <= j < n} | set(range(i14 + 1))))
-    u5 = _moser_profile(np.abs(idx[:, None] + np.arange(-2, 3)) * h, b, K, r14, r_one, r_two)
-    d2 = u5 @ np.array(g._D2) / (12.0 * h * h)
-    d1 = u5 @ np.array(g._D1) / (12.0 * h)
-    r = idx * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fd = np.where(idx == 0, 4.0 * d2, d2 + 3.0 * d1 / r)
-    lap = np.where([j in junction for j in idx.tolist()], fd, -16.0 * K / (r14 * r14 * b))
-    wt = s3 * r**3 * h
-    wt[idx == n - 1] *= 0.5
-    l2, lap2 = np.dot(wt, u5[:, 2] ** 2), np.dot(wt, lap**2)
+    # core and junction neighbourhoods node by node, with the grid's weights
+    # and stencil rows (even extension at the axis, Dirichlet ghosts past r = 2)
+    l2 = lap2 = 0.0
+    for i0, i1 in ((0, i14 + 3), (i_one - 2, i_one + 3), (i_two - 2, n)):
+        part = _moser_node_sums(geometry, i0, i1, profile)
+        l2, lap2 = l2 + part[0], lap2 + part[1]
 
     # log branch, nodes i14+3 .. i_one-3: weight * (8K / (b r^2))^2 = 4c / i, and
     # c r^3 log^2 r by Euler-Maclaurin to h^2 (the h^4 term is below 1e-20)
+    s3 = g.SURFACE_MEASURE[4]
     c = s3 * 16.0 * K * K / (b * b)
     lap2 += 4.0 * c * (_digamma(i_one - 2) - _digamma(i14 + 3))
 

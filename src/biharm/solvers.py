@@ -58,7 +58,7 @@ from . import banded as spla
 from . import grid as g
 from .grid import RadialField, RadialGrid
 from .functionals import _Functionals
-from .model import ConstantPotential, OverflowCapError, ProblemConfig, check_cap
+from .model import OVERFLOW_CAP, ConstantPotential, OverflowCapError, ProblemConfig, check_cap
 
 _NEWTON_ITERS = 60          # polish Newton steps at most
 _DESCENT_STEPS = 400        # descent steps at most
@@ -157,7 +157,7 @@ def _project(u: RadialField, config: ProblemConfig, ray: Callable) -> float:
     if peak == 0.0:
         raise ValueError("cannot project the zero field")
     fun = ray(_ops_for(u.grid, config), u.values)
-    cap_scale = config.overflow_cap / peak
+    cap_scale = OVERFLOW_CAP / peak
 
     a = b = min(1.0, 0.5 * cap_scale)
     fb = fun(b)
@@ -243,7 +243,7 @@ def nehari_sign_scan(u: RadialField, config: ProblemConfig):
     """Sign changes of t -> N(t u) on 1000 log-spaced t; returns (count, bracket)."""
     vals = u.values
     ray = _ops_for(u.grid, config).N_ray(vals)
-    t_max = config.overflow_cap / float(np.max(np.abs(vals)))
+    t_max = OVERFLOW_CAP / float(np.max(np.abs(vals)))
     ts = np.geomspace(1e-3, t_max, 1000)
     signs = np.array([np.sign(ray(t)) for t in ts])
     nz = signs != 0
@@ -264,7 +264,7 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray):
     """
     rho = ops.pde_residual(u)
     res = ops.nrm(rho)
-    l2_floor, cap = 1e-3 * ops.l2(u), ops.config.overflow_cap
+    l2_floor = 1e-3 * ops.l2(u)
     for _ in range(_NEWTON_ITERS):
         try:
             Alu = ops.factor(ops.V - ops.fprime(u))
@@ -277,7 +277,7 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray):
         step = 1.0
         while step > min_step:
             un = u - step * du
-            if float(np.max(np.abs(un))) < cap and ops.l2(un) > l2_floor:
+            if float(np.max(np.abs(un))) < OVERFLOW_CAP and ops.l2(un) > l2_floor:
                 rn = ops.pde_residual(un)
                 if ops.nrm(rn) < res:
                     break
@@ -461,7 +461,7 @@ def recover_solution(u: RadialField, theta: float, config: ProblemConfig) -> Rad
 
 def residual_weak(u: RadialField, config: ProblemConfig) -> float:
     """Relative weak-form residual ||(-D)^m u + V u - f(u)|| / (||f|| + ||V u||)."""
-    check_cap(u.values, config.overflow_cap)
+    check_cap(u.values)
     return _ops_for(u.grid, config).residual_weak(u.values)
 
 
@@ -476,7 +476,7 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
     """
     gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, config_V.lam, ConstantPotential(gamma),
-                               config_V.nonlinearity, config_V.overflow_cap)
+                               config_V.nonlinearity)
     if init is None:
         gridobj = g.default_grid(config_V.dimension)
         init = RadialField(gridobj, np.exp(-gridobj.nodes**2 / 2.0))
@@ -508,7 +508,7 @@ def gradient_quadratic(u: RadialField, config: ProblemConfig) -> np.ndarray:
 
 def gradient_action(u: RadialField, config: ProblemConfig) -> np.ndarray:
     """Euclidean gradient of the action I wrt the nodal values."""
-    check_cap(u.values, config.overflow_cap)
+    check_cap(u.values)
     ops = _ops_for(u.grid, config)
     quad = gradient_quadratic(u, config)
     return quad + ops.w * (ops.V * u.values - ops.f(u.values))

@@ -699,6 +699,7 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.3,x"],
      "--sweep-values takes comma-separated numbers, got '0.3,x'"),
     (["check", "--f", "(" * 250 + "t" + ")" * 250], "expression nested too deeply"),
+    (["moser", "--b-values", "3,3"], "b values must be distinct, got 3.0,3.0"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

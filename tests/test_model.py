@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm as bh
-from biharm.model import (DEFAULT_OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson,
-                          check_cap, check_conditions)
+from biharm.model import (OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson, check_cap,
+                          check_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +24,11 @@ def test_eval_f_exp_critical():
 
 
 def test_eval_f_overflow_guard():
-    check_cap(DEFAULT_OVERFLOW_CAP, DEFAULT_OVERFLOW_CAP)
+    check_cap(OVERFLOW_CAP)
     with pytest.raises(OverflowCapError):
-        check_cap(7.0, DEFAULT_OVERFLOW_CAP)
+        check_cap(7.0)
     with pytest.raises(OverflowCapError):
-        check_cap(np.array([0.5, -7.0]), DEFAULT_OVERFLOW_CAP)
+        check_cap(np.array([0.5, -7.0]))
 
 
 def test_f_F_consistency_simpson():
@@ -82,19 +82,26 @@ def test_gauss_rule_is_leggauss_8():
     assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
 
 
-@pytest.mark.parametrize("cap", [0.0, -1.0, float("inf"), float("nan"), 20.0, 18.8])
-def test_overflow_cap_is_validated(cap):
-    # 4-D: alpha0 = 2, so the bound alpha0 cap^2 + 2 ln cap < ln(DBL_MAX) allows ~18.7
-    with pytest.raises(ValueError, match="overflow_cap"):
-        bh.exp_critical_config(1.0, 0.5, overflow_cap=cap)
+def _user_config(dim, f_expr, alpha0):
+    spec = bh.user_nonlinearity(f_expr, alpha0=alpha0)
+    return bh.ProblemConfig(dim, 0.5, bh.ConstantPotential(1.0), spec)
 
 
-@pytest.mark.parametrize("dim, cap", [(4, 6.0), (4, 18.7), (2, 20.0), (2, 26.5)])
-def test_functionals_finite_up_to_an_accepted_cap(dim, cap):
+@pytest.mark.parametrize("alpha0", [0.0, -1.0, float("inf"), float("nan"), 20.0, 19.62])
+def test_overflow_cap_is_validated(alpha0):
+    # the cap 6 admits alpha0 only if alpha0 cap^2 + 2 ln cap < ln(DBL_MAX),
+    # that is alpha0 < 19.6166
+    bad = "overflow cap 6.0" if np.isfinite(alpha0) and alpha0 > 0 else "positive and finite"
+    with pytest.raises(ValueError, match=bad):
+        _user_config(4, "t*exp(2*t^2)", alpha0)
+
+
+@pytest.mark.parametrize("dim, alpha0", [(4, 6.0), (4, 18.7), (2, 1.0), (2, 19.61)])
+def test_functionals_finite_up_to_an_accepted_cap(dim, alpha0):
     from biharm.functionals import evaluate_all
-    cfg = bh.exp_critical_config(1.0, 0.5, dim, overflow_cap=cap)
+    cfg = _user_config(dim, f"t*exp({alpha0}*t^2)", alpha0)
     grid = bh.build_grid(10.0, 256, dim)
-    vals = cap * np.exp(-grid.nodes**2)
+    vals = OVERFLOW_CAP * np.exp(-grid.nodes**2)
     with np.errstate(over="raise", invalid="raise"):
         rep = evaluate_all(bh.RadialField(grid, vals), cfg)
     assert np.all(np.isfinite([rep.energy_I, rep.pohozaev_G, rep.nehari_N]))

@@ -325,6 +325,20 @@ def test_moser_estimates_closed_form_matches_streamed_sums():
     assert est["lap_l2_sq"] - beta == pytest.approx(ref["lap_l2_sq"] - beta, rel=1e-12)
 
 
+@pytest.mark.parametrize("b", [5.0, 6.0, 6.5])
+def test_moser_estimates_closed_form_meets_finite_difference(b, monkeypatch):
+    # the two sides of the _H_CLOSED_FORM fork on the same mesh: the closed
+    # form leaves out the stencil's truncation error on the log branch, which
+    # is 7.5e-7 to 1.1e-6 of the Laplacian norm here
+    fd = moser_estimates(b, 1.0)
+    monkeypatch.setattr(bh.sequences, "_H_CLOSED_FORM", 1.0)
+    cf = moser_estimates(b, 1.0)
+    assert (fd["method"], cf["method"]) == ("finite_difference", "closed_form")
+    assert cf["n_points"] == fd["n_points"]
+    assert cf["l2_sq"] == pytest.approx(fd["l2_sq"], rel=1e-13, abs=0)
+    assert cf["lap_l2_sq"] == pytest.approx(fd["lap_l2_sq"], rel=2e-6, abs=0)
+
+
 @pytest.mark.parametrize("b, l2_sq, lap_l2_sq", [
     (3.0, 2.4692698664294497, 889.1480593742762),
     (5.0, 0.8883669069333653, 521.189963278451),

@@ -4,6 +4,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import biharm as bh
 from biharm.grid import apply_stencil
+from biharm.model import OVERFLOW_CAP
 from biharm.solvers import (_Ops, _ops_for, _project, gradient_action,
                             gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
@@ -157,7 +158,7 @@ def _term_size(ops, v):
 def test_ray_equals_functional(case, frac):
     # s from 1e-6 of the overflow-cap scale up to it (no squares underflow)
     grid, cfg, ops, _, functional, ray, vals = _ray_setup(case)
-    s = frac * cfg.overflow_cap / float(np.max(vals))
+    s = frac * OVERFLOW_CAP / float(np.max(vals))
     got, want = ray(ops, vals)(s), functional(ops, s * vals)
     assert abs(got - want) <= 1e-12 * _term_size(ops, s * vals)
     if functional is _Ops.G:
