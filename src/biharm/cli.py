@@ -8,12 +8,14 @@ module imports only what every command uses (grid, model, expressions); each
 handler imports its own layer, so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
-factorization or eigensolver that breaks down, or a ``gap`` whose comparison
-level, an upper bound of m_V, falls below m_V; gap.json is still written),
-3 usage, configuration or input error (a flag the command does not take, a
-missing or malformed flag value, unknown config keys, malformed or
-non-finite CSV fields, a problem whose scaling projection finds no sign
-change before the overflow cap, ...).
+factorization or eigensolver that breaks down, or a ``gap`` with a Nehari
+sub-solve that did not converge or whose comparison level, an upper bound of
+m_V, falls below m_V; gap.json is still written), 3 usage, configuration or
+input error (a flag the command does not take, a missing or malformed flag
+value, unknown config keys, malformed or non-finite CSV fields, a problem
+whose scaling projection finds no sign change before the overflow cap, ...;
+a ``sweep`` still writes sweep.json with an error entry for each value that
+gives such a problem).
 """
 
 from __future__ import annotations
@@ -306,14 +308,20 @@ def _cmd_gap(rc: RunConfig) -> int:
     out = _report_header(rc)
     out["gap"] = asdict(rep)
     atomic_write(os.path.join(rc.out_dir, "gap.json"), dump_report(out))
+    code = EXIT_OK
+    for name, status in (("trapped", rep.status_V), ("limit", rep.status_infty)):
+        if not status["converged"]:
+            print(f"error: the {name} Nehari solve did not converge: "
+                  + "; ".join(status["warnings"]), file=sys.stderr)
+            code = EXIT_NOCONV
     # the projected limit minimizer is on the trapped manifold, so its level
     # bounds m_V from above; below m_V the trapped descent missed the minimum
     if rep.comparison_level < rep.m_V - 1e-9 * abs(rep.m_V):
         print(f"error: comparison level {rep.comparison_level:.10g} < m_V {rep.m_V:.10g}: "
               "the trapped solve missed the ground level of its own Nehari manifold",
               file=sys.stderr)
-        return EXIT_NOCONV
-    return EXIT_OK
+        code = EXIT_NOCONV
+    return code
 
 
 def _cmd_sweep(rc: RunConfig) -> int:
@@ -325,18 +333,22 @@ def _cmd_sweep(rc: RunConfig) -> int:
         sub = RunConfig(**{**asdict(rc), "command": "solve",
                            ("lam" if rc.sweep_param == "lambda" else "gamma"): val,
                            "sweep_param": None, "sweep_values": ()})
-        grd, config = _build_problem(sub)
-        rep = minimize_pohozaev(config, _default_init(grd))
+        try:
+            grd, config = _build_problem(sub)
+            rep = minimize_pohozaev(config, _default_init(grd))
+        except (ValueError, OverflowCapError) as exc:     # this value only
+            print(f"error: {rc.sweep_param} {val:g}: {exc}", file=sys.stderr)
+            return {"value": val, "error": str(exc)}, EXIT_CONFIG
         return {"value": val, "objective": rep.objective,
                 "lagrange_theta": rep.lagrange_theta,
                 "constraint_residual": rep.constraint_residual,
-                "converged": rep.converged}
+                "converged": rep.converged}, EXIT_OK if rep.converged else EXIT_NOCONV
 
-    results = [one(v) for v in rc.sweep_values]
+    results, codes = zip(*[one(v) for v in rc.sweep_values])
     out = _report_header(rc)
-    out["sweep"] = {"param": rc.sweep_param, "results": results}
+    out["sweep"] = {"param": rc.sweep_param, "results": list(results)}
     atomic_write(os.path.join(rc.out_dir, "sweep.json"), dump_report(out))
-    return EXIT_OK if all(r["converged"] for r in results) else EXIT_NOCONV
+    return max(codes)       # a bad value (3) outranks a value that did not converge (2)
 
 
 def _grid(text: str) -> tuple:

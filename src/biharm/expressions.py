@@ -7,32 +7,37 @@ Grammar (whitespace-insensitive)::
     factor := '-' factor | base ('^' factor)?   # '^' right-associative
     base   := number | 't' | '(' expr ')' | func '(' expr ')'
     func   := 'exp' | 'log' | 'abs' | 'sqrt'
+    number := (digits ['.' [digits]] | '.' digits) [('e' | 'E') ['+' | '-'] digits]
 
 Unary minus binds looser than '^' (so ``-t^2`` means ``-(t^2)`` and
-``exp(-t^2)`` is a decaying bump, the conventional reading).
-
-The single variable is always named ``t``.  Evaluation is plain double
-arithmetic through numpy ufuncs, so parsed functions accept scalars and
-arrays alike.
+``exp(-t^2)`` is a decaying bump, the conventional reading).  This is
+Python's arithmetic with '^' for '**' and the one variable ``t``, so ``ast``
+parses it once '^' is mapped to '**', and a walk over a whitelist of node
+types rejects the rest of Python.  Python's parser sets two limits: 200
+nested parentheses, and on Python 3.11 about 2,960 terms in a flat sum (or
+product, or chain of '^' or unary minus; fewer from deeper in a call stack).
+It rejects integer literals with leading zeros (``007``).  Evaluation is
+plain double arithmetic through numpy ufuncs, so parsed functions accept
+scalars and arrays alike.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 
 import numpy as np
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
 _FUNCS = {"exp": np.exp, "log": np.log, "abs": np.abs, "sqrt": np.sqrt}
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# comments, NUL, non-ASCII (ast counts bytes) and Python's '**' are refused up front
+_STRAY = re.compile(r"[#\0]|[^\0-\x7f]|\*\*")
 
 
 class ParseError(ValueError):
-    """Syntax error with the byte offset and the expected tokens."""
+    """Syntax error with the character offset and the expected tokens."""
 
     def __init__(self, message: str, position: int, expected: str = ""):
         self.position = position
@@ -43,98 +48,37 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-class _Tokens:
-    def __init__(self, src: str):
-        self.src = src
-        self.items = []
-        pos = 0
-        src = src.rstrip()
-        while pos < len(src):
-            m = _TOKEN_RE.match(src, pos)
-            if m is None or m.end() == pos:
-                stripped = src[pos:].lstrip()
-                at = len(src) - len(stripped)
-                raise ParseError(f"unrecognized input {stripped[:8]!r}", at)
-            if m.lastgroup is not None:
-                self.items.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-        self.program = []
-
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", len(self.src))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-# The parser emits a postfix program into ``_Tokens.program``: numbers, "t", and
-# (ufunc, arity) after the operands it takes, so evaluation needs no recursion.
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-
-def _parse_expr(tk: _Tokens):
-    _parse_chain(tk, "+-", _parse_term)
-
-
-def _parse_term(tk: _Tokens):
-    _parse_chain(tk, "*/", _parse_factor)
-
-
-def _parse_chain(tk: _Tokens, ops: str, operand):
-    """operand (op operand)* for op in ops, left-associative."""
-    operand(tk)
-    while tk.peek()[0] == "op" and tk.peek()[1] in ops:
-        text = tk.next()[1]
-        operand(tk)
-        tk.program.append((_BINARY[text], 2))
-
-
-def _parse_factor(tk: _Tokens):
-    kind, text, _ = tk.peek()
-    if kind == "op" and text == "-":
-        tk.next()
-        _parse_factor(tk)
-        tk.program.append((np.negative, 1))
-        return
-    _parse_base(tk)
-    kind, text, _ = tk.peek()
-    if kind == "op" and text == "^":
-        tk.next()
-        _parse_factor(tk)  # right-associative
-        tk.program.append((np.power, 2))
-
-
-def _parse_base(tk: _Tokens):
-    kind, text, pos = tk.next()
-    if kind == "num":
-        tk.program.append(float(text))
-    elif kind == "name" and text == "t":
-        tk.program.append("t")
-    elif kind == "name" and text in _FUNCS:
-        k2, t2, p2 = tk.peek()
-        if not (k2 == "op" and t2 == "("):
-            raise ParseError(f"function {text!r} takes one parenthesized argument", p2, "'('")
-        tk.next()
-        _parse_expr(tk)
-        k3, t3, p3 = tk.next()
-        if not (k3 == "op" and t3 == ")"):
-            raise ParseError("unbalanced function call", p3, "')'")
-        tk.program.append((_FUNCS[text], 1))
-    elif kind == "name":
-        raise ParseError(f"unknown identifier {text!r}", pos, "'t' or exp/log/abs/sqrt")
-    elif kind == "op" and text == "(":
-        _parse_expr(tk)
-        k2, t2, p2 = tk.next()
-        if not (k2 == "op" and t2 == ")"):
-            raise ParseError("unbalanced parenthesis", p2, "')'")
-    else:
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
-                         pos, "number, 't', '(' or function")
+def _postfix(tree: ast.expr, text: str, at: list) -> list:
+    """Postfix program of a whitelisted tree, with no recursion: numbers, "t" and
+    (ufunc, arity) after its operands.  ``at`` maps code offsets to ``text``."""
+    program, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:                       # an operator; its operands are out
+            program.append(node)
+        elif kind is ast.BinOp and type(node.op) in _BINARY:
+            todo += [(_BINARY[type(node.op)], 2), node.right, node.left]
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            todo += [(np.negative, 1), node.operand]
+        elif kind is ast.Name and node.id == "t":
+            program.append("t")
+        elif kind is ast.Constant and _NUMBER.fullmatch(
+                number := text[at[node.col_offset]:at[node.end_col_offset]]):
+            program.append(float(number))
+        elif (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCS
+              and len(node.args) == 1 and not node.keywords):
+            todo += [(_FUNCS[node.func.id], 1), node.args[0]]
+        elif kind is ast.Name and node.id in _FUNCS:
+            raise ParseError(f"function {node.id!r} takes one parenthesized argument",
+                             at[node.end_col_offset], "'('")
+        elif kind is ast.Name:
+            raise ParseError(f"unknown identifier {node.id!r}", at[node.col_offset],
+                             "'t' or exp/log/abs/sqrt")
+        else:
+            start, end = at[node.col_offset], at[node.end_col_offset]
+            raise ParseError(f"unsupported syntax {text[start:end]!r}", start)
+    return program
 
 
 def _evaluate(program: list, t):
@@ -150,23 +94,27 @@ def _evaluate(program: list, t):
 
 
 def parse_expression(src: str):
-    """Parse ``src`` and return a callable f(t) (scalar or ndarray in, same out).
-
-    Raises ParseError with a byte offset on malformed input, and on nesting
-    deeper than the recursive descent can follow (about 160 parentheses).
-    """
-    if not src or not src.strip():
+    """Parse ``src`` into a callable f(t) (scalar or ndarray in, same out), or
+    raise ParseError at a character offset of ``src``."""
+    text = re.sub(r"\s", " ", src)             # tabs and newlines; offsets stay
+    body = text.strip()
+    if not body:
         raise ParseError("empty expression", 0)
-    tk = _Tokens(src)
+    if stray := _STRAY.search(text):
+        raise ParseError(f"unrecognized input {text[stray.start():][:8]!r}", stray.start())
+    lead = len(text) - len(text.lstrip())      # ast rejects an indented expression
+    at = [lead + i for i, c in enumerate(body) for _ in c.replace("^", "**")] + [lead + len(body)]
+    code = body.replace("^", "**")
     try:
-        _parse_expr(tk)
-    except RecursionError:
-        raise ParseError("expression nested too deeply", tk.peek()[2]) from None
-    kind, text, pos = tk.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text!r}", pos, "end of expression")
+        tree = ast.parse(code, mode="eval").body
+    except SyntaxError as exc:         # offset: 1-based, and 0 or None at the end
+        raise ParseError("expression nested too deeply" if "nested" in exc.msg else exc.msg,
+                         at[min((exc.offset or len(code) + 1) - 1, len(code))]) from None
+    except (RecursionError, MemoryError):
+        raise ParseError("expression nested too deeply", lead) from None
+    program = _postfix(tree, text, at)
 
     def fn(t):
-        return _evaluate(tk.program, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+        return _evaluate(program, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
 
     return fn

@@ -85,6 +85,8 @@ class GapReport:
     m_infty: float
     gap: float
     both_positive: bool
+    status_V: dict          # the trapped solve's and the limit solve's converged,
+    status_infty: dict      # residual_weak, iterations and warnings
     comparison_level: float = float("nan")   # I_V at the projected limit minimizer
 
 
@@ -492,7 +494,9 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
         comparison = float("nan")
 
     m_V, m_inf = rep_V.objective, rep_inf.objective
-    return GapReport(m_V, m_inf, m_inf - m_V, bool(m_V > 0 and m_inf > 0), comparison)
+    status = [{"converged": r.converged, "residual_weak": r.residual_weak,
+               "iterations": r.iterations, "warnings": r.warnings} for r in (rep_V, rep_inf)]
+    return GapReport(m_V, m_inf, m_inf - m_V, bool(m_V > 0 and m_inf > 0), *status, comparison)
 
 
 # --- exact discrete gradients (finite-difference checkable) ------------------------

@@ -149,6 +149,9 @@ def test_gap_command(tmp_path):
     assert code == EXIT_OK
     rep = json.loads((out / "gap.json").read_text())
     assert rep["gap"]["gap"] > 0
+    for key in ("status_V", "status_infty"):
+        assert set(rep["gap"][key]) == {"converged", "residual_weak", "iterations", "warnings"}
+        assert rep["gap"][key]["converged"] is True
 
 
 def test_moser_command(tmp_path):
@@ -174,6 +177,18 @@ def test_sweep_command(tmp_path):
     rep = json.loads((out / "sweep.json").read_text())
     objs = [r["objective"] for r in rep["sweep"]["results"]]
     assert objs[0] > objs[1]     # larger lambda relaxes the constraint
+
+
+def test_sweep_keeps_the_values_around_a_bad_one(tmp_path, capsys):
+    code, out = run_cli(["sweep", "--dim", "4", "--gamma", "1", "--sweep-param", "lambda",
+                         "--sweep-values", "0.4,1.2", "--grid", "20:512"], tmp_path)
+    assert code == EXIT_CONFIG
+    results = json.loads((out / "sweep.json").read_text())["sweep"]["results"]
+    assert results[0]["value"] == 0.4 and results[0]["converged"] is True
+    assert "error" not in results[0]
+    assert results[1] == {"value": 1.2,
+                          "error": "standing hypothesis violated: lam=1.2 >= V0=1.0"}
+    assert "lambda 1.2: standing hypothesis violated" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):
@@ -578,6 +593,20 @@ def test_gap_exits_noconv_when_the_comparison_level_undercuts_m_V(tmp_path, caps
     gp = json.loads((out / "gap.json").read_text())["gap"]
     assert gp["comparison_level"] < gp["m_V"]
     assert "comparison level" in capsys.readouterr().err
+
+
+def test_gap_exits_noconv_when_a_sub_solve_stalls(tmp_path, capsys):
+    # on 16,384 nodes both Nehari polishes stall near residual 3e-3
+    code, out = run_cli(["gap", "--dim", "4", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.3",
+                         "--grid", "20:16384"], tmp_path)
+    assert code == EXIT_NOCONV
+    gp = json.loads((out / "gap.json").read_text())["gap"]
+    for key in ("status_V", "status_infty"):
+        assert gp[key]["converged"] is False
+        assert any("polish Newton stalled" in w for w in gp[key]["warnings"])
+    err = capsys.readouterr().err
+    assert "trapped Nehari solve did not converge" in err
+    assert "limit Nehari solve did not converge" in err
 
 
 def test_constant_potential_gap_is_zero(tmp_path):

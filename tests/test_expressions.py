@@ -107,3 +107,30 @@ def test_long_sum_evaluates_without_recursion():
     f = parse_expression("+".join(["t"] * 500))
     assert f(0.5) == 250.0
     assert np.array_equal(f(np.array([1.0, -2.0])), [500.0, -1000.0])
+
+
+@pytest.mark.parametrize("src", ["t**2", "+t", "1_000", "0x1f", "1j", "True", "t % 2", "t // 2",
+                                 "t if t else 1", "t[0]", "t.real", "(t, t)", "lambda: t",
+                                 "exp(t, t)", "exp(x=t)"])
+def test_python_only_syntax_is_rejected(src):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src)
+    assert 0 <= exc.value.position < len(src)
+
+
+@pytest.mark.parametrize("src, position", [("t # note", 2), ("t+é", 2), ("007", 0),
+                                           ("2^t*+1", 4), ("\t 2^2^+t", 6)])
+def test_rejections_point_into_the_input(src, position):
+    # offsets count characters of the input, with '^' one character
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src)
+    assert exc.value.position == position
+
+
+def test_tabs_and_newlines_are_whitespace():
+    assert parse_expression("t\n+1")(1.0) == 2.0
+    assert parse_expression("\texp(\r\nt )\t")(0.0) == 1.0
+
+
+def test_number_shapes():
+    assert parse_expression("1.e1+.5+5.+1E+1+00+007.5")(0.0) == 33.0

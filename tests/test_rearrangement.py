@@ -160,18 +160,26 @@ def test_rearrange_zero(g4):
     assert np.all(w.values == 0.0)
 
 
-def test_idempotence_randomized(g4):
+def _worst_second_rearrangement_move(grid):
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(10):
-        vals = smooth_even_bumps(g4, rng)
-        u = bh.RadialField(g4, vals)
-        w1 = fourier_rearrange(u)
-        w2 = fourier_rearrange(bh.RadialField(g4, w1.values))
-        num = np.sqrt(np.dot(g4.weights, (w2.values - w1.values) ** 2))
-        den = np.sqrt(np.dot(g4.weights, vals**2))
+        vals = smooth_even_bumps(grid, rng)
+        w1 = fourier_rearrange(bh.RadialField(grid, vals))
+        w2 = fourier_rearrange(bh.RadialField(grid, w1.values))
+        num = np.sqrt(np.dot(grid.weights, (w2.values - w1.values) ** 2))
+        den = np.sqrt(np.dot(grid.weights, vals**2))
         worst = max(worst, num / den)
-    assert worst <= 1e-6
+    return worst
+
+
+def test_idempotence_randomized(g4):
+    assert _worst_second_rearrangement_move(g4) <= 1e-6
+
+
+def test_idempotence_randomized_2d():
+    # worst of these ten fields: 2.3e-7, not rounding level as in 4-D (5.7e-15)
+    assert _worst_second_rearrangement_move(bh.default_grid(2)) <= 1e-6
 
 
 def test_transform_cache_is_a_bounded_lru(monkeypatch):
