@@ -1,11 +1,12 @@
 """Command-line surface: configuration parsing, dispatch and serialization.
 
 Subcommands: solve, rearrange, moser, ratio, check, gap, sweep.  Reports are
-canonical JSON (sorted keys, floats at 17 significant digits) so identical
-run configurations produce byte-identical artifacts; fields go to CSV with
-full-precision round-tripping.  Artifacts are written atomically.  This
-module imports only what every command uses (grid, model, expressions); each
-handler imports its own layer, so a command loads no module it does not run.
+canonical JSON (sorted keys; floats in Python's shortest round-trip form, nan
+and infinities as strings) so identical run configurations produce
+byte-identical artifacts; fields go to CSV with full-precision round-tripping.
+Artifacts are written atomically.  This module imports only what every
+command uses (grid, model, expressions); each handler imports its own layer,
+so a command loads no module it does not run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
 factorization or eigensolver that breaks down, or a ``gap`` with a Nehari
@@ -44,14 +45,13 @@ EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
 # --- canonical serialization ---------------------------------------------------
 
 def _canon(obj):
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
         if obj != obj:
             return "nan"
         if obj in (float("inf"), float("-inf")):
             return "inf" if obj > 0 else "-inf"
-        return float(format(obj, ".17g"))
-    if isinstance(obj, (np.floating,)):
-        return _canon(float(obj))
+        return obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -186,7 +186,7 @@ def _build_problem(rc: RunConfig):
         pot = radial_potential(vfun, grd)
     else:
         pot = ConstantPotential(rc.gamma)
-    config = ProblemConfig(rc.dimension, rc.lam, pot, spec)
+    config = ProblemConfig(rc.dimension, pot, spec)
     return grd, config
 
 

@@ -16,9 +16,11 @@ parses it once '^' is mapped to '**', and a walk over a whitelist of node
 types rejects the rest of Python.  Python's parser sets two limits: 200
 nested parentheses, and on Python 3.11 about 2,960 terms in a flat sum (or
 product, or chain of '^' or unary minus; fewer from deeper in a call stack).
-It rejects integer literals with leading zeros (``007``).  Evaluation is
-plain double arithmetic through numpy ufuncs, so parsed functions accept
-scalars and arrays alike.
+It rejects integer literals with leading zeros (``007``).  Input longer than
+``MAX_LENGTH`` (100,000) characters is refused before ``ast`` sees it:
+Python 3.10's parser has no depth check and crashed on a 1,000,000-term sum.
+Evaluation is plain double arithmetic through numpy ufuncs, so parsed
+functions accept scalars and arrays alike.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import re
 
 import numpy as np
 
+MAX_LENGTH = 100_000
 _FUNCS = {"exp": np.exp, "log": np.log, "abs": np.abs, "sqrt": np.sqrt}
 _BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
            ast.Div: np.divide, ast.Pow: np.power}
@@ -96,6 +99,8 @@ def _evaluate(program: list, t):
 def parse_expression(src: str):
     """Parse ``src`` into a callable f(t) (scalar or ndarray in, same out), or
     raise ParseError at a character offset of ``src``."""
+    if len(src) > MAX_LENGTH:
+        raise ParseError(f"expression longer than {MAX_LENGTH} characters", MAX_LENGTH)
     text = re.sub(r"\s", " ", src)             # tabs and newlines; offsets stay
     body = text.strip()
     if not body:

@@ -59,6 +59,8 @@ class _Functionals:
     """
 
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
+        if gridobj.dimension != config.dimension:
+            raise ValueError(f"a {config.dimension}-D problem on a {gridobj.dimension}-D grid")
         self.grid = gridobj
         self.config = config
         self.w = gridobj.weights
@@ -66,7 +68,7 @@ class _Functionals:
         self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
         spec = config.nonlinearity
         self.spec = spec
-        self.a = spec.exp_coeff if spec.exp_coeff is not None else spec.alpha0
+        self.a = spec.alpha0
         self.lam = config.lam
 
     def f(self, u):
@@ -157,9 +159,9 @@ def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig) -> float:
     manifold, where I takes that on-manifold form.
     """
     rep = evaluate_all(u, config)
-    a = config.nonlinearity.exp_coeff
-    if a is None:
+    if config.nonlinearity.kind != "exp_critical":
         raise ValueError("identity is defined for the exp-critical family")
+    a = config.nonlinearity.alpha0
     rhs = 0.5 * config.lam * rep.mass_terms.exp_weighted \
         - config.lam / (2.0 * a) * rep.mass_terms.exp_mass
     return abs(rep.energy_I - rhs)
@@ -215,10 +217,10 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     A log-profile with concentration scale r14 lives on the mesh of 10 nodes
     per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
     r14 = 1e-5); ``sequences.moser_sums`` adds up its sums in fixed node
-    blocks, so the search holds no mesh whole and leaves the Laplacian cache
-    alone.  ``trace`` holds the (sigma, ratio) pairs, the (b, ratio, quad)
-    triples, ``moser_nodes`` (the mesh size of each log-profile) and
-    ``evaluations`` (the candidates evaluated, at most ``budget``).
+    blocks, so the search holds no mesh whole.  ``trace`` holds the
+    (sigma, ratio) pairs, the (b, ratio, quad) triples, ``moser_nodes`` (the
+    mesh size of each log-profile) and ``evaluations`` (the candidates
+    evaluated, at most ``budget``).
     """
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")

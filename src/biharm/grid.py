@@ -19,12 +19,13 @@ above the identity tolerances the solvers are held to.
 Operators are kept as stencil rows, row i holding the 2p + 1 coefficients at
 offsets -p..p (p = 2 for L): ``laplacian_matrix`` builds them for a grid,
 ``apply_stencil`` applies them, ``stencil_square`` forms the rows of L L,
-and ``banded`` factors such rows plus a diagonal.
+and ``banded`` factors such rows plus a diagonal.  Nothing here caches rows:
+the operator bundle of a (grid, problem) pair, ``functionals._Functionals``,
+builds them once and refuses a problem whose dimension is not the grid's.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,19 +122,6 @@ def as_field(grid: RadialGrid, values) -> RadialField:
     return RadialField(grid, values)
 
 
-def lru_get(cache: OrderedDict, key, maxsize: int, build):
-    """``cache[key]``, built by ``build()`` on a miss; keeps ``maxsize`` entries."""
-    if key in cache:
-        cache.move_to_end(key)
-    else:
-        cache[key] = build()
-        if len(cache) > maxsize:
-            cache.popitem(last=False)
-    return cache[key]
-
-
-_matrix_cache: OrderedDict = OrderedDict()   # LRU of 8, keyed by grid.key()
-
 # fourth-order central coefficients for u'' and u' at offsets -2..+2
 _D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)     # / (12 h^2)
 _D1 = (1.0, -8.0, 0.0, 8.0, -1.0)         # / (12 h)
@@ -176,15 +164,8 @@ def laplacian_stencil_rows(geometry, start: int = 0, stop=None):
 
 
 def laplacian_matrix(grid: RadialGrid) -> np.ndarray:
-    """Float stencil rows of the radial Laplacian, read-only.
-
-    Cached for the 8 latest geometries; apply them with :func:`apply_stencil`.
-    """
-    def build():
-        rows = laplacian_stencil_rows(grid.key())
-        rows.flags.writeable = False
-        return rows
-    return lru_get(_matrix_cache, grid.key(), 8, build)
+    """Stencil rows of the radial Laplacian on ``grid``, built afresh for :func:`apply_stencil`."""
+    return laplacian_stencil_rows(grid.key())
 
 
 def apply_stencil(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -236,16 +217,22 @@ def l2_sq(u: RadialField) -> float:
 def quad_form_sq(u: RadialField, L=None) -> float:
     """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2.
 
-    In 2-D it is the weighted pairing <-Lu, u>, the quadratic form whose exact
-    discrete gradient is -Lu, which is what the 2-D solvers differentiate; it
-    matches the face-flux Dirichlet energy up to an O(h^4) origin term on
-    smooth even profiles.  ``L`` is the grid's Laplacian rows, for callers
-    that hold them.
+    In 2-D it is the weighted pairing <-Lu, u> = -u^T W L u, which matches
+    the face-flux Dirichlet energy up to an O(h^4) origin term on smooth even
+    profiles.  Its exact gradient is -(W L + (W L)^T) u, which equals the
+    -2 W L u of the stencil equation the 2-D solvers solve only where W L is
+    symmetric: not at the origin rows, nor at the Dirichlet ghost rows.
+    ``L`` is the grid's Laplacian rows, for callers that hold them.
     """
     lap = apply_stencil(laplacian_matrix(u.grid) if L is None else L, u.values)
-    if u.grid.dimension == 4:
-        return float(np.dot(u.grid.weights, lap * lap))
-    return -float(np.dot(u.grid.weights, lap * u.values))
+    return quad_form_of(u.grid.weights, lap, u.values, u.grid.dimension)
+
+
+def quad_form_of(w: np.ndarray, lap: np.ndarray, u: np.ndarray, dimension: int) -> float:
+    """:func:`quad_form_sq` from the weights w, the stencil product lap = L u and u."""
+    if dimension == 4:
+        return float(np.dot(w, lap * lap))
+    return -float(np.dot(w, lap * u))
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:

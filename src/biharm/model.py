@@ -2,13 +2,17 @@
 
 The central objects are pairs (F, f) with F' = f.  Built-in families:
 
-* ``exp_critical(lam, dimension)`` -- f(t) = lam * t * exp(a t^2) with a = 2
-  in dimension 4 and a = 1 in dimension 2; F has the matching closed form.
+* ``exp_critical(lam, dimension)`` -- f(t) = lam * t * exp(a t^2) with
+  a = ``EXP_RATE[dimension]``, 2 in dimension 4 and 1 in dimension 2; F has
+  the matching closed form.
 * ``exact_growth_family(theta)`` -- F(t) = (exp(t^2)-1-t^2) / (1+|t|^theta),
   f = F' differentiated analytically.
 * ``user_nonlinearity(f_expr, ...)`` -- f parsed from an expression; F is
   either parsed too or the vectorized composite Gauss-Legendre antiderivative
   of f (``gauss_antiderivative``), computed afresh on every call.
+
+``ProblemConfig`` stores each fact of a problem once: the dimension, V, and
+the nonlinearity, which owns lam and the critical rate alpha0.
 
 There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
 (6.0): fields enter the functionals through ``check_cap``, which raises
@@ -33,6 +37,7 @@ OVERFLOW_CAP = 6.0
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 ADAMS_BETA = {4: 32.0 * np.pi**2, 2: 4.0 * np.pi}
+EXP_RATE = {4: 2.0, 2: 1.0}     # the critical rate a of exp(a t^2) on R^n
 
 # superquadraticity exponent: the checker tests t f(t) >= mu F(t)
 _AR_MU = 2.0
@@ -151,8 +156,8 @@ class NonlinearitySpec:
     """A nonlinearity (F, f) together with its critical exponent data.
 
     ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
-    exponential rate; ``exp_coeff`` is set for the exp-critical family (the a
-    in f = lam t exp(a t^2)) and None otherwise.
+    exponential rate, for the exp-critical family the a in
+    f = lam t exp(a t^2); ``lam`` is that family's lam, the one copy of it.
     """
 
     kind: str
@@ -160,15 +165,16 @@ class NonlinearitySpec:
     F: Callable
     alpha0: float
     lam: float = 1.0
-    exp_coeff: Optional[float] = None
     fprime: Optional[Callable] = None
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
-    """f(t) = lam t exp(a t^2); a = alpha0 = 2 for n=4, 1 for n=2."""
+    """f(t) = lam t exp(a t^2); a = alpha0 = ``EXP_RATE[dimension]``."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    a = 2.0 if dimension == 4 else 1.0
+    if dimension not in EXP_RATE:
+        raise ValueError("dimension must be 2 or 4")
+    a = EXP_RATE[dimension]
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -182,8 +188,7 @@ def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return lam * np.exp(a * t * t) * (1.0 + 2.0 * a * t * t)
 
-    return NonlinearitySpec("exp_critical", f, F, alpha0=a, lam=lam, exp_coeff=a,
-                            fprime=fprime)
+    return NonlinearitySpec("exp_critical", f, F, alpha0=a, lam=lam, fprime=fprime)
 
 
 def exact_growth_family(theta: float) -> NonlinearitySpec:
@@ -286,12 +291,11 @@ class ProblemConfig:
     """Operator/dimension pair with potential and nonlinearity.
 
     dimension=4 means the bi-harmonic operator (m=2); dimension=2 the
-    Laplacian (m=1).  The standing hypothesis 0 < lam < V0 is enforced for
-    the exp-critical family.
+    Laplacian (m=1).  For the exp-critical family the rate must be
+    ``EXP_RATE[dimension]`` and the standing hypothesis lam < V0 must hold.
     """
 
     dimension: int
-    lam: float
     potential: Potential
     nonlinearity: NonlinearitySpec
 
@@ -305,16 +309,15 @@ class ProblemConfig:
             raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
                              f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
         if self.nonlinearity.kind == "exp_critical":
-            if not (0.0 < self.lam):
-                raise ValueError("lam must be positive")
             if self.lam >= self.potential.v0 - 1e-15:
                 raise ValueError(
                     f"standing hypothesis violated: lam={self.lam} >= V0={self.potential.v0}")
-            if abs(self.nonlinearity.lam - self.lam) > 1e-12 * (1 + abs(self.lam)):
-                raise ValueError("config lam disagrees with the nonlinearity's lam")
-            want = 2.0 if self.dimension == 4 else 1.0
-            if self.nonlinearity.exp_coeff != want:
+            if alpha0 != EXP_RATE[self.dimension]:
                 raise ValueError("exp-critical coefficient does not match the dimension")
+
+    @property
+    def lam(self) -> float:
+        return self.nonlinearity.lam
 
     @property
     def order(self) -> int:
@@ -331,7 +334,7 @@ class ProblemConfig:
 
 def exp_critical_config(gamma: float, lam: float, dimension: int = 4) -> ProblemConfig:
     """Constant-potential exp-critical problem (the workhorse configuration)."""
-    return ProblemConfig(dimension, lam, ConstantPotential(gamma), exp_critical(lam, dimension))
+    return ProblemConfig(dimension, ConstantPotential(gamma), exp_critical(lam, dimension))
 
 
 # --- growth-condition checker -------------------------------------------------

@@ -43,19 +43,16 @@ and the sorted profile is re-read over each node's own measure cell
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .grid import SURFACE_MEASURE, RadialField, RadialGrid, lru_get
-
-# LRU of 4, keyed by grid.key(): the 2,048-node transforms hold U of 1.1 MB
-# (4-D, 69 columns) and 2.5 MB (2-D, 150 columns)
-_transform_cache: OrderedDict = OrderedDict()
+from .grid import SURFACE_MEASURE, RadialField, RadialGrid, build_grid
+from .model import EXP_RATE
 
 # The build holds one row leaf of the n x m matrix A (about sqrt(n m) rows),
 # the p m x m leaf triangles, and K, R and R K R^T (m x m), for m
@@ -258,7 +255,10 @@ def _leaf_count(n: int, m: int) -> int:
     return max(1, round(math.sqrt(n / m)))
 
 
-def _build_transform(grid: RadialGrid):
+# Keyed by a grid's key(), the 4 latest geometries: the 2,048-node transforms
+# hold U of 1.1 MB (4-D, 69 columns) and 2.5 MB (2-D, 150 columns).
+@functools.lru_cache(maxsize=4)
+def _build_transform(geometry):
     """(U, sroot, pos): T = I - 2 U U^T acts on x = values[pos] * sroot.
 
     pos marks the nodes of positive weight: all nodes in 2-D, where the
@@ -274,6 +274,7 @@ def _build_transform(grid: RadialGrid):
     eigenspace and maps the numerical null space (|lambda| <= _TAU), where
     snapping would follow the sign of rounding noise, to itself.
     """
+    grid = build_grid(*geometry)
     W = grid.weights / SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
     sroot = np.sqrt(W[pos])
@@ -335,7 +336,7 @@ def _transform_for(grid: RadialGrid):
     if m > MAX_INTERPOLATION_POINTS:
         raise ValueError(f"the Hankel transform needs {m} interpolation points at r_max "
                          f"{grid.r_max:g}, at most {MAX_INTERPOLATION_POINTS} are allowed")
-    return lru_get(_transform_cache, grid.key(), 4, lambda: _build_transform(grid))
+    return _build_transform(grid.key())
 
 
 def hankel_transform(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -407,7 +408,7 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
 
     The L2 and derivative-norm checks are evaluated spectrally (through the
     exactly isometric transform); the exponential-mass check compares the
-    physical quadratures of exp(a u^2) - 1, with a = 2 in 4-D and 1 in 2-D.
+    physical quadratures of exp(a u^2) - 1, with a = ``model.EXP_RATE[n]``.
     A check failing beyond tolerance flags the report; the field is still
     returned.  So does a grid with h r_max > pi: the frequency grid
     rho_j = r_j then runs past the nodes' Nyquist frequency pi / h, and the
@@ -415,9 +416,9 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     checks cannot see.
     """
     gridobj = u.grid
-    a = 2.0 if gridobj.dimension == 4 else 1.0
+    a = EXP_RATE[gridobj.dimension]
     w = gridobj.weights
-    power = 4 if gridobj.dimension == 4 else 2
+    power = gridobj.dimension
 
     uh = hankel_transform(gridobj, u.values)
     us = rearrange_values(uh, w)

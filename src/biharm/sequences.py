@@ -171,7 +171,7 @@ def _moser_node_sums(geometry, i0: int, i1: int, profile: tuple, F=None) -> tupl
     lap = g.apply_stencil(g.laplacian_stencil_rows(geometry, j0, j1), u)
     rows = slice(i0 - j0, i1 - j0)        # the halo rows lack neighbours
     u, lap, w = u[rows], lap[rows], w[rows]
-    quad = float(np.dot(w, lap * lap)) if geometry[2] == 4 else -float(np.dot(w, lap * u))
+    quad = g.quad_form_of(w, lap, u, geometry[2])
     F_mass = float(np.dot(w, np.asarray(F(u), dtype=float))) if F is not None else 0.0
     return float(np.dot(w, u * u)), quad, F_mass, float(np.max(np.abs(u)))
 

@@ -477,8 +477,7 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
     ProblemConfig checks.
     """
     gamma = config_V.potential.gamma_inf
-    config_inf = ProblemConfig(config_V.dimension, config_V.lam, ConstantPotential(gamma),
-                               config_V.nonlinearity)
+    config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)
     if init is None:
         gridobj = g.default_grid(config_V.dimension)
         init = RadialField(gridobj, np.exp(-gridobj.nodes**2 / 2.0))

@@ -207,13 +207,13 @@ def test_criterion_7_trapping_gap(g4):
     """0 < m_V < m_inf with gap > 1e-3; degenerate well gives gap ~ 0."""
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, 0.3, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V)
     ok = rep.both_positive and rep.m_V < rep.m_infty and rep.gap > 1e-3
 
     const = lambda r: np.full_like(np.asarray(r, float), 1.0)
     pot_c = bh.radial_potential(const, g4)
-    cfg_D = bh.ProblemConfig(4, 0.3, pot_c, bh.exp_critical(0.3, 4))
+    cfg_D = bh.ProblemConfig(4, pot_c, bh.exp_critical(0.3, 4))
     rep_d = limiting_gap(cfg_D)
     ok &= abs(rep_d.gap) <= 1e-6
     report("criterion 7 (trapping-potential gap)", ok,
@@ -282,7 +282,7 @@ def test_criterion_11_theta_family_evidence():
     verdicts = {}
     for theta in (1.0, 3.0):
         spec = bh.exact_growth_family(theta)
-        cfg = bh.ProblemConfig(4, 0.5, bh.ConstantPotential(1.0), spec)
+        cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
         L = cfg.adams_beta / spec.alpha0
         verdicts[theta] = bh.adams_ratio_search(cfg, L, budget=300).verdict
     ok = verdicts[1.0] == "divergence_evidence" and verdicts[3.0] == "finite_evidence"

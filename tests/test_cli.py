@@ -625,16 +625,16 @@ def test_ratio_budget_below_one_exits_config(tmp_path, capsys, budget):
     assert not (out / "ratio.json").exists()
 
 
-def test_rearrange_rejects_grids_above_the_transform_limit(tmp_path, capsys):
-    from biharm.rearrangement import MAX_TRANSFORM_NODES, _transform_cache
+def test_rearrange_rejects_grids_above_the_transform_limit(tmp_path, capsys,
+                                                          fresh_transforms):
+    from biharm.rearrangement import MAX_TRANSFORM_NODES
     g = bh.build_grid(20.0, MAX_TRANSFORM_NODES + 1, 4)
     src = tmp_path / "big.csv"
     save_field_csv(str(src), bh.RadialField(g, np.exp(-g.nodes**2)))
-    before = len(_transform_cache)
     code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
     assert code == EXIT_CONFIG
     assert "at most 4096 nodes" in capsys.readouterr().err
-    assert len(_transform_cache) == before
+    assert fresh_transforms.cache_info().misses == 0
     assert not (out / "rearrange.json").exists()
 
 
@@ -656,15 +656,10 @@ def test_failed_descent_factorization_exits_noconv(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
-def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch, routine):
-    from collections import OrderedDict
-
-    from biharm import rearrangement
-
+def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch, fresh_transforms, routine):
     def fail(*args):
         return {"info": -4}                 # LAPACK: the fourth argument was illegal
 
-    monkeypatch.setattr(rearrangement, "_transform_cache", OrderedDict())
     monkeypatch.setattr(np.linalg.lapack_lite, routine, fail)
     g = bh.build_grid(20.0, 512, 4)
     src = tmp_path / "in.csv"
@@ -675,15 +670,10 @@ def test_qr_failure_exits_noconv(tmp_path, capsys, monkeypatch, routine):
     assert not (out / "rearrange.json").exists()
 
 
-def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch):
-    from collections import OrderedDict
-
-    from biharm import rearrangement
-
+def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch, fresh_transforms):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(rearrangement, "_transform_cache", OrderedDict())
     monkeypatch.setattr(np.linalg, "eigh", fail)
     g = bh.build_grid(20.0, 512, 4)
     src = tmp_path / "in.csv"

@@ -108,7 +108,7 @@ def test_exact_growth_theta_remark():
     # theta < 2: divergence evidence at the threshold; theta >= 2: finite
     for theta, expected in ((1.0, "divergence_evidence"), (3.0, "finite_evidence")):
         spec = bh.exact_growth_family(theta)
-        cfg = bh.ProblemConfig(4, 0.5, bh.ConstantPotential(1.0), spec)
+        cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
         L = cfg.adams_beta / spec.alpha0
         rep = bh.adams_ratio_search(cfg, L, budget=300)
         assert rep.verdict == expected

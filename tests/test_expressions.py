@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biharm.expressions import ParseError, parse_expression
+from biharm.expressions import MAX_LENGTH, ParseError, parse_expression
 
 
 def test_basic_substitution():
@@ -107,6 +107,17 @@ def test_long_sum_evaluates_without_recursion():
     f = parse_expression("+".join(["t"] * 500))
     assert f(0.5) == 250.0
     assert np.array_equal(f(np.array([1.0, -2.0])), [500.0, -1000.0])
+
+
+def test_input_past_the_length_cap_is_a_parse_error():
+    # Python 3.10's parser has no depth check and crashes on this sum, so the
+    # cap comes before ast sees the text
+    with pytest.raises(ParseError, match="longer than 100000 characters") as exc:
+        parse_expression("+".join(["t"] * 1_000_000))
+    assert exc.value.position == MAX_LENGTH
+    assert parse_expression(" " * (MAX_LENGTH - 1) + "t")(2.0) == 2.0
+    with pytest.raises(ParseError, match="longer than"):
+        parse_expression(" " * MAX_LENGTH + "t")
 
 
 @pytest.mark.parametrize("src", ["t**2", "+t", "1_000", "0x1f", "1j", "True", "t % 2", "t // 2",

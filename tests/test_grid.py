@@ -1,4 +1,3 @@
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -242,12 +241,3 @@ def test_laplacian_matrix_equals_loop_assembly(args):
     rest[at] = 0.0
     assert not rest.any()
 
-
-def test_matrix_cache_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(bh.grid, "_matrix_cache", OrderedDict())
-    grids = [bh.build_grid(20.0, 16 + k, 4) for k in range(20)]
-    mats = [laplacian_matrix(grid) for grid in grids]
-    assert len(bh.grid._matrix_cache) <= 8
-    # a repeated geometry is a hit, also through a new grid object
-    assert laplacian_matrix(bh.build_grid(20.0, 35, 4)) is mats[-1]
-    assert laplacian_matrix(grids[0]) is not mats[0]

@@ -84,7 +84,7 @@ def test_gauss_rule_is_leggauss_8():
 
 def _user_config(dim, f_expr, alpha0):
     spec = bh.user_nonlinearity(f_expr, alpha0=alpha0)
-    return bh.ProblemConfig(dim, 0.5, bh.ConstantPotential(1.0), spec)
+    return bh.ProblemConfig(dim, bh.ConstantPotential(1.0), spec)
 
 
 @pytest.mark.parametrize("alpha0", [0.0, -1.0, float("inf"), float("nan"), 20.0, 19.62])
@@ -204,6 +204,18 @@ def test_config_standing_hypothesis():
     assert cfg.adams_beta == pytest.approx(32 * np.pi**2)
     cfg2 = bh.exp_critical_config(1.0, 0.5, dimension=2)
     assert cfg2.adams_beta == pytest.approx(4 * np.pi)
+
+
+def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
+    cfg = bh.exp_critical_config(1.0, 0.3, dimension=2)
+    assert cfg.lam == cfg.nonlinearity.lam == 0.3
+    assert cfg.nonlinearity.alpha0 == bh.model.EXP_RATE[2] == 1.0
+    with pytest.raises(AttributeError):
+        cfg.lam = 0.4
+    with pytest.raises(ValueError, match="does not match the dimension"):
+        bh.ProblemConfig(2, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
+    with pytest.raises(ValueError, match="dimension must be 2 or 4"):
+        bh.exp_critical_config(1.0, 0.3, dimension=3)
 
 
 def test_check_conditions_exp_critical():

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -182,12 +181,12 @@ def test_idempotence_randomized_2d():
     assert _worst_second_rearrangement_move(bh.default_grid(2)) <= 1e-6
 
 
-def test_transform_cache_is_a_bounded_lru(monkeypatch):
+def test_transform_cache_is_a_bounded_lru(fresh_transforms):
     rearr = bh.rearrangement
-    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
     grids = [bh.build_grid(20.0, 16 + k, 4) for k in range(6)]
     built = [rearr._transform_for(grid) for grid in grids]
-    assert len(rearr._transform_cache) <= 4
+    assert fresh_transforms.cache_info().currsize == 4
+    # a repeated geometry is a hit, also through a new grid object
     assert rearr._transform_for(bh.build_grid(20.0, 21, 4)) is built[-1]
     assert rearr._transform_for(grids[0]) is not built[0]
 
@@ -257,7 +256,8 @@ def test_fourier_radial_matches_dense_eigh_reference_on_random_grids(dim, n, r_m
     assert np.max(np.abs(got - _dense_reflector(grid)(vals))) <= 2e-9
 
 
-def test_rearrange_does_not_depend_on_the_interpolation_degree(g4, monkeypatch):
+def test_rearrange_does_not_depend_on_the_interpolation_degree(g4, monkeypatch,
+                                                               fresh_transforms):
     # above the degree rule the interpolant of the kernel sits at rounding, so
     # a 1.5x degree moves only what eigenvectors near -_TAU owe to rounding:
     # 6.6e-12 to 1.0e-11 measured, 8.8e-11 at 1.6x
@@ -267,18 +267,17 @@ def test_rearrange_does_not_depend_on_the_interpolation_degree(g4, monkeypatch):
     u = bh.RadialField(g4, vals)
     base = fourier_rearrange(u).values
     rule = rearr._degree
-    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
+    fresh_transforms.cache_clear()
     monkeypatch.setattr(rearr, "_degree", lambda r_max: 2 * ((3 * rule(r_max) + 3) // 4))
     assert rearr._degree(g4.r_max) >= 1.5 * rule(g4.r_max)
     assert np.max(np.abs(fourier_rearrange(u).values - base)) <= 1e-9
 
 
-def test_transform_refuses_radii_beyond_the_interpolation_limit(monkeypatch):
+def test_transform_refuses_radii_beyond_the_interpolation_limit(fresh_transforms):
     rearr = bh.rearrangement
-    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
     with pytest.raises(ValueError, match="interpolation points at r_max 58"):
         rearr._transform_for(bh.build_grid(58.0, 64, 4))
-    assert len(rearr._transform_cache) == 0
+    assert fresh_transforms.cache_info().misses == 0
 
 
 def test_bessel_kernels_match_scipy():
@@ -321,7 +320,7 @@ _BUILD_GRIDS = [(20.0, 2048, 4), (30.0, 2048, 2), (20.0, 4096, 4)]
 
 
 @pytest.mark.parametrize("r_max, n, dim", _BUILD_GRIDS)
-def test_transform_build_memory_is_bounded(r_max, n, dim):
+def test_transform_build_memory_is_bounded(r_max, n, dim, fresh_transforms):
     # the build holds one row leaf of its n x m interpolation matrix and the
     # stacked leaf triangles, never the whole matrix.  Measured peak / (n m 8 B):
     # 1.04, 1.51 and 0.72 on these grids; 2.01, 2.18 and 2.01 when the whole
@@ -332,7 +331,7 @@ def test_transform_build_memory_is_bounded(r_max, n, dim):
     m = rearr._degree(r_max) // 2 + 1
     tracemalloc.start()
     try:
-        rearr._build_transform(grid)
+        fresh_transforms(grid.key())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,7 +339,7 @@ def test_transform_build_memory_is_bounded(r_max, n, dim):
 
 
 @pytest.mark.parametrize("r_max, n, dim", _BUILD_GRIDS)
-def test_leaf_build_matches_a_one_leaf_build(r_max, n, dim, monkeypatch):
+def test_leaf_build_matches_a_one_leaf_build(r_max, n, dim, monkeypatch, fresh_transforms):
     # with one leaf the build is the plain Householder QR of the whole matrix;
     # the leaves change only rounding.  Measured: 4.5e-14 of the largest output
     rearr = bh.rearrangement
@@ -349,9 +348,8 @@ def test_leaf_build_matches_a_one_leaf_build(r_max, n, dim, monkeypatch):
     assert rearr._leaf_count(n_pos, rearr._degree(r_max) // 2 + 1) >= 2
     rng = np.random.default_rng(1)
     fields = [smooth_even_bumps(grid, rng) for _ in range(5)]
-    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
     leaves = [hankel_transform(grid, v) for v in fields]
-    monkeypatch.setattr(rearr, "_transform_cache", OrderedDict())
+    fresh_transforms.cache_clear()
     monkeypatch.setattr(rearr, "_leaf_count", lambda n, m: 1)
     for got, v in zip(leaves, fields):
         want = hankel_transform(grid, v)

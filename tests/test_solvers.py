@@ -99,8 +99,8 @@ def test_potential_ordering_of_projections(g4):
     # V <= gamma pointwise gives t_u(V) <= t_u(gamma)
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, 0.3, pot, bh.exp_critical(0.3, 4))
-    cfg_c = bh.ProblemConfig(4, 0.3, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
+    cfg_c = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
     u = bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))
     assert project_nehari(u, cfg_V) <= project_nehari(u, cfg_c) + 1e-10
 
@@ -121,7 +121,7 @@ def _ray_configs():
         for kind, spec in (("exp", bh.exp_critical(0.3, dim)),
                            ("exact", bh.exact_growth_family(1.5)),
                            ("user", bh.user_nonlinearity(user_f))):
-            out[dim, kind] = (grid, bh.ProblemConfig(dim, 0.3, well, spec))
+            out[dim, kind] = (grid, bh.ProblemConfig(dim, well, spec))
     return out
 
 
@@ -328,7 +328,7 @@ def test_minimize_nehari_zero_init(cfg, g4):
 def test_minimize_nehari_trapping(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, 0.3, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
     rep = minimize_nehari(cfg_V, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2)))
     assert rep.converged
     assert rep.objective > 0
@@ -337,7 +337,7 @@ def test_minimize_nehari_trapping(g4):
 def test_limiting_gap(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, 0.3, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V)
     assert rep.both_positive
     assert rep.gap > 1e-3
@@ -349,7 +349,7 @@ def test_limiting_gap_hypothesis_violated(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
     with pytest.raises(ValueError):
-        cfg_bad = bh.ProblemConfig(4, 0.7, pot, bh.exp_critical(0.7, 4))
+        cfg_bad = bh.ProblemConfig(4, pot, bh.exp_critical(0.7, 4))
         limiting_gap(cfg_bad)
 
 
@@ -368,7 +368,7 @@ def test_monotonicity_in_potential(g4):
     m = []
     for prof in (prof1, prof2):
         pot = bh.radial_potential(prof, g4)
-        cfg_V = bh.ProblemConfig(4, 0.3, pot, bh.exp_critical(0.3, 4))
+        cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
         m.append(minimize_nehari(cfg_V, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))).objective)
     assert m[0] <= m[1] + 1e-8
 
@@ -399,6 +399,16 @@ def test_ops_cache_hit_is_the_same_pair(g4):
     assert solvers._ops_for(g4, cfg_b).config is cfg_b
 
 
+def test_a_problem_on_a_grid_of_another_dimension_is_refused(cfg):
+    # the grid and the config each store a dimension; left unchecked, a 4-D
+    # problem on a 2-D grid runs to a level and reports converged
+    from biharm.functionals import evaluate_all
+    g2 = bh.default_grid(2)
+    u = bh.RadialField(g2, np.exp(-g2.nodes**2 / 2))
+    for run in (minimize_pohozaev, minimize_nehari, lambda c, f: evaluate_all(f, c)):
+        with pytest.raises(ValueError, match="a 4-D problem on a 2-D grid"):
+            run(cfg, u)
+
 
 def test_2d_gap_builds_one_ops_per_problem():
     # the trapped and the limit problem, each on the caller's grid only
@@ -406,7 +416,7 @@ def test_2d_gap_builds_one_ops_per_problem():
     g2 = bh.build_grid(30.0, 512, 2)
     pot = bh.radial_potential(
         lambda r: 1.1 - 0.4 * np.exp(-(np.asarray(r, float) / 1.5) ** 2), g2)
-    cfg = bh.ProblemConfig(2, 0.4, pot, bh.exp_critical(0.4, 2))
+    cfg = bh.ProblemConfig(2, pot, bh.exp_critical(0.4, 2))
     solvers._ops_for.cache_clear()
     rep = solvers.limiting_gap(cfg, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     assert solvers._ops_for.cache_info().misses == 2
@@ -548,7 +558,7 @@ def test_a_solve_factors_its_descent_operator_once(monkeypatch, dim, gamma, lam)
 def test_descent_stays_short_where_the_multiplier_moves_far(g4, gauss):
     # c = 1 - 2 theta starts near 3.7 here; a descent factor at c = 1 instead
     # of the start's c0 took 73 steps, a fresh factor per step 28
-    cfg = bh.ProblemConfig(4, 0.5, bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
+    cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
     rep = minimize_pohozaev(cfg, gauss)
     assert rep.converged
     assert rep.iterations <= 40
