@@ -19,12 +19,11 @@ _EXPORTS = {
     "functionals": ("AdamsRatioReport", "FunctionalReport", "MassTerms",
                     "adams_ratio_search", "evaluate_all", "nehari_energy_identity_gap"),
     "rearrangement": ("RearrangementReport", "fourier_rearrange", "hankel_transform"),
-    "sequences": ("MoserParams", "WitnessReport", "moser_estimates", "moser_field",
-                  "necessity_witness", "plateau_field"),
+    "sequences": ("moser_estimates", "moser_field"),
     "solvers": ("GapReport", "SolveReport", "gradient_action", "gradient_quadratic",
                 "limiting_gap", "minimize_nehari", "minimize_pohozaev", "nehari_sign_scan",
                 "project_nehari", "project_pohozaev", "recover_solution", "residual_weak"),
-    "diagnostics": ("GrowthClassification", "bounded_functional_probe", "classify_growth"),
+    "diagnostics": ("GrowthClassification", "classify_growth"),
     "expressions": ("ParseError", "parse_expression"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -125,7 +125,7 @@ class RunConfig:
     command: str
     dimension: int = 4
     gamma: float = 1.0
-    lam: float = 0.5
+    lam: Optional[float] = None          # None: 0.5 for exp_critical, filled by run()
     grid_r_max: Optional[float] = None   # None: DEFAULT_GRID[dimension], filled by run()
     grid_n: Optional[int] = None
     potential_expr: Optional[str] = None
@@ -175,6 +175,9 @@ class RunConfig:
 
 def _build_problem(rc: RunConfig):
     grd = g.build_grid(rc.grid_r_max, rc.grid_n, rc.dimension)
+    if rc.lam is not None and (rc.theta is not None or rc.f_expr is not None):
+        raise ValueError("--lambda scales only the built-in exp-critical nonlinearity, "
+                         "not --f or --theta")
     if rc.theta is not None:
         spec = exact_growth_family(rc.theta)
     elif rc.f_expr is not None:
@@ -433,14 +436,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def with_default_grid(rc: RunConfig) -> RunConfig:
-    """rc with each grid field it leaves None taken from the dimension's default grid.
+    """rc with each grid field it leaves None taken from the dimension's default grid,
+    and lam 0.5 when it leaves lam None and names the built-in nonlinearity.
 
     A dimension without a default grid takes the 4-D one, and building the
     grid then reports the dimension.
     """
     r_max, n = g.DEFAULT_GRID.get(rc.dimension, g.DEFAULT_GRID[4])
+    builtin = rc.theta is None and rc.f_expr is None
     return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
-                   grid_n=n if rc.grid_n is None else rc.grid_n)
+                   grid_n=n if rc.grid_n is None else rc.grid_n,
+                   lam=0.5 if rc.lam is None and builtin else rc.lam)
 
 
 def run(rc: RunConfig) -> int:

@@ -132,29 +132,3 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
     return GrowthClassification(float(K), limsup_inf, limsup_0, bounded, compact,
                                 inf_state == "boundary", order)
 
-
-def bounded_functional_probe(gfun: Callable, K: float, trial_fields) -> dict:
-    """max over admissible trials of int g(u) / int u^2 under the D-norm budget.
-
-    Trials with quadratic form exceeding the 4-D Adams constant 32 pi^2 times
-    K are skipped and reported.  Growing maxima along a concentration family
-    exhibit blow-up, stable maxima exhibit boundedness.
-    """
-    from . import grid as g
-    from .model import ADAMS_BETA
-
-    ratios, skipped = [], []
-    for i, fld in enumerate(trial_fields):
-        q = g.quad_form_sq(fld)
-        if q > ADAMS_BETA[4] * K * (1.0 + 1e-9):
-            skipped.append((i, q))
-            continue
-        l2 = g.l2_sq(fld)
-        if l2 == 0.0:
-            ratios.append(0.0)
-            continue
-        gq = float(np.dot(fld.grid.weights,
-                          np.asarray(gfun(np.abs(fld.values)), dtype=float)))
-        ratios.append(gq / l2)
-    return {"max_ratio": max(ratios) if ratios else 0.0,
-            "ratios": ratios, "skipped": skipped}

@@ -210,10 +210,6 @@ def stencil_square(coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_sq(u: RadialField) -> float:
-    return float(np.dot(u.grid.weights, u.values**2))
-
-
 def quad_form_sq(u: RadialField, L=None) -> float:
     """Leading quadratic term: ||Du||_2^2 for n=4, ||u'||_2^2 for n=2.
 

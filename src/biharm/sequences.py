@@ -1,30 +1,21 @@
-"""Concentration and plateau test families with their asymptotic estimates.
+"""The concentrating log profiles psi_{b,K} ("Moser profiles") and their estimates.
 
-Two spherically symmetric families drive the boundedness/compactness
-counterexamples and the sharp-constant probes:
+psi_{b,K} is a parabolic core on [0, R^{1/4}] with R = exp(-b^2/K), the
+branch 4K |log r| / b on (R^{1/4}, 1], and a smooth cap on [1, 2]; it drives
+the sharp-constant probes.
 
-* plateau profiles: value a on [0, R], the parabolic ramp
-  a (1 - R^2 - r^2 + 2 R r) on (R, R+1], and a smooth cap on (R+1, R+2];
-* concentrating log profiles ("Moser profiles"): a parabolic core on
-  [0, R^{1/4}] with R = exp(-b^2/K), the branch 4K |log r| / b on
-  (R^{1/4}, 1], and a smooth cap on [1, 2].
-
-Caps are quintic Hermite blends matching value and slope (C^1 with the inner
-branch) with zero curvature at both ends; branch radii are snapped to grid
-nodes so the Laplacian stencil never straddles a sub-cell kink.
+The cap is a quintic Hermite blend matching value and slope (C^1 with the
+log branch) with zero curvature at both ends; branch radii are snapped to
+grid nodes so the Laplacian stencil never straddles a sub-cell kink.
 ``moser_sums`` adds up the grid sums of a log profile in fixed node blocks,
 so meshes of millions of nodes are never held whole; its node-range kernel
 (``grid``'s nodes, weights and stencil rows) also sums the core and junction
 nodes of ``moser_estimates``' closed form.
-
-The witnesses at infinity dilate psi exactly: sampled on a grid of radius
-r_max/S and read on ``grid.rescale_grid`` of it, the samples are psi(r/S).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,27 +38,10 @@ def quintic_blend(x, x0, x1, v0, d0, v1, d1):
     return v0 * h00 + d0 * s * h10 + v1 * h01 + d1 * s * h11
 
 
-@dataclass
-class MoserParams:
-    """Parameters of the two families; use the constructors below."""
-
-    a_k: float = 0.0       # plateau height
-    R_k: float = 0.0       # plateau radius / concentration scale
-    b_k: float = 0.0       # log-profile height
-    K: float = 1.0         # energy budget parameter
-
-    @staticmethod
-    def plateau(a: float, R: float) -> "MoserParams":
-        if a <= 0 or R <= 0:
-            raise ValueError("plateau parameters must be positive")
-        return MoserParams(a_k=a, R_k=R)
-
-    @staticmethod
-    def moser(b: float, K: float) -> "MoserParams":
-        if not all(np.isfinite(v) and v > 0 for v in (b, K)):
-            raise ValueError(f"moser parameters must be finite and positive, got "
-                             f"b={b:g}, K={K:g}")
-        return MoserParams(b_k=b, K=K, R_k=float(np.exp(-b * b / K)))
+def _check_moser(b: float, K: float):
+    if not all(np.isfinite(v) and v > 0 for v in (b, K)):
+        raise ValueError(f"moser parameters must be finite and positive, got "
+                         f"b={b:g}, K={K:g}")
 
 
 def _snap(geometry, r: float) -> tuple[int, float]:
@@ -77,33 +51,10 @@ def _snap(geometry, r: float) -> tuple[int, float]:
     return i, float(g.mesh_slice(geometry, i, i + 1)[0][0])
 
 
-def plateau_field(params: MoserParams, grid: RadialGrid) -> RadialField:
-    """Plateau profile on the grid; branch radii snapped to nodes."""
-    a, R = params.a_k, params.R_k
-    if R + 2.0 > grid.r_max:
-        raise ValueError("plateau support exceeds the domain")
-    R1 = _snap(grid.key(), R)[1]
-    R2 = _snap(grid.key(), R1 + 1.0)[1]
-    R3 = _snap(grid.key(), R1 + 2.0)[1]
-    r = grid.nodes
-    out = np.zeros_like(r)
-    core = r <= R1
-    ramp = (r > R1) & (r <= R2)
-    cap = (r > R2) & (r < R3)
-    out[core] = a
-    out[ramp] = a * (1.0 - R1**2 - r[ramp] ** 2 + 2.0 * R1 * r[ramp])
-    ramp_end = a * (1.0 - (R2 - R1) ** 2)
-    ramp_slope = -2.0 * a * (R2 - R1)
-    out[cap] = quintic_blend(r[cap], R2, R3, ramp_end, ramp_slope, 0.0, 0.0)
-    field = RadialField(grid, out)
-    field.snap_report = {"R": R1 - R, "R+1": R2 - (R1 + 1.0), "R+2": R3 - (R1 + 2.0)}
-    return field
-
-
-def _moser_branch_nodes(params: MoserParams, geometry):
+def _moser_branch_nodes(b: float, K: float, geometry):
     """Indices of the nodes r14 = R^{1/4}, 1 and 2 snap to, and the arguments
     (b, K_eff, r14, r_one, r_two) of :func:`_moser_profile` on them."""
-    b, K = params.b_k, params.K
+    _check_moser(b, K)
     r_max, n, _ = geometry
     r14 = float(np.exp(-b * b / (4.0 * K)))
     if r14 < 8.0 * (r_max / (n - 1)):
@@ -132,7 +83,7 @@ def _moser_profile(r, b, K, r14, r_one, r_two):
     return out
 
 
-def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
+def moser_field(b: float, K: float, grid: RadialGrid) -> RadialField:
     """Concentrating log profile psi_{b,K} on the grid.
 
     Branch radii are snapped to grid nodes; the energy parameter is then
@@ -142,12 +93,12 @@ def moser_field(params: MoserParams, grid: RadialGrid) -> RadialField:
     O(1/h) noise into the Laplacian.  The signed -log(r) form is used so the
     branch stays smooth if the snapped end lies slightly past r = 1.
     """
-    _, profile = _moser_branch_nodes(params, grid.key())
-    b, K, r14, r_one, r_two = profile
+    _, profile = _moser_branch_nodes(b, K, grid.key())
+    _, K_eff, r14, r_one, r_two = profile
     field = RadialField(grid, _moser_profile(grid.nodes, *profile))
-    field.snap_report = {"R^(1/4)": r14 - float(np.exp(-b * b / (4 * params.K))),
+    field.snap_report = {"R^(1/4)": r14 - float(np.exp(-b * b / (4 * K))),
                          "1": r_one - 1.0, "2": r_two - 2.0,
-                         "K_eff": K - params.K}
+                         "K_eff": K_eff - K}
     return field
 
 
@@ -189,7 +140,7 @@ def moser_sums(b: float, K: float, r_max: float, n_points: int, dimension: int,
     from r_two on and its Laplacian two nodes later.
     """
     geometry = (float(r_max), int(n_points), int(dimension))
-    (_, _, i_two), profile = _moser_branch_nodes(MoserParams.moser(b, K), geometry)
+    (_, _, i_two), profile = _moser_branch_nodes(b, K, geometry)
     stop = min(i_two + 3, n_points)
     l2 = quad = F_mass = peak = 0.0
     for i0 in range(0, stop, _BLOCK):
@@ -218,7 +169,7 @@ def moser_mesh(b: float, K: float) -> tuple[int, float]:
     Raises ValueError unless b and K are finite and positive, the mesh is
     no finer than the rounding floor of 4e-9 and r14 snaps below r = 1.
     """
-    params = MoserParams.moser(b, K)
+    _check_moser(b, K)
     b_max = 2.0 * np.sqrt(K * np.log(1.0 / (10 * _H_MIN)))
     if b > b_max:
         raise ValueError(
@@ -227,7 +178,7 @@ def moser_mesh(b: float, K: float) -> tuple[int, float]:
             f"{np.floor(b_max * 1000) / 1000:.3f}")
     r14 = float(np.exp(-b * b / (4.0 * K)))
     n = max(int(np.ceil(2.0 / (r14 / 10))) + 1, 4097)
-    _moser_branch_nodes(params, (2.0, n, 4))
+    _moser_branch_nodes(b, K, (2.0, n, 4))
     return n, 2.0 / (n - 1)
 
 
@@ -255,7 +206,7 @@ def moser_estimates(b: float, K: float) -> dict:
         return {"l2_sq": sums["l2_sq"], "lap_l2_sq": sums["quad_form"], "n_points": n,
                 "h": h, "method": "finite_difference"}
     geometry = (2.0, n, 4)
-    (i14, i_one, i_two), profile = _moser_branch_nodes(MoserParams.moser(b, K), geometry)
+    (i14, i_one, i_two), profile = _moser_branch_nodes(b, K, geometry)
     _, K, r14, r_one, r_two = profile     # K re-derived from the snapped radius
 
     # core and junction neighbourhoods node by node, with the grid's weights
@@ -327,99 +278,3 @@ def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:
         dp = p.deriv(k - 1)
         total += _BERNOULLI[k] / math.factorial(k) * (dp(c) - dp(a)) / float(m) ** k
     return float(total)
-
-
-# --- necessity witnesses --------------------------------------------------------
-
-@dataclass
-class WitnessReport:
-    mode: str
-    table: list        # per-k dict: params, l2_sq, lap_l2_sq, G
-    verdict: str
-
-
-class WitnessInapplicableError(ValueError):
-    """The supplied g satisfies the condition the witness is meant to violate."""
-
-
-def _g_integral(gfun: Callable, u: RadialField) -> float:
-    vals = np.asarray(gfun(np.abs(u.values)), dtype=float)
-    return float(np.dot(u.grid.weights, vals))
-
-
-def necessity_witness(mode: str, gfun: Callable, K: float = 1.0,
-                      ks=(2, 4, 8)) -> tuple[list[RadialField], WitnessReport]:
-    """Finite-k counterexample sequences in 4-D for a g violating the growth conditions.
-
-    Modes and parameter couplings:
-
-    * ``unbounded_origin``    a_k -> 0, c_k = g(a_k)/a_k^2 -> inf,
-                              R_k = a_k^{-1/4} + a_k^{-1/2} c_k^{-1/8}
-    * ``noncompact_origin``   a_k -> 0, R_k = a_k^{-1/2}
-    * ``unbounded_infinity``  b_k -> inf, c_k = b_k^2 R_k g(b_k) -> inf,
-                              S_k^4 = b_k^2 c_k^{-1/2}
-    * ``noncompact_infinity`` S_k^4 = b_k^2
-
-    Raises WitnessInapplicableError when g does not violate the respective
-    condition on the sampled range.
-    """
-    table = []
-
-    if mode in ("unbounded_origin", "noncompact_origin"):
-        a_vals = np.array([1.0 / k for k in ks], dtype=float)
-        y = np.asarray(gfun(a_vals), dtype=float) / a_vals**2
-        if mode == "unbounded_origin":
-            if not (y[-1] > 2.0 * y[0] and np.all(np.diff(y) > 0)):
-                raise WitnessInapplicableError(
-                    "g(t)/t^2 does not diverge at the origin on the sampled range")
-        else:
-            if y[-1] < 1e-8:
-                raise WitnessInapplicableError("g(t)/t^2 vanishes at the origin")
-        fields = []
-        for k, a in zip(ks, a_vals):
-            c = float(gfun(a)) / a**2
-            if mode == "unbounded_origin":
-                R = a ** (-0.25) + a ** (-0.5) * c ** (-0.125)
-            else:
-                R = a ** (-0.5)
-            grd = g.build_grid(max(R + 3.0, 6.0), 4096, 4)
-            fld = plateau_field(MoserParams.plateau(a, R), grd)
-            table.append({"k": int(k), "a": a, "R": R,
-                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.quad_form_sq(fld),
-                          "G": _g_integral(gfun, fld)})
-            fields.append(fld)
-        if mode == "unbounded_origin":
-            verdict = "mass vanishes while G grows"
-        else:
-            verdict = "G stays bounded away from zero under vanishing"
-        return fields, WitnessReport(mode, table, verdict)
-
-    if mode in ("unbounded_infinity", "noncompact_infinity"):
-        bs = np.array([2.5 + 0.5 * i for i in range(len(ks))], dtype=float)
-        cs = bs**2 * np.exp(-bs**2 / K) * np.asarray(gfun(bs), dtype=float)
-        if mode == "unbounded_infinity" and not (np.all(np.diff(cs) > 0) and cs[-1] > 2 * cs[0]):
-            raise WitnessInapplicableError(
-                "t^2 exp(-t^2/K) g(t) does not diverge on the sampled range")
-        if mode == "noncompact_infinity" and cs[-1] < 1e-12:
-            raise WitnessInapplicableError("t^2 exp(-t^2/K) g(t) vanishes at infinity")
-        fields = []
-        for k, b, c in zip(ks, bs, cs):
-            S = (b * b * c ** (-0.5)) ** 0.25 if mode == "unbounded_infinity" else np.sqrt(b)
-            r14 = float(np.exp(-b * b / (4.0 * K)))
-            # psi is sampled before the dilation by S, 10 nodes per r14
-            r_max = max(2.2 * S, 2.2) / S
-            n = min(int(np.ceil(r_max / (r14 / 10.0))) + 1, 4_000_000)
-            grd = g.build_grid(r_max, max(n, 4096), 4)
-            psi = moser_field(MoserParams.moser(b, K), grd)
-            fld = RadialField(g.rescale_grid(grd, S), psi.values)
-            table.append({"k": int(k), "b": float(b), "c": float(c), "S": float(S),
-                          "l2_sq": g.l2_sq(fld), "lap_l2_sq": g.quad_form_sq(fld),
-                          "G": _g_integral(gfun, fld)})
-            fields.append(fld)
-        if mode == "unbounded_infinity":
-            verdict = "G/||u||^2 grows along the sweep"
-        else:
-            verdict = "G stays bounded away from zero under vanishing"
-        return fields, WitnessReport(mode, table, verdict)
-
-    raise ValueError(f"unknown witness mode {mode!r}")

@@ -191,6 +191,42 @@ def test_sweep_keeps_the_values_around_a_bad_one(tmp_path, capsys):
     assert "lambda 1.2: standing hypothesis violated" in capsys.readouterr().err
 
 
+def test_lambda_sweep_of_another_family_is_an_error_per_value(tmp_path, capsys):
+    # lambda scales only the built-in nonlinearity; theta's family has none
+    code, out = run_cli(["sweep", "--dim", "2", "--gamma", "1", "--theta", "1.5",
+                         "--sweep-param", "lambda", "--sweep-values", "0.3,0.5"], tmp_path)
+    assert code == EXIT_CONFIG
+    rep = json.loads((out / "sweep.json").read_text())
+    assert rep["config"]["lam"] is None
+    assert [r["value"] for r in rep["sweep"]["results"]] == [0.3, 0.5]
+    assert all(set(r) == {"value", "error"} and "--lambda" in r["error"]
+               for r in rep["sweep"]["results"])
+    assert "lambda 0.3: --lambda scales only" in capsys.readouterr().err
+
+
+def test_lambda_with_f_exits_3(tmp_path, capsys):
+    code, out = run_cli(["solve", "--dim", "2", "--gamma", "1", "--f", "0.5*t*exp(t^2)",
+                         "--lambda", "1.5"], tmp_path)
+    assert code == EXIT_CONFIG
+    assert not (out / "solve.json").exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lam": 0.5, "f_expr": "0.5*t*exp(2*t^2)"}))
+    code, out = run_cli(["check", "--config", str(cfg)], tmp_path, "file")
+    assert code == EXIT_CONFIG
+    assert not (out / "check.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("--lambda scales only the built-in exp-critical nonlinearity") == 2
+
+
+def test_reports_of_f_and_theta_echo_no_lambda(tmp_path):
+    for sub, args in (("f", ["--f", "0.5*t*exp(2*t^2)"]), ("theta", ["--theta", "3"]),
+                      ("builtin", [])):
+        code, out = run_cli(["check"] + args, tmp_path, sub)
+        assert code == EXIT_OK
+        lam = json.loads((out / "check.json").read_text())["config"]["lam"]
+        assert lam == (0.5 if sub == "builtin" else None)
+
+
 def test_config_error_exit_code(tmp_path):
     code, _ = run_cli(["check", "--g", "t*+2", "--K", "1"], tmp_path)
     assert code == EXIT_CONFIG
@@ -563,11 +599,11 @@ def test_import_loads_no_numpy_and_resolves_every_name():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env)
     assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False False",
-                                       "True 57", "True"], res.stderr
+                                       "True 52", "True"], res.stderr
 
 
 def test_gap_gates_lambda_only_for_the_exp_critical_family(tmp_path):
-    # a user f: the default --lambda 0.5 above V0 = 0.35 plays no part
+    # a user f takes no lambda, so V0 = 0.35 gates nothing
     code, out = run_cli(["gap", "--V", "0.45-0.1*exp(-t^2)", "--f", "0.2*t*exp(2*t^2)"],
                         tmp_path)
     assert code == EXIT_OK
@@ -708,8 +744,7 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["ratio", "--theta", "nan"], "theta must be positive and finite"),
     (["ratio", "--alpha0", "0", "--f", "t*exp(t^2)"], "alpha0 must be positive and finite"),
     (["solve", "--f", "0*t"], "no sign change before the overflow cap"),
-    (["gap", "--V", "1.2-0.4*exp(-t^2)", "--f", "0*t", "--lambda", "0.3"],
-     "no sign change before the overflow cap"),
+    (["gap", "--V", "1.2-0.4*exp(-t^2)", "--f", "0*t"], "no sign change before the overflow cap"),
     (["solve", "--grid", "20"], "--grid takes r_max:n_points"),
     (["solve", "--grid", "20:abc"], "--grid takes r_max:n_points"),
     (["solve", "--dim", "abc"], "--dim takes an integer, got 'abc'"),
@@ -719,6 +754,8 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
      "--sweep-values takes comma-separated numbers, got '0.3,x'"),
     (["check", "--f", "(" * 250 + "t" + ")" * 250], "expression nested too deeply"),
     (["moser", "--b-values", "3,3"], "b values must be distinct, got 3.0,3.0"),
+    (["gap", "--V", "1.2-0.4*exp(-t^2)", "--f", "0*t", "--lambda", "0.3"],
+     "--lambda scales only the built-in exp-critical nonlinearity, not --f or --theta"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

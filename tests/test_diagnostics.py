@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.diagnostics import bounded_functional_probe, classify_growth
+from biharm.diagnostics import classify_growth
 
 
 def g_shape(t):
@@ -63,45 +63,29 @@ def test_compact_implies_bounded():
             assert cls.bounded_verdict == "holds"
 
 
+def _ratio_search(f_expr, F_expr, K):
+    """adams_ratio_search of int g(u) / ||u||^2, g = 2F, under ||D u||^2 <= 32 pi^2 K."""
+    cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.user_nonlinearity(f_expr, F_expr))
+    return bh.adams_ratio_search(cfg, 32 * np.pi**2 * K)
+
+
 def test_bounded_probe_compact_class():
-    # compact-class g with the concentrating trials: bounded, non-increasing tail
-    gfun = lambda t: np.asarray(t) ** 4
-    trials = []
-    for b in (3.0, 4.0, 5.0):
-        r14 = np.exp(-b * b / 4.0)
-        n = max(int(np.ceil(2.5 / (r14 / 10.0))) + 1, 4096)
-        grd = bh.build_grid(2.5, n, 4)
-        trials.append(bh.moser_field(bh.MoserParams.moser(b, 1.0), grd))
-    out = bounded_functional_probe(gfun, 3.0, trials)
-    rs = out["ratios"]
-    assert len(rs) == 3
-    assert rs[-1] <= rs[0] * 1.05
+    # compact-class g = t^4 along the concentrating trials: bounded, non-increasing tail
+    for K in (1.0, 3.0):
+        rep = _ratio_search("2*t^3", "t^4/2", K)
+        assert rep.verdict == "finite_evidence"
+        rs = [r for _, r, _ in rep.trace["moser"]]
+        assert len(rs) >= 3
+        assert rs[-1] <= rs[0] * 1.05
 
 
 def test_bounded_probe_blowup_class():
-    # boundary-growth g along the same family: ratio grows
-    gfun = lambda t: np.asarray(t) ** 4 * np.exp(np.asarray(t) ** 2)
-    trials = []
-    for b in (3.0, 4.0, 5.0):
-        r14 = np.exp(-b * b / 4.0)
-        n = max(int(np.ceil(2.5 / (r14 / 10.0))) + 1, 4096)
-        grd = bh.build_grid(2.5, n, 4)
-        trials.append(bh.moser_field(bh.MoserParams.moser(b, 1.0), grd))
-    out = bounded_functional_probe(gfun, 3.0, trials)
-    rs = out["ratios"]
-    assert rs[0] < rs[1] < rs[2]
-
-
-def test_bounded_probe_zero_and_skip():
-    g4 = bh.default_grid(4)
-    fld = bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))
-    out = bounded_functional_probe(lambda t: np.zeros_like(np.asarray(t, float)),
-                                   1.0, [fld])
-    assert out["max_ratio"] == 0.0
-    # a trial violating the budget is skipped and reported
-    big = bh.RadialField(g4, 40.0 * np.exp(-g4.nodes**2 / 2))
-    out2 = bounded_functional_probe(lambda t: np.asarray(t) ** 2, 1e-4, [big])
-    assert out2["skipped"]
+    # boundary-growth g = t^4 exp(t^2) along the same family: ratio grows
+    for K in (1.0, 3.0):
+        rep = _ratio_search("(2*t^3 + t^5)*exp(t^2)", "t^4*exp(t^2)/2", K)
+        assert rep.verdict == "divergence_evidence"
+        rs = [r for _, r, _ in rep.trace["moser"]]
+        assert rs[0] < rs[1] < rs[2]
 
 
 def test_exact_growth_theta_remark():

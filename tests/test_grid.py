@@ -5,8 +5,12 @@ import scipy.sparse as sp
 
 import biharm as bh
 from biharm.grid import (apply_stencil, apply_stencil_transpose, boundary_decay_ratio,
-                         l2_sq, laplacian_matrix, laplacian_stencil_rows, mesh_slice,
+                         laplacian_matrix, laplacian_stencil_rows, mesh_slice,
                          quad_form_sq, rescale_grid, stencil_square)
+
+
+def l2_sq(u):
+    return float(np.dot(u.grid.weights, u.values**2))
 
 
 @pytest.fixture(scope="module")

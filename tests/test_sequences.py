@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.sequences import (MoserParams, WitnessInapplicableError, moser_estimates,
-                              moser_field, moser_sums, necessity_witness, plateau_field)
+from biharm.grid import quad_form_sq, rescale_grid
+from biharm.sequences import (moser_estimates, moser_field, moser_sums, quintic_blend)
+
+
+def l2_sq(u):
+    return float(np.dot(u.grid.weights, u.values**2))
 
 
 def fd_slope(field, r0):
@@ -17,16 +21,39 @@ def fd_slope(field, r0):
 
 # --- plateau family ---------------------------------------------------------
 
+def plateau_field(a, R, grid):
+    """Plateau profile: value a on [0, R], the parabolic ramp
+    a (1 - R^2 - r^2 + 2 R r) on (R, R+1] and a quintic cap on (R+1, R+2],
+    with the branch radii snapped to nodes."""
+    if R + 2.0 > grid.r_max:
+        raise ValueError("plateau support exceeds the domain")
+
+    def snap(r):
+        return grid.nodes[min(int(round(r / grid.h)), grid.n_points - 1)]
+
+    R1 = snap(R)
+    R2, R3 = snap(R1 + 1.0), snap(R1 + 2.0)
+    r = grid.nodes
+    out = np.zeros_like(r)
+    ramp = (r > R1) & (r <= R2)
+    cap = (r > R2) & (r < R3)
+    out[r <= R1] = a
+    out[ramp] = a * (1.0 - R1**2 - r[ramp] ** 2 + 2.0 * R1 * r[ramp])
+    out[cap] = quintic_blend(r[cap], R2, R3, a * (1.0 - (R2 - R1) ** 2), -2.0 * a * (R2 - R1),
+                             0.0, 0.0)
+    return bh.RadialField(grid, out)
+
+
 def test_plateau_values():
     g = bh.build_grid(20.0, 4096, 4)
-    fld = plateau_field(MoserParams.plateau(0.1, 5.0), g)
+    fld = plateau_field(0.1, 5.0, g)
     assert fld.values[0] == pytest.approx(0.1)
     assert np.all(np.abs(fld.values[g.nodes >= 7.0 + g.h]) < 1e-14)
 
 
 def test_plateau_continuity_c1():
     g = bh.build_grid(20.0, 4096, 4)
-    fld = plateau_field(MoserParams.plateau(0.2, 4.0), g)
+    fld = plateau_field(0.2, 4.0, g)
     vals = fld.values
     # value continuity across branch radii
     assert np.max(np.abs(np.diff(vals))) < 0.2 * 3 * g.h  # no jumps beyond slope scale
@@ -44,9 +71,9 @@ def test_plateau_mass_estimates():
     cs_l2, laps = [], []
     for R in Rs:
         g = bh.build_grid(R + 4.0, 16384, 4)
-        fld = plateau_field(MoserParams.plateau(a, R), g)
-        cs_l2.append(bh.grid.l2_sq(fld) / (a**2 * R**4))
-        laps.append(bh.grid.quad_form_sq(fld))
+        fld = plateau_field(a, R, g)
+        cs_l2.append(l2_sq(fld) / (a**2 * R**4))
+        laps.append(quad_form_sq(fld))
     assert max(cs_l2) / min(cs_l2) < 1.6
     slope = np.polyfit(np.log(Rs), np.log(laps), 1)[0]
     assert 2.8 <= slope <= 3.2
@@ -56,7 +83,7 @@ def test_plateau_ball_lower_bound():
     # measured G(phi) >= vol(B_1) g(a) R^4 (1 - 2%) for g = t^2
     a, R = 0.3, 6.0
     g = bh.build_grid(R + 4.0, 8192, 4)
-    fld = plateau_field(MoserParams.plateau(a, R), g)
+    fld = plateau_field(a, R, g)
     G = np.dot(g.weights, fld.values**2)
     bound = (np.pi**2 / 2) * a**2 * R**4
     assert G >= bound * 0.98
@@ -65,24 +92,22 @@ def test_plateau_ball_lower_bound():
 def test_plateau_domain_error():
     g = bh.build_grid(6.0, 2048, 4)
     with pytest.raises(ValueError):
-        plateau_field(MoserParams.plateau(0.1, 5.0), g)
+        plateau_field(0.1, 5.0, g)
 
 
 # --- concentrating log profiles ----------------------------------------------
 
 def test_moser_center_value():
     g = bh.build_grid(2.0, 8192, 4)
-    fld = moser_field(MoserParams.moser(3.0, 1.0), g)
+    fld = moser_field(3.0, 1.0, g)
     K_eff = 1.0 + fld.snap_report["K_eff"]
     assert fld.values[0] == pytest.approx(3.0 + 2.0 * K_eff / 3.0, rel=1e-12)
 
 
 def test_moser_consistency_relation():
     # continuity at the concentration radius encodes b^2 = K |log R|
-    params = MoserParams.moser(3.0, 1.0)
-    assert params.R_k == pytest.approx(np.exp(-9.0), rel=1e-12)
     g = bh.build_grid(2.0, 8192, 4)
-    fld = moser_field(params, g)
+    fld = moser_field(3.0, 1.0, g)
     r14 = np.exp(-9.0 / 4.0)
     i = int(round(r14 / g.h))
     # value b at the junction, C^1 across it
@@ -93,30 +118,30 @@ def test_moser_consistency_relation():
 
 def test_moser_norm_estimates_small_b():
     g = bh.build_grid(2.0, 16384, 4)
-    fld = moser_field(MoserParams.moser(3.0, 1.0), g)
+    fld = moser_field(3.0, 1.0, g)
     # ||psi||_2^2 <= c K^2 / b^2
-    assert bh.grid.l2_sq(fld) * 9.0 < 30.0
+    assert l2_sq(fld) * 9.0 < 30.0
     # Delta-norm near 32 pi^2 K with the O(1/b^2) excess
-    assert bh.grid.quad_form_sq(fld) == pytest.approx(888.8, rel=0.01)
+    assert quad_form_sq(fld) == pytest.approx(888.8, rel=0.01)
 
 
 def test_moser_under_resolution_error():
     g = bh.build_grid(2.0, 2048, 4)
     with pytest.raises(ValueError, match="under-resolved"):
-        moser_field(MoserParams.moser(6.0, 1.0), g)
+        moser_field(6.0, 1.0, g)
 
 
 def test_moser_estimates_match_ops():
     est = moser_estimates(3.0, 1.0)
     g = bh.build_grid(2.0, est["n_points"], 4)
-    fld = moser_field(MoserParams.moser(3.0, 1.0), g)
-    assert est["lap_l2_sq"] == pytest.approx(bh.grid.quad_form_sq(fld), rel=2e-3)
-    assert est["l2_sq"] == pytest.approx(bh.grid.l2_sq(fld), rel=1e-6)
+    fld = moser_field(3.0, 1.0, g)
+    assert est["lap_l2_sq"] == pytest.approx(quad_form_sq(fld), rel=2e-3)
+    assert est["l2_sq"] == pytest.approx(l2_sq(fld), rel=1e-6)
 
 
 def test_moser_concentration_of_exp_mass():
     g = bh.build_grid(2.0, 65536, 4)
-    fld = moser_field(MoserParams.moser(4.0, 1.0), g)
+    fld = moser_field(4.0, 1.0, g)
     r14 = np.exp(-4.0)
     em = np.expm1(2.0 * fld.values**2)
     inside = g.nodes <= r14 * (1 + 1e-9)
@@ -125,82 +150,124 @@ def test_moser_concentration_of_exp_mass():
 
 
 # --- necessity witnesses ----------------------------------------------------------
+#
+# Finite-k counterexample sequences in 4-D for a g that violates a growth
+# condition.  Each row holds l2_sq = ||u||^2, lap_l2_sq = ||D u||^2 and
+# G = int g(|u|).
+
+def g_integral(gfun, fld):
+    return float(np.dot(fld.grid.weights, np.asarray(gfun(np.abs(fld.values)), dtype=float)))
+
+
+def origin_witness(mode, gfun, ks):
+    """Plateaus of height a_k = 1/k -> 0 and radius R_k = a_k^{-1/4} +
+    a_k^{-1/2} c_k^{-1/8}, c_k = g(a_k)/a_k^2 -> inf ("unbounded_origin"),
+    or R_k = a_k^{-1/2} ("noncompact_origin")."""
+    rows = []
+    for k in ks:
+        a = 1.0 / k
+        c = float(gfun(a)) / a**2
+        R = a ** (-0.25) + a ** (-0.5) * c ** (-0.125) if mode == "unbounded_origin" \
+            else a ** (-0.5)
+        fld = plateau_field(a, R, bh.build_grid(max(R + 3.0, 6.0), 4096, 4))
+        rows.append({"l2_sq": l2_sq(fld), "lap_l2_sq": quad_form_sq(fld),
+                     "G": g_integral(gfun, fld)})
+    return rows
+
+
+def infinity_witness(mode, gfun, K=1.0):
+    """psi_{b,K}(r / S) for b = 2.5, 3, 3.5, with c = b^2 exp(-b^2/K) g(b) and
+    S^4 = b^2 c^{-1/2} ("unbounded_infinity", c -> inf) or S^4 = b^2
+    ("noncompact_infinity").
+
+    psi is summed by moser_sums on the undilated mesh ``mesh`` = (r_max, n):
+    radius max(2.2 S, 2.2) / S, 10 nodes per r14 and at least 4096.  The R^4
+    dilation is exact: ||.||^2 and G scale by S^4, ||D .||^2 does not change.
+    """
+    rows = []
+    for b in (2.5, 3.0, 3.5):
+        c = b * b * np.exp(-b * b / K) * float(gfun(b))
+        S = (b * b * c ** (-0.5)) ** 0.25 if mode == "unbounded_infinity" else np.sqrt(b)
+        r_max = max(2.2 * S, 2.2) / S
+        n = max(int(np.ceil(r_max / (np.exp(-b * b / (4.0 * K)) / 10.0))) + 1, 4096)
+        sums = moser_sums(b, K, r_max, n, 4, gfun)
+        rows.append({"b": b, "S": S, "mesh": (r_max, n), "l2_sq": S**4 * sums["l2_sq"],
+                     "lap_l2_sq": sums["quad_form"], "G": S**4 * sums["F_mass"]})
+    return rows
+
 
 def test_witness_unbounded_origin():
     # g(t) = t has t^-2 g -> inf at the origin
     # ball term ~ sqrt(k) must beat the near-flat shell term: sample far apart
-    fields, rep = necessity_witness("unbounded_origin", lambda t: np.asarray(t),
-                                    ks=(16, 64, 256))
-    l2 = [row["l2_sq"] for row in rep.table]
-    G = [row["G"] for row in rep.table]
+    rows = origin_witness("unbounded_origin", lambda t: np.asarray(t), ks=(16, 64, 256))
+    l2 = [row["l2_sq"] for row in rows]
+    G = [row["G"] for row in rows]
     assert l2[0] > l2[1] > l2[2]          # mass decreasing toward 0
     assert G[0] < G[1] < G[2]             # G grows
-    lap = [row["lap_l2_sq"] for row in rep.table]
+    lap = [row["lap_l2_sq"] for row in rows]
     # a^2 R^3 -> 0: the Delta-mass falls under any fixed budget eventually
     assert lap[0] > lap[1] > lap[2]
     assert lap[2] < 32 * np.pi**2
 
 
-def test_witness_inapplicable_boundary_case():
-    with pytest.raises(WitnessInapplicableError):
-        necessity_witness("unbounded_origin", lambda t: np.asarray(t) ** 2)
-
-
 def test_witness_noncompact_origin():
-    fields, rep = necessity_witness("noncompact_origin", lambda t: np.asarray(t) ** 2,
-                                    ks=(2, 4, 8))
-    G = [row["G"] for row in rep.table]
-    lap = [row["lap_l2_sq"] for row in rep.table]
+    rows = origin_witness("noncompact_origin", lambda t: np.asarray(t) ** 2, ks=(2, 4, 8))
+    G = [row["G"] for row in rows]
+    lap = [row["lap_l2_sq"] for row in rows]
     assert min(G) > (np.pi**2 / 2) * 0.9          # bounded away from zero
     assert lap[0] > lap[1] > lap[2]               # Delta-mass vanishes
+
+
+def _boundary_growth(t):
+    """(exp(t^2) - 1 - t^2 - t^4/2) / t^2: c -> 1 at infinity, g(0) = 0."""
+    t2 = np.asarray(t, dtype=float) ** 2
+    num = np.expm1(t2) - t2 - t2 * t2 / 2.0
+    return np.divide(num, t2, out=np.zeros_like(t2), where=t2 > 0)
 
 
 # g for each witness at infinity; the noncompact one has boundary growth,
 # c_k -> const > 0
 _INFINITY_WITNESSES = {
     "unbounded_infinity": lambda t: np.asarray(t) ** 4 * np.exp(np.asarray(t) ** 2),
-    "noncompact_infinity": lambda t: np.exp(np.asarray(t) ** 2)
-    / np.maximum(np.asarray(t) ** 2, 1e-10),
+    "noncompact_infinity": _boundary_growth,
 }
 
 
 def test_witness_unbounded_infinity():
-    gfun = _INFINITY_WITNESSES["unbounded_infinity"]
-    fields, rep = necessity_witness("unbounded_infinity", gfun, K=1.0, ks=(0, 1, 2))
-    ratio = [row["G"] / row["l2_sq"] for row in rep.table]
+    rows = infinity_witness("unbounded_infinity", _INFINITY_WITNESSES["unbounded_infinity"])
+    ratio = [row["G"] / row["l2_sq"] for row in rows]
     assert ratio[0] < ratio[1] < ratio[2]
 
 
 def test_witness_noncompact_infinity():
-    gfun = _INFINITY_WITNESSES["noncompact_infinity"]
-    fields, rep = necessity_witness("noncompact_infinity", gfun, K=1.0, ks=(0, 1, 2))
-    G = [row["G"] for row in rep.table]
+    rows = infinity_witness("noncompact_infinity", _INFINITY_WITNESSES["noncompact_infinity"])
+    G = [row["G"] for row in rows]
     assert min(G) > 0.1 * max(G)          # non-vanishing along the sweep
 
 
 @pytest.mark.parametrize("mode", sorted(_INFINITY_WITNESSES))
 def test_witness_dilation_is_exact(mode):
-    # psi(r/S) is psi on the grid of radius r_max/S read on the S-times wider
-    # grid: ||D psi||^2 is dilation-invariant and ||psi||^2 scales by S^4.
-    # The Laplacian sums carry the double rounding of a fourth-order stencil
-    # on each grid (up to 5e-11 relative here); an interpolated dilation is
-    # off by 2.6e-4 to 7e-3.
-    fields, rep = necessity_witness(mode, _INFINITY_WITNESSES[mode], K=1.0, ks=(0, 1, 2))
-    for fld, row in zip(fields, rep.table):
-        S = row["S"]
-        pre = bh.build_grid(fld.grid.r_max / S, fld.grid.n_points, 4)
+    # psi(r/S) is psi on the undilated mesh read on rescale_grid of it: the
+    # S^4-scaled sums of moser_sums on the undilated mesh are the sums on the
+    # dilated one.  The Laplacian sums carry the double rounding of a
+    # fourth-order stencil on each grid (up to 5e-11 relative here); an
+    # interpolated dilation is off by 2.6e-4 to 7e-3.
+    gfun = _INFINITY_WITNESSES[mode]
+    for row in infinity_witness(mode, gfun):
+        pre = bh.build_grid(*row["mesh"], 4)
         assert pre.nodes[1] <= 0.1 * np.exp(-row["b"] ** 2 / 4.0)   # h <= r14 / 10
-        psi = moser_field(MoserParams.moser(row["b"], 1.0), pre)
-        assert row["lap_l2_sq"] == pytest.approx(bh.grid.quad_form_sq(psi), rel=1e-9, abs=0)
-        assert row["l2_sq"] == pytest.approx(S**4 * bh.grid.l2_sq(psi), rel=1e-12, abs=0)
+        fld = bh.RadialField(rescale_grid(pre, row["S"]), moser_field(row["b"], 1.0, pre).values)
+        assert row["lap_l2_sq"] == pytest.approx(quad_form_sq(fld), rel=1e-9, abs=0)
+        assert row["l2_sq"] == pytest.approx(l2_sq(fld), rel=1e-12, abs=0)
+        assert row["G"] == pytest.approx(g_integral(gfun, fld), rel=1e-12, abs=0)
 
 
 def _full_mesh_sums(b, K, r_max, n, dim, F):
     """The sums of moser_sums on the whole mesh, with the grid operators."""
     grid = bh.build_grid(r_max, n, dim)
-    psi = moser_field(MoserParams.moser(b, K), grid)
+    psi = moser_field(b, K, grid)
     F_mass = float(np.dot(grid.weights, F(psi.values))) if F is not None else None
-    return {"l2_sq": bh.grid.l2_sq(psi), "quad_form": bh.grid.quad_form_sq(psi),
+    return {"l2_sq": l2_sq(psi), "quad_form": quad_form_sq(psi),
             "F_mass": F_mass, "max_abs": float(np.max(np.abs(psi.values)))}, psi
 
 
