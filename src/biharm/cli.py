@@ -1,20 +1,33 @@
 """Command-line surface: configuration parsing, dispatch and serialization.
 
-Subcommands: solve, rearrange, moser, ratio, check, gap, sweep.  Reports are
-canonical JSON (sorted keys; floats in Python's shortest round-trip form, nan
-and infinities as strings) so identical run configurations produce
-byte-identical artifacts; fields go to CSV with full-precision round-tripping.
-Artifacts are written atomically.  This module imports only what every
-command uses (grid, model, expressions); each handler imports its own layer,
-so a command loads no module it does not run.
+Subcommands and their flags, besides --config and --out-dir (``_COMMANDS``):
+solve and sweep take --gamma, --grid and the nonlinearity flags --dim
+--lambda --f --F --theta, and sweep --sweep-param and --sweep-values; gap
+takes --V, --grid and the nonlinearity flags; ratio takes the nonlinearity
+flags, --alpha0 (the rate of a user f, which sets the default --L), --L and
+--budget; check the nonlinearity flags, --g and --K; moser --b-values and
+--K; rearrange --input and --dim.  The probes ratio and check build only a
+nonlinearity: the sharp ratio and the growth conditions depend on F and the
+dimension alone.  check reports the conditions of its nonlinearity, and the
+growth class of --g when it is given.  Every command refuses a dimension
+other than 2 or 4.
+
+Reports are canonical JSON (sorted keys; floats in Python's shortest
+round-trip form, nan and infinities as strings) so identical run
+configurations produce byte-identical artifacts; fields go to CSV with
+full-precision round-tripping.  Artifacts are written atomically.  This
+module imports only what every command uses (grid, model, expressions);
+each handler imports its own layer, so a command loads no module it does not
+run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
 factorization or eigensolver that breaks down, or a ``gap`` with a Nehari
 sub-solve that did not converge or whose comparison level, an upper bound of
 m_V, falls below m_V; gap.json is still written), 3 usage, configuration or
 input error (a flag the command does not take, a missing or malformed flag
-value, unknown config keys, malformed or non-finite CSV fields, a problem
-whose scaling projection finds no sign change before the overflow cap, ...;
+value, unknown config keys, malformed or non-finite CSV fields, an f that
+overflows at the overflow cap, a problem whose scaling projection finds no
+sign change before the cap, ...;
 a ``sweep`` still writes sweep.json with an error entry for each value that
 gives such a problem).
 """
@@ -35,8 +48,8 @@ from . import __version__
 from . import grid as g
 from .expressions import parse_expression
 from .grid import RadialField
-from .model import (ADAMS_BETA, ConstantPotential, OverflowCapError, ProblemConfig,
-                    check_conditions, exact_growth_family, exp_critical,
+from .model import (ADAMS_BETA, ConstantPotential, NonlinearitySpec, OverflowCapError,
+                    ProblemConfig, check_conditions, exact_growth_family, exp_critical,
                     radial_potential, user_nonlinearity)
 
 EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
@@ -173,24 +186,27 @@ class RunConfig:
         return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
-def _build_problem(rc: RunConfig):
-    grd = g.build_grid(rc.grid_r_max, rc.grid_n, rc.dimension)
+def _nonlinearity(rc: RunConfig, alpha0: float = 1.0) -> NonlinearitySpec:
+    """The nonlinearity rc names; ``alpha0`` is the rate a user f declares (ratio's)."""
     if rc.lam is not None and (rc.theta is not None or rc.f_expr is not None):
         raise ValueError("--lambda scales only the built-in exp-critical nonlinearity, "
                          "not --f or --theta")
     if rc.theta is not None:
-        spec = exact_growth_family(rc.theta)
-    elif rc.f_expr is not None:
-        spec = user_nonlinearity(rc.f_expr, rc.F_expr, alpha0=rc.alpha0)
-    else:
-        spec = exp_critical(rc.lam, rc.dimension)
+        return exact_growth_family(rc.theta)
+    if rc.f_expr is not None:
+        return user_nonlinearity(rc.f_expr, rc.F_expr, alpha0=alpha0)
+    return exp_critical(rc.lam, rc.dimension)
+
+
+def _build_problem(rc: RunConfig):
+    grd = g.build_grid(rc.grid_r_max, rc.grid_n, rc.dimension)
+    spec = _nonlinearity(rc)
     if rc.potential_expr:
         vfun = parse_expression(rc.potential_expr)
         pot = radial_potential(vfun, grd)
     else:
         pot = ConstantPotential(rc.gamma)
-    config = ProblemConfig(rc.dimension, pot, spec)
-    return grd, config
+    return grd, ProblemConfig(rc.dimension, pot, spec)
 
 
 def _default_init(grd) -> RadialField:
@@ -276,9 +292,9 @@ def _cmd_moser(rc: RunConfig) -> int:
 def _cmd_ratio(rc: RunConfig) -> int:
     from .functionals import adams_ratio_search
 
-    _, config = _build_problem(rc)
-    L = rc.L if rc.L is not None else config.adams_beta / config.nonlinearity.alpha0
-    rep = adams_ratio_search(config, L, rc.budget)
+    spec = _nonlinearity(rc, rc.alpha0)
+    L = rc.L if rc.L is not None else ADAMS_BETA[rc.dimension] / spec.alpha0
+    rep = adams_ratio_search(spec, rc.dimension, L, rc.budget)
     out = _report_header(rc)
     out["ratio"] = asdict(rep)
     atomic_write(os.path.join(rc.out_dir, "ratio.json"), dump_report(out))
@@ -290,13 +306,9 @@ def _cmd_check(rc: RunConfig) -> int:
     if rc.g_expr:
         from .diagnostics import classify_growth
 
-        gfun = parse_expression(rc.g_expr)
-        cls = classify_growth(gfun, rc.K)
-        out["growth"] = asdict(cls)
-    if rc.theta is not None or rc.f_expr is not None or rc.g_expr is None:
-        _, config = _build_problem(rc)
-        rep = check_conditions(config.nonlinearity, np.geomspace(0.1, 5.0, 200))
-        out["conditions"] = asdict(rep)
+        out["growth"] = asdict(classify_growth(parse_expression(rc.g_expr), rc.K))
+    rep = check_conditions(_nonlinearity(rc), np.geomspace(0.1, 5.0, 200))
+    out["conditions"] = asdict(rep)
     atomic_write(os.path.join(rc.out_dir, "check.json"), dump_report(out))
     return EXIT_OK
 
@@ -378,15 +390,15 @@ _FLAG_HELP = {"--config": "JSON RunConfig file; flags take precedence",
               "--grid": "r_max:n_points", "--V": "radial potential expression in t (= radius)",
               "--b-values": "comma-separated b sweep", "--sweep-values": "comma-separated values"}
 
-# each command takes the flags its handler reads (through _build_problem too),
-# and --config and --out-dir
-_NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--alpha0", "--theta")
+# each command takes the flags its handler reads (through _nonlinearity and
+# _build_problem too), and --config and --out-dir
+_NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
 _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
              "rearrange": (_cmd_rearrange, ("--input", "--dim")),
              "moser": (_cmd_moser, ("--b-values", "--K")),
-             "ratio": (_cmd_ratio, _PROBLEM + ("--L", "--budget")),
-             "check": (_cmd_check, _PROBLEM + ("--g", "--K")),
+             "ratio": (_cmd_ratio, _NONLINEARITY + ("--alpha0", "--L", "--budget")),
+             "check": (_cmd_check, _NONLINEARITY + ("--g", "--K")),
              "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + ("--grid",)),
              "sweep": (_cmd_sweep, _PROBLEM + ("--grid", "--sweep-param", "--sweep-values"))}
 
@@ -395,7 +407,11 @@ _SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking li
                 "then polishes on --grid with damped Newton and a final projection.")
 _HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
          "gap": "Nehari ground levels with the trapping potential --V and its limit",
-         "sweep": "Pohozaev ground states over --sweep-values"}
+         "sweep": "Pohozaev ground states over --sweep-values",
+         "rearrange": "Fourier rearrangement of the field in --input, with its checks",
+         "moser": "norms of the Moser log-profiles at each of --b-values",
+         "ratio": "evidence on sup 2 int F(u) / ||u||^2 under ||Du||^2 <= --L",
+         "check": "growth conditions of the nonlinearity, and the class of --g"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -409,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                  description="Radial variational solver for bi-harmonic ground states")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP.get(name), allow_abbrev=False, description=(
-            _HELP[name] + _SOLVER_HELP if name in _HELP else None))
+        solver = name in ("solve", "gap", "sweep")
+        p = sub.add_parser(name, help=_HELP[name], allow_abbrev=False,
+                           description=_HELP[name] + (_SOLVER_HELP if solver else ""))
         for flag in ("--config",) + flags + ("--out-dir",):
             p.add_argument(flag, dest=flag, metavar=flag[2:].upper().replace("-", "_"),
                            help=_FLAG_HELP.get(flag))
@@ -437,12 +454,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def with_default_grid(rc: RunConfig) -> RunConfig:
     """rc with each grid field it leaves None taken from the dimension's default grid,
-    and lam 0.5 when it leaves lam None and names the built-in nonlinearity.
-
-    A dimension without a default grid takes the 4-D one, and building the
-    grid then reports the dimension.
-    """
-    r_max, n = g.DEFAULT_GRID.get(rc.dimension, g.DEFAULT_GRID[4])
+    and lam 0.5 when it leaves lam None and names the built-in nonlinearity."""
+    r_max, n = g.DEFAULT_GRID[rc.dimension]
     builtin = rc.theta is None and rc.f_expr is None
     return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
                    grid_n=n if rc.grid_n is None else rc.grid_n,
@@ -453,6 +466,8 @@ def run(rc: RunConfig) -> int:
     """Dispatch one run configuration; returns the exit code."""
     if rc.command not in _COMMANDS:
         raise ValueError(f"unknown command {rc.command!r}")
+    if rc.dimension not in g.DEFAULT_GRID:
+        raise ValueError(f"dimension must be 2 or 4, got {rc.dimension}")
     return _COMMANDS[rc.command][0](with_default_grid(rc))
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OVERFLOW_CAP, OverflowCapError, ProblemConfig, check_cap
+from .model import (ADAMS_BETA, OVERFLOW_CAP, NonlinearitySpec, OverflowCapError,
+                    ProblemConfig, check_cap)
 
 
 @dataclass
@@ -181,38 +182,42 @@ class AdamsRatioReport:
     trace: dict
 
 
-def _ratio_of(values: np.ndarray, gridobj: RadialGrid, config: ProblemConfig,
-              L: float) -> tuple[float, float]:
+def _ratio_of(values: np.ndarray, gridobj: RadialGrid, rows: np.ndarray,
+              spec: NonlinearitySpec, L: float) -> tuple[float, float]:
     """Rescale amplitude so the quadratic form equals L, then 2 int F / ||u||^2.
 
-    Returns (ratio, amplitude); raises OverflowCapError through check_cap if
-    the rescaled candidate exceeds the cap.
+    ``rows`` are the grid's Laplacian stencil rows.  Returns (ratio,
+    amplitude); raises OverflowCapError through check_cap if the rescaled
+    candidate exceeds the cap.
     """
-    u = RadialField(gridobj, values)
-    q = g.quad_form_sq(u)
+    q = g.quad_form_sq(RadialField(gridobj, values), rows)
     if q <= 0:
         raise ValueError("degenerate candidate")
     scale = np.sqrt(L / q)
     vals = values * scale
     check_cap(vals)
     w = gridobj.weights
-    F_mass = float(np.dot(w, np.asarray(config.nonlinearity.F(vals), dtype=float)))
+    F_mass = float(np.dot(w, np.asarray(spec.F(vals), dtype=float)))
     return 2.0 * F_mass / float(np.dot(w, vals * vals)), float(np.max(np.abs(vals)))
 
 
-def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> AdamsRatioReport:
-    """Maximize the ratio over Gaussian bumps and concentrating log-profiles.
+def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
+                       budget: int = 400) -> AdamsRatioReport:
+    """Maximize 2 int F(u) / ||u||^2 under ||Du||^2 <= L on R^dimension.
 
-    Gaussian candidates are rescaled so the quadratic form equals L exactly
-    and give the certified lower bound.  The concentration sweep follows the
+    The supremum depends on F and the dimension alone; no potential enters.
+    Gaussian candidates on the dimension's default grid, whose stencil rows
+    are built once, are rescaled so the quadratic form equals L exactly and
+    give the certified lower bound.  The concentration sweep follows the
     family's own budget: the log-profiles carry an O(1/b^2) excess over
-    adams_beta*K, and rescaling them down to L *exactly* suppresses the
-    critical exponential mass by a constant factor of order exp(-c*K) that
-    hides the divergence at any reachable height; evaluating them unrescaled,
-    with budgets converging to L from above, reproduces the asymptotic
-    pattern the family exists to exhibit.  Divergence evidence = monotone,
-    non-saturating ratio growth along that sweep while the budgets approach
-    L.  Verdicts are evidence, never proofs.
+    beta*K (beta = ``model.ADAMS_BETA[dimension]``, K = L / beta), and
+    rescaling them down to L *exactly* suppresses the critical exponential
+    mass by a constant factor of order exp(-c*K) that hides the divergence at
+    any reachable height; evaluating them unrescaled, with budgets converging
+    to L from above, reproduces the asymptotic pattern the family exists to
+    exhibit.  Divergence evidence = monotone, non-saturating ratio growth
+    along that sweep while the budgets approach L.  Verdicts are evidence,
+    never proofs.  ``threshold_R`` is beta / ``spec.alpha0``.
 
     A log-profile with concentration scale r14 lives on the mesh of 10 nodes
     per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
@@ -222,6 +227,8 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     mesh size of each log-profile) and ``evaluations`` (the candidates
     evaluated, at most ``budget``).
     """
+    if dimension not in ADAMS_BETA:
+        raise ValueError(f"dimension must be 2 or 4, got {dimension}")
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")
     if budget < 1:
@@ -230,22 +237,24 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
     best = (-np.inf, {})
     gauss_trace, moser_trace, moser_nodes = [], [], []
 
-    base = g.default_grid(config.dimension)
+    base = g.default_grid(dimension)
+    rows = g.laplacian_matrix(base)
     for sigma in np.geomspace(0.3, 6.0, 24):
         if evals >= budget:
             break
         evals += 1
         try:
             vals = np.exp(-((base.nodes / sigma) ** 2))
-            ratio, amp = _ratio_of(vals, base, config, L)
+            ratio, amp = _ratio_of(vals, base, rows, spec, L)
         except (OverflowCapError, ValueError):
             continue
         gauss_trace.append((float(sigma), ratio))
         if ratio > best[0]:
             best = (ratio, {"family": "gaussian", "sigma": float(sigma), "amplitude": amp})
 
-    # concentration sweep: ||D psi_b||^2 = adams_beta * K + O(1/b^2), K = L / beta
-    K = L / config.adams_beta
+    # concentration sweep: ||D psi_b||^2 = beta * K + O(1/b^2), K = L / beta
+    beta = ADAMS_BETA[dimension]
+    K = L / beta
     for b in (2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5):
         if evals >= budget:
             break
@@ -258,7 +267,7 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
         evals += 1
         from .sequences import moser_sums  # loaded only if a log-profile runs
 
-        sums = moser_sums(b, K, 2.5, n_pts, config.dimension, config.nonlinearity.F)
+        sums = moser_sums(b, K, 2.5, n_pts, dimension, spec.F)
         ratio, quad = 2.0 * sums["F_mass"] / sums["l2_sq"], sums["quad_form"]
         moser_trace.append((float(b), ratio, float(quad)))
         moser_nodes.append(n_pts)
@@ -284,7 +293,6 @@ def adams_ratio_search(config: ProblemConfig, L: float, budget: int = 400) -> Ad
         if growing and rel > 0.02 and rs[-1] > 1.5 * rs[0] and budgets_converge:
             verdict = "divergence_evidence"
 
-    threshold = config.adams_beta / config.nonlinearity.alpha0
-    return AdamsRatioReport(float(L), float(best[0]), best[1], float(threshold),
+    return AdamsRatioReport(float(L), float(best[0]), best[1], float(beta / spec.alpha0),
                             verdict, {"gaussian": gauss_trace, "moser": moser_trace,
                                       "moser_nodes": moser_nodes, "evaluations": evals})

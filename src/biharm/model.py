@@ -12,15 +12,17 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   of f (``gauss_antiderivative``), computed afresh on every call.
 
 ``ProblemConfig`` stores each fact of a problem once: the dimension, V, and
-the nonlinearity, which owns lam and the critical rate alpha0.
+the nonlinearity, which owns lam and the critical rate alpha0; it checks the
+dimension and lam < V0.  The nonlinearity checks alpha0 and its own overflow:
+alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
+finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
+a user f declares.
 
 There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
 (6.0): fields enter the functionals through ``check_cap``, which raises
 OverflowCapError beyond the cap, and the scaling projections bracket their
 scale below it; nothing is clamped, since a silent clamp would corrupt every
-functional downstream.  ProblemConfig accepts an alpha0 only if
-alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), so the largest
-integrand exp(alpha0 t^2) t^2 stays finite up to the cap.
+functional downstream.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ class NonlinearitySpec:
     ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
     exponential rate, for the exp-critical family the a in
     f = lam t exp(a t^2); ``lam`` is that family's lam, the one copy of it.
+    An alpha0 or (F, f) that overflows at the cap raises ValueError.
     """
 
     kind: str
@@ -166,6 +169,21 @@ class NonlinearitySpec:
     alpha0: float
     lam: float = 1.0
     fprime: Optional[Callable] = None
+
+    def __post_init__(self):
+        alpha0, cap = self.alpha0, OVERFLOW_CAP
+        if not (np.isfinite(alpha0) and alpha0 > 0):
+            raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+        if alpha0 * cap * cap + 2.0 * np.log(cap) >= _LOG_DBL_MAX:
+            raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
+                             f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
+        t = np.array([-cap, cap])
+        with np.errstate(over="ignore", invalid="ignore"):
+            edge = np.concatenate([t * np.asarray(self.f(t), dtype=float),
+                                   np.broadcast_to(np.asarray(self.F(t), dtype=float), 2)])
+        if np.any(np.isinf(edge)):
+            raise ValueError(f"the nonlinearity overflows at the overflow cap {cap}: "
+                             f"t f(t) or F(t) is infinite at t = +-{cap}")
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
@@ -302,17 +320,11 @@ class ProblemConfig:
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
-        alpha0, cap = self.nonlinearity.alpha0, OVERFLOW_CAP
-        if not (np.isfinite(alpha0) and alpha0 > 0):
-            raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
-        if alpha0 * cap * cap + 2.0 * np.log(cap) >= _LOG_DBL_MAX:
-            raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
-                             f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
         if self.nonlinearity.kind == "exp_critical":
             if self.lam >= self.potential.v0 - 1e-15:
                 raise ValueError(
                     f"standing hypothesis violated: lam={self.lam} >= V0={self.potential.v0}")
-            if alpha0 != EXP_RATE[self.dimension]:
+            if self.nonlinearity.alpha0 != EXP_RATE[self.dimension]:
                 raise ValueError("exp-critical coefficient does not match the dimension")
 
     @property
@@ -322,10 +334,6 @@ class ProblemConfig:
     @property
     def order(self) -> int:
         return self.dimension // 2
-
-    @property
-    def adams_beta(self) -> float:
-        return ADAMS_BETA[self.dimension]
 
     @property
     def gamma(self) -> float:

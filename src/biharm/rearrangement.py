@@ -361,22 +361,28 @@ def rearrange_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     square over each node's own measure cell, so the weighted l2 mass is
     preserved to rounding and radially decreasing inputs are exact fixed
     points.  Ties sort by radius, zero-weight nodes take the essential sup.
+    Each cell integrates its own overlaps with the sorted blocks, p_k^2 times
+    the overlap's length: a cell whose mass is far below the total keeps its
+    digits, which a difference of running sums of p^2 would cancel away.
     """
     p = np.abs(values)
     if np.all(np.diff(p) <= 0.0):
         return p                       # decreasing profiles are exact fixed points
     order = np.lexsort((np.arange(len(p)), -p))
     ps = p[order]
-    ws = weights[order]
-    block_edges = np.concatenate([[0.0], np.cumsum(ws)])
-    q_cum = np.concatenate([[0.0], np.cumsum(ws * ps * ps)])
+    block_edges = np.concatenate([[0.0], np.cumsum(weights[order])])
     cell_edges = np.concatenate([[0.0], np.cumsum(weights)])
     cell_edges[-1] = block_edges[-1]  # identical mass, different summation order
-    q_at = np.interp(cell_edges, block_edges, q_cum)
-    cell_int = np.diff(q_at)
+    # every piece between consecutive edges of the two lists lies in one block
+    # and one cell; an empty block or cell starts no piece of positive length
+    edges = np.union1d(block_edges, cell_edges)
+    block = np.searchsorted(block_edges, edges[:-1], side="right") - 1
+    cell = np.searchsorted(cell_edges, edges[:-1], side="right") - 1
+    cell_int = np.bincount(cell, weights=ps[block] * ps[block] * np.diff(edges),
+                           minlength=len(p))
     out = np.empty_like(p)
     pos = weights > 0
-    out[pos] = np.sqrt(np.maximum(cell_int[pos], 0.0) / weights[pos])
+    out[pos] = np.sqrt(cell_int[pos] / weights[pos])
     out[~pos] = ps[0] if len(ps) else 0.0
     return out
 

@@ -282,9 +282,8 @@ def test_criterion_11_theta_family_evidence():
     verdicts = {}
     for theta in (1.0, 3.0):
         spec = bh.exact_growth_family(theta)
-        cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
-        L = cfg.adams_beta / spec.alpha0
-        verdicts[theta] = bh.adams_ratio_search(cfg, L, budget=300).verdict
+        L = bh.model.ADAMS_BETA[4] / spec.alpha0
+        verdicts[theta] = bh.adams_ratio_search(spec, 4, L, budget=300).verdict
     ok = verdicts[1.0] == "divergence_evidence" and verdicts[3.0] == "finite_evidence"
     report("criterion 11 (exact-growth ratio evidence)", ok,
            f"theta=1: {verdicts[1.0]}; theta=3: {verdicts[3.0]}")

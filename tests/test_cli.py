@@ -120,6 +120,42 @@ def test_check_conditions_output(tmp_path):
     assert rep["conditions"]["ar_holds"] is True
 
 
+def test_check_g_reports_the_conditions_of_its_nonlinearity(tmp_path):
+    # check takes one path: the conditions of its nonlinearity always, growth with --g
+    code, out = run_cli(["check", "--g", "t", "--K", "1", "--lambda", "3"], tmp_path, "g")
+    assert code == EXIT_OK
+    got = json.loads((out / "check.json").read_text())
+    assert got["growth"]["bounded_verdict"] == "fails"
+    code, out = run_cli(["check", "--lambda", "3"], tmp_path, "plain")
+    assert code == EXIT_OK
+    want = json.loads((out / "check.json").read_text())
+    assert got["conditions"] == want["conditions"]
+    assert got["conditions"]["M0"] == pytest.approx(
+        max(np.expm1(2 * t * t) / (4 * t * np.exp(2 * t * t)) for t in np.geomspace(0.1, 5, 200)),
+        rel=1e-12)
+
+
+def test_probes_build_no_potential(tmp_path):
+    # ratio and check read F and the dimension only, so lambda >= 1 is no error there
+    for args in (["ratio", "--lambda", "1.5", "--budget", "4"], ["check", "--lambda", "1.5"]):
+        code, out = run_cli(args, tmp_path, args[0])
+        assert code == EXIT_OK
+        assert json.loads((out / f"{args[0]}.json").read_text())["config"]["lam"] == 1.5
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--g", "t", "--K", "1"], ["check", "--f", "t"], ["check", "--theta", "1"],
+    ["check"], ["ratio", "--f", "t^3"], ["ratio", "--theta", "1"], ["ratio"],
+    ["solve"], ["rearrange", "--input", "in.csv"], ["moser", "--config", "dim3.json"]])
+def test_every_command_checks_the_dimension(tmp_path, capsys, args):
+    (tmp_path / "dim3.json").write_text('{"dimension": 3}')
+    args = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in args]
+    code, out = run_cli(args + (["--dim", "3"] if args[0] != "moser" else []), tmp_path)
+    assert code == EXIT_CONFIG
+    assert "dimension must be 2 or 4, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_command(tmp_path):
     code, out = run_cli(["solve", "--gamma", "1", "--lambda", "0.5", "--grid", "20:512"],
                         tmp_path)
@@ -163,8 +199,7 @@ def test_moser_command(tmp_path):
 
 
 def test_ratio_command(tmp_path):
-    code, out = run_cli(["ratio", "--gamma", "1", "--lambda", "0.5",
-                         "--L", "1.0", "--budget", "60"], tmp_path)
+    code, out = run_cli(["ratio", "--lambda", "0.5", "--L", "1.0", "--budget", "60"], tmp_path)
     assert code == EXIT_OK
     rep = json.loads((out / "ratio.json").read_text())
     assert rep["ratio"]["verdict"] in ("finite_evidence", "divergence_evidence")
@@ -291,7 +326,7 @@ def test_removed_flags_rejected(tmp_path, flag):
 
 
 def test_each_command_takes_only_its_flags():
-    # 62 flag/command pairs; every command also takes --config, --out-dir and -h
+    # 56 flag/command pairs; every command also takes --config, --out-dir and -h
     from biharm.cli import _COMMANDS
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
@@ -301,7 +336,9 @@ def test_each_command_takes_only_its_flags():
         got = {s for a in subparsers[name]._actions for s in a.option_strings}
         assert got == {*flags, "--config", "--out-dir", "-h", "--help"}, name
         pairs += len(flags) + 2
-    assert pairs == 62
+    assert pairs == 56
+    assert {name: len(flags) + 2 for name, (_, flags) in _COMMANDS.items()} == {
+        "solve": 9, "rearrange": 4, "moser": 4, "ratio": 10, "check": 9, "gap": 9, "sweep": 11}
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -316,7 +353,13 @@ def test_each_command_takes_only_its_flags():
     (["gap", "--V", "1-0.4*exp(-t^2)", "--max-iters", "5"], "--max-iters"),
     (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--tol", "1e-8"], "--tol"),
     (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--max-iters", "5"],
-     "--max-iters")])
+     "--max-iters"),
+    # read only to validate: the probes build no potential, and only ratio reads alpha0
+    (["ratio", "--gamma", "1"], "--gamma"), (["check", "--gamma", "1"], "--gamma"),
+    (["solve", "--alpha0", "2"], "--alpha0"), (["check", "--alpha0", "2"], "--alpha0"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--alpha0", "2"], "--alpha0"),
+    (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--alpha0", "2"], "--alpha0"),
+])
 def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
     # a flag the command does not read, a missing value, an unknown or abbreviated
     # flag; no command takes --tol or --max-iters
@@ -756,6 +799,10 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["moser", "--b-values", "3,3"], "b values must be distinct, got 3.0,3.0"),
     (["gap", "--V", "1.2-0.4*exp(-t^2)", "--f", "0*t", "--lambda", "0.3"],
      "--lambda scales only the built-in exp-critical nonlinearity, not --f or --theta"),
+    # no rate these commands read bounds f: t f(t) is measured at the cap
+    (["check", "--f", "0.5*t*exp(30*t^2)"], "overflows at the overflow cap 6.0"),
+    (["ratio", "--f", "0.5*t*exp(30*t^2)"], "overflows at the overflow cap 6.0"),
+    (["solve", "--f", "0.5*t*exp(30*t^2)"], "overflows at the overflow cap 6.0"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

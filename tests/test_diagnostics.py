@@ -65,8 +65,7 @@ def test_compact_implies_bounded():
 
 def _ratio_search(f_expr, F_expr, K):
     """adams_ratio_search of int g(u) / ||u||^2, g = 2F, under ||D u||^2 <= 32 pi^2 K."""
-    cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.user_nonlinearity(f_expr, F_expr))
-    return bh.adams_ratio_search(cfg, 32 * np.pi**2 * K)
+    return bh.adams_ratio_search(bh.user_nonlinearity(f_expr, F_expr), 4, 32 * np.pi**2 * K)
 
 
 def test_bounded_probe_compact_class():
@@ -92,7 +91,6 @@ def test_exact_growth_theta_remark():
     # theta < 2: divergence evidence at the threshold; theta >= 2: finite
     for theta, expected in ((1.0, "divergence_evidence"), (3.0, "finite_evidence")):
         spec = bh.exact_growth_family(theta)
-        cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
-        L = cfg.adams_beta / spec.alpha0
-        rep = bh.adams_ratio_search(cfg, L, budget=300)
+        L = bh.model.ADAMS_BETA[4] / spec.alpha0
+        rep = bh.adams_ratio_search(spec, 4, L, budget=300)
         assert rep.verdict == expected

@@ -109,8 +109,7 @@ def test_scaling_invariance_n4(cfg):
 def test_ratio_search_quartic_plumbing():
     # F = t^4: finite ratio, reproducible by a scan oracle over the gaussians
     spec = bh.user_nonlinearity("4*t^3", "t^4", alpha0=1.0)
-    cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
-    rep = adams_ratio_search(cfg, L=1.0, budget=200)
+    rep = adams_ratio_search(spec, 4, L=1.0, budget=200)
     assert rep.verdict == "finite_evidence"
     assert rep.ratio_lower_bound > 0
     # oracle: dense scan over gaussian widths
@@ -126,10 +125,22 @@ def test_ratio_search_quartic_plumbing():
     assert rep.ratio_lower_bound >= best * (1 - 1e-6)
 
 
+def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
+    # the probe reads F and the dimension alone; no potential or problem enters
+    calls = []
+    build = bh.grid.laplacian_matrix
+    monkeypatch.setattr(bh.grid, "laplacian_matrix", lambda grd: calls.append(grd) or build(grd))
+    rep = adams_ratio_search(bh.exp_critical(1.5, 2), 2, 1.0, budget=24)
+    assert len(calls) == 1 and calls[0].dimension == 2
+    assert len(rep.trace["gaussian"]) == 24
+    assert rep.threshold_R == pytest.approx(4 * np.pi)
+    with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
+        adams_ratio_search(bh.exp_critical(0.5), 3, 1.0)
+
+
 def test_ratio_search_divergence_at_threshold():
-    cfg = bh.exp_critical_config(1.0, 0.5)
     L = 16 * np.pi**2            # 32 pi^2 / alpha0 with alpha0 = 2
-    rep = adams_ratio_search(cfg, L, budget=200)
+    rep = adams_ratio_search(bh.exp_critical(0.5), 4, L, budget=200)
     assert rep.threshold_R == pytest.approx(L)
     assert rep.verdict == "divergence_evidence"
     rs = [r for _, r, _ in rep.trace["moser"]]
@@ -139,13 +150,13 @@ def test_ratio_search_divergence_at_threshold():
 
 
 def test_ratio_search_trace_counts_nodes_and_evaluations():
-    cfg = bh.exp_critical_config(1.0, 0.5)
-    rep = adams_ratio_search(cfg, 16 * np.pi**2)
+    spec = bh.exp_critical(0.5)
+    rep = adams_ratio_search(spec, 4, 16 * np.pi**2)
     tr = rep.trace
     # 10 nodes per concentration scale on [0, 2.5]; the sweep stops below r14 = 1e-5
     assert tr["moser_nodes"] == [570, 2252, 11430, 74525, 623983]
     assert tr["evaluations"] == len(tr["gaussian"]) + len(tr["moser"]) == 29
-    few = adams_ratio_search(cfg, 16 * np.pi**2, budget=4).trace
+    few = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=4).trace
     assert few["evaluations"] == 4 and few["moser"] == few["moser_nodes"] == []
 
 
@@ -154,10 +165,9 @@ def test_ratio_search_memory_is_bounded(L):
     # the log-profiles are summed in fixed node blocks: the 623,983- and
     # 2,430,256-node candidates cost the same memory
     import tracemalloc
-    cfg = bh.exp_critical_config(1.0, 0.5)
     tracemalloc.start()
     try:
-        rep = adams_ratio_search(cfg, L)
+        rep = adams_ratio_search(bh.exp_critical(0.5), 4, L)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,14 +178,12 @@ def test_ratio_search_memory_is_bounded(L):
 def test_ratio_search_small_L():
     # the exp-critical F is quadratic at 0, so its ratio tends to lam, not 0;
     # the vanishing-ratio limit needs a superquadratic-at-zero F
-    cfg = bh.exp_critical_config(1.0, 0.5)
-    rep_small = adams_ratio_search(cfg, 1e-3, budget=200)
-    rep_mid = adams_ratio_search(cfg, 1.0, budget=200)
+    spec = bh.exp_critical(0.5)
+    rep_small = adams_ratio_search(spec, 4, 1e-3, budget=200)
+    rep_mid = adams_ratio_search(spec, 4, 1.0, budget=200)
     assert rep_small.ratio_lower_bound < rep_mid.ratio_lower_bound
-    assert rep_small.ratio_lower_bound == pytest.approx(cfg.lam, rel=1e-2)
-    spec = bh.exact_growth_family(1.0)
-    cfg2 = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
-    tiny = adams_ratio_search(cfg2, 1e-3, budget=200)
+    assert rep_small.ratio_lower_bound == pytest.approx(spec.lam, rel=1e-2)
+    tiny = adams_ratio_search(bh.exact_growth_family(1.0), 4, 1e-3, budget=200)
     assert tiny.ratio_lower_bound < 1e-3
     assert tiny.verdict == "finite_evidence"
 

@@ -109,6 +109,24 @@ def test_functionals_finite_up_to_an_accepted_cap(dim, alpha0):
         evaluate_all(bh.RadialField(grid, 1.01 * vals), cfg)
 
 
+@pytest.mark.parametrize("f_expr, F_expr, refused", [
+    ("0.5*t*exp(30*t^2)", None, True),            # declares the default rate 1
+    ("t*exp(19.62*t^2)", None, True),             # t f(t) = exp(709.90) at t = 6
+    ("t*exp(19.61*t^2)", None, False),            # exp(709.54): the alpha0 rule's edge too
+    ("t^3", "exp(20*t^2)", True),                 # an infinite F alone
+    ("-t*exp(30*t^2)", None, True),               # infinite, of either sign
+])
+def test_nonlinearity_measures_its_own_overflow(f_expr, F_expr, refused):
+    # the rate a user f declares bounds nothing: t f(t) and F(t) are measured at +-cap
+    if not refused:
+        spec = bh.user_nonlinearity(f_expr, F_expr)
+        t = np.array([-OVERFLOW_CAP, OVERFLOW_CAP])
+        assert np.all(np.isfinite(t * spec.f(t))) and np.all(np.isfinite(spec.F(t)))
+        return
+    with pytest.raises(ValueError, match="overflows at the overflow cap 6.0"):
+        bh.user_nonlinearity(f_expr, F_expr)
+
+
 # VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across
 # exec, so a large test process would hide any growth
 _RSS_PROBE = """
@@ -201,9 +219,8 @@ def test_config_standing_hypothesis():
     with pytest.raises(ValueError):
         bh.exp_critical_config(1.0, 1.0)
     cfg = bh.exp_critical_config(1.0, 0.5)
-    assert cfg.adams_beta == pytest.approx(32 * np.pi**2)
-    cfg2 = bh.exp_critical_config(1.0, 0.5, dimension=2)
-    assert cfg2.adams_beta == pytest.approx(4 * np.pi)
+    assert cfg.lam == 0.5 and cfg.dimension == 4
+    assert bh.model.ADAMS_BETA == {4: pytest.approx(32 * np.pi**2), 2: pytest.approx(4 * np.pi)}
 
 
 def test_config_reads_lam_and_the_rate_from_the_nonlinearity():

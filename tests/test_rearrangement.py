@@ -173,12 +173,14 @@ def _worst_second_rearrangement_move(grid):
 
 
 def test_idempotence_randomized(g4):
-    assert _worst_second_rearrangement_move(g4) <= 1e-6
+    assert _worst_second_rearrangement_move(g4) <= 1e-12
 
 
 def test_idempotence_randomized_2d():
-    # worst of these ten fields: 2.3e-7, not rounding level as in 4-D (5.7e-15)
-    assert _worst_second_rearrangement_move(bh.default_grid(2)) <= 1e-6
+    # each cell integrates its overlaps with the sorted blocks; a difference of
+    # running sums lost the digits of the small tail cells and moved a field
+    # by 2.3e-7 here
+    assert _worst_second_rearrangement_move(bh.default_grid(2)) <= 1e-12
 
 
 def test_transform_cache_is_a_bounded_lru(fresh_transforms):
