@@ -4,13 +4,13 @@ Subcommands and their flags, besides --config and --out-dir (``_COMMANDS``):
 solve and sweep take --gamma, --grid and the nonlinearity flags --dim
 --lambda --f --F --theta, and sweep --sweep-param and --sweep-values; gap
 takes --V, --grid and the nonlinearity flags; ratio takes the nonlinearity
-flags, --alpha0 (the rate of a user f, which sets the default --L), --L and
---budget; check the nonlinearity flags, --g and --K; moser --b-values and
---K; rearrange --input and --dim.  The probes ratio and check build only a
-nonlinearity: the sharp ratio and the growth conditions depend on F and the
-dimension alone.  check reports the conditions of its nonlinearity, and the
-growth class of --g when it is given.  Every command refuses a dimension
-other than 2 or 4.
+flags, --alpha0 (the rate of a user f, which sets the default --L; refused
+without --f), --L and --budget; check the nonlinearity flags, --g and --K;
+moser --b-values and --K; rearrange --input and --dim.  The probes ratio and
+check build only a nonlinearity: the sharp ratio and the growth conditions
+depend on F and the dimension alone.  check reports the conditions of its
+nonlinearity, and the growth class of --g when it is given.  Every command
+refuses a dimension other than 2 or 4.
 
 Reports are canonical JSON (sorted keys; floats in Python's shortest
 round-trip form, nan and infinities as strings) so identical run
@@ -21,15 +21,15 @@ each handler imports its own layer, so a command loads no module it does not
 run.
 
 Exit codes: 0 success, 2 solver non-convergence or a numerical failure (a
-factorization or eigensolver that breaks down, or a ``gap`` with a Nehari
-sub-solve that did not converge or whose comparison level, an upper bound of
-m_V, falls below m_V; gap.json is still written), 3 usage, configuration or
-input error (a flag the command does not take, a missing or malformed flag
-value, unknown config keys, malformed or non-finite CSV fields, an f that
-overflows at the overflow cap, a problem whose scaling projection finds no
-sign change before the cap, ...;
-a ``sweep`` still writes sweep.json with an error entry for each value that
-gives such a problem).
+solve whose returned state has ``residual_weak`` above 1e-5, a factorization
+or eigensolver that breaks down, or a ``gap`` with such a Nehari sub-solve or
+whose comparison level, an upper bound of m_V, falls below m_V; the report of
+a solve that ran is still written), 3 usage, configuration or input error (a
+flag the command does not take, a missing or malformed flag value, unknown
+config keys, malformed or non-finite CSV fields, an f that overflows at the
+overflow cap, a problem whose scaling projection finds no sign change before
+the cap, ...; a ``sweep`` still writes sweep.json with an error entry for
+each value that gives such a problem).
 """
 
 from __future__ import annotations
@@ -292,6 +292,9 @@ def _cmd_moser(rc: RunConfig) -> int:
 def _cmd_ratio(rc: RunConfig) -> int:
     from .functionals import adams_ratio_search
 
+    if rc.f_expr is None and rc.alpha0 != RunConfig.alpha0:
+        raise ValueError(f"--alpha0 {rc.alpha0:g} is the rate of a user --f; without --f "
+                         "the nonlinearity sets its own rate")
     spec = _nonlinearity(rc, rc.alpha0)
     L = rc.L if rc.L is not None else ADAMS_BETA[rc.dimension] / spec.alpha0
     rep = adams_ratio_search(spec, rc.dimension, L, rc.budget)
@@ -404,7 +407,9 @@ _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
 
 _SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
                 "search, exact scaling projection) until the objective stagnates, "
-                "then polishes on --grid with damped Newton and a final projection.")
+                "then polishes on --grid with damped Newton and a final projection. "
+                "A solve converges when the residual_weak of the state it reports is "
+                "at most 1e-5; otherwise the command exits 2.")
 _HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
          "gap": "Nehari ground levels with the trapping potential --V and its limit",
          "sweep": "Pohozaev ground states over --sweep-values",

@@ -29,6 +29,7 @@ functional and its projection:
    on the default grids.  All of it is double precision: where the polish
    converges (up to 8,192 nodes in 4-D) the residual's floor is the
    rounding of u itself, which no wider type for the residual lowers.
+   ``converged`` reads the returned, projected state: ``residual_weak`` <= 1e-5.
 
 Every linear system is A0 + diag with A0 = (-D)^m, whose band (L L in 4-D,
 -L in 2-D) is built once per (grid, config) from the stencil rows.  The
@@ -64,6 +65,7 @@ _NEWTON_ITERS = 60          # polish Newton steps at most
 _DESCENT_STEPS = 400        # descent steps at most
 _STAGNATION_TOL = 1e-10     # the descent ends once the objective falls by less than
 _STAGNATION_WINDOW = 12     # this, relative, over this many steps
+_RESIDUAL_GATE = 1e-5       # converged: the reported residual_weak at most this
 
 
 @dataclass
@@ -75,8 +77,12 @@ class SolveReport:
     constraint_residual: float
     iterations: int
     trace: list = field(repr=False, default_factory=list)
-    converged: bool = True
     warnings: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """The returned state solves its equation: ``residual_weak`` within the gate."""
+        return self.residual_weak <= _RESIDUAL_GATE
 
 
 @dataclass
@@ -289,7 +295,7 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray):
         u, rho, res = un, rn, ops.nrm(rn)
         if res <= ops.residual_floor(u):
             break
-    return u, res
+    return u
 
 
 def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
@@ -307,13 +313,6 @@ def _gauge_dilate(u: RadialField, S: float) -> np.ndarray:
         if escaped > 1e-6 * peak:
             raise ValueError("gauge dilation would push significant mass past r_max")
     return np.interp(u.grid.nodes / S, u.grid.nodes, vals, right=0.0)
-
-
-def _boundary_warning(field: RadialField, out: list):
-    ratio = g.boundary_decay_ratio(field)
-    if ratio > 1e-10:
-        out.append(f"|u(r_max)|/max|u| = {ratio:.2e} exceeds 1e-10; "
-                   "domain truncation may be visible")
 
 
 def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callable,
@@ -383,11 +382,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
                               (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
         except ValueError:
             warns.append("gauge dilation skipped (support would escape the domain)")
-    u, res_pde = _damped_newton_pde(ops, u)
-    converged = res_pde <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
-    if not converged:
-        warns.append(f"polish Newton stalled at residual {res_pde:.2e}")
-    u = reproject(grid0, u)
+    u = reproject(grid0, _damped_newton_pde(ops, u))
     theta = ops.theta_hat(u) if multiplier else None
 
     field_out = RadialField(grid0, u)
@@ -395,9 +390,14 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
     constraint = abs(functional(ops, u))
     rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
     trace.append((it + 1, objective_out, constraint))
-    _boundary_warning(field_out, warns)
-    return SolveReport(field_out, objective_out, theta, rw, constraint, it, trace,
-                       converged, warns)
+    rep = SolveReport(field_out, objective_out, theta, rw, constraint, it, trace, warns)
+    if not rep.converged:
+        warns.append(f"residual_weak {rw:.2e} exceeds the convergence gate {_RESIDUAL_GATE:g}")
+    decay = g.boundary_decay_ratio(field_out)
+    if decay > 1e-10:
+        warns.append(f"|u(r_max)|/max|u| = {decay:.2e} exceeds 1e-10; "
+                     "domain truncation may be visible")
+    return rep
 
 
 def minimize_pohozaev(config: ProblemConfig, init: RadialField) -> SolveReport:

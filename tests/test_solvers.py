@@ -320,6 +320,24 @@ def test_minimize_nehari_constant(cfg, g4):
     assert gap <= 1e-8 * (1 + abs(rep.objective))
 
 
+@pytest.mark.parametrize("route, lam, n, converged", [
+    ("pohozaev", 0.5, 2048, True), ("pohozaev", 0.1, 2048, False),
+    ("nehari", 0.3, 2048, True), ("nehari", 0.3, 1024, False)])
+def test_converged_is_the_reported_residual_within_the_gate(route, lam, n, converged):
+    # the status reads the returned, projected state: at lambda 0.1 Newton's
+    # own residual meets 1e-5, but the state after the final projection misses it
+    g = bh.build_grid(20.0, n, 4)
+    init = bh.RadialField(g, np.exp(-g.nodes**2 / 2))
+    if route == "pohozaev":
+        rep = minimize_pohozaev(bh.exp_critical_config(1.0, lam), init)
+    else:
+        pot = bh.radial_potential(lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2), g)
+        rep = minimize_nehari(bh.ProblemConfig(4, pot, bh.exp_critical(lam, 4)), init)
+    assert rep.converged == (rep.residual_weak <= 1e-5) == converged
+    gate_warnings = [w for w in rep.warnings if "convergence gate" in w]
+    assert len(gate_warnings) == (0 if converged else 1)
+
+
 def test_minimize_nehari_zero_init(cfg, g4):
     with pytest.raises(ValueError):
         minimize_nehari(cfg, bh.RadialField(g4, np.zeros(g4.n_points)))
@@ -455,8 +473,8 @@ def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
     splu = solvers.spla.splu
     monkeypatch.setattr(solvers.spla, "splu", lambda A: calls.append(1) or splu(A))
     ops = solvers._ops_for(solved.field.grid, cfg)
-    u, res = solvers._damped_newton_pde(ops, solved.field.values)
-    assert res <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
+    u = solvers._damped_newton_pde(ops, solved.field.values)
+    assert ops.nrm(ops.pde_residual(u)) <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     assert len(calls) <= 3
 
 def _pde_residual_longdouble(ops, u):
