@@ -10,7 +10,9 @@ moser --b-values and --K; rearrange --input and --dim.  The probes ratio and
 check build only a nonlinearity: the sharp ratio and the growth conditions
 depend on F and the dimension alone.  check reports the conditions of its
 nonlinearity, and the growth class of --g when it is given.  Every command
-refuses a dimension other than 2 or 4.
+refuses a dimension other than 2 or 4.  A --config file may set the fields
+the command's flags set (--grid sets grid_r_max and grid_n) and out_dir, and
+each report's ``config`` echoes the command and those fields.
 
 Reports are canonical JSON (sorted keys; floats in Python's shortest
 round-trip form, nan and infinities as strings) so identical run
@@ -25,8 +27,8 @@ solve whose returned state has ``residual_weak`` above 1e-5, a factorization
 or eigensolver that breaks down, or a ``gap`` with such a Nehari sub-solve or
 whose comparison level, an upper bound of m_V, falls below m_V; the report of
 a solve that ran is still written), 3 usage, configuration or input error (a
-flag the command does not take, a missing or malformed flag value, unknown
-config keys, malformed or non-finite CSV fields, an f that overflows at the
+flag or config key the command does not take, a missing or malformed flag
+value, malformed or non-finite CSV fields, an f that overflows at the
 overflow cap, a problem whose scaling projection finds no sign change before
 the cap, ...; a ``sweep`` still writes sweep.json with an error entry for
 each value that gives such a problem).
@@ -157,18 +159,19 @@ class RunConfig:
     out_dir: str = "out"
 
     def to_json(self) -> str:
-        return dump_report(asdict(self))
+        return dump_report(_report_header(self)["config"])
 
     @staticmethod
-    def from_json(text: str) -> "RunConfig":
+    def from_json(text: str, command: str) -> "RunConfig":
+        """command's configuration from a JSON object that sets out_dir or fields of its flags
+        ("command" is ignored); a float field reads a number as a flag reads its text."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("a run configuration is a JSON object")
-        raw.setdefault("command", "")      # a --config file may leave it to the CLI
         types = {f.name: f.type for f in fields(RunConfig)}
-        unknown = sorted(set(raw) - set(types))
-        if unknown:
-            raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
+        unread = sorted(set(raw) - {"command", "out_dir", *_read_fields(command)})
+        if unread:
+            raise ValueError(f"{command} does not read the config keys {', '.join(unread)}")
         for key, value in raw.items():
             kind = types[key].removeprefix("Optional[").removesuffix("]")
             if value is None and kind != types[key]:
@@ -183,7 +186,10 @@ class RunConfig:
             if not ok:
                 raise ValueError(f"run configuration key {key!r} takes a {kind}, "
                                  f"got {json.dumps(value)}")
-        return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+            if kind in ("float", "tuple"):   # via str: a huge integer reads as inf, as a flag
+                numbers = [float(str(x)) for x in (value if kind == "tuple" else [value])]
+                raw[key] = tuple(numbers) if kind == "tuple" else numbers[0]
+        return RunConfig(**{**raw, "command": command})
 
 
 def _nonlinearity(rc: RunConfig, alpha0: float = 1.0) -> NonlinearitySpec:
@@ -201,11 +207,8 @@ def _nonlinearity(rc: RunConfig, alpha0: float = 1.0) -> NonlinearitySpec:
 def _build_problem(rc: RunConfig):
     grd = g.build_grid(rc.grid_r_max, rc.grid_n, rc.dimension)
     spec = _nonlinearity(rc)
-    if rc.potential_expr:
-        vfun = parse_expression(rc.potential_expr)
-        pot = radial_potential(vfun, grd)
-    else:
-        pot = ConstantPotential(rc.gamma)
+    pot = (radial_potential(parse_expression(rc.potential_expr), grd) if rc.potential_expr
+           else ConstantPotential(rc.gamma))
     return grd, ProblemConfig(rc.dimension, pot, spec)
 
 
@@ -214,9 +217,8 @@ def _default_init(grd) -> RadialField:
 
 
 def _report_header(rc: RunConfig) -> dict:
-    echo = asdict(rc)
-    echo.pop("out_dir")            # environmental, not part of the run identity
-    return {"version": __version__, "config": echo}
+    read = ("command",) + _read_fields(rc.command)
+    return {"version": __version__, "config": {name: getattr(rc, name) for name in read}}
 
 
 # --- command implementations -------------------------------------------------------
@@ -348,11 +350,9 @@ def _cmd_sweep(rc: RunConfig) -> int:
     from .solvers import minimize_pohozaev
 
     def one(val):
-        sub = RunConfig(**{**asdict(rc), "command": "solve",
-                           ("lam" if rc.sweep_param == "lambda" else "gamma"): val,
-                           "sweep_param": None, "sweep_values": ()})
         try:
-            grd, config = _build_problem(sub)
+            grd, config = _build_problem(replace(rc, **{"lam" if rc.sweep_param == "lambda"
+                                                        else "gamma": val}))
             rep = minimize_pohozaev(config, _default_init(grd))
         except (ValueError, OverflowCapError) as exc:     # this value only
             print(f"error: {rc.sweep_param} {val:g}: {exc}", file=sys.stderr)
@@ -367,6 +367,12 @@ def _cmd_sweep(rc: RunConfig) -> int:
     out["sweep"] = {"param": rc.sweep_param, "results": list(results)}
     atomic_write(os.path.join(rc.out_dir, "sweep.json"), dump_report(out))
     return max(codes)       # a bad value (3) outranks a value that did not converge (2)
+
+
+def _read_fields(command: str) -> tuple:
+    """The RunConfig fields that command's flags set, in flag-table order."""
+    names = (_OPTIONS[flag][0] for flag in _COMMANDS[command][1])
+    return tuple(n for name in names for n in (name if isinstance(name, tuple) else (name,)))
 
 
 def _grid(text: str) -> tuple:
@@ -393,8 +399,8 @@ _FLAG_HELP = {"--config": "JSON RunConfig file; flags take precedence",
               "--grid": "r_max:n_points", "--V": "radial potential expression in t (= radius)",
               "--b-values": "comma-separated b sweep", "--sweep-values": "comma-separated values"}
 
-# each command takes the flags its handler reads (through _nonlinearity and
-# _build_problem too), and --config and --out-dir
+# each command takes the flags its handler reads (via _nonlinearity and _build_problem),
+# --config and --out-dir; the fields they set are its config keys and echo (_read_fields)
 _NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
 _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
@@ -444,7 +450,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig(command=args.command)
     if getattr(args, "--config"):
         with open(getattr(args, "--config")) as fh:
-            rc = replace(RunConfig.from_json(fh.read()), command=args.command)
+            rc = RunConfig.from_json(fh.read(), args.command)
     for flag, text in vars(args).items():
         if flag in _OPTIONS and text is not None:
             field, convert = _OPTIONS[flag]

@@ -160,7 +160,7 @@ class NonlinearitySpec:
     ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
     exponential rate, for the exp-critical family the a in
     f = lam t exp(a t^2); ``lam`` is that family's lam, the one copy of it.
-    An alpha0 or (F, f) that overflows at the cap raises ValueError.
+    An alpha0 or (F, f) that overflows at the cap, or is NaN there, raises ValueError.
     """
 
     kind: str
@@ -181,15 +181,15 @@ class NonlinearitySpec:
         with np.errstate(over="ignore", invalid="ignore"):
             edge = np.concatenate([t * np.asarray(self.f(t), dtype=float),
                                    np.broadcast_to(np.asarray(self.F(t), dtype=float), 2)])
-        if np.any(np.isinf(edge)):
-            raise ValueError(f"the nonlinearity overflows at the overflow cap {cap}: "
-                             f"t f(t) or F(t) is infinite at t = +-{cap}")
+        if not np.all(np.isfinite(edge)):
+            raise ValueError(f"the nonlinearity overflows at the overflow cap {cap} or is NaN "
+                             f"there: t f(t) or F(t) is not finite at t = +-{cap}")
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
     """f(t) = lam t exp(a t^2); a = alpha0 = ``EXP_RATE[dimension]``."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if dimension not in EXP_RATE:
         raise ValueError("dimension must be 2 or 4")
     a = EXP_RATE[dimension]

@@ -375,7 +375,8 @@ def rearrange_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     cell_edges[-1] = block_edges[-1]  # identical mass, different summation order
     # every piece between consecutive edges of the two lists lies in one block
     # and one cell; an empty block or cell starts no piece of positive length
-    edges = np.union1d(block_edges, cell_edges)
+    edges = np.sort(np.concatenate([block_edges, cell_edges]))   # np.union1d loads numpy.ma
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     block = np.searchsorted(block_edges, edges[:-1], side="right") - 1
     cell = np.searchsorted(cell_edges, edges[:-1], side="right") - 1
     cell_int = np.bincount(cell, weights=ps[block] * ps[block] * np.diff(edges),

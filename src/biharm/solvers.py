@@ -159,13 +159,18 @@ def _project(u: RadialField, config: ProblemConfig, ray: Callable) -> float:
     the nonlinearity.  It starts positive and crosses zero once: bracket the
     crossing by doubling from s = 1, where descent and polish iterates put it
     (or by halving when it lies below the start), and close the bracket with
-    ``_brent`` down to rounding.
+    ``_brent`` down to rounding.  A non-finite value raises ValueError.
     """
     peak = float(np.max(np.abs(u.values)))
     if peak == 0.0:
         raise ValueError("cannot project the zero field")
-    fun = ray(_ops_for(u.grid, config), u.values)
+    along = ray(_ops_for(u.grid, config), u.values)
     cap_scale = OVERFLOW_CAP / peak
+
+    def fun(s):
+        if np.isfinite(value := along(s)):
+            return value
+        raise ValueError(f"the scaling projection's functional is {value} at scale {s:.6g}")
 
     a = b = min(1.0, 0.5 * cap_scale)
     fb = fun(b)

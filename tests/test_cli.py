@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm as bh
-from biharm.cli import (EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, build_parser,
-                        config_from_args, dump_report, load_field_csv, main, run,
+from biharm.cli import (_COMMANDS, EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, _read_fields,
+                        build_parser, config_from_args, dump_report, load_field_csv, main, run,
                         save_field_csv, with_default_grid)
 
 
@@ -86,9 +86,12 @@ def test_field_csv_rejections(tmp_path, text, message):
         load_field_csv(str(src), 4)
 
 
-_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | _EDGE_FLOATS
+# a JSON integer in a float field reads as a float: see
+# test_config_file_numbers_echo_like_flag_numbers
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
 _FIELD_VALUES = {"str": st.text(), "int": st.integers(), "float": _JSON_FLOATS,
                  "tuple": st.lists(_JSON_FLOATS, max_size=5).map(tuple)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _field_strategy(kind: str):
@@ -96,14 +99,23 @@ def _field_strategy(kind: str):
     return _FIELD_VALUES[inner] if inner == kind else st.none() | _FIELD_VALUES[inner]
 
 
+@st.composite
+def _run_configs(draw):
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    values = draw(st.fixed_dictionaries({name: _field_strategy(_FIELD_TYPES[name])
+                                         for name in _read_fields(command)}))
+    return RunConfig(command=command, **values)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.fixed_dictionaries({f.name: _field_strategy(f.type) for f in fields(RunConfig)}))
-def test_runconfig_roundtrip(values):
-    # every field, with ints in float fields, -0.0 and None in optional ones
-    rc = RunConfig(**values)
-    rc2 = RunConfig.from_json(rc.to_json())
+@given(_run_configs())
+def test_runconfig_roundtrip(rc):
+    # every field the command reads, with -0.0 and None in optional ones; to_json
+    # writes the command and those fields, as a report's config echoes them
+    rc2 = RunConfig.from_json(rc.to_json(), rc.command)
     assert repr(rc2) == repr(rc)                   # equal values of the same types
     assert rc2.to_json() == rc.to_json()
+    assert set(json.loads(rc.to_json())) == {"command", *_read_fields(rc.command)}
 
 
 def test_check_command(tmp_path):
@@ -146,13 +158,24 @@ def test_probes_build_no_potential(tmp_path):
 @pytest.mark.parametrize("args", [
     ["check", "--g", "t", "--K", "1"], ["check", "--f", "t"], ["check", "--theta", "1"],
     ["check"], ["ratio", "--f", "t^3"], ["ratio", "--theta", "1"], ["ratio"],
-    ["solve"], ["rearrange", "--input", "in.csv"], ["moser", "--config", "dim3.json"]])
+    ["solve"], ["rearrange", "--input", "in.csv"], ["moser"]])
 def test_every_command_checks_the_dimension(tmp_path, capsys, args):
-    (tmp_path / "dim3.json").write_text('{"dimension": 3}')
-    args = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in args]
-    code, out = run_cli(args + (["--dim", "3"] if args[0] != "moser" else []), tmp_path)
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    if args[0] == "moser":
+        # moser reads no dimension, from a flag or a config file; a RunConfig
+        # built in code is still checked
+        with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
+            run(RunConfig(command="moser", dimension=3, out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "dim3.json").write_text('{"dimension": 3}')
+        args += ["--config", str(tmp_path / "dim3.json")]
+        message = "moser does not read the config keys dimension"
+    else:
+        args += ["--dim", "3"]
+        message = "dimension must be 2 or 4, got 3"
+    code, out = run_cli(args, tmp_path)
     assert code == EXIT_CONFIG
-    assert "dimension must be 2 or 4, got 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -430,9 +453,9 @@ def test_runconfig_rejects_unknown_keys():
     raw = json.loads(RunConfig(command="solve").to_json())
     raw.update(refine=8, rearrange_interval=10, seeds=[0])
     with pytest.raises(ValueError, match="rearrange_interval, refine, seeds"):
-        RunConfig.from_json(json.dumps(raw))
+        RunConfig.from_json(json.dumps(raw), "solve")
     with pytest.raises(ValueError):
-        RunConfig.from_json("[1, 2]")
+        RunConfig.from_json("[1, 2]", "solve")
 
 
 def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
@@ -453,24 +476,55 @@ def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
     ("gamma", False), ("theta", "2"), ("b_values", [3, "5"]), ("sweep_values", 0.4),
     ("f_expr", 2), ("command", None)])
 def test_config_file_with_mistyped_value_exits_config(tmp_path, capsys, key, value):
+    # each key goes to a command that reads it, so its type is what is refused
+    command = {"alpha0": "ratio", "budget": "ratio", "b_values": "moser",
+               "sweep_values": "sweep"}.get(key, "solve")
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
-    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path)
+    code, out = run_cli([command, "--config", str(cfg)], tmp_path)
     assert code == EXIT_CONFIG
     assert repr(key) in capsys.readouterr().err
-    assert not (out / "solve.json").exists()
+    assert not (out / f"{command}.json").exists()
 
 
-def test_config_file_keeps_json_ints_in_float_fields(tmp_path):
-    # an int is a JSON number, and the report echoes it as the file gave it
+def test_config_file_numbers_echo_like_flag_numbers(tmp_path):
+    # a JSON integer in a float field reads as the float the flag's text gives,
+    # so the file and the flags write the same bytes
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"gamma": 1, "theta": 2, "L": None, "b_values": [3, 5.5]}))
-    rc = RunConfig.from_json(cfg.read_text())
-    assert type(rc.gamma) is int and type(rc.theta) is int and rc.b_values == (3, 5.5)
-    code, out = run_cli(["check", "--config", str(cfg)], tmp_path)
-    assert code == EXIT_OK
-    text = (out / "check.json").read_text()
-    assert re.search(r'"gamma": 1\b(?!\.)', text) and re.search(r'"theta": 2\b(?!\.)', text)
+    cfg.write_text(json.dumps({"gamma": 2, "lam": 1}))
+    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path, "file")
+    code_flags, flags = run_cli(["solve", "--gamma", "2", "--lambda", "1"], tmp_path, "flags")
+    assert code == code_flags == EXIT_OK
+    for name in ("solve.json", "solution.csv"):
+        assert (out / name).read_bytes() == (flags / name).read_bytes()
+    assert re.search(r'"gamma": 2\.0\b', (out / "solve.json").read_text())
+    rc = RunConfig.from_json(json.dumps({"theta": 2, "K": 10**400, "g_expr": None}), "check")
+    assert (type(rc.theta), rc.K, rc.g_expr) == (float, float("inf"), None)
+    rc = RunConfig.from_json(json.dumps({"b_values": [3, 5.5], "K": -0.0}), "moser")
+    assert [type(b) for b in rc.b_values] == [float, float] and rc.b_values == (3.0, 5.5)
+    assert str(rc.K) == "-0.0"
+    rc = RunConfig.from_json(json.dumps({"sweep_values": [1], "grid_r_max": 20, "grid_n": 512}),
+                             "sweep")
+    assert rc.sweep_values == (1.0,) and type(rc.sweep_values[0]) is float
+    assert (type(rc.grid_r_max), type(rc.grid_n)) == (float, int)
+
+
+def test_each_command_reads_only_its_config_keys(tmp_path, capsys):
+    # the flag table owns what a command reads: a --config file may set the
+    # fields of the command's flags and out_dir, 52 command/key pairs in all
+    every = {f.name for f in fields(RunConfig)} - {"command", "out_dir"}
+    assert set().union(*map(_read_fields, _COMMANDS)) == every
+    assert {name: len(_read_fields(name)) for name in _COMMANDS} == {
+        "solve": 8, "rearrange": 2, "moser": 2, "ratio": 8, "check": 7, "gap": 8, "sweep": 10}
+    assert sum(len(_read_fields(name)) + 1 for name in _COMMANDS) == 52
+    for command in _COMMANDS:
+        for key in sorted(every - set(_read_fields(command))):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({key: getattr(RunConfig(command), key)}))
+            code, out = run_cli([command, "--config", str(cfg)], tmp_path)
+            assert code == EXIT_CONFIG, (command, key)
+            assert f"{command} does not read the config keys {key}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_config_file_dimension_sets_the_grid(tmp_path):
@@ -495,6 +549,27 @@ def test_config_file_dimension_sets_the_grid(tmp_path):
     assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--grid", "20:512"],
+    ["sweep", "--sweep-param", "gamma", "--sweep-values", "1.1", "--grid", "20:512"],
+    ["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.3", "--grid", "20:512"],
+    ["ratio", "--budget", "4"], ["check", "--g", "t^4"], ["moser", "--b-values", "3,5"],
+    ["rearrange", "--input", None]], ids=lambda args: args[0])
+def test_every_report_echoes_the_fields_its_command_reads(tmp_path, args):
+    # config holds the command and the fields of its flags, the defaults it
+    # read included; read back as a --config file it reproduces the report
+    args = [a if a is not None else _two_bump_csv(tmp_path) for a in args]
+    code, out = run_cli(args, tmp_path, "flags")
+    report = (out / f"{args[0]}.json").read_text()
+    echo = json.loads(report)["config"]
+    assert set(echo) == {"command", *_read_fields(args[0])}
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps(echo))
+    code_file, file = run_cli([args[0], "--config", str(cfg)], tmp_path, "file")
+    assert code_file == code
+    assert (file / f"{args[0]}.json").read_text() == report
+
+
 def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     # a RunConfig built in code, or read with from_json, solves on the grid of
     # its dimension, as the CLI does
@@ -507,9 +582,9 @@ def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     assert code == EXIT_OK
     got, want = ((tmp_path / d / "solve.json").read_text() for d in ("library", "flags"))
     assert got == want
-    rc = with_default_grid(RunConfig.from_json('{"dimension": 2}'))
+    rc = with_default_grid(RunConfig.from_json('{"dimension": 2}', "solve"))
     assert (rc.grid_r_max, rc.grid_n) == (30.0, 2048)
-    rc = with_default_grid(RunConfig.from_json('{"grid_r_max": 25}'))
+    rc = with_default_grid(RunConfig.from_json('{"grid_r_max": 25}', "solve"))
     assert (rc.grid_r_max, rc.grid_n) == (25, 2048)
 
 
@@ -613,7 +688,7 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
     (_GAP_2D, {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
     (["check", "--f", "0.5*t*exp(2*t^2)"], {"solvers", "functionals", "numpy.polynomial"}),
     (["check", "--g", "t^4"], {"solvers", "functionals", "sequences", "numpy.polynomial"}),
-    (["rearrange", "--input", None], {"solvers", "sequences"}),
+    (["rearrange", "--input", None], {"solvers", "sequences", "numpy.ma"}),
     (["moser", "--b-values", "3,5,7.5"], {"solvers", "functionals", "numpy.ma"}),
     (["ratio", "--f", "0.5*t*exp(2*t^2)", "--budget", "4"],
      {"solvers", "sequences", "numpy.polynomial"}),
@@ -830,6 +905,12 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     # alpha0 is the rate of a user f; the built-in and theta families carry their own
     (["ratio", "--alpha0", "5", "--budget", "4"], "--alpha0 5 is the rate of a user --f"),
     (["ratio", "--theta", "1", "--alpha0", "2"], "--alpha0 2 is the rate of a user --f"),
+    # a non-finite lambda, or an f that is NaN at the cap, is refused before any solve
+    (["solve", "--lambda", "nan"], "lam must be positive and finite, got nan"),
+    (["solve", "--f", "t^3*log(t)"], "overflows at the overflow cap 6.0 or is NaN there"),
+    (["gap", "--V", "1.2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
+    (["ratio", "--lambda", "nan", "--budget", "4"], "lam must be positive and finite, got nan"),
+    (["check", "--lambda", "nan"], "lam must be positive and finite, got nan"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

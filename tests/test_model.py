@@ -115,6 +115,7 @@ def test_functionals_finite_up_to_an_accepted_cap(dim, alpha0):
     ("t*exp(19.61*t^2)", None, False),            # exp(709.54): the alpha0 rule's edge too
     ("t^3", "exp(20*t^2)", True),                 # an infinite F alone
     ("-t*exp(30*t^2)", None, True),               # infinite, of either sign
+    ("t^3*log(t)", None, True),                   # NaN at -cap
 ])
 def test_nonlinearity_measures_its_own_overflow(f_expr, F_expr, refused):
     # the rate a user f declares bounds nothing: t f(t) and F(t) are measured at +-cap
@@ -221,6 +222,12 @@ def test_config_standing_hypothesis():
     cfg = bh.exp_critical_config(1.0, 0.5)
     assert cfg.lam == 0.5 and cfg.dimension == 4
     assert bh.model.ADAMS_BETA == {4: pytest.approx(32 * np.pi**2), 2: pytest.approx(4 * np.pi)}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_exp_critical_refuses_a_lam_that_is_not_positive_and_finite(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        bh.exp_critical(lam)
 
 
 def test_config_reads_lam_and_the_rate_from_the_nonlinearity():

@@ -71,6 +71,21 @@ def test_project_zero_field_errors(cfg, g4):
         project_nehari(z, cfg)
 
 
+@pytest.mark.parametrize("project", [project_pohozaev, project_nehari])
+def test_project_refuses_a_non_finite_ray(g4, gauss, project):
+    # f and F are finite at +-cap but NaN below |t| = 0.5, where the ray starts
+    base = bh.exp_critical(0.5)
+
+    def nan_below_half(fn):
+        return lambda t: np.where(np.abs(t) < 0.5, np.nan, fn(t))
+
+    spec = bh.NonlinearitySpec("user", nan_below_half(base.f), nan_below_half(base.F),
+                               alpha0=2.0)
+    config = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
+    with pytest.raises(ValueError, match="functional is nan at scale"):
+        project(gauss, config)
+
+
 def test_project_nehari_residual(cfg, g4):
     rng = np.random.default_rng(2)
     for _ in range(5):
