@@ -37,6 +37,7 @@ each value that gives such a problem).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -411,9 +412,10 @@ _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
              "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + ("--grid",)),
              "sweep": (_cmd_sweep, _PROBLEM + ("--grid", "--sweep-param", "--sweep-values"))}
 
-_SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line "
-                "search, exact scaling projection) until the objective stagnates, "
-                "then polishes on --grid with damped Newton and a final projection. "
+_SOLVER_HELP = (". The solver descends on --grid (implicit step, backtracking line search, "
+                "exact scaling projection), then polishes on --grid with damped Newton and "
+                "a final projection; a polish after 5 steps that converges below the "
+                "descent's level ends the solve, else the descent runs until it stagnates. "
                 "A solve converges when the residual_weak of the state it reports is "
                 "at most 1e-5; otherwise the command exits 2.")
 _HELP = {"solve": "ground state on the Pohozaev manifold (constant potential)",
@@ -430,12 +432,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command; each flag's text is kept under the flag's name."""
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """One subparser per command, or only ``command``'s; each flag's text is kept by name."""
     ap = _Parser(prog="biharm",
                  description="Radial variational solver for bi-harmonic ground states")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    # the usage lists every command; not on the full parser, whose errors name it by metavar
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in _COMMANDS if command is None else (command,):
+        flags = _COMMANDS[name][1]
         solver = name in ("solve", "gap", "sweep")
         p = sub.add_parser(name, help=_HELP[name], allow_abbrev=False,
                            description=_HELP[name] + (_SOLVER_HELP if solver else ""))
@@ -483,7 +488,11 @@ def run(rc: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # frozen once, no later collection and no exit-time sweep traverses the import heap
+    if not gc.get_freeze_count():
+        gc.freeze()
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = run(config_from_args(args))
     except (ValueError, OSError, KeyError, OverflowCapError) as exc:

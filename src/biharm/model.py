@@ -16,7 +16,7 @@ the nonlinearity, which owns lam and the critical rate alpha0; it checks the
 dimension and lam < V0.  The nonlinearity checks alpha0 and its own overflow:
 alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
 finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
-a user f declares.
+a user f declares, and finite on 257 points of [-cap, cap].
 
 There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
 (6.0): fields enter the functionals through ``check_cap``, which raises
@@ -160,7 +160,7 @@ class NonlinearitySpec:
     ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
     exponential rate, for the exp-critical family the a in
     f = lam t exp(a t^2); ``lam`` is that family's lam, the one copy of it.
-    An alpha0 or (F, f) that overflows at the cap, or is NaN there, raises ValueError.
+    An alpha0 or (F, f) that overflows at the cap, or is not finite below it, raises ValueError.
     """
 
     kind: str
@@ -177,13 +177,16 @@ class NonlinearitySpec:
         if alpha0 * cap * cap + 2.0 * np.log(cap) >= _LOG_DBL_MAX:
             raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
                              f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
-        t = np.array([-cap, cap])
-        with np.errstate(over="ignore", invalid="ignore"):
-            edge = np.concatenate([t * np.asarray(self.f(t), dtype=float),
-                                   np.broadcast_to(np.asarray(self.F(t), dtype=float), 2)])
-        if not np.all(np.isfinite(edge)):
+        t = np.linspace(-cap, cap, 257)       # spacing 3/64; 0 and +-cap are nodes
+        with np.errstate(all="ignore"):
+            tf = t * np.asarray(self.f(t), dtype=float)
+            Ft = np.broadcast_to(np.asarray(self.F(t), dtype=float), t.shape)
+        if not np.all(np.isfinite([tf[0], tf[-1], Ft[0], Ft[-1]])):
             raise ValueError(f"the nonlinearity overflows at the overflow cap {cap} or is NaN "
                              f"there: t f(t) or F(t) is not finite at t = +-{cap}")
+        if not np.all(ok := np.isfinite(tf) & np.isfinite(Ft)):
+            raise ValueError(f"the nonlinearity is not finite inside the overflow cap {cap}: "
+                             f"t f(t) or F(t) is NaN or infinite at t = {t[~ok][0]:g}")
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:

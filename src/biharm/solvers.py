@@ -10,13 +10,16 @@ functional and its projection:
    preconditioned gradient flow; at full step it is the classic normalized
    fixed-point iteration for ground states).  A backtracking line search
    rescales each trial point back onto the constraint manifold and accepts
-   it once the objective does not increase; the descent stops when the
-   objective falls by less than ``_STAGNATION_TOL`` (1e-10, relative) over
-   ``_STAGNATION_WINDOW`` steps, or after ``_DESCENT_STEPS`` (400) steps.
-   Both are constants, not options, because the polish fixes the reported
-   level: on converged runs a stagnation tolerance from 1e-12 to 1e-4 or a
-   cap from 100 to 1000 steps moved no ground level by more than 3e-13
-   relative (``gap``'s comparison level by at most 5e-12).
+   it once the objective does not increase.  After ``_HANDOFF_STEP`` (5)
+   steps a copy is polished once (point 2, at most 8 Newton steps), and the
+   solve ends there if the copy meets the 1e-5 gate without rising above the
+   descent's objective (a root above it is a higher critical point).  Else
+   the descent goes on untouched until the objective falls by less than
+   ``_STAGNATION_TOL`` (1e-10, relative) over ``_STAGNATION_WINDOW`` steps,
+   or for ``_DESCENT_STEPS`` (400) steps.  These are constants, not options:
+   on converged runs a stagnation tolerance from 1e-12 to 1e-4, a cap from
+   100 to 1000 steps or the handoff moved no level by more than 3.4e-13
+   relative (``gap``'s comparison level by at most 7.3e-11).
    The zero-crossing scale is unique for both constraints, which is what
    makes the scaling projection (``_project``) well defined: it is the root
    of one scalar function, the ray s -> G(s u) or N(s u) with its quadratic
@@ -25,10 +28,10 @@ functional and its projection:
 2. Polish on the same grid: damped Newton on the discrete Euler-Lagrange
    equation, an exact projection onto the constraint, and the report.  Each
    Newton step factors its Jacobian and solves once; Newton stops when the
-   residual reaches its rounding bound (``_Ops.residual_floor``), two steps
-   on the default grids.  All of it is double precision: where the polish
-   converges (up to 8,192 nodes in 4-D) the residual's floor is the
-   rounding of u itself, which no wider type for the residual lowers.
+   residual reaches its rounding bound (``_Ops.residual_floor``), in 3-6
+   steps from the fifth descent step.  All of it is double precision: where
+   the polish converges (up to 8,192 nodes in 4-D) the residual's floor is
+   the rounding of u itself, which no wider type for the residual lowers.
    ``converged`` reads the returned, projected state: ``residual_weak`` <= 1e-5.
 
 Every linear system is A0 + diag with A0 = (-D)^m, whose band (L L in 4-D,
@@ -63,6 +66,8 @@ from .model import OVERFLOW_CAP, ConstantPotential, OverflowCapError, ProblemCon
 
 _NEWTON_ITERS = 60          # polish Newton steps at most
 _DESCENT_STEPS = 400        # descent steps at most
+_HANDOFF_STEP = 5           # after this descent step a copy is polished once, with
+_HANDOFF_NEWTON_ITERS = 8   # at most this many Newton steps
 _STAGNATION_TOL = 1e-10     # the descent ends once the objective falls by less than
 _STAGNATION_WINDOW = 12     # this, relative, over this many steps
 _RESIDUAL_GATE = 1e-5       # converged: the reported residual_weak at most this
@@ -268,7 +273,7 @@ def nehari_sign_scan(u: RadialField, config: ProblemConfig):
 
 # --- the descent-and-polish loop -------------------------------------------------
 
-def _damped_newton_pde(ops: _Ops, u: np.ndarray):
+def _damped_newton_pde(ops: _Ops, u: np.ndarray, iters: int = _NEWTON_ITERS):
     """Damped Newton for (-D)^m u + V u - f(u) = 0, down to ``_Ops.residual_floor``.
 
     Past that bound steps only chase rounding noise.  Steps that collapse
@@ -278,7 +283,7 @@ def _damped_newton_pde(ops: _Ops, u: np.ndarray):
     rho = ops.pde_residual(u)
     res = ops.nrm(rho)
     l2_floor = 1e-3 * ops.l2(u)
-    for _ in range(_NEWTON_ITERS):
+    for _ in range(iters):
         try:
             Alu = ops.factor(ops.V - ops.fprime(u))
         except RuntimeError:
@@ -332,15 +337,45 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
     so Newton solves the plain equation, and the report carries the
     multiplier of the polished state.
 
-    The descent stops after ``_DESCENT_STEPS`` steps or once the objective
-    stagnates (``_STAGNATION_TOL``); neither is an option because the polish,
-    not the descent, fixes the level (see the module docstring).
+    The descent hands over to a polished copy after ``_HANDOFF_STEP`` steps if
+    the copy passes, or else stops after ``_DESCENT_STEPS`` steps or once the
+    objective stagnates; none is an option (see the module docstring).
     """
     config, grid0 = ops.config, ops.grid
-    warns: list = []
 
     def reproject(grd, vec):
         return project(RadialField(grd, vec), config) * vec
+
+    def polish(vec, newton_iters):
+        """The report of vec dilated, Newton-polished and reprojected after ``it`` steps."""
+        warns = []
+        if multiplier:
+            theta = ops.theta_hat(vec)
+            if 2.0 * theta - 1.0 >= 0.0:
+                raise ValueError(
+                    f"the descent ended at multiplier theta = {theta:.6g}, but the "
+                    "polish requires 2 theta - 1 < 0; is F the antiderivative of f?")
+            try:
+                vec = _gauge_dilate(RadialField(grid0, vec),
+                                    (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
+            except ValueError:
+                warns.append("gauge dilation skipped (support would escape the domain)")
+        u = reproject(grid0, _damped_newton_pde(ops, vec, newton_iters))
+        theta = ops.theta_hat(u) if multiplier else None
+
+        field_out = RadialField(grid0, u)
+        objective_out = objective(ops, u)
+        constraint = abs(functional(ops, u))
+        rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
+        rep = SolveReport(field_out, objective_out, theta, rw, constraint, it,
+                          trace + [(it + 1, objective_out, constraint)], warns)
+        if not rep.converged:
+            warns.append(f"residual_weak {rw:.2e} exceeds the convergence gate {_RESIDUAL_GATE:g}")
+        decay = g.boundary_decay_ratio(field_out)
+        if decay > 1e-10:
+            warns.append(f"|u(r_max)|/max|u| = {decay:.2e} exceeds 1e-10; "
+                         "domain truncation may be visible")
+        return rep
 
     # ---- descent on the caller's grid ----
     u = reproject(grid0, vals)
@@ -371,38 +406,20 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
             break
         tau = min(t_try * 1.5, 1.0)
         trace.append((it, obj, abs(functional(ops, u))))
+        if it == _HANDOFF_STEP:
+            try:
+                trial = polish(u, _HANDOFF_NEWTON_ITERS)
+            except (OverflowCapError, ValueError):
+                trial = None
+            # a root above the descent's level is a higher critical point
+            if trial and trial.converged and trial.objective <= obj:
+                return trial
         wnd = _STAGNATION_WINDOW
         if len(trace) > wnd and trace[-wnd - 1][1] - obj < _STAGNATION_TOL * max(abs(obj), 1e-30):
             break
 
     # ---- polish on the same grid ----
-    if multiplier:
-        theta = ops.theta_hat(u)
-        if 2.0 * theta - 1.0 >= 0.0:
-            raise ValueError(
-                f"the descent ended at multiplier theta = {theta:.6g}, but the "
-                "polish requires 2 theta - 1 < 0; is F the antiderivative of f?")
-        try:
-            u = _gauge_dilate(RadialField(grid0, u),
-                              (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
-        except ValueError:
-            warns.append("gauge dilation skipped (support would escape the domain)")
-    u = reproject(grid0, _damped_newton_pde(ops, u))
-    theta = ops.theta_hat(u) if multiplier else None
-
-    field_out = RadialField(grid0, u)
-    objective_out = objective(ops, u)
-    constraint = abs(functional(ops, u))
-    rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
-    trace.append((it + 1, objective_out, constraint))
-    rep = SolveReport(field_out, objective_out, theta, rw, constraint, it, trace, warns)
-    if not rep.converged:
-        warns.append(f"residual_weak {rw:.2e} exceeds the convergence gate {_RESIDUAL_GATE:g}")
-    decay = g.boundary_decay_ratio(field_out)
-    if decay > 1e-10:
-        warns.append(f"|u(r_max)|/max|u| = {decay:.2e} exceeds 1e-10; "
-                     "domain truncation may be visible")
-    return rep
+    return polish(u, _NEWTON_ITERS)
 
 
 def minimize_pohozaev(config: ProblemConfig, init: RadialField) -> SolveReport:

@@ -363,6 +363,54 @@ def test_each_command_takes_only_its_flags():
         "solve": 9, "rearrange": 4, "moser": 4, "ratio": 10, "check": 9, "gap": 9, "sweep": 11}
 
 
+def _parser_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["--bogus", "solve"], ["-h", "solve"],
+    *([name, *rest] for name in _COMMANDS
+      for rest in (["--help"], ["--bogus", "1"], ["extra"], ["--config"]))])
+def test_main_builds_only_the_parser_of_the_named_command(monkeypatch, capsys, argv):
+    # a first argument that names a command gets only that subparser; the usage,
+    # help and error text is the full parser's, byte for byte
+    from biharm import cli
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    full = _parser_text(build_parser().parse_args, argv, capsys)
+    assert _parser_text(cli.main, argv, capsys) == full
+    assert built == [argv[0] if argv and argv[0] in _COMMANDS else None]
+
+
+_FREEZE_PROBE = """
+import gc, sys
+from biharm.cli import main
+calls, freeze = [], gc.freeze
+gc.freeze = lambda: calls.append(1) or freeze()
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    main(["check", "--out-dir", sys.argv[1]])
+    counts.append(gc.get_freeze_count())
+print(len(calls), *counts)
+"""
+
+
+def test_main_freezes_the_import_heap_once(tmp_path):
+    # the first call freezes what is alive, so that no later collection and no
+    # exit-time sweep traverses the import heap; a second call freezes nothing
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    calls, before, first, second = map(int, out.split())
+    assert calls == 1
+    assert before == 0 < first
+    assert second == first
+
+
 @pytest.mark.parametrize("args, flag", [
     (["solve", "--V", "1-0.4*exp(-t^2)"], "--V"), (["sweep", "--L", "1"], "--L"),
     (["gap", "--V", "1-0.4*exp(-t^2)", "--gamma", "1"], "--gamma"),
@@ -911,6 +959,13 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["gap", "--V", "1.2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
     (["ratio", "--lambda", "nan", "--budget", "4"], "lam must be positive and finite, got nan"),
     (["check", "--lambda", "nan"], "lam must be positive and finite, got nan"),
+    # an f that is NaN inside the cap, here for |t| < 1, is refused as well
+    (["check", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
+     "is not finite inside the overflow cap 6.0"),
+    (["ratio", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
+     "is not finite inside the overflow cap 6.0"),
+    (["solve", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
+     "is not finite inside the overflow cap 6.0"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

@@ -128,6 +128,16 @@ def test_nonlinearity_measures_its_own_overflow(f_expr, F_expr, refused):
         bh.user_nonlinearity(f_expr, F_expr)
 
 
+@pytest.mark.parametrize("f_expr, F_expr, where", [
+    ("t*exp(2*t^2)*sqrt(t^2-1)", "exp(2*t^2)-1", "t = -0.984375"),   # NaN for |t| < 1
+    ("t^3+0/t", "t^4/4", "t = 0"),                                 # 0/0 at the origin only
+])
+def test_nonlinearity_refuses_nan_inside_the_cap(f_expr, F_expr, where):
+    # finite at +-cap is not enough: t f(t) and F(t) are scanned on [-cap, cap]
+    with pytest.raises(ValueError, match=f"not finite inside the overflow cap 6.0: .* {where}$"):
+        bh.user_nonlinearity(f_expr, F_expr)
+
+
 # VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across
 # exec, so a large test process would hide any growth
 _RSS_PROBE = """

@@ -73,13 +73,15 @@ def test_project_zero_field_errors(cfg, g4):
 
 @pytest.mark.parametrize("project", [project_pohozaev, project_nehari])
 def test_project_refuses_a_non_finite_ray(g4, gauss, project):
-    # f and F are finite at +-cap but NaN below |t| = 0.5, where the ray starts
+    # f and F are NaN on 0.01 < |t| < 0.04, which the field's tail crosses on the
+    # ray, and finite on every point of the nonlinearity's own scan of [-cap, cap]
+    # (spacing 0.046875), so only the projection can refuse them
     base = bh.exp_critical(0.5)
 
-    def nan_below_half(fn):
-        return lambda t: np.where(np.abs(t) < 0.5, np.nan, fn(t))
+    def nan_in_a_gap(fn):
+        return lambda t: np.where((np.abs(t) > 0.01) & (np.abs(t) < 0.04), np.nan, fn(t))
 
-    spec = bh.NonlinearitySpec("user", nan_below_half(base.f), nan_below_half(base.F),
+    spec = bh.NonlinearitySpec("user", nan_in_a_gap(base.f), nan_in_a_gap(base.F),
                                alpha0=2.0)
     config = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
     with pytest.raises(ValueError, match="functional is nan at scale"):
@@ -540,9 +542,11 @@ def test_residual_floor_bounds_the_rounding_of_the_residual(dim, r_max, n):
 @pytest.mark.parametrize("dim, gamma, lam",
                          [(4, 1.0, 0.5), (4, 1.0, 0.3), (2, 1.0, 0.5), (2, 1.1, 0.55)])
 def test_newton_polish_factors_at_most_twice(monkeypatch, dim, gamma, lam):
-    # the polish stops at the residual's rounding bound, two Newton steps on
-    # the default grids
+    # from the stagnated descent iterate the polish stops at the residual's
+    # rounding bound, two Newton steps on the default grids; the handoff trial
+    # is switched off, so Newton starts where the full descent ends
     from biharm import solvers
+    monkeypatch.setattr(solvers, "_HANDOFF_STEP", solvers._DESCENT_STEPS + 1)
     calls, in_newton = [], []
     splu, newton = solvers.spla.splu, solvers._damped_newton_pde
     monkeypatch.setattr(solvers.spla, "splu",
@@ -586,6 +590,102 @@ def test_a_solve_factors_its_descent_operator_once(monkeypatch, dim, gamma, lam)
     assert rep.converged
     assert calls.count(False) == 1
     assert len(calls) <= 6
+
+
+# --- the handoff: after _HANDOFF_STEP descent steps a copy is polished once ------
+
+def _without_handoff(run):
+    """run() with the handoff trial switched off, so the descent runs until it stagnates."""
+    from biharm import solvers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_HANDOFF_STEP", solvers._DESCENT_STEPS + 1)
+        return run()
+
+
+def _gauss_init(dim):
+    grd = bh.default_grid(dim)
+    return bh.RadialField(grd, np.exp(-grd.nodes**2 / 2))
+
+
+# the Pohozaev route at (4, 0.5) is the benchmark's SOLVE_4D
+@pytest.mark.parametrize("route", [minimize_pohozaev, minimize_nehari])
+@pytest.mark.parametrize("dim, lam", [(4, 0.5), (4, 0.3), (2, 0.5), (2, 0.3)])
+def test_handoff_keeps_the_level_of_the_full_descent(route, dim, lam):
+    # Newton takes over after 5 descent steps, below the descent's level there,
+    # and lands on the level that the polish of the full descent reports
+    from biharm.solvers import _HANDOFF_STEP
+    cfg, init = bh.exp_critical_config(1.0, lam, dimension=dim), _gauss_init(dim)
+    rep = route(cfg, init)
+    full = _without_handoff(lambda: route(cfg, init))
+    assert rep.converged and full.converged
+    assert rep.iterations == _HANDOFF_STEP < full.iterations
+    assert rep.objective < rep.trace[_HANDOFF_STEP][1]
+    assert abs(rep.objective - full.objective) <= 1e-12 * full.objective
+
+
+def test_handoff_keeps_the_gap_levels():
+    # the benchmark's GAP_4D: both Nehari solves hand over after 5 steps
+    from biharm.expressions import parse_expression
+    init = _gauss_init(4)
+    well = bh.radial_potential(parse_expression("1-0.4*exp(-t^2)"), init.grid)
+    cfg = bh.ProblemConfig(4, well, bh.exp_critical(0.3, 4))
+    rep = limiting_gap(cfg, init)
+    full = _without_handoff(lambda: limiting_gap(cfg, init))
+    assert rep.status_V["iterations"] == rep.status_infty["iterations"] == 5
+    assert min(full.status_V["iterations"], full.status_infty["iterations"]) > 5
+    for level in ("m_V", "m_infty"):
+        assert abs(getattr(rep, level) - getattr(full, level)) <= 1e-12 * getattr(full, level)
+    # I_V at the projected limit minimizer moves with the minimizer's rounding
+    assert rep.comparison_level == pytest.approx(full.comparison_level, rel=1e-9)
+
+
+@pytest.mark.parametrize("args", [["--lambda", "0.1"], ["--lambda", "0.2"],
+                                  ["--dim", "2", "--lambda", "0.1"]])
+def test_a_rejected_handoff_leaves_the_report_unchanged(tmp_path, monkeypatch, args):
+    # at small lambda the trial misses the 1e-5 gate; the descent goes on from its
+    # untouched iterate, so the report is byte for byte that of the full descent
+    from biharm import solvers
+    from biharm.cli import EXIT_NOCONV, main
+    newton, trials = solvers._damped_newton_pde, []
+
+    def counted_newton(ops, u, iters=solvers._NEWTON_ITERS):
+        trials.append(iters == solvers._HANDOFF_NEWTON_ITERS)
+        return newton(ops, u, iters)
+
+    monkeypatch.setattr(solvers, "_damped_newton_pde", counted_newton)
+    assert main(["solve", *args, "--out-dir", str(tmp_path / "handoff")]) == EXIT_NOCONV
+    assert trials.count(True) == 1
+    assert _without_handoff(
+        lambda: main(["solve", *args, "--out-dir", str(tmp_path / "full")])) == EXIT_NOCONV
+    assert trials.count(True) == 1
+    for name in ("solve.json", "solution.csv"):
+        assert (tmp_path / "handoff" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_a_trial_root_above_the_descent_level_is_rejected(monkeypatch):
+    # a Newton root above the descent's level is a higher critical point, not the
+    # ground state.  Here the trial's root is lifted one unit above it (the first
+    # objective call after the trial's Newton is the one that judges the trial):
+    # it is rejected, and the solve is the full descent's, step for step
+    from biharm import solvers
+    cfg, init = bh.exp_critical_config(1.0, 0.5, dimension=2), _gauss_init(2)
+    full = _without_handoff(lambda: minimize_nehari(cfg, init))
+    newton, action, lift = solvers._damped_newton_pde, _Ops.I, []
+
+    def trial_newton(ops, u, iters=solvers._NEWTON_ITERS):
+        lift.append(iters == solvers._HANDOFF_NEWTON_ITERS)
+        return newton(ops, u, iters)
+
+    def lifted_action(ops, u):
+        return action(ops, u) + (1.0 if lift and lift.pop() else 0.0)
+
+    monkeypatch.setattr(solvers, "_damped_newton_pde", trial_newton)
+    monkeypatch.setattr(_Ops, "I", lifted_action)
+    rep = minimize_nehari(cfg, init)
+    assert rep.iterations == full.iterations > solvers._HANDOFF_STEP
+    assert rep.trace == full.trace
+    assert rep.objective == full.objective
+    assert np.array_equal(rep.field.values, full.field.values)
 
 
 def test_descent_stays_short_where_the_multiplier_moves_far(g4, gauss):
