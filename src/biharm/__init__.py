@@ -22,7 +22,7 @@ _EXPORTS = {
     "sequences": ("moser_estimates", "moser_field"),
     "solvers": ("GapReport", "SolveReport", "gradient_action", "gradient_quadratic",
                 "limiting_gap", "minimize_nehari", "minimize_pohozaev", "nehari_sign_scan",
-                "project_nehari", "project_pohozaev", "recover_solution", "residual_weak"),
+                "project_nehari", "project_pohozaev", "residual_weak"),
     "diagnostics": ("GrowthClassification", "classify_growth"),
     "expressions": ("ParseError", "parse_expression"),
 }

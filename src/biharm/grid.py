@@ -61,9 +61,6 @@ class RadialField:
     grid: RadialGrid
     values: np.ndarray = field(repr=False)
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
 
 def build_grid(r_max: float, n_points: int, dimension: int) -> RadialGrid:
     """Uniform mesh with trapezoid-rule weights times s_{n-1} r^{n-1}.
@@ -229,17 +226,6 @@ def quad_form_of(w: np.ndarray, lap: np.ndarray, u: np.ndarray, dimension: int) 
     if dimension == 4:
         return float(np.dot(w, lap * lap))
     return -float(np.dot(w, lap * u))
-
-
-def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:
-    """Grid with r_max scaled by ``factor`` and the same node count.
-
-    The samples of u on ``grid``, read on the result, are u(r / factor)
-    exactly, with no interpolation.
-    """
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return build_grid(grid.r_max * factor, grid.n_points, grid.dimension)
 
 
 def boundary_decay_ratio(u: RadialField) -> float:

@@ -16,7 +16,8 @@ the nonlinearity, which owns lam and the critical rate alpha0; it checks the
 dimension and lam < V0.  The nonlinearity checks alpha0 and its own overflow:
 alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
 finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
-a user f declares, and finite on 257 points of [-cap, cap].
+a user f declares, and finite on 257 points of [-cap, cap]; a parsed user F
+must equal int_0^t f on those points.
 
 There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
 (6.0): fields enter the functionals through ``check_cap``, which raises
@@ -37,6 +38,8 @@ from .grid import RadialGrid
 
 OVERFLOW_CAP = 6.0
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+# the points a nonlinearity is scanned on: spacing 3/64; 0 and +-cap are nodes
+_SCAN = np.linspace(-OVERFLOW_CAP, OVERFLOW_CAP, 257)
 
 ADAMS_BETA = {4: 32.0 * np.pi**2, 2: 4.0 * np.pi}
 EXP_RATE = {4: 2.0, 2: 1.0}     # the critical rate a of exp(a t^2) on R^n
@@ -177,7 +180,7 @@ class NonlinearitySpec:
         if alpha0 * cap * cap + 2.0 * np.log(cap) >= _LOG_DBL_MAX:
             raise ValueError(f"alpha0={alpha0} overflows below the overflow cap {cap}: "
                              f"alpha0 cap^2 + 2 ln(cap) must be below {_LOG_DBL_MAX:.2f}")
-        t = np.linspace(-cap, cap, 257)       # spacing 3/64; 0 and +-cap are nodes
+        t = _SCAN
         with np.errstate(all="ignore"):
             tf = t * np.asarray(self.f(t), dtype=float)
             Ft = np.broadcast_to(np.asarray(self.F(t), dtype=float), t.shape)
@@ -241,16 +244,25 @@ def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
     Without ``F_expr``, F(t) = int_0^t f is integrated from f on every call
     by :func:`gauss_antiderivative`; nothing is kept between calls.  On the
     exp-critical profiles up to the overflow cap its error is about 1e-14
-    relative.
+    relative.  A parsed F must be that integral: on the points of the
+    finiteness scan it may differ from it by at most 1e-8 (|int_0^t f| +
+    |t f(t)|), else ValueError.
     """
     f = parse_expression(f_expr)
-    if F_expr is not None:
-        F = parse_expression(F_expr)
-    else:
-        def F(t):
-            return gauss_antiderivative(f, t)
 
-    return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
+    def F(t):
+        return gauss_antiderivative(f, t)
+
+    if F_expr is None:
+        return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
+    spec = NonlinearitySpec("user", f, parse_expression(F_expr), alpha0=float(alpha0))
+    got, want = np.broadcast_to(spec.F(_SCAN), _SCAN.shape), F(_SCAN)
+    ok = np.abs(got - want) <= 1e-8 * (np.abs(want) + np.abs(_SCAN * f(_SCAN)))
+    if not np.all(ok):
+        i = np.argmin(ok)
+        raise ValueError(f"F is not the antiderivative of f: F({_SCAN[i]:g}) = {got[i]:.10g}, "
+                         f"but int_0^t f = {want[i]:.10g} there")
+    return spec
 
 
 # --- potentials -------------------------------------------------------------

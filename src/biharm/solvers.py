@@ -41,13 +41,13 @@ reduction (``banded``, reached as ``spla.splu``), which pivots within p x p
 blocks but not across them; in 4-D that loses digits to the bi-Laplacian's
 conditioning, which the damped Newton steps absorb.
 
-For the minimization of 1/2 ||Du||^2 on {G=0} the Lagrange multiplier is
-recovered from the integral identity ||Du||^2 = (2 theta - 1) int
-(gamma u - f(u)) u; the rescaling u(x / (1-2 theta)^{1/(2m)}) maps the
-multiplier equation onto the plain equation.  Before the polish it is a
-linear resample on the same grid (``_gauge_dilate``), which only moves the
-Newton start; ``recover_solution`` realizes it exactly by scaling the grid
-(same samples, scaled radii), with zero interpolation error.
+The commands take the constant-potential ground state from ``minimize_nehari``,
+whose level is the Pohozaev one (Jeanjean & Tanaka 2003); the polish reports
+the Pohozaev defect G(u) / (gamma ||u||^2), 0 for every continuum solution
+(Pohozaev 1965).  ``minimize_pohozaev``, the independent reference, minimizes
+1/2 ||Du||^2 on {G=0}, with the multiplier theta of ||Du||^2 = (2 theta - 1)
+int (gamma u - f(u)) u; before its polish the dilation u(x / (1-2 theta)^{1/(2m)})
+onto the plain equation is a linear resample on the same grid (``_gauge_dilate``).
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class SolveReport:
     iterations: int
     trace: list = field(repr=False, default_factory=list)
     warnings: list = field(default_factory=list)
+    pohozaev_defect: Optional[float] = None   # G(u) / (gamma ||u||^2); None unless V is constant
 
     @property
     def converged(self) -> bool:
@@ -367,8 +368,10 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
         objective_out = objective(ops, u)
         constraint = abs(functional(ops, u))
         rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
+        defect = (ops.G(u) / (config.gamma * ops.l2(u))
+                  if isinstance(config.potential, ConstantPotential) else None)
         rep = SolveReport(field_out, objective_out, theta, rw, constraint, it,
-                          trace + [(it + 1, objective_out, constraint)], warns)
+                          trace + [(it + 1, objective_out, constraint)], warns, defect)
         if not rep.converged:
             warns.append(f"residual_weak {rw:.2e} exceeds the convergence gate {_RESIDUAL_GATE:g}")
         decay = g.boundary_decay_ratio(field_out)
@@ -465,22 +468,6 @@ def minimize_nehari(config: ProblemConfig, init: RadialField) -> SolveReport:
     ops = _ops_for(init.grid, config)
     return _minimize(ops, init.values, lambda u0: (ops.V, ops.f), _Ops.I,
                      _Ops.N, project_nehari, False)
-
-
-def recover_solution(u: RadialField, theta: float, config: ProblemConfig) -> RadialField:
-    """Rescale a constrained minimizer into a solution of the plain equation.
-
-    The dilation u(x / (1-2 theta)^{1/(2m)}) is realized by scaling the grid
-    radii (identical samples), which transforms the discrete multiplier
-    equation exactly; resampling would re-introduce O(h^-2m) stencil noise.
-    """
-    if 2.0 * theta - 1.0 >= 0.0:
-        raise ValueError("recovery requires 2 theta - 1 < 0")
-    S = (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order))
-    if S == 1.0:
-        return u.copy()
-    new_grid = g.rescale_grid(u.grid, S)
-    return RadialField(new_grid, u.values.copy())
 
 
 def residual_weak(u: RadialField, config: ProblemConfig) -> float:

@@ -15,7 +15,7 @@ import biharm as bh
 from biharm.cli import main as cli_main
 from biharm.functionals import evaluate_all, nehari_energy_identity_gap
 from biharm.solvers import (minimize_nehari, minimize_pohozaev, project_nehari,
-                            nehari_sign_scan, recover_solution, residual_weak,
+                            nehari_sign_scan, residual_weak,
                             gradient_action, gradient_quadratic, limiting_gap)
 
 GAMMA, LAM = 1.0, 0.5
@@ -167,8 +167,11 @@ def test_criterion_5_ground_state_pipeline(cfg, g4, pipeline):
     ok &= below
     detail.append(f"A={objs[0]:.6f} < 8pi^2={8 * np.pi**2:.4f}: {below}")
 
+    # the Pohozaev minimizer solves the plain equation after the dilation
+    # u(x / S), S = (1 - 2 theta)^(1/4): the same samples on the grid S r_max
     rep = runs[0]
-    ut = recover_solution(rep.field, rep.lagrange_theta, cfg)
+    S = (1.0 - 2.0 * rep.lagrange_theta) ** 0.25
+    ut = bh.RadialField(bh.build_grid(S * g4.r_max, g4.n_points, 4), rep.field.values.copy())
     rw = residual_weak(ut, cfg)
     fr = evaluate_all(ut, cfg)
     scale_n = fr.mass_terms.lap_l2_sq + fr.mass_terms.pot_l2_sq

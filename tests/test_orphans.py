@@ -20,6 +20,7 @@ EXEMPT = {
     "nehari_sign_scan": "test reference for the Nehari projection",
     "gradient_action": "test reference for the solver gradients",
     "exp_critical_config": "test shorthand for the built-in problem",
+    "minimize_pohozaev": "tracer target; criterion 5's Pohozaev reference",
 }
 
 

@@ -200,7 +200,11 @@ def _dense_reflector(grid):
     M is ordered by decreasing weight: eigh of this graded matrix is then
     accurate at the tiny 4-D rows near the origin, which the transform divides
     by sqrt(W).  In node order it is off by up to 1.7e-7 there (r_max 2.84).
+    The divide-and-conquer driver of ``np.linalg.eigh`` fails to converge on
+    some of these kernels (2-D, r_max 24.637, n 127); LAPACK's syevr then
+    decomposes them.
     """
+    from scipy.linalg import eigh
     from scipy.special import j0, j1
     W = grid.weights / bh.grid.SURFACE_MEASURE[grid.dimension]
     pos = W > 0.0
@@ -208,7 +212,10 @@ def _dense_reflector(grid):
     X = np.outer(r, r)
     M = j0(X) if grid.dimension == 2 else j1(X) / X
     M *= np.outer(sroot, sroot)
-    lam, V = np.linalg.eigh(M)
+    try:
+        lam, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError:
+        lam, V = eigh(M, driver="evr")
     Vn, sroot = V[::-1, lam < -bh.rearrangement._TAU], sroot[::-1]
 
     def transform(values):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import biharm as bh
-from biharm.grid import quad_form_sq, rescale_grid
+from biharm.grid import quad_form_sq
 from biharm.sequences import (moser_estimates, moser_field, moser_sums, quintic_blend)
 
 
@@ -247,7 +247,7 @@ def test_witness_noncompact_infinity():
 
 @pytest.mark.parametrize("mode", sorted(_INFINITY_WITNESSES))
 def test_witness_dilation_is_exact(mode):
-    # psi(r/S) is psi on the undilated mesh read on rescale_grid of it: the
+    # psi(r/S) is psi on the undilated mesh read on the mesh S r_max: the
     # S^4-scaled sums of moser_sums on the undilated mesh are the sums on the
     # dilated one.  The Laplacian sums carry the double rounding of a
     # fourth-order stencil on each grid (up to 5e-11 relative here); an
@@ -256,7 +256,8 @@ def test_witness_dilation_is_exact(mode):
     for row in infinity_witness(mode, gfun):
         pre = bh.build_grid(*row["mesh"], 4)
         assert pre.nodes[1] <= 0.1 * np.exp(-row["b"] ** 2 / 4.0)   # h <= r14 / 10
-        fld = bh.RadialField(rescale_grid(pre, row["S"]), moser_field(row["b"], 1.0, pre).values)
+        dil = bh.build_grid(row["S"] * pre.r_max, pre.n_points, 4)
+        fld = bh.RadialField(dil, moser_field(row["b"], 1.0, pre).values)
         assert row["lap_l2_sq"] == pytest.approx(quad_form_sq(fld), rel=1e-9, abs=0)
         assert row["l2_sq"] == pytest.approx(l2_sq(fld), rel=1e-12, abs=0)
         assert row["G"] == pytest.approx(g_integral(gfun, fld), rel=1e-12, abs=0)

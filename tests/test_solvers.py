@@ -8,7 +8,7 @@ from biharm.model import OVERFLOW_CAP
 from biharm.solvers import (_Ops, _ops_for, _project, gradient_action,
                             gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
                             nehari_sign_scan, project_nehari, project_pohozaev,
-                            recover_solution, residual_weak)
+                            residual_weak)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,18 @@ def gauss(g4):
 def solved(cfg, g4):
     init = bh.RadialField(g4, np.exp(-g4.nodes**2))
     return minimize_pohozaev(cfg, init)
+
+
+def dilated(u, theta, config):
+    """u(x / S), S = (1 - 2 theta)^(1/(2m)): the same samples on the grid S r_max.
+
+    This maps a Pohozaev minimizer with multiplier theta onto a solution of the
+    plain equation; scaling the radii transforms the discrete multiplier
+    equation exactly, with no interpolation.
+    """
+    S = (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order))
+    grid = bh.build_grid(S * u.grid.r_max, u.grid.n_points, u.grid.dimension)
+    return bh.RadialField(grid, u.values.copy())
 
 
 # --- projections -------------------------------------------------------------
@@ -300,24 +312,13 @@ def test_lambda_monotonicity(g4):
 
 def test_recover_solution_properties(cfg, solved):
     rep = solved
-    ut = recover_solution(rep.field, rep.lagrange_theta, cfg)
+    ut = dilated(rep.field, rep.lagrange_theta, cfg)
     assert residual_weak(ut, cfg) <= 1e-6
     from biharm.functionals import evaluate_all
     fr = evaluate_all(ut, cfg)
     scale = fr.mass_terms.lap_l2_sq + fr.mass_terms.pot_l2_sq
     assert abs(fr.nehari_N) <= 1e-6 * scale
     assert abs(fr.pohozaev_G) <= 1e-6 * (1 + fr.mass_terms.l2_sq)
-
-
-def test_recover_theta_zero_is_identity(cfg, gauss):
-    out = recover_solution(gauss, 0.0, cfg)
-    assert out.grid.r_max == gauss.grid.r_max
-    assert np.array_equal(out.values, gauss.values)
-
-
-def test_recover_theta_too_large(cfg, gauss):
-    with pytest.raises(ValueError):
-        recover_solution(gauss, 0.6, cfg)
 
 
 def test_residual_weak_zero_and_bump(cfg, g4, gauss):
@@ -389,7 +390,7 @@ def test_limiting_gap_hypothesis_violated(g4):
 
 
 def test_level_consistency_pohozaev_vs_nehari(cfg, g4, solved):
-    ut = recover_solution(solved.field, solved.lagrange_theta, cfg)
+    ut = dilated(solved.field, solved.lagrange_theta, cfg)
     from biharm.functionals import evaluate_all
     I_val = evaluate_all(ut, cfg).energy_I
     rep_n = minimize_nehari(cfg, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2)))
