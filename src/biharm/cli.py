@@ -14,6 +14,9 @@ refuses a dimension other than 2 or 4.  A --config file may set the fields
 the command's flags set (--grid sets grid_r_max and grid_n) and out_dir, and
 each report's ``config`` echoes the command and those fields.  solve and sweep
 minimize on the Nehari manifold, as gap does, and report the Pohozaev defect.
+Each handler returns its report sections and exit code; ``run`` writes
+<command>.json from them, under the version and config header, so a command
+whose input is refused writes no report.
 
 Reports are canonical JSON (sorted keys; floats in Python's shortest
 round-trip form, nan and infinities as strings) so identical run
@@ -215,10 +218,6 @@ def _build_problem(rc: RunConfig):
     return grd, ProblemConfig(rc.dimension, pot, spec)
 
 
-def _default_init(grd) -> RadialField:
-    return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
-
-
 def _report_header(rc: RunConfig) -> dict:
     read = ("command",) + _read_fields(rc.command)
     return {"version": __version__, "config": {name: getattr(rc, name) for name in read}}
@@ -234,10 +233,10 @@ _DEFECT_GATE = 3e-5
 def _ground_state(rc: RunConfig):
     """rc's Nehari ground state, the summary solve and sweep report, and the exit code:
     2 unless the state converged with its Pohozaev defect within ``_DEFECT_GATE``."""
-    from .solvers import minimize_nehari
+    from .solvers import gaussian_start, minimize_nehari
 
     grd, config = _build_problem(rc)
-    rep = minimize_nehari(config, _default_init(grd))
+    rep = minimize_nehari(config, gaussian_start(grd))
     resolved = abs(rep.pohozaev_defect) <= _DEFECT_GATE
     if not resolved:
         rep.warnings.append(f"UNDER_RESOLVED: Pohozaev defect {rep.pohozaev_defect:.2e} "
@@ -248,34 +247,28 @@ def _ground_state(rc: RunConfig):
     return rep, summary, EXIT_OK if rep.converged and resolved else EXIT_NOCONV
 
 
-def _cmd_solve(rc: RunConfig) -> int:
+def _cmd_solve(rc: RunConfig):
     rep, summary, code = _ground_state(rc)
-    out = _report_header(rc)
-    # recovered_residual_weak, the residual of solution.csv, is the key the benchmark reads
-    out["solve"] = {**summary, "residual_weak": rep.residual_weak, "iterations": rep.iterations,
-                    "recovered_residual_weak": rep.residual_weak, "trace": rep.trace}
-    atomic_write(os.path.join(rc.out_dir, "solve.json"), dump_report(out))
     save_field_csv(os.path.join(rc.out_dir, "solution.csv"), rep.field)
-    return code
+    # recovered_residual_weak, the residual of solution.csv, is the key the benchmark reads
+    return {"solve": {**summary, "residual_weak": rep.residual_weak, "iterations": rep.iterations,
+                      "recovered_residual_weak": rep.residual_weak, "trace": rep.trace}}, code
 
 
-def _cmd_rearrange(rc: RunConfig) -> int:
+def _cmd_rearrange(rc: RunConfig):
     if not rc.input_field:
         raise ValueError("rearrange requires --input <field.csv>")
     from .rearrangement import fourier_rearrange
 
     u = load_field_csv(rc.input_field, rc.dimension)
     w = fourier_rearrange(u)
-    out = _report_header(rc)
-    out["rearrange"] = asdict(w.report)
-    atomic_write(os.path.join(rc.out_dir, "rearrange.json"), dump_report(out))
     save_field_csv(os.path.join(rc.out_dir, "rearrange_input.csv"), u)
     save_field_csv(os.path.join(rc.out_dir, "rearrange_output.csv"),
                    RadialField(u.grid, w.values))
-    return EXIT_OK
+    return {"rearrange": asdict(w.report)}, EXIT_OK
 
 
-def _cmd_moser(rc: RunConfig) -> int:
+def _cmd_moser(rc: RunConfig):
     from .sequences import moser_estimates, moser_mesh
 
     rows = []
@@ -293,18 +286,15 @@ def _cmd_moser(rc: RunConfig) -> int:
     bs = np.array([r["b"] for r in rows])
     ex = np.array([abs(r["excess"]) for r in rows])
     slope = float(np.polyfit(np.log(bs), np.log(ex), 1)[0]) if len(rows) >= 2 else float("nan")
-    out = _report_header(rc)
-    out["moser"] = {"rows": rows, "fitted_excess_exponent": slope}
-    atomic_write(os.path.join(rc.out_dir, "moser.json"), dump_report(out))
     lines = ["b,l2_sq,lap_l2_sq,excess"]
     for r in rows:
         lines.append(",".join(format(float(r[k]), ".17g")
                               for k in ("b", "l2_sq", "lap_l2_sq", "excess")))
     atomic_write(os.path.join(rc.out_dir, "moser.csv"), "\n".join(lines) + "\n")
-    return EXIT_OK
+    return {"moser": {"rows": rows, "fitted_excess_exponent": slope}}, EXIT_OK
 
 
-def _cmd_ratio(rc: RunConfig) -> int:
+def _cmd_ratio(rc: RunConfig):
     from .functionals import adams_ratio_search
 
     if rc.f_expr is None and rc.alpha0 != RunConfig.alpha0:
@@ -312,35 +302,27 @@ def _cmd_ratio(rc: RunConfig) -> int:
                          "the nonlinearity sets its own rate")
     spec = _nonlinearity(rc, rc.alpha0)
     L = rc.L if rc.L is not None else ADAMS_BETA[rc.dimension] / spec.alpha0
-    rep = adams_ratio_search(spec, rc.dimension, L, rc.budget)
-    out = _report_header(rc)
-    out["ratio"] = asdict(rep)
-    atomic_write(os.path.join(rc.out_dir, "ratio.json"), dump_report(out))
-    return EXIT_OK
+    return {"ratio": asdict(adams_ratio_search(spec, rc.dimension, L, rc.budget))}, EXIT_OK
 
 
-def _cmd_check(rc: RunConfig) -> int:
-    out = _report_header(rc)
+def _cmd_check(rc: RunConfig):
+    out = {}
     if rc.g_expr:
         from .diagnostics import classify_growth
 
         out["growth"] = asdict(classify_growth(parse_expression(rc.g_expr), rc.K))
     rep = check_conditions(_nonlinearity(rc), np.geomspace(0.1, 5.0, 200))
     out["conditions"] = asdict(rep)
-    atomic_write(os.path.join(rc.out_dir, "check.json"), dump_report(out))
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_gap(rc: RunConfig) -> int:
+def _cmd_gap(rc: RunConfig):
     if not rc.potential_expr:
         raise ValueError("gap requires --V <expression in t (= radius)>")
-    from .solvers import limiting_gap
+    from .solvers import gaussian_start, limiting_gap
 
     grd, config = _build_problem(rc)
-    rep = limiting_gap(config, _default_init(grd))
-    out = _report_header(rc)
-    out["gap"] = asdict(rep)
-    atomic_write(os.path.join(rc.out_dir, "gap.json"), dump_report(out))
+    rep = limiting_gap(config, gaussian_start(grd))
     code = EXIT_OK
     for name, status in (("trapped", rep.status_V), ("limit", rep.status_infty)):
         if not status["converged"]:
@@ -354,13 +336,15 @@ def _cmd_gap(rc: RunConfig) -> int:
               "the trapped solve missed the ground level of its own Nehari manifold",
               file=sys.stderr)
         code = EXIT_NOCONV
-    return code
+    return {"gap": asdict(rep)}, code
 
 
-def _cmd_sweep(rc: RunConfig) -> int:
+def _cmd_sweep(rc: RunConfig):
     if rc.sweep_param not in ("lambda", "gamma") or not rc.sweep_values:
         raise ValueError("sweep requires --sweep-param lambda|gamma and --sweep-values")
-    if rc.f_expr is not None:       # no swept value enters a user f: refuse it before any runs
+    # no swept value enters a user f, nor any nonlinearity of a gamma sweep: refuse
+    # a bad one before any value runs
+    if rc.sweep_param == "gamma" or rc.f_expr is not None:
         _nonlinearity(rc)
 
     def one(val):
@@ -373,10 +357,8 @@ def _cmd_sweep(rc: RunConfig) -> int:
         return {"value": val, **summary}, code
 
     results, codes = zip(*[one(v) for v in rc.sweep_values])
-    out = _report_header(rc)
-    out["sweep"] = {"param": rc.sweep_param, "results": list(results)}
-    atomic_write(os.path.join(rc.out_dir, "sweep.json"), dump_report(out))
-    return max(codes)       # a bad value (3) outranks a value that did not converge (2)
+    # a bad value (3) outranks a value that did not converge (2)
+    return {"sweep": {"param": rc.sweep_param, "results": list(results)}}, max(codes)
 
 
 def _read_fields(command: str) -> tuple:
@@ -489,12 +471,17 @@ def with_default_grid(rc: RunConfig) -> RunConfig:
 
 
 def run(rc: RunConfig) -> int:
-    """Dispatch one run configuration; returns the exit code."""
+    """Dispatch one run configuration and write its report; returns the exit code."""
     if rc.command not in _COMMANDS:
         raise ValueError(f"unknown command {rc.command!r}")
     if rc.dimension not in g.DEFAULT_GRID:
         raise ValueError(f"dimension must be 2 or 4, got {rc.dimension}")
-    return _COMMANDS[rc.command][0](with_default_grid(rc))
+    rc = with_default_grid(rc)
+    sections, code = _COMMANDS[rc.command][0](rc)
+    # text positionally: the benchmark tracer's cli.io span reads args[1]
+    atomic_write(os.path.join(rc.out_dir, f"{rc.command}.json"),
+                 dump_report({**_report_header(rc), **sections}))
+    return code
 
 
 def main(argv=None) -> int:

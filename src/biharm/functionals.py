@@ -9,9 +9,10 @@ a = 1 on R^2, and Q(u) = ``grid.quad_form_sq(u)``, ||Du||^2 on R^4 or
     N(u) = Q(u) + int V u^2 - int f(u) u
 
 with g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) and the limiting constant
-gamma = V(r_max); G has no Q term.  Other nonlinearities use
-I = 1/2 (Q + int V u^2) - int F(u).  Every nonlinearity evaluates G as
-gamma ||u||^2 - 2 int F(u), which for the exp-critical family is the form above.
+gamma = V(r_max); G has no Q term.  Every nonlinearity is evaluated through
+its own F and f, I = 1/2 (Q + int V u^2) - int F(u), G = gamma ||u||^2 -
+2 int F(u) and N = Q + int V u^2 - int f(u) u, which for the exp-critical
+family are the forms above.
 ``_Functionals`` is the one implementation: the solvers extend it with their
 operators and ``evaluate_all`` reports it.  Its rays ``G_ray``/``N_ray``
 give s -> G(s u) and s -> N(s u) with the quadratic parts computed once,
@@ -67,10 +68,8 @@ class _Functionals:
         self.w = gridobj.weights
         self.L = g.laplacian_matrix(gridobj)
         self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
-        spec = config.nonlinearity
-        self.spec = spec
-        self.a = spec.alpha0
-        self.lam = config.lam
+        self.spec = config.nonlinearity
+        self.a = self.spec.alpha0
 
     def f(self, u):
         return np.asarray(self.spec.f(u), dtype=float)
@@ -95,9 +94,7 @@ class _Functionals:
         return float(np.dot(self.w, np.expm1(self.a * u * u)))
 
     def F_mass(self, u):
-        """int F(u); closed form through ``exp_mass`` for the exp-critical family."""
-        if self.spec.kind == "exp_critical":
-            return self.lam / (2 * self.a) * self.exp_mass(u)
+        """int F(u)."""
         return float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
 
     def I(self, u):
@@ -117,21 +114,13 @@ class _Functionals:
     # pass of the nonlinearity, with no matvec.
 
     def G_ray(self, u) -> Callable[[float], float]:
-        """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u).
-
-        For the exp-critical family ``F_mass`` is one expm1 pass.  Its
-        rounding, about eps lam s^2 ||u||^2, only matters against
-        (gamma - lam) s^2 ||u||^2 when gamma - lam is within a few eps of gamma.
-        """
+        """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u)."""
         quad = self.config.gamma * self.l2(u)
         return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)
 
     def N_ray(self, u) -> Callable[[float], float]:
         """s -> N(s u) = s^2 (Q(u) + int V u^2) - int f(s u) s u."""
         quad = self.quad_form(u) + self.pot_mass(u)
-        if self.spec.kind == "exp_critical":
-            au2, wu2, lam = self.a * u * u, self.w * u * u, self.lam
-            return lambda s: s * s * (quad - lam * float(np.dot(wu2, np.exp((s * s) * au2))))
         w = self.w
         return lambda s: s * s * quad - float(np.dot(w, self.f(s * u) * (s * u)))
 

@@ -439,7 +439,7 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField) -> SolveReport:
     polish runs Newton on the plain equation after the gauge dilation and
     reports the integral-formula multiplier.
     """
-    if not hasattr(config.potential, "gamma"):
+    if not isinstance(config.potential, ConstantPotential):
         raise ValueError("the constrained route requires a constant potential")
     ops = _ops_for(init.grid, config)
     gam = config.gamma
@@ -476,6 +476,11 @@ def residual_weak(u: RadialField, config: ProblemConfig) -> float:
     return _ops_for(u.grid, config).residual_weak(u.values)
 
 
+def gaussian_start(grd: RadialGrid) -> RadialField:
+    """exp(-r^2/2) on grd: the start of every command's solve and ``limiting_gap``'s default."""
+    return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
+
+
 def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) -> GapReport:
     """Ground levels with the trapping potential and its constant limit.
 
@@ -488,8 +493,7 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
     gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)
     if init is None:
-        gridobj = g.default_grid(config_V.dimension)
-        init = RadialField(gridobj, np.exp(-gridobj.nodes**2 / 2.0))
+        init = gaussian_start(g.default_grid(config_V.dimension))
     rep_V = minimize_nehari(config_V, init)
     rep_inf = minimize_nehari(config_inf, init)
 

@@ -345,6 +345,15 @@ def test_default_grid_solve_converges(tmp_path, dim):
     assert s["recovered_residual_weak"] <= 1e-5
 
 
+def test_fine_4d_solve_converges(tmp_path):
+    # 20:8192 ends at residual_weak 4.8e-6 against the 1e-5 gate; a residual through
+    # the A0 band instead of L(Lu) rounds to 1.2e-5 there and would exit 2
+    code, out = run_cli(["solve", "--grid", "20:8192"], tmp_path)
+    assert code == EXIT_OK
+    s = json.loads((out / "solve.json").read_text())["solve"]
+    assert s["converged"] and s["residual_weak"] <= 1e-5
+
+
 @pytest.mark.parametrize("flag", ["--refine", "--rearrange-interval", "--seeds"])
 def test_removed_flags_rejected(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
@@ -1028,6 +1037,11 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
      "is not finite inside the overflow cap 6.0"),
     (["solve", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
      "is not finite inside the overflow cap 6.0"),
+    # no swept gamma enters the nonlinearity: a bad one is refused before any value
+    (["sweep", "--theta", "nan", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
+     "theta must be positive and finite, got nan"),
+    (["sweep", "--lambda", "nan", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
+     "lam must be positive and finite, got nan"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

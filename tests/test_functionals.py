@@ -94,6 +94,31 @@ def test_pohozaev_scaling_single_sign_change(cfg, g4):
     assert signs[0] > 0 and signs[-1] < 0
 
 
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize("lam", [0.3, 0.5])
+def test_exp_critical_rays_match_their_closed_forms(dim, lam):
+    # F_mass and the rays evaluate the exp-critical family through its own F and f;
+    # int F(su) = (lam/2a) int (exp(a s^2 u^2) - 1) and
+    # N(su) = s^2 (Q + int V u^2) - lam s^2 int u^2 exp(a s^2 u^2).  Both rays cross
+    # zero on [0.5, 2], so each error is bounded against its quadratic term
+    from biharm.functionals import _Functionals
+
+    grd = bh.default_grid(dim)
+    a, w, u = bh.model.EXP_RATE[dim], grd.weights, np.exp(-grd.nodes**2 / 2)
+    fn = _Functionals(grd, bh.exp_critical_config(1.0, lam, dim))
+    G, N = fn.G_ray(u), fn.N_ray(u)
+    quad_G, quad_N = fn.l2(u), fn.quad_form(u) + fn.pot_mass(u)
+    signs = []
+    for s in np.linspace(0.5, 2.0, 31):
+        F_mass = lam / (2 * a) * float(np.dot(w, np.expm1(a * s * s * u * u)))
+        N_s = s * s * quad_N - lam * s * s * float(np.dot(w, u * u * np.exp(a * s * s * u * u)))
+        assert abs(fn.F_mass(s * u) - F_mass) <= 1e-13 * s * s * quad_G
+        assert abs(G(s) - (s * s * quad_G - 2 * F_mass)) <= 1e-13 * s * s * quad_G
+        assert abs(N(s) - N_s) <= 1e-13 * s * s * quad_N
+        signs.append((np.sign(G(s)), np.sign(N_s)))
+    assert signs[0] == (1, 1) and signs[-1] == (-1, -1)
+
+
 def test_scaling_invariance_n4(cfg):
     g = bh.default_grid(4)
     u = bh.RadialField(g, 0.8 * np.exp(-g.nodes**2 / 2))

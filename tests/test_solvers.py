@@ -516,7 +516,7 @@ def _pde_residual_longdouble(ops, u):
     uq = u.astype(ld)
     lap = apply_stencil(rows, uq)
     a0u = apply_stencil(rows, lap) if dim == 4 else -lap
-    return a0u + ops.V.astype(ld) * uq - ops.lam * uq * np.exp(ld(ops.a) * uq * uq)
+    return a0u + ops.V.astype(ld) * uq - ops.config.lam * uq * np.exp(ld(ops.a) * uq * uq)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
