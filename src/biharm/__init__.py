@@ -15,14 +15,13 @@ _EXPORTS = {
     "grid": ("RadialField", "RadialGrid", "build_grid", "default_grid"),
     "model": ("ConditionReport", "ConstantPotential", "NonlinearitySpec", "OverflowCapError",
               "ProblemConfig", "RadialPotential", "check_conditions", "exact_growth_family",
-              "exp_critical", "exp_critical_config", "radial_potential", "user_nonlinearity"),
+              "exp_critical", "radial_potential", "user_nonlinearity"),
     "functionals": ("AdamsRatioReport", "FunctionalReport", "MassTerms",
-                    "adams_ratio_search", "evaluate_all", "nehari_energy_identity_gap"),
+                    "adams_ratio_search", "evaluate_all"),
     "rearrangement": ("RearrangementReport", "fourier_rearrange", "hankel_transform"),
     "sequences": ("moser_estimates", "moser_field"),
-    "solvers": ("GapReport", "SolveReport", "gradient_action", "gradient_quadratic",
-                "limiting_gap", "minimize_nehari", "minimize_pohozaev", "nehari_sign_scan",
-                "project_nehari", "project_pohozaev", "residual_weak"),
+    "solvers": ("GapReport", "SolveReport", "limiting_gap", "minimize_nehari",
+                "minimize_pohozaev", "project_nehari", "project_pohozaev", "residual_weak"),
     "diagnostics": ("GrowthClassification", "classify_growth"),
     "expressions": ("ParseError", "parse_expression"),
 }

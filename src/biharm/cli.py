@@ -141,7 +141,7 @@ def load_field_csv(path: str, dimension: int = 4) -> RadialField:
 
 @dataclass
 class RunConfig:
-    """Canonical, round-trippable description of one CLI invocation."""
+    """One CLI invocation; :meth:`from_json` reads back the ``config`` its report echoes."""
 
     command: str
     dimension: int = 4
@@ -163,9 +163,6 @@ class RunConfig:
     sweep_values: tuple = ()
     input_field: Optional[str] = None
     out_dir: str = "out"
-
-    def to_json(self) -> str:
-        return dump_report(_report_header(self)["config"])
 
     @staticmethod
     def from_json(text: str, command: str) -> "RunConfig":

@@ -14,10 +14,12 @@ its own F and f, I = 1/2 (Q + int V u^2) - int F(u), G = gamma ||u||^2 -
 2 int F(u) and N = Q + int V u^2 - int f(u) u, which for the exp-critical
 family are the forms above.
 ``_Functionals`` is the one implementation: the solvers extend it with their
-operators and ``evaluate_all`` reports it.  Its rays ``G_ray``/``N_ray``
-give s -> G(s u) and s -> N(s u) with the quadratic parts computed once,
-the scalar functions the scaling projections find the root of.  Amplitudes
-beyond the overflow cap raise OverflowCapError; nothing is clamped.
+operators and ``evaluate_all`` reports it.  No command calls ``evaluate_all``:
+the tests build their references on it (the Nehari energy identity in
+``tests/oracles.py``), and the benchmark tracer wraps it.  The rays
+``G_ray``/``N_ray`` give s -> G(s u) and s -> N(s u) with the quadratic parts
+computed once, the scalar functions the scaling projections find the root of.
+Amplitudes beyond the overflow cap raise OverflowCapError; nothing is clamped.
 """
 
 from __future__ import annotations
@@ -139,22 +141,6 @@ def evaluate_all(u: RadialField, config: ProblemConfig) -> FunctionalReport:
     terms = MassTerms(core.l2(vals), core.quad_form(vals), core.pot_mass(vals),
                       core.exp_mass(vals), exp_weighted, core.F_mass(vals))
     return FunctionalReport(core.I(vals), core.G(vals), core.N(vals), terms)
-
-
-def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig) -> float:
-    """|I(u) - (lam/2) int exp(a u^2) u^2 + (lam/(2a)) int (exp(a u^2) - 1)|.
-
-    For the exp-critical family I(u) - N(u)/2 is the subtracted expression,
-    so the gap equals |N(u)|/2 up to rounding and vanishes on the Nehari
-    manifold, where I takes that on-manifold form.
-    """
-    rep = evaluate_all(u, config)
-    if config.nonlinearity.kind != "exp_critical":
-        raise ValueError("identity is defined for the exp-critical family")
-    a = config.nonlinearity.alpha0
-    rhs = 0.5 * config.lam * rep.mass_terms.exp_weighted \
-        - config.lam / (2.0 * a) * rep.mass_terms.exp_mass
-    return abs(rep.energy_I - rhs)
 
 
 # --- exponential-ratio (sharp-constant) search --------------------------------

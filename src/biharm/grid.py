@@ -183,19 +183,6 @@ def apply_stencil(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_stencil_transpose(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The transposed matvec: out_j = sum_i coef[i, j - i + p] v_i."""
-    n, p = len(v), coef.shape[1] // 2
-    out = coef[:, p] * v
-    for k in range(coef.shape[1]):
-        d = k - p
-        if d > 0:
-            out[d:] += coef[:n - d, k] * v[:n - d]
-        elif d < 0:
-            out[:n + d] += coef[-d:, k] * v[-d:]
-    return out
-
-
 def stencil_square(coef: np.ndarray) -> np.ndarray:
     """Rows (width 4p + 1) of the product L L of the stencil rows ``coef`` (2p + 1)."""
     n, p = len(coef), coef.shape[1] // 2

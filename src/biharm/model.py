@@ -355,11 +355,6 @@ class ProblemConfig:
         return self.potential.gamma_inf
 
 
-def exp_critical_config(gamma: float, lam: float, dimension: int = 4) -> ProblemConfig:
-    """Constant-potential exp-critical problem (the workhorse configuration)."""
-    return ProblemConfig(dimension, ConstantPotential(gamma), exp_critical(lam, dimension))
-
-
 # --- growth-condition checker -------------------------------------------------
 
 @dataclass

@@ -94,12 +94,7 @@ def moser_field(b: float, K: float, grid: RadialGrid) -> RadialField:
     branch stays smooth if the snapped end lies slightly past r = 1.
     """
     _, profile = _moser_branch_nodes(b, K, grid.key())
-    _, K_eff, r14, r_one, r_two = profile
-    field = RadialField(grid, _moser_profile(grid.nodes, *profile))
-    field.snap_report = {"R^(1/4)": r14 - float(np.exp(-b * b / (4 * K))),
-                         "1": r_one - 1.0, "2": r_two - 2.0,
-                         "K_eff": K_eff - K}
-    return field
+    return RadialField(grid, _moser_profile(grid.nodes, *profile))
 
 
 # Nodes per block of :func:`moser_sums`; each block carries a 2-node halo on

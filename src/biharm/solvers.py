@@ -20,8 +20,9 @@ functional and its projection:
    on converged runs a stagnation tolerance from 1e-12 to 1e-4, a cap from
    100 to 1000 steps or the handoff moved no level by more than 3.4e-13
    relative (``gap``'s comparison level by at most 7.3e-11).
-   The zero-crossing scale is unique for both constraints, which is what
-   makes the scaling projection (``_project``) well defined: it is the root
+   The zero-crossing scale is unique for both constraints (the tests scan
+   the ray's sign), which is what makes the scaling projection (``_project``)
+   well defined: it is the root
    of one scalar function, the ray s -> G(s u) or N(s u) with its quadratic
    parts computed once, found by Brent's method on a doubling bracket.
 
@@ -48,6 +49,10 @@ the Pohozaev defect G(u) / (gamma ||u||^2), 0 for every continuum solution
 1/2 ||Du||^2 on {G=0}, with the multiplier theta of ||Du||^2 = (2 theta - 1)
 int (gamma u - f(u)) u; before its polish the dilation u(x / (1-2 theta)^{1/(2m)})
 onto the plain equation is a linear resample on the same grid (``_gauge_dilate``).
+No command runs that route; it stays here because the benchmark tracer wraps
+``minimize_pohozaev`` and ``project_pohozaev``.  The exact discrete gradients
+of Q and I that the tests check against finite differences live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ class _Ops(_Functionals):
         self.m = config.order
         # rows of (-D)^m as a band, half-bandwidth 2m
         self.A0 = g.stencil_square(self.L) if self.m == 2 else -self.L
+        self.A0_abs = np.abs(self.A0)     # for residual_floor
 
     def factor(self, diag):
         """Factorization of A0 + diag(diag), ``diag`` a vector or a scalar."""
@@ -131,7 +137,7 @@ class _Ops(_Functionals):
     def residual_floor(self, u):
         """eps || |A0| |u| + |V u| + |f(u)| ||, the rounding bound of ``pde_residual(u)``."""
         au = np.abs(u)
-        bound = g.apply_stencil(np.abs(self.A0), au) + np.abs(self.V) * au + np.abs(self.f(u))
+        bound = g.apply_stencil(self.A0_abs, au) + np.abs(self.V) * au + np.abs(self.f(u))
         return np.finfo(float).eps * self.nrm(bound)
 
     def residual_weak(self, u, coeff: float = 1.0):
@@ -256,20 +262,6 @@ def project_pohozaev(u: RadialField, config: ProblemConfig) -> float:
 def project_nehari(u: RadialField, config: ProblemConfig) -> float:
     """Scale t_u > 0 with N(t_u u) = 0."""
     return _project(u, config, _Ops.N_ray)
-
-
-def nehari_sign_scan(u: RadialField, config: ProblemConfig):
-    """Sign changes of t -> N(t u) on 1000 log-spaced t; returns (count, bracket)."""
-    vals = u.values
-    ray = _ops_for(u.grid, config).N_ray(vals)
-    t_max = OVERFLOW_CAP / float(np.max(np.abs(vals)))
-    ts = np.geomspace(1e-3, t_max, 1000)
-    signs = np.array([np.sign(ray(t)) for t in ts])
-    nz = signs != 0
-    flips = np.nonzero(np.diff(signs[nz]) != 0)[0]
-    idx = np.arange(len(ts))[nz]
-    brackets = [(ts[idx[i]], ts[idx[i + 1]]) for i in flips]
-    return len(brackets), brackets
 
 
 # --- the descent-and-polish loop -------------------------------------------------
@@ -477,11 +469,11 @@ def residual_weak(u: RadialField, config: ProblemConfig) -> float:
 
 
 def gaussian_start(grd: RadialGrid) -> RadialField:
-    """exp(-r^2/2) on grd: the start of every command's solve and ``limiting_gap``'s default."""
+    """exp(-r^2/2) on grd: the start of every command's solve."""
     return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
 
 
-def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) -> GapReport:
+def limiting_gap(config_V: ProblemConfig, init: RadialField) -> GapReport:
     """Ground levels with the trapping potential and its constant limit.
 
     Runs the Nehari minimization twice from the same init (with V, and with
@@ -492,8 +484,6 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
     """
     gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)
-    if init is None:
-        init = gaussian_start(g.default_grid(config_V.dimension))
     rep_V = minimize_nehari(config_V, init)
     rep_inf = minimize_nehari(config_inf, init)
 
@@ -509,22 +499,3 @@ def limiting_gap(config_V: ProblemConfig, init: Optional[RadialField] = None) ->
     status = [{"converged": r.converged, "residual_weak": r.residual_weak,
                "iterations": r.iterations, "warnings": r.warnings} for r in (rep_V, rep_inf)]
     return GapReport(m_V, m_inf, m_inf - m_V, bool(m_V > 0 and m_inf > 0), *status, comparison)
-
-
-# --- exact discrete gradients (finite-difference checkable) ------------------------
-
-def gradient_quadratic(u: RadialField, config: ProblemConfig) -> np.ndarray:
-    """Euclidean gradient of 1/2 * (quadratic form) wrt the nodal values."""
-    ops = _ops_for(u.grid, config)
-    L, w, vals = ops.L, ops.w, u.values
-    if config.order == 2:
-        return g.apply_stencil_transpose(L, w * g.apply_stencil(L, vals))
-    return -0.5 * (g.apply_stencil_transpose(L, w * vals) + w * g.apply_stencil(L, vals))
-
-
-def gradient_action(u: RadialField, config: ProblemConfig) -> np.ndarray:
-    """Euclidean gradient of the action I wrt the nodal values."""
-    check_cap(u.values)
-    ops = _ops_for(u.grid, config)
-    quad = gradient_quadratic(u, config)
-    return quad + ops.w * (ops.V * u.values - ops.f(u.values))

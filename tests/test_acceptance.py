@@ -13,10 +13,11 @@ import pytest
 
 import biharm as bh
 from biharm.cli import main as cli_main
-from biharm.functionals import evaluate_all, nehari_energy_identity_gap
-from biharm.solvers import (minimize_nehari, minimize_pohozaev, project_nehari,
-                            nehari_sign_scan, residual_weak,
-                            gradient_action, gradient_quadratic, limiting_gap)
+from biharm.functionals import evaluate_all
+from biharm.solvers import (gaussian_start, limiting_gap, minimize_nehari, minimize_pohozaev,
+                            project_nehari, residual_weak)
+from oracles import (exp_critical_config, gradient_action, gradient_quadratic,
+                     nehari_energy_identity_gap, nehari_sign_scan)
 
 GAMMA, LAM = 1.0, 0.5
 
@@ -28,7 +29,7 @@ def report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def cfg():
-    return bh.exp_critical_config(GAMMA, LAM)
+    return exp_critical_config(GAMMA, LAM)
 
 
 @pytest.fixture(scope="module")
@@ -211,13 +212,13 @@ def test_criterion_7_trapping_gap(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
     cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
-    rep = limiting_gap(cfg_V)
+    rep = limiting_gap(cfg_V, gaussian_start(g4))
     ok = rep.both_positive and rep.m_V < rep.m_infty and rep.gap > 1e-3
 
     const = lambda r: np.full_like(np.asarray(r, float), 1.0)
     pot_c = bh.radial_potential(const, g4)
     cfg_D = bh.ProblemConfig(4, pot_c, bh.exp_critical(0.3, 4))
-    rep_d = limiting_gap(cfg_D)
+    rep_d = limiting_gap(cfg_D, gaussian_start(g4))
     ok &= abs(rep_d.gap) <= 1e-6
     report("criterion 7 (trapping-potential gap)", ok,
            f"m_V={rep.m_V:.6f} m_inf={rep.m_infty:.6f} gap={rep.gap:.4f}; "
@@ -270,7 +271,7 @@ def test_criterion_9_growth_classifier():
 
 def test_criterion_10_laplacian_analogue():
     """-Du + u = 0.5 u exp(u^2) on R^2: residual and identity at tolerance."""
-    cfg2 = bh.exp_critical_config(1.0, 0.5, dimension=2)
+    cfg2 = exp_critical_config(1.0, 0.5, dimension=2)
     g2 = bh.default_grid(2)
     rep = minimize_nehari(cfg2, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     gap = nehari_energy_identity_gap(rep.field, cfg2)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import biharm as bh
 from biharm import banded
 from biharm.solvers import _ops_for
+from oracles import exp_critical_config
 
 
 def _dense(band):
@@ -43,7 +44,7 @@ BACKWARD_BOUND = 1e-13
 def test_factor_matches_dense_solve(dim, n, r_max, newton, shift, seed):
     # n runs over non-multiples of the block size p (2 in 2-D, 4 in 4-D) too
     grid = bh.build_grid(r_max, n, dim)
-    ops = _ops_for(grid, bh.exp_critical_config(1.0, 0.3, dim))
+    ops = _ops_for(grid, exp_critical_config(1.0, 0.3, dim))
     diag = _newton_diagonal(grid, seed) if newton else shift
     band = ops.A0.copy()
     band[:, band.shape[1] // 2] += diag
@@ -58,7 +59,7 @@ def test_factor_matches_dense_solve(dim, n, r_max, newton, shift, seed):
 
 def test_factor_solves_repeatedly_and_returns_fresh_arrays():
     grid = bh.build_grid(20.0, 1001, 4)
-    ops = _ops_for(grid, bh.exp_critical_config(1.0, 0.3))
+    ops = _ops_for(grid, exp_critical_config(1.0, 0.3))
     fac = ops.factor(ops.V)
     b1, b2 = np.random.default_rng(1).normal(size=(2, 1001))
     x1 = fac.solve(b1)
@@ -81,7 +82,7 @@ def test_entries_outside_the_matrix_are_ignored(n, p):
 def test_singular_matrix_raises(n, row):
     # a zero row sits in an even block, an odd one, the last one, or the dense tail
     grid = bh.build_grid(20.0, n, 4)
-    band = _ops_for(grid, bh.exp_critical_config(1.0, 0.3)).A0.copy()
+    band = _ops_for(grid, exp_critical_config(1.0, 0.3)).A0.copy()
     band[:, 4] += 0.7
     band[row] = 0.0
     with pytest.raises(RuntimeError):
@@ -90,7 +91,7 @@ def test_singular_matrix_raises(n, row):
 
 def test_non_finite_matrix_raises():
     grid = bh.build_grid(20.0, 300, 2)
-    band = _ops_for(grid, bh.exp_critical_config(1.0, 0.3, 2)).A0.copy()
+    band = _ops_for(grid, exp_critical_config(1.0, 0.3, 2)).A0.copy()
     band[7, 2] = np.nan
     with pytest.raises(RuntimeError):
         banded.splu(band)

@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 import biharm as bh
-from biharm.functionals import adams_ratio_search, evaluate_all, nehari_energy_identity_gap
+from biharm.functionals import adams_ratio_search, evaluate_all
+from oracles import exp_critical_config, nehari_energy_identity_gap
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    return bh.exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_exp_critical_rays_match_their_closed_forms(dim, lam):
 
     grd = bh.default_grid(dim)
     a, w, u = bh.model.EXP_RATE[dim], grd.weights, np.exp(-grd.nodes**2 / 2)
-    fn = _Functionals(grd, bh.exp_critical_config(1.0, lam, dim))
+    fn = _Functionals(grd, exp_critical_config(1.0, lam, dim))
     G, N = fn.G_ray(u), fn.N_ray(u)
     quad_G, quad_N = fn.l2(u), fn.quad_form(u) + fn.pot_mass(u)
     signs = []
@@ -160,6 +161,23 @@ def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
     assert rep.threshold_R == pytest.approx(4 * np.pi)
     with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
         adams_ratio_search(bh.exp_critical(0.5), 3, 1.0)
+
+
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize("family", ["exp_critical", "theta1", "theta3"])
+@pytest.mark.parametrize("share", [1.0, 0.5])
+def test_ratio_search_gaussians_are_one_dilation_orbit(dim, family, share):
+    # Q is dilation invariant (Delta^2 on R^4, -Delta on R^2) and int F and ||u||^2
+    # scale alike, so each Gaussian rescaled to Q = L has the same ratio; the 24
+    # widths measure grid error, not the supremum.  Below sigma 0.5 the origin
+    # is under-resolved, and from 4.6 on r_max truncates the 4-D Gaussians.
+    spec = {"exp_critical": bh.exp_critical(0.5, dim), "theta1": bh.exact_growth_family(1.0),
+            "theta3": bh.exact_growth_family(3.0)}[family]
+    L = share * bh.model.ADAMS_BETA[dim] / spec.alpha0
+    trace = adams_ratio_search(spec, dim, L, budget=24).trace["gaussian"]
+    ratios = np.array([r for sigma, r in trace if 0.5 <= sigma <= 4.0])
+    assert len(ratios) == 16
+    assert (ratios.max() - ratios.min()) / ratios.max() <= 1e-5
 
 
 def test_ratio_search_divergence_at_threshold():

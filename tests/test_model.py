@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 import biharm as bh
 from biharm.model import (OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson, check_cap,
                           check_conditions)
+from oracles import exp_critical_config
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    return bh.exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, 0.5)
 
 
 def test_eval_f_exp_critical():
@@ -226,10 +227,10 @@ def test_potential_validation_rejects_bad_shapes():
 
 def test_config_standing_hypothesis():
     with pytest.raises(ValueError):
-        bh.exp_critical_config(1.0, 1.5)      # lam >= gamma
+        exp_critical_config(1.0, 1.5)      # lam >= gamma
     with pytest.raises(ValueError):
-        bh.exp_critical_config(1.0, 1.0)
-    cfg = bh.exp_critical_config(1.0, 0.5)
+        exp_critical_config(1.0, 1.0)
+    cfg = exp_critical_config(1.0, 0.5)
     assert cfg.lam == 0.5 and cfg.dimension == 4
     assert bh.model.ADAMS_BETA == {4: pytest.approx(32 * np.pi**2), 2: pytest.approx(4 * np.pi)}
 
@@ -241,7 +242,7 @@ def test_exp_critical_refuses_a_lam_that_is_not_positive_and_finite(lam):
 
 
 def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
-    cfg = bh.exp_critical_config(1.0, 0.3, dimension=2)
+    cfg = exp_critical_config(1.0, 0.3, dimension=2)
     assert cfg.lam == cfg.nonlinearity.lam == 0.3
     assert cfg.nonlinearity.alpha0 == bh.model.EXP_RATE[2] == 1.0
     with pytest.raises(AttributeError):
@@ -249,7 +250,7 @@ def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
     with pytest.raises(ValueError, match="does not match the dimension"):
         bh.ProblemConfig(2, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
     with pytest.raises(ValueError, match="dimension must be 2 or 4"):
-        bh.exp_critical_config(1.0, 0.3, dimension=3)
+        exp_critical_config(1.0, 0.3, dimension=3)
 
 
 def test_check_conditions_exp_critical():

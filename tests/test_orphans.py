@@ -12,15 +12,15 @@ import biharm
 
 SRC = pathlib.Path(biharm.__file__).parent
 
-# public names that only tests or the benchmark tracer call, with the reason
+# public names that only the benchmark tracer (perfbench/tracing.py::_targets) and
+# the tests call, with the reason; test-only references live in tests/oracles.py
 EXEMPT = {
-    "adaptive_simpson": "tracer target; the reference quadrature of the model tests",
-    "moser_field": "tracer target; the full-mesh reference of moser_sums in the tests",
-    "nehari_energy_identity_gap": "test reference for the Nehari identity",
-    "nehari_sign_scan": "test reference for the Nehari projection",
-    "gradient_action": "test reference for the solver gradients",
-    "exp_critical_config": "test shorthand for the built-in problem",
-    "minimize_pohozaev": "tracer target; criterion 5's Pohozaev reference",
+    "adaptive_simpson": "tracer target model.adaptive_simpson; the reference quadrature "
+                        "of the model tests",
+    "moser_field": "tracer target sequences.moser_field; the full-mesh reference of "
+                   "moser_sums in the tests",
+    "minimize_pohozaev": "tracer target solvers.minimize; criterion 5's Pohozaev reference",
+    "evaluate_all": "tracer target functionals.evaluate_all; the tests' functional report",
 }
 
 

@@ -3,7 +3,8 @@ import pytest
 
 import biharm as bh
 from biharm.grid import quad_form_sq
-from biharm.sequences import (moser_estimates, moser_field, moser_sums, quintic_blend)
+from biharm.sequences import (_moser_branch_nodes, moser_estimates, moser_field, moser_sums,
+                              quintic_blend)
 
 
 def l2_sq(u):
@@ -100,7 +101,7 @@ def test_plateau_domain_error():
 def test_moser_center_value():
     g = bh.build_grid(2.0, 8192, 4)
     fld = moser_field(3.0, 1.0, g)
-    K_eff = 1.0 + fld.snap_report["K_eff"]
+    _, (_, K_eff, *_) = _moser_branch_nodes(3.0, 1.0, g.key())
     assert fld.values[0] == pytest.approx(3.0 + 2.0 * K_eff / 3.0, rel=1e-12)
 
 
@@ -273,7 +274,7 @@ def _full_mesh_sums(b, K, r_max, n, dim, F):
 
 
 _USER_F = bh.user_nonlinearity("0.5*t*exp(2*t^2)").F
-_EXP_F = bh.exp_critical_config(1.0, 0.5).nonlinearity.F
+_EXP_F = bh.exp_critical(0.5).F
 
 
 @pytest.mark.parametrize("dim, b, K, r_max, n, F", [

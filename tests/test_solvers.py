@@ -5,15 +5,16 @@ from hypothesis import given, reject, settings, strategies as st
 import biharm as bh
 from biharm.grid import apply_stencil
 from biharm.model import OVERFLOW_CAP
-from biharm.solvers import (_Ops, _ops_for, _project, gradient_action,
-                            gradient_quadratic, limiting_gap, minimize_nehari, minimize_pohozaev,
-                            nehari_sign_scan, project_nehari, project_pohozaev,
-                            residual_weak)
+from biharm.solvers import (_Ops, _ops_for, _project, gaussian_start, limiting_gap,
+                            minimize_nehari, minimize_pohozaev, project_nehari,
+                            project_pohozaev, residual_weak)
+from oracles import (exp_critical_config, gradient_action, gradient_quadratic,
+                     nehari_energy_identity_gap, nehari_sign_scan)
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    return bh.exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +295,7 @@ def test_minimize_pohozaev_report(cfg, solved):
 
 
 def test_minimize_pohozaev_rejects_bad_config(g4):
-    cfg2 = bh.exp_critical_config(1.0, 0.5)
+    cfg2 = exp_critical_config(1.0, 0.5)
     z = bh.RadialField(g4, np.zeros(g4.n_points))
     with pytest.raises(ValueError):
         minimize_pohozaev(cfg2, z)
@@ -303,9 +304,9 @@ def test_minimize_pohozaev_rejects_bad_config(g4):
 def test_lambda_monotonicity(g4):
     # larger lam relaxes the constraint: smaller objective.  Near lam = gamma
     # the state flattens toward the truncation radius, so probe at 0.8.
-    rep_lo = minimize_pohozaev(bh.exp_critical_config(1.0, 0.5),
+    rep_lo = minimize_pohozaev(exp_critical_config(1.0, 0.5),
                                bh.RadialField(g4, np.exp(-g4.nodes**2)))
-    rep_hi = minimize_pohozaev(bh.exp_critical_config(1.0, 0.8),
+    rep_hi = minimize_pohozaev(exp_critical_config(1.0, 0.8),
                                bh.RadialField(g4, np.exp(-g4.nodes**2)))
     assert rep_hi.objective < rep_lo.objective
 
@@ -334,7 +335,7 @@ def test_minimize_nehari_constant(cfg, g4):
     assert rep.converged
     assert rep.residual_weak <= 1e-6
     assert rep.constraint_residual <= 1e-9 * (1 + abs(rep.objective))
-    gap = bh.nehari_energy_identity_gap(rep.field, cfg)
+    gap = nehari_energy_identity_gap(rep.field, cfg)
     assert gap <= 1e-8 * (1 + abs(rep.objective))
 
 
@@ -347,7 +348,7 @@ def test_converged_is_the_reported_residual_within_the_gate(route, lam, n, conve
     g = bh.build_grid(20.0, n, 4)
     init = bh.RadialField(g, np.exp(-g.nodes**2 / 2))
     if route == "pohozaev":
-        rep = minimize_pohozaev(bh.exp_critical_config(1.0, lam), init)
+        rep = minimize_pohozaev(exp_critical_config(1.0, lam), init)
     else:
         pot = bh.radial_potential(lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2), g)
         rep = minimize_nehari(bh.ProblemConfig(4, pot, bh.exp_critical(lam, 4)), init)
@@ -374,7 +375,7 @@ def test_limiting_gap(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
     pot = bh.radial_potential(prof, g4)
     cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
-    rep = limiting_gap(cfg_V)
+    rep = limiting_gap(cfg_V, gaussian_start(g4))
     assert rep.both_positive
     assert rep.gap > 1e-3
     # the projected limit minimizer sits between the two levels
@@ -386,7 +387,7 @@ def test_limiting_gap_hypothesis_violated(g4):
     pot = bh.radial_potential(prof, g4)
     with pytest.raises(ValueError):
         cfg_bad = bh.ProblemConfig(4, pot, bh.exp_critical(0.7, 4))
-        limiting_gap(cfg_bad)
+        limiting_gap(cfg_bad, gaussian_start(g4))
 
 
 def test_level_consistency_pohozaev_vs_nehari(cfg, g4, solved):
@@ -410,26 +411,26 @@ def test_monotonicity_in_potential(g4):
 
 
 def test_2d_solve(g4):
-    cfg2 = bh.exp_critical_config(1.0, 0.5, dimension=2)
+    cfg2 = exp_critical_config(1.0, 0.5, dimension=2)
     g2 = bh.default_grid(2)
     rep = minimize_nehari(cfg2, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     assert rep.converged
     assert rep.residual_weak <= 1e-6
-    gap = bh.nehari_energy_identity_gap(rep.field, cfg2)
+    gap = nehari_energy_identity_gap(rep.field, cfg2)
     assert gap <= 1e-8 * (1 + abs(rep.objective))
 
 
 def test_ops_cache_is_bounded(g4):
     from biharm import solvers
     for lam in np.linspace(0.1, 0.9, 200):
-        solvers._ops_for(g4, bh.exp_critical_config(1.0, float(lam)))
+        solvers._ops_for(g4, exp_critical_config(1.0, float(lam)))
     info = solvers._ops_for.cache_info()
     assert info.currsize <= info.maxsize
 
 
 def test_ops_cache_hit_is_the_same_pair(g4):
     from biharm import solvers
-    cfg_a, cfg_b = bh.exp_critical_config(1.0, 0.3), bh.exp_critical_config(1.0, 0.3)
+    cfg_a, cfg_b = exp_critical_config(1.0, 0.3), exp_critical_config(1.0, 0.3)
     ops_a = solvers._ops_for(g4, cfg_a)
     assert solvers._ops_for(g4, cfg_a) is ops_a
     assert solvers._ops_for(g4, cfg_b).config is cfg_b
@@ -461,7 +462,7 @@ def test_2d_gap_builds_one_ops_per_problem():
 
 def test_2d_objective_converges_at_fourth_order():
     # successive differences of the 2-D ground level shrink ~16x per halving of h
-    cfg2 = bh.exp_critical_config(1.1, 0.5, dimension=2)
+    cfg2 = exp_critical_config(1.1, 0.5, dimension=2)
     objs = []
     for n in (1024, 2048, 4096):
         g2 = bh.build_grid(30.0, n, 2)
@@ -473,7 +474,7 @@ def test_2d_objective_converges_at_fourth_order():
 
 def test_4d_objective_converges_at_fourth_order():
     # the 4-D ground level (gamma 1, lambda 0.5) on 20:n, n = 1024, 2048, 4096
-    cfg4 = bh.exp_critical_config(1.0, 0.5)
+    cfg4 = exp_critical_config(1.0, 0.5)
     objs = []
     for n in (1024, 2048, 4096):
         g = bh.build_grid(20.0, n, 4)
@@ -526,7 +527,7 @@ def test_residual_floor_bounds_the_rounding_of_the_residual(dim, r_max, n):
     # the double residual stays within residual_floor of an extended-precision
     # one, on the polished ground state and on smooth random fields
     grd = bh.build_grid(r_max, n, dim)
-    cfg = bh.exp_critical_config(1.0, 0.5, dimension=dim)
+    cfg = exp_critical_config(1.0, 0.5, dimension=dim)
     ground = minimize_pohozaev(cfg, bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
     assert ground.converged
     ops = _ops_for(grd, cfg)
@@ -562,7 +563,7 @@ def test_newton_polish_factors_at_most_twice(monkeypatch, dim, gamma, lam):
 
     monkeypatch.setattr(solvers, "_damped_newton_pde", traced_newton)
     grd = bh.default_grid(dim)
-    rep = minimize_pohozaev(bh.exp_critical_config(gamma, lam, dimension=dim),
+    rep = minimize_pohozaev(exp_critical_config(gamma, lam, dimension=dim),
                             bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
     assert rep.converged
     assert calls.count(True) <= 2
@@ -586,7 +587,7 @@ def test_a_solve_factors_its_descent_operator_once(monkeypatch, dim, gamma, lam)
 
     monkeypatch.setattr(solvers, "_damped_newton_pde", traced_newton)
     grd = bh.default_grid(dim)
-    rep = minimize_pohozaev(bh.exp_critical_config(gamma, lam, dimension=dim),
+    rep = minimize_pohozaev(exp_critical_config(gamma, lam, dimension=dim),
                             bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
     assert rep.converged
     assert calls.count(False) == 1
@@ -615,7 +616,7 @@ def test_handoff_keeps_the_level_of_the_full_descent(route, dim, lam):
     # Newton takes over after 5 descent steps, below the descent's level there,
     # and lands on the level that the polish of the full descent reports
     from biharm.solvers import _HANDOFF_STEP
-    cfg, init = bh.exp_critical_config(1.0, lam, dimension=dim), _gauss_init(dim)
+    cfg, init = exp_critical_config(1.0, lam, dimension=dim), _gauss_init(dim)
     rep = route(cfg, init)
     full = _without_handoff(lambda: route(cfg, init))
     assert rep.converged and full.converged
@@ -669,7 +670,7 @@ def test_a_trial_root_above_the_descent_level_is_rejected(monkeypatch):
     # objective call after the trial's Newton is the one that judges the trial):
     # it is rejected, and the solve is the full descent's, step for step
     from biharm import solvers
-    cfg, init = bh.exp_critical_config(1.0, 0.5, dimension=2), _gauss_init(2)
+    cfg, init = exp_critical_config(1.0, 0.5, dimension=2), _gauss_init(2)
     full = _without_handoff(lambda: minimize_nehari(cfg, init))
     newton, action, lift = solvers._damped_newton_pde, _Ops.I, []
 
