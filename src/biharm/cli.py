@@ -103,9 +103,8 @@ def atomic_write(path: str, text: str):
 
 
 def save_field_csv(path: str, u: RadialField):
-    lines = ["r,u"]
-    for r, v in zip(u.grid.nodes, u.values):
-        lines.append(f"{format(float(r), '.17g')},{format(float(v), '.17g')}")
+    row = "{:.17g},{:.17g}".format
+    lines = ["r,u", *(row(r, v) for r, v in zip(u.grid.nodes.tolist(), u.values.tolist()))]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -152,7 +151,7 @@ class RunConfig:
     potential_expr: Optional[str] = None
     f_expr: Optional[str] = None
     F_expr: Optional[str] = None
-    alpha0: float = 1.0
+    alpha0: Optional[float] = None       # None: 1.0 for a user f, filled by run()
     theta: Optional[float] = None     # exact-growth family parameter
     g_expr: Optional[str] = None
     K: float = 1.0
@@ -195,15 +194,15 @@ class RunConfig:
         return RunConfig(**{**raw, "command": command})
 
 
-def _nonlinearity(rc: RunConfig, alpha0: float = 1.0) -> NonlinearitySpec:
-    """The nonlinearity rc names; ``alpha0`` is the rate a user f declares (ratio's)."""
+def _nonlinearity(rc: RunConfig) -> NonlinearitySpec:
+    """The nonlinearity rc names; ``rc.alpha0`` is the rate a user f declares."""
     if rc.lam is not None and (rc.theta is not None or rc.f_expr is not None):
         raise ValueError("--lambda scales only the built-in exp-critical nonlinearity, "
                          "not --f or --theta")
     if rc.theta is not None:
         return exact_growth_family(rc.theta)
     if rc.f_expr is not None:
-        return user_nonlinearity(rc.f_expr, rc.F_expr, alpha0=alpha0)
+        return user_nonlinearity(rc.f_expr, rc.F_expr, alpha0=rc.alpha0)
     return exp_critical(rc.lam, rc.dimension)
 
 
@@ -294,10 +293,10 @@ def _cmd_moser(rc: RunConfig):
 def _cmd_ratio(rc: RunConfig):
     from .functionals import adams_ratio_search
 
-    if rc.f_expr is None and rc.alpha0 != RunConfig.alpha0:
+    if rc.f_expr is None and rc.alpha0 is not None:
         raise ValueError(f"--alpha0 {rc.alpha0:g} is the rate of a user --f; without --f "
                          "the nonlinearity sets its own rate")
-    spec = _nonlinearity(rc, rc.alpha0)
+    spec = _nonlinearity(rc)
     L = rc.L if rc.L is not None else ADAMS_BETA[rc.dimension] / spec.alpha0
     return {"ratio": asdict(adams_ratio_search(spec, rc.dimension, L, rc.budget))}, EXIT_OK
 
@@ -459,12 +458,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def with_default_grid(rc: RunConfig) -> RunConfig:
     """rc with each grid field it leaves None taken from the dimension's default grid,
-    and lam 0.5 when it leaves lam None and names the built-in nonlinearity."""
+    lam 0.5 when it leaves lam None and names the built-in nonlinearity, and alpha0
+    1.0 when it leaves alpha0 None and names a user f."""
     r_max, n = g.DEFAULT_GRID[rc.dimension]
     builtin = rc.theta is None and rc.f_expr is None
     return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
                    grid_n=n if rc.grid_n is None else rc.grid_n,
-                   lam=0.5 if rc.lam is None and builtin else rc.lam)
+                   lam=0.5 if rc.lam is None and builtin else rc.lam,
+                   alpha0=1.0 if rc.alpha0 is None and rc.f_expr is not None else rc.alpha0)
 
 
 def run(rc: RunConfig) -> int:

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .model import tail_slope
+
 SLOPE_TOL = 0.05     # per decade, the stability threshold for a trend
 
 
@@ -34,14 +36,19 @@ class GrowthClassification:
     exp_order_estimate: float    # fitted d log g / d t^2 on the tail
 
 
-def _tail_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope/intercept of y vs x with basic sanity filtering."""
-    good = np.isfinite(x) & np.isfinite(y)
-    if np.sum(good) < 3:
-        return np.nan, np.nan
-    A = np.vstack([x[good], np.ones(np.sum(good))]).T
-    sol, *_ = np.linalg.lstsq(A, y[good], rcond=None)
-    return float(sol[0]), float(sol[1])
+def _geomean(y: np.ndarray) -> float:
+    """Geometric mean of y floored at 1e-300: the estimate of a finite limit."""
+    return float(np.exp(np.mean(np.log(np.maximum(y, 1e-300)))))
+
+
+def _trend(y: np.ndarray, slope: float):
+    """(limit, state) of probe values y whose log-log slope toward the limit point is
+    ``slope``: rising (or unfitted) diverges, falling vanishes, else y levels off."""
+    if not slope <= SLOPE_TOL:
+        return float("inf"), "fails"
+    if slope < -SLOPE_TOL:
+        return 0.0, "holds"
+    return _geomean(y), "boundary"
 
 
 def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
@@ -74,48 +81,28 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
     # --- behavior at infinity: first the exponential order of g itself
     with np.errstate(divide="ignore", invalid="ignore"):
         logg = np.log(np.maximum(gv, 1e-300))
-    order, _ = _tail_fit(t[far] ** 2, logg[far])          # d log g / d t^2
-    y_inf = t**2 * np.exp(-t**2 / K) * gv
-    with np.errstate(divide="ignore", invalid="ignore"):
+        y_inf = t**2 * np.exp(-t**2 / K) * gv
         logy = np.log10(np.maximum(y_inf, 1e-300))
-    slope_inf, _ = _tail_fit(logt[tail], logy[tail])
+    order = tail_slope(t[far] ** 2, logg[far])            # d log g / d t^2
 
     order_band = 0.02 / K               # 2% relative band around the critical rate
-    if not np.isfinite(order):
-        limsup_inf, inf_state = float("inf"), "fails"
-    elif order > 1.0 / K + order_band:
-        # genuinely larger exponential order: diverges exponentially
+    if not order <= 1.0 / K + order_band:
+        # a larger exponential order (or none fitted): diverges exponentially
         limsup_inf, inf_state = float("inf"), "fails"
     elif order < 1.0 / K - order_band:
         limsup_inf, inf_state = 0.0, "holds"
     else:
         # exponential orders match: the polynomial factor decides
-        if slope_inf > SLOPE_TOL:
-            # t^2-weighted probe diverges polynomially: boundary case
-            ratio = np.exp(-t[far] ** 2 / K) * gv[far]
-            limsup_inf = float(np.exp(np.mean(np.log(np.maximum(ratio, 1e-300)))))
-            inf_state = "boundary"
-        elif slope_inf < -SLOPE_TOL:
-            limsup_inf, inf_state = 0.0, "holds"
-        else:
-            limsup_inf = float(np.exp(np.mean(np.log(np.maximum(y_inf[far], 1e-300)))))
-            inf_state = "boundary"
+        limsup_inf, inf_state = _trend(y_inf[far], tail_slope(logt[tail], logy[tail]))
+        if inf_state == "fails":
+            # the t^2-weighted probe diverges only polynomially: boundary case
+            limsup_inf, inf_state = _geomean(np.exp(-t[far] ** 2 / K) * gv[far]), "boundary"
 
-    # --- behavior at the origin
+    # --- behavior at the origin, where log t decreases toward the limit
     with np.errstate(divide="ignore", invalid="ignore"):
         y0 = gv / t**2
         logy0 = np.log10(np.maximum(y0, 1e-300))
-    slope0, icept0 = _tail_fit(logt[head], logy0[head])
-    if not np.isfinite(slope0):
-        limsup_0, origin_state = float("inf"), "fails"
-    elif slope0 < -SLOPE_TOL:
-        # grows as t -> 0
-        limsup_0, origin_state = float("inf"), "fails"
-    elif slope0 > SLOPE_TOL:
-        limsup_0, origin_state = 0.0, "holds"
-    else:
-        limsup_0 = float(np.exp(np.mean(np.log(np.maximum(y0[head], 1e-300)))))
-        origin_state = "boundary"
+    limsup_0, origin_state = _trend(y0[head], -tail_slope(logt[head], logy0[head]))
 
     states = (inf_state, origin_state)
     if "fails" in states:
@@ -128,7 +115,6 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
     # compactness requires both limits to vanish; a finite nonzero limit fails it
     compact = "holds" if states == ("holds", "holds") else "fails"
 
-    order = float(order) if np.isfinite(order) else float("nan")
     return GrowthClassification(float(K), limsup_inf, limsup_0, bounded, compact,
                                 inf_state == "boundary", order)
 

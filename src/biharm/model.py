@@ -371,6 +371,13 @@ class ConditionReport:
     critical: bool
 
 
+def tail_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x over the pairs where both are finite, NaN
+    when fewer than three remain: the exponential order both growth probes fit."""
+    good = np.isfinite(x) & np.isfinite(y)
+    return float(np.polyfit(x[good], y[good], 1)[0]) if np.sum(good) > 2 else float("nan")
+
+
 def check_conditions(spec: NonlinearitySpec, t_grid) -> ConditionReport:
     """Probe the growth conditions of (F, f) on a t grid in (0, OVERFLOW_CAP]."""
     t = np.asarray(t_grid, dtype=float)
@@ -396,13 +403,10 @@ def check_conditions(spec: NonlinearitySpec, t_grid) -> ConditionReport:
     else:
         t0, M0, upper = float("inf"), float("inf"), False
 
-    # empirical critical exponent: tail slope of log f(t) against t^2
+    # empirical critical exponent: tail slope of log f(t) against t^2, 0 if unfitted
     tail = t >= t[-1] * 0.6
-    with np.errstate(divide="ignore"):
-        logf = np.log(np.maximum(fv[tail], 1e-300))
-    x = t[tail] ** 2
-    good = np.isfinite(logf)
-    alpha0_est = float(np.polyfit(x[good], logf[good], 1)[0]) if np.sum(good) > 2 else 0.0
+    alpha0_est = tail_slope(t[tail] ** 2, np.log(np.maximum(fv[tail], 1e-300)))
+    alpha0_est = 0.0 if np.isnan(alpha0_est) else alpha0_est
     critical = alpha0_est > 0.1
 
     return ConditionReport(worst, _AR_MU, ar_holds, M0, t0, upper,

@@ -1047,6 +1047,8 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
      "theta must be positive and finite, got nan"),
     (["sweep", "--lambda", "nan", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
      "lam must be positive and finite, got nan"),
+    # the presence of --alpha0 is refused, whatever its value: 1 is a user f's default
+    (["ratio", "--alpha0", "1", "--budget", "4"], "--alpha0 1 is the rate of a user --f"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)
@@ -1056,16 +1058,28 @@ def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
 
 
 def test_ratio_refuses_a_config_alpha0_without_f(tmp_path, capsys):
+    # presence is refused, whatever the value: 1.0 is also the rate a user f defaults to
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"alpha0": 5.0, "budget": 4}))
-    code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path)
-    assert code == EXIT_CONFIG
-    assert "--alpha0 5 is the rate of a user --f" in capsys.readouterr().err
-    assert not (out / "ratio.json").exists()
+    for alpha0 in (5.0, 1.0):
+        cfg.write_text(json.dumps({"alpha0": alpha0, "budget": 4}))
+        code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path)
+        assert code == EXIT_CONFIG
+        assert f"--alpha0 {alpha0:g} is the rate of a user --f" in capsys.readouterr().err
+        assert not (out / "ratio.json").exists()
     cfg.write_text(json.dumps({"alpha0": 2.0, "f_expr": "0.5*t*exp(2*t^2)", "budget": 4}))
     code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path, "f")
     assert code == EXIT_OK
     assert json.loads((out / "ratio.json").read_text())["config"]["alpha0"] == 2.0
+
+
+@pytest.mark.parametrize("args, alpha0", [
+    (["--f", "0.5*t*exp(2*t^2)", "--alpha0", "1"], 1.0),
+    (["--f", "0.5*t*exp(2*t^2)"], 1.0),       # a user f's rate defaults to 1
+    (["--theta", "1"], None)])                 # the family carries its own rate
+def test_ratio_echoes_the_alpha0_it_used(tmp_path, args, alpha0):
+    code, out = run_cli(["ratio", "--budget", "4", *args], tmp_path)
+    assert code == EXIT_OK
+    assert json.loads((out / "ratio.json").read_text())["config"]["alpha0"] == alpha0
 
 
 # VmHWM, not ru_maxrss: the latter keeps the forking test process's peak across exec

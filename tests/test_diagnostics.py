@@ -63,6 +63,49 @@ def test_compact_implies_bounded():
             assert cls.bounded_verdict == "holds"
 
 
+def _exp_over_quadratic(t):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.expm1(t * t) / (1.0 + t * t)
+
+
+def _damped_exp(t):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return (np.exp(t * t) - 1.0 - t * t) * np.exp(0.05 * t) / (1.0 + t * t)
+
+
+# classify_growth as recorded at 9530ade, before both probes fitted through
+# model.tail_slope: (g, K, bounded, compact, infinity_boundary, limsup_infinity,
+# limsup_origin, exp_order_estimate); criterion 9's five shapes come first
+_INF = float("inf")
+_PINNED = {
+    "exp2_K1/1.9": (g_shape, 1 / 1.9, "fails", "fails", False, _INF, 0.0, 2.000000000024708),
+    "exp2_K1/2": (g_shape, 1 / 2.0, "inconclusive", "fails", True,
+                  0.9999999994456933, 0.0, 2.000000000024708),
+    "exp2_K1/2.1": (g_shape, 1 / 2.1, "holds", "holds", False, 0.0, 0.0, 2.000000000024708),
+    "t": (lambda t: np.asarray(t, float), 1.0, "fails", "fails", False,
+          0.0, _INF, 0.012456675034533318),
+    "t^4": (lambda t: np.asarray(t, float) ** 4, 1.0, "holds", "holds", False,
+            0.0, 0.0, 0.04982670013813327),
+    "(e^t^2-1)/(1+t^2)": (_exp_over_quadratic, 1.0, "inconclusive", "fails", False,
+                          0.0, 0.9999997308188224, 0.9758601353743821),
+    "3t^2": (lambda t: 3.0 * np.asarray(t, float) ** 2, 1.0, "inconclusive", "fails", False,
+             0.0, 2.9999999999999996, 0.02491335006906662),
+    "damped_exp": (_damped_exp, 1.0, "holds", "holds", False, 0.0, 0.0, 0.9796864602230935),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_classifier_pinned(name):
+    g, K, bounded, compact, boundary, *estimates = _PINNED[name]
+    cls = classify_growth(g, K)
+    assert (cls.bounded_verdict, cls.compact_verdict, cls.infinity_boundary) \
+        == (bounded, compact, boundary)
+    got = (cls.limsup_infinity, cls.limsup_origin, cls.exp_order_estimate)
+    assert got == pytest.approx(tuple(estimates), rel=1e-12, abs=0)
+
+
 def _ratio_search(f_expr, F_expr, K):
     """adams_ratio_search of int g(u) / ||u||^2, g = 2F, under ||D u||^2 <= 32 pi^2 K."""
     return bh.adams_ratio_search(bh.user_nonlinearity(f_expr, F_expr), 4, 32 * np.pi**2 * K)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import biharm as bh
 from biharm.model import (OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson, check_cap,
-                          check_conditions)
+                          check_conditions, tail_slope)
 from oracles import exp_critical_config
 
 
@@ -279,3 +279,25 @@ def test_check_conditions_subcritical_flagged():
                            np.geomspace(0.1, 5.0, 400))
     assert rep.alpha0_estimate == pytest.approx(0.0, abs=0.05)
     assert not rep.critical
+
+
+# alpha0_estimate on check's probe grid as recorded at 9530ade, before it was
+# fitted through tail_slope
+@pytest.mark.parametrize("spec, estimate", [
+    (bh.exp_critical(0.5, 4), 2.0313187913765387),
+    (bh.exp_critical(0.5, 2), 1.0313187913765387),
+    (bh.exact_growth_family(1.0), 1.0078654015285224),
+    (bh.user_nonlinearity("2*t"), 0.031318791376538625)])
+def test_check_conditions_alpha0_estimate_pinned(spec, estimate):
+    rep = check_conditions(spec, np.geomspace(0.1, 5.0, 200))
+    assert rep.alpha0_estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+
+
+def test_tail_slope_needs_three_finite_pairs():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert tail_slope(x, 3.0 * x - 1.0) == pytest.approx(3.0, rel=1e-12)
+    assert tail_slope(x, np.array([2.0, np.nan, 6.0, 8.0])) == pytest.approx(2.0, rel=1e-12)
+    assert np.isnan(tail_slope(x[:2], x[:2]))
+    # a pair counts only when both coordinates are finite
+    assert np.isnan(tail_slope(x, np.array([1.0, np.inf, 3.0, np.nan])))
+    assert np.isnan(tail_slope(np.array([np.nan, 2.0, 3.0, -np.inf]), x))
