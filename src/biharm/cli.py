@@ -5,8 +5,9 @@ solve and sweep take --gamma, --grid and the nonlinearity flags --dim
 --lambda --f --F --theta, and sweep --sweep-param and --sweep-values; gap
 takes --V, --grid and the nonlinearity flags; ratio takes the nonlinearity
 flags, --alpha0 (the rate of a user f, which sets the default --L; refused
-without --f), --L and --budget; check the nonlinearity flags, --g and --K;
-moser --b-values and --K; rearrange --input and --dim.  The probes ratio and
+without --f), --L and --budget; check the nonlinearity flags but --lambda,
+which cancels from every condition, --g and --K; moser --b-values (at K = 1,
+which scales every K out); rearrange --input and --dim.  The probes ratio and
 check build only a nonlinearity: the sharp ratio and the growth conditions
 depend on F and the dimension alone.  check reports the conditions of its
 nonlinearity, and the growth class of --g when it is given.  Every command
@@ -268,16 +269,14 @@ def _cmd_moser(rc: RunConfig):
     from .sequences import moser_estimates, moser_mesh
 
     rows = []
-    beta = ADAMS_BETA[4]
     if len(set(rc.b_values)) < len(rc.b_values):   # the excess fit needs distinct b
         raise ValueError(f"b values must be distinct, got {','.join(map(format, rc.b_values))}")
     for b in rc.b_values:
-        moser_mesh(b, rc.K)  # every b is checked before any is computed
+        moser_mesh(b)  # every b is checked before any is computed
     for b in rc.b_values:
-        est = moser_estimates(b, rc.K)
-        rows.append({"b": b, "K": rc.K, "l2_sq": est["l2_sq"],
-                     "lap_l2_sq": est["lap_l2_sq"],
-                     "excess": est["lap_l2_sq"] - beta * rc.K,
+        est = moser_estimates(b)
+        rows.append({"b": b, "l2_sq": est["l2_sq"], "lap_l2_sq": est["lap_l2_sq"],
+                     "excess": est["lap_l2_sq"] - ADAMS_BETA[4],
                      "n_points": est["n_points"], "method": est["method"]})
     bs = np.array([r["b"] for r in rows])
     ex = np.array([abs(r["excess"]) for r in rows])
@@ -393,9 +392,10 @@ _NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
 _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
              "rearrange": (_cmd_rearrange, ("--input", "--dim")),
-             "moser": (_cmd_moser, ("--b-values", "--K")),
+             "moser": (_cmd_moser, ("--b-values",)),
              "ratio": (_cmd_ratio, _NONLINEARITY + ("--alpha0", "--L", "--budget")),
-             "check": (_cmd_check, _NONLINEARITY + ("--g", "--K")),
+             # lambda cancels from every condition check reports
+             "check": (_cmd_check, ("--dim", "--f", "--F", "--theta", "--g", "--K")),
              "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + ("--grid",)),
              "sweep": (_cmd_sweep, _PROBLEM + ("--grid", "--sweep-param", "--sweep-values"))}
 

@@ -43,11 +43,12 @@ def _geomean(y: np.ndarray) -> float:
 
 def _trend(y: np.ndarray, slope: float):
     """(limit, state) of probe values y whose log-log slope toward the limit point is
-    ``slope``: rising (or unfitted) diverges, falling vanishes, else y levels off."""
+    ``slope``: falling, or at the 1e-300 floor of the logs, y vanishes; rising (or
+    unfitted) it diverges, else it levels off."""
+    if slope < -SLOPE_TOL or np.all(y <= 1e-300):
+        return 0.0, "holds"
     if not slope <= SLOPE_TOL:
         return float("inf"), "fails"
-    if slope < -SLOPE_TOL:
-        return 0.0, "holds"
     return _geomean(y), "boundary"
 
 

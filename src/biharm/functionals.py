@@ -181,10 +181,11 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
     """Maximize 2 int F(u) / ||u||^2 under ||Du||^2 <= L on R^dimension.
 
     The supremum depends on F and the dimension alone; no potential enters.
-    Gaussian candidates on the dimension's default grid, whose stencil rows
-    are built once, are rescaled so the quadratic form equals L exactly and
-    give the certified lower bound.  The concentration sweep follows the
-    family's own budget: the log-profiles carry an O(1/b^2) excess over
+    The Gaussian exp(-r^2) on the dimension's default grid, rescaled so the
+    quadratic form equals L exactly, gives the certified lower bound; one width
+    serves, as the quadratic form is dilation invariant and int F and ||u||^2
+    scale alike.  The concentration sweep follows within ``budget``: the
+    log-profiles carry an O(1/b^2) excess over
     beta*K (beta = ``model.ADAMS_BETA[dimension]``, K = L / beta), and
     rescaling them down to L *exactly* suppresses the critical exponential
     mass by a constant factor of order exp(-c*K) that hides the divergence at
@@ -197,10 +198,10 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
     A log-profile with concentration scale r14 lives on the mesh of 10 nodes
     per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
     r14 = 1e-5); ``sequences.moser_sums`` adds up its sums in fixed node
-    blocks, so the search holds no mesh whole.  ``trace`` holds the
-    (sigma, ratio) pairs, the (b, ratio, quad) triples, ``moser_nodes`` (the
-    mesh size of each log-profile) and ``evaluations`` (the candidates
-    evaluated, at most ``budget``).
+    blocks, so the search holds no mesh whole.  ``trace`` holds the Gaussian's
+    (sigma, ratio) pair (none if it exceeds the overflow cap), the (b, ratio,
+    quad) triples, ``moser_nodes`` (the mesh size of each log-profile) and
+    ``evaluations`` (the candidates evaluated, at most ``budget``).
     """
     if dimension not in ADAMS_BETA:
         raise ValueError(f"dimension must be 2 or 4, got {dimension}")
@@ -208,24 +209,15 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
         raise ValueError(f"L must be positive and finite, got {L}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    evals = 0
-    best = (-np.inf, {})
-    gauss_trace, moser_trace, moser_nodes = [], [], []
-
+    evals = 1
+    best, gauss_trace, moser_trace, moser_nodes = (-np.inf, {}), [], [], []
     base = g.default_grid(dimension)
-    rows = g.laplacian_matrix(base)
-    for sigma in np.geomspace(0.3, 6.0, 24):
-        if evals >= budget:
-            break
-        evals += 1
-        try:
-            vals = np.exp(-((base.nodes / sigma) ** 2))
-            ratio, amp = _ratio_of(vals, base, rows, spec, L)
-        except (OverflowCapError, ValueError):
-            continue
-        gauss_trace.append((float(sigma), ratio))
-        if ratio > best[0]:
-            best = (ratio, {"family": "gaussian", "sigma": float(sigma), "amplitude": amp})
+    try:
+        ratio, amp = _ratio_of(np.exp(-base.nodes**2), base, g.laplacian_matrix(base), spec, L)
+        gauss_trace.append((1.0, ratio))
+        best = (ratio, {"family": "gaussian", "sigma": 1.0, "amplitude": amp})
+    except (OverflowCapError, ValueError):
+        pass
 
     # concentration sweep: ||D psi_b||^2 = beta * K + O(1/b^2), K = L / beta
     beta = ADAMS_BETA[dimension]

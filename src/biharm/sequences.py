@@ -157,28 +157,29 @@ _H_MIN = 4e-9
 _H_CLOSED_FORM = 1e-6
 
 
-def moser_mesh(b: float, K: float) -> tuple[int, float]:
-    """Node count and width of the uniform mesh on [0, 2] resolving psi_{b,K}.
+def moser_mesh(b: float) -> tuple[int, float]:
+    """Node count and width of the uniform mesh on [0, 2] resolving psi_{b,1}.
 
-    The mesh has 10 nodes per concentration scale r14 = exp(-b^2/(4K)).
-    Raises ValueError unless b and K are finite and positive, the mesh is
-    no finer than the rounding floor of 4e-9 and r14 snaps below r = 1.
+    The mesh has 10 nodes per concentration scale r14 = exp(-b^2/4).  K = 1
+    serves every K, as psi_{b,K} = sqrt(K) psi_{b/sqrt(K),1}.  Raises
+    ValueError unless b is finite and positive, the mesh is no finer than the
+    rounding floor of 4e-9 and r14 snaps below r = 1.
     """
-    _check_moser(b, K)
-    b_max = 2.0 * np.sqrt(K * np.log(1.0 / (10 * _H_MIN)))
+    _check_moser(b, 1.0)
+    b_max = 2.0 * np.sqrt(np.log(1.0 / (10 * _H_MIN)))
     if b > b_max:
         raise ValueError(
             f"b = {b:g} needs a mesh width below {_H_MIN:g}, where rounding swamps the "
-            f"r = 1 junction stencil; the largest admissible b for K = {K:g} is "
+            "r = 1 junction stencil; the largest admissible b is "
             f"{np.floor(b_max * 1000) / 1000:.3f}")
-    r14 = float(np.exp(-b * b / (4.0 * K)))
+    r14 = float(np.exp(-b * b / 4.0))
     n = max(int(np.ceil(2.0 / (r14 / 10))) + 1, 4097)
-    _moser_branch_nodes(b, K, (2.0, n, 4))
+    _moser_branch_nodes(b, 1.0, (2.0, n, 4))
     return n, 2.0 / (n - 1)
 
 
-def moser_estimates(b: float, K: float) -> dict:
-    """l2 and Laplacian-norm sums of psi_{b,K} on the mesh of :func:`moser_mesh`.
+def moser_estimates(b: float) -> dict:
+    """l2 and Laplacian-norm sums of psi_{b,1} on the mesh of :func:`moser_mesh`.
 
     Both are the sums of the grid operators on that mesh: trapezoid weights
     2 pi^2 r^3 h and the fourth-order stencil.  On meshes with h > 1e-6
@@ -195,13 +196,13 @@ def moser_estimates(b: float, K: float) -> dict:
     Euler-Maclaurin series of a polynomial on the quintic cap.  ``n_points`` is
     the size of the mesh the sums represent.
     """
-    n, h = moser_mesh(b, K)
+    n, h = moser_mesh(b)
     if h > _H_CLOSED_FORM:
-        sums = moser_sums(b, K, 2.0, n, 4)
+        sums = moser_sums(b, 1.0, 2.0, n, 4)
         return {"l2_sq": sums["l2_sq"], "lap_l2_sq": sums["quad_form"], "n_points": n,
                 "h": h, "method": "finite_difference"}
     geometry = (2.0, n, 4)
-    (i14, i_one, i_two), profile = _moser_branch_nodes(b, K, geometry)
+    (i14, i_one, i_two), profile = _moser_branch_nodes(b, 1.0, geometry)
     _, K, r14, r_one, r_two = profile     # K re-derived from the snapped radius
 
     # core and junction neighbourhoods node by node, with the grid's weights

@@ -117,7 +117,7 @@ def test_criterion_3_concentration_asymptotics():
     bs = (3.0, 5.0, 8.0)
     excess, l2b2 = [], []
     for b in bs:
-        est = bh.moser_estimates(b, 1.0)
+        est = bh.moser_estimates(b)
         excess.append(abs(est["lap_l2_sq"] - beta))
         l2b2.append(est["l2_sq"] * b * b)
     slope = float(np.polyfit(np.log(bs), np.log(excess), 1)[0])

@@ -139,11 +139,11 @@ def test_check_conditions_output(tmp_path):
 
 def test_check_g_reports_the_conditions_of_its_nonlinearity(tmp_path):
     # check takes one path: the conditions of its nonlinearity always, growth with --g
-    code, out = run_cli(["check", "--g", "t", "--K", "1", "--lambda", "3"], tmp_path, "g")
+    code, out = run_cli(["check", "--g", "t", "--K", "1"], tmp_path, "g")
     assert code == EXIT_OK
     got = json.loads((out / "check.json").read_text())
     assert got["growth"]["bounded_verdict"] == "fails"
-    code, out = run_cli(["check", "--lambda", "3"], tmp_path, "plain")
+    code, out = run_cli(["check"], tmp_path, "plain")
     assert code == EXIT_OK
     want = json.loads((out / "check.json").read_text())
     assert got["conditions"] == want["conditions"]
@@ -153,11 +153,11 @@ def test_check_g_reports_the_conditions_of_its_nonlinearity(tmp_path):
 
 
 def test_probes_build_no_potential(tmp_path):
-    # ratio and check read F and the dimension only, so lambda >= 1 is no error there
-    for args in (["ratio", "--lambda", "1.5", "--budget", "4"], ["check", "--lambda", "1.5"]):
-        code, out = run_cli(args, tmp_path, args[0])
-        assert code == EXIT_OK
-        assert json.loads((out / f"{args[0]}.json").read_text())["config"]["lam"] == 1.5
+    # ratio reads F and the dimension only, so lambda >= 1 is no error there; check
+    # takes no lambda, which cancels from every condition it reports
+    code, out = run_cli(["ratio", "--lambda", "1.5", "--budget", "4"], tmp_path)
+    assert code == EXIT_OK
+    assert json.loads((out / "ratio.json").read_text())["config"]["lam"] == 1.5
 
 
 @pytest.mark.parametrize("args", [
@@ -223,10 +223,11 @@ def test_gap_command(tmp_path):
 
 
 def test_moser_command(tmp_path):
-    code, out = run_cli(["moser", "--b-values", "3,4", "--K", "1"], tmp_path)
+    code, out = run_cli(["moser", "--b-values", "3,4"], tmp_path)
     assert code == EXIT_OK
     rep = json.loads((out / "moser.json").read_text())
-    assert len(rep["moser"]["rows"]) == 2
+    assert [set(row) for row in rep["moser"]["rows"]] == 2 * [
+        {"b", "l2_sq", "lap_l2_sq", "excess", "n_points", "method"}]
     assert (out / "moser.csv").exists()
 
 
@@ -278,9 +279,9 @@ def test_lambda_with_f_exits_3(tmp_path, capsys):
     assert not (out / "solve.json").exists()
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lam": 0.5, "f_expr": "0.5*t*exp(2*t^2)"}))
-    code, out = run_cli(["check", "--config", str(cfg)], tmp_path, "file")
+    code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path, "file")
     assert code == EXIT_CONFIG
-    assert not (out / "check.json").exists()
+    assert not (out / "ratio.json").exists()
     err = capsys.readouterr().err
     assert err.count("--lambda scales only the built-in exp-critical nonlinearity") == 2
 
@@ -288,9 +289,9 @@ def test_lambda_with_f_exits_3(tmp_path, capsys):
 def test_reports_of_f_and_theta_echo_no_lambda(tmp_path):
     for sub, args in (("f", ["--f", "0.5*t*exp(2*t^2)"]), ("theta", ["--theta", "3"]),
                       ("builtin", [])):
-        code, out = run_cli(["check"] + args, tmp_path, sub)
+        code, out = run_cli(["ratio", "--budget", "1"] + args, tmp_path, sub)
         assert code == EXIT_OK
-        lam = json.loads((out / "check.json").read_text())["config"]["lam"]
+        lam = json.loads((out / "ratio.json").read_text())["config"]["lam"]
         assert lam == (0.5 if sub == "builtin" else None)
 
 
@@ -367,7 +368,7 @@ def test_removed_flags_rejected(tmp_path, flag):
 
 
 def test_each_command_takes_only_its_flags():
-    # 56 flag/command pairs; every command also takes --config, --out-dir and -h
+    # 54 flag/command pairs; every command also takes --config, --out-dir and -h
     from biharm.cli import _COMMANDS
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
@@ -377,9 +378,9 @@ def test_each_command_takes_only_its_flags():
         got = {s for a in subparsers[name]._actions for s in a.option_strings}
         assert got == {*flags, "--config", "--out-dir", "-h", "--help"}, name
         pairs += len(flags) + 2
-    assert pairs == 56
+    assert pairs == 54
     assert {name: len(flags) + 2 for name, (_, flags) in _COMMANDS.items()} == {
-        "solve": 9, "rearrange": 4, "moser": 4, "ratio": 10, "check": 9, "gap": 9, "sweep": 11}
+        "solve": 9, "rearrange": 4, "moser": 3, "ratio": 10, "check": 8, "gap": 9, "sweep": 11}
 
 
 def _parser_text(parse, argv, capsys):
@@ -448,6 +449,8 @@ def test_main_freezes_the_import_heap_once(tmp_path):
     (["solve", "--alpha0", "2"], "--alpha0"), (["check", "--alpha0", "2"], "--alpha0"),
     (["gap", "--V", "1-0.4*exp(-t^2)", "--alpha0", "2"], "--alpha0"),
     (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--alpha0", "2"], "--alpha0"),
+    # lambda cancels from every condition check reports, and K scales out of moser
+    (["check", "--lambda", "nan"], "--lambda"), (["moser", "--K", "-1"], "--K"),
 ])
 def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
     # a flag the command does not read, a missing value, an unknown or abbreviated
@@ -579,9 +582,9 @@ def test_config_file_numbers_echo_like_flag_numbers(tmp_path):
     assert re.search(r'"gamma": 2\.0\b', (out / "solve.json").read_text())
     rc = RunConfig.from_json(json.dumps({"theta": 2, "K": 10**400, "g_expr": None}), "check")
     assert (type(rc.theta), rc.K, rc.g_expr) == (float, float("inf"), None)
-    rc = RunConfig.from_json(json.dumps({"b_values": [3, 5.5], "K": -0.0}), "moser")
+    rc = RunConfig.from_json(json.dumps({"b_values": [3, 5.5]}), "moser")
     assert [type(b) for b in rc.b_values] == [float, float] and rc.b_values == (3.0, 5.5)
-    assert str(rc.K) == "-0.0"
+    assert str(RunConfig.from_json(json.dumps({"K": -0.0}), "check").K) == "-0.0"
     rc = RunConfig.from_json(json.dumps({"sweep_values": [1], "grid_r_max": 20, "grid_n": 512}),
                              "sweep")
     assert rc.sweep_values == (1.0,) and type(rc.sweep_values[0]) is float
@@ -590,12 +593,12 @@ def test_config_file_numbers_echo_like_flag_numbers(tmp_path):
 
 def test_each_command_reads_only_its_config_keys(tmp_path, capsys):
     # the flag table owns what a command reads: a --config file may set the
-    # fields of the command's flags and out_dir, 52 command/key pairs in all
+    # fields of the command's flags and out_dir, 50 command/key pairs in all
     every = {f.name for f in fields(RunConfig)} - {"command", "out_dir"}
     assert set().union(*map(_read_fields, _COMMANDS)) == every
     assert {name: len(_read_fields(name)) for name in _COMMANDS} == {
-        "solve": 8, "rearrange": 2, "moser": 2, "ratio": 8, "check": 7, "gap": 8, "sweep": 10}
-    assert sum(len(_read_fields(name)) + 1 for name in _COMMANDS) == 52
+        "solve": 8, "rearrange": 2, "moser": 1, "ratio": 8, "check": 6, "gap": 8, "sweep": 10}
+    assert sum(len(_read_fields(name)) + 1 for name in _COMMANDS) == 50
     for command in _COMMANDS:
         for key in sorted(every - set(_read_fields(command))):
             cfg = tmp_path / "run.json"
@@ -769,7 +772,7 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
     (["check", "--g", "t^4"], {"solvers", "functionals", "sequences", "numpy.polynomial"}),
     (["rearrange", "--input", None], {"solvers", "sequences", "numpy.ma"}),
     (["moser", "--b-values", "3,5,7.5"], {"solvers", "functionals", "numpy.ma"}),
-    (["ratio", "--f", "0.5*t*exp(2*t^2)", "--budget", "4"],
+    (["ratio", "--f", "0.5*t*exp(2*t^2)", "--budget", "1"],
      {"solvers", "sequences", "numpy.polynomial"}),
 ], ids=["solve", "gap", "check_f", "check_g", "rearrange", "moser", "ratio_f"])
 def test_commands_load_only_their_layers(tmp_path, argv, absent):
@@ -986,7 +989,7 @@ def test_eigensolver_failure_exits_noconv(tmp_path, capsys, monkeypatch, fresh_t
     assert not (out / "rearrange.json").exists()
 
 
-@pytest.mark.parametrize("args", [["--K", "-1"], ["--b-values", "3,inf"],
+@pytest.mark.parametrize("args", [["--b-values", "nan"], ["--b-values", "3,inf"],
                                   ["--b-values", "0,3"], ["--b-values=-3,5"],
                                   ["--b-values", "3,5,9"], ["--b-values", "0.02"],
                                   ["--b-values", "3,0.02"]])
@@ -1034,7 +1037,7 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["solve", "--f", "t^3*log(t)"], "overflows at the overflow cap 6.0 or is NaN there"),
     (["gap", "--V", "1.2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
     (["ratio", "--lambda", "nan", "--budget", "4"], "lam must be positive and finite, got nan"),
-    (["check", "--lambda", "nan"], "lam must be positive and finite, got nan"),
+    (["ratio", "--dim", "2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
     # an f that is NaN inside the cap, here for |t| < 1, is refused as well
     (["check", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
      "is not finite inside the overflow cap 6.0"),

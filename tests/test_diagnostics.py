@@ -40,6 +40,13 @@ def test_classifier_linear_fails_origin():
     assert np.isinf(cls.limsup_origin)
 
 
+def test_classifier_reads_the_log_floor_as_a_vanishing_limit():
+    # g = 0 sits at the 1e-300 floor of the probe logs: both limits vanish
+    cls = classify_growth(lambda t: 0.0 * np.asarray(t, float), 1.0)
+    assert (cls.bounded_verdict, cls.compact_verdict) == ("holds", "holds")
+    assert cls.limsup_origin == cls.limsup_infinity == 0.0
+
+
 def test_classifier_boundary_origin():
     # g ~ c t^2 at zero: finite nonzero origin limit
     cls = classify_growth(lambda t: 3.0 * np.asarray(t) ** 2

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import biharm as bh
-from biharm.functionals import adams_ratio_search, evaluate_all
+from biharm.functionals import _ratio_of, adams_ratio_search, evaluate_all
 from oracles import exp_critical_config, nehari_energy_identity_gap
 
 
@@ -157,7 +157,7 @@ def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
     monkeypatch.setattr(bh.grid, "laplacian_matrix", lambda grd: calls.append(grd) or build(grd))
     rep = adams_ratio_search(bh.exp_critical(1.5, 2), 2, 1.0, budget=24)
     assert len(calls) == 1 and calls[0].dimension == 2
-    assert len(rep.trace["gaussian"]) == 24
+    assert [sigma for sigma, _ in rep.trace["gaussian"]] == [1.0]
     assert rep.threshold_R == pytest.approx(4 * np.pi)
     with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
         adams_ratio_search(bh.exp_critical(0.5), 3, 1.0)
@@ -168,16 +168,47 @@ def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
 @pytest.mark.parametrize("share", [1.0, 0.5])
 def test_ratio_search_gaussians_are_one_dilation_orbit(dim, family, share):
     # Q is dilation invariant (Delta^2 on R^4, -Delta on R^2) and int F and ||u||^2
-    # scale alike, so each Gaussian rescaled to Q = L has the same ratio; the 24
-    # widths measure grid error, not the supremum.  Below sigma 0.5 the origin
-    # is under-resolved, and from 4.6 on r_max truncates the 4-D Gaussians.
+    # scale alike, so each Gaussian rescaled to Q = L has the same ratio: widths
+    # measure grid error, not the supremum, and the search evaluates one.  Below
+    # sigma 0.5 the origin is under-resolved, and from 4.6 on r_max truncates the
+    # 4-D Gaussians.
     spec = {"exp_critical": bh.exp_critical(0.5, dim), "theta1": bh.exact_growth_family(1.0),
             "theta3": bh.exact_growth_family(3.0)}[family]
     L = share * bh.model.ADAMS_BETA[dim] / spec.alpha0
-    trace = adams_ratio_search(spec, dim, L, budget=24).trace["gaussian"]
-    ratios = np.array([r for sigma, r in trace if 0.5 <= sigma <= 4.0])
+    base = bh.default_grid(dim)
+    rows = bh.grid.laplacian_matrix(base)
+    ratios = np.array([_ratio_of(np.exp(-((base.nodes / sigma) ** 2)), base, rows, spec, L)[0]
+                       for sigma in np.geomspace(0.3, 6.0, 24) if 0.5 <= sigma <= 4.0])
     assert len(ratios) == 16
     assert (ratios.max() - ratios.min()) / ratios.max() <= 1e-5
+
+
+_BETA = bh.model.ADAMS_BETA
+_RATIO_CONFIGS = {
+    **{f"{name}-{dim}": (spec, dim, _BETA[dim] / spec.alpha0)
+       for dim in (4, 2)
+       for name, spec in (("exp_critical", bh.exp_critical(0.5, dim)),
+                          ("theta1", bh.exact_growth_family(1.0)),
+                          ("theta3", bh.exact_growth_family(3.0)))},
+    "quartic": (bh.user_nonlinearity("4*t^3", "t^4", alpha0=1.0), 4, 1.0),
+    "user_f": (bh.user_nonlinearity("0.5*t*exp(2*t^2)"), 4, _BETA[4]),
+    "boundary_growth": (bh.user_nonlinearity("(2*t^3 + t^5)*exp(t^2)", "t^4*exp(t^2)/2"), 4,
+                        _BETA[4]),
+}
+
+
+@pytest.mark.parametrize("name", _RATIO_CONFIGS)
+def test_ratio_search_gaussian_bound_is_the_resolved_orbit(name):
+    # the one Gaussian the search evaluates reads the ratio the resolved widths share;
+    # the former sweep reported sigma 0.3, whose under-resolved origin lifted the
+    # bound by 9e-7 to 1.1e-5 relative
+    spec, dim, L = _RATIO_CONFIGS[name]
+    (pair,) = adams_ratio_search(spec, dim, L, budget=1).trace["gaussian"]
+    base = bh.default_grid(dim)
+    rows = bh.grid.laplacian_matrix(base)
+    for sigma in (1.0, 1.5, 2.0, 3.0, 4.0):
+        ref = _ratio_of(np.exp(-((base.nodes / sigma) ** 2)), base, rows, spec, L)[0]
+        assert abs(pair[1] - ref) <= 2e-7 * ref
 
 
 def test_ratio_search_divergence_at_threshold():
@@ -197,9 +228,12 @@ def test_ratio_search_trace_counts_nodes_and_evaluations():
     tr = rep.trace
     # 10 nodes per concentration scale on [0, 2.5]; the sweep stops below r14 = 1e-5
     assert tr["moser_nodes"] == [570, 2252, 11430, 74525, 623983]
-    assert tr["evaluations"] == len(tr["gaussian"]) + len(tr["moser"]) == 29
+    assert tr["evaluations"] == len(tr["gaussian"]) + len(tr["moser"]) == 6
     few = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=4).trace
-    assert few["evaluations"] == 4 and few["moser"] == few["moser_nodes"] == []
+    assert few["evaluations"] == 4 and few["moser_nodes"] == [570, 2252, 11430]
+    one = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=1).trace
+    assert one["evaluations"] == len(one["gaussian"]) == 1
+    assert one["moser"] == one["moser_nodes"] == []
 
 
 @pytest.mark.parametrize("L", [16 * np.pi**2, 110.0])

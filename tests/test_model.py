@@ -281,6 +281,20 @@ def test_check_conditions_subcritical_flagged():
     assert not rep.critical
 
 
+@pytest.mark.parametrize("spec, holds", [
+    (bh.exp_critical(0.5, 4), True), (bh.exp_critical(0.5, 2), True),
+    (bh.exact_growth_family(1.0), True), (bh.user_nonlinearity("0.5*t*exp(2*t^2)"), True),
+    (bh.user_nonlinearity("t", "0.5*t^2"), False), (bh.user_nonlinearity("2*t", "t^2"), False)],
+    ids=["exp_critical_4d", "exp_critical_2d", "theta1", "user_exp", "t", "2t"])
+def test_upper_bound_holds_only_where_F_over_f_turns_down(spec, holds):
+    # M0 is the maximum of F/f on the probes, so F <= M0 f holds there by construction;
+    # F/f still rising at the last probe point (t/2 for f = t) bounds nothing beyond it
+    t = np.geomspace(0.1, 5.0, 200)
+    rep = check_conditions(spec, t)
+    assert rep.upper_bound_holds is holds
+    assert rep.M0 == np.max(spec.F(t) / spec.f(t))
+
+
 # alpha0_estimate on check's probe grid as recorded at 9530ade, before it was
 # fitted through tail_slope
 @pytest.mark.parametrize("spec, estimate", [

@@ -133,7 +133,7 @@ def test_moser_under_resolution_error():
 
 
 def test_moser_estimates_match_ops():
-    est = moser_estimates(3.0, 1.0)
+    est = moser_estimates(3.0)
     g = bh.build_grid(2.0, est["n_points"], 4)
     fld = moser_field(3.0, 1.0, g)
     assert est["lap_l2_sq"] == pytest.approx(quad_form_sq(fld), rel=2e-3)
@@ -384,7 +384,7 @@ def _streamed_moser_estimates(b, K, chunk=1 << 20):
 
 
 def test_moser_estimates_closed_form_matches_streamed_sums():
-    est = moser_estimates(7.0, 1.0)
+    est = moser_estimates(7.0)
     ref = _streamed_moser_estimates(7.0, 1.0)
     assert est["method"] == "closed_form"
     assert est["n_points"] == ref["n_points"] == 4_179_627
@@ -399,9 +399,9 @@ def test_moser_estimates_closed_form_meets_finite_difference(b, monkeypatch):
     # the two sides of the _H_CLOSED_FORM fork on the same mesh: the closed
     # form leaves out the stencil's truncation error on the log branch, which
     # is 7.5e-7 to 1.1e-6 of the Laplacian norm here
-    fd = moser_estimates(b, 1.0)
+    fd = moser_estimates(b)
     monkeypatch.setattr(bh.sequences, "_H_CLOSED_FORM", 1.0)
-    cf = moser_estimates(b, 1.0)
+    cf = moser_estimates(b)
     assert (fd["method"], cf["method"]) == ("finite_difference", "closed_form")
     assert cf["n_points"] == fd["n_points"]
     assert cf["l2_sq"] == pytest.approx(fd["l2_sq"], rel=1e-13, abs=0)
@@ -414,7 +414,7 @@ def test_moser_estimates_closed_form_meets_finite_difference(b, monkeypatch):
 ])
 def test_moser_estimates_finite_difference_pinned(b, l2_sq, lap_l2_sq):
     # values of the former chunked five-point stencil on the same mesh
-    est = moser_estimates(b, 1.0)
+    est = moser_estimates(b)
     assert est["method"] == "finite_difference"
     assert est["l2_sq"] == pytest.approx(l2_sq, rel=1e-8)
     assert est["lap_l2_sq"] == pytest.approx(lap_l2_sq, rel=1e-8)
@@ -425,13 +425,24 @@ def test_moser_estimates_finite_difference_pinned(b, l2_sq, lap_l2_sq):
 @pytest.mark.parametrize("b, K", [(0.0, 1.0), (-3.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
                                   (3.0, -1.0), (3.0, 0.0), (3.0, np.inf), (3.0, np.nan)])
 def test_moser_estimates_rejects_bad_parameters(b, K):
+    # moser_estimates fixes K = 1; the log-profile sums, which take K, refuse a bad one
     with pytest.raises(ValueError, match="finite and positive"):
-        moser_estimates(b, K)
+        moser_estimates(b) if K == 1.0 else moser_sums(b, K, 2.0, 4097, 4)
 
 
 def test_moser_estimates_rejects_mesh_below_rounding_floor():
-    assert moser_estimates(8.25, 1.0)["h"] >= 4e-9
-    with pytest.raises(ValueError, match="largest admissible b for K = 1 is 8.254"):
-        moser_estimates(9.0, 1.0)
-    with pytest.raises(ValueError, match="largest admissible b for K = 4 is 16.50"):
-        moser_estimates(17.0, 4.0)
+    assert moser_estimates(8.25)["h"] >= 4e-9
+    with pytest.raises(ValueError, match="largest admissible b is 8.254"):
+        moser_estimates(9.0)
+
+
+@pytest.mark.parametrize("b, K", [(3.0, 0.5), (6.0, 4.0), (7.0, 1.7)])
+def test_moser_sums_scale_out_K(b, K):
+    # psi_{b,K} = sqrt(K) psi_{b/sqrt(K),1} on the same mesh and snapped nodes, so
+    # moser_estimates' K = 1 serves every K
+    n, _ = bh.sequences.moser_mesh(b / np.sqrt(K))
+    got = moser_sums(b, K, 2.0, n, 4)
+    unit = moser_sums(b / np.sqrt(K), 1.0, 2.0, n, 4)
+    for key in ("l2_sq", "quad_form"):
+        assert got[key] == pytest.approx(K * unit[key], rel=1e-10, abs=0)
+    assert got["max_abs"] == pytest.approx(np.sqrt(K) * unit["max_abs"], rel=1e-12, abs=0)
