@@ -1,23 +1,22 @@
-"""Command-line surface: configuration parsing, dispatch and serialization.
+"""Command-line surface: flag parsing, dispatch and serialization.
 
-Subcommands and their flags, besides --config and --out-dir (``_COMMANDS``):
-solve and sweep take --gamma, --grid and the nonlinearity flags --dim
---lambda --f --F --theta, and sweep --sweep-param and --sweep-values; gap
-takes --V, --grid and the nonlinearity flags; ratio takes the nonlinearity
-flags, --alpha0 (the rate of a user f, which sets the default --L; refused
-without --f), --L and --budget; check the nonlinearity flags but --lambda,
-which cancels from every condition, --g and --K; moser --b-values (at K = 1,
-which scales every K out); rearrange --input and --dim.  The probes ratio and
-check build only a nonlinearity: the sharp ratio and the growth conditions
-depend on F and the dimension alone.  check reports the conditions of its
-nonlinearity, and the growth class of --g when it is given.  Every command
-refuses a dimension other than 2 or 4.  A --config file may set the fields
-the command's flags set (--grid sets grid_r_max and grid_n) and out_dir, and
-each report's ``config`` echoes the command and those fields.  solve and sweep
-minimize on the Nehari manifold, as gap does, and report the Pohozaev defect.
-Each handler returns its report sections and exit code; ``run`` writes
-<command>.json from them, under the version and config header, so a command
-whose input is refused writes no report.
+Subcommands and their flags, besides --out-dir (``_COMMANDS``): solve and
+sweep take --gamma, --grid and the nonlinearity flags --dim --lambda --f --F
+--theta, and sweep --sweep-param and --sweep-values; gap takes --V, --grid
+and the nonlinearity flags; ratio takes the nonlinearity flags, --alpha0 (the
+rate of a user f, which sets the default --L; refused without --f), --L and
+--budget; check the nonlinearity flags but --lambda, which cancels from every
+condition, --g and --K; moser --b-values (at K = 1, which scales every K
+out); rearrange --input and --dim.  The probes ratio and check build only a
+nonlinearity: the sharp ratio and the growth conditions depend on F and the
+dimension alone.  check reports the conditions of its nonlinearity, and the
+growth class of --g when it is given.  Every command refuses a dimension
+other than 2 or 4.  Each report's ``config`` echoes the command and the fields
+its flags set, each read back by its --flag=value (--grid=grid_r_max:grid_n).
+solve and sweep minimize on the Nehari manifold, as gap does, and report the
+Pohozaev defect.  Each handler returns its report sections and exit code;
+``run`` writes <command>.json from them, under the version and config
+header, so a command whose input is refused writes no report.
 
 Reports are canonical JSON (sorted keys; floats in Python's shortest
 round-trip form, nan and infinities as strings) so identical run
@@ -32,12 +31,12 @@ solve whose returned state has ``residual_weak`` above 1e-5 or, in solve and
 sweep, a Pohozaev defect above 3e-5 (UNDER_RESOLVED), a factorization or
 eigensolver that breaks down, or a ``gap`` with a Nehari sub-solve above 1e-5
 or whose comparison level, an upper bound of m_V, falls below m_V; the report of
-a solve that ran is still written), 3 usage, configuration or input error (a
-flag or config key the command does not take, a missing or malformed flag
-value, malformed or non-finite CSV fields, an f that overflows at the
-overflow cap or an F that is not its antiderivative, a problem whose scaling
-projection finds no sign change before the cap, ...; a ``sweep`` still writes
-sweep.json with an error entry for each value that gives such a problem).
+a solve that ran is still written), 3 usage or input error (a flag the
+command does not take, a missing or malformed flag value, malformed or
+non-finite CSV fields, an f that overflows at the overflow cap or an F that
+is not its antiderivative, a problem whose scaling projection finds no sign
+change before the cap, ...; a ``sweep`` still writes sweep.json with an error
+entry for each value that gives such a problem).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -141,7 +140,7 @@ def load_field_csv(path: str, dimension: int = 4) -> RadialField:
 
 @dataclass
 class RunConfig:
-    """One CLI invocation; :meth:`from_json` reads back the ``config`` its report echoes."""
+    """One run: the command and the fields of its flags (``config_from_args``)."""
 
     command: str
     dimension: int = 4
@@ -163,36 +162,6 @@ class RunConfig:
     sweep_values: tuple = ()
     input_field: Optional[str] = None
     out_dir: str = "out"
-
-    @staticmethod
-    def from_json(text: str, command: str) -> "RunConfig":
-        """command's configuration from a JSON object that sets out_dir or fields of its flags
-        ("command" is ignored); a float field reads a number as a flag reads its text."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("a run configuration is a JSON object")
-        types = {f.name: f.type for f in fields(RunConfig)}
-        unread = sorted(set(raw) - {"command", "out_dir", *_read_fields(command)})
-        if unread:
-            raise ValueError(f"{command} does not read the config keys {', '.join(unread)}")
-        for key, value in raw.items():
-            kind = types[key].removeprefix("Optional[").removesuffix("]")
-            if value is None and kind != types[key]:
-                continue
-            # a JSON number is an int or a float; bool, a subclass of int, is not one
-            if kind == "tuple":
-                ok = isinstance(value, list) and all(type(x) in (int, float) for x in value)
-            elif kind == "float":
-                ok = type(value) in (int, float)
-            else:
-                ok = type(value) is {"int": int, "str": str}[kind]
-            if not ok:
-                raise ValueError(f"run configuration key {key!r} takes a {kind}, "
-                                 f"got {json.dumps(value)}")
-            if kind in ("float", "tuple"):   # via str: a huge integer reads as inf, as a flag
-                numbers = [float(str(x)) for x in (value if kind == "tuple" else [value])]
-                raw[key] = tuple(numbers) if kind == "tuple" else numbers[0]
-        return RunConfig(**{**raw, "command": command})
 
 
 def _nonlinearity(rc: RunConfig) -> NonlinearitySpec:
@@ -382,12 +351,14 @@ _OPTIONS = {
     "--input": ("input_field", str), "--out-dir": ("out_dir", str)}
 _FORMS = {int: "an integer", float: "a number", _grid: "r_max:n_points",
           _numbers: "comma-separated numbers"}
-_FLAG_HELP = {"--config": "JSON RunConfig file; flags take precedence",
-              "--grid": "r_max:n_points", "--V": "radial potential expression in t (= radius)",
-              "--b-values": "comma-separated b sweep", "--sweep-values": "comma-separated values"}
+_FLAG_HELP = {"--grid": "r_max:n_points", "--b-values": "comma-separated b sweep",
+              "--sweep-values": "comma-separated values",
+              **{flag: f"{what}, an expression in t; write {flag}=EXPR if it begins with '-'"
+                 for flag, what in (("--V", "radial potential (t = radius)"), ("--f", "f"),
+                                    ("--F", "F, the antiderivative of --f"), ("--g", "g"))}}
 
-# each command takes the flags its handler reads (via _nonlinearity and _build_problem),
-# --config and --out-dir; the fields they set are its config keys and echo (_read_fields)
+# each command takes the flags its handler reads (via _nonlinearity and _build_problem)
+# and --out-dir; the fields they set are its report's config echo (_read_fields)
 _NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
 _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
@@ -432,18 +403,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         solver = name in ("solve", "gap", "sweep")
         p = sub.add_parser(name, help=_HELP[name], allow_abbrev=False,
                            description=_HELP[name] + (_SOLVER_HELP if solver else ""))
-        for flag in ("--config",) + flags + ("--out-dir",):
+        for flag in flags + ("--out-dir",):
             p.add_argument(flag, dest=flag, metavar=flag[2:].upper().replace("-", "_"),
                            help=_FLAG_HELP.get(flag))
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The flags over the --config file; a malformed value raises ValueError naming its flag."""
+    """The run the flags set; a malformed value raises ValueError naming its flag."""
     rc = RunConfig(command=args.command)
-    if getattr(args, "--config"):
-        with open(getattr(args, "--config")) as fh:
-            rc = RunConfig.from_json(fh.read(), args.command)
     for flag, text in vars(args).items():
         if flag in _OPTIONS and text is not None:
             field, convert = _OPTIONS[flag]

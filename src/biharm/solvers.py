@@ -102,8 +102,8 @@ class GapReport:
     m_infty: float
     gap: float
     both_positive: bool
-    status_V: dict          # the trapped solve's and the limit solve's converged,
-    status_infty: dict      # residual_weak, iterations and warnings
+    status_V: dict          # the trapped and the limit solve's converged, residual_weak,
+    status_infty: dict      # iterations, pohozaev_defect (None for a varying V), warnings
     comparison_level: float = float("nan")   # I_V at the projected limit minimizer
 
 
@@ -496,6 +496,6 @@ def limiting_gap(config_V: ProblemConfig, init: RadialField) -> GapReport:
         comparison = float("nan")
 
     m_V, m_inf = rep_V.objective, rep_inf.objective
-    status = [{"converged": r.converged, "residual_weak": r.residual_weak,
-               "iterations": r.iterations, "warnings": r.warnings} for r in (rep_V, rep_inf)]
+    status = [{k: getattr(r, k) for k in ("converged", "residual_weak", "iterations",
+                                          "pohozaev_defect", "warnings")} for r in (rep_V, rep_inf)]
     return GapReport(m_V, m_inf, m_inf - m_V, bool(m_V > 0 and m_inf > 0), *status, comparison)

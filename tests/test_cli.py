@@ -1,7 +1,6 @@
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,14 +10,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm as bh
-from biharm.cli import (_COMMANDS, EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig, _read_fields,
-                        _report_header, build_parser, config_from_args, dump_report,
-                        load_field_csv, main, run, save_field_csv, with_default_grid)
+from biharm.cli import (_COMMANDS, _OPTIONS, EXIT_CONFIG, EXIT_NOCONV, EXIT_OK, RunConfig,
+                        _read_fields, _report_header, build_parser, config_from_args,
+                        dump_report, load_field_csv, main, run, save_field_csv,
+                        with_default_grid)
 
 
 def config_text(rc):
     """The ``config`` that rc's report echoes, as the report writes it."""
     return dump_report(_report_header(rc)["config"])
+
+
+def echo_argv(echo):
+    """The --flag=value arguments that set a report's ``config`` echo: --grid joins
+    grid_r_max:grid_n, a tuple its numbers with commas, and a None field is left out."""
+    argv = [echo["command"]]
+    for flag in _COMMANDS[echo["command"]][1]:
+        field = _OPTIONS[flag][0]
+        values = [echo[name] for name in (field if isinstance(field, tuple) else (field,))]
+        if None not in values:
+            argv.append(f"{flag}=" + ":".join(",".join(map(str, v)) if isinstance(v, list)
+                                              else str(v) for v in values))
+    return argv
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -91,11 +104,11 @@ def test_field_csv_rejections(tmp_path, text, message):
         load_field_csv(str(src), 4)
 
 
-# a JSON integer in a float field reads as a float: see
-# test_config_file_numbers_echo_like_flag_numbers
-_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
-_FIELD_VALUES = {"str": st.text(), "int": st.integers(), "float": _JSON_FLOATS,
-                 "tuple": st.lists(_JSON_FLOATS, max_size=5).map(tuple)}
+# finite floats, which the echo writes as numbers; --b-values and --sweep-values
+# take at least one
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+_FIELD_VALUES = {"str": st.text(), "int": st.integers(), "float": _FLOATS,
+                 "tuple": st.lists(_FLOATS, min_size=1, max_size=5).map(tuple)}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -109,6 +122,8 @@ def _run_configs(draw):
     command = draw(st.sampled_from(list(_COMMANDS)))
     values = draw(st.fixed_dictionaries({name: _field_strategy(_FIELD_TYPES[name])
                                          for name in _read_fields(command)}))
+    if None in (values.get("grid_r_max"), values.get("grid_n")):  # --grid sets both or none
+        values.update(dict.fromkeys(values.keys() & {"grid_r_max", "grid_n"}))
     return RunConfig(command=command, **values)
 
 
@@ -116,11 +131,13 @@ def _run_configs(draw):
 @given(_run_configs())
 def test_runconfig_roundtrip(rc):
     # every field the command reads, with -0.0 and None in optional ones; config_text
-    # writes the command and those fields, as a report's config echoes them
-    rc2 = RunConfig.from_json(config_text(rc), rc.command)
+    # writes the command and those fields, as a report's config echoes them, and
+    # those passed back as --flag=value arguments set the same fields
+    echo = json.loads(config_text(rc))
+    assert set(echo) == {"command", *_read_fields(rc.command)}
+    rc2 = config_from_args(build_parser(rc.command).parse_args(echo_argv(echo)))
     assert repr(rc2) == repr(rc)                   # equal values of the same types
     assert config_text(rc2) == config_text(rc)
-    assert set(json.loads(config_text(rc))) == {"command", *_read_fields(rc.command)}
 
 
 def test_check_command(tmp_path):
@@ -165,23 +182,20 @@ def test_probes_build_no_potential(tmp_path):
     ["check"], ["ratio", "--f", "t^3"], ["ratio", "--theta", "1"], ["ratio"],
     ["solve"], ["rearrange", "--input", "in.csv"], ["moser"]])
 def test_every_command_checks_the_dimension(tmp_path, capsys, args):
-    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args] + ["--dim", "3"]
     if args[0] == "moser":
-        # moser reads no dimension, from a flag or a config file; a RunConfig
-        # built in code is still checked
+        # moser takes no --dim; a RunConfig built in code is still checked
         with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
             run(RunConfig(command="moser", dimension=3, out_dir=str(tmp_path / "out")))
-        assert not (tmp_path / "out").exists()
-        (tmp_path / "dim3.json").write_text('{"dimension": 3}')
-        args += ["--config", str(tmp_path / "dim3.json")]
-        message = "moser does not read the config keys dimension"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args, tmp_path)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
     else:
-        args += ["--dim", "3"]
-        message = "dimension must be 2 or 4, got 3"
-    code, out = run_cli(args, tmp_path)
-    assert code == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+        code, _ = run_cli(args, tmp_path)
+        assert code == EXIT_CONFIG
+        assert "dimension must be 2 or 4, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_command(tmp_path):
@@ -215,11 +229,21 @@ def test_rearrange_command(tmp_path):
 def test_gap_command(tmp_path):
     code, out = run_cli(["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.3"], tmp_path)
     assert code == EXIT_OK
-    rep = json.loads((out / "gap.json").read_text())
-    assert rep["gap"]["gap"] > 0
+    gp = json.loads((out / "gap.json").read_text())["gap"]
+    assert gp["gap"] > 0
     for key in ("status_V", "status_infty"):
-        assert set(rep["gap"][key]) == {"converged", "residual_weak", "iterations", "warnings"}
-        assert rep["gap"][key]["converged"] is True
+        assert set(gp[key]) == {"converged", "residual_weak", "iterations", "pohozaev_defect",
+                                "warnings"}
+        assert gp[key]["converged"] is True
+    # the trapped V is not constant, so its solve has no defect; V(20) is exactly 1.0,
+    # so the limit solve is solve --lambda 0.3, bit for bit
+    assert gp["status_V"]["pohozaev_defect"] is None
+    code, out = run_cli(["solve", "--lambda", "0.3"], tmp_path, "solve")
+    assert code == EXIT_OK
+    s = json.loads((out / "solve.json").read_text())["solve"]
+    assert (gp["m_infty"], gp["status_infty"]["pohozaev_defect"]) == (s["objective"],
+                                                                     s["pohozaev_defect"])
+    assert gp["status_infty"]["residual_weak"] == s["residual_weak"]
 
 
 def test_moser_command(tmp_path):
@@ -277,9 +301,8 @@ def test_lambda_with_f_exits_3(tmp_path, capsys):
                          "--lambda", "1.5"], tmp_path)
     assert code == EXIT_CONFIG
     assert not (out / "solve.json").exists()
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"lam": 0.5, "f_expr": "0.5*t*exp(2*t^2)"}))
-    code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path, "file")
+    code, out = run_cli(["ratio", "--lambda", "0.5", "--f", "0.5*t*exp(2*t^2)"], tmp_path,
+                        "ratio")
     assert code == EXIT_CONFIG
     assert not (out / "ratio.json").exists()
     err = capsys.readouterr().err
@@ -368,19 +391,53 @@ def test_removed_flags_rejected(tmp_path, flag):
 
 
 def test_each_command_takes_only_its_flags():
-    # 54 flag/command pairs; every command also takes --config, --out-dir and -h
-    from biharm.cli import _COMMANDS
+    # 47 flag/command pairs; every command also takes --out-dir and -h
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     assert list(subparsers) == list(_COMMANDS)
     pairs = 0
     for name, (_, flags) in _COMMANDS.items():
         got = {s for a in subparsers[name]._actions for s in a.option_strings}
-        assert got == {*flags, "--config", "--out-dir", "-h", "--help"}, name
-        pairs += len(flags) + 2
-    assert pairs == 54
-    assert {name: len(flags) + 2 for name, (_, flags) in _COMMANDS.items()} == {
-        "solve": 9, "rearrange": 4, "moser": 3, "ratio": 10, "check": 8, "gap": 9, "sweep": 11}
+        assert got == {*flags, "--out-dir", "-h", "--help"}, name
+        pairs += len(flags) + 1
+    assert pairs == 47
+    assert {name: len(flags) + 1 for name, (_, flags) in _COMMANDS.items()} == {
+        "solve": 8, "rearrange": 3, "moser": 2, "ratio": 9, "check": 7, "gap": 8, "sweep": 10}
+    # every RunConfig field but command and out_dir is set by some command's flags
+    every = {f.name for f in fields(RunConfig)} - {"command", "out_dir"}
+    assert set().union(*map(_read_fields, _COMMANDS)) == every
+
+
+def test_config_file_option_is_gone(tmp_path, capsys):
+    # flags are the one input path: --config is an unknown argument of every command
+    cfg = tmp_path / "run.json"
+    cfg.write_text("{}")
+    for command in _COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--config", str(cfg)], tmp_path)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_expression_that_begins_with_minus_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads "-0.4*..." after --V as a flag; --V=EXPR passes it, as every
+    # expression flag's help says
+    for command, flag in (("gap", "--V"), ("check", "--f"), ("check", "--F"), ("check", "--g")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())      # help wraps its lines
+        assert f"write {flag}=EXPR if it begins with '-'" in text
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gap", "--V", "-0.4*exp(-t^2)+1.2", "--lambda", "0.3"], tmp_path)
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --V: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    code, out = run_cli(["gap", "--V=-0.4*exp(-t^2)+1.2", "--lambda", "0.3"], tmp_path)
+    assert code == EXIT_OK
+    rep = json.loads((out / "gap.json").read_text())
+    assert rep["config"]["potential_expr"] == "-0.4*exp(-t^2)+1.2"
+    assert rep["gap"]["gap"] > 0
 
 
 def _parser_text(parse, argv, capsys):
@@ -531,106 +588,6 @@ def test_malformed_field_csv_rejected(tmp_path, text):
     assert code == EXIT_CONFIG
 
 
-def test_runconfig_rejects_unknown_keys():
-    raw = json.loads(config_text(RunConfig(command="solve")))
-    raw.update(refine=8, rearrange_interval=10, seeds=[0])
-    with pytest.raises(ValueError, match="rearrange_interval, refine, seeds"):
-        RunConfig.from_json(json.dumps(raw), "solve")
-    with pytest.raises(ValueError):
-        RunConfig.from_json("[1, 2]", "solve")
-
-
-def test_config_file_with_unknown_key_exits_config(tmp_path, capsys):
-    # the descent's step cap and stagnation tolerance are solver constants, not keys
-    for key, value in (("refine", 8), ("tol", 1e-10), ("max_iters", 400)):
-        raw = json.loads(config_text(RunConfig(command="check", g_expr="t^4")))
-        raw[key] = value
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(raw))
-        code, out = run_cli(["check", "--config", str(cfg)], tmp_path)
-        assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
-        assert not (out / "check.json").exists()
-
-
-@pytest.mark.parametrize("key, value", [
-    ("alpha0", "1e-8"), ("grid_n", "512"), ("grid_n", 512.0), ("budget", True),
-    ("gamma", False), ("theta", "2"), ("b_values", [3, "5"]), ("sweep_values", 0.4),
-    ("f_expr", 2), ("command", None)])
-def test_config_file_with_mistyped_value_exits_config(tmp_path, capsys, key, value):
-    # each key goes to a command that reads it, so its type is what is refused
-    command = {"alpha0": "ratio", "budget": "ratio", "b_values": "moser",
-               "sweep_values": "sweep"}.get(key, "solve")
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
-    code, out = run_cli([command, "--config", str(cfg)], tmp_path)
-    assert code == EXIT_CONFIG
-    assert repr(key) in capsys.readouterr().err
-    assert not (out / f"{command}.json").exists()
-
-
-def test_config_file_numbers_echo_like_flag_numbers(tmp_path):
-    # a JSON integer in a float field reads as the float the flag's text gives,
-    # so the file and the flags write the same bytes
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"gamma": 2, "lam": 1}))
-    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path, "file")
-    code_flags, flags = run_cli(["solve", "--gamma", "2", "--lambda", "1"], tmp_path, "flags")
-    assert code == code_flags == EXIT_OK
-    for name in ("solve.json", "solution.csv"):
-        assert (out / name).read_bytes() == (flags / name).read_bytes()
-    assert re.search(r'"gamma": 2\.0\b', (out / "solve.json").read_text())
-    rc = RunConfig.from_json(json.dumps({"theta": 2, "K": 10**400, "g_expr": None}), "check")
-    assert (type(rc.theta), rc.K, rc.g_expr) == (float, float("inf"), None)
-    rc = RunConfig.from_json(json.dumps({"b_values": [3, 5.5]}), "moser")
-    assert [type(b) for b in rc.b_values] == [float, float] and rc.b_values == (3.0, 5.5)
-    assert str(RunConfig.from_json(json.dumps({"K": -0.0}), "check").K) == "-0.0"
-    rc = RunConfig.from_json(json.dumps({"sweep_values": [1], "grid_r_max": 20, "grid_n": 512}),
-                             "sweep")
-    assert rc.sweep_values == (1.0,) and type(rc.sweep_values[0]) is float
-    assert (type(rc.grid_r_max), type(rc.grid_n)) == (float, int)
-
-
-def test_each_command_reads_only_its_config_keys(tmp_path, capsys):
-    # the flag table owns what a command reads: a --config file may set the
-    # fields of the command's flags and out_dir, 50 command/key pairs in all
-    every = {f.name for f in fields(RunConfig)} - {"command", "out_dir"}
-    assert set().union(*map(_read_fields, _COMMANDS)) == every
-    assert {name: len(_read_fields(name)) for name in _COMMANDS} == {
-        "solve": 8, "rearrange": 2, "moser": 1, "ratio": 8, "check": 6, "gap": 8, "sweep": 10}
-    assert sum(len(_read_fields(name)) + 1 for name in _COMMANDS) == 50
-    for command in _COMMANDS:
-        for key in sorted(every - set(_read_fields(command))):
-            cfg = tmp_path / "run.json"
-            cfg.write_text(json.dumps({key: getattr(RunConfig(command), key)}))
-            code, out = run_cli([command, "--config", str(cfg)], tmp_path)
-            assert code == EXIT_CONFIG, (command, key)
-            assert f"{command} does not read the config keys {key}" in capsys.readouterr().err
-            assert not out.exists()
-
-
-def test_config_file_dimension_sets_the_grid(tmp_path):
-    # without a grid key the grid follows the dimension, as it does for --dim
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"dimension": 2, "gamma": 1.1, "lam": 0.5}))
-    code, out = run_cli(["solve", "--config", str(cfg)], tmp_path, "file")
-    assert code == EXIT_OK
-    code, flags = run_cli(["solve", "--dim", "2", "--gamma", "1.1", "--lambda", "0.5"],
-                          tmp_path, "flags")
-    assert code == EXIT_OK
-    got, want = (json.loads((d / "solve.json").read_text()) for d in (out, flags))
-    assert got["config"]["grid_r_max"] == 30.0
-    assert got["solve"] == want["solve"]
-    # a grid key in the file, or --grid, keeps its grid; the other key follows
-    # the dimension
-    cfg.write_text(json.dumps({"dimension": 2, "grid_n": 512}))
-    rc = with_default_grid(config_from_args(build_parser().parse_args(["solve", "--config",
-                                                                       str(cfg)])))
-    assert (rc.grid_r_max, rc.grid_n) == (30.0, 512)
-    rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2", "--grid", "25:1024"]))
-    assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
-
-
 @pytest.mark.parametrize("args", [
     ["solve", "--grid", "20:512"],
     ["sweep", "--sweep-param", "gamma", "--sweep-values", "1.1", "--grid", "20:512"],
@@ -639,22 +596,20 @@ def test_config_file_dimension_sets_the_grid(tmp_path):
     ["rearrange", "--input", None]], ids=lambda args: args[0])
 def test_every_report_echoes_the_fields_its_command_reads(tmp_path, args):
     # config holds the command and the fields of its flags, the defaults it
-    # read included; read back as a --config file it reproduces the report
+    # read included; passed back as --flag=value arguments it reproduces the report
     args = [a if a is not None else _two_bump_csv(tmp_path) for a in args]
     code, out = run_cli(args, tmp_path, "flags")
-    report = (out / f"{args[0]}.json").read_text()
+    report = (out / f"{args[0]}.json").read_bytes()
     echo = json.loads(report)["config"]
     assert set(echo) == {"command", *_read_fields(args[0])}
-    cfg = tmp_path / "echo.json"
-    cfg.write_text(json.dumps(echo))
-    code_file, file = run_cli([args[0], "--config", str(cfg)], tmp_path, "file")
-    assert code_file == code
-    assert (file / f"{args[0]}.json").read_text() == report
+    code_echo, rerun = run_cli(echo_argv(echo), tmp_path, "echo")
+    assert code_echo == code
+    assert (rerun / f"{args[0]}.json").read_bytes() == report
 
 
 def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
-    # a RunConfig built in code, or read with from_json, solves on the grid of
-    # its dimension, as the CLI does
+    # a RunConfig built in code solves on the grid of its dimension, as --dim
+    # without --grid does; --grid keeps its grid
     rc = RunConfig(command="solve", dimension=2, gamma=1.1, lam=0.5,
                    out_dir=str(tmp_path / "library"))
     assert (rc.grid_r_max, rc.grid_n) == (None, None)
@@ -664,24 +619,20 @@ def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     assert code == EXIT_OK
     got, want = ((tmp_path / d / "solve.json").read_text() for d in ("library", "flags"))
     assert got == want
-    rc = with_default_grid(RunConfig.from_json('{"dimension": 2}', "solve"))
-    assert (rc.grid_r_max, rc.grid_n) == (30.0, 2048)
-    rc = with_default_grid(RunConfig.from_json('{"grid_r_max": 25}', "solve"))
-    assert (rc.grid_r_max, rc.grid_n) == (25, 2048)
+    assert json.loads(want)["config"]["grid_r_max"] == 30.0
+    rc = with_default_grid(RunConfig(command="solve", dimension=2, grid_n=512))
+    assert (rc.grid_r_max, rc.grid_n) == (30.0, 512)
+    rc = with_default_grid(RunConfig(command="solve", grid_r_max=25.0))
+    assert (rc.grid_r_max, rc.grid_n) == (25.0, 2048)
+    rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2", "--grid", "25:1024"]))
+    assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
 
 
-def test_sweep_jobs_option_is_gone(tmp_path, capsys):
-    # sweeps run their values in turn; a config file naming "jobs" is refused
+def test_sweep_jobs_option_is_gone(tmp_path):
+    # sweeps run their values in turn
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--jobs", "2"], tmp_path)
     assert exc.value.code == EXIT_CONFIG
-    raw = json.loads(config_text(RunConfig(command="sweep")))
-    raw["jobs"] = 2
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    code, _ = run_cli(["sweep", "--config", str(cfg)], tmp_path)
-    assert code == EXIT_CONFIG
-    assert "jobs" in capsys.readouterr().err
 
 
 # Runs each command in one process.  For the import alone, then after each
@@ -1058,21 +1009,6 @@ def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / f"{args[0]}.json").exists()
-
-
-def test_ratio_refuses_a_config_alpha0_without_f(tmp_path, capsys):
-    # presence is refused, whatever the value: 1.0 is also the rate a user f defaults to
-    cfg = tmp_path / "run.json"
-    for alpha0 in (5.0, 1.0):
-        cfg.write_text(json.dumps({"alpha0": alpha0, "budget": 4}))
-        code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path)
-        assert code == EXIT_CONFIG
-        assert f"--alpha0 {alpha0:g} is the rate of a user --f" in capsys.readouterr().err
-        assert not (out / "ratio.json").exists()
-    cfg.write_text(json.dumps({"alpha0": 2.0, "f_expr": "0.5*t*exp(2*t^2)", "budget": 4}))
-    code, out = run_cli(["ratio", "--config", str(cfg)], tmp_path, "f")
-    assert code == EXIT_OK
-    assert json.loads((out / "ratio.json").read_text())["config"]["alpha0"] == 2.0
 
 
 @pytest.mark.parametrize("args, alpha0", [
