@@ -609,7 +609,7 @@ def test_every_report_echoes_the_fields_its_command_reads(tmp_path, args):
 
 def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     # a RunConfig built in code solves on the grid of its dimension, as --dim
-    # without --grid does; --grid keeps its grid
+    # without --grid does
     rc = RunConfig(command="solve", dimension=2, gamma=1.1, lam=0.5,
                    out_dir=str(tmp_path / "library"))
     assert (rc.grid_r_max, rc.grid_n) == (None, None)
@@ -624,7 +624,19 @@ def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     assert (rc.grid_r_max, rc.grid_n) == (30.0, 512)
     rc = with_default_grid(RunConfig(command="solve", grid_r_max=25.0))
     assert (rc.grid_r_max, rc.grid_n) == (25.0, 2048)
+
+
+def test_dim_flag_sets_the_grid():
+    # --dim without --grid leaves the grid to the dimension; --grid keeps its grid
+    rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2"]))
+    assert (rc.grid_r_max, rc.grid_n) == (None, None)
+    rc = with_default_grid(rc)
+    assert (rc.dimension, rc.grid_r_max, rc.grid_n) == (2, 30.0, 2048)
+    rc = with_default_grid(config_from_args(build_parser().parse_args(["solve", "--dim", "4"])))
+    assert (rc.grid_r_max, rc.grid_n) == (20.0, 2048)
     rc = config_from_args(build_parser().parse_args(["solve", "--dim", "2", "--grid", "25:1024"]))
+    assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
+    rc = with_default_grid(rc)
     assert (rc.grid_r_max, rc.grid_n) == (25.0, 1024)
 
 
