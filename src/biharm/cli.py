@@ -1,13 +1,15 @@
 """Command-line surface: flag parsing, dispatch and serialization.
 
 Subcommands and their flags, besides --out-dir (``_COMMANDS``): solve and
-sweep take --gamma, --grid and the nonlinearity flags --dim --lambda --f --F
+sweep take --gamma, --grid and the nonlinearity flags --dim --lambda --f
 --theta, and sweep --sweep-param and --sweep-values; gap takes --V, --grid
 and the nonlinearity flags; ratio takes the nonlinearity flags, --alpha0 (the
 rate of a user f, which sets the default --L; refused without --f), --L and
 --budget; check the nonlinearity flags but --lambda, which cancels from every
-condition, --g and --K; moser --b-values (at K = 1, which scales every K
-out); rearrange --input and --dim.  The probes ratio and check build only a
+condition, --g and --K (refused without --g); moser --b-values (at K = 1,
+which scales every K out); rearrange --input and --dim.  A user --f has F =
+int_0^t f, integrated by the run; --theta and --f name two nonlinearities and
+are refused together.  The probes ratio and check build only a
 nonlinearity: the sharp ratio and the growth conditions depend on F and the
 dimension alone.  check reports the conditions of its nonlinearity, and the
 growth class of --g when it is given.  Every command refuses a dimension
@@ -33,9 +35,9 @@ eigensolver that breaks down, or a ``gap`` with a Nehari sub-solve above 1e-5
 or whose comparison level, an upper bound of m_V, falls below m_V; the report of
 a solve that ran is still written), 3 usage or input error (a flag the
 command does not take, a missing or malformed flag value, malformed or
-non-finite CSV fields, an f that overflows at the overflow cap or an F that
-is not its antiderivative, a problem whose scaling projection finds no sign
-change before the cap, ...; a ``sweep`` still writes sweep.json with an error
+non-finite CSV fields, an f that overflows at the overflow cap, --theta with
+--f, a problem whose scaling projection finds no sign change before the
+cap, ...; a ``sweep`` still writes sweep.json with an error
 entry for each value that gives such a problem).
 """
 
@@ -150,11 +152,10 @@ class RunConfig:
     grid_n: Optional[int] = None
     potential_expr: Optional[str] = None
     f_expr: Optional[str] = None
-    F_expr: Optional[str] = None
     alpha0: Optional[float] = None       # None: 1.0 for a user f, filled by run()
     theta: Optional[float] = None     # exact-growth family parameter
     g_expr: Optional[str] = None
-    K: float = 1.0
+    K: Optional[float] = None            # None: 1.0 with g_expr, filled by run()
     L: Optional[float] = None
     budget: int = 400
     b_values: tuple = (3.0, 5.0, 8.0)
@@ -169,10 +170,13 @@ def _nonlinearity(rc: RunConfig) -> NonlinearitySpec:
     if rc.lam is not None and (rc.theta is not None or rc.f_expr is not None):
         raise ValueError("--lambda scales only the built-in exp-critical nonlinearity, "
                          "not --f or --theta")
+    if rc.theta is not None and rc.f_expr is not None:
+        raise ValueError("--theta names the exact-growth family and --f a user "
+                         "nonlinearity: give one of them")
     if rc.theta is not None:
         return exact_growth_family(rc.theta)
     if rc.f_expr is not None:
-        return user_nonlinearity(rc.f_expr, rc.F_expr, alpha0=rc.alpha0)
+        return user_nonlinearity(rc.f_expr, rc.alpha0)
     return exp_critical(rc.lam, rc.dimension)
 
 
@@ -228,7 +232,6 @@ def _cmd_rearrange(rc: RunConfig):
 
     u = load_field_csv(rc.input_field, rc.dimension)
     w = fourier_rearrange(u)
-    save_field_csv(os.path.join(rc.out_dir, "rearrange_input.csv"), u)
     save_field_csv(os.path.join(rc.out_dir, "rearrange_output.csv"),
                    RadialField(u.grid, w.values))
     return {"rearrange": asdict(w.report)}, EXIT_OK
@@ -250,11 +253,6 @@ def _cmd_moser(rc: RunConfig):
     bs = np.array([r["b"] for r in rows])
     ex = np.array([abs(r["excess"]) for r in rows])
     slope = float(np.polyfit(np.log(bs), np.log(ex), 1)[0]) if len(rows) >= 2 else float("nan")
-    lines = ["b,l2_sq,lap_l2_sq,excess"]
-    for r in rows:
-        lines.append(",".join(format(float(r[k]), ".17g")
-                              for k in ("b", "l2_sq", "lap_l2_sq", "excess")))
-    atomic_write(os.path.join(rc.out_dir, "moser.csv"), "\n".join(lines) + "\n")
     return {"moser": {"rows": rows, "fitted_excess_exponent": slope}}, EXIT_OK
 
 
@@ -271,7 +269,10 @@ def _cmd_ratio(rc: RunConfig):
 
 def _cmd_check(rc: RunConfig):
     out = {}
-    if rc.g_expr:
+    if rc.g_expr is None and rc.K is not None:
+        raise ValueError(f"--K {rc.K:g} scales the growth class of --g; without --g "
+                         "nothing reads it")
+    if rc.g_expr is not None:
         from .diagnostics import classify_growth
 
         out["growth"] = asdict(classify_growth(parse_expression(rc.g_expr), rc.K))
@@ -344,7 +345,7 @@ def _numbers(text: str) -> tuple:
 _OPTIONS = {
     "--dim": ("dimension", int), "--gamma": ("gamma", float), "--lambda": ("lam", float),
     "--grid": (("grid_r_max", "grid_n"), _grid), "--V": ("potential_expr", str),
-    "--f": ("f_expr", str), "--F": ("F_expr", str), "--alpha0": ("alpha0", float),
+    "--f": ("f_expr", str), "--alpha0": ("alpha0", float),
     "--theta": ("theta", float), "--g": ("g_expr", str), "--K": ("K", float),
     "--L": ("L", float), "--budget": ("budget", int), "--b-values": ("b_values", _numbers),
     "--sweep-param": ("sweep_param", str), "--sweep-values": ("sweep_values", _numbers),
@@ -354,19 +355,19 @@ _FORMS = {int: "an integer", float: "a number", _grid: "r_max:n_points",
 _FLAG_HELP = {"--grid": "r_max:n_points", "--b-values": "comma-separated b sweep",
               "--sweep-values": "comma-separated values",
               **{flag: f"{what}, an expression in t; write {flag}=EXPR if it begins with '-'"
-                 for flag, what in (("--V", "radial potential (t = radius)"), ("--f", "f"),
-                                    ("--F", "F, the antiderivative of --f"), ("--g", "g"))}}
+                 for flag, what in (("--V", "radial potential (t = radius)"), ("--g", "g"),
+                                    ("--f", "f, whose F = int_0^t f the run integrates"))}}
 
 # each command takes the flags its handler reads (via _nonlinearity and _build_problem)
 # and --out-dir; the fields they set are its report's config echo (_read_fields)
-_NONLINEARITY = ("--dim", "--lambda", "--f", "--F", "--theta")
+_NONLINEARITY = ("--dim", "--lambda", "--f", "--theta")
 _PROBLEM = ("--gamma",) + _NONLINEARITY              # constant potential gamma
 _COMMANDS = {"solve": (_cmd_solve, _PROBLEM + ("--grid",)),
              "rearrange": (_cmd_rearrange, ("--input", "--dim")),
              "moser": (_cmd_moser, ("--b-values",)),
              "ratio": (_cmd_ratio, _NONLINEARITY + ("--alpha0", "--L", "--budget")),
              # lambda cancels from every condition check reports
-             "check": (_cmd_check, ("--dim", "--f", "--F", "--theta", "--g", "--K")),
+             "check": (_cmd_check, ("--dim", "--f", "--theta", "--g", "--K")),
              "gap": (_cmd_gap, ("--V",) + _NONLINEARITY + ("--grid",)),
              "sweep": (_cmd_sweep, _PROBLEM + ("--grid", "--sweep-param", "--sweep-values"))}
 
@@ -426,14 +427,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def with_default_grid(rc: RunConfig) -> RunConfig:
     """rc with each grid field it leaves None taken from the dimension's default grid,
-    lam 0.5 when it leaves lam None and names the built-in nonlinearity, and alpha0
-    1.0 when it leaves alpha0 None and names a user f."""
+    lam 0.5 when it leaves lam None and names the built-in nonlinearity, alpha0
+    1.0 when it leaves alpha0 None and names a user f, and K 1.0 when it leaves K
+    None and names a g."""
     r_max, n = g.DEFAULT_GRID[rc.dimension]
     builtin = rc.theta is None and rc.f_expr is None
     return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
                    grid_n=n if rc.grid_n is None else rc.grid_n,
                    lam=0.5 if rc.lam is None and builtin else rc.lam,
-                   alpha0=1.0 if rc.alpha0 is None and rc.f_expr is not None else rc.alpha0)
+                   alpha0=1.0 if rc.alpha0 is None and rc.f_expr is not None else rc.alpha0,
+                   K=1.0 if rc.K is None and rc.g_expr is not None else rc.K)
 
 
 def run(rc: RunConfig) -> int:

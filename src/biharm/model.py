@@ -7,17 +7,16 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   the matching closed form.
 * ``exact_growth_family(theta)`` -- F(t) = (exp(t^2)-1-t^2) / (1+|t|^theta),
   f = F' differentiated analytically.
-* ``user_nonlinearity(f_expr, ...)`` -- f parsed from an expression; F is
-  either parsed too or the vectorized composite Gauss-Legendre antiderivative
-  of f (``gauss_antiderivative``), computed afresh on every call.
+* ``user_nonlinearity(f_expr, alpha0)`` -- f parsed from an expression; F is
+  the vectorized composite Gauss-Legendre antiderivative of f
+  (``gauss_antiderivative``), computed afresh on every call.
 
 ``ProblemConfig`` stores each fact of a problem once: the dimension, V, and
 the nonlinearity, which owns lam and the critical rate alpha0; it checks the
 dimension and lam < V0.  The nonlinearity checks alpha0 and its own overflow:
 alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
 finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
-a user f declares, and finite on 257 points of [-cap, cap]; a parsed user F
-must equal int_0^t f on those points.
+a user f declares, and finite on 257 points of [-cap, cap].
 
 There is one overflow policy.  Amplitudes are capped at ``OVERFLOW_CAP``
 (6.0): fields enter the functionals through ``check_cap``, which raises
@@ -237,32 +236,20 @@ def exact_growth_family(theta: float) -> NonlinearitySpec:
     return NonlinearitySpec("exact_growth", f, F, alpha0=1.0)
 
 
-def user_nonlinearity(f_expr: str, F_expr: Optional[str] = None,
-                      alpha0: float = 1.0) -> NonlinearitySpec:
-    """Nonlinearity from expression strings.
+def user_nonlinearity(f_expr: str, alpha0: float = 1.0) -> NonlinearitySpec:
+    """Nonlinearity from an expression for f.
 
-    Without ``F_expr``, F(t) = int_0^t f is integrated from f on every call
-    by :func:`gauss_antiderivative`; nothing is kept between calls.  On the
+    F(t) = int_0^t f is integrated from f on every call by
+    :func:`gauss_antiderivative`; nothing is kept between calls.  On the
     exp-critical profiles up to the overflow cap its error is about 1e-14
-    relative.  A parsed F must be that integral: on the points of the
-    finiteness scan it may differ from it by at most 1e-8 (|int_0^t f| +
-    |t f(t)|), else ValueError.
+    relative.
     """
     f = parse_expression(f_expr)
 
     def F(t):
         return gauss_antiderivative(f, t)
 
-    if F_expr is None:
-        return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
-    spec = NonlinearitySpec("user", f, parse_expression(F_expr), alpha0=float(alpha0))
-    got, want = np.broadcast_to(spec.F(_SCAN), _SCAN.shape), F(_SCAN)
-    ok = np.abs(got - want) <= 1e-8 * (np.abs(want) + np.abs(_SCAN * f(_SCAN)))
-    if not np.all(ok):
-        i = np.argmin(ok)
-        raise ValueError(f"F is not the antiderivative of f: F({_SCAN[i]:g}) = {got[i]:.10g}, "
-                         f"but int_0^t f = {want[i]:.10g} there")
-    return spec
+    return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
 
 
 # --- potentials -------------------------------------------------------------

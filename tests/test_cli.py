@@ -147,6 +147,20 @@ def test_check_command(tmp_path):
     assert rep["growth"]["bounded_verdict"] == "fails"
 
 
+def test_check_echoes_K_only_with_g(tmp_path):
+    # K scales only the growth class of --g: without --g the echo reads K null and
+    # still re-runs the report byte for byte; with --g it reads the default 1.0
+    for sub, args, K in (("theta", ["--theta", "1"], None), ("g", ["--g", "t^4"], 1.0)):
+        code, out = run_cli(["check", *args], tmp_path, sub)
+        assert code == EXIT_OK
+        report = (out / "check.json").read_bytes()
+        echo = json.loads(report)["config"]
+        assert echo["K"] == K
+        code, rerun = run_cli(echo_argv(echo), tmp_path, sub + "_echo")
+        assert code == EXIT_OK
+        assert (rerun / "check.json").read_bytes() == report
+
+
 def test_check_conditions_output(tmp_path):
     code, out = run_cli(["check", "--theta", "1.0"], tmp_path)
     assert code == EXIT_OK
@@ -252,7 +266,7 @@ def test_moser_command(tmp_path):
     rep = json.loads((out / "moser.json").read_text())
     assert [set(row) for row in rep["moser"]["rows"]] == 2 * [
         {"b", "l2_sq", "lap_l2_sq", "excess", "n_points", "method"}]
-    assert (out / "moser.csv").exists()
+    assert not (out / "moser.csv").exists()      # moser.json holds the rows once
 
 
 def test_ratio_command(tmp_path):
@@ -391,7 +405,7 @@ def test_removed_flags_rejected(tmp_path, flag):
 
 
 def test_each_command_takes_only_its_flags():
-    # 47 flag/command pairs; every command also takes --out-dir and -h
+    # 42 flag/command pairs; every command also takes --out-dir and -h
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     assert list(subparsers) == list(_COMMANDS)
@@ -400,9 +414,9 @@ def test_each_command_takes_only_its_flags():
         got = {s for a in subparsers[name]._actions for s in a.option_strings}
         assert got == {*flags, "--out-dir", "-h", "--help"}, name
         pairs += len(flags) + 1
-    assert pairs == 47
+    assert pairs == 42
     assert {name: len(flags) + 1 for name, (_, flags) in _COMMANDS.items()} == {
-        "solve": 8, "rearrange": 3, "moser": 2, "ratio": 9, "check": 7, "gap": 8, "sweep": 10}
+        "solve": 7, "rearrange": 3, "moser": 2, "ratio": 8, "check": 6, "gap": 7, "sweep": 9}
     # every RunConfig field but command and out_dir is set by some command's flags
     every = {f.name for f in fields(RunConfig)} - {"command", "out_dir"}
     assert set().union(*map(_read_fields, _COMMANDS)) == every
@@ -420,10 +434,22 @@ def test_config_file_option_is_gone(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_F_option_is_gone(tmp_path, capsys):
+    # a user F is always int_0^t f, integrated by the run: --F is an unknown argument
+    # of every command, even beside an f whose antiderivative it is
+    for command, (_, flags) in _COMMANDS.items():
+        f = ["--f", "0.5*t*exp(2*t^2)"] if "--f" in flags else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *f, "--F", "0.125*(exp(2*t^2)-1)"], tmp_path)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --F" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_expression_that_begins_with_minus_takes_the_equals_form(tmp_path, capsys):
     # argparse reads "-0.4*..." after --V as a flag; --V=EXPR passes it, as every
     # expression flag's help says
-    for command, flag in (("gap", "--V"), ("check", "--f"), ("check", "--F"), ("check", "--g")):
+    for command, flag in (("gap", "--V"), ("check", "--f"), ("check", "--g")):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())      # help wraps its lines
@@ -519,38 +545,31 @@ def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
     assert not (tmp_path / "out").exists()
 
 
-def test_inconsistent_F_exits_config(tmp_path, capsys):
-    # F is twice the antiderivative of f: the nonlinearity refuses it before any solve
-    code, out = run_cli(["solve", "--f", "0.5*t*exp(2*t^2)",
-                         "--F", "0.25*(exp(2*t^2)-1)", "--grid", "20:512"], tmp_path)
-    assert code == EXIT_CONFIG
-    assert "F is not the antiderivative of f" in capsys.readouterr().err
-    assert not (out / "solve.json").exists()
+# each command's args, the report keys it compares, and the lambda of the built-in run
+_PARITY = {"solve": (["solve"], ["objective"], "0.5"),
+           "gap": (["gap", "--V", "1-0.4*exp(-t^2)"], ["m_V", "m_infty"], "0.3"),
+           "ratio": (["ratio"], ["ratio_lower_bound", "L"], "0.5")}
 
 
-@pytest.mark.parametrize("args", [
-    ["solve"], ["sweep", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
-    ["gap", "--V", "1-0.4*exp(-t^2)"], ["check"], ["ratio", "--budget", "4"]])
-def test_an_F_that_is_not_the_antiderivative_of_f_exits_config(tmp_path, capsys, args):
-    # every command that builds a nonlinearity refuses the pair, with no report
-    code, out = run_cli(args + ["--f", "0.5*t*exp(2*t^2)", "--F", "0.25*(exp(2*t^2)-1)"],
-                        tmp_path)
-    assert code == EXIT_CONFIG
-    assert "F is not the antiderivative of f: F(-6) = 4.646679363e+30" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_user_f_solve_matches_closed_form(tmp_path):
-    # F integrated from the parsed f reproduces the closed-form objective
-    code, out = run_cli(["solve", "--f", "0.5*t*exp(2*t^2)", "--grid", "20:512"],
-                        tmp_path, "user")
-    assert code == EXIT_OK
-    code_cf, out_cf = run_cli(["solve", "--lambda", "0.5", "--grid", "20:512"],
-                              tmp_path, "closed")
-    assert code_cf == EXIT_OK
-    got = json.loads((out / "solve.json").read_text())["solve"]["objective"]
-    want = json.loads((out_cf / "solve.json").read_text())["solve"]["objective"]
-    assert got == pytest.approx(want, rel=1e-10)
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize("command", list(_PARITY))
+def test_user_f_matches_the_builtin_run(tmp_path, command, dim):
+    # F integrated from the parsed f reproduces the closed-form F's results; the 4-D
+    # ratio declares the built-in rate 2, which sets its default L
+    args, keys, lam = _PARITY[command]
+    args = args + ["--dim", str(dim)]
+    rate = {4: 2, 2: 1}[dim]
+    user = ["--f", f"{lam}*t*exp({rate}*t^2)"]
+    if command == "ratio" and dim == 4:
+        user += ["--alpha0", "2"]
+    code, out = run_cli(args + user, tmp_path, "user")
+    code_cf, out_cf = run_cli(args + ["--lambda", lam], tmp_path, "closed")
+    assert code == code_cf == EXIT_OK
+    got, want = (json.loads((d / f"{command}.json").read_text()) for d in (out, out_cf))
+    for key in keys:
+        assert got[command][key] == pytest.approx(want[command][key], rel=1e-10), key
+    if command == "ratio":
+        assert got["ratio"]["verdict"] == want["ratio"]["verdict"]
 
 
 def test_module_form_runs_the_cli(tmp_path):
@@ -962,6 +981,9 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     assert not (out / "moser.json").exists()
 
 
+_THETA_AND_F = "--theta names the exact-growth family and --f a user nonlinearity"
+
+
 @pytest.mark.parametrize("args, message", [
     (["check", "--g", "t^4", "--K", "nan"], "K must be positive and finite"),
     (["check", "--g", "t^4", "--K", "inf"], "K must be positive and finite"),
@@ -1001,13 +1023,10 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
     (["gap", "--V", "1.2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
     (["ratio", "--lambda", "nan", "--budget", "4"], "lam must be positive and finite, got nan"),
     (["ratio", "--dim", "2", "--lambda", "nan"], "lam must be positive and finite, got nan"),
-    # an f that is NaN inside the cap, here for |t| < 1, is refused as well
-    (["check", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
-     "is not finite inside the overflow cap 6.0"),
-    (["ratio", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
-     "is not finite inside the overflow cap 6.0"),
-    (["solve", "--f", "t*exp(2*t^2)*sqrt(t^2-1)", "--F", "exp(2*t^2)-1"],
-     "is not finite inside the overflow cap 6.0"),
+    # an f that is NaN inside the cap, here at t = 0, is refused as well
+    (["check", "--f", "t*exp(2*t^2)+0/t"], "is not finite inside the overflow cap 6.0"),
+    (["ratio", "--f", "t*exp(2*t^2)+0/t"], "is not finite inside the overflow cap 6.0"),
+    (["solve", "--f", "t*exp(2*t^2)+0/t"], "is not finite inside the overflow cap 6.0"),
     # no swept gamma enters the nonlinearity: a bad one is refused before any value
     (["sweep", "--theta", "nan", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
      "theta must be positive and finite, got nan"),
@@ -1015,6 +1034,16 @@ def test_moser_bad_input_exits_3_without_report(tmp_path, args):
      "lam must be positive and finite, got nan"),
     # the presence of --alpha0 is refused, whatever its value: 1 is a user f's default
     (["ratio", "--alpha0", "1", "--budget", "4"], "--alpha0 1 is the rate of a user --f"),
+    # --theta and --f name two nonlinearities: every command that builds one refuses both
+    (["solve", "--theta", "2", "--f", "t", "--grid", "20:256"], _THETA_AND_F),
+    (["sweep", "--theta", "2", "--f", "t", "--sweep-param", "gamma", "--sweep-values", "1,1.2"],
+     _THETA_AND_F),
+    (["gap", "--V", "1.2-0.4*exp(-t^2)", "--theta", "2", "--f", "t"], _THETA_AND_F),
+    (["ratio", "--theta", "3", "--f", "t*exp(t^2)", "--budget", "2"], _THETA_AND_F),
+    (["check", "--theta", "3", "--f", "t*exp(t^2)"], _THETA_AND_F),
+    # K scales only the growth class of --g: its presence without --g is refused
+    (["check", "--K", "0"], "--K 0 scales the growth class of --g"),
+    (["check", "--K", "1"], "--K 1 scales the growth class of --g"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

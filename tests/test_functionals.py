@@ -133,7 +133,7 @@ def test_scaling_invariance_n4(cfg):
 
 def test_ratio_search_quartic_plumbing():
     # F = t^4: finite ratio, reproducible by a scan oracle over the gaussians
-    spec = bh.user_nonlinearity("4*t^3", "t^4", alpha0=1.0)
+    spec = bh.user_nonlinearity("4*t^3", alpha0=1.0)
     rep = adams_ratio_search(spec, 4, L=1.0, budget=200)
     assert rep.verdict == "finite_evidence"
     assert rep.ratio_lower_bound > 0
@@ -190,10 +190,9 @@ _RATIO_CONFIGS = {
        for name, spec in (("exp_critical", bh.exp_critical(0.5, dim)),
                           ("theta1", bh.exact_growth_family(1.0)),
                           ("theta3", bh.exact_growth_family(3.0)))},
-    "quartic": (bh.user_nonlinearity("4*t^3", "t^4", alpha0=1.0), 4, 1.0),
+    "quartic": (bh.user_nonlinearity("4*t^3", alpha0=1.0), 4, 1.0),
     "user_f": (bh.user_nonlinearity("0.5*t*exp(2*t^2)"), 4, _BETA[4]),
-    "boundary_growth": (bh.user_nonlinearity("(2*t^3 + t^5)*exp(t^2)", "t^4*exp(t^2)/2"), 4,
-                        _BETA[4]),
+    "boundary_growth": (bh.user_nonlinearity("(2*t^3 + t^5)*exp(t^2)"), 4, _BETA[4]),
 }
 
 
