@@ -35,10 +35,12 @@ eigensolver that breaks down, or a ``gap`` with a Nehari sub-solve above 1e-5
 or whose comparison level, an upper bound of m_V, falls below m_V; the report of
 a solve that ran is still written), 3 usage or input error (a flag the
 command does not take, a missing or malformed flag value, malformed or
-non-finite CSV fields, an f that overflows at the overflow cap, --theta with
---f, a problem whose scaling projection finds no sign change before the
-cap, ...; a ``sweep`` still writes sweep.json with an error
-entry for each value that gives such a problem).
+non-finite CSV fields, a rearrange field beyond the overflow cap, an f that
+overflows at the overflow cap, --theta with --f, a problem whose f breaks the
+standing hypothesis lim f(t)/t < V0 = inf V, however f is given, a problem
+whose scaling projection finds no sign change before the cap, a ratio whose
+L leaves no candidate under the cap, ...; a ``sweep`` still writes
+sweep.json with an error entry for each value that gives such a problem).
 """
 
 from __future__ import annotations

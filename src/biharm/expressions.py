@@ -20,7 +20,9 @@ It rejects integer literals with leading zeros (``007``).  Input longer than
 ``MAX_LENGTH`` (100,000) characters is refused before ``ast`` sees it:
 Python 3.10's parser has no depth check and crashed on a 1,000,000-term sum.
 Evaluation is plain double arithmetic through numpy ufuncs, so parsed
-functions accept scalars and arrays alike.
+functions accept scalars and arrays alike, and return one float per input
+point: a constant expression given an array returns that constant at each
+point.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ def _evaluate(program: list, t):
 
 
 def parse_expression(src: str):
-    """Parse ``src`` into a callable f(t) (scalar or ndarray in, same out), or
-    raise ParseError at a character offset of ``src``."""
+    """Parse ``src`` into a callable f(t) (scalar or ndarray in, one float per
+    point out), or raise ParseError at a character offset of ``src``."""
     if len(src) > MAX_LENGTH:
         raise ParseError(f"expression longer than {MAX_LENGTH} characters", MAX_LENGTH)
     text = re.sub(r"\s", " ", src)             # tabs and newlines; offsets stay
@@ -120,6 +122,8 @@ def parse_expression(src: str):
     program = _postfix(tree, text, at)
 
     def fn(t):
-        return _evaluate(program, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+        x = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        value = _evaluate(program, x)       # a constant: one value, whatever x is
+        return np.full(np.shape(x), value) if np.ndim(value) < np.ndim(x) else value
 
     return fn

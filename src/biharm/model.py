@@ -1,10 +1,10 @@
 """Nonlinearities, potentials and problem configuration.
 
-The central objects are pairs (F, f) with F' = f.  Built-in families:
+The central objects are nonlinearities (f, F, alpha0) with F' = f.  Built-in families:
 
 * ``exp_critical(lam, dimension)`` -- f(t) = lam * t * exp(a t^2) with
   a = ``EXP_RATE[dimension]``, 2 in dimension 4 and 1 in dimension 2; F has
-  the matching closed form.
+  the matching closed form, and lam lives in f and F alone.
 * ``exact_growth_family(theta)`` -- F(t) = (exp(t^2)-1-t^2) / (1+|t|^theta),
   f = F' differentiated analytically.
 * ``user_nonlinearity(f_expr, alpha0)`` -- f parsed from an expression; F is
@@ -12,8 +12,8 @@ The central objects are pairs (F, f) with F' = f.  Built-in families:
   (``gauss_antiderivative``), computed afresh on every call.
 
 ``ProblemConfig`` stores each fact of a problem once: the dimension, V, and
-the nonlinearity, which owns lam and the critical rate alpha0; it checks the
-dimension and lam < V0.  The nonlinearity checks alpha0 and its own overflow:
+the nonlinearity; it checks the dimension and, for every f, the standing
+hypothesis lim_{t->0+} f(t)/t < V0 = inf V.  The nonlinearity checks alpha0 and its own overflow:
 alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
 finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
 a user f declares, and finite on 257 points of [-cap, cap].
@@ -28,7 +28,7 @@ functional downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class OverflowCapError(FloatingPointError):
 def check_cap(values):
     m = float(np.max(np.abs(values))) if np.ndim(values) else abs(float(values))
     if m > OVERFLOW_CAP:
-        raise OverflowCapError(f"amplitude {m:.3f} exceeds overflow cap {OVERFLOW_CAP}")
+        raise OverflowCapError(f"amplitude {m:.6g} exceeds overflow cap {OVERFLOW_CAP}")
 
 
 def adaptive_simpson(fn: Callable, a: float, b: float) -> float:
@@ -106,8 +106,7 @@ def _gauss_panels(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """8-point Gauss-Legendre integral of fn over each [a_i, b_i]."""
     half = 0.5 * (b - a)
     y = (a + half)[:, None] + half[:, None] * _GAUSS_NODES
-    fy = np.broadcast_to(np.asarray(fn(y), dtype=float), y.shape)
-    return half * (fy * _GAUSS_WEIGHTS).sum(axis=1)
+    return half * (np.asarray(fn(y), dtype=float) * _GAUSS_WEIGHTS).sum(axis=1)
 
 
 def gauss_antiderivative(fn: Callable, t):
@@ -157,11 +156,12 @@ def _exprel2(x):
 
 @dataclass(eq=False)
 class NonlinearitySpec:
-    """A nonlinearity (F, f) together with its critical exponent data.
+    """A nonlinearity: f, F = int_0^t f and the critical rate alpha0.
 
-    ``f``/``F`` are vectorized callables.  ``alpha0`` is the critical
-    exponential rate, for the exp-critical family the a in
-    f = lam t exp(a t^2); ``lam`` is that family's lam, the one copy of it.
+    ``f``/``F`` are vectorized callables, which alone hold a family's parameters
+    (the exp-critical lam); f' is the central difference of f for every family
+    (``_Functionals.fprime``).  ``alpha0`` is the critical exponential rate, for the
+    exp-critical family the a in f = lam t exp(a t^2).
     An alpha0 or (F, f) that overflows at the cap, or is not finite below it, raises ValueError.
     """
 
@@ -169,8 +169,6 @@ class NonlinearitySpec:
     f: Callable
     F: Callable
     alpha0: float
-    lam: float = 1.0
-    fprime: Optional[Callable] = None
 
     def __post_init__(self):
         alpha0, cap = self.alpha0, OVERFLOW_CAP
@@ -182,7 +180,7 @@ class NonlinearitySpec:
         t = _SCAN
         with np.errstate(all="ignore"):
             tf = t * np.asarray(self.f(t), dtype=float)
-            Ft = np.broadcast_to(np.asarray(self.F(t), dtype=float), t.shape)
+            Ft = np.asarray(self.F(t), dtype=float)
         if not np.all(np.isfinite([tf[0], tf[-1], Ft[0], Ft[-1]])):
             raise ValueError(f"the nonlinearity overflows at the overflow cap {cap} or is NaN "
                              f"there: t f(t) or F(t) is not finite at t = +-{cap}")
@@ -192,7 +190,7 @@ class NonlinearitySpec:
 
 
 def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
-    """f(t) = lam t exp(a t^2); a = alpha0 = ``EXP_RATE[dimension]``."""
+    """f(t) = lam t exp(a t^2); a = alpha0 = ``EXP_RATE[dimension]``, lam = lim f(t)/t at 0."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if dimension not in EXP_RATE:
@@ -207,11 +205,7 @@ def exp_critical(lam: float, dimension: int = 4) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return lam / (2.0 * a) * np.expm1(a * t * t)
 
-    def fprime(t):
-        t = np.asarray(t, dtype=float)
-        return lam * np.exp(a * t * t) * (1.0 + 2.0 * a * t * t)
-
-    return NonlinearitySpec("exp_critical", f, F, alpha0=a, lam=lam, fprime=fprime)
+    return NonlinearitySpec("exp_critical", f, F, alpha0=a)
 
 
 def exact_growth_family(theta: float) -> NonlinearitySpec:
@@ -283,17 +277,12 @@ class RadialPotential:
     gamma_inf: float
 
     def __call__(self, r):
-        return _profile_on(self.profile, r)
-
-
-def _profile_on(profile: Callable, r) -> np.ndarray:
-    """profile(r) as floats shaped like r; a constant expression returns one value."""
-    return np.broadcast_to(np.asarray(profile(r), dtype=float), np.shape(r)).copy()
+        return np.asarray(self.profile(r), dtype=float)
 
 
 def radial_potential(profile: Callable, grid: RadialGrid) -> RadialPotential:
     """RadialPotential with v0 = min V and gamma_inf = V(r_max) measured on the grid."""
-    vals = _profile_on(profile, grid.nodes)
+    vals = np.asarray(profile(grid.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential not finite on the grid")
     if np.min(vals) <= 0:
@@ -311,8 +300,9 @@ class ProblemConfig:
     """Operator/dimension pair with potential and nonlinearity.
 
     dimension=4 means the bi-harmonic operator (m=2); dimension=2 the
-    Laplacian (m=1).  For the exp-critical family the rate must be
-    ``EXP_RATE[dimension]`` and the standing hypothesis lam < V0 must hold.
+    Laplacian (m=1).  Every f must satisfy the standing hypothesis
+    lim_{t->0+} f(t)/t < V0, read as f(h)/h at h = 2^-511 (lam for the exp-critical
+    family, whose rate must also be ``EXP_RATE[dimension]``; a NaN is refused).
     """
 
     dimension: int
@@ -322,16 +312,13 @@ class ProblemConfig:
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
-        if self.nonlinearity.kind == "exp_critical":
-            if self.lam >= self.potential.v0 - 1e-15:
-                raise ValueError(
-                    f"standing hypothesis violated: lam={self.lam} >= V0={self.potential.v0}")
-            if self.nonlinearity.alpha0 != EXP_RATE[self.dimension]:
-                raise ValueError("exp-critical coefficient does not match the dimension")
-
-    @property
-    def lam(self) -> float:
-        return self.nonlinearity.lam
+        slope = float(self.nonlinearity.f(2.0**-511)) / 2.0**-511    # lim f(t)/t, t -> 0
+        if not slope < self.potential.v0 - 1e-15:
+            raise ValueError(f"standing hypothesis violated: f(t)/t -> {slope} as t -> 0, "
+                             f"not below V0={self.potential.v0}")
+        if (self.nonlinearity.kind == "exp_critical"
+                and self.nonlinearity.alpha0 != EXP_RATE[self.dimension]):
+            raise ValueError("exp-critical coefficient does not match the dimension")
 
     @property
     def order(self) -> int:

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .grid import SURFACE_MEASURE, RadialField, RadialGrid, build_grid
-from .model import EXP_RATE
+from .model import EXP_RATE, check_cap
 
 # The build holds one row leaf of the n x m matrix A (about sqrt(n m) rows),
 # the p m x m leaf triangles, and K, R and R K R^T (m x m), for m
@@ -420,8 +420,10 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     returned.  So does a grid with h r_max > pi: the frequency grid
     rho_j = r_j then runs past the nodes' Nyquist frequency pi / h, and the
     transform is an isometry but not a Hankel transform, which the three
-    checks cannot see.
+    checks cannot see.  A field beyond the overflow cap, whose exponential
+    mass overflows, raises OverflowCapError (``model.check_cap``).
     """
+    check_cap(u.values)
     gridobj = u.grid
     a = EXP_RATE[gridobj.dimension]
     w = gridobj.weights

@@ -479,8 +479,7 @@ def limiting_gap(config_V: ProblemConfig, init: RadialField) -> GapReport:
     Runs the Nehari minimization twice from the same init (with V, and with
     the constant gamma = lim V) and evaluates the comparison mechanism: the
     limit minimizer projected onto the trapped manifold must sit between the
-    two levels.  Only the exp-critical family needs lam < V0, which
-    ProblemConfig checks.
+    two levels.  Every f needs lim f(t)/t < V0, which ProblemConfig checks.
     """
     gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)

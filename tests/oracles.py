@@ -20,19 +20,19 @@ def exp_critical_config(gamma: float, lam: float, dimension: int = 4) -> Problem
     return ProblemConfig(dimension, ConstantPotential(gamma), exp_critical(lam, dimension))
 
 
-def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig) -> float:
+def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig, lam: float) -> float:
     """|I(u) - (lam/2) int exp(a u^2) u^2 + (lam/(2a)) int (exp(a u^2) - 1)|.
 
     For the exp-critical family I(u) - N(u)/2 is the subtracted expression,
     so the gap equals |N(u)|/2 up to rounding and vanishes on the Nehari
-    manifold, where I takes that on-manifold form.
+    manifold, where I takes that on-manifold form.  ``lam`` is the lam the
+    caller built config's f = lam t exp(a t^2) with.
     """
     rep = evaluate_all(u, config)
     if config.nonlinearity.kind != "exp_critical":
         raise ValueError("identity is defined for the exp-critical family")
     a = config.nonlinearity.alpha0
-    rhs = 0.5 * config.lam * rep.mass_terms.exp_weighted \
-        - config.lam / (2.0 * a) * rep.mass_terms.exp_mass
+    rhs = 0.5 * lam * rep.mass_terms.exp_weighted - lam / (2.0 * a) * rep.mass_terms.exp_mass
     return abs(rep.energy_I - rhs)
 
 

@@ -176,7 +176,7 @@ def test_criterion_5_ground_state_pipeline(cfg, g4, pipeline):
     rw = residual_weak(ut, cfg)
     fr = evaluate_all(ut, cfg)
     scale_n = fr.mass_terms.lap_l2_sq + fr.mass_terms.pot_l2_sq
-    scale_g = (cfg.gamma - cfg.lam) * fr.mass_terms.l2_sq \
+    scale_g = (cfg.gamma - LAM) * fr.mass_terms.l2_sq \
         + abs(fr.mass_terms.F_mass) + 1.0
     n_rel = abs(fr.nehari_N) / scale_n
     g_rel = abs(fr.pohozaev_G) / scale_g
@@ -200,7 +200,7 @@ def test_criterion_6_energy_identity(cfg, g4):
         u = bh.RadialField(g4, vals)
         t = project_nehari(u, cfg)
         proj = bh.RadialField(g4, t * vals)
-        gap = nehari_energy_identity_gap(proj, cfg)
+        gap = nehari_energy_identity_gap(proj, cfg, LAM)
         I_val = evaluate_all(proj, cfg).energy_I
         worst = max(worst, gap / (1.0 + abs(I_val)))
     report("criterion 6 (on-manifold energy identity)", worst <= 1e-8,
@@ -274,7 +274,7 @@ def test_criterion_10_laplacian_analogue():
     cfg2 = exp_critical_config(1.0, 0.5, dimension=2)
     g2 = bh.default_grid(2)
     rep = minimize_nehari(cfg2, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
-    gap = nehari_energy_identity_gap(rep.field, cfg2)
+    gap = nehari_energy_identity_gap(rep.field, cfg2, 0.5)
     ok = rep.converged and rep.residual_weak <= 1e-6 \
         and gap <= 1e-8 * (1 + abs(rep.objective))
     report("criterion 10 (2-D analogue)", ok,

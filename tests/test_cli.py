@@ -292,8 +292,8 @@ def test_sweep_keeps_the_values_around_a_bad_one(tmp_path, capsys):
     results = json.loads((out / "sweep.json").read_text())["sweep"]["results"]
     assert results[0]["value"] == 0.4 and results[0]["converged"] is True
     assert "error" not in results[0]
-    assert results[1] == {"value": 1.2,
-                          "error": "standing hypothesis violated: lam=1.2 >= V0=1.0"}
+    assert results[1] == {"value": 1.2, "error": "standing hypothesis violated: "
+                          "f(t)/t -> 1.2 as t -> 0, not below V0=1.0"}
     assert "lambda 1.2: standing hypothesis violated" in capsys.readouterr().err
 
 
@@ -308,6 +308,18 @@ def test_lambda_sweep_of_another_family_is_an_error_per_value(tmp_path, capsys):
     assert all(set(r) == {"value", "error"} and "--lambda" in r["error"]
                for r in rep["sweep"]["results"])
     assert "lambda 0.3: --lambda scales only" in capsys.readouterr().err
+
+
+def test_sweep_of_a_user_f_refuses_the_values_below_its_slope(tmp_path, capsys):
+    # lim f(t)/t = 1 must stay below V0 = gamma: gamma 1 is an error entry, 2 solves
+    code, out = run_cli(["sweep", "--f", "t*exp(2*t^2)", "--sweep-param", "gamma",
+                         "--sweep-values", "1,2"], tmp_path)
+    assert code == EXIT_CONFIG
+    results = json.loads((out / "sweep.json").read_text())["sweep"]["results"]
+    assert results[0] == {"value": 1.0, "error": "standing hypothesis violated: "
+                          "f(t)/t -> 1.0 as t -> 0, not below V0=1.0"}
+    assert results[1]["value"] == 2.0 and results[1]["converged"] is True
+    assert "gamma 1: standing hypothesis violated" in capsys.readouterr().err
 
 
 def test_lambda_with_f_exits_3(tmp_path, capsys):
@@ -595,6 +607,38 @@ def test_nan_field_csv_rejected(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "rearrange_output.csv").exists()
+
+
+@pytest.mark.parametrize("amplitude", [40.0, 1e200])
+def test_rearrange_refuses_a_field_beyond_the_overflow_cap(tmp_path, capsys, amplitude):
+    # exp(a u^2) overflows past the cap: the exponential-mass check would read inf
+    g = bh.default_grid(4)
+    src = tmp_path / "big.csv"
+    save_field_csv(str(src), bh.RadialField(g, amplitude * np.exp(-g.nodes**2)))
+    code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert "exceeds overflow cap 6.0" in capsys.readouterr().err
+    assert not (out / "rearrange.json").exists()
+    assert not (out / "rearrange_output.csv").exists()
+
+
+@pytest.mark.parametrize("expr", ["1", "0", "2.5", "t*0", "1/t", "0/0", "exp(1000)"])
+@pytest.mark.parametrize("args", [["check", "--f"], ["check", "--K", "1", "--g"],
+                                  ["ratio", "--budget", "4", "--f"]], ids=" ".join)
+def test_a_degenerate_expression_is_a_result_or_a_refusal(tmp_path, args, expr):
+    # constants, zeros and NaNs give a report or exit 3, never an uncaught error
+    code, out = run_cli(args + [expr], tmp_path)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert (out / f"{args[0]}.json").exists() == (code == EXIT_OK)
+
+
+def test_check_of_a_constant_f_reports_its_conditions(tmp_path):
+    # f = 1, F = t: t f / F = 1 < 2, and F / f = t peaks at the last probe point, 5
+    code, out = run_cli(["check", "--f", "1"], tmp_path)
+    assert code == EXIT_OK
+    c = json.loads((out / "check.json").read_text())["conditions"]
+    assert c["ar_holds"] is False and c["upper_bound_holds"] is False
+    assert c["M0"] == pytest.approx(5.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["", "r,u\n", "r,u\n0,1,2\n"])
@@ -991,7 +1035,8 @@ _THETA_AND_F = "--theta names the exact-growth family and --f a user nonlinearit
     (["ratio", "--L", "inf"], "L must be positive and finite"),
     (["sweep", "--sweep-param", "lambda"], "--sweep-values"),
     (["rearrange"], "rearrange requires --input"),
-    (["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.7"], "lam=0.7 >= V0=0.6"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.7"],
+     "f(t)/t -> 0.7 as t -> 0, not below V0=0.6"),
     (["solve", "--dim", "3"], "dimension must be 2 or 4"),
     (["solve", "--gamma", "inf"], "gamma must be positive and finite"),
     (["check", "--theta", "nan"], "theta must be positive and finite"),
@@ -1044,6 +1089,19 @@ _THETA_AND_F = "--theta names the exact-growth family and --f a user nonlinearit
     # K scales only the growth class of --g: its presence without --g is refused
     (["check", "--K", "0"], "--K 0 scales the growth class of --g"),
     (["check", "--K", "1"], "--K 1 scales the growth class of --g"),
+    # the standing hypothesis lim f(t)/t < V0 holds for every f, however it is spelled
+    (["solve", "--f", "t*exp(2*t^2)"], "f(t)/t -> 1.0 as t -> 0, not below V0=1.0"),
+    (["solve", "--f", "2*t*exp(2*t^2)"], "f(t)/t -> 2.0 as t -> 0, not below V0=1.0"),
+    (["solve", "--f", "1.2*t*exp(2*t^2)"], "f(t)/t -> 1.2 as t -> 0, not below V0=1.0"),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--f", "0.7*t*exp(2*t^2)"],
+     "f(t)/t -> 0.7 as t -> 0, not below V0=0.6"),
+    # a ratio search with no candidate under the cap is an out-of-range L
+    (["ratio", "--L", "1e300", "--budget", "2"],
+     "no ratio candidate fits under the overflow cap 6.0 at L=1e+300"),
+    (["ratio", "--dim", "2", "--theta", "3", "--L", "1e4", "--budget", "8"],
+     "no ratio candidate fits under the overflow cap 6.0 at L=10000"),
+    (["ratio", "--f", "t*exp(2*t^2)", "--alpha0", "1e-300", "--budget", "2"],
+     "no ratio candidate fits under the overflow cap 6.0 at L=3.15827e+302"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

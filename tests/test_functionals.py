@@ -7,9 +7,12 @@ from biharm.functionals import _ratio_of, adams_ratio_search, evaluate_all
 from oracles import exp_critical_config, nehari_energy_identity_gap
 
 
+LAM = 0.5
+
+
 @pytest.fixture(scope="module")
 def cfg():
-    return exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, LAM)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ def test_small_amplitude_sign(cfg, g4):
     eps = 1e-3
     rep = evaluate_all(bh.RadialField(g4, eps * np.exp(-g4.nodes**2 / 2)), cfg)
     assert rep.pohozaev_G > 0
-    assert rep.pohozaev_G == pytest.approx((cfg.gamma - cfg.lam) * eps**2 * np.pi**2,
+    assert rep.pohozaev_G == pytest.approx((cfg.gamma - LAM) * eps**2 * np.pi**2,
                                            rel=1e-5)
 
 
@@ -52,7 +55,7 @@ def test_evaluate_all_vs_quadrature_oracle(cfg, g4):
     assert rep.mass_terms.exp_weighted == pytest.approx(exp_wt, rel=1e-6)
     assert rep.mass_terms.lap_l2_sq == pytest.approx(lap, rel=1e-6)
     recon = 0.5 * (rep.mass_terms.lap_l2_sq + rep.mass_terms.pot_l2_sq) \
-        - cfg.lam / 4 * rep.mass_terms.exp_mass
+        - LAM / 4 * rep.mass_terms.exp_mass
     assert rep.energy_I == pytest.approx(recon, abs=1e-12 * (1 + abs(rep.energy_I)))
 
 
@@ -63,7 +66,7 @@ def test_nehari_definition_consistency(cfg, g4):
         vals = rng.uniform(0.2, 1.0) * np.exp(-(g4.nodes / rng.uniform(0.8, 2)) ** 2)
         rep = evaluate_all(bh.RadialField(g4, vals), cfg)
         recon = rep.mass_terms.lap_l2_sq + rep.mass_terms.pot_l2_sq \
-            - cfg.lam * rep.mass_terms.exp_weighted
+            - LAM * rep.mass_terms.exp_weighted
         assert rep.nehari_N == pytest.approx(recon, abs=1e-10 * (1 + abs(recon)))
 
 
@@ -74,12 +77,12 @@ def test_identity_gap_is_half_nehari(cfg, g4):
         vals = rng.uniform(0.3, 1.2) * np.exp(-(g4.nodes / rng.uniform(0.9, 1.8)) ** 2)
         u = bh.RadialField(g4, vals)
         rep = evaluate_all(u, cfg)
-        gap = nehari_energy_identity_gap(u, cfg)
+        gap = nehari_energy_identity_gap(u, cfg, LAM)
         assert gap == pytest.approx(abs(rep.nehari_N) / 2, rel=1e-10)
 
 
 def test_identity_gap_zero_field(cfg, g4):
-    assert nehari_energy_identity_gap(bh.RadialField(g4, np.zeros(g4.n_points)), cfg) == 0.0
+    assert nehari_energy_identity_gap(bh.RadialField(g4, np.zeros(g4.n_points)), cfg, LAM) == 0.0
 
 
 def test_pohozaev_scaling_single_sign_change(cfg, g4):
@@ -253,11 +256,12 @@ def test_ratio_search_memory_is_bounded(L):
 def test_ratio_search_small_L():
     # the exp-critical F is quadratic at 0, so its ratio tends to lam, not 0;
     # the vanishing-ratio limit needs a superquadratic-at-zero F
-    spec = bh.exp_critical(0.5)
+    lam = 0.5
+    spec = bh.exp_critical(lam)
     rep_small = adams_ratio_search(spec, 4, 1e-3, budget=200)
     rep_mid = adams_ratio_search(spec, 4, 1.0, budget=200)
     assert rep_small.ratio_lower_bound < rep_mid.ratio_lower_bound
-    assert rep_small.ratio_lower_bound == pytest.approx(spec.lam, rel=1e-2)
+    assert rep_small.ratio_lower_bound == pytest.approx(lam, rel=1e-2)
     tiny = adams_ratio_search(bh.exact_growth_family(1.0), 4, 1e-3, budget=200)
     assert tiny.ratio_lower_bound < 1e-3
     assert tiny.verdict == "finite_evidence"
@@ -267,7 +271,8 @@ def _config(dim, kind):
     lam = 0.3      # not a power of two: scaling by lam or lam/a rounds
     spec = {"exp_critical": bh.exp_critical(lam, dim),
             "exact_growth": bh.exact_growth_family(1.0),
-            "user": bh.user_nonlinearity("t*exp(t^2)/(1+t^2)")}[kind]
+            # slope 0.5 at 0: below V0 = 1, as the standing hypothesis asks
+            "user": bh.user_nonlinearity("0.5*t*exp(t^2)/(1+t^2)")}[kind]
     return bh.ProblemConfig(dim, bh.ConstantPotential(1.0), spec)
 
 

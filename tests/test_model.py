@@ -12,9 +12,12 @@ from biharm.model import (OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_sim
 from oracles import exp_critical_config
 
 
+LAM = 0.5
+
+
 @pytest.fixture(scope="module")
 def cfg():
-    return exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, LAM)
 
 
 def test_eval_f_exp_critical():
@@ -100,7 +103,8 @@ def test_overflow_cap_is_validated(alpha0):
 @pytest.mark.parametrize("dim, alpha0", [(4, 6.0), (4, 18.7), (2, 1.0), (2, 19.61)])
 def test_functionals_finite_up_to_an_accepted_cap(dim, alpha0):
     from biharm.functionals import evaluate_all
-    cfg = _user_config(dim, f"t*exp({alpha0}*t^2)", alpha0)
+    # slope 0.5 at 0, below V0 = 1 as the standing hypothesis asks
+    cfg = _user_config(dim, f"0.5*t*exp({alpha0}*t^2)", alpha0)
     grid = bh.build_grid(10.0, 256, dim)
     vals = OVERFLOW_CAP * np.exp(-grid.nodes**2)
     with np.errstate(over="raise", invalid="raise"):
@@ -184,18 +188,18 @@ def test_g_lambda_values():
     assert _exprel2(2.0) == pytest.approx(np.e**2 - 3.0, rel=1e-12)
 
 
-def test_g_lambda_small_t_series(cfg):
+def test_g_lambda_small_t_series():
     # 4-term Taylor oracle: g(t)/lam = t^4 + (2/3) t^6 + ...
-    lam = cfg.lam
+    lam = LAM
     for t in (1e-4, 1e-3, 1e-5):
         series = lam * (t**4 + (2.0 / 3.0) * t**6 + (2.0 / 6.0) * t**8)
         assert lam / 2 * _exprel2(2 * t * t) == pytest.approx(series, rel=1e-6)
 
 
-def test_g_lambda_large_t_expm1_form(cfg):
+def test_g_lambda_large_t_expm1_form():
     for t in (0.5, 1.0, 2.5):
-        direct = (cfg.lam / 2) * (np.expm1(2 * t * t)) - cfg.lam * t * t
-        assert cfg.lam / 2 * _exprel2(2 * t * t) == pytest.approx(direct, rel=1e-12)
+        direct = (LAM / 2) * (np.expm1(2 * t * t)) - LAM * t * t
+        assert LAM / 2 * _exprel2(2 * t * t) == pytest.approx(direct, rel=1e-12)
 
 
 def test_superquadraticity(cfg):
@@ -228,12 +232,12 @@ def test_potential_validation_rejects_bad_shapes():
 
 
 def test_config_standing_hypothesis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"f\(t\)/t -> 1.5 as t -> 0, not below V0=1.0"):
         exp_critical_config(1.0, 1.5)      # lam >= gamma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"f\(t\)/t -> 1.0 as t -> 0, not below V0=1.0"):
         exp_critical_config(1.0, 1.0)
     cfg = exp_critical_config(1.0, 0.5)
-    assert cfg.lam == 0.5 and cfg.dimension == 4
+    assert cfg.dimension == 4
     assert bh.model.ADAMS_BETA == {4: pytest.approx(32 * np.pi**2), 2: pytest.approx(4 * np.pi)}
 
 
@@ -244,15 +248,47 @@ def test_exp_critical_refuses_a_lam_that_is_not_positive_and_finite(lam):
 
 
 def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
+    # lam lives in f and F alone: the nonlinearity is (kind, f, F, alpha0), and
+    # the slope the standing hypothesis reads is lam bit for bit
+    import dataclasses
     cfg = exp_critical_config(1.0, 0.3, dimension=2)
-    assert cfg.lam == cfg.nonlinearity.lam == 0.3
+    h = 2.0**-511
+    assert float(cfg.nonlinearity.f(h)) / h == 0.3
+    assert [fd.name for fd in dataclasses.fields(bh.NonlinearitySpec)] == \
+        ["kind", "f", "F", "alpha0"]
+    assert not hasattr(cfg, "lam")
     assert cfg.nonlinearity.alpha0 == bh.model.EXP_RATE[2] == 1.0
-    with pytest.raises(AttributeError):
-        cfg.lam = 0.4
     with pytest.raises(ValueError, match="does not match the dimension"):
         bh.ProblemConfig(2, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
     with pytest.raises(ValueError, match="dimension must be 2 or 4"):
         exp_critical_config(1.0, 0.3, dimension=3)
+
+
+@pytest.mark.parametrize("make, slope", [
+    (lambda: bh.exp_critical(0.7), 0.7),
+    (lambda: bh.user_nonlinearity("0.7*t*exp(2*t^2)"), 0.7),   # the same f, spelled out
+    (lambda: bh.user_nonlinearity("t*exp(2*t^2)+0.5*t"), 1.5),
+    (lambda: bh.user_nonlinearity("t^3"), 0.0),
+    (lambda: bh.exact_growth_family(2.0), 0.0),
+], ids=["builtin", "user-builtin", "user-slope-1.5", "user-cubic", "theta"])
+def test_standing_hypothesis_reads_the_slope_of_every_nonlinearity(make, slope):
+    # lim f(t)/t as t -> 0 must stay below V0, whatever family f belongs to
+    bh.ProblemConfig(4, bh.ConstantPotential(slope + 0.1), make())
+    if slope > 0:
+        with pytest.raises(ValueError, match=f"f\\(t\\)/t -> {slope} as t -> 0, "
+                                             f"not below V0={slope}"):
+            bh.ProblemConfig(4, bh.ConstantPotential(slope), make())
+
+
+def test_standing_hypothesis_refuses_a_nan_slope():
+    # f is finite on the scan points, 0 included, and NaN just above 0
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t != 0) & (np.abs(t) < 1e-100), np.nan, t * np.exp(2 * t * t))
+
+    spec = bh.NonlinearitySpec("user", f, lambda t: 0.25 * np.expm1(2 * np.asarray(t) ** 2), 2.0)
+    with pytest.raises(ValueError, match="f\\(t\\)/t -> nan as t -> 0"):
+        bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
 
 
 def test_check_conditions_exp_critical():

@@ -11,10 +11,12 @@ from biharm.solvers import (_Ops, _ops_for, _project, gaussian_start, limiting_g
 from oracles import (exp_critical_config, gradient_action, gradient_quadratic,
                      nehari_energy_identity_gap, nehari_sign_scan)
 
+LAM = 0.5
+
 
 @pytest.fixture(scope="module")
 def cfg():
-    return exp_critical_config(1.0, 0.5)
+    return exp_critical_config(1.0, LAM)
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +337,7 @@ def test_minimize_nehari_constant(cfg, g4):
     assert rep.converged
     assert rep.residual_weak <= 1e-6
     assert rep.constraint_residual <= 1e-9 * (1 + abs(rep.objective))
-    gap = nehari_energy_identity_gap(rep.field, cfg)
+    gap = nehari_energy_identity_gap(rep.field, cfg, LAM)
     assert gap <= 1e-8 * (1 + abs(rep.objective))
 
 
@@ -416,7 +418,7 @@ def test_2d_solve(g4):
     rep = minimize_nehari(cfg2, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     assert rep.converged
     assert rep.residual_weak <= 1e-6
-    gap = nehari_energy_identity_gap(rep.field, cfg2)
+    gap = nehari_energy_identity_gap(rep.field, cfg2, 0.5)
     assert gap <= 1e-8 * (1 + abs(rep.objective))
 
 
@@ -496,8 +498,8 @@ def test_polish_newton_stops_at_the_rounding_floor(cfg, solved, monkeypatch):
     assert ops.nrm(ops.pde_residual(u)) <= 1e-5 * (ops.nrm(ops.f(u)) + ops.nrm(ops.V * u))
     assert len(calls) <= 3
 
-def _pde_residual_longdouble(ops, u):
-    """(-D)^m u + V u - f(u) for the exp-critical f, with every step in np.longdouble.
+def _pde_residual_longdouble(ops, u, lam):
+    """(-D)^m u + V u - f(u) for f = lam t exp(a t^2), with every step in np.longdouble.
 
     The stencil rows are built here from their formula, so the reference
     carries neither the rounding of the double rows nor that of the matvecs.
@@ -517,7 +519,7 @@ def _pde_residual_longdouble(ops, u):
     uq = u.astype(ld)
     lap = apply_stencil(rows, uq)
     a0u = apply_stencil(rows, lap) if dim == 4 else -lap
-    return a0u + ops.V.astype(ld) * uq - ops.config.lam * uq * np.exp(ld(ops.a) * uq * uq)
+    return a0u + ops.V.astype(ld) * uq - ld(lam) * uq * np.exp(ld(ops.a) * uq * uq)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -527,7 +529,8 @@ def test_residual_floor_bounds_the_rounding_of_the_residual(dim, r_max, n):
     # the double residual stays within residual_floor of an extended-precision
     # one, on the polished ground state and on smooth random fields
     grd = bh.build_grid(r_max, n, dim)
-    cfg = exp_critical_config(1.0, 0.5, dimension=dim)
+    lam = 0.5
+    cfg = exp_critical_config(1.0, lam, dimension=dim)
     ground = minimize_pohozaev(cfg, bh.RadialField(grd, np.exp(-grd.nodes**2 / 2)))
     assert ground.converged
     ops = _ops_for(grd, cfg)
@@ -537,7 +540,7 @@ def test_residual_floor_bounds_the_rounding_of_the_residual(dim, r_max, n):
         amps, widths = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 4.0, 3)
         fields.append(sum(a * np.exp(-grd.nodes**2 / w) for a, w in zip(amps, widths)))
     for u in fields:
-        exact = np.asarray(_pde_residual_longdouble(ops, u), dtype=float)
+        exact = np.asarray(_pde_residual_longdouble(ops, u, lam), dtype=float)
         assert ops.nrm(ops.pde_residual(u) - exact) <= ops.residual_floor(u)
 
 
