@@ -179,27 +179,26 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
     """Maximize 2 int F(u) / ||u||^2 under ||Du||^2 <= L on R^dimension.
 
     The supremum depends on F and the dimension alone; no potential enters.
-    The Gaussian exp(-r^2) on the dimension's default grid, rescaled so the
-    quadratic form equals L exactly, gives the certified lower bound; one width
-    serves, as the quadratic form is dilation invariant and int F and ||u||^2
-    scale alike.  The concentration sweep follows within ``budget``: the
-    log-profiles carry an O(1/b^2) excess over
-    beta*K (beta = ``model.ADAMS_BETA[dimension]``, K = L / beta), and
-    rescaling them down to L *exactly* suppresses the critical exponential
-    mass by a constant factor of order exp(-c*K) that hides the divergence at
-    any reachable height; evaluating them unrescaled, with budgets converging
-    to L from above, reproduces the asymptotic pattern the family exists to
-    exhibit.  Divergence evidence = monotone, non-saturating ratio growth
-    along that sweep while the budgets approach L.  Verdicts are evidence,
-    never proofs.  ``threshold_R`` is beta / ``spec.alpha0``.
+    The bound is the Gaussian's: exp(-r^2) on the dimension's default grid,
+    rescaled so the quadratic form equals L exactly; one width serves, as the
+    quadratic form is dilation invariant and int F and ||u||^2 scale alike.
+    The log-profiles that follow within ``budget`` are evidence for the
+    verdict, never candidates: at K = (L / beta) (n / 4), beta =
+    ``model.ADAMS_BETA[n]``, their log branch carries L, and each budget
+    exceeds L by an O(1/b^2) excess.  Rescaling them down to L *exactly*
+    would suppress the critical exponential mass by a factor of order
+    exp(-c*K) that hides the divergence at any reachable height.  Divergence
+    evidence = monotone, non-saturating ratio growth along that sweep while
+    the budgets approach L.  Verdicts are evidence, never proofs.
+    ``threshold_R`` is beta / ``spec.alpha0``.
 
     A log-profile with concentration scale r14 lives on the mesh of 10 nodes
     per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
     r14 = 1e-5); ``sequences.moser_sums`` adds up its sums in fixed node
     blocks, so the search holds no mesh whole.  ``trace`` holds the Gaussian's
-    (sigma, ratio) pair (none if it exceeds the overflow cap), the (b, ratio,
-    quad) triples, ``moser_nodes`` (the mesh size of each log-profile) and
-    ``evaluations`` (the candidates evaluated, at most ``budget``).
+    (sigma, ratio) pair (none, and a bound of 0.0, if it exceeds the cap), the
+    (b, ratio, quad) triples, ``moser_nodes`` (the mesh size of each
+    log-profile) and ``evaluations`` (the candidates evaluated, at most ``budget``).
     """
     if dimension not in ADAMS_BETA:
         raise ValueError(f"dimension must be 2 or 4, got {dimension}")
@@ -208,18 +207,18 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     evals = 1
-    best, gauss_trace, moser_trace, moser_nodes = (-np.inf, {}), [], [], []
+    bound, params, gauss_trace, moser_trace, moser_nodes = 0.0, {}, [], [], []
     base = g.default_grid(dimension)
     try:
-        ratio, amp = _ratio_of(np.exp(-base.nodes**2), base, g.laplacian_matrix(base), spec, L)
-        gauss_trace.append((1.0, ratio))
-        best = (ratio, {"family": "gaussian", "sigma": 1.0, "amplitude": amp})
+        bound, amp = _ratio_of(np.exp(-base.nodes**2), base, g.laplacian_matrix(base), spec, L)
+        gauss_trace.append((1.0, bound))
+        params = {"family": "gaussian", "sigma": 1.0, "amplitude": amp}
     except (OverflowCapError, ValueError):
         pass
 
-    # concentration sweep: ||D psi_b||^2 = beta * K + O(1/b^2), K = L / beta
+    # concentration sweep: ||D psi_b||^2 = L + O(1/b^2) at K = (L / beta) (n / 4)
     beta = ADAMS_BETA[dimension]
-    K = L / beta
+    K = L / beta * dimension / 4.0
     for b in (2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5):
         if evals >= budget:
             break
@@ -233,18 +232,13 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
         from .sequences import moser_sums  # loaded only if a log-profile runs
 
         sums = moser_sums(b, K, 2.5, n_pts, dimension, spec.F)
-        ratio, quad = 2.0 * sums["F_mass"] / sums["l2_sq"], sums["quad_form"]
-        moser_trace.append((float(b), ratio, float(quad)))
+        moser_trace.append((float(b), 2.0 * sums["F_mass"] / sums["l2_sq"],
+                            float(sums["quad_form"])))
         moser_nodes.append(n_pts)
-        if quad <= L * (1.0 + 1e-9) and ratio > best[0]:
-            best = (ratio, {"family": "moser", "b": float(b), "K": float(K),
-                            "amplitude": sums["max_abs"]})
 
-    if not np.isfinite(best[0]):
-        if not moser_trace:
-            raise ValueError(f"no ratio candidate fits under the overflow cap {OVERFLOW_CAP} "
-                             f"at L={L:g}")
-        best = (0.0, {})
+    if not (gauss_trace or moser_trace):
+        raise ValueError(f"no ratio candidate fits under the overflow cap {OVERFLOW_CAP} "
+                         f"at L={L:g}")
 
     verdict = "finite_evidence"
     if len(moser_trace) >= 3:
@@ -259,6 +253,6 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
         if growing and rel > 0.02 and rs[-1] > 1.5 * rs[0] and budgets_converge:
             verdict = "divergence_evidence"
 
-    return AdamsRatioReport(float(L), float(best[0]), best[1], float(beta / spec.alpha0),
+    return AdamsRatioReport(float(L), float(bound), params, float(beta / spec.alpha0),
                             verdict, {"gaussian": gauss_trace, "moser": moser_trace,
                                       "moser_nodes": moser_nodes, "evaluations": evals})

@@ -420,8 +420,8 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     returned.  So does a grid with h r_max > pi: the frequency grid
     rho_j = r_j then runs past the nodes' Nyquist frequency pi / h, and the
     transform is an isometry but not a Hankel transform, which the three
-    checks cannot see.  A field beyond the overflow cap, whose exponential
-    mass overflows, raises OverflowCapError (``model.check_cap``).
+    checks cannot see.  An input or rearranged field beyond the overflow cap,
+    whose exponential mass overflows, raises OverflowCapError (``check_cap``).
     """
     check_cap(u.values)
     gridobj = u.grid
@@ -432,6 +432,7 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     uh = hankel_transform(gridobj, u.values)
     us = rearrange_values(uh, w)
     out = hankel_transform(gridobj, us)
+    check_cap(out)
 
     l2_in = float(np.dot(w, uh * uh))
     l2_out = float(np.dot(w, us * us))

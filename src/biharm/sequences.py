@@ -2,7 +2,8 @@
 
 psi_{b,K} is a parabolic core on [0, R^{1/4}] with R = exp(-b^2/K), the
 branch 4K |log r| / b on (R^{1/4}, 1], and a smooth cap on [1, 2]; it drives
-the sharp-constant probes.
+the sharp-constant probes.  The log branch carries ||D psi||^2 = 32 pi^2 K in
+4-D and ||psi'||^2 = 8 pi K in 2-D: L at K = (L / ``model.ADAMS_BETA[n]``) (n / 4).
 
 The cap is a quintic Hermite blend matching value and slope (C^1 with the
 log branch) with zero curvature at both ends; branch radii are snapped to
@@ -105,7 +106,7 @@ _BLOCK = 1 << 15
 
 
 def _moser_node_sums(geometry, i0: int, i1: int, profile: tuple, F=None) -> tuple:
-    """(||psi||^2, quadratic form, int F(psi) or 0.0, max |psi|) on nodes i0..i1-1.
+    """(||psi||^2, quadratic form, int F(psi) or 0.0) on nodes i0..i1-1.
 
     ``profile`` holds the arguments of :func:`_moser_profile` after r.  A
     2-node halo on either side feeds the stencil; nodes, weights and stencil
@@ -119,7 +120,7 @@ def _moser_node_sums(geometry, i0: int, i1: int, profile: tuple, F=None) -> tupl
     u, lap, w = u[rows], lap[rows], w[rows]
     quad = g.quad_form_of(w, lap, u, geometry[2])
     F_mass = float(np.dot(w, np.asarray(F(u), dtype=float))) if F is not None else 0.0
-    return float(np.dot(w, u * u)), quad, F_mass, float(np.max(np.abs(u)))
+    return float(np.dot(w, u * u)), quad, F_mass
 
 
 def moser_sums(b: float, K: float, r_max: float, n_points: int, dimension: int,
@@ -127,23 +128,20 @@ def moser_sums(b: float, K: float, r_max: float, n_points: int, dimension: int,
     """Grid sums of psi_{b,K} on ``build_grid(r_max, n_points, dimension)``, blockwise.
 
     Returns ``l2_sq`` (||psi||^2), ``quad_form`` (``grid.quad_form_sq``:
-    ||D psi||^2 in 4-D, -<L psi, psi> in 2-D), ``F_mass`` (int F(psi), None
-    without ``F``) and ``max_abs`` (max |psi|).  Each block of
-    :func:`_moser_node_sums` carries the bits the whole grid and
-    :func:`moser_field` give it, so only the order of summation differs from
-    the full-mesh sums.  The blocks stop at r_two + 2h: psi vanishes
-    from r_two on and its Laplacian two nodes later.
+    ||D psi||^2 in 4-D, -<L psi, psi> in 2-D) and ``F_mass`` (int F(psi), None
+    without ``F``).  Each block of :func:`_moser_node_sums` carries the bits the
+    whole grid and :func:`moser_field` give it, so only the order of summation
+    differs from the full-mesh sums.  The blocks stop at r_two + 2h: psi
+    vanishes from r_two on and its Laplacian two nodes later.
     """
     geometry = (float(r_max), int(n_points), int(dimension))
     (_, _, i_two), profile = _moser_branch_nodes(b, K, geometry)
     stop = min(i_two + 3, n_points)
-    l2 = quad = F_mass = peak = 0.0
+    l2 = quad = F_mass = 0.0
     for i0 in range(0, stop, _BLOCK):
         part = _moser_node_sums(geometry, i0, min(i0 + _BLOCK, stop), profile, F)
         l2, quad, F_mass = l2 + part[0], quad + part[1], F_mass + part[2]
-        peak = max(peak, part[3])
-    return {"l2_sq": l2, "quad_form": quad, "F_mass": F_mass if F is not None else None,
-            "max_abs": peak}
+    return {"l2_sq": l2, "quad_form": quad, "F_mass": F_mass if F is not None else None}
 
 
 # --- norm estimates for strongly concentrated profiles ---------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -618,6 +619,24 @@ def test_rearrange_refuses_a_field_beyond_the_overflow_cap(tmp_path, capsys, amp
     code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
     assert code == EXIT_CONFIG
     assert "exceeds overflow cap 6.0" in capsys.readouterr().err
+    assert not (out / "rearrange.json").exists()
+    assert not (out / "rearrange_output.csv").exists()
+
+
+@pytest.mark.parametrize("amplitude, center, peak", [(3.0, 8.0, "134.777"),
+                                                     (5.9, 3.0, "48.7847")])
+def test_rearrange_refuses_a_rearranged_field_beyond_the_overflow_cap(
+        tmp_path, capsys, amplitude, center, peak):
+    # a ring under the cap rearranges to a peak far above it, where the output's
+    # exponential mass would read inf, and 0 * inf at the zero-weight origin NaN
+    g = bh.default_grid(4)
+    src = tmp_path / "ring.csv"
+    save_field_csv(str(src), bh.RadialField(g, amplitude * np.exp(-(g.nodes - center) ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["rearrange", "--input", str(src)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert f"amplitude {peak} exceeds overflow cap 6.0" in capsys.readouterr().err
     assert not (out / "rearrange.json").exists()
     assert not (out / "rearrange_output.csv").exists()
 

@@ -138,9 +138,15 @@ def test_bounded_probe_blowup_class():
 
 
 def test_exact_growth_theta_remark():
-    # theta < 2: divergence evidence at the threshold; theta >= 2: finite
-    for theta, expected in ((1.0, "divergence_evidence"), (3.0, "finite_evidence")):
-        spec = bh.exact_growth_family(theta)
-        L = bh.model.ADAMS_BETA[4] / spec.alpha0
-        rep = bh.adams_ratio_search(spec, 4, L, budget=300)
-        assert rep.verdict == expected
+    # theta < 2: divergence evidence at the threshold, as for the exp-critical
+    # family; theta >= 2: finite.  In R^2 the log branch carries L at
+    # K = L / (2 beta), and the last budget is within 10 % of it
+    for dim in (4, 2):
+        for spec, expected in ((bh.exact_growth_family(1.0), "divergence_evidence"),
+                               (bh.exact_growth_family(3.0), "finite_evidence"),
+                               (bh.exp_critical(0.5, dim), "divergence_evidence")):
+            L = bh.model.ADAMS_BETA[dim] / spec.alpha0
+            rep = bh.adams_ratio_search(spec, dim, L, budget=300)
+            assert rep.verdict == expected, (dim, spec.kind)
+            if dim == 2:
+                assert rep.trace["moser"][-1][2] < 1.1 * L

@@ -213,6 +213,21 @@ def test_ratio_search_gaussian_bound_is_the_resolved_orbit(name):
         assert abs(pair[1] - ref) <= 2e-7 * ref
 
 
+@pytest.mark.parametrize("share", [1.0, 0.5])
+@pytest.mark.parametrize("name", [f"{family}-{dim}" for dim in (4, 2)
+                                  for family in ("exp_critical", "theta1", "theta3")])
+def test_ratio_search_log_profiles_are_never_feasible(name, share):
+    # every log-profile's budget exceeds L, so the bound and its parameters are
+    # the Gaussian's and the sweep is evidence for the verdict alone
+    spec, dim, L = _RATIO_CONFIGS[name]
+    rep = adams_ratio_search(spec, dim, share * L)
+    assert rep.trace["moser"]
+    assert all(q > share * L * (1.0 + 1e-9) for _, _, q in rep.trace["moser"])
+    (pair,) = rep.trace["gaussian"]
+    assert rep.ratio_lower_bound == pair[1]
+    assert rep.argmax_family_params["family"] == "gaussian"
+
+
 def test_ratio_search_divergence_at_threshold():
     L = 16 * np.pi**2            # 32 pi^2 / alpha0 with alpha0 = 2
     rep = adams_ratio_search(bh.exp_critical(0.5), 4, L, budget=200)
