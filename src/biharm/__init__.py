@@ -13,16 +13,15 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports
 _EXPORTS = {
     "grid": ("RadialField", "RadialGrid", "build_grid", "default_grid"),
-    "model": ("ConditionReport", "ConstantPotential", "NonlinearitySpec", "OverflowCapError",
-              "ProblemConfig", "RadialPotential", "check_conditions", "exact_growth_family",
-              "exp_critical", "radial_potential", "user_nonlinearity"),
-    "functionals": ("AdamsRatioReport", "FunctionalReport", "MassTerms",
-                    "adams_ratio_search", "evaluate_all"),
-    "rearrangement": ("RearrangementReport", "fourier_rearrange", "hankel_transform"),
+    "model": ("ConstantPotential", "NonlinearitySpec", "OverflowCapError", "ProblemConfig",
+              "RadialPotential", "check_conditions", "exact_growth_family", "exp_critical",
+              "radial_potential", "user_nonlinearity"),
+    "functionals": ("adams_ratio_search", "evaluate_all"),
+    "rearrangement": ("fourier_rearrange", "hankel_transform"),
     "sequences": ("moser_estimates", "moser_field"),
-    "solvers": ("GapReport", "SolveReport", "limiting_gap", "minimize_nehari",
-                "minimize_pohozaev", "project_nehari", "project_pohozaev", "residual_weak"),
-    "diagnostics": ("GrowthClassification", "classify_growth"),
+    "solvers": ("SolveReport", "limiting_gap", "minimize_nehari", "minimize_pohozaev",
+                "project_nehari", "project_pohozaev", "residual_weak"),
+    "diagnostics": ("classify_growth",),
     "expressions": ("ParseError", "parse_expression"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -51,7 +51,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -232,11 +232,9 @@ def _cmd_rearrange(rc: RunConfig):
         raise ValueError("rearrange requires --input <field.csv>")
     from .rearrangement import fourier_rearrange
 
-    u = load_field_csv(rc.input_field, rc.dimension)
-    w = fourier_rearrange(u)
-    save_field_csv(os.path.join(rc.out_dir, "rearrange_output.csv"),
-                   RadialField(u.grid, w.values))
-    return {"rearrange": asdict(w.report)}, EXIT_OK
+    w, report = fourier_rearrange(load_field_csv(rc.input_field, rc.dimension))
+    save_field_csv(os.path.join(rc.out_dir, "rearrange_output.csv"), w)
+    return {"rearrange": report}, EXIT_OK
 
 
 def _cmd_moser(rc: RunConfig):
@@ -266,7 +264,7 @@ def _cmd_ratio(rc: RunConfig):
                          "the nonlinearity sets its own rate")
     spec = _nonlinearity(rc)
     L = rc.L if rc.L is not None else ADAMS_BETA[rc.dimension] / spec.alpha0
-    return {"ratio": asdict(adams_ratio_search(spec, rc.dimension, L, rc.budget))}, EXIT_OK
+    return {"ratio": adams_ratio_search(spec, rc.dimension, L, rc.budget)}, EXIT_OK
 
 
 def _cmd_check(rc: RunConfig):
@@ -277,9 +275,8 @@ def _cmd_check(rc: RunConfig):
     if rc.g_expr is not None:
         from .diagnostics import classify_growth
 
-        out["growth"] = asdict(classify_growth(parse_expression(rc.g_expr), rc.K))
-    rep = check_conditions(_nonlinearity(rc), np.geomspace(0.1, 5.0, 200))
-    out["conditions"] = asdict(rep)
+        out["growth"] = classify_growth(parse_expression(rc.g_expr), rc.K)
+    out["conditions"] = check_conditions(_nonlinearity(rc), np.geomspace(0.1, 5.0, 200))
     return out, EXIT_OK
 
 
@@ -291,19 +288,20 @@ def _cmd_gap(rc: RunConfig):
     grd, config = _build_problem(rc)
     rep = limiting_gap(config, gaussian_start(grd))
     code = EXIT_OK
-    for name, status in (("trapped", rep.status_V), ("limit", rep.status_infty)):
+    for name, status in (("trapped", rep["status_V"]), ("limit", rep["status_infty"])):
         if not status["converged"]:
             print(f"error: the {name} Nehari solve did not converge: "
                   + "; ".join(status["warnings"]), file=sys.stderr)
             code = EXIT_NOCONV
     # the projected limit minimizer is on the trapped manifold, so its level
     # bounds m_V from above; below m_V the trapped descent missed the minimum
-    if rep.comparison_level < rep.m_V - 1e-9 * abs(rep.m_V):
-        print(f"error: comparison level {rep.comparison_level:.10g} < m_V {rep.m_V:.10g}: "
+    m_V, comparison = rep["m_V"], rep["comparison_level"]
+    if comparison < m_V - 1e-9 * abs(m_V):
+        print(f"error: comparison level {comparison:.10g} < m_V {m_V:.10g}: "
               "the trapped solve missed the ground level of its own Nehari manifold",
               file=sys.stderr)
         code = EXIT_NOCONV
-    return {"gap": asdict(rep)}, code
+    return {"gap": rep}, code
 
 
 def _cmd_sweep(rc: RunConfig):
@@ -385,7 +383,9 @@ _HELP = {"solve": "ground state on the Nehari manifold (constant potential)",
          "sweep": "Nehari ground states over --sweep-values",
          "rearrange": "Fourier rearrangement of the field in --input, with its checks",
          "moser": "norms of the Moser log-profiles at each of --b-values",
-         "ratio": "evidence on sup 2 int F(u) / ||u||^2 under ||Du||^2 <= --L",
+         "ratio": "evidence on sup 2 int F(u) / ||u||^2 under ||Du||^2 <= --L; with fewer "
+                  "than three log-profiles run (a small --budget or --L) the verdict is "
+                  "finite_evidence by default, not from evidence",
          "check": "growth conditions of the nonlinearity, and the class of --g"}
 
 

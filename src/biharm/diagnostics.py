@@ -15,7 +15,6 @@ exponential-order estimate; the compact verdict is then ``fails``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,17 +22,6 @@ import numpy as np
 from .model import tail_slope
 
 SLOPE_TOL = 0.05     # per decade, the stability threshold for a trend
-
-
-@dataclass
-class GrowthClassification:
-    K: float
-    limsup_infinity: float       # estimate of lim t^2 exp(-t^2/K) g(t); inf if diverging
-    limsup_origin: float         # estimate of lim g(t)/t^2; inf if diverging
-    bounded_verdict: str         # "holds" | "fails" | "inconclusive"
-    compact_verdict: str         # "holds" | "fails"
-    infinity_boundary: bool      # exponential order matched 1/K exactly
-    exp_order_estimate: float    # fitted d log g / d t^2 on the tail
 
 
 def _geomean(y: np.ndarray) -> float:
@@ -52,11 +40,17 @@ def _trend(y: np.ndarray, slope: float):
     return _geomean(y), "boundary"
 
 
-def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
+def classify_growth(gfun: Callable, K: float) -> dict:
     """Classify g against the K-dependent growth conditions.
 
     g is probed at 400 log-spaced points on [1e-4, t_max], with t_max the
     first of 10, 8, 6.4, ... at which g is finite, or the first below 1.
+    The report's keys: ``K``; ``limsup_infinity`` and ``limsup_origin``, the
+    estimates of lim t^2 exp(-t^2/K) g(t) and lim g(t)/t^2 (inf if diverging);
+    ``bounded_verdict`` ("holds", "fails" or "inconclusive") and
+    ``compact_verdict`` ("holds" or "fails"); ``infinity_boundary``, whether
+    the exponential order matched 1/K exactly; and ``exp_order_estimate``, the
+    fitted d log g / d t^2 on the tail.
     """
     if not (np.isfinite(K) and K > 0):
         raise ValueError(f"K must be positive and finite, got {K}")
@@ -116,6 +110,7 @@ def classify_growth(gfun: Callable, K: float) -> GrowthClassification:
     # compactness requires both limits to vanish; a finite nonzero limit fails it
     compact = "holds" if states == ("holds", "holds") else "fails"
 
-    return GrowthClassification(float(K), limsup_inf, limsup_0, bounded, compact,
-                                inf_state == "boundary", order)
+    return {"K": float(K), "limsup_infinity": limsup_inf, "limsup_origin": limsup_0,
+            "bounded_verdict": bounded, "compact_verdict": compact,
+            "infinity_boundary": inf_state == "boundary", "exp_order_estimate": order}
 

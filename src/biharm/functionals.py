@@ -14,17 +14,17 @@ its own F and f, I = 1/2 (Q + int V u^2) - int F(u), G = gamma ||u||^2 -
 2 int F(u) and N = Q + int V u^2 - int f(u) u, which for the exp-critical
 family are the forms above.
 ``_Functionals`` is the one implementation: the solvers extend it with their
-operators and ``evaluate_all`` reports it.  No command calls ``evaluate_all``:
-the tests build their references on it (the Nehari energy identity in
-``tests/oracles.py``), and the benchmark tracer wraps it.  The rays
-``G_ray``/``N_ray`` give s -> G(s u) and s -> N(s u) with the quadratic parts
-computed once, the scalar functions the scaling projections find the root of.
-Amplitudes beyond the overflow cap raise OverflowCapError; nothing is clamped.
+operators and ``evaluate_all`` returns its values as a dict.  No command
+calls ``evaluate_all``: the tests build their references on it (the Nehari
+energy identity in ``tests/oracles.py``), and the benchmark tracer wraps it.
+The rays ``G_ray``/``N_ray`` give s -> G(s u) and s -> N(s u) with the
+quadratic parts computed once, the scalar functions the scaling projections
+find the root of.  Amplitudes beyond the overflow cap raise OverflowCapError;
+nothing is clamped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,31 +35,13 @@ from .model import (ADAMS_BETA, OVERFLOW_CAP, NonlinearitySpec, OverflowCapError
                     ProblemConfig, check_cap)
 
 
-@dataclass
-class MassTerms:
-    l2_sq: float
-    lap_l2_sq: float
-    pot_l2_sq: float
-    exp_mass: float       # int (exp(a u^2) - 1)
-    exp_weighted: float   # int exp(a u^2) u^2
-    F_mass: float         # int F(u)
-
-
-@dataclass
-class FunctionalReport:
-    energy_I: float
-    pohozaev_G: float
-    nehari_N: float
-    mass_terms: MassTerms
-
-
 class _Functionals:
     """I, G and N of one (grid, config) pair, evaluated on nodal values.
 
     The one implementation of the functionals: ``solvers._Ops`` extends it
-    with the discrete operators, and :func:`evaluate_all` reports through
-    it.  Nothing is clamped; callers keep amplitudes within the overflow cap
-    (``check_cap`` on entry, or the bracketing of the scaling projections).
+    with the discrete operators, and :func:`evaluate_all` returns its
+    values.  Nothing is clamped; callers keep amplitudes within the overflow
+    cap (``check_cap`` on entry, or the bracketing of the scaling projections).
     """
 
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
@@ -125,35 +107,29 @@ class _Functionals:
         return lambda s: s * s * quad - float(np.dot(w, self.f(s * u) * (s * u)))
 
 
-def evaluate_all(u: RadialField, config: ProblemConfig) -> FunctionalReport:
+def evaluate_all(u: RadialField, config: ProblemConfig) -> dict:
     """I, G and N of a field, with the integrals they are built from.
 
     For dimension 2 the quadratic term is the Dirichlet energy int |u'|^2;
     the Pohozaev functional uses the limiting constant gamma = V(r_max).
+    The keys are ``energy_I``, ``pohozaev_G``, ``nehari_N`` and ``mass_terms``,
+    a dict of ``l2_sq``, ``lap_l2_sq`` (the quadratic form), ``pot_l2_sq``
+    (int V u^2), ``exp_mass`` (int (exp(a u^2) - 1)), ``exp_weighted``
+    (int exp(a u^2) u^2) and ``F_mass`` (int F(u)).
     Raises OverflowCapError if the field exceeds the overflow cap.
     """
     check_cap(u.values)
     core = _Functionals(u.grid, config)
     vals = u.values
     exp_weighted = float(np.dot(core.w, np.exp(core.a * vals * vals) * vals * vals))
-    terms = MassTerms(core.l2(vals), core.quad_form(vals), core.pot_mass(vals),
-                      core.exp_mass(vals), exp_weighted, core.F_mass(vals))
-    return FunctionalReport(core.I(vals), core.G(vals), core.N(vals), terms)
+    terms = {"l2_sq": core.l2(vals), "lap_l2_sq": core.quad_form(vals),
+             "pot_l2_sq": core.pot_mass(vals), "exp_mass": core.exp_mass(vals),
+             "exp_weighted": exp_weighted, "F_mass": core.F_mass(vals)}
+    return {"energy_I": core.I(vals), "pohozaev_G": core.G(vals), "nehari_N": core.N(vals),
+            "mass_terms": terms}
 
 
 # --- exponential-ratio (sharp-constant) search --------------------------------
-
-@dataclass
-class AdamsRatioReport:
-    """Lower-bound evidence for sup 2 int F(u) / ||u||^2 under ||Du||^2 <= L."""
-
-    L: float
-    ratio_lower_bound: float
-    argmax_family_params: dict
-    threshold_R: float
-    verdict: str              # "finite_evidence" | "divergence_evidence"
-    trace: dict
-
 
 def _ratio_of(values: np.ndarray, gridobj: RadialGrid, rows: np.ndarray,
               spec: NonlinearitySpec, L: float) -> tuple[float, float]:
@@ -175,7 +151,7 @@ def _ratio_of(values: np.ndarray, gridobj: RadialGrid, rows: np.ndarray,
 
 
 def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
-                       budget: int = 400) -> AdamsRatioReport:
+                       budget: int = 400) -> dict:
     """Maximize 2 int F(u) / ||u||^2 under ||Du||^2 <= L on R^dimension.
 
     The supremum depends on F and the dimension alone; no potential enters.
@@ -189,16 +165,24 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
     would suppress the critical exponential mass by a factor of order
     exp(-c*K) that hides the divergence at any reachable height.  Divergence
     evidence = monotone, non-saturating ratio growth along that sweep while
-    the budgets approach L.  Verdicts are evidence, never proofs.
-    ``threshold_R`` is beta / ``spec.alpha0``.
+    the budgets approach L.  Verdicts are evidence, never proofs.  Fewer than
+    three log-profiles give no trend: the verdict is then "finite_evidence" by
+    default, not from evidence (a ``budget`` of 1 runs none, and at
+    L = beta / (2 alpha0) the 4-D exp-critical sweep runs two).
 
     A log-profile with concentration scale r14 lives on the mesh of 10 nodes
     per r14 over [0, 2.5] (at most 2,500,001 nodes, as the sweep stops below
     r14 = 1e-5); ``sequences.moser_sums`` adds up its sums in fixed node
-    blocks, so the search holds no mesh whole.  ``trace`` holds the Gaussian's
-    (sigma, ratio) pair (none, and a bound of 0.0, if it exceeds the cap), the
-    (b, ratio, quad) triples, ``moser_nodes`` (the mesh size of each
-    log-profile) and ``evaluations`` (the candidates evaluated, at most ``budget``).
+    blocks, so the search holds no mesh whole.
+
+    The report's keys: ``L``; ``ratio_lower_bound``, the Gaussian's ratio;
+    ``argmax_family_params``, its ``family``, ``sigma`` and ``amplitude`` (empty,
+    and a bound of 0.0, if it exceeds the cap); ``threshold_R``, beta /
+    ``spec.alpha0``; ``verdict``, "finite_evidence" or "divergence_evidence";
+    and ``trace``: ``gaussian``, the Gaussian's (sigma, ratio) pair if any;
+    ``moser``, the (b, ratio, quad) triples; ``moser_nodes``, the mesh size of
+    each log-profile; and ``evaluations``, the candidates evaluated, at most
+    ``budget``.
     """
     if dimension not in ADAMS_BETA:
         raise ValueError(f"dimension must be 2 or 4, got {dimension}")
@@ -240,7 +224,7 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
         raise ValueError(f"no ratio candidate fits under the overflow cap {OVERFLOW_CAP} "
                          f"at L={L:g}")
 
-    verdict = "finite_evidence"
+    verdict = "finite_evidence"     # by default below three log-profiles: no trend to read
     if len(moser_trace) >= 3:
         rs = np.array([r for _, r, _ in moser_trace])
         qs = np.array([q for _, _, q in moser_trace])
@@ -253,6 +237,7 @@ def adams_ratio_search(spec: NonlinearitySpec, dimension: int, L: float,
         if growing and rel > 0.02 and rs[-1] > 1.5 * rs[0] and budgets_converge:
             verdict = "divergence_evidence"
 
-    return AdamsRatioReport(float(L), float(bound), params, float(beta / spec.alpha0),
-                            verdict, {"gaussian": gauss_trace, "moser": moser_trace,
-                                      "moser_nodes": moser_nodes, "evaluations": evals})
+    return {"L": float(L), "ratio_lower_bound": float(bound), "argmax_family_params": params,
+            "threshold_R": float(beta / spec.alpha0), "verdict": verdict,
+            "trace": {"gaussian": gauss_trace, "moser": moser_trace,
+                      "moser_nodes": moser_nodes, "evaluations": evals}}

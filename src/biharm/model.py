@@ -331,20 +331,6 @@ class ProblemConfig:
 
 # --- growth-condition checker -------------------------------------------------
 
-@dataclass
-class ConditionReport:
-    """Numeric check of the superquadraticity and F <= M0 f conditions."""
-
-    worst_ratio: float        # min over the probe grid of t f(t) / F(t)
-    mu: float                 # the mu = 2 the ratio is compared against
-    ar_holds: bool
-    M0: float
-    t0: float
-    upper_bound_holds: bool
-    alpha0_estimate: float
-    critical: bool
-
-
 def tail_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x over the pairs where both are finite, NaN
     when fewer than three remain: the exponential order both growth probes fit."""
@@ -352,8 +338,16 @@ def tail_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x[good], y[good], 1)[0]) if np.sum(good) > 2 else float("nan")
 
 
-def check_conditions(spec: NonlinearitySpec, t_grid) -> ConditionReport:
-    """Probe the growth conditions of (F, f) on a t grid in (0, OVERFLOW_CAP]."""
+def check_conditions(spec: NonlinearitySpec, t_grid) -> dict:
+    """Probe the growth conditions of (F, f) on a t grid in (0, OVERFLOW_CAP].
+
+    The report checks superquadraticity and F <= M0 f.  Its keys:
+    ``worst_ratio``, the min over the probes of t f(t) / F(t);
+    ``mu``, the 2 it is compared against; ``ar_holds``; ``M0`` and ``t0``, with
+    F <= M0 f on the probes from t0 on; ``upper_bound_holds``, whether F/f turned
+    down before the last probe; ``alpha0_estimate``, the fitted d log f / d t^2
+    on the tail; and ``critical``, whether that estimate exceeds 0.1.
+    """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0) or np.any(t > OVERFLOW_CAP):
         raise ValueError(f"t_grid must lie in (0, {OVERFLOW_CAP}]")
@@ -385,5 +379,5 @@ def check_conditions(spec: NonlinearitySpec, t_grid) -> ConditionReport:
     alpha0_est = 0.0 if np.isnan(alpha0_est) else alpha0_est
     critical = alpha0_est > 0.1
 
-    return ConditionReport(worst, _AR_MU, ar_holds, M0, t0, upper,
-                           alpha0_est, critical)
+    return {"worst_ratio": worst, "mu": _AR_MU, "ar_holds": ar_holds, "M0": M0, "t0": t0,
+            "upper_bound_holds": upper, "alpha0_estimate": alpha0_est, "critical": critical}

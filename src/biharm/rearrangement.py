@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -388,30 +386,8 @@ def rearrange_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RearrangementReport:
-    """Rearrangement property checks attached to a rearranged field."""
-
-    l2_in: float
-    l2_out: float
-    quad_moment_in: float     # int rho^4 |T u|^2 (rho^2 for n=2)
-    quad_moment_out: float
-    exp_mass_in: float
-    exp_mass_out: float
-    l2_ok: bool
-    quad_ok: bool
-    exp_ok: bool
-    resolved: bool            # h r_max <= pi: the nodes sample frequencies up to r_max
-    flagged: bool
-
-
-@dataclass(eq=False)
-class RearrangedField(RadialField):
-    report: Optional[RearrangementReport] = None
-
-
-def fourier_rearrange(u: RadialField) -> RearrangedField:
-    """w = T[(T u)^*] with the three property checks.
+def fourier_rearrange(u: RadialField) -> tuple[RadialField, dict]:
+    """(w, report): w = T[(T u)^*] and the report of the three property checks.
 
     The L2 and derivative-norm checks are evaluated spectrally (through the
     exactly isometric transform); the exponential-mass check compares the
@@ -422,6 +398,13 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     transform is an isometry but not a Hankel transform, which the three
     checks cannot see.  An input or rearranged field beyond the overflow cap,
     whose exponential mass overflows, raises OverflowCapError (``check_cap``).
+
+    The report's keys: ``l2_in``/``l2_out``, the spectral l2 norms squared of
+    T u and its rearrangement; ``quad_moment_in``/``quad_moment_out``, their
+    moments int rho^n |.|^2 (rho^4 in 4-D, rho^2 in 2-D);
+    ``exp_mass_in``/``exp_mass_out``; the checks ``l2_ok``, ``quad_ok`` and
+    ``exp_ok``; ``resolved``, h r_max <= pi; and ``flagged``, whether any check
+    fails or the grid is not resolved.
     """
     check_cap(u.values)
     gridobj = u.grid
@@ -447,7 +430,8 @@ def fourier_rearrange(u: RadialField) -> RearrangedField:
     exp_ok = em_out >= em_in * (1.0 - 1e-6) - 1e-12
     resolved = bool(gridobj.h * gridobj.r_max <= np.pi)
 
-    report = RearrangementReport(l2_in, l2_out, mom_in, mom_out, em_in, em_out,
-                                 l2_ok, quad_ok, exp_ok, resolved,
-                                 flagged=not (l2_ok and quad_ok and exp_ok and resolved))
-    return RearrangedField(gridobj, out, report)
+    report = {"l2_in": l2_in, "l2_out": l2_out, "quad_moment_in": mom_in,
+              "quad_moment_out": mom_out, "exp_mass_in": em_in, "exp_mass_out": em_out,
+              "l2_ok": l2_ok, "quad_ok": quad_ok, "exp_ok": exp_ok, "resolved": resolved,
+              "flagged": not (l2_ok and quad_ok and exp_ok and resolved)}
+    return RadialField(gridobj, out), report

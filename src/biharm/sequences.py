@@ -100,8 +100,9 @@ def moser_field(b: float, K: float, grid: RadialGrid) -> RadialField:
 
 # Nodes per block of :func:`moser_sums`; each block carries a 2-node halo on
 # either side for the stencil, so the sums take O(block) memory at any mesh size.
-# 2^15 sums the 623,983-node ratio candidate in 48 ms and the 1,495,892-node
-# mesh of b = 6.7 in 132 ms; 2^14 and 2^16 are 2-19% slower (x86_64, 1 thread).
+# 2^15 sums the 623,983-node mesh of b = 4.5, the largest log-profile of the
+# default 4-D `ratio` sweep, in 48 ms and the 1,495,892-node mesh of b = 6.7 in
+# 132 ms; 2^14 and 2^16 are 2-19% slower (x86_64, 1 thread).
 _BLOCK = 1 << 15
 
 

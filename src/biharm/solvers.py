@@ -96,17 +96,6 @@ class SolveReport:
         return self.residual_weak <= _RESIDUAL_GATE
 
 
-@dataclass
-class GapReport:
-    m_V: float
-    m_infty: float
-    gap: float
-    both_positive: bool
-    status_V: dict          # the trapped and the limit solve's converged, residual_weak,
-    status_infty: dict      # iterations, pohozaev_defect (None for a varying V), warnings
-    comparison_level: float = float("nan")   # I_V at the projected limit minimizer
-
-
 # --- the discrete operator bundle ---------------------------------------------
 
 class _Ops(_Functionals):
@@ -473,13 +462,19 @@ def gaussian_start(grd: RadialGrid) -> RadialField:
     return RadialField(grd, np.exp(-grd.nodes**2 / 2.0))
 
 
-def limiting_gap(config_V: ProblemConfig, init: RadialField) -> GapReport:
+def limiting_gap(config_V: ProblemConfig, init: RadialField) -> dict:
     """Ground levels with the trapping potential and its constant limit.
 
     Runs the Nehari minimization twice from the same init (with V, and with
     the constant gamma = lim V) and evaluates the comparison mechanism: the
     limit minimizer projected onto the trapped manifold must sit between the
     two levels.  Every f needs lim f(t)/t < V0, which ProblemConfig checks.
+    The report's keys: the levels ``m_V`` and ``m_infty``, ``gap`` =
+    m_infty - m_V, ``both_positive``; ``status_V`` and ``status_infty``, the
+    trapped and the limit solve's ``converged``, ``residual_weak``,
+    ``iterations``, ``pohozaev_defect`` (None for a varying V) and
+    ``warnings``; and ``comparison_level``, I_V at the projected limit
+    minimizer (nan if the projection fails).
     """
     gamma = config_V.potential.gamma_inf
     config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)
@@ -495,6 +490,8 @@ def limiting_gap(config_V: ProblemConfig, init: RadialField) -> GapReport:
         comparison = float("nan")
 
     m_V, m_inf = rep_V.objective, rep_inf.objective
-    status = [{k: getattr(r, k) for k in ("converged", "residual_weak", "iterations",
-                                          "pohozaev_defect", "warnings")} for r in (rep_V, rep_inf)]
-    return GapReport(m_V, m_inf, m_inf - m_V, bool(m_V > 0 and m_inf > 0), *status, comparison)
+    keys = ("converged", "residual_weak", "iterations", "pohozaev_defect", "warnings")
+    status_V, status_infty = ({k: getattr(r, k) for k in keys} for r in (rep_V, rep_inf))
+    return {"m_V": m_V, "m_infty": m_inf, "gap": m_inf - m_V,
+            "both_positive": bool(m_V > 0 and m_inf > 0), "status_V": status_V,
+            "status_infty": status_infty, "comparison_level": comparison}

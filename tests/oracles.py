@@ -32,8 +32,9 @@ def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig, lam: float
     if config.nonlinearity.kind != "exp_critical":
         raise ValueError("identity is defined for the exp-critical family")
     a = config.nonlinearity.alpha0
-    rhs = 0.5 * lam * rep.mass_terms.exp_weighted - lam / (2.0 * a) * rep.mass_terms.exp_mass
-    return abs(rep.energy_I - rhs)
+    terms = rep["mass_terms"]
+    rhs = 0.5 * lam * terms["exp_weighted"] - lam / (2.0 * a) * terms["exp_mass"]
+    return abs(rep["energy_I"] - rhs)
 
 
 def nehari_sign_scan(u: RadialField, config: ProblemConfig):

@@ -92,12 +92,11 @@ def test_criterion_2_plancherel_rearrangement(g4):
         n_u = np.sqrt(np.dot(g4.weights, vals**2))
         n_p = np.sqrt(np.dot(g4.weights, p**2))
         worst["planch"] = max(worst["planch"], abs(n_p - n_u) / n_u)
-        w = bh.fourier_rearrange(u)
-        r = w.report
+        w, r = bh.fourier_rearrange(u)
         worst["quad"] = max(worst["quad"],
-                            np.sqrt(r.quad_moment_out / r.quad_moment_in) - 1.0)
-        worst["exp"] = max(worst["exp"], 1.0 - r.exp_mass_out / max(r.exp_mass_in, 1e-300))
-        w2 = bh.fourier_rearrange(bh.RadialField(g4, w.values))
+                            np.sqrt(r["quad_moment_out"] / r["quad_moment_in"]) - 1.0)
+        worst["exp"] = max(worst["exp"], 1.0 - r["exp_mass_out"] / max(r["exp_mass_in"], 1e-300))
+        w2, _ = bh.fourier_rearrange(w)
         worst["idem"] = max(worst["idem"],
                             np.sqrt(np.dot(g4.weights, (w2.values - w.values) ** 2)) / n_u)
     ok = (worst["planch"] <= 1e-6 and worst["quad"] <= 1e-6
@@ -141,7 +140,7 @@ def test_criterion_4_gradient_check(cfg, g4):
         return 0.5 * gr.quad_form_sq(bh.RadialField(g4, vals))
 
     def I(vals):
-        return evaluate_all(bh.RadialField(g4, vals), cfg).energy_I
+        return evaluate_all(bh.RadialField(g4, vals), cfg)["energy_I"]
 
     worst = 0.0
     for _ in range(20):
@@ -175,15 +174,15 @@ def test_criterion_5_ground_state_pipeline(cfg, g4, pipeline):
     ut = bh.RadialField(bh.build_grid(S * g4.r_max, g4.n_points, 4), rep.field.values.copy())
     rw = residual_weak(ut, cfg)
     fr = evaluate_all(ut, cfg)
-    scale_n = fr.mass_terms.lap_l2_sq + fr.mass_terms.pot_l2_sq
-    scale_g = (cfg.gamma - LAM) * fr.mass_terms.l2_sq \
-        + abs(fr.mass_terms.F_mass) + 1.0
-    n_rel = abs(fr.nehari_N) / scale_n
-    g_rel = abs(fr.pohozaev_G) / scale_g
+    scale_n = fr["mass_terms"]["lap_l2_sq"] + fr["mass_terms"]["pot_l2_sq"]
+    scale_g = (cfg.gamma - LAM) * fr["mass_terms"]["l2_sq"] \
+        + abs(fr["mass_terms"]["F_mass"]) + 1.0
+    n_rel = abs(fr["nehari_N"]) / scale_n
+    g_rel = abs(fr["pohozaev_G"]) / scale_g
     ok &= rw <= 1e-6 and n_rel <= 1e-6 and g_rel <= 1e-6
     detail.append(f"rw={rw:.2e} |N|/scale={n_rel:.2e} |G|/scale={g_rel:.2e}")
 
-    lvl = abs(fr.energy_I - rep_n.objective) / abs(rep_n.objective)
+    lvl = abs(fr["energy_I"] - rep_n.objective) / abs(rep_n.objective)
     ok &= lvl <= 1e-4
     detail.append(f"|I-m|/m={lvl:.2e}")
     report("criterion 5 (ground-state pipeline)", ok, "; ".join(detail))
@@ -201,7 +200,7 @@ def test_criterion_6_energy_identity(cfg, g4):
         t = project_nehari(u, cfg)
         proj = bh.RadialField(g4, t * vals)
         gap = nehari_energy_identity_gap(proj, cfg, LAM)
-        I_val = evaluate_all(proj, cfg).energy_I
+        I_val = evaluate_all(proj, cfg)["energy_I"]
         worst = max(worst, gap / (1.0 + abs(I_val)))
     report("criterion 6 (on-manifold energy identity)", worst <= 1e-8,
            f"worst gap/(1+|I|) = {worst:.2e}")
@@ -213,16 +212,16 @@ def test_criterion_7_trapping_gap(g4):
     pot = bh.radial_potential(prof, g4)
     cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V, gaussian_start(g4))
-    ok = rep.both_positive and rep.m_V < rep.m_infty and rep.gap > 1e-3
+    ok = rep["both_positive"] and rep["m_V"] < rep["m_infty"] and rep["gap"] > 1e-3
 
     const = lambda r: np.full_like(np.asarray(r, float), 1.0)
     pot_c = bh.radial_potential(const, g4)
     cfg_D = bh.ProblemConfig(4, pot_c, bh.exp_critical(0.3, 4))
     rep_d = limiting_gap(cfg_D, gaussian_start(g4))
-    ok &= abs(rep_d.gap) <= 1e-6
+    ok &= abs(rep_d["gap"]) <= 1e-6
     report("criterion 7 (trapping-potential gap)", ok,
-           f"m_V={rep.m_V:.6f} m_inf={rep.m_infty:.6f} gap={rep.gap:.4f}; "
-           f"degenerate gap={rep_d.gap:.2e}")
+           f"m_V={rep['m_V']:.6f} m_inf={rep['m_infty']:.6f} gap={rep['gap']:.4f}; "
+           f"degenerate gap={rep_d['gap']:.2e}")
 
 
 def test_criterion_8_projection_uniqueness(cfg, g4):
@@ -257,16 +256,16 @@ def test_criterion_9_growth_classifier():
     v21 = bh.classify_growth(g_shape, 1.0 / 2.1)
     lin = bh.classify_growth(lambda t: np.asarray(t, float), 1.0)
     quart = bh.classify_growth(lambda t: np.asarray(t, float) ** 4, 1.0)
-    ok = (v19.bounded_verdict == "fails" and np.isinf(v19.limsup_infinity)
-          and v20.bounded_verdict == "inconclusive" and v20.infinity_boundary
-          and np.isfinite(v20.limsup_infinity) and v20.limsup_infinity > 0
-          and v21.bounded_verdict == "holds" and v21.limsup_infinity == 0.0
-          and lin.bounded_verdict == "fails" and np.isinf(lin.limsup_origin)
-          and quart.bounded_verdict == "holds" and quart.compact_verdict == "holds")
+    ok = (v19["bounded_verdict"] == "fails" and np.isinf(v19["limsup_infinity"])
+          and v20["bounded_verdict"] == "inconclusive" and v20["infinity_boundary"]
+          and np.isfinite(v20["limsup_infinity"]) and v20["limsup_infinity"] > 0
+          and v21["bounded_verdict"] == "holds" and v21["limsup_infinity"] == 0.0
+          and lin["bounded_verdict"] == "fails" and np.isinf(lin["limsup_origin"])
+          and quart["bounded_verdict"] == "holds" and quart["compact_verdict"] == "holds")
     report("criterion 9 (growth classifier matrix)", ok,
-           f"1/K=1.9:{v19.bounded_verdict} 2.0:{v20.bounded_verdict}"
-           f"(boundary,lim={v20.limsup_infinity:.3f}) 2.1:{v21.bounded_verdict}; "
-           f"t:{lin.bounded_verdict} t^4:{quart.bounded_verdict}")
+           f"1/K=1.9:{v19['bounded_verdict']} 2.0:{v20['bounded_verdict']}"
+           f"(boundary,lim={v20['limsup_infinity']:.3f}) 2.1:{v21['bounded_verdict']}; "
+           f"t:{lin['bounded_verdict']} t^4:{quart['bounded_verdict']}")
 
 
 def test_criterion_10_laplacian_analogue():
@@ -287,7 +286,7 @@ def test_criterion_11_theta_family_evidence():
     for theta in (1.0, 3.0):
         spec = bh.exact_growth_family(theta)
         L = bh.model.ADAMS_BETA[4] / spec.alpha0
-        verdicts[theta] = bh.adams_ratio_search(spec, 4, L, budget=300).verdict
+        verdicts[theta] = bh.adams_ratio_search(spec, 4, L, budget=300)["verdict"]
     ok = verdicts[1.0] == "divergence_evidence" and verdicts[3.0] == "finite_evidence"
     report("criterion 11 (exact-growth ratio evidence)", ok,
            f"theta=1: {verdicts[1.0]}; theta=3: {verdicts[3.0]}")

@@ -689,6 +689,55 @@ def test_every_report_echoes_the_fields_its_command_reads(tmp_path, args):
     assert (rerun / f"{args[0]}.json").read_bytes() == report
 
 
+_STATUS_KEYS = {"converged", "residual_weak", "iterations", "pohozaev_defect", "warnings"}
+_SUMMARY_KEYS = {"objective", "pohozaev_defect", "constraint_residual", "converged", "warnings"}
+
+
+# each command's report sections, keyed by their path from the report's root
+_SECTION_KEYS = [
+    (["solve", "--grid", "20:512"],
+     {"solve": _SUMMARY_KEYS | {"residual_weak", "iterations", "recovered_residual_weak",
+                                "trace"}}),
+    (["sweep", "--sweep-param", "gamma", "--sweep-values", "1.1", "--grid", "20:512"],
+     {"sweep": {"param", "results"}, "sweep.results": {"value"} | _SUMMARY_KEYS}),
+    (["gap", "--V", "1-0.4*exp(-t^2)", "--lambda", "0.3", "--grid", "20:512"],
+     {"gap": {"m_V", "m_infty", "gap", "both_positive", "status_V", "status_infty",
+              "comparison_level"},
+      "gap.status_V": _STATUS_KEYS, "gap.status_infty": _STATUS_KEYS}),
+    (["ratio", "--budget", "4"],
+     {"ratio": {"L", "ratio_lower_bound", "argmax_family_params", "threshold_R", "verdict",
+                "trace"},
+      "ratio.trace": {"gaussian", "moser", "moser_nodes", "evaluations"},
+      "ratio.argmax_family_params": {"family", "sigma", "amplitude"}}),
+    (["check", "--g", "t^4"],
+     {"conditions": {"worst_ratio", "mu", "ar_holds", "M0", "t0", "upper_bound_holds",
+                     "alpha0_estimate", "critical"},
+      "growth": {"K", "limsup_infinity", "limsup_origin", "bounded_verdict",
+                 "compact_verdict", "infinity_boundary", "exp_order_estimate"}}),
+    (["moser", "--b-values", "3,5"],
+     {"moser": {"rows", "fitted_excess_exponent"},
+      "moser.rows": {"b", "l2_sq", "lap_l2_sq", "excess", "n_points", "method"}}),
+    (["rearrange", "--input", None],
+     {"rearrange": {"l2_in", "l2_out", "quad_moment_in", "quad_moment_out", "exp_mass_in",
+                    "exp_mass_out", "l2_ok", "quad_ok", "exp_ok", "resolved", "flagged"}})]
+
+
+@pytest.mark.parametrize("args, keys", _SECTION_KEYS, ids=[a[0] for a, _ in _SECTION_KEYS])
+def test_every_section_keeps_its_keys(tmp_path, args, keys):
+    # each section (check writes two) and each dict nested in it has exactly these
+    # keys; a list of dicts (sweep.results, moser.rows) pins the keys of every entry
+    args = [a if a is not None else _two_bump_csv(tmp_path) for a in args]
+    _, out = run_cli(args, tmp_path)
+    report = json.loads((out / f"{args[0]}.json").read_text())
+    assert set(report) == {"version", "config", *(path.split(".")[0] for path in keys)}
+    for path, want in keys.items():
+        value = report
+        for name in path.split("."):
+            value = value[name]
+        for entry in value if isinstance(value, list) else [value]:
+            assert set(entry) == want, path
+
+
 def test_library_run_takes_the_grid_of_its_dimension(tmp_path):
     # a RunConfig built in code solves on the grid of its dimension, as --dim
     # without --grid does
@@ -838,12 +887,14 @@ def test_import_loads_no_numpy_and_resolves_every_name():
               "print(bh.sequences.__name__, bh.cli.__name__, hasattr(bh, 'no_such_name'),\n"
               "      hasattr(bh, 'SolverOptions'))\n"
               "print(all(getattr(bh, name) is not None for name in bh.__all__), len(bh.__all__))\n"
-              "print(set(bh.__all__) <= set(dir(bh)))\n")
+              "print(set(bh.__all__) <= set(dir(bh)))\n"
+              "print(any(hasattr(bh, name) for name in ('ConditionReport', 'GapReport',\n"
+              "                                         'RearrangementReport')))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env)
     assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False False",
-                                       "True 46", "True"], res.stderr
+                                       "True 39", "True", "False"], res.stderr
 
 
 def test_gap_gates_lambda_only_for_the_exp_critical_family(tmp_path):

@@ -22,18 +22,18 @@ def g4():
 
 def test_evaluate_all_zero(cfg, g4):
     rep = evaluate_all(bh.RadialField(g4, np.zeros(g4.n_points)), cfg)
-    assert rep.energy_I == 0.0
-    assert rep.pohozaev_G == 0.0
-    assert rep.nehari_N == 0.0
-    assert rep.mass_terms.exp_mass == 0.0
+    assert rep["energy_I"] == 0.0
+    assert rep["pohozaev_G"] == 0.0
+    assert rep["nehari_N"] == 0.0
+    assert rep["mass_terms"]["exp_mass"] == 0.0
 
 
 def test_small_amplitude_sign(cfg, g4):
     # leading order: G ~ (gamma - lam) eps^2 pi^2 > 0
     eps = 1e-3
     rep = evaluate_all(bh.RadialField(g4, eps * np.exp(-g4.nodes**2 / 2)), cfg)
-    assert rep.pohozaev_G > 0
-    assert rep.pohozaev_G == pytest.approx((cfg.gamma - LAM) * eps**2 * np.pi**2,
+    assert rep["pohozaev_G"] > 0
+    assert rep["pohozaev_G"] == pytest.approx((cfg.gamma - LAM) * eps**2 * np.pi**2,
                                            rel=1e-5)
 
 
@@ -50,13 +50,13 @@ def test_evaluate_all_vs_quadrature_oracle(cfg, g4):
     exp_mass = radial(lambda r: np.expm1(2 * np.exp(-r**2)))
     exp_wt = radial(lambda r: np.exp(2 * np.exp(-r**2)) * np.exp(-r**2))
     lap = radial(lambda r: (r**2 - 4) ** 2 * np.exp(-r**2))
-    assert rep.mass_terms.l2_sq == pytest.approx(l2, rel=1e-6)
-    assert rep.mass_terms.exp_mass == pytest.approx(exp_mass, rel=1e-6)
-    assert rep.mass_terms.exp_weighted == pytest.approx(exp_wt, rel=1e-6)
-    assert rep.mass_terms.lap_l2_sq == pytest.approx(lap, rel=1e-6)
-    recon = 0.5 * (rep.mass_terms.lap_l2_sq + rep.mass_terms.pot_l2_sq) \
-        - LAM / 4 * rep.mass_terms.exp_mass
-    assert rep.energy_I == pytest.approx(recon, abs=1e-12 * (1 + abs(rep.energy_I)))
+    assert rep["mass_terms"]["l2_sq"] == pytest.approx(l2, rel=1e-6)
+    assert rep["mass_terms"]["exp_mass"] == pytest.approx(exp_mass, rel=1e-6)
+    assert rep["mass_terms"]["exp_weighted"] == pytest.approx(exp_wt, rel=1e-6)
+    assert rep["mass_terms"]["lap_l2_sq"] == pytest.approx(lap, rel=1e-6)
+    recon = 0.5 * (rep["mass_terms"]["lap_l2_sq"] + rep["mass_terms"]["pot_l2_sq"]) \
+        - LAM / 4 * rep["mass_terms"]["exp_mass"]
+    assert rep["energy_I"] == pytest.approx(recon, abs=1e-12 * (1 + abs(rep["energy_I"])))
 
 
 def test_nehari_definition_consistency(cfg, g4):
@@ -65,9 +65,9 @@ def test_nehari_definition_consistency(cfg, g4):
     for _ in range(5):
         vals = rng.uniform(0.2, 1.0) * np.exp(-(g4.nodes / rng.uniform(0.8, 2)) ** 2)
         rep = evaluate_all(bh.RadialField(g4, vals), cfg)
-        recon = rep.mass_terms.lap_l2_sq + rep.mass_terms.pot_l2_sq \
-            - LAM * rep.mass_terms.exp_weighted
-        assert rep.nehari_N == pytest.approx(recon, abs=1e-10 * (1 + abs(recon)))
+        recon = rep["mass_terms"]["lap_l2_sq"] + rep["mass_terms"]["pot_l2_sq"] \
+            - LAM * rep["mass_terms"]["exp_weighted"]
+        assert rep["nehari_N"] == pytest.approx(recon, abs=1e-10 * (1 + abs(recon)))
 
 
 def test_identity_gap_is_half_nehari(cfg, g4):
@@ -78,7 +78,7 @@ def test_identity_gap_is_half_nehari(cfg, g4):
         u = bh.RadialField(g4, vals)
         rep = evaluate_all(u, cfg)
         gap = nehari_energy_identity_gap(u, cfg, LAM)
-        assert gap == pytest.approx(abs(rep.nehari_N) / 2, rel=1e-10)
+        assert gap == pytest.approx(abs(rep["nehari_N"]) / 2, rel=1e-10)
 
 
 def test_identity_gap_zero_field(cfg, g4):
@@ -91,7 +91,7 @@ def test_pohozaev_scaling_single_sign_change(cfg, g4):
     signs = []
     for s in svals:
         rep = evaluate_all(bh.RadialField(g4, s * u), cfg)
-        signs.append(np.sign(rep.pohozaev_G))
+        signs.append(np.sign(rep["pohozaev_G"]))
     signs = np.array(signs)
     flips = np.sum(np.diff(signs[signs != 0]) != 0)
     assert flips == 1
@@ -129,17 +129,17 @@ def test_scaling_invariance_n4(cfg):
     rep = evaluate_all(u, cfg)
     gs = bh.build_grid(1.5 * g.r_max, g.n_points, 4)
     us = bh.RadialField(gs, u.values.copy())
-    reps = evaluate_all(us, cfg)
-    assert reps.mass_terms.lap_l2_sq == pytest.approx(rep.mass_terms.lap_l2_sq, rel=1e-6)
-    assert reps.mass_terms.l2_sq == pytest.approx(1.5**4 * rep.mass_terms.l2_sq, rel=1e-6)
+    terms, terms_s = rep["mass_terms"], evaluate_all(us, cfg)["mass_terms"]
+    assert terms_s["lap_l2_sq"] == pytest.approx(terms["lap_l2_sq"], rel=1e-6)
+    assert terms_s["l2_sq"] == pytest.approx(1.5**4 * terms["l2_sq"], rel=1e-6)
 
 
 def test_ratio_search_quartic_plumbing():
     # F = t^4: finite ratio, reproducible by a scan oracle over the gaussians
     spec = bh.user_nonlinearity("4*t^3", alpha0=1.0)
     rep = adams_ratio_search(spec, 4, L=1.0, budget=200)
-    assert rep.verdict == "finite_evidence"
-    assert rep.ratio_lower_bound > 0
+    assert rep["verdict"] == "finite_evidence"
+    assert rep["ratio_lower_bound"] > 0
     # oracle: dense scan over gaussian widths
     g = bh.default_grid(4)
     best = 0.0
@@ -150,7 +150,7 @@ def test_ratio_search_quartic_plumbing():
         vals = vals * scale
         l2 = np.dot(g.weights, vals**2)
         best = max(best, 2 * np.dot(g.weights, vals**4) / l2)
-    assert rep.ratio_lower_bound >= best * (1 - 1e-6)
+    assert rep["ratio_lower_bound"] >= best * (1 - 1e-6)
 
 
 def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
@@ -160,8 +160,8 @@ def test_ratio_search_builds_the_gaussian_rows_once(monkeypatch):
     monkeypatch.setattr(bh.grid, "laplacian_matrix", lambda grd: calls.append(grd) or build(grd))
     rep = adams_ratio_search(bh.exp_critical(1.5, 2), 2, 1.0, budget=24)
     assert len(calls) == 1 and calls[0].dimension == 2
-    assert [sigma for sigma, _ in rep.trace["gaussian"]] == [1.0]
-    assert rep.threshold_R == pytest.approx(4 * np.pi)
+    assert [sigma for sigma, _ in rep["trace"]["gaussian"]] == [1.0]
+    assert rep["threshold_R"] == pytest.approx(4 * np.pi)
     with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
         adams_ratio_search(bh.exp_critical(0.5), 3, 1.0)
 
@@ -205,7 +205,7 @@ def test_ratio_search_gaussian_bound_is_the_resolved_orbit(name):
     # the former sweep reported sigma 0.3, whose under-resolved origin lifted the
     # bound by 9e-7 to 1.1e-5 relative
     spec, dim, L = _RATIO_CONFIGS[name]
-    (pair,) = adams_ratio_search(spec, dim, L, budget=1).trace["gaussian"]
+    (pair,) = adams_ratio_search(spec, dim, L, budget=1)["trace"]["gaussian"]
     base = bh.default_grid(dim)
     rows = bh.grid.laplacian_matrix(base)
     for sigma in (1.0, 1.5, 2.0, 3.0, 4.0):
@@ -221,34 +221,34 @@ def test_ratio_search_log_profiles_are_never_feasible(name, share):
     # the Gaussian's and the sweep is evidence for the verdict alone
     spec, dim, L = _RATIO_CONFIGS[name]
     rep = adams_ratio_search(spec, dim, share * L)
-    assert rep.trace["moser"]
-    assert all(q > share * L * (1.0 + 1e-9) for _, _, q in rep.trace["moser"])
-    (pair,) = rep.trace["gaussian"]
-    assert rep.ratio_lower_bound == pair[1]
-    assert rep.argmax_family_params["family"] == "gaussian"
+    assert rep["trace"]["moser"]
+    assert all(q > share * L * (1.0 + 1e-9) for _, _, q in rep["trace"]["moser"])
+    (pair,) = rep["trace"]["gaussian"]
+    assert rep["ratio_lower_bound"] == pair[1]
+    assert rep["argmax_family_params"]["family"] == "gaussian"
 
 
 def test_ratio_search_divergence_at_threshold():
     L = 16 * np.pi**2            # 32 pi^2 / alpha0 with alpha0 = 2
     rep = adams_ratio_search(bh.exp_critical(0.5), 4, L, budget=200)
-    assert rep.threshold_R == pytest.approx(L)
-    assert rep.verdict == "divergence_evidence"
-    rs = [r for _, r, _ in rep.trace["moser"]]
+    assert rep["threshold_R"] == pytest.approx(L)
+    assert rep["verdict"] == "divergence_evidence"
+    rs = [r for _, r, _ in rep["trace"]["moser"]]
     assert all(np.diff(rs) > 0)
-    budgets = [q for _, _, q in rep.trace["moser"]]
+    budgets = [q for _, _, q in rep["trace"]["moser"]]
     assert all(np.diff(budgets) < 0) and budgets[-1] < 1.5 * L
 
 
 def test_ratio_search_trace_counts_nodes_and_evaluations():
     spec = bh.exp_critical(0.5)
     rep = adams_ratio_search(spec, 4, 16 * np.pi**2)
-    tr = rep.trace
+    tr = rep["trace"]
     # 10 nodes per concentration scale on [0, 2.5]; the sweep stops below r14 = 1e-5
     assert tr["moser_nodes"] == [570, 2252, 11430, 74525, 623983]
     assert tr["evaluations"] == len(tr["gaussian"]) + len(tr["moser"]) == 6
-    few = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=4).trace
+    few = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=4)["trace"]
     assert few["evaluations"] == 4 and few["moser_nodes"] == [570, 2252, 11430]
-    one = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=1).trace
+    one = adams_ratio_search(spec, 4, 16 * np.pi**2, budget=1)["trace"]
     assert one["evaluations"] == len(one["gaussian"]) == 1
     assert one["moser"] == one["moser_nodes"] == []
 
@@ -264,7 +264,7 @@ def test_ratio_search_memory_is_bounded(L):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(rep.trace["moser_nodes"]) > 600_000
+    assert max(rep["trace"]["moser_nodes"]) > 600_000
     assert peak < 16e6
 
 
@@ -275,11 +275,11 @@ def test_ratio_search_small_L():
     spec = bh.exp_critical(lam)
     rep_small = adams_ratio_search(spec, 4, 1e-3, budget=200)
     rep_mid = adams_ratio_search(spec, 4, 1.0, budget=200)
-    assert rep_small.ratio_lower_bound < rep_mid.ratio_lower_bound
-    assert rep_small.ratio_lower_bound == pytest.approx(lam, rel=1e-2)
+    assert rep_small["ratio_lower_bound"] < rep_mid["ratio_lower_bound"]
+    assert rep_small["ratio_lower_bound"] == pytest.approx(lam, rel=1e-2)
     tiny = adams_ratio_search(bh.exact_growth_family(1.0), 4, 1e-3, budget=200)
-    assert tiny.ratio_lower_bound < 1e-3
-    assert tiny.verdict == "finite_evidence"
+    assert tiny["ratio_lower_bound"] < 1e-3
+    assert tiny["verdict"] == "finite_evidence"
 
 
 def _config(dim, kind):
@@ -304,7 +304,7 @@ def test_evaluate_all_is_the_solver_functionals(dim, kind):
         vals = rng.uniform(0.2, 1.5) * np.exp(-(grid.nodes / rng.uniform(0.8, 2.5)) ** 2) \
             + 0.05 * rng.standard_normal(grid.n_points) * np.exp(-grid.nodes / 3)
         rep = evaluate_all(bh.RadialField(grid, vals), cfg)
-        assert rep.energy_I == ops.I(vals)
-        assert rep.pohozaev_G == ops.G(vals)
-        assert rep.nehari_N == ops.N(vals)
-        assert rep.mass_terms.F_mass == ops.F_mass(vals)
+        assert rep["energy_I"] == ops.I(vals)
+        assert rep["pohozaev_G"] == ops.G(vals)
+        assert rep["nehari_N"] == ops.N(vals)
+        assert rep["mass_terms"]["F_mass"] == ops.F_mass(vals)

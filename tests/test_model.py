@@ -109,7 +109,7 @@ def test_functionals_finite_up_to_an_accepted_cap(dim, alpha0):
     vals = OVERFLOW_CAP * np.exp(-grid.nodes**2)
     with np.errstate(over="raise", invalid="raise"):
         rep = evaluate_all(bh.RadialField(grid, vals), cfg)
-    assert np.all(np.isfinite([rep.energy_I, rep.pohozaev_G, rep.nehari_N]))
+    assert np.all(np.isfinite([rep["energy_I"], rep["pohozaev_G"], rep["nehari_N"]]))
     with pytest.raises(OverflowCapError):
         evaluate_all(bh.RadialField(grid, 1.01 * vals), cfg)
 
@@ -297,26 +297,26 @@ def test_check_conditions_exp_critical():
     # the ratio t f / F decreases to 2 as t -> 0+, stays above it
     x = 2 * 0.1**2
     boundary = 2 * x / -np.expm1(-x)
-    assert rep.worst_ratio == pytest.approx(boundary, rel=1e-6)
-    assert rep.worst_ratio > 2.0
-    assert rep.ar_holds
-    assert rep.upper_bound_holds and np.isfinite(rep.M0)
-    assert rep.alpha0_estimate == pytest.approx(2.0, abs=0.15)
-    assert rep.critical
+    assert rep["worst_ratio"] == pytest.approx(boundary, rel=1e-6)
+    assert rep["worst_ratio"] > 2.0
+    assert rep["ar_holds"]
+    assert rep["upper_bound_holds"] and np.isfinite(rep["M0"])
+    assert rep["alpha0_estimate"] == pytest.approx(2.0, abs=0.15)
+    assert rep["critical"]
 
 
 def test_check_conditions_exact_growth():
     rep = check_conditions(bh.exact_growth_family(1.0), np.geomspace(0.1, 5.0, 400))
-    assert rep.ar_holds
-    assert rep.upper_bound_holds
-    assert rep.alpha0_estimate == pytest.approx(1.0, abs=0.2)
+    assert rep["ar_holds"]
+    assert rep["upper_bound_holds"]
+    assert rep["alpha0_estimate"] == pytest.approx(1.0, abs=0.2)
 
 
 def test_check_conditions_subcritical_flagged():
     rep = check_conditions(bh.user_nonlinearity("2*t"),
                            np.geomspace(0.1, 5.0, 400))
-    assert rep.alpha0_estimate == pytest.approx(0.0, abs=0.05)
-    assert not rep.critical
+    assert rep["alpha0_estimate"] == pytest.approx(0.0, abs=0.05)
+    assert not rep["critical"]
 
 
 @pytest.mark.parametrize("spec, holds", [
@@ -329,8 +329,8 @@ def test_upper_bound_holds_only_where_F_over_f_turns_down(spec, holds):
     # F/f still rising at the last probe point (t/2 for f = t) bounds nothing beyond it
     t = np.geomspace(0.1, 5.0, 200)
     rep = check_conditions(spec, t)
-    assert rep.upper_bound_holds is holds
-    assert rep.M0 == np.max(spec.F(t) / spec.f(t))
+    assert rep["upper_bound_holds"] is holds
+    assert rep["M0"] == np.max(spec.F(t) / spec.f(t))
 
 
 # alpha0_estimate on check's probe grid as recorded at 9530ade, before it was
@@ -342,7 +342,7 @@ def test_upper_bound_holds_only_where_F_over_f_turns_down(spec, holds):
     (bh.user_nonlinearity("2*t"), 0.031318791376538625)])
 def test_check_conditions_alpha0_estimate_pinned(spec, estimate):
     rep = check_conditions(spec, np.geomspace(0.1, 5.0, 200))
-    assert rep.alpha0_estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+    assert rep["alpha0_estimate"] == pytest.approx(estimate, rel=1e-12, abs=0)
 
 
 def test_tail_slope_needs_three_finite_pairs():

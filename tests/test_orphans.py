@@ -20,7 +20,8 @@ EXEMPT = {
     "moser_field": "tracer target sequences.moser_field; the full-mesh reference of "
                    "moser_sums in the tests",
     "minimize_pohozaev": "tracer target solvers.minimize; criterion 5's Pohozaev reference",
-    "evaluate_all": "tracer target functionals.evaluate_all; the tests' functional report",
+    "evaluate_all": "tracer target functionals.evaluate_all; the dict of I, G, N and "
+                    "their integrals that the tests build references on",
 }
 
 

@@ -54,7 +54,7 @@ def test_project_pohozaev_matches_scan_oracle(cfg, g4, gauss):
     # independent fine-scan oracle for the sign change of s -> G(su)
     from biharm.functionals import evaluate_all
     svals = np.linspace(0.5 * s0, 1.5 * s0, 10_000)
-    gs = np.array([evaluate_all(bh.RadialField(g4, s * gauss.values), cfg).pohozaev_G
+    gs = np.array([evaluate_all(bh.RadialField(g4, s * gauss.values), cfg)["pohozaev_G"]
                    for s in svals[::100]])
     # bracketing scan (coarse then refined around the crossing)
     sign_flip = np.nonzero(np.diff(np.sign(gs)))[0]
@@ -62,7 +62,7 @@ def test_project_pohozaev_matches_scan_oracle(cfg, g4, gauss):
     lo, hi = svals[::100][sign_flip[0]], svals[::100][sign_flip[0] + 1]
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        val = evaluate_all(bh.RadialField(g4, mid * gauss.values), cfg).pohozaev_G
+        val = evaluate_all(bh.RadialField(g4, mid * gauss.values), cfg)["pohozaev_G"]
         if val > 0:
             lo = mid
         else:
@@ -111,7 +111,7 @@ def test_project_nehari_residual(cfg, g4):
         t = project_nehari(u, cfg)
         from biharm.functionals import evaluate_all
         rep = evaluate_all(bh.RadialField(g4, t * vals), cfg)
-        assert abs(rep.nehari_N) <= 1e-10 * (1 + rep.mass_terms.l2_sq)
+        assert abs(rep["nehari_N"]) <= 1e-10 * (1 + rep["mass_terms"]["l2_sq"])
 
 
 def test_nehari_sign_scan_unique(cfg, g4):
@@ -267,7 +267,7 @@ def test_gradients_match_finite_differences(cfg, g4):
         return 0.5 * gr.quad_form_sq(bh.RadialField(g4, vals))
 
     def I(vals):
-        return evaluate_all(bh.RadialField(g4, vals), cfg).energy_I
+        return evaluate_all(bh.RadialField(g4, vals), cfg)["energy_I"]
 
     gJ = gradient_quadratic(u0, cfg)
     gI = gradient_action(u0, cfg)
@@ -319,9 +319,9 @@ def test_recover_solution_properties(cfg, solved):
     assert residual_weak(ut, cfg) <= 1e-6
     from biharm.functionals import evaluate_all
     fr = evaluate_all(ut, cfg)
-    scale = fr.mass_terms.lap_l2_sq + fr.mass_terms.pot_l2_sq
-    assert abs(fr.nehari_N) <= 1e-6 * scale
-    assert abs(fr.pohozaev_G) <= 1e-6 * (1 + fr.mass_terms.l2_sq)
+    scale = fr["mass_terms"]["lap_l2_sq"] + fr["mass_terms"]["pot_l2_sq"]
+    assert abs(fr["nehari_N"]) <= 1e-6 * scale
+    assert abs(fr["pohozaev_G"]) <= 1e-6 * (1 + fr["mass_terms"]["l2_sq"])
 
 
 def test_residual_weak_zero_and_bump(cfg, g4, gauss):
@@ -378,10 +378,10 @@ def test_limiting_gap(g4):
     pot = bh.radial_potential(prof, g4)
     cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V, gaussian_start(g4))
-    assert rep.both_positive
-    assert rep.gap > 1e-3
+    assert rep["both_positive"]
+    assert rep["gap"] > 1e-3
     # the projected limit minimizer sits between the two levels
-    assert rep.m_V <= rep.comparison_level <= rep.m_infty + 1e-9
+    assert rep["m_V"] <= rep["comparison_level"] <= rep["m_infty"] + 1e-9
 
 
 def test_limiting_gap_hypothesis_violated(g4):
@@ -395,7 +395,7 @@ def test_limiting_gap_hypothesis_violated(g4):
 def test_level_consistency_pohozaev_vs_nehari(cfg, g4, solved):
     ut = dilated(solved.field, solved.lagrange_theta, cfg)
     from biharm.functionals import evaluate_all
-    I_val = evaluate_all(ut, cfg).energy_I
+    I_val = evaluate_all(ut, cfg)["energy_I"]
     rep_n = minimize_nehari(cfg, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2)))
     assert abs(I_val - rep_n.objective) <= 1e-4 * abs(rep_n.objective)
 
@@ -459,7 +459,7 @@ def test_2d_gap_builds_one_ops_per_problem():
     solvers._ops_for.cache_clear()
     rep = solvers.limiting_gap(cfg, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     assert solvers._ops_for.cache_info().misses == 2
-    assert rep.gap > 0
+    assert rep["gap"] > 0
 
 
 def test_2d_objective_converges_at_fourth_order():
@@ -636,12 +636,12 @@ def test_handoff_keeps_the_gap_levels():
     cfg = bh.ProblemConfig(4, well, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg, init)
     full = _without_handoff(lambda: limiting_gap(cfg, init))
-    assert rep.status_V["iterations"] == rep.status_infty["iterations"] == 5
-    assert min(full.status_V["iterations"], full.status_infty["iterations"]) > 5
+    assert rep["status_V"]["iterations"] == rep["status_infty"]["iterations"] == 5
+    assert min(full["status_V"]["iterations"], full["status_infty"]["iterations"]) > 5
     for level in ("m_V", "m_infty"):
-        assert abs(getattr(rep, level) - getattr(full, level)) <= 1e-12 * getattr(full, level)
+        assert abs(rep[level] - full[level]) <= 1e-12 * full[level]
     # I_V at the projected limit minimizer moves with the minimizer's rounding
-    assert rep.comparison_level == pytest.approx(full.comparison_level, rel=1e-9)
+    assert rep["comparison_level"] == pytest.approx(full["comparison_level"], rel=1e-9)
 
 
 @pytest.mark.parametrize("args", [["--lambda", "0.1"], ["--lambda", "0.2"],
