@@ -70,17 +70,8 @@ EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
 # --- canonical serialization ---------------------------------------------------
 
 def _canon(obj):
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-        if obj != obj:
-            return "nan"
-        if obj in (float("inf"), float("-inf")):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_canon(x) for x in obj.tolist()]
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else format(obj)    # "nan", "inf", "-inf"
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -210,9 +201,10 @@ def _ground_state(rc: RunConfig):
     grd, config = _build_problem(rc)
     rep = minimize_nehari(config, gaussian_start(grd))
     resolved = abs(rep.pohozaev_defect) <= _DEFECT_GATE
-    if not resolved:
+    if not resolved:     # r_max when its truncation shows, else the mesh width
+        grow = "r_max" if any(w.startswith("BOUNDARY_TRUNCATION") for w in rep.warnings) else "n"
         rep.warnings.append(f"UNDER_RESOLVED: Pohozaev defect {rep.pohozaev_defect:.2e} "
-                            f"exceeds {_DEFECT_GATE:g}; refine --grid")
+                            f"exceeds {_DEFECT_GATE:g}; refine --grid: raise {grow}")
     summary = {"objective": rep.objective, "pohozaev_defect": rep.pohozaev_defect,
                "constraint_residual": rep.constraint_residual, "converged": rep.converged,
                "warnings": rep.warnings}

@@ -213,11 +213,3 @@ def quad_form_of(w: np.ndarray, lap: np.ndarray, u: np.ndarray, dimension: int) 
     if dimension == 4:
         return float(np.dot(w, lap * lap))
     return -float(np.dot(w, lap * u))
-
-
-def boundary_decay_ratio(u: RadialField) -> float:
-    """|u(r_max)| / max|u|; large values flag truncation problems."""
-    m = float(np.max(np.abs(u.values)))
-    if m == 0.0:
-        return 0.0
-    return float(abs(u.values[-1])) / m

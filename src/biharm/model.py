@@ -300,9 +300,9 @@ class ProblemConfig:
     """Operator/dimension pair with potential and nonlinearity.
 
     dimension=4 means the bi-harmonic operator (m=2); dimension=2 the
-    Laplacian (m=1).  Every f must satisfy the standing hypothesis
-    lim_{t->0+} f(t)/t < V0, read as f(h)/h at h = 2^-511 (lam for the exp-critical
-    family, whose rate must also be ``EXP_RATE[dimension]``; a NaN is refused).
+    Laplacian (m=1).  Every f must satisfy the standing hypothesis lim_{t->0+} f(t)/t < V0,
+    the limit kept as ``linear_slope``, read as f(h)/h at h = 2^-511 (lam for the
+    exp-critical family, whose rate must also be ``EXP_RATE[dimension]``; a NaN is refused).
     """
 
     dimension: int
@@ -312,7 +312,7 @@ class ProblemConfig:
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
-        slope = float(self.nonlinearity.f(2.0**-511)) / 2.0**-511    # lim f(t)/t, t -> 0
+        slope = self.linear_slope = float(self.nonlinearity.f(2.0**-511)) / 2.0**-511
         if not slope < self.potential.v0 - 1e-15:
             raise ValueError(f"standing hypothesis violated: f(t)/t -> {slope} as t -> 0, "
                              f"not below V0={self.potential.v0}")

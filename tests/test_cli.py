@@ -184,6 +184,16 @@ def test_check_g_reports_the_conditions_of_its_nonlinearity(tmp_path):
         rel=1e-12)
 
 
+@pytest.mark.parametrize("g, verdicts", [("1", ("fails", "fails")), ("0*t", ("holds", "holds"))])
+def test_check_of_a_constant_g_is_a_result(tmp_path, g, verdicts):
+    # a constant expression gives one value per probe point; g = 0 sits at the floor
+    # of the probe logs, where both limits vanish
+    code, out = run_cli(["check", "--g", g, "--K", "1"], tmp_path)
+    assert code == EXIT_OK
+    growth = json.loads((out / "check.json").read_text())["growth"]
+    assert (growth["bounded_verdict"], growth["compact_verdict"]) == verdicts
+
+
 def test_probes_build_no_potential(tmp_path):
     # ratio reads F and the dimension only, so lambda >= 1 is no error there; check
     # takes no lambda, which cancels from every condition it reports
@@ -268,6 +278,7 @@ def test_moser_command(tmp_path):
     assert [set(row) for row in rep["moser"]["rows"]] == 2 * [
         {"b", "l2_sq", "lap_l2_sq", "excess", "n_points", "method"}]
     assert not (out / "moser.csv").exists()      # moser.json holds the rows once
+    assert set(rep["config"]) == {"command", "b_values"}
 
 
 def test_ratio_command(tmp_path):
@@ -275,6 +286,16 @@ def test_ratio_command(tmp_path):
     assert code == EXIT_OK
     rep = json.loads((out / "ratio.json").read_text())
     assert rep["ratio"]["verdict"] in ("finite_evidence", "divergence_evidence")
+
+
+@pytest.mark.parametrize("theta, verdict", [("3", "finite_evidence"),
+                                            ("1", "divergence_evidence")])
+def test_2d_theta_ratio_verdicts(tmp_path, theta, verdict):
+    # in 2-D the log branch carries L, so the bounded theta 3 family reads finite and
+    # theta 1 still reads divergence at the threshold
+    code, out = run_cli(["ratio", "--dim", "2", "--theta", theta, "--budget", "8"], tmp_path)
+    assert code == EXIT_OK
+    assert json.loads((out / "ratio.json").read_text())["ratio"]["verdict"] == verdict
 
 
 def test_sweep_command(tmp_path):
@@ -399,6 +420,41 @@ def test_default_grid_solve_converges(tmp_path, dim):
     s = json.loads((out / "solve.json").read_text())["solve"]
     assert s["converged"]
     assert s["recovered_residual_weak"] <= 1e-5
+    # r_max moves the level by about 4.6e-11 (4-D) and 6.7e-19 (2-D): no warning
+    assert s["warnings"] == []
+
+
+def test_default_solve_hands_off_and_its_field_rearranges_unflagged(tmp_path):
+    # the default solve exits 0 from the handoff, a copy polished after 5 descent
+    # steps; rearrange reads its solution.csv, and its report is not flagged
+    code, out = run_cli(["solve"], tmp_path, "solve")
+    assert code == EXIT_OK
+    assert json.loads((out / "solve.json").read_text())["solve"]["iterations"] == 5
+    code, out = run_cli(["rearrange", "--input", str(out / "solution.csv")], tmp_path)
+    assert code == EXIT_OK
+    r = json.loads((out / "rearrange.json").read_text())["rearrange"]
+    assert len(r) == 11 and r["flagged"] is False
+
+
+@pytest.mark.parametrize("dim, r_max, n", [("4", 20, 2048), ("2", 30, 2048)])
+def test_truncation_warning_estimates_the_level_shift(tmp_path, dim, r_max, n):
+    # theta 3 at gamma 0.05 decays slowly enough for r_max to move the level: the
+    # estimate reads 2.8e-5 (4-D) and 8.3e-6 (2-D), 0.6 and 0.4 times the move to
+    # 2 r_max at the same h, and the UNDER_RESOLVED hint names r_max
+    args = ["solve", "--dim", dim, "--theta", "3", "--gamma", "0.05"]
+    code, out = run_cli(args, tmp_path, "default")
+    assert code == EXIT_NOCONV
+    s = json.loads((out / "solve.json").read_text())["solve"]
+    trunc = [w for w in s["warnings"] if w.startswith("BOUNDARY_TRUNCATION: r_max moves")]
+    assert len(trunc) == 1 and trunc[0].endswith("(estimate, relative), above 1e-08")
+    estimate = float(trunc[0].split("about ")[1].split()[0])
+    assert [w for w in s["warnings"] if w.startswith("UNDER_RESOLVED")] == [
+        f"UNDER_RESOLVED: Pohozaev defect {s['pohozaev_defect']:.2e} exceeds 3e-05; "
+        "refine --grid: raise r_max"]
+    _, wide = run_cli(args + ["--grid", f"{2 * r_max}:{2 * n - 1}"], tmp_path, "wide")
+    level = json.loads((wide / "solve.json").read_text())["solve"]["objective"]
+    move = abs(level / s["objective"] - 1.0)
+    assert move / 3 < estimate < 3 * move
 
 
 def test_fine_4d_solve_converges(tmp_path):
@@ -477,6 +533,7 @@ def test_an_expression_that_begins_with_minus_takes_the_equals_form(tmp_path, ca
     rep = json.loads((out / "gap.json").read_text())
     assert rep["config"]["potential_expr"] == "-0.4*exp(-t^2)+1.2"
     assert rep["gap"]["gap"] > 0
+    assert isinstance(rep["gap"]["status_infty"]["pohozaev_defect"], float)
 
 
 def _parser_text(parse, argv, capsys):
@@ -547,6 +604,8 @@ def test_main_freezes_the_import_heap_once(tmp_path):
     (["sweep", "--sweep-param", "lambda", "--sweep-values", "0.5", "--alpha0", "2"], "--alpha0"),
     # lambda cancels from every condition check reports, and K scales out of moser
     (["check", "--lambda", "nan"], "--lambda"), (["moser", "--K", "-1"], "--K"),
+    (["check", "--lambda", "0.5"], "--lambda"),
+    (["moser", "--b-values", "3,5", "--K", "1"], "--K"),
 ])
 def test_usage_errors_exit_3_without_report(tmp_path, capsys, args, flag):
     # a flag the command does not read, a missing value, an unknown or abbreviated
@@ -976,7 +1035,9 @@ def test_2d_solve_off_its_level_exits_under_resolved(tmp_path, lam):
     assert code == EXIT_NOCONV
     s = json.loads((out / "solve.json").read_text())["solve"]
     assert s["converged"] is True and abs(s["pohozaev_defect"]) > 3e-5
-    assert [w for w in s["warnings"] if w.startswith("UNDER_RESOLVED: Pohozaev defect")]
+    # its field has vanished long before r_max, so the hint names the mesh width
+    assert s["warnings"] == [f"UNDER_RESOLVED: Pohozaev defect {s['pohozaev_defect']:.2e} "
+                             "exceeds 3e-05; refine --grid: raise n"]
 
 
 def test_accepted_2d_levels_do_not_increase_with_lambda(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 import biharm as bh
-from biharm.grid import (apply_stencil, boundary_decay_ratio, laplacian_matrix,
-                         laplacian_stencil_rows, mesh_slice, quad_form_sq, stencil_square)
+from biharm.grid import (apply_stencil, laplacian_matrix, laplacian_stencil_rows, mesh_slice,
+                         quad_form_sq, stencil_square)
 from oracles import apply_stencil_transpose
 
 
@@ -200,11 +200,6 @@ def test_stencil_rows_match_matrix(g4):
     via_rows = apply_stencil(rows, u)
     via_mat = apply_stencil(laplacian_matrix(g4), u)
     assert np.max(np.abs(via_rows - via_mat)) < 1e-9
-
-
-def test_boundary_decay_ratio(g4):
-    assert boundary_decay_ratio(bh.RadialField(g4, np.exp(-g4.nodes))) > 1e-10
-    assert boundary_decay_ratio(bh.RadialField(g4, np.exp(-g4.nodes**2))) < 1e-10
 
 
 def _laplacian_matrix_loop(grid):
