@@ -2,23 +2,24 @@
 
 Subcommands and their flags, besides --out-dir (``_COMMANDS``): solve and
 sweep take --gamma, --grid and the nonlinearity flags --dim --lambda --f
---theta, and sweep --sweep-param and --sweep-values; gap takes --V, --grid
-and the nonlinearity flags; ratio takes the nonlinearity flags, --alpha0 (the
-rate of a user f, which sets the default --L; refused without --f), --L and
---budget; check the nonlinearity flags but --lambda, which cancels from every
-condition, --g and --K (refused without --g); moser --b-values (at K = 1,
-which scales every K out); rearrange --input and --dim.  A user --f has F =
-int_0^t f, integrated by the run; --theta and --f name two nonlinearities and
-are refused together.  The probes ratio and check build only a
-nonlinearity: the sharp ratio and the growth conditions depend on F and the
-dimension alone.  check reports the conditions of its nonlinearity, and the
-growth class of --g when it is given.  Every command refuses a dimension
-other than 2 or 4.  Each report's ``config`` echoes the command and the fields
-its flags set, each read back by its --flag=value (--grid=grid_r_max:grid_n).
-solve and sweep minimize on the Nehari manifold, as gap does, and report the
-Pohozaev defect.  Each handler returns its report sections and exit code;
-``run`` writes <command>.json from them, under the version and config
-header, so a command whose input is refused writes no report.
+--theta, and sweep --sweep-param and --sweep-values, refusing the flag of the
+parameter it sweeps; gap takes --V, --grid and the nonlinearity flags; ratio
+takes the nonlinearity flags, --alpha0 (the rate of a user f, which sets the
+default --L; refused without --f), --L and --budget; check the nonlinearity
+flags but --lambda, which cancels from every condition, --g and --K (refused
+without --g); moser --b-values (at K = 1, which scales every K out); rearrange
+--input and --dim.  A user --f has F = int_0^t f, integrated by the run;
+--theta and --f name two nonlinearities and are refused together.  The probes
+ratio and check build only a nonlinearity: the sharp ratio and the growth
+conditions depend on F and the dimension alone.  check reports the conditions
+of its nonlinearity, and the growth class of --g when it is given.  Every
+command refuses a dimension other than 2 or 4.  Each report's ``config`` echoes
+the command and the fields its flags set, each read back by its --flag=value
+(--grid=grid_r_max:grid_n).  solve and sweep minimize on the Nehari manifold,
+as gap does, and report the Pohozaev defect.  Each handler returns its report
+sections and exit code; ``run`` writes <command>.json from them, under the
+version and config header, so a command whose input is refused writes no
+report.
 
 Reports are canonical JSON (sorted keys; floats in Python's shortest
 round-trip form, nan and infinities as strings) so identical run
@@ -35,12 +36,13 @@ eigensolver that breaks down, or a ``gap`` with a Nehari sub-solve above 1e-5
 or whose comparison level, an upper bound of m_V, falls below m_V; the report of
 a solve that ran is still written), 3 usage or input error (a flag the
 command does not take, a missing or malformed flag value, malformed or
-non-finite CSV fields, a rearrange field beyond the overflow cap, an f that
-overflows at the overflow cap, --theta with --f, a problem whose f breaks the
-standing hypothesis lim f(t)/t < V0 = inf V, however f is given, a problem
-whose scaling projection finds no sign change before the cap, a ratio whose
-L leaves no candidate under the cap, ...; a ``sweep`` still writes
-sweep.json with an error entry for each value that gives such a problem).
+non-finite CSV fields, a sweep given the flag it sweeps, a rearrange field
+beyond the overflow cap, an f that overflows at the overflow cap, --theta
+with --f, a problem whose f breaks the standing hypothesis lim f(t)/t < V0 =
+inf V, however f is given, a problem whose scaling projection finds no sign
+change before the cap, a ratio whose L leaves no candidate under the cap,
+...; a ``sweep`` still writes sweep.json with an error entry for each value
+that gives such a problem).
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ class RunConfig:
 
     command: str
     dimension: int = 4
-    gamma: float = 1.0
-    lam: Optional[float] = None          # None: 0.5 for exp_critical, filled by run()
+    gamma: Optional[float] = None        # None: 1.0 unless swept, filled by run()
+    lam: Optional[float] = None          # None: 0.5 for exp_critical unless swept, by run()
     grid_r_max: Optional[float] = None   # None: DEFAULT_GRID[dimension], filled by run()
     grid_n: Optional[int] = None
     potential_expr: Optional[str] = None
@@ -296,9 +298,17 @@ def _cmd_gap(rc: RunConfig):
     return {"gap": rep}, code
 
 
+# --sweep-param -> the RunConfig field it sweeps, which run() leaves None
+_SWEPT = {"lambda": "lam", "gamma": "gamma"}
+
+
 def _cmd_sweep(rc: RunConfig):
-    if rc.sweep_param not in ("lambda", "gamma") or not rc.sweep_values:
+    if rc.sweep_param not in _SWEPT or not rc.sweep_values:
         raise ValueError("sweep requires --sweep-param lambda|gamma and --sweep-values")
+    swept = _SWEPT[rc.sweep_param]
+    if (value := getattr(rc, swept)) is not None:
+        raise ValueError(f"--{rc.sweep_param} {value:g} is the swept parameter: "
+                         "--sweep-values sets it")
     # no swept value enters a user f, nor any nonlinearity of a gamma sweep: refuse
     # a bad one before any value runs
     if rc.sweep_param == "gamma" or rc.f_expr is not None:
@@ -306,8 +316,7 @@ def _cmd_sweep(rc: RunConfig):
 
     def one(val):
         try:
-            _, summary, code = _ground_state(replace(rc, **{"lam" if rc.sweep_param == "lambda"
-                                                            else "gamma": val}))
+            _, summary, code = _ground_state(replace(rc, **{swept: val}))
         except (ValueError, OverflowCapError) as exc:     # this value only
             print(f"error: {rc.sweep_param} {val:g}: {exc}", file=sys.stderr)
             return {"value": val, "error": str(exc)}, EXIT_CONFIG
@@ -421,14 +430,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def with_default_grid(rc: RunConfig) -> RunConfig:
     """rc with each grid field it leaves None taken from the dimension's default grid,
-    lam 0.5 when it leaves lam None and names the built-in nonlinearity, alpha0
-    1.0 when it leaves alpha0 None and names a user f, and K 1.0 when it leaves K
-    None and names a g."""
+    gamma 1.0 when it leaves gamma None, lam 0.5 when it leaves lam None and names
+    the built-in nonlinearity, alpha0 1.0 when it leaves alpha0 None and names a
+    user f, and K 1.0 when it leaves K None and names a g.  A sweep's swept field
+    stays None: each value sets it."""
     r_max, n = g.DEFAULT_GRID[rc.dimension]
     builtin = rc.theta is None and rc.f_expr is None
+    swept = _SWEPT.get(rc.sweep_param) if rc.command == "sweep" else None
     return replace(rc, grid_r_max=r_max if rc.grid_r_max is None else rc.grid_r_max,
                    grid_n=n if rc.grid_n is None else rc.grid_n,
-                   lam=0.5 if rc.lam is None and builtin else rc.lam,
+                   gamma=1.0 if rc.gamma is None and swept != "gamma" else rc.gamma,
+                   lam=0.5 if rc.lam is None and builtin and swept != "lam" else rc.lam,
                    alpha0=1.0 if rc.alpha0 is None and rc.f_expr is not None else rc.alpha0,
                    K=1.0 if rc.K is None and rc.g_expr is not None else rc.K)
 
@@ -455,7 +467,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = run(config_from_args(args))
-    except (ValueError, OSError, KeyError, OverflowCapError) as exc:
+    except (ValueError, OSError, OverflowCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

@@ -1,31 +1,15 @@
-"""Energy, Pohozaev and Nehari functionals, and the exponential-ratio search.
+"""The exponential-ratio search, and the functionals of a field as a dict.
 
-For the exp-critical family f(t) = lam t exp(a t^2), with a = 2 on R^4 and
-a = 1 on R^2, and Q(u) = ``grid.quad_form_sq(u)``, ||Du||^2 on R^4 or
-||u'||^2 on R^2:
-
-    I(u) = 1/2 (Q(u) + int V u^2) - (lam/(2a)) int (exp(a u^2) - 1)
-    G(u) = (gamma - lam) ||u||^2 - int g_lam(u)
-    N(u) = Q(u) + int V u^2 - int f(u) u
-
-with g_lam(t) = (lam/a)(exp(a t^2) - 1 - a t^2) and the limiting constant
-gamma = V(r_max); G has no Q term.  Every nonlinearity is evaluated through
-its own F and f, I = 1/2 (Q + int V u^2) - int F(u), G = gamma ||u||^2 -
-2 int F(u) and N = Q + int V u^2 - int f(u) u, which for the exp-critical
-family are the forms above.
-``_Functionals`` is the one implementation: the solvers extend it with their
-operators and ``evaluate_all`` returns its values as a dict.  No command
-calls ``evaluate_all``: the tests build their references on it (the Nehari
-energy identity in ``tests/oracles.py``), and the benchmark tracer wraps it.
-The rays ``G_ray``/``N_ray`` give s -> G(s u) and s -> N(s u) with the
-quadratic parts computed once, the scalar functions the scaling projections
-find the root of.  Amplitudes beyond the overflow cap raise OverflowCapError;
-nothing is clamped.
+``evaluate_all`` reports the energy I, the Pohozaev functional G and the
+Nehari functional N of a field, with the integrals they are built from, as
+``solvers._Ops``, their one implementation, evaluates them.  No command calls
+it: the tests build their references on it (the Nehari energy identity in
+``tests/oracles.py``), and the benchmark tracer wraps it.  It loads
+``solvers`` when called, so ``ratio``, which runs only the search, loads no
+solver code.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -33,78 +17,6 @@ from . import grid as g
 from .grid import RadialField, RadialGrid
 from .model import (ADAMS_BETA, OVERFLOW_CAP, NonlinearitySpec, OverflowCapError,
                     ProblemConfig, check_cap)
-
-
-class _Functionals:
-    """I, G and N of one (grid, config) pair, evaluated on nodal values.
-
-    The one implementation of the functionals: ``solvers._Ops`` extends it
-    with the discrete operators, and :func:`evaluate_all` returns its
-    values.  Nothing is clamped; callers keep amplitudes within the overflow
-    cap (``check_cap`` on entry, or the bracketing of the scaling projections).
-    """
-
-    def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
-        if gridobj.dimension != config.dimension:
-            raise ValueError(f"a {config.dimension}-D problem on a {gridobj.dimension}-D grid")
-        self.grid = gridobj
-        self.config = config
-        self.w = gridobj.weights
-        self.L = g.laplacian_matrix(gridobj)
-        self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
-        self.spec = config.nonlinearity
-        self.a = self.spec.alpha0
-
-    def f(self, u):
-        return np.asarray(self.spec.f(u), dtype=float)
-
-    def fprime(self, u):
-        """f'(u) for Newton, of every family: the central difference of f, step 1e-6."""
-        return (self.f(u + 1e-6) - self.f(u - 1e-6)) / 2e-6
-
-    def l2(self, u):
-        return float(np.dot(self.w, u * u))
-
-    def quad_form(self, u):
-        return g.quad_form_sq(RadialField(self.grid, u), self.L)
-
-    def pot_mass(self, u):
-        return float(np.dot(self.w, self.V * u * u))
-
-    def exp_mass(self, u):
-        """int (exp(a u^2) - 1)."""
-        return float(np.dot(self.w, np.expm1(self.a * u * u)))
-
-    def F_mass(self, u):
-        """int F(u)."""
-        return float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
-
-    def I(self, u):
-        """Action with the actual potential."""
-        return 0.5 * (self.quad_form(u) + self.pot_mass(u)) - self.F_mass(u)
-
-    def G(self, u):
-        """Pohozaev functional gamma ||u||^2 - 2 int F(u); equals ``G_ray(u)(1.0)``."""
-        return self.config.gamma * self.l2(u) - 2.0 * self.F_mass(u)
-
-    def N(self, u):
-        """Nehari functional with the actual potential."""
-        return self.quad_form(u) + self.pot_mass(u) - float(np.dot(self.w, self.f(u) * u))
-
-    # Rays s -> functional(s u) for the scaling projections.  The quadratic
-    # parts scale as s^2 and are computed once per ray; each s then costs one
-    # pass of the nonlinearity, with no matvec.
-
-    def G_ray(self, u) -> Callable[[float], float]:
-        """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u)."""
-        quad = self.config.gamma * self.l2(u)
-        return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)
-
-    def N_ray(self, u) -> Callable[[float], float]:
-        """s -> N(s u) = s^2 (Q(u) + int V u^2) - int f(s u) s u."""
-        quad = self.quad_form(u) + self.pot_mass(u)
-        w = self.w
-        return lambda s: s * s * quad - float(np.dot(w, self.f(s * u) * (s * u)))
 
 
 def evaluate_all(u: RadialField, config: ProblemConfig) -> dict:
@@ -115,17 +27,20 @@ def evaluate_all(u: RadialField, config: ProblemConfig) -> dict:
     The keys are ``energy_I``, ``pohozaev_G``, ``nehari_N`` and ``mass_terms``,
     a dict of ``l2_sq``, ``lap_l2_sq`` (the quadratic form), ``pot_l2_sq``
     (int V u^2), ``exp_mass`` (int (exp(a u^2) - 1)), ``exp_weighted``
-    (int exp(a u^2) u^2) and ``F_mass`` (int F(u)).
+    (int exp(a u^2) u^2), both at the rate a = alpha0, and ``F_mass`` (int F(u)).
     Raises OverflowCapError if the field exceeds the overflow cap.
     """
     check_cap(u.values)
-    core = _Functionals(u.grid, config)
+    from .solvers import _ops_for
+
+    ops = _ops_for(u.grid, config)
     vals = u.values
-    exp_weighted = float(np.dot(core.w, np.exp(core.a * vals * vals) * vals * vals))
-    terms = {"l2_sq": core.l2(vals), "lap_l2_sq": core.quad_form(vals),
-             "pot_l2_sq": core.pot_mass(vals), "exp_mass": core.exp_mass(vals),
-             "exp_weighted": exp_weighted, "F_mass": core.F_mass(vals)}
-    return {"energy_I": core.I(vals), "pohozaev_G": core.G(vals), "nehari_N": core.N(vals),
+    au2 = config.nonlinearity.alpha0 * vals * vals
+    terms = {"l2_sq": ops.l2(vals), "lap_l2_sq": ops.quad_form(vals),
+             "pot_l2_sq": ops.pot_mass(vals), "exp_mass": float(np.dot(ops.w, np.expm1(au2))),
+             "exp_weighted": float(np.dot(ops.w, np.exp(au2) * vals * vals)),
+             "F_mass": ops.F_mass(vals)}
+    return {"energy_I": ops.I(vals), "pohozaev_G": ops.G(vals), "nehari_N": ops.N(vals),
             "mass_terms": terms}
 
 

@@ -20,8 +20,8 @@ Operators are kept as stencil rows, row i holding the 2p + 1 coefficients at
 offsets -p..p (p = 2 for L): ``laplacian_matrix`` builds them for a grid,
 ``apply_stencil`` applies them, ``stencil_square`` forms the rows of L L,
 and ``banded`` factors such rows plus a diagonal.  Nothing here caches rows:
-the operator bundle of a (grid, problem) pair, ``functionals._Functionals``,
-builds them once and refuses a problem whose dimension is not the grid's.
+the operator bundle of a (grid, problem) pair, ``solvers._Ops``, builds
+them once and refuses a problem whose dimension is not the grid's.
 """
 
 from __future__ import annotations

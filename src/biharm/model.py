@@ -160,7 +160,7 @@ class NonlinearitySpec:
 
     ``f``/``F`` are vectorized callables, which alone hold a family's parameters
     (the exp-critical lam); f' is the central difference of f for every family
-    (``_Functionals.fprime``).  ``alpha0`` is the critical exponential rate, for the
+    (``solvers._Ops.fprime``).  ``alpha0`` is the critical exponential rate, for the
     exp-critical family the a in f = lam t exp(a t^2).
     An alpha0 or (F, f) that overflows at the cap, or is not finite below it, raises ValueError.
     """

@@ -248,19 +248,14 @@ _BERNOULLI = {2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 8: -1 / 30, 10: 5 / 66, 12: -691 
 
 
 def _digamma(x: int) -> float:
-    """psi(x) for an integer x >= 1.
+    """psi(x) for an integer x >= 12: ln x - 1/(2x) - sum_k B_2k / (2k x^2k) to B_14.
 
-    Shifted up to x >= 12 by psi(x) = psi(x + 1) - 1/x, then
-    ln x - 1/(2x) - sum_k B_2k / (2k x^2k) to B_14; the first omitted term is
-    below 3e-18 there.
+    The first omitted term is below 3e-18 there.  The Moser sums pass i14 + 3 >= 13,
+    as ``moser_mesh`` puts at least 10 nodes in each r14, and the far larger i_one - 2.
     """
-    shift = 0.0
-    while x < 12:
-        shift -= 1.0 / x
-        x += 1
     inv2 = 1.0 / (float(x) * x)
     series = sum(bk / k * inv2 ** (k // 2) for k, bk in _BERNOULLI.items())
-    return shift + math.log(x) - 0.5 / x - series
+    return math.log(x) - 0.5 / x - series
 
 
 def _node_sum(p: Polynomial, j0: int, j1: int, m: int) -> float:

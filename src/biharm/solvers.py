@@ -66,7 +66,6 @@ import numpy as np
 from . import banded as spla
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .functionals import _Functionals
 from .model import OVERFLOW_CAP, ConstantPotential, OverflowCapError, ProblemConfig, check_cap
 
 _NEWTON_ITERS = 60          # polish Newton steps at most
@@ -99,15 +98,84 @@ class SolveReport:
 
 # --- the discrete operator bundle ---------------------------------------------
 
-class _Ops(_Functionals):
-    """The functionals of one (grid, config) pair plus its discrete operators."""
+class _Ops:
+    """The functionals and the discrete operators of one (grid, config) pair.
+
+    With Q(u) = ``grid.quad_form_sq(u)``, ||Du||^2 on R^4 or ||u'||^2 on R^2, and the
+    limiting constant gamma = V(r_max), every nonlinearity is evaluated on nodal
+    values through its own F and f:
+
+        I(u) = 1/2 (Q(u) + int V u^2) - int F(u)
+        G(u) = gamma ||u||^2 - 2 int F(u)
+        N(u) = Q(u) + int V u^2 - int f(u) u
+
+    For the exp-critical f(t) = lam t exp(a t^2), a = 2 on R^4 and 1 on R^2,
+    int F(u) = (lam/(2a)) int (exp(a u^2) - 1).  The rays ``G_ray``/``N_ray``
+    give s -> G(s u) and s -> N(s u), the scalar functions the scaling
+    projections find the root of; G and N are their values at s = 1.  Nothing
+    is clamped: callers keep amplitudes within the overflow cap (``check_cap``
+    on entry, or the bracketing of the projections).
+    """
 
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
-        super().__init__(gridobj, config)
+        if gridobj.dimension != config.dimension:
+            raise ValueError(f"a {config.dimension}-D problem on a {gridobj.dimension}-D grid")
+        self.grid = gridobj
+        self.config = config
+        self.w = gridobj.weights
+        self.L = g.laplacian_matrix(gridobj)
+        self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
+        self.spec = config.nonlinearity
         self.m = config.order
         # rows of (-D)^m as a band, half-bandwidth 2m
         self.A0 = g.stencil_square(self.L) if self.m == 2 else -self.L
         self.A0_abs = np.abs(self.A0)     # for residual_floor
+
+    def f(self, u):
+        return np.asarray(self.spec.f(u), dtype=float)
+
+    def fprime(self, u):
+        """f'(u) for Newton, of every family: the central difference of f, step 1e-6."""
+        return (self.f(u + 1e-6) - self.f(u - 1e-6)) / 2e-6
+
+    def l2(self, u):
+        return float(np.dot(self.w, u * u))
+
+    def quad_form(self, u):
+        return g.quad_form_sq(RadialField(self.grid, u), self.L)
+
+    def pot_mass(self, u):
+        return float(np.dot(self.w, self.V * u * u))
+
+    def F_mass(self, u):
+        """int F(u)."""
+        return float(np.dot(self.w, np.asarray(self.spec.F(u), dtype=float)))
+
+    def I(self, u):
+        """Action with the actual potential."""
+        return 0.5 * (self.quad_form(u) + self.pot_mass(u)) - self.F_mass(u)
+
+    def G(self, u):
+        """Pohozaev functional gamma ||u||^2 - 2 int F(u)."""
+        return self.G_ray(u)(1.0)
+
+    def N(self, u):
+        """Nehari functional with the actual potential."""
+        return self.N_ray(u)(1.0)
+
+    # The quadratic parts of a ray scale as s^2 and are computed once; each s
+    # then costs one pass of the nonlinearity, with no matvec.
+
+    def G_ray(self, u) -> Callable[[float], float]:
+        """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u)."""
+        quad = self.config.gamma * self.l2(u)
+        return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)
+
+    def N_ray(self, u) -> Callable[[float], float]:
+        """s -> N(s u) = s^2 (Q(u) + int V u^2) - int f(s u) s u."""
+        quad = self.quad_form(u) + self.pot_mass(u)
+        w = self.w
+        return lambda s: s * s * quad - float(np.dot(w, self.f(s * u) * (s * u)))
 
     def factor(self, diag):
         """Factorization of A0 + diag(diag), ``diag`` a vector or a scalar."""
@@ -144,7 +212,10 @@ class _Ops(_Functionals):
         Past r_max u solves (-D)^m u + c u = 0, c = V(r_max) - lim f(t)/t: it decays like
         exp(-kappa r), kappa = c^(1/2m) sin(pi/2m), with action c u^2, and the last two decay
         lengths hold e^4 - 1 times the action beyond r_max.  Where r_max limits the level
-        this reads 0.4-0.7 times its move to 2 r_max at the same h.
+        this reads 0.4-0.7 times its move to 2 r_max at the same h.  It underestimates as
+        lim f(t)/t approaches V(r_max), where r_max spans few decay lengths and u near r_max
+        is not yet that tail: 4-D gamma 0.52, lam 0.5 reads 5.1e-5, while doubling r_max
+        moves the level by 5.7e-4.
         """
         c = self.V[-1] - self.config.linear_slope
         kappa = c ** (0.5 / self.m) * np.sin(0.5 * np.pi / self.m)

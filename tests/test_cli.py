@@ -162,6 +162,33 @@ def test_check_echoes_K_only_with_g(tmp_path):
         assert (rerun / "check.json").read_bytes() == report
 
 
+@pytest.mark.parametrize("param, field, values", [("lambda", "lam", "0.4,0.5"),
+                                                   ("gamma", "gamma", "0.9,1.1")])
+def test_sweep_echoes_its_swept_field_null(tmp_path, param, field, values):
+    # each value sets the swept field, so the echo reads it null, not a default,
+    # and still re-runs the report byte for byte
+    code, out = run_cli(["sweep", "--dim", "2", "--grid", "30:1024", "--sweep-param", param,
+                         "--sweep-values", values], tmp_path)
+    assert code == EXIT_OK
+    report = (out / "sweep.json").read_bytes()
+    echo = json.loads(report)["config"]
+    assert echo[field] is None
+    code, rerun = run_cli(echo_argv(echo), tmp_path, "echo")
+    assert code == EXIT_OK
+    assert (rerun / "sweep.json").read_bytes() == report
+
+
+def test_a_key_error_in_a_handler_escapes_main(tmp_path, monkeypatch):
+    # no input raises KeyError, so one from a handler is a programming error and
+    # propagates instead of being reported as a usage error (exit 3)
+    def handler(rc):
+        raise KeyError("a programming error")
+
+    monkeypatch.setitem(_COMMANDS, "moser", (handler, _COMMANDS["moser"][1]))
+    with pytest.raises(KeyError, match="a programming error"):
+        run_cli(["moser"], tmp_path)
+
+
 def test_check_conditions_output(tmp_path):
     code, out = run_cli(["check", "--theta", "1.0"], tmp_path)
     assert code == EXIT_OK
@@ -919,17 +946,20 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
 
 @pytest.mark.parametrize("argv, absent", [
     (["solve", "--dim", "4", "--grid", "20:512"],
-     {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
-    (_GAP_2D, {"sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
+     {"functionals", "sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
+    (_GAP_2D, {"functionals", "sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
+    (["sweep", "--sweep-param", "gamma", "--sweep-values", "1.1"],
+     {"functionals", "sequences", "rearrangement", "diagnostics", "numpy.polynomial"}),
     (["check", "--f", "0.5*t*exp(2*t^2)"], {"solvers", "functionals", "numpy.polynomial"}),
     (["check", "--g", "t^4"], {"solvers", "functionals", "sequences", "numpy.polynomial"}),
     (["rearrange", "--input", None], {"solvers", "sequences", "numpy.ma"}),
     (["moser", "--b-values", "3,5,7.5"], {"solvers", "functionals", "numpy.ma"}),
     (["ratio", "--f", "0.5*t*exp(2*t^2)", "--budget", "1"],
      {"solvers", "sequences", "numpy.polynomial"}),
-], ids=["solve", "gap", "check_f", "check_g", "rearrange", "moser", "ratio_f"])
+], ids=["solve", "gap", "sweep", "check_f", "check_g", "rearrange", "moser", "ratio_f"])
 def test_commands_load_only_their_layers(tmp_path, argv, absent):
-    # each handler imports its own layer, and the ratio search loads the Moser
+    # each handler imports its own layer (the solvers hold the functionals, so
+    # no solve loads the ratio search), and the ratio search loads the Moser
     # sums only when a log-profile runs; the closed-form Moser sums (b = 7.5)
     # are the only user of numpy.polynomial, and no command loads numpy.ma
     argv = [a if a is not None else _two_bump_csv(tmp_path) for a in argv]
@@ -1233,6 +1263,11 @@ _THETA_AND_F = "--theta names the exact-growth family and --f a user nonlinearit
      "no ratio candidate fits under the overflow cap 6.0 at L=10000"),
     (["ratio", "--f", "t*exp(2*t^2)", "--alpha0", "1e-300", "--budget", "2"],
      "no ratio candidate fits under the overflow cap 6.0 at L=3.15827e+302"),
+    # each value sets the swept parameter: its own flag is refused
+    (["sweep", "--sweep-param", "gamma", "--gamma", "0.7", "--sweep-values", "0.9,1.1"],
+     "--gamma 0.7 is the swept parameter: --sweep-values sets it"),
+    (["sweep", "--sweep-param", "lambda", "--lambda", "0.3", "--sweep-values", "0.4,0.5"],
+     "--lambda 0.3 is the swept parameter: --sweep-values sets it"),
 ])
 def test_bad_input_exits_3_without_report(tmp_path, capsys, args, message):
     code, out = run_cli(args, tmp_path)

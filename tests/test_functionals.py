@@ -105,11 +105,11 @@ def test_exp_critical_rays_match_their_closed_forms(dim, lam):
     # int F(su) = (lam/2a) int (exp(a s^2 u^2) - 1) and
     # N(su) = s^2 (Q + int V u^2) - lam s^2 int u^2 exp(a s^2 u^2).  Both rays cross
     # zero on [0.5, 2], so each error is bounded against its quadratic term
-    from biharm.functionals import _Functionals
+    from biharm.solvers import _Ops
 
     grd = bh.default_grid(dim)
     a, w, u = bh.model.EXP_RATE[dim], grd.weights, np.exp(-grd.nodes**2 / 2)
-    fn = _Functionals(grd, exp_critical_config(1.0, lam, dim))
+    fn = _Ops(grd, exp_critical_config(1.0, lam, dim))
     G, N = fn.G_ray(u), fn.N_ray(u)
     quad_G, quad_N = fn.l2(u), fn.quad_form(u) + fn.pot_mass(u)
     signs = []

@@ -3,8 +3,8 @@ import pytest
 
 import biharm as bh
 from biharm.grid import quad_form_sq
-from biharm.sequences import (_moser_branch_nodes, moser_estimates, moser_field, moser_sums,
-                              quintic_blend)
+from biharm.sequences import (_digamma, _moser_branch_nodes, moser_estimates, moser_field,
+                              moser_sums, quintic_blend)
 
 
 def l2_sq(u):
@@ -444,3 +444,11 @@ def test_moser_sums_scale_out_K(b, K):
     unit = moser_sums(b / np.sqrt(K), 1.0, 2.0, n, 4)
     for key in ("l2_sq", "quad_form"):
         assert got[key] == pytest.approx(K * unit[key], rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("x", [12, 13, 20, 10**2, 10**3, 10**6, 10**9, 2 * 10**9])
+def test_digamma_matches_scipy(x):
+    # the asymptotic series from x = 12 on, up to the largest i_one - 2 a mesh reaches
+    from scipy.special import digamma
+
+    assert _digamma(x) == digamma(x)
