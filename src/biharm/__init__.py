@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "grid": ("RadialField", "RadialGrid", "build_grid", "default_grid"),
     "model": ("ConstantPotential", "NonlinearitySpec", "OverflowCapError", "ProblemConfig",
-              "RadialPotential", "check_conditions", "exact_growth_family", "exp_critical",
-              "radial_potential", "user_nonlinearity"),
+              "check_conditions", "exact_growth_family", "exp_critical", "user_nonlinearity"),
     "functionals": ("adams_ratio_search", "evaluate_all"),
     "rearrangement": ("fourier_rearrange", "hankel_transform"),
     "sequences": ("moser_estimates", "moser_field"),

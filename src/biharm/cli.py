@@ -64,7 +64,7 @@ from .expressions import parse_expression
 from .grid import RadialField
 from .model import (ADAMS_BETA, ConstantPotential, NonlinearitySpec, OverflowCapError,
                     ProblemConfig, check_conditions, exact_growth_family, exp_critical,
-                    radial_potential, user_nonlinearity)
+                    user_nonlinearity)
 
 EXIT_OK, EXIT_NOCONV, EXIT_CONFIG = 0, 2, 3
 
@@ -178,9 +178,8 @@ def _nonlinearity(rc: RunConfig) -> NonlinearitySpec:
 def _build_problem(rc: RunConfig):
     grd = g.build_grid(rc.grid_r_max, rc.grid_n, rc.dimension)
     spec = _nonlinearity(rc)
-    pot = (radial_potential(parse_expression(rc.potential_expr), grd) if rc.potential_expr
-           else ConstantPotential(rc.gamma))
-    return grd, ProblemConfig(rc.dimension, pot, spec)
+    pot = parse_expression(rc.potential_expr) if rc.potential_expr else ConstantPotential(rc.gamma)
+    return grd, ProblemConfig(pot, spec)
 
 
 def _report_header(rc: RunConfig) -> dict:
@@ -270,7 +269,7 @@ def _cmd_check(rc: RunConfig):
         from .diagnostics import classify_growth
 
         out["growth"] = classify_growth(parse_expression(rc.g_expr), rc.K)
-    out["conditions"] = check_conditions(_nonlinearity(rc), np.geomspace(0.1, 5.0, 200))
+    out["conditions"] = check_conditions(_nonlinearity(rc))
     return out, EXIT_OK
 
 

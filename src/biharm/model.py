@@ -11,9 +11,11 @@ The central objects are nonlinearities (f, F, alpha0) with F' = f.  Built-in fam
   the vectorized composite Gauss-Legendre antiderivative of f
   (``gauss_antiderivative``), computed afresh on every call.
 
-``ProblemConfig`` stores each fact of a problem once: the dimension, V, and
-the nonlinearity; it checks the dimension and, for every f, the standing
-hypothesis lim_{t->0+} f(t)/t < V0 = inf V.  The nonlinearity checks alpha0 and its own overflow:
+``ProblemConfig`` is the pair (V, nonlinearity).  The facts a grid decides,
+V0 = inf V read on its nodes, the dimension, and the checks on them (the
+standing hypothesis lim_{t->0+} f(t)/t < V0 for every f, the exp-critical
+rate against the dimension) belong to ``solvers._Ops``, where a problem meets
+its grid.  The nonlinearity checks alpha0 and its own overflow:
 alpha0 cap^2 + 2 ln(cap) < ln(DBL_MAX) (about 709.78), and t f(t) and F(t)
 finite at t = +-cap, the same edge on f = t exp(alpha0 t^2), whatever rate
 a user f declares, and finite on 257 points of [-cap, cap].
@@ -33,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .expressions import parse_expression
-from .grid import RadialGrid
 
 OVERFLOW_CAP = 6.0
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
@@ -45,6 +46,8 @@ EXP_RATE = {4: 2.0, 2: 1.0}     # the critical rate a of exp(a t^2) on R^n
 
 # superquadraticity exponent: the checker tests t f(t) >= mu F(t)
 _AR_MU = 2.0
+# the growth checker's probe points, ascending in (0, OVERFLOW_CAP]
+_PROBE_T = np.geomspace(0.1, 5.0, 200)
 
 
 class OverflowCapError(FloatingPointError):
@@ -246,7 +249,7 @@ def user_nonlinearity(f_expr: str, alpha0: float = 1.0) -> NonlinearitySpec:
     return NonlinearitySpec("user", f, F, alpha0=float(alpha0))
 
 
-# --- potentials -------------------------------------------------------------
+# --- potentials and the problem -----------------------------------------------
 
 @dataclass(eq=False)
 class ConstantPotential:
@@ -256,77 +259,22 @@ class ConstantPotential:
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
-    @property
-    def v0(self) -> float:
-        return self.gamma
-
-    @property
-    def gamma_inf(self) -> float:
-        return self.gamma
-
     def __call__(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.gamma)
 
 
 @dataclass(eq=False)
-class RadialPotential:
-    """Trapping-well potential: 0 < v0 = min V <= V(r_max) = gamma_inf."""
-
-    profile: Callable
-    v0: float
-    gamma_inf: float
-
-    def __call__(self, r):
-        return np.asarray(self.profile(r), dtype=float)
-
-
-def radial_potential(profile: Callable, grid: RadialGrid) -> RadialPotential:
-    """RadialPotential with v0 = min V and gamma_inf = V(r_max) measured on the grid."""
-    vals = np.asarray(profile(grid.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("potential not finite on the grid")
-    if np.min(vals) <= 0:
-        raise ValueError("potential must be positive")
-    return RadialPotential(profile, float(np.min(vals)), float(vals[-1]))
-
-
-Potential = ConstantPotential | RadialPotential
-
-
-# --- problem configuration --------------------------------------------------
-
-@dataclass(eq=False)
 class ProblemConfig:
-    """Operator/dimension pair with potential and nonlinearity.
+    """A problem: the potential V and the nonlinearity.
 
-    dimension=4 means the bi-harmonic operator (m=2); dimension=2 the
-    Laplacian (m=1).  Every f must satisfy the standing hypothesis lim_{t->0+} f(t)/t < V0,
-    the limit kept as ``linear_slope``, read as f(h)/h at h = 2^-511 (lam for the
-    exp-critical family, whose rate must also be ``EXP_RATE[dimension]``; a NaN is refused).
+    V is a ``ConstantPotential`` or any callable of the radius.  A problem
+    holds no grid fact: V0 = min V, the limit gamma = V(r_max), the order
+    m = n/2 and the checks on them are read where it meets a grid, in
+    ``solvers._Ops``.
     """
 
-    dimension: int
-    potential: Potential
+    potential: Callable
     nonlinearity: NonlinearitySpec
-
-    def __post_init__(self):
-        if self.dimension not in (2, 4):
-            raise ValueError("dimension must be 2 or 4")
-        slope = self.linear_slope = float(self.nonlinearity.f(2.0**-511)) / 2.0**-511
-        if not slope < self.potential.v0 - 1e-15:
-            raise ValueError(f"standing hypothesis violated: f(t)/t -> {slope} as t -> 0, "
-                             f"not below V0={self.potential.v0}")
-        if (self.nonlinearity.kind == "exp_critical"
-                and self.nonlinearity.alpha0 != EXP_RATE[self.dimension]):
-            raise ValueError("exp-critical coefficient does not match the dimension")
-
-    @property
-    def order(self) -> int:
-        return self.dimension // 2
-
-    @property
-    def gamma(self) -> float:
-        return self.potential.gamma_inf
 
 
 # --- growth-condition checker -------------------------------------------------
@@ -338,8 +286,8 @@ def tail_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x[good], y[good], 1)[0]) if np.sum(good) > 2 else float("nan")
 
 
-def check_conditions(spec: NonlinearitySpec, t_grid) -> dict:
-    """Probe the growth conditions of (F, f) on a t grid in (0, OVERFLOW_CAP].
+def check_conditions(spec: NonlinearitySpec) -> dict:
+    """Probe the growth conditions of (F, f) on the 200 points ``_PROBE_T``.
 
     The report checks superquadraticity and F <= M0 f.  Its keys:
     ``worst_ratio``, the min over the probes of t f(t) / F(t);
@@ -348,10 +296,7 @@ def check_conditions(spec: NonlinearitySpec, t_grid) -> dict:
     down before the last probe; ``alpha0_estimate``, the fitted d log f / d t^2
     on the tail; and ``critical``, whether that estimate exceeds 0.1.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0) or np.any(t > OVERFLOW_CAP):
-        raise ValueError(f"t_grid must lie in (0, {OVERFLOW_CAP}]")
-    t = np.sort(t)
+    t = _PROBE_T
     Fv = np.asarray(spec.F(t), dtype=float)
     fv = np.asarray(spec.f(t), dtype=float)
     if np.any(Fv <= 0):

@@ -66,7 +66,8 @@ import numpy as np
 from . import banded as spla
 from . import grid as g
 from .grid import RadialField, RadialGrid
-from .model import OVERFLOW_CAP, ConstantPotential, OverflowCapError, ProblemConfig, check_cap
+from .model import (EXP_RATE, OVERFLOW_CAP, ConstantPotential, OverflowCapError, ProblemConfig,
+                    check_cap)
 
 _NEWTON_ITERS = 60          # polish Newton steps at most
 _DESCENT_STEPS = 400        # descent steps at most
@@ -101,8 +102,18 @@ class SolveReport:
 class _Ops:
     """The functionals and the discrete operators of one (grid, config) pair.
 
+    This is where a problem meets its grid.  V is read on the nodes, the order
+    is m = n/2 of the grid's dimension n, and every check that needs the grid
+    runs here once, before any numerics, each raising ValueError:
+
+    * V is finite and positive on the nodes;
+    * the standing hypothesis: ``linear_slope`` = f(h)/h at h = 2^-511, the
+      lim_{t->0+} f(t)/t (lam bit for bit for the exp-critical family; a NaN
+      is refused), is below V0 = min V;
+    * an exp-critical rate is ``EXP_RATE[n]``.
+
     With Q(u) = ``grid.quad_form_sq(u)``, ||Du||^2 on R^4 or ||u'||^2 on R^2, and the
-    limiting constant gamma = V(r_max), every nonlinearity is evaluated on nodal
+    limiting constant ``gamma`` = V(r_max), every nonlinearity is evaluated on nodal
     values through its own F and f:
 
         I(u) = 1/2 (Q(u) + int V u^2) - int F(u)
@@ -118,15 +129,25 @@ class _Ops:
     """
 
     def __init__(self, gridobj: RadialGrid, config: ProblemConfig):
-        if gridobj.dimension != config.dimension:
-            raise ValueError(f"a {config.dimension}-D problem on a {gridobj.dimension}-D grid")
+        V = np.asarray(config.potential(gridobj.nodes), dtype=float)
+        if not np.all(np.isfinite(V)):
+            raise ValueError("potential not finite on the grid")
+        if (v0 := float(np.min(V))) <= 0:
+            raise ValueError("potential must be positive")
+        spec = config.nonlinearity
+        slope = float(spec.f(2.0**-511)) / 2.0**-511
+        if not slope < v0 - 1e-15:
+            raise ValueError(f"standing hypothesis violated: f(t)/t -> {slope} as t -> 0, "
+                             f"not below V0={v0}")
+        if spec.kind == "exp_critical" and spec.alpha0 != EXP_RATE[gridobj.dimension]:
+            raise ValueError("exp-critical coefficient does not match the dimension")
         self.grid = gridobj
         self.config = config
+        self.V, self.gamma, self.linear_slope = V, float(V[-1]), slope
+        self.spec = spec
+        self.m = gridobj.dimension // 2
         self.w = gridobj.weights
         self.L = g.laplacian_matrix(gridobj)
-        self.V = np.asarray(config.potential(gridobj.nodes), dtype=float)
-        self.spec = config.nonlinearity
-        self.m = config.order
         # rows of (-D)^m as a band, half-bandwidth 2m
         self.A0 = g.stencil_square(self.L) if self.m == 2 else -self.L
         self.A0_abs = np.abs(self.A0)     # for residual_floor
@@ -168,7 +189,7 @@ class _Ops:
 
     def G_ray(self, u) -> Callable[[float], float]:
         """s -> G(s u) = s^2 gamma ||u||^2 - 2 int F(s u)."""
-        quad = self.config.gamma * self.l2(u)
+        quad = self.gamma * self.l2(u)
         return lambda s: s * s * quad - 2.0 * self.F_mass(s * u)
 
     def N_ray(self, u) -> Callable[[float], float]:
@@ -217,21 +238,21 @@ class _Ops:
         is not yet that tail: 4-D gamma 0.52, lam 0.5 reads 5.1e-5, while doubling r_max
         moves the level by 5.7e-4.
         """
-        c = self.V[-1] - self.config.linear_slope
+        c = self.gamma - self.linear_slope
         kappa = c ** (0.5 / self.m) * np.sin(0.5 * np.pi / self.m)
         tail = self.grid.nodes >= self.grid.r_max - 2.0 / kappa
         return c * float(np.dot(self.w[tail], u[tail] ** 2)) / np.expm1(4.0) / abs(level)
 
     def theta_hat(self, u):
         """Multiplier from ||Du||^2 = (2 theta - 1) int (gamma u - f(u)) u."""
-        gam = self.config.gamma
-        denom = float(np.dot(self.w, (gam * u - self.f(u)) * u))
+        denom = float(np.dot(self.w, (self.gamma * u - self.f(u)) * u))
         return 0.5 * (1.0 + self.quad_form(u) / denom)
 
 
 # Grids and configs hash by identity, so the cache keeps each key object alive
-# while it is cached and a hit always belongs to the very same pair.
-@functools.lru_cache(maxsize=8)
+# while it is cached and a hit always belongs to the very same pair.  Two entries:
+# no command holds more pairs at once than gap's trapped and limit problems.
+@functools.lru_cache(maxsize=2)
 def _ops_for(gridobj: RadialGrid, config: ProblemConfig) -> _Ops:
     return _Ops(gridobj, config)
 
@@ -424,7 +445,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
                     "polish requires 2 theta - 1 < 0; is F the antiderivative of f?")
             try:
                 vec = _gauge_dilate(RadialField(grid0, vec),
-                                    (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order)))
+                                    (1.0 - 2.0 * theta) ** (1.0 / (2.0 * ops.m)))
             except ValueError:
                 warns.append("gauge dilation skipped (support would escape the domain)")
         u = reproject(grid0, _damped_newton_pde(ops, vec, newton_iters))
@@ -433,7 +454,7 @@ def _minimize(ops: _Ops, vals: np.ndarray, descent: Callable, objective: Callabl
         objective_out = objective(ops, u)
         constraint = abs(functional(ops, u))
         rw = ops.residual_weak(u, 1.0 if theta is None else 1.0 - 2.0 * theta)
-        defect = (ops.G(u) / (config.gamma * ops.l2(u))
+        defect = (ops.G(u) / (ops.gamma * ops.l2(u))
                   if isinstance(config.potential, ConstantPotential) else None)
         rep = SolveReport(RadialField(grid0, u), objective_out, theta, rw, constraint, it,
                           trace + [(it + 1, objective_out, constraint)], warns, defect)
@@ -506,7 +527,7 @@ def minimize_pohozaev(config: ProblemConfig, init: RadialField) -> SolveReport:
     if not isinstance(config.potential, ConstantPotential):
         raise ValueError("the constrained route requires a constant potential")
     ops = _ops_for(init.grid, config)
-    gam = config.gamma
+    gam = ops.gamma
 
     def descent(u0):
         c0 = 1.0 - 2.0 * ops.theta_hat(u0)
@@ -551,7 +572,9 @@ def limiting_gap(config_V: ProblemConfig, init: RadialField) -> dict:
     Runs the Nehari minimization twice from the same init (with V, and with
     the constant gamma = lim V) and evaluates the comparison mechanism: the
     limit minimizer projected onto the trapped manifold must sit between the
-    two levels.  Every f needs lim f(t)/t < V0, which ProblemConfig checks.
+    two levels.  Every f needs lim f(t)/t < V0, which the trapped problem's
+    ``_Ops`` checks before either solve; the limit problem, whose V0 is
+    gamma >= min V, then passes too.
     The report's keys: the levels ``m_V`` and ``m_infty``, ``gap`` =
     m_infty - m_V, ``both_positive``; ``status_V`` and ``status_infty``, the
     trapped and the limit solve's ``converged``, ``residual_weak``,
@@ -559,8 +582,8 @@ def limiting_gap(config_V: ProblemConfig, init: RadialField) -> dict:
     ``warnings``; and ``comparison_level``, I_V at the projected limit
     minimizer (nan if the projection fails).
     """
-    gamma = config_V.potential.gamma_inf
-    config_inf = ProblemConfig(config_V.dimension, ConstantPotential(gamma), config_V.nonlinearity)
+    gamma = _ops_for(init.grid, config_V).gamma
+    config_inf = ProblemConfig(ConstantPotential(gamma), config_V.nonlinearity)
     rep_V = minimize_nehari(config_V, init)
     rep_inf = minimize_nehari(config_inf, init)
 

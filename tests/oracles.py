@@ -17,7 +17,7 @@ from biharm.solvers import _ops_for
 
 def exp_critical_config(gamma: float, lam: float, dimension: int = 4) -> ProblemConfig:
     """Constant-potential exp-critical problem (the workhorse configuration)."""
-    return ProblemConfig(dimension, ConstantPotential(gamma), exp_critical(lam, dimension))
+    return ProblemConfig(ConstantPotential(gamma), exp_critical(lam, dimension))
 
 
 def nehari_energy_identity_gap(u: RadialField, config: ProblemConfig, lam: float) -> float:
@@ -68,7 +68,7 @@ def gradient_quadratic(u: RadialField, config: ProblemConfig) -> np.ndarray:
     """Euclidean gradient of 1/2 * (quadratic form) wrt the nodal values."""
     ops = _ops_for(u.grid, config)
     L, w, vals = ops.L, ops.w, u.values
-    if config.order == 2:
+    if ops.m == 2:
         return apply_stencil_transpose(L, w * g.apply_stencil(L, vals))
     return -0.5 * (apply_stencil_transpose(L, w * vals) + w * g.apply_stencil(L, vals))
 

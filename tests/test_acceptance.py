@@ -175,7 +175,7 @@ def test_criterion_5_ground_state_pipeline(cfg, g4, pipeline):
     rw = residual_weak(ut, cfg)
     fr = evaluate_all(ut, cfg)
     scale_n = fr["mass_terms"]["lap_l2_sq"] + fr["mass_terms"]["pot_l2_sq"]
-    scale_g = (cfg.gamma - LAM) * fr["mass_terms"]["l2_sq"] \
+    scale_g = (cfg.potential.gamma - LAM) * fr["mass_terms"]["l2_sq"] \
         + abs(fr["mass_terms"]["F_mass"]) + 1.0
     n_rel = abs(fr["nehari_N"]) / scale_n
     g_rel = abs(fr["pohozaev_G"]) / scale_g
@@ -209,14 +209,12 @@ def test_criterion_6_energy_identity(cfg, g4):
 def test_criterion_7_trapping_gap(g4):
     """0 < m_V < m_inf with gap > 1e-3; degenerate well gives gap ~ 0."""
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(prof, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V, gaussian_start(g4))
     ok = rep["both_positive"] and rep["m_V"] < rep["m_infty"] and rep["gap"] > 1e-3
 
     const = lambda r: np.full_like(np.asarray(r, float), 1.0)
-    pot_c = bh.radial_potential(const, g4)
-    cfg_D = bh.ProblemConfig(4, pot_c, bh.exp_critical(0.3, 4))
+    cfg_D = bh.ProblemConfig(const, bh.exp_critical(0.3, 4))
     rep_d = limiting_gap(cfg_D, gaussian_start(g4))
     ok &= abs(rep_d["gap"]) <= 1e-6
     report("criterion 7 (trapping-potential gap)", ok,

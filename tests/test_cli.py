@@ -983,7 +983,7 @@ def test_import_loads_no_numpy_and_resolves_every_name():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env)
     assert res.stdout.splitlines() == ["['biharm']", "biharm.sequences biharm.cli False False",
-                                       "True 39", "True", "False"], res.stderr
+                                       "True 37", "True", "False"], res.stderr
 
 
 def test_gap_gates_lambda_only_for_the_exp_critical_family(tmp_path):

@@ -33,7 +33,7 @@ def test_small_amplitude_sign(cfg, g4):
     eps = 1e-3
     rep = evaluate_all(bh.RadialField(g4, eps * np.exp(-g4.nodes**2 / 2)), cfg)
     assert rep["pohozaev_G"] > 0
-    assert rep["pohozaev_G"] == pytest.approx((cfg.gamma - LAM) * eps**2 * np.pi**2,
+    assert rep["pohozaev_G"] == pytest.approx((cfg.potential.gamma - LAM) * eps**2 * np.pi**2,
                                            rel=1e-5)
 
 
@@ -288,7 +288,7 @@ def _config(dim, kind):
             "exact_growth": bh.exact_growth_family(1.0),
             # slope 0.5 at 0: below V0 = 1, as the standing hypothesis asks
             "user": bh.user_nonlinearity("0.5*t*exp(t^2)/(1+t^2)")}[kind]
-    return bh.ProblemConfig(dim, bh.ConstantPotential(1.0), spec)
+    return bh.ProblemConfig(bh.ConstantPotential(1.0), spec)
 
 
 @pytest.mark.parametrize("dim", [4, 2])

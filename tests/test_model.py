@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biharm as bh
-from biharm.model import (OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson, check_cap,
-                          check_conditions, tail_slope)
+from biharm.model import (_PROBE_T, OVERFLOW_CAP, OverflowCapError, _exprel2, adaptive_simpson,
+                          check_cap, check_conditions, tail_slope)
+from biharm.solvers import _Ops
 from oracles import exp_critical_config
 
 
@@ -88,7 +89,7 @@ def test_gauss_rule_is_leggauss_8():
 
 def _user_config(dim, f_expr, alpha0):
     spec = bh.user_nonlinearity(f_expr, alpha0=alpha0)
-    return bh.ProblemConfig(dim, bh.ConstantPotential(1.0), spec)
+    return bh.ProblemConfig(bh.ConstantPotential(1.0), spec)
 
 
 @pytest.mark.parametrize("alpha0", [0.0, -1.0, float("inf"), float("nan"), 20.0, 19.62])
@@ -210,34 +211,40 @@ def test_superquadraticity(cfg):
     assert np.all(vals >= -1e-14)
 
 
+def _pose(cfg, dim=4):
+    """The operator bundle of cfg on a small grid: where a problem meets a grid."""
+    return _Ops(bh.build_grid(10.0, 64, dim), cfg)
+
+
 def test_potentials():
     pot = bh.ConstantPotential(1.0)
     assert pot(7.0) == 1.0
     g = bh.default_grid(4)
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    rp = bh.radial_potential(prof, g)
-    assert rp(0.0) == pytest.approx(0.6)
-    assert rp(g.r_max) >= 1.0 - 1e-6
-    assert rp.v0 == pytest.approx(0.6, abs=1e-9)
+    ops = _Ops(g, bh.ProblemConfig(prof, bh.exp_critical(0.3)))
+    assert ops.V[0] == pytest.approx(0.6)
+    assert ops.gamma == ops.V[-1] >= 1.0 - 1e-6
     # trapping shape: minimum strictly below the boundary value
-    assert rp.v0 < rp.gamma_inf
+    assert np.min(ops.V) == pytest.approx(0.6, abs=1e-9)
+    assert np.min(ops.V) < ops.gamma
 
 
 def test_potential_validation_rejects_bad_shapes():
     g = bh.default_grid(4)
-    with pytest.raises(ValueError):
-        bh.radial_potential(lambda r: -np.ones_like(np.asarray(r, float)), g)
+    with pytest.raises(ValueError, match="potential must be positive"):
+        _Ops(g, bh.ProblemConfig(lambda r: -np.ones_like(np.asarray(r, float)),
+                                 bh.exp_critical(0.3)))
     with pytest.raises(ValueError, match="not finite"):
-        bh.radial_potential(lambda r: np.where(np.asarray(r, float) > 5.0, np.inf, 1.0), g)
+        _Ops(g, bh.ProblemConfig(lambda r: np.where(np.asarray(r, float) > 5.0, np.inf, 1.0),
+                                 bh.exp_critical(0.3)))
 
 
 def test_config_standing_hypothesis():
     with pytest.raises(ValueError, match=r"f\(t\)/t -> 1.5 as t -> 0, not below V0=1.0"):
-        exp_critical_config(1.0, 1.5)      # lam >= gamma
+        _pose(exp_critical_config(1.0, 1.5))      # lam >= gamma
     with pytest.raises(ValueError, match=r"f\(t\)/t -> 1.0 as t -> 0, not below V0=1.0"):
-        exp_critical_config(1.0, 1.0)
-    cfg = exp_critical_config(1.0, 0.5)
-    assert cfg.dimension == 4
+        _pose(exp_critical_config(1.0, 1.0))
+    assert _pose(exp_critical_config(1.0, 0.5)).m == 2
     assert bh.model.ADAMS_BETA == {4: pytest.approx(32 * np.pi**2), 2: pytest.approx(4 * np.pi)}
 
 
@@ -257,9 +264,12 @@ def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
     assert [fd.name for fd in dataclasses.fields(bh.NonlinearitySpec)] == \
         ["kind", "f", "F", "alpha0"]
     assert not hasattr(cfg, "lam")
+    # a problem is (V, f); the grid it is posed on decides the rest
+    assert [fd.name for fd in dataclasses.fields(bh.ProblemConfig)] == \
+        ["potential", "nonlinearity"]
     assert cfg.nonlinearity.alpha0 == bh.model.EXP_RATE[2] == 1.0
     with pytest.raises(ValueError, match="does not match the dimension"):
-        bh.ProblemConfig(2, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
+        _pose(bh.ProblemConfig(bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4)), dim=2)
     with pytest.raises(ValueError, match="dimension must be 2 or 4"):
         exp_critical_config(1.0, 0.3, dimension=3)
 
@@ -273,11 +283,12 @@ def test_config_reads_lam_and_the_rate_from_the_nonlinearity():
 ], ids=["builtin", "user-builtin", "user-slope-1.5", "user-cubic", "theta"])
 def test_standing_hypothesis_reads_the_slope_of_every_nonlinearity(make, slope):
     # lim f(t)/t as t -> 0 must stay below V0, whatever family f belongs to
-    bh.ProblemConfig(4, bh.ConstantPotential(slope + 0.1), make())
+    assert _pose(bh.ProblemConfig(bh.ConstantPotential(slope + 0.1), make())).linear_slope \
+        == slope
     if slope > 0:
         with pytest.raises(ValueError, match=f"f\\(t\\)/t -> {slope} as t -> 0, "
                                              f"not below V0={slope}"):
-            bh.ProblemConfig(4, bh.ConstantPotential(slope), make())
+            _pose(bh.ProblemConfig(bh.ConstantPotential(slope), make()))
 
 
 def test_standing_hypothesis_refuses_a_nan_slope():
@@ -288,12 +299,12 @@ def test_standing_hypothesis_refuses_a_nan_slope():
 
     spec = bh.NonlinearitySpec("user", f, lambda t: 0.25 * np.expm1(2 * np.asarray(t) ** 2), 2.0)
     with pytest.raises(ValueError, match="f\\(t\\)/t -> nan as t -> 0"):
-        bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
+        _pose(bh.ProblemConfig(bh.ConstantPotential(1.0), spec))
 
 
 def test_check_conditions_exp_critical():
     spec = bh.exp_critical(1.0)
-    rep = check_conditions(spec, np.geomspace(0.1, 5.0, 400))
+    rep = check_conditions(spec)
     # the ratio t f / F decreases to 2 as t -> 0+, stays above it
     x = 2 * 0.1**2
     boundary = 2 * x / -np.expm1(-x)
@@ -306,15 +317,14 @@ def test_check_conditions_exp_critical():
 
 
 def test_check_conditions_exact_growth():
-    rep = check_conditions(bh.exact_growth_family(1.0), np.geomspace(0.1, 5.0, 400))
+    rep = check_conditions(bh.exact_growth_family(1.0))
     assert rep["ar_holds"]
     assert rep["upper_bound_holds"]
     assert rep["alpha0_estimate"] == pytest.approx(1.0, abs=0.2)
 
 
 def test_check_conditions_subcritical_flagged():
-    rep = check_conditions(bh.user_nonlinearity("2*t"),
-                           np.geomspace(0.1, 5.0, 400))
+    rep = check_conditions(bh.user_nonlinearity("2*t"))
     assert rep["alpha0_estimate"] == pytest.approx(0.0, abs=0.05)
     assert not rep["critical"]
 
@@ -327,10 +337,9 @@ def test_check_conditions_subcritical_flagged():
 def test_upper_bound_holds_only_where_F_over_f_turns_down(spec, holds):
     # M0 is the maximum of F/f on the probes, so F <= M0 f holds there by construction;
     # F/f still rising at the last probe point (t/2 for f = t) bounds nothing beyond it
-    t = np.geomspace(0.1, 5.0, 200)
-    rep = check_conditions(spec, t)
+    rep = check_conditions(spec)
     assert rep["upper_bound_holds"] is holds
-    assert rep["M0"] == np.max(spec.F(t) / spec.f(t))
+    assert rep["M0"] == np.max(spec.F(_PROBE_T) / spec.f(_PROBE_T))
 
 
 # alpha0_estimate on check's probe grid as recorded at 9530ade, before it was
@@ -341,7 +350,7 @@ def test_upper_bound_holds_only_where_F_over_f_turns_down(spec, holds):
     (bh.exact_growth_family(1.0), 1.0078654015285224),
     (bh.user_nonlinearity("2*t"), 0.031318791376538625)])
 def test_check_conditions_alpha0_estimate_pinned(spec, estimate):
-    rep = check_conditions(spec, np.geomspace(0.1, 5.0, 200))
+    rep = check_conditions(spec)
     assert rep["alpha0_estimate"] == pytest.approx(estimate, rel=1e-12, abs=0)
 
 

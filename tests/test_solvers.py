@@ -35,14 +35,14 @@ def solved(cfg, g4):
     return minimize_pohozaev(cfg, init)
 
 
-def dilated(u, theta, config):
-    """u(x / S), S = (1 - 2 theta)^(1/(2m)): the same samples on the grid S r_max.
+def dilated(u, theta):
+    """u(x / S), S = (1 - 2 theta)^(1/n) on R^n: the same samples on the grid S r_max.
 
     This maps a Pohozaev minimizer with multiplier theta onto a solution of the
     plain equation; scaling the radii transforms the discrete multiplier
     equation exactly, with no interpolation.
     """
-    S = (1.0 - 2.0 * theta) ** (1.0 / (2.0 * config.order))
+    S = (1.0 - 2.0 * theta) ** (1.0 / u.grid.dimension)
     grid = bh.build_grid(S * u.grid.r_max, u.grid.n_points, u.grid.dimension)
     return bh.RadialField(grid, u.values.copy())
 
@@ -98,7 +98,7 @@ def test_project_refuses_a_non_finite_ray(g4, gauss, project):
 
     spec = bh.NonlinearitySpec("user", nan_in_a_gap(base.f), nan_in_a_gap(base.F),
                                alpha0=2.0)
-    config = bh.ProblemConfig(4, bh.ConstantPotential(1.0), spec)
+    config = bh.ProblemConfig(bh.ConstantPotential(1.0), spec)
     with pytest.raises(ValueError, match="functional is nan at scale"):
         project(gauss, config)
 
@@ -130,9 +130,8 @@ def test_nehari_sign_scan_unique(cfg, g4):
 def test_potential_ordering_of_projections(g4):
     # V <= gamma pointwise gives t_u(V) <= t_u(gamma)
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
-    cfg_c = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(prof, bh.exp_critical(0.3, 4))
+    cfg_c = bh.ProblemConfig(bh.ConstantPotential(1.0), bh.exp_critical(0.3, 4))
     u = bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))
     assert project_nehari(u, cfg_V) <= project_nehari(u, cfg_c) + 1e-10
 
@@ -147,13 +146,12 @@ def _ray_configs():
     out = {}
     for dim in (4, 2):
         grid = bh.default_grid(dim)
-        well = bh.radial_potential(
-            lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2), grid)
+        well = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
         user_f = "0.3*t*exp(2*t^2)" if dim == 4 else "0.3*t*exp(t^2)"
         for kind, spec in (("exp", bh.exp_critical(0.3, dim)),
                            ("exact", bh.exact_growth_family(1.5)),
                            ("user", bh.user_nonlinearity(user_f))):
-            out[dim, kind] = (grid, bh.ProblemConfig(dim, well, spec))
+            out[dim, kind] = (grid, bh.ProblemConfig(well, spec))
     return out
 
 
@@ -181,7 +179,7 @@ def _project_or_reject(project, grid, vals, cfg):
 
 def _term_size(ops, v):
     """Sum of the magnitudes of the integrals G and N are built from."""
-    return (ops.quad_form(v) + float(np.dot(ops.w, (ops.V + ops.config.gamma) * v * v))
+    return (ops.quad_form(v) + float(np.dot(ops.w, (ops.V + ops.gamma) * v * v))
             + abs(float(np.dot(ops.w, ops.f(v) * v))) + 2.0 * abs(ops.F_mass(v)))
 
 
@@ -315,7 +313,7 @@ def test_lambda_monotonicity(g4):
 
 def test_recover_solution_properties(cfg, solved):
     rep = solved
-    ut = dilated(rep.field, rep.lagrange_theta, cfg)
+    ut = dilated(rep.field, rep.lagrange_theta)
     assert residual_weak(ut, cfg) <= 1e-6
     from biharm.functionals import evaluate_all
     fr = evaluate_all(ut, cfg)
@@ -352,8 +350,8 @@ def test_converged_is_the_reported_residual_within_the_gate(route, lam, n, conve
     if route == "pohozaev":
         rep = minimize_pohozaev(exp_critical_config(1.0, lam), init)
     else:
-        pot = bh.radial_potential(lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2), g)
-        rep = minimize_nehari(bh.ProblemConfig(4, pot, bh.exp_critical(lam, 4)), init)
+        pot = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
+        rep = minimize_nehari(bh.ProblemConfig(pot, bh.exp_critical(lam, 4)), init)
     assert rep.converged == (rep.residual_weak <= 1e-5) == converged
     gate_warnings = [w for w in rep.warnings if "convergence gate" in w]
     assert len(gate_warnings) == (0 if converged else 1)
@@ -366,8 +364,7 @@ def test_minimize_nehari_zero_init(cfg, g4):
 
 def test_minimize_nehari_trapping(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(prof, bh.exp_critical(0.3, 4))
     rep = minimize_nehari(cfg_V, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2)))
     assert rep.converged
     assert rep.objective > 0
@@ -375,8 +372,7 @@ def test_minimize_nehari_trapping(g4):
 
 def test_limiting_gap(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    pot = bh.radial_potential(prof, g4)
-    cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
+    cfg_V = bh.ProblemConfig(prof, bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg_V, gaussian_start(g4))
     assert rep["both_positive"]
     assert rep["gap"] > 1e-3
@@ -386,14 +382,13 @@ def test_limiting_gap(g4):
 
 def test_limiting_gap_hypothesis_violated(g4):
     prof = lambda r: 1.0 - 0.4 * np.exp(-np.asarray(r, float) ** 2)
-    pot = bh.radial_potential(prof, g4)
-    with pytest.raises(ValueError):
-        cfg_bad = bh.ProblemConfig(4, pot, bh.exp_critical(0.7, 4))
+    cfg_bad = bh.ProblemConfig(prof, bh.exp_critical(0.7, 4))
+    with pytest.raises(ValueError, match="not below V0=0.6"):
         limiting_gap(cfg_bad, gaussian_start(g4))
 
 
 def test_level_consistency_pohozaev_vs_nehari(cfg, g4, solved):
-    ut = dilated(solved.field, solved.lagrange_theta, cfg)
+    ut = dilated(solved.field, solved.lagrange_theta)
     from biharm.functionals import evaluate_all
     I_val = evaluate_all(ut, cfg)["energy_I"]
     rep_n = minimize_nehari(cfg, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2)))
@@ -406,8 +401,7 @@ def test_monotonicity_in_potential(g4):
     prof2 = lambda r: 1.0 - 0.1 * np.exp(-np.asarray(r, float) ** 2)
     m = []
     for prof in (prof1, prof2):
-        pot = bh.radial_potential(prof, g4)
-        cfg_V = bh.ProblemConfig(4, pot, bh.exp_critical(0.3, 4))
+        cfg_V = bh.ProblemConfig(prof, bh.exp_critical(0.3, 4))
         m.append(minimize_nehari(cfg_V, bh.RadialField(g4, np.exp(-g4.nodes**2 / 2))).objective)
     assert m[0] <= m[1] + 1e-8
 
@@ -439,23 +433,41 @@ def test_ops_cache_hit_is_the_same_pair(g4):
 
 
 def test_a_problem_on_a_grid_of_another_dimension_is_refused(cfg):
-    # the grid and the config each store a dimension; left unchecked, a 4-D
-    # problem on a 2-D grid runs to a level and reports converged
+    # a problem holds no dimension: the grid decides it, and the 4-D rate of
+    # exp(2 t^2) is refused on a 2-D grid, where the critical rate is 1
     from biharm.functionals import evaluate_all
     g2 = bh.default_grid(2)
     u = bh.RadialField(g2, np.exp(-g2.nodes**2 / 2))
     for run in (minimize_pohozaev, minimize_nehari, lambda c, f: evaluate_all(f, c)):
-        with pytest.raises(ValueError, match="a 4-D problem on a 2-D grid"):
+        with pytest.raises(ValueError,
+                           match="exp-critical coefficient does not match the dimension"):
             run(cfg, u)
+
+
+def test_one_config_reads_the_facts_of_each_grid_it_is_posed_on():
+    # a well 0.004 wide: V0 = min V is what the nodes of each grid sample of it
+    well = lambda r: 1.2 - 0.9 * np.exp(-((np.asarray(r, float) - 1.005) / 0.002) ** 2)
+    cfg = bh.ProblemConfig(well, bh.exp_critical(0.5, 4))
+    coarse = _Ops(bh.build_grid(20.0, 2048, 4), cfg)
+    assert np.min(coarse.V) == pytest.approx(0.6296, abs=1e-4)
+    assert coarse.gamma == 1.2 and coarse.linear_slope == 0.5
+    fine = bh.build_grid(20.0, 4001, 4)         # a node at r = 1.005, where V = 0.3
+    with pytest.raises(ValueError, match=r"f\(t\)/t -> 0.5 as t -> 0, not below V0=0\.2999"):
+        _Ops(fine, cfg)
+    # the theta family has no dimension: one config runs on a 4-D and a 2-D grid
+    theta = bh.ProblemConfig(bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
+    for dim in (4, 2):
+        rep = minimize_nehari(theta, gaussian_start(bh.default_grid(dim)))
+        assert rep.converged and rep.objective > 0
+        assert _ops_for(rep.field.grid, theta).m == dim // 2
 
 
 def test_2d_gap_builds_one_ops_per_problem():
     # the trapped and the limit problem, each on the caller's grid only
     from biharm import solvers
     g2 = bh.build_grid(30.0, 512, 2)
-    pot = bh.radial_potential(
-        lambda r: 1.1 - 0.4 * np.exp(-(np.asarray(r, float) / 1.5) ** 2), g2)
-    cfg = bh.ProblemConfig(2, pot, bh.exp_critical(0.4, 2))
+    cfg = bh.ProblemConfig(lambda r: 1.1 - 0.4 * np.exp(-(np.asarray(r, float) / 1.5) ** 2),
+                           bh.exp_critical(0.4, 2))
     solvers._ops_for.cache_clear()
     rep = solvers.limiting_gap(cfg, bh.RadialField(g2, np.exp(-g2.nodes**2 / 2)))
     assert solvers._ops_for.cache_info().misses == 2
@@ -632,8 +644,7 @@ def test_handoff_keeps_the_gap_levels():
     # the benchmark's GAP_4D: both Nehari solves hand over after 5 steps
     from biharm.expressions import parse_expression
     init = _gauss_init(4)
-    well = bh.radial_potential(parse_expression("1-0.4*exp(-t^2)"), init.grid)
-    cfg = bh.ProblemConfig(4, well, bh.exp_critical(0.3, 4))
+    cfg = bh.ProblemConfig(parse_expression("1-0.4*exp(-t^2)"), bh.exp_critical(0.3, 4))
     rep = limiting_gap(cfg, init)
     full = _without_handoff(lambda: limiting_gap(cfg, init))
     assert rep["status_V"]["iterations"] == rep["status_infty"]["iterations"] == 5
@@ -696,7 +707,7 @@ def test_a_trial_root_above_the_descent_level_is_rejected(monkeypatch):
 def test_descent_stays_short_where_the_multiplier_moves_far(g4, gauss):
     # c = 1 - 2 theta starts near 3.7 here; a descent factor at c = 1 instead
     # of the start's c0 took 73 steps, a fresh factor per step 28
-    cfg = bh.ProblemConfig(4, bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
+    cfg = bh.ProblemConfig(bh.ConstantPotential(1.0), bh.exact_growth_family(1.5))
     rep = minimize_pohozaev(cfg, gauss)
     assert rep.converged
     assert rep.iterations <= 40
